@@ -12,7 +12,7 @@ STATICCHECK ?= $(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSIO
 # is the catalog.
 SILINT := bin/silint
 
-.PHONY: build test bench bench-json bench-baseline fuzz-short lint silint serve serve-append-smoke serve-cluster-smoke docs-check examples ci
+.PHONY: build test bench bench-smoke bench-json bench-baseline fuzz-short lint silint serve serve-append-smoke serve-cluster-smoke docs-check examples ci
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,14 @@ test:
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# The repo benchmark (BENCHMARK.json) is its own module under bench/,
+# so `go build ./... && go test ./...` at the root never compiles
+# bench/layers.go — the one file importing repro/... — against the API
+# it drives. Vet and smoke-test it here so an engine change that breaks
+# the benchmark fails CI instead of the next benchmark run.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Machine-readable search benchmarks: run the serving-path benches
 # (plain, batched, count-only and limited search — ns/op, allocs,
@@ -98,15 +106,16 @@ serve-append-smoke:
 serve-cluster-smoke:
 	sh scripts/serve-cluster-smoke.sh
 
-# Documentation checks: markdown link integrity + doc-comment coverage
-# of every exported identifier (docs_check_test.go), plus vet.
+# Documentation checks: markdown link integrity, doc-comment coverage
+# of every exported identifier, and ARCHITECTURE.md's invariants each
+# citing a test that exists (docs_check_test.go), plus vet.
 docs-check:
 	$(GO) vet ./...
-	$(GO) test -run 'TestDocLinks|TestExportedDocs' .
+	$(GO) test -run 'TestDocLinks|TestExportedDocs|TestInvariantsNameTests' .
 
 # Compile every example program so they cannot rot (building multiple
 # main packages at once type-checks and discards the binaries).
 examples:
 	$(GO) build ./examples/...
 
-ci: lint build test bench fuzz-short docs-check examples
+ci: lint build test bench bench-smoke fuzz-short docs-check examples

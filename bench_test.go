@@ -234,7 +234,7 @@ func BenchmarkAblationNodeApproach(b *testing.B) {
 			if _, err := core.Build(dir, trees, core.Options{MSS: mss, Coding: postings.RootSplit}); err != nil {
 				b.Fatal(err)
 			}
-			ix, err := core.Open(dir)
+			ix, err := core.OpenLive(dir, core.OpenOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -242,7 +242,7 @@ func BenchmarkAblationNodeApproach(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, q := range qs {
-					if _, err := ix.Query(q); err != nil {
+					if _, err := ix.SearchQuery(context.Background(), q, core.SearchOpts{}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -262,14 +262,14 @@ func BenchmarkAblationCodingQueryLatency(b *testing.B) {
 			if _, err := core.Build(dir, trees, core.Options{MSS: 3, Coding: coding}); err != nil {
 				b.Fatal(err)
 			}
-			ix, err := core.Open(dir)
+			ix, err := core.OpenLive(dir, core.OpenOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer ix.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ix.Query(q); err != nil {
+				if _, err := ix.SearchQuery(context.Background(), q, core.SearchOpts{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -349,7 +349,7 @@ func BenchmarkAblationStackJoin(b *testing.B) {
 	if _, err := core.Build(dir, trees, core.Options{MSS: 3, Coding: postings.RootSplit}); err != nil {
 		b.Fatal(err)
 	}
-	ix, err := core.Open(dir)
+	ix, err := core.OpenLive(dir, core.OpenOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func BenchmarkAblationStackJoin(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, q := range qs {
-					if _, err := ix.Query(q); err != nil {
+					if _, err := ix.SearchQuery(context.Background(), q, core.SearchOpts{}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -97,6 +97,64 @@ func TestRequiredDocsExist(t *testing.T) {
 	}
 }
 
+// testName matches the Go test, benchmark and fuzz function names prose
+// cites as evidence.
+var testName = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z]\w*`)
+
+// funcDecl matches top-level function declarations in Go source.
+var funcDecl = regexp.MustCompile(`(?m)^func (\w+)\(`)
+
+// TestInvariantsNameTests keeps ARCHITECTURE.md's "Invariants worth
+// knowing" honest: every entry must cite at least one test, and every
+// cited test must still exist — an invariant whose test was deleted or
+// renamed is a claim nothing checks.
+func TestInvariantsNameTests(t *testing.T) {
+	raw, err := os.ReadFile("docs/ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(raw), "## Invariants worth knowing\n")
+	if !ok {
+		t.Fatal("docs/ARCHITECTURE.md lost its invariants section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	defined := map[string]bool{}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != "." {
+			return filepath.SkipDir
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range funcDecl.FindAllSubmatch(src, -1) {
+			defined[string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, entry := range strings.Split(section, "\n- ")[1:] {
+		title, _, _ := strings.Cut(entry, "**:")
+		cited := testName.FindAllString(entry, -1)
+		if len(cited) == 0 {
+			t.Errorf("invariant %q names no test", title)
+		}
+		for _, name := range cited {
+			if !defined[name] {
+				t.Errorf("invariant %q cites %s, which no _test.go file defines", title, name)
+			}
+		}
+	}
+}
+
 // TestDocLinks walks every *.md file in the repository and asserts
 // that each relative link target exists on disk.
 func TestDocLinks(t *testing.T) {

@@ -205,6 +205,49 @@ func TestRouterSearchParity(t *testing.T) {
 	}
 }
 
+// TestRouterRejectsOverflowingWindow is the routed half of the
+// offset+limit overflow regression: the router validates through the
+// node's own parser, so a window whose end does not fit an int is a 400
+// on every query endpoint — it used to wrap the early-stop target and
+// reach the nodes, where it panicked inside a shard goroutine — and
+// router and nodes keep answering afterwards. A huge but representable
+// offset is simply an empty window, exactly as on a single server.
+func TestRouterRejectsOverflowingWindow(t *testing.T) {
+	ref, _, rts := newParityPair(t, si.GenerateCorpus(2012, 300), 2, 1)
+	q := url.QueryEscape("NP(DT)(NN)")
+	for _, base := range []string{ref.URL, rts.URL} {
+		for _, ep := range []string{"/search", "/stream"} {
+			for _, off := range []string{"9223372036854775797", "9223372036854775807"} {
+				resp, err := http.Get(base + ep + "?q=" + q + "&limit=10&offset=" + off)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusBadRequest {
+					t.Errorf("%s offset=%s: status %d, want 400", ep, off, resp.StatusCode)
+				}
+			}
+		}
+		resp, err := http.Post(base+"/batch", "application/json",
+			strings.NewReader(`{"queries":["NP(DT)(NN)"],"limit":10,"offset":9223372036854775800}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("/batch: status %d, want 400", resp.StatusCode)
+		}
+	}
+	path := "/search?q=" + q + "&limit=10&offset=1099511627776"
+	var want, got server.SearchResponse
+	getJSON(t, ref.URL+path, &want)
+	getJSON(t, rts.URL+path, &got)
+	sameResult(t, path, want.QueryResult, got.QueryResult)
+	if len(got.Matches) != 0 || got.Count == 0 {
+		t.Fatalf("%s: %d matches of %d found, want the empty window past every match", path, len(got.Matches), got.Count)
+	}
+}
+
 // TestRouterBatchParity sends the whole query set as one batch through
 // both servers for several windows and count-only, requiring per-query
 // agreement and preserved order.

@@ -26,77 +26,6 @@ import (
 // evaluation with the current one's merge.
 const routerLookahead = 2
 
-// params are the parsed query parameters of a routed GET request,
-// validated and clamped exactly like a node's (shared syntax, shared
-// defaults), so moving a client from sisrv to sirouter changes the
-// URL and nothing else.
-type params struct {
-	src     string
-	limit   int
-	offset  int
-	timeout time.Duration
-}
-
-// effectiveLimit clamps a requested limit to the router's cap, with
-// server semantics: 0 means the cap itself, a negative cap means
-// unlimited.
-func (r *Router) effectiveLimit(requested int) int {
-	if r.cfg.MaxMatches < 0 {
-		if requested > 0 {
-			return requested
-		}
-		return 0
-	}
-	if requested <= 0 || requested > r.cfg.MaxMatches {
-		return r.cfg.MaxMatches
-	}
-	return requested
-}
-
-// boundParams validates and clamps the limit/offset/timeout triple for
-// both the GET endpoints and /batch bodies.
-func (r *Router) boundParams(limit, offset int, timeout string) (int, int, time.Duration, error) {
-	if offset < 0 {
-		return 0, 0, 0, fmt.Errorf("bad offset %d (must be >= 0)", offset)
-	}
-	var d time.Duration
-	if timeout != "" {
-		td, err := time.ParseDuration(timeout)
-		if err != nil || td <= 0 {
-			return 0, 0, 0, fmt.Errorf("bad timeout %q (want a positive Go duration, e.g. 500ms)", timeout)
-		}
-		d = td
-	}
-	return r.effectiveLimit(limit), offset, d, nil
-}
-
-// parseParams validates q, limit, offset and timeout.
-func (r *Router) parseParams(req *http.Request) (params, error) {
-	var p params
-	v := req.URL.Query()
-	p.src = v.Get("q")
-	if p.src == "" {
-		return p, fmt.Errorf("missing q parameter")
-	}
-	if raw := v.Get("limit"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil {
-			return p, fmt.Errorf("bad limit %q", raw)
-		}
-		p.limit = n
-	}
-	if raw := v.Get("offset"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil {
-			return p, fmt.Errorf("bad offset %q", raw)
-		}
-		p.offset = n
-	}
-	var err error
-	p.limit, p.offset, p.timeout, err = r.boundParams(p.limit, p.offset, v.Get("timeout"))
-	return p, err
-}
-
 // requestCtx bounds a routed request like a node bounds its own: the
 // client's context, capped by the requested timeout clamped to the
 // router default.
@@ -186,16 +115,16 @@ func (r *Router) handleSearch(w http.ResponseWriter, req *http.Request) {
 		r.fail(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	p, err := r.parseParams(req)
+	p, err := server.ParseParams(req, r.cfg.MaxMatches)
 	if err != nil {
 		r.fail(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	ctx, cancel := r.requestCtx(req, p.timeout)
+	ctx, cancel := r.requestCtx(req, p.Timeout)
 	defer cancel()
 	start := time.Now()
 	var qr server.QueryResult
-	if target := searchTarget(p.limit, p.offset); target > 0 {
+	if target := searchTarget(p.Limit, p.Offset); target > 0 {
 		qr, err = r.searchLazy(ctx, p, target)
 	} else {
 		qr, err = r.searchFanout(ctx, p)
@@ -210,14 +139,11 @@ func (r *Router) handleSearch(w http.ResponseWriter, req *http.Request) {
 	})
 }
 
-// searchTarget is the engine's SearchOpts.target: the number of
+// searchTarget is the engine's own early-stop target: the number of
 // leading global matches that must be merged before evaluation may
-// stop — offset+limit, or 0 for "all".
+// stop — offset+limit (saturating), or 0 for "all".
 func searchTarget(limit, offset int) int {
-	if limit <= 0 {
-		return 0
-	}
-	return offset + limit
+	return core.SearchOpts{Limit: limit, Offset: offset}.Target()
 }
 
 // searchLazy consults groups in tid order, routerLookahead at a time,
@@ -227,9 +153,9 @@ func searchTarget(limit, offset int) int {
 // into the found count, a group that fails after the window filled was
 // speculative and is skipped, and a group the window still needs
 // failing fails the search.
-func (r *Router) searchLazy(ctx context.Context, p params, target int) (server.QueryResult, error) {
+func (r *Router) searchLazy(ctx context.Context, p server.Params, target int) (server.QueryResult, error) {
 	bases := r.bases()
-	nq := nodeQuery(ctx, p.src, target, 0)
+	nq := nodeQuery(ctx, p.Src, target, 0)
 	outs := make([]chan groupSearch, len(r.groups))
 	launched := 0
 	launch := func() {
@@ -279,9 +205,9 @@ func (r *Router) searchLazy(ctx context.Context, p params, target int) (server.Q
 	// merged slice's first target elements are exactly the global
 	// result's — the same prefix the engine's window() would cut.
 	upper := min(target, len(merged))
-	lower := min(p.offset, upper)
+	lower := min(p.Offset, upper)
 	return server.QueryResult{
-		Query:     p.src,
+		Query:     p.Src,
 		Count:     found,
 		Matches:   wireMatches(merged[lower:upper]),
 		Truncated: found > target || consulted < len(r.groups),
@@ -299,9 +225,9 @@ type groupSearch struct {
 // offset. A node whose own match cap clipped its window reports
 // truncated, which the router propagates (run nodes with -limit -1 to
 // make unlimited routed searches exact).
-func (r *Router) searchFanout(ctx context.Context, p params) (server.QueryResult, error) {
+func (r *Router) searchFanout(ctx context.Context, p server.Params) (server.QueryResult, error) {
 	bases := r.bases()
-	nq := nodeQuery(ctx, p.src, -1, 0)
+	nq := nodeQuery(ctx, p.Src, -1, 0)
 	outs := make([]groupSearch, len(r.groups))
 	done := make(chan int, len(r.groups))
 	for i := range r.groups {
@@ -324,9 +250,9 @@ func (r *Router) searchFanout(ctx context.Context, p params) (server.QueryResult
 		found += outs[i].resp.Count
 		truncated = truncated || outs[i].resp.Truncated
 	}
-	lower := min(p.offset, len(merged))
+	lower := min(p.Offset, len(merged))
 	return server.QueryResult{
-		Query:     p.src,
+		Query:     p.Src,
 		Count:     found,
 		Matches:   wireMatches(merged[lower:]),
 		Truncated: truncated,
@@ -339,16 +265,16 @@ func (r *Router) handleCount(w http.ResponseWriter, req *http.Request) {
 		r.fail(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	p, err := r.parseParams(req)
+	p, err := server.ParseParams(req, r.cfg.MaxMatches)
 	if err != nil {
 		r.fail(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	ctx, cancel := r.requestCtx(req, p.timeout)
+	ctx, cancel := r.requestCtx(req, p.Timeout)
 	defer cancel()
 	start := time.Now()
 	nq := url.Values{}
-	nq.Set("q", p.src)
+	nq.Set("q", p.Src)
 	if dl, ok := ctx.Deadline(); ok {
 		if rem := time.Until(dl); rem > 0 {
 			nq.Set("timeout", rem.String())
@@ -374,7 +300,7 @@ func (r *Router) handleCount(w http.ResponseWriter, req *http.Request) {
 		total += outs[i].resp.Count
 	}
 	r.writeJSON(w, http.StatusOK, server.SearchResponse{
-		QueryResult: server.QueryResult{Query: p.src, Count: total},
+		QueryResult: server.QueryResult{Query: p.Src, Count: total},
 		TookNS:      time.Since(start).Nanoseconds(),
 	})
 }
@@ -403,7 +329,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 			fmt.Sprintf("batch of %d queries exceeds limit %d", len(breq.Queries), r.cfg.MaxBatch))
 		return
 	}
-	limit, offset, timeout, err := r.boundParams(breq.Limit, breq.Offset, breq.Timeout)
+	limit, offset, timeout, err := server.BoundParams(r.cfg.MaxMatches, breq.Limit, breq.Offset, breq.Timeout)
 	if err != nil {
 		r.fail(w, http.StatusBadRequest, err.Error())
 		return

@@ -59,16 +59,16 @@ func (r *Router) handleStream(w http.ResponseWriter, req *http.Request) {
 		r.fail(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	p, err := r.parseParams(req)
+	p, err := server.ParseParams(req, r.cfg.MaxMatches)
 	if err != nil {
 		r.fail(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	ctx, cancel := r.requestCtx(req, p.timeout)
+	ctx, cancel := r.requestCtx(req, p.Timeout)
 	defer cancel()
 	start := time.Now()
 	bases := r.bases()
-	st := &streamState{target: searchTarget(p.limit, p.offset), offset: p.offset}
+	st := &streamState{target: searchTarget(p.Limit, p.Offset), offset: p.Offset}
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	flusher, _ := w.(http.Flusher)
@@ -78,7 +78,7 @@ func (r *Router) handleStream(w http.ResponseWriter, req *http.Request) {
 		if st.done {
 			break
 		}
-		if err := r.streamGroup(ctx, w, enc, flusher, gi, bases[gi], p.src, st); err != nil {
+		if err := r.streamGroup(ctx, w, enc, flusher, gi, bases[gi], p.Src, st); err != nil {
 			streamErr = fmt.Errorf("group %d: %w", gi, err)
 			break
 		}

@@ -197,12 +197,12 @@ func TestQuickBackendEquivalence(t *testing.T) {
 			}
 		}
 
-		abatch, err := mapped.QueryTextBatch(srcs)
+		abatch, err := searchBatch(mapped, srcs)
 		if err != nil {
 			t.Logf("mmap batch: %v", err)
 			return false
 		}
-		bbatch, err := plain.QueryTextBatch(srcs)
+		bbatch, err := searchBatch(plain, srcs)
 		if err != nil {
 			t.Logf("pread batch: %v", err)
 			return false
@@ -241,7 +241,7 @@ func TestQuickBackendEquivalence(t *testing.T) {
 					errs[g] = err
 					return
 				}
-				want, err := plain.QueryText(srcs[g%len(srcs)])
+				want, err := searchText(plain, srcs[g%len(srcs)])
 				if err != nil {
 					errs[g] = err
 					return

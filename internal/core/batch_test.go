@@ -27,12 +27,12 @@ var batchQueries = []string{
 func TestBatchMatchesSequential(t *testing.T) {
 	trees := shardCorpus(500)
 	for coding, ix := range buildAll(t, trees, 3) {
-		batch, err := ix.QueryTextBatch(batchQueries)
+		batch, err := searchBatch(ix, batchQueries)
 		if err != nil {
 			t.Fatalf("%v: batch: %v", coding, err)
 		}
 		for i, src := range batchQueries {
-			seq, err := ix.QueryText(src)
+			seq, err := searchText(ix, src)
 			if err != nil {
 				t.Fatalf("%v: %q: %v", coding, src, err)
 			}
@@ -53,13 +53,13 @@ func TestBatchMatchesSequentialSharded(t *testing.T) {
 		// permuted queries in batchQueries resolve to one *Plan, which
 		// batch evaluation runs once and shares.
 		for _, opts := range []OpenOptions{{}, {PlanCache: 64}} {
-			h := openSharded(t, trees, shards, opts)
-			batch, err := h.QueryTextBatch(batchQueries)
+			h := openLive(t, trees, shards, opts)
+			batch, err := searchBatch(h, batchQueries)
 			if err != nil {
 				t.Fatalf("shards=%d: %v", shards, err)
 			}
 			for i, src := range batchQueries {
-				seq, err := h.QueryText(src)
+				seq, err := searchText(h, src)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -78,15 +78,15 @@ func TestBatchMatchesSequentialSharded(t *testing.T) {
 func TestBatchFewerFetches(t *testing.T) {
 	trees := shardCorpus(400)
 	for _, shards := range []int{1, 3} {
-		h := openSharded(t, trees, shards, OpenOptions{})
+		h := openLive(t, trees, shards, OpenOptions{})
 		base := h.Counters().PostingFetches
 		for _, src := range batchQueries {
-			if _, err := h.QueryText(src); err != nil {
+			if _, err := searchText(h, src); err != nil {
 				t.Fatal(err)
 			}
 		}
 		seq := h.Counters().PostingFetches - base
-		if _, err := h.QueryTextBatch(batchQueries); err != nil {
+		if _, err := searchBatch(h, batchQueries); err != nil {
 			t.Fatal(err)
 		}
 		batch := h.Counters().PostingFetches - base - seq
@@ -103,8 +103,8 @@ func TestBatchFewerFetches(t *testing.T) {
 // TestBatchBadQuery asserts a parse failure anywhere fails the whole
 // batch and names the offending position.
 func TestBatchBadQuery(t *testing.T) {
-	h := openSharded(t, shardCorpus(50), 2, OpenOptions{})
-	_, err := h.QueryTextBatch([]string{"NP(DT)", "NP(("})
+	h := openLive(t, shardCorpus(50), 2, OpenOptions{})
+	_, err := searchBatch(h, []string{"NP(DT)", "NP(("})
 	if err == nil {
 		t.Fatal("batch with unparsable query succeeded")
 	}
@@ -115,8 +115,8 @@ func TestBatchBadQuery(t *testing.T) {
 // bound holds.
 func TestPlanCache(t *testing.T) {
 	trees := shardCorpus(300)
-	h := openSharded(t, trees, 2, OpenOptions{PlanCache: 64})
-	want, err := h.QueryText("NP(DT)(NN)")
+	h := openLive(t, trees, 2, OpenOptions{PlanCache: 64})
+	want, err := searchText(h, "NP(DT)(NN)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestPlanCache(t *testing.T) {
 		t.Fatalf("first query: hits=%d misses=%d, want exactly 0/1 (one miss per lookup)",
 			c0.PlanCacheHits, c0.PlanCacheMisses)
 	}
-	got, err := h.QueryText("NP(DT)(NN)") // raw-text repeat
+	got, err := searchText(h, "NP(DT)(NN)") // raw-text repeat
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestPlanCache(t *testing.T) {
 	if c1.PlanCacheHits != c0.PlanCacheHits+1 {
 		t.Fatalf("raw repeat: hits %d -> %d, want +1", c0.PlanCacheHits, c1.PlanCacheHits)
 	}
-	got, err = h.QueryText("NP(NN)(DT)") // permutation: canonical-key hit
+	got, err = searchText(h, "NP(NN)(DT)") // permutation: canonical-key hit
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,14 +155,14 @@ func TestPlanCache(t *testing.T) {
 // query before retaining it.
 func TestPlanCacheCallerMutation(t *testing.T) {
 	trees := shardCorpus(300)
-	h := openSharded(t, trees, 1, OpenOptions{PlanCache: 64})
+	h := openLive(t, trees, 1, OpenOptions{PlanCache: 64})
 	q := query.MustParse("NP(DT)(NN)")
-	want, _, err := h.QueryWithStats(q)
+	want, err := searchQuery(h, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q.Nodes[1].Label = "ZZZ" // caller reuses the struct for something else
-	got, err := h.QueryText("NP(DT)(NN)")
+	got, err := searchText(h, "NP(DT)(NN)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,11 +258,11 @@ func TestPlanReuseAcrossPermutations(t *testing.T) {
 	}
 	for coding, ix := range buildAll(t, trees, 3) {
 		for _, pr := range pairs {
-			a, err := ix.QueryText(pr[0])
+			a, err := searchText(ix, pr[0])
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := ix.QueryText(pr[1])
+			b, err := searchText(ix, pr[1])
 			if err != nil {
 				t.Fatal(err)
 			}

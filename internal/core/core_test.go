@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"os"
 	"path/filepath"
@@ -15,21 +16,61 @@ import (
 	"repro/internal/subtree"
 )
 
-// buildAll builds one index per coding over the same trees and mss.
-func buildAll(t testing.TB, trees []*lingtree.Tree, mss int) map[postings.Coding]*Index {
+// openDir opens dir through the one handle and closes it with the test.
+func openDir(t testing.TB, dir string, opts OpenOptions) *Live {
 	t.Helper()
-	out := map[postings.Coding]*Index{}
+	l, err := OpenLive(dir, opts)
+	if err != nil {
+		t.Fatalf("open %s: %v", dir, err)
+	}
+	t.Cleanup(func() { l.Close() })
+	return l
+}
+
+// searchText returns every match of src: an unbounded Search. No
+// matches come back as nil, so results compare with reflect.DeepEqual
+// against the exact matcher's.
+func searchText(l *Live, src string) ([]Match, error) {
+	res, err := l.Search(context.Background(), src, SearchOpts{})
+	if err != nil || len(res.Matches) == 0 {
+		return nil, err
+	}
+	return res.Matches, nil
+}
+
+// searchQuery is searchText for an already-parsed query.
+func searchQuery(l *Live, q *query.Query) ([]Match, error) {
+	res, err := l.SearchQuery(context.Background(), q, SearchOpts{})
+	if err != nil || len(res.Matches) == 0 {
+		return nil, err
+	}
+	return res.Matches, nil
+}
+
+// searchBatch returns every match of each query, evaluated as one
+// unbounded batch.
+func searchBatch(l *Live, srcs []string) ([][]Match, error) {
+	results, err := l.SearchBatch(context.Background(), srcs, SearchOpts{})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]Match, len(results))
+	for i, r := range results {
+		out[i] = r.Matches
+	}
+	return out, nil
+}
+
+// buildAll builds one index per coding over the same trees and mss.
+func buildAll(t testing.TB, trees []*lingtree.Tree, mss int) map[postings.Coding]*Live {
+	t.Helper()
+	out := map[postings.Coding]*Live{}
 	for _, c := range []postings.Coding{postings.FilterBased, postings.RootSplit, postings.SubtreeInterval} {
 		dir := filepath.Join(t.TempDir(), c.String())
 		if _, err := Build(dir, trees, Options{MSS: mss, Coding: c}); err != nil {
 			t.Fatalf("build %v: %v", c, err)
 		}
-		ix, err := Open(dir)
-		if err != nil {
-			t.Fatalf("open %v: %v", c, err)
-		}
-		t.Cleanup(func() { ix.Close() })
-		out[c] = ix
+		out[c] = openDir(t, dir, OpenOptions{})
 	}
 	return out
 }
@@ -80,7 +121,7 @@ func TestAllCodingsMatchGroundTruth(t *testing.T) {
 			}
 			want := groundTruth(trees, q)
 			for coding, ix := range indexes {
-				got, err := ix.Query(q)
+				got, err := searchQuery(ix, q)
 				if err != nil {
 					t.Fatalf("mss=%d %v query %q: %v", mss, coding, qs, err)
 				}
@@ -142,22 +183,30 @@ func TestRootDedupReducesPostings(t *testing.T) {
 	}
 }
 
-func TestQueryStats(t *testing.T) {
+// TestSearchStatsExplain: a search reports how it was evaluated — the
+// cover pieces, the posting entries decoded for each, and the join
+// rows (trees validated, under the filter coding).
+func TestSearchStatsExplain(t *testing.T) {
 	trees := corpusgen.New(9).Trees(60)
 	indexes := buildAll(t, trees, 2)
 	q := query.MustParse("S(NP(DT))(VP)")
 	for coding, ix := range indexes {
-		_, st, err := ix.QueryWithStats(q)
+		res, err := ix.SearchQuery(context.Background(), q, SearchOpts{Explain: true})
 		if err != nil {
 			t.Fatalf("%v: %v", coding, err)
 		}
-		if st.Pieces < 2 {
-			t.Errorf("%v: pieces = %d", coding, st.Pieces)
+		st := res.Stats
+		if len(st.Pieces) < 2 {
+			t.Errorf("%v: pieces = %d", coding, len(st.Pieces))
 		}
-		if st.PostingsFetched == 0 {
-			t.Errorf("%v: no postings fetched", coding)
+		var decoded uint64
+		for _, p := range st.Pieces {
+			decoded += p.Actual
 		}
-		if coding == postings.FilterBased && st.Validated == 0 {
+		if decoded == 0 || st.PostingFetches == 0 {
+			t.Errorf("%v: %d posting fetches decoded %d entries", coding, st.PostingFetches, decoded)
+		}
+		if coding == postings.FilterBased && st.JoinRows == 0 {
 			t.Errorf("filter coding validated no trees")
 		}
 	}
@@ -215,7 +264,7 @@ func TestBuildRejectsBadOptions(t *testing.T) {
 }
 
 func TestOpenMissing(t *testing.T) {
-	if _, err := Open(t.TempDir()); err == nil {
+	if _, err := OpenLive(t.TempDir(), OpenOptions{}); err == nil {
 		t.Error("want error opening empty dir")
 	}
 }
@@ -247,12 +296,7 @@ func TestParallelBuildIdenticalToSequential(t *testing.T) {
 		t.Error("parallel build produced a different index file")
 	}
 	// And the parallel-built index answers queries.
-	ix, err := Open(parDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	ms, err := ix.Query(query.MustParse("NP(DT)"))
+	ms, err := searchQuery(openDir(t, parDir, OpenOptions{}), query.MustParse("NP(DT)"))
 	if err != nil || len(ms) == 0 {
 		t.Errorf("parallel index query: %d matches, %v", len(ms), err)
 	}

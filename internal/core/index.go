@@ -15,18 +15,17 @@ import (
 	"repro/internal/match"
 	"repro/internal/planner"
 	"repro/internal/postings"
-	"repro/internal/query"
 	"repro/internal/subtree"
 	"repro/internal/treebank"
 )
 
-// Index is an opened, read-only Subtree Index.
+// Index is one opened, read-only index leaf: a single directory's
+// B+Tree and data file. It evaluates plans compiled at the root — Live
+// is the handle that plans, fans out over leaves and merges.
 type Index struct {
-	dir     string
 	meta    Meta
 	tree    *btree.Tree
 	store   *treebank.Store
-	plans   *compiler
 	fetches atomic.Uint64 // physical posting-list reads issued by query evaluation
 }
 
@@ -62,7 +61,8 @@ type OpenOptions struct {
 	// PlanCache bounds the in-process LRU cache of compiled query plans
 	// (parsed query + cover decomposition), keyed by query text. The
 	// zero value disables plan caching; serving deployments typically
-	// set a few thousand entries.
+	// set a few thousand entries. Plans compile once at the root
+	// (OpenLive); a leaf opened on its own ignores the field.
 	PlanCache int
 	// Mmap selects the read backend for index files; the zero value
 	// (MmapAuto) maps them when possible.
@@ -89,21 +89,18 @@ func readMeta(dir string) (Meta, error) {
 	return meta, nil
 }
 
-// Open opens the single-directory index stored in dir without a page
-// cache. For an index that may be sharded, use OpenAny.
-func Open(dir string) (*Index, error) { return OpenWith(dir, OpenOptions{}) }
-
-// OpenWith opens the single-directory index stored in dir.
+// OpenWith opens the single-directory index leaf stored in dir. Query
+// an index of any layout through OpenLive.
 func OpenWith(dir string, opts OpenOptions) (*Index, error) {
 	meta, err := readMeta(dir)
 	if err != nil {
 		return nil, err
 	}
 	if meta.Shards > 0 {
-		return nil, fmt.Errorf("core: %s is a sharded index root (%d shards); use OpenSharded or OpenAny", dir, meta.Shards)
+		return nil, fmt.Errorf("core: %s is a sharded index root (%d shards), not a leaf; use OpenLive", dir, meta.Shards)
 	}
 	if meta.FormatVersion == FormatSegmented {
-		return nil, fmt.Errorf("core: %s is a segmented index root (%d segments); use OpenLive or OpenAny", dir, len(meta.Segments))
+		return nil, fmt.Errorf("core: %s is a segmented index root (%d segments), not a leaf; use OpenLive", dir, len(meta.Segments))
 	}
 	tr, err := btree.OpenWith(filepath.Join(dir, indexFileName),
 		btree.Options{CacheBytes: opts.CacheSize, Mmap: opts.Mmap != MmapOff})
@@ -115,8 +112,7 @@ func OpenWith(dir string, opts OpenOptions) (*Index, error) {
 		tr.Close()
 		return nil, err
 	}
-	return &Index{dir: dir, meta: meta, tree: tr, store: store,
-		plans: newCompiler(meta, opts.PlanCache)}, nil
+	return &Index{meta: meta, tree: tr, store: store}, nil
 }
 
 // Meta returns the index metadata recorded at build time.
@@ -130,22 +126,6 @@ func (ix *Index) Close() error {
 		return err1
 	}
 	return err2
-}
-
-// QueryStats reports how a query was evaluated; the decomposition
-// experiments (Table 3) and the planner tests read it.
-type QueryStats struct {
-	Pieces          int // cover pieces over all components
-	Joins           int // joins performed (pieces - 1 when matched)
-	PostingsFetched int // total postings read from the index
-	Candidates      int // filter-based only: tids surviving intersection
-	Validated       int // filter-based only: trees fetched and matched
-	// JoinRows measures evaluation work: posting entries decoded plus
-	// intermediate rows produced by join steps (join.Info.Rows); for
-	// the filter coding it is the number of trees validated. A bounded
-	// evaluation that stops early reports strictly fewer rows than the
-	// full run of the same query.
-	JoinRows int
 }
 
 // Counters are cumulative serving statistics of an open index handle;
@@ -179,11 +159,10 @@ type Counters struct {
 	// — they move in both directions as updates and compactions land.
 	LiveTrees int `json:"live_trees"`
 	// TombstonedTrees is the number of logically deleted trees still
-	// stored in segments — the reclaim debt a compaction clears. Always
-	// 0 on non-live handles.
+	// stored in segments — the reclaim debt a compaction clears.
 	TombstonedTrees int `json:"tombstoned_trees"`
 	// Segments is the number of live segments queries fan out over
-	// (1 for single-directory and sharded handles).
+	// (1 for a directory that was never appended to).
 	Segments int `json:"segments"`
 	// SegmentBytes is the on-disk footprint of the live segment set:
 	// index plus data bytes, tombstoned trees included until compaction
@@ -195,76 +174,9 @@ type Counters struct {
 	MmapLeaves int `json:"mmap_leaves"`
 }
 
-// Counters returns the handle's cumulative serving counters and
-// point-in-time lifecycle gauges.
-func (ix *Index) Counters() Counters {
-	hits, misses := ix.plans.counters()
-	replans, est, act := ix.plans.plannerCounters()
-	mapped := 0
-	if ix.tree.Mapped() {
-		mapped = 1
-	}
-	return Counters{
-		PostingFetches:    ix.fetches.Load(),
-		PlanCacheHits:     hits,
-		PlanCacheMisses:   misses,
-		PlanReplans:       replans,
-		PlanEstimatedRows: est,
-		PlanActualRows:    act,
-		LiveTrees:         ix.meta.NumTrees,
-		Segments:          1,
-		SegmentBytes:      ix.meta.IndexBytes + ix.meta.DataBytes,
-		MmapLeaves:        mapped,
-	}
-}
-
 // Mapped reports whether the index leaf is served from a memory
 // mapping.
 func (ix *Index) Mapped() bool { return ix.tree.Mapped() }
-
-// Query evaluates q and returns its matches sorted by (tid, root pre).
-func (ix *Index) Query(q *query.Query) ([]Match, error) {
-	ms, _, err := ix.QueryWithStats(q)
-	return ms, err
-}
-
-// QueryText parses src (through the plan cache, when enabled) and
-// evaluates it; a repeated query string skips parse and decomposition.
-func (ix *Index) QueryText(src string) ([]Match, error) {
-	pl, _, err := ix.plans.planText(src)
-	if err != nil {
-		return nil, err
-	}
-	ms, _, _, err := ix.evalPlan(context.Background(), pl, ix.getPosting, evalOpts{})
-	return ms, err
-}
-
-// QueryWithStats evaluates q and also reports evaluation statistics.
-func (ix *Index) QueryWithStats(q *query.Query) ([]Match, *QueryStats, error) {
-	if q.Size() == 0 {
-		return nil, nil, fmt.Errorf("core: empty query")
-	}
-	pl, _, err := ix.plans.planQuery(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	ms, _, st, err := ix.evalPlan(context.Background(), pl, ix.getPosting, evalOpts{})
-	return ms, st, err
-}
-
-// QueryTextBatch evaluates a batch of textual queries with shared
-// posting fetches: all queries are planned first (deduplicating work
-// through the plan cache), then each distinct cover key's posting list
-// is read once for the whole batch. Results are per query, identical
-// to running QueryText on each element.
-func (ix *Index) QueryTextBatch(srcs []string) ([][]Match, error) {
-	plans, _, err := ix.plans.planBatch(srcs)
-	if err != nil {
-		return nil, err
-	}
-	out, _, _, err := ix.evalPlans(context.Background(), plans, ix.getPosting, false, nil)
-	return out, err
-}
 
 // evalPlans evaluates compiled plans against this index with a shared
 // memoized posting getter, returning per-plan matches and counts plus
@@ -288,13 +200,11 @@ func (ix *Index) evalPlans(ctx context.Context, plans []*Plan, get postingGetter
 			out[i], counts[i] = ev.ms, ev.n
 			continue
 		}
-		ms, n, st, err := ix.evalPlan(ctx, pl, get, evalOpts{countOnly: countOnly, dels: dels})
+		ms, n, r, err := ix.evalPlan(ctx, pl, get, evalOpts{countOnly: countOnly, dels: dels})
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		if st != nil {
-			rows += uint64(st.JoinRows)
-		}
+		rows += uint64(r)
 		done[pl] = evaled{ms: ms, n: n}
 		out[i], counts[i] = ms, n
 	}
@@ -368,44 +278,49 @@ func (ev *evalOpts) notePieceRead(i, n int) {
 	}
 }
 
-// evalPlan evaluates a compiled plan, dispatching on the index coding,
-// bounds and the planner's chosen strategy. It returns the sorted
-// matches and their count; with ev.countOnly the match slice stays nil
-// (no per-match allocation) and only the count is meaningful; with
-// ev.target evaluation is streamed and stops early (see evalOpts). ctx
-// cancels evaluation between and inside the fetch, join and validation
-// loops.
-func (ix *Index) evalPlan(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) ([]Match, int, *QueryStats, error) {
-	if ev.target > 0 && !ev.countOnly {
-		return ix.evalPlanBounded(ctx, pl, get, ev)
-	}
-	switch ix.meta.Coding {
-	case postings.FilterBased:
+// evalPlan evaluates a compiled plan one of three ways: bounded
+// evaluations (ev.target) and plans the planner marked StrategyStream
+// drain the streaming producer, everything else runs the filter
+// coding's intersect-and-validate or the materialized join. It returns
+// the sorted matches, their count and the join rows spent (posting
+// entries decoded plus intermediate rows; trees validated under the
+// filter coding); with ev.countOnly the match slice stays nil (no
+// per-match allocation) and only the count is meaningful. ctx cancels
+// evaluation between and inside the fetch, join and validation loops.
+func (ix *Index) evalPlan(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) ([]Match, int, int, error) {
+	filter := ix.meta.Coding == postings.FilterBased
+	switch {
+	case ev.target > 0 && !ev.countOnly,
+		!filter && pl.Strategy == planner.StrategyStream && len(pl.Pieces) > 1:
+		return ix.evalStream(ctx, pl, get, ev)
+	case filter:
 		return ix.evalFilter(ctx, pl, get, ev)
-	case postings.RootSplit, postings.SubtreeInterval:
-		if pl.Strategy == planner.StrategyStream && len(pl.Pieces) > 1 {
-			return ix.evalStreamAll(ctx, pl, get, ev)
-		}
-		return ix.evalJoin(ctx, pl, get, ev)
 	default:
-		return nil, 0, nil, fmt.Errorf("core: unknown coding %v", ix.meta.Coding)
+		return ix.evalJoin(ctx, pl, get, ev)
 	}
 }
 
-// evalStreamAll drains the streaming producer to completion — the
-// planner's StrategyStream for unbounded queries whose estimated input
-// is large enough that materializing every relation up front would
-// dominate. Output order and dedup match evalJoin: the stream yields
+// evalStream drains the streaming producer: to completion for the
+// planner's StrategyStream (estimated input large enough that
+// materializing every relation up front would dominate), or — with
+// ev.target set — only until target+1 matches exist, so unneeded
+// posting entries are never decoded and unneeded join rows never
+// produced. Output order and dedup match evalJoin: the stream yields
 // distinct (tid, root) pairs in ascending order.
-func (ix *Index) evalStreamAll(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) ([]Match, int, *QueryStats, error) {
-	ms, st, err := ix.streamPlan(ctx, pl, get, ev)
+func (ix *Index) evalStream(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) ([]Match, int, int, error) {
+	ms, err := ix.streamPlan(ctx, pl, get, ev)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, 0, err
 	}
+	bound := 0 // 0 = drain
 	var out []Match
+	if !ev.countOnly && ev.target > 0 {
+		bound = ev.target
+		out = make([]Match, 0, min(bound, 63)+1) // bound+1 would overflow at MaxInt
+	}
 	count := 0
 	//silint:ignore ctxloop ms.next observes ctx: both stream producers poll cancellation per block and surface it via ms.err
-	for {
+	for bound == 0 || count <= bound {
 		m, ok := ms.next()
 		if !ok {
 			break
@@ -415,36 +330,10 @@ func (ix *Index) evalStreamAll(ctx context.Context, pl *Plan, get postingGetter,
 			out = append(out, m)
 		}
 	}
-	ms.finish(st)
 	if err := ms.err(); err != nil {
-		return nil, 0, nil, err
+		return nil, 0, 0, err
 	}
-	return out, count, st, nil
-}
-
-// evalPlanBounded evaluates pl through the streaming producer, pulling
-// at most target+1 matches so unneeded posting entries are never
-// decoded and unneeded join rows never produced.
-func (ix *Index) evalPlanBounded(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) ([]Match, int, *QueryStats, error) {
-	target := ev.target
-	ms, st, err := ix.streamPlan(ctx, pl, get, ev)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	out := make([]Match, 0, min(target+1, 64))
-	//silint:ignore ctxloop ms.next observes ctx: both stream producers poll cancellation per block and surface it via ms.err
-	for len(out) <= target {
-		m, ok := ms.next()
-		if !ok {
-			break
-		}
-		out = append(out, m)
-	}
-	ms.finish(st)
-	if err := ms.err(); err != nil {
-		return nil, 0, nil, err
-	}
-	return out, len(out), st, nil
+	return out, count, ms.rows(), nil
 }
 
 // postingPayload fetches one key's posting blob and strips the
@@ -535,8 +424,7 @@ func (ix *Index) fetchPiece(pp PlanPiece, get postingGetter, dels *TombSet, aren
 // or decodes the expensive ones. The relations keep their piece
 // positions, so the join layer sees the same input regardless of fetch
 // order.
-func (ix *Index) evalJoin(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) ([]Match, int, *QueryStats, error) {
-	st := &QueryStats{Pieces: len(pl.Pieces)}
+func (ix *Index) evalJoin(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) ([]Match, int, int, error) {
 	rels := make([]join.Relation, len(pl.Pieces))
 	var arena postings.RefArena // per-evaluation: rels die with the matches
 	fetchOrder := pl.Order
@@ -549,42 +437,37 @@ func (ix *Index) evalJoin(ctx context.Context, pl *Plan, get postingGetter, ev e
 			pi = fetchOrder[i]
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, 0, nil, err
+			return nil, 0, 0, err
 		}
 		rel, _, found, err := ix.fetchPiece(pl.Pieces[pi], get, ev.dels, &arena)
 		if err != nil {
-			return nil, 0, nil, err
+			return nil, 0, 0, err
 		}
 		if !found || len(rel.Entries) == 0 {
-			return nil, 0, st, nil // a piece with no live postings: no matches
+			return nil, 0, 0, nil // a piece with no live postings: no matches
 		}
-		st.PostingsFetched += len(rel.Entries)
 		ev.notePieceRead(pi, len(rel.Entries))
 		rels[pi] = rel
 	}
-	st.Joins = len(rels) - 1
 	ms, info, err := join.Run(ctx, pl.Query, rels, join.Options{
 		CountOnly: ev.countOnly,
 		Order:     pl.Order,
 		NoStack:   pl.Strategy == planner.StrategyBlock,
 	})
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, 0, err
 	}
-	st.JoinRows = info.Rows
-	return ms, info.Count, st, nil
+	return ms, info.Count, info.Rows, nil
 }
 
 // filterCandidates runs the filter coding's candidate phase, shared by
 // the materialized and streaming paths: fetch each piece's tid list
-// (skipping tombstoned tids), intersect, and report the phase's stats.
-// Lists are fetched in the plan's cost order (syntactic on uncosted
-// plans) and the phase aborts as soon as one comes back absent or empty
-// — the intersection is already known to be empty, so the remaining,
-// larger lists are never read. found=false means no matches are
-// possible; st is valid either way.
-func (ix *Index) filterCandidates(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) (cands []uint32, st *QueryStats, found bool, err error) {
-	st = &QueryStats{Pieces: len(pl.Pieces)}
+// (skipping tombstoned tids) and intersect. Lists are fetched in the
+// plan's cost order (syntactic on uncosted plans) and the phase aborts
+// as soon as one comes back absent or empty — the intersection is
+// already known to be empty, so the remaining, larger lists are never
+// read; the candidate list is then nil.
+func (ix *Index) filterCandidates(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) ([]uint32, error) {
 	fetchOrder := pl.Order
 	if len(fetchOrder) != len(pl.Pieces) {
 		fetchOrder = nil
@@ -597,18 +480,15 @@ func (ix *Index) filterCandidates(ctx context.Context, pl *Plan, get postingGett
 		}
 		pp := pl.Pieces[pi]
 		if err := ctx.Err(); err != nil {
-			return nil, nil, false, err
+			return nil, err
 		}
 		val, ok, err := get(pp.Key)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		if !ok {
-			return nil, st, false, nil
+		if err != nil || !ok {
+			return nil, err
 		}
 		_, n := binary.Uvarint(val)
 		if n <= 0 {
-			return nil, nil, false, fmt.Errorf("core: corrupt posting count for %q", pp.Key)
+			return nil, fmt.Errorf("core: corrupt posting count for %q", pp.Key)
 		}
 		var tids []uint32
 		decoded := 0
@@ -619,7 +499,7 @@ func (ix *Index) filterCandidates(ctx context.Context, pl *Plan, get postingGett
 			// mid-list instead of after the full scan.
 			if decoded++; decoded&1023 == 0 {
 				if err := ctx.Err(); err != nil {
-					return nil, nil, false, err
+					return nil, err
 				}
 			}
 			if ev.dels.Has(it.TID()) {
@@ -628,19 +508,15 @@ func (ix *Index) filterCandidates(ctx context.Context, pl *Plan, get postingGett
 			tids = append(tids, it.TID())
 		}
 		if err := it.Err(); err != nil {
-			return nil, nil, false, err
+			return nil, err
 		}
-		st.PostingsFetched += len(tids)
 		ev.notePieceRead(pi, len(tids))
 		if len(tids) == 0 {
-			return nil, st, false, nil // empty list: empty intersection
+			return nil, nil // empty list: empty intersection
 		}
 		lists = append(lists, tids)
 	}
-	st.Joins = len(lists) - 1
-	cands = intersect(lists)
-	st.Candidates = len(cands)
-	return cands, st, true, nil
+	return intersect(lists), nil
 }
 
 // evalFilter evaluates a plan under filter-based coding: intersect tid
@@ -648,28 +524,27 @@ func (ix *Index) filterCandidates(ctx context.Context, pl *Plan, get postingGett
 // and run the exact matcher (the costly filtering phase of §4.4.1).
 // Cancellation is checked per piece and per validated candidate tree —
 // validation dominates this coding's cost, so an expired ctx stops the
-// scan within one tree's worth of work.
-func (ix *Index) evalFilter(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) ([]Match, int, *QueryStats, error) {
-	cands, st, found, err := ix.filterCandidates(ctx, pl, get, ev)
+// scan within one tree's worth of work. The join rows reported are the
+// trees validated.
+func (ix *Index) evalFilter(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) ([]Match, int, int, error) {
+	cands, err := ix.filterCandidates(ctx, pl, get, ev)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, 0, err
 	}
-	if !found {
-		return nil, 0, st, nil
+	if len(cands) == 0 {
+		return nil, 0, 0, nil
 	}
-
 	m := match.New(pl.Query)
 	var out []Match
 	count := 0
 	for _, tid := range cands {
 		if err := ctx.Err(); err != nil {
-			return nil, 0, nil, err
+			return nil, 0, 0, err
 		}
 		t, err := ix.store.Tree(int(tid))
 		if err != nil {
-			return nil, 0, nil, err
+			return nil, 0, 0, err
 		}
-		st.Validated++
 		roots := m.Roots(t)
 		count += len(roots)
 		if ev.countOnly {
@@ -679,8 +554,7 @@ func (ix *Index) evalFilter(ctx context.Context, pl *Plan, get postingGetter, ev
 			out = append(out, Match{TID: tid, Root: uint32(root)})
 		}
 	}
-	st.JoinRows = st.Validated
-	return out, count, st, nil
+	return out, count, len(cands), nil
 }
 
 // intersect computes the intersection of sorted tid lists, smallest
@@ -728,15 +602,10 @@ func intersect2(a, b []uint32) []uint32 {
 	return out
 }
 
-// LookupKey returns the posting count for an index key, or 0 if absent;
-// range statistics and the grammar-mining example use it.
-func (ix *Index) LookupKey(k subtree.Key) (int, error) {
-	return ix.lookupKeyLive(k, nil)
-}
-
-// lookupKeyLive is LookupKey filtered by a tombstone set: with dels
-// non-nil the posting payload is decoded and only records of surviving
-// trees counted — the count a rebuild of the survivors would store.
+// lookupKeyLive returns the posting count for an index key, or 0 if
+// absent. With dels non-nil the posting payload is decoded and only
+// records of surviving trees counted — the count a rebuild of the
+// survivors would store.
 func (ix *Index) lookupKeyLive(k subtree.Key, dels *TombSet) (int, error) {
 	val, found, err := ix.tree.Get([]byte(k))
 	if err != nil || !found {
@@ -793,37 +662,14 @@ func (ix *Index) liveCount(payload []byte, dels *TombSet) (int, error) {
 	return live, nil
 }
 
-// Keys iterates all index keys from start (nil = beginning), invoking
-// fn with each key and its posting count until fn returns false.
-func (ix *Index) Keys(start subtree.Key, fn func(k subtree.Key, count int) bool) error {
-	it := ix.tree.Iterator([]byte(start))
-	for it.Next() {
-		count, n := binary.Uvarint(it.Value())
-		if n <= 0 {
-			return fmt.Errorf("core: corrupt posting count for %q", it.Key())
-		}
-		if !fn(subtree.Key(it.Key()), int(count)) {
-			return nil
-		}
-	}
-	return it.Err()
-}
-
-// Store exposes the underlying data file (read-only), for tools and
-// baselines that need raw trees.
-func (ix *Index) Store() *treebank.Store { return ix.store }
-
 // Tree fetches indexed tree tid from the data file.
 func (ix *Index) Tree(tid int) (*lingtree.Tree, error) { return ix.store.Tree(tid) }
 
-// NumShards reports the partition count: always 1 for a single index.
-func (ix *Index) NumShards() int { return 1 }
-
 // KeyIter is a pull-style cursor over (key, posting count) pairs in
-// ascending key order; the sharded merge drives one per shard. With a
-// tombstone set attached (the live-index merge), counts are live
-// posting counts and keys whose postings are all tombstoned are
-// skipped — the iteration a rebuild of the survivors would produce.
+// ascending key order; the leaf merge drives one per leaf. With a
+// tombstone set attached, counts are live posting counts and keys
+// whose postings are all tombstoned are skipped — the iteration a
+// rebuild of the survivors would produce.
 type KeyIter struct {
 	ix    *Index
 	it    *btree.Iterator
@@ -833,13 +679,9 @@ type KeyIter struct {
 	err   error
 }
 
-// KeyIter returns a cursor positioned before the first key >= start
-// ("" = first key overall). Call Next to advance.
-func (ix *Index) KeyIter(start subtree.Key) *KeyIter {
-	return ix.keyIterLive(start, nil)
-}
-
-// keyIterLive is KeyIter filtered by a tombstone set (nil = none).
+// keyIterLive returns a cursor positioned before the first key >= start
+// ("" = first key overall), filtered by a tombstone set (nil = none).
+// Call Next to advance.
 func (ix *Index) keyIterLive(start subtree.Key, dels *TombSet) *KeyIter {
 	return &KeyIter{ix: ix, it: ix.tree.Iterator([]byte(start)), dels: dels}
 }

@@ -15,10 +15,11 @@ import (
 // and 2) against real indexes: they are what makes max-covers safe for
 // filter-based and root-split codings but not for subtree-interval.
 
-// rawPostings returns the decoded posting payload of a key.
-func rawPostings(t *testing.T, ix *Index, k subtree.Key) []byte {
+// rawPostings returns the posting payload of a key in a single-leaf
+// index.
+func rawPostings(t *testing.T, l *Live, k subtree.Key) []byte {
 	t.Helper()
-	val, found, err := ix.tree.Get([]byte(k))
+	val, found, err := l.cur.Load().set.leaves[0].tree.Get([]byte(k))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,14 +39,10 @@ func TestLemma1FilterSubset(t *testing.T) {
 	if _, err := Build(dir, trees, Options{MSS: 2, Coding: postings.FilterBased}); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
+	ix := openDir(t, dir, OpenOptions{})
 
 	checked := 0
-	err = ix.Keys("", func(k subtree.Key, _ int) bool {
+	err := ix.Keys("", func(k subtree.Key, _ int) bool {
 		p, err := subtree.ParseKey(k)
 		if err != nil {
 			t.Fatal(err)
@@ -94,14 +91,10 @@ func TestLemma1RootSplitSubsetSameRoot(t *testing.T) {
 	if _, err := Build(dir, trees, Options{MSS: 2, Coding: postings.RootSplit}); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
+	ix := openDir(t, dir, OpenOptions{})
 
 	checked := 0
-	err = ix.Keys("", func(k subtree.Key, _ int) bool {
+	err := ix.Keys("", func(k subtree.Key, _ int) bool {
 		p, err := subtree.ParseKey(k)
 		if err != nil {
 			t.Fatal(err)
@@ -158,11 +151,7 @@ func TestLemma1IntervalCounterexample(t *testing.T) {
 	if _, err := Build(dir, []*lingtree.Tree{tree}, Options{MSS: 2, Coding: postings.SubtreeInterval}); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
+	ix := openDir(t, dir, OpenOptions{})
 
 	npKey := (&subtree.Pattern{Label: "NP"}).Key()
 	npnnKey := subtree.P("NP", subtree.P("NN")).Key()
@@ -183,11 +172,7 @@ func TestLemma1IntervalCounterexample(t *testing.T) {
 	if _, err := Build(dirR, []*lingtree.Tree{tree}, Options{MSS: 2, Coding: postings.RootSplit}); err != nil {
 		t.Fatal(err)
 	}
-	rx, err := Open(dirR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rx.Close()
+	rx := openDir(t, dirR, OpenOptions{})
 	rNPNN, err := rx.LookupKey(npnnKey)
 	if err != nil {
 		t.Fatal(err)
@@ -209,14 +194,10 @@ func TestLemma2OneAncestorPerDescendant(t *testing.T) {
 	if _, err := Build(dir, trees, Options{MSS: 2, Coding: postings.RootSplit}); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
+	ix := openDir(t, dir, OpenOptions{})
 
 	checked := 0
-	err = ix.Keys("", func(k subtree.Key, _ int) bool {
+	err := ix.Keys("", func(k subtree.Key, _ int) bool {
 		p, err := subtree.ParseKey(k)
 		if err != nil {
 			t.Fatal(err)

@@ -62,7 +62,7 @@ func TestDeleteHidesTreesEverywhere(t *testing.T) {
 	}
 
 	const q = "S(//NN)"
-	before, err := l.QueryText(q)
+	before, err := searchText(l, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestDeleteHidesTreesEverywhere(t *testing.T) {
 			want = append(want, m)
 		}
 	}
-	got, err := l.QueryText(q)
+	got, err := searchText(l, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestDeleteHidesTreesEverywhere(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	got, err = l2.QueryText(q)
+	got, err = searchText(l2, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestCompactEquivalentToRebuild(t *testing.T) {
 		ct.TID = len(survivors)
 		survivors = append(survivors, &ct)
 	}
-	rebuilt := openSharded(t, survivors, 1, OpenOptions{})
+	rebuilt := openLive(t, survivors, 1, OpenOptions{})
 
 	compacted, built, err := l.Compact(ctx, CompactOptions{})
 	if err != nil {
@@ -324,7 +324,7 @@ func TestCompactEquivalentToRebuild(t *testing.T) {
 		k subtree.Key
 		n int
 	}
-	collect := func(h Handle) []kc {
+	collect := func(h *Live) []kc {
 		var out []kc
 		if err := h.Keys(subtree.Key(""), func(k subtree.Key, count int) bool {
 			out = append(out, kc{k, count})
@@ -477,7 +477,7 @@ func TestCompactionDuringPinnedStream(t *testing.T) {
 	if _, err := l.Delete(ctx, []int{0, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	want, err := l.QueryText(q)
+	want, err := searchText(l, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,7 +580,7 @@ func TestCompactionDuringPinnedMmapStream(t *testing.T) {
 	if _, err := l.Delete(ctx, []int{0, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	want, err := l.QueryText(q)
+	want, err := searchText(l, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -679,7 +679,7 @@ func TestReloadPicksUpTombstonesAndCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	const q = "S(//NN)"
-	before, err := writer.QueryText(q)
+	before, err := searchText(writer, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -687,7 +687,7 @@ func TestReloadPicksUpTombstonesAndCompaction(t *testing.T) {
 	if _, err := writer.Delete(ctx, []int{victim}); err != nil {
 		t.Fatal(err)
 	}
-	want, err := writer.QueryText(q)
+	want, err := searchText(writer, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -695,7 +695,7 @@ func TestReloadPicksUpTombstonesAndCompaction(t *testing.T) {
 	if changed, err := serving.Reload(); err != nil || !changed {
 		t.Fatalf("Reload after external delete = (%v, %v), want (true, nil)", changed, err)
 	}
-	got, err := serving.QueryText(q)
+	got, err := searchText(serving, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -710,7 +710,7 @@ func TestReloadPicksUpTombstonesAndCompaction(t *testing.T) {
 	if compacted, _, err := writer.Compact(ctx, CompactOptions{}); err != nil || !compacted {
 		t.Fatalf("external Compact = (%v, %v), want (true, nil)", compacted, err)
 	}
-	wantCompacted, err := writer.QueryText(q)
+	wantCompacted, err := searchText(writer, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -720,7 +720,7 @@ func TestReloadPicksUpTombstonesAndCompaction(t *testing.T) {
 	if changed, err := serving.Reload(); err != nil || !changed {
 		t.Fatalf("Reload after external compaction = (%v, %v), want (true, nil)", changed, err)
 	}
-	got, err = serving.QueryText(q)
+	got, err = searchText(serving, q)
 	if err != nil {
 		t.Fatal(err)
 	}

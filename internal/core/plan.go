@@ -1,10 +1,6 @@
 package core
 
-import (
-	"repro/internal/planner"
-	"repro/internal/postings"
-	"repro/internal/query"
-)
+import "repro/internal/planner"
 
 // Plan is a compiled query; the type lives in internal/planner (the
 // middle stage of the decompose → plan → execute pipeline) and is
@@ -14,13 +10,3 @@ type Plan = planner.Plan
 // PlanPiece is one cover piece of a compiled plan; aliased from
 // internal/planner.
 type PlanPiece = planner.PlanPiece
-
-// NewPlan decomposes q into cover pieces for an index with the given
-// MSS and coding without cardinality statistics: the resulting plan is
-// uncosted and executes with the legacy runtime-size ordering. Query
-// paths go through the planner's cache (which supplies the live
-// statistics); this entry point serves tools and tests that compile
-// plans directly.
-func NewPlan(q *query.Query, mss int, coding postings.Coding) (*Plan, error) {
-	return planner.New(q, mss, coding, nil)
-}

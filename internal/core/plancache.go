@@ -158,11 +158,10 @@ func (c *planCache) purge() []string {
 
 // compiler turns query text into cost-annotated plans for one index
 // configuration, optionally through a planCache — the entry point of
-// the decompose → plan → execute pipeline. Index and Sharded each
-// embed one; in a sharded index only the root's compiler is consulted,
-// since all shards share MSS, coding and statistics and therefore
-// plans. Each planQuery or planText call records exactly one cache hit
-// or miss.
+// the decompose → plan → execute pipeline. A Live handle owns the one
+// compiler of an open index: all leaves share MSS, coding and
+// statistics and therefore plans. Each planQuery or planText call
+// records exactly one cache hit or miss.
 //
 // The compiler carries the live posting statistics and their
 // generation. Cache keys embed the generation, and a generation bump

@@ -91,14 +91,14 @@ func TestQuickEndToEndAllCodings(t *testing.T) {
 		round++
 		dirBase := filepath.Join(t.TempDir(), "ix")
 
-		indexes := map[postings.Coding]*Index{}
+		indexes := map[postings.Coding]*Live{}
 		for _, c := range []postings.Coding{postings.FilterBased, postings.RootSplit, postings.SubtreeInterval} {
 			dir := filepath.Join(dirBase, c.String())
 			if _, err := Build(dir, trees, Options{MSS: mss, Coding: c}); err != nil {
 				t.Logf("build %v: %v", c, err)
 				return false
 			}
-			ix, err := Open(dir)
+			ix, err := OpenLive(dir, OpenOptions{})
 			if err != nil {
 				t.Logf("open %v: %v", c, err)
 				return false
@@ -113,7 +113,7 @@ func TestQuickEndToEndAllCodings(t *testing.T) {
 				if coding == postings.RootSplit && hasSameLabelSiblings(q) {
 					continue
 				}
-				got, err := ix.Query(q)
+				got, err := searchQuery(ix, q)
 				if err != nil {
 					t.Logf("mss=%d %v query %s: %v", mss, coding, q, err)
 					return false
@@ -149,7 +149,7 @@ func TestQuickStackJoinAgreesWithBlock(t *testing.T) {
 		if _, err := Build(dir, trees, Options{MSS: 3, Coding: postings.RootSplit}); err != nil {
 			return false
 		}
-		ix, err := Open(dir)
+		ix, err := OpenLive(dir, OpenOptions{})
 		if err != nil {
 			return false
 		}
@@ -204,14 +204,14 @@ func TestQuickRootSplitSupersetOnTwinSiblings(t *testing.T) {
 		if _, err := Build(dir, trees, Options{MSS: 2, Coding: postings.RootSplit}); err != nil {
 			return false
 		}
-		ix, err := Open(dir)
+		ix, err := OpenLive(dir, OpenOptions{})
 		if err != nil {
 			return false
 		}
 		defer ix.Close()
 		for i := 0; i < 8; i++ {
 			q := randomQuery(rng)
-			got, err := ix.Query(q)
+			got, err := searchQuery(ix, q)
 			if err != nil {
 				return false
 			}

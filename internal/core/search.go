@@ -4,21 +4,20 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"math"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/planner"
-	"repro/internal/query"
 	"repro/internal/subtree"
 )
 
-// This file is the v2 search execution path: context-first,
-// options-carrying, limit-aware. The legacy Query/QueryText methods
-// are thin wrappers over the same machinery with a background context
-// and no bounds. The shape follows production code-search engines
-// (zoekt's Searcher takes ctx + SearchOptions with display limits):
-// callers say how many matches they need and how long they will wait,
-// and the engine stops fetching posting pages once the demand is met.
+// This file is the search execution path over a leafSet: context-first,
+// options-carrying, limit-aware. The shape follows production
+// code-search engines (zoekt's Searcher takes ctx + SearchOptions with
+// display limits): callers say how many matches they need and how long
+// they will wait, and the engine stops fetching posting pages once the
+// demand is met.
 
 // SearchOpts bound one search. The zero value asks for everything:
 // every match, no offset, full materialization.
@@ -46,16 +45,20 @@ type SearchOpts struct {
 	Explain bool
 }
 
-// target returns the number of leading matches that must be merged
-// before evaluation may stop: Offset+Limit, or 0 for "all".
-func (o SearchOpts) target() int {
+// Target returns the number of leading matches that must be merged
+// before evaluation may stop: Offset+Limit, or 0 for "all". The sum
+// saturates at math.MaxInt — a window that far out is simply never
+// filled — so no Offset can wrap it negative and silently turn a
+// limited search into a full fan-out. Exported so the cluster router
+// stops at exactly the engine's target.
+func (o SearchOpts) Target() int {
 	if o.Limit <= 0 {
 		return 0
 	}
-	if o.Offset > 0 {
-		return o.Offset + o.Limit
+	if o.Offset > math.MaxInt-o.Limit {
+		return math.MaxInt
 	}
-	return o.Limit
+	return o.Limit + max(o.Offset, 0)
 }
 
 // SearchStats describe how one search executed — the per-query
@@ -140,7 +143,7 @@ func planStats(stats *SearchStats, pl *Plan, reads []atomic.Uint64, streamed boo
 	}
 }
 
-// Result is the outcome of one v2 search. Search returns it fully
+// Result is the outcome of one search. Search returns it fully
 // materialized; SearchStream returns it *pending* — Matches stays nil,
 // All() pulls matches out of the still-running evaluation, and Count
 // and Stats are finalized when that iteration ends.
@@ -245,81 +248,6 @@ func countingGetter(get postingGetter, n *uint64) postingGetter {
 	}
 }
 
-// Search parses src (through the plan cache, when enabled) and
-// evaluates it under ctx with the given bounds.
-func (ix *Index) Search(ctx context.Context, src string, opts SearchOpts) (*Result, error) {
-	pl, hit, err := ix.plans.planText(src)
-	if err != nil {
-		return nil, err
-	}
-	return ix.searchPlan(ctx, pl, opts, hit)
-}
-
-// SearchQuery evaluates an already-parsed query under ctx with the
-// given bounds.
-func (ix *Index) SearchQuery(ctx context.Context, q *query.Query, opts SearchOpts) (*Result, error) {
-	if q.Size() == 0 {
-		return nil, fmt.Errorf("core: empty query")
-	}
-	pl, hit, err := ix.plans.planQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	return ix.searchPlan(ctx, pl, opts, hit)
-}
-
-// searchPlan runs one compiled plan on this single-directory index.
-// A bounded search (Limit set) evaluates through the streaming join,
-// which stops decoding postings and producing join rows once
-// Offset+Limit matches exist — early termination *inside* the shard;
-// unbounded and count-only searches evaluate in one piece.
-func (ix *Index) searchPlan(ctx context.Context, pl *Plan, opts SearchOpts, hit bool) (*Result, error) {
-	var fetched uint64
-	get := countingGetter(ix.getPosting, &fetched)
-	ev := evalOpts{countOnly: opts.CountOnly}
-	if !opts.CountOnly {
-		ev.target = opts.target()
-	}
-	if opts.Explain {
-		ev.pieceReads = make([]atomic.Uint64, len(pl.Pieces))
-	}
-	ms, n, st, err := ix.evalPlan(ctx, pl, get, ev)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Stats: SearchStats{PlanCacheHit: hit, ShardsConsulted: 1}}
-	if opts.CountOnly {
-		res.Count = n
-	} else {
-		res.Matches, res.Count, res.Stats.Truncated = window(ms, opts)
-	}
-	res.Stats.PostingFetches = fetched
-	if st != nil {
-		res.Stats.JoinRows = uint64(st.JoinRows)
-	}
-	planStats(&res.Stats, pl, ev.pieceReads, ev.target > 0)
-	ix.plans.observePlan(pl, res.Count)
-	return res, nil
-}
-
-// SearchBatch evaluates a batch of textual queries under ctx with
-// shared posting fetches; results keep query order and each is
-// identical to Search on that element (batches do not early-terminate
-// — sharing fetches across the batch is their optimization). The
-// per-result Stats report the whole batch's fetch total.
-func (ix *Index) SearchBatch(ctx context.Context, srcs []string, opts SearchOpts) ([]*Result, error) {
-	plans, hits, err := ix.plans.planBatch(srcs)
-	if err != nil {
-		return nil, err
-	}
-	var fetched uint64
-	mss, counts, rows, err := ix.evalPlans(ctx, plans, countingGetter(ix.getPosting, &fetched), opts.CountOnly, nil)
-	if err != nil {
-		return nil, err
-	}
-	return batchResults(mss, counts, hits, opts, fetched, rows, 1), nil
-}
-
 // batchResults shapes per-plan batch outputs into windowed Results.
 // fetched and rows are whole-batch totals (shared work cannot be
 // attributed to one query), echoed into every result's Stats.
@@ -342,37 +270,6 @@ func batchResults(mss [][]Match, counts []int, hits []bool, opts SearchOpts, fet
 	return out
 }
 
-// Search parses src (through the root's plan cache, when enabled) and
-// evaluates it across the shards under ctx with the given bounds.
-func (s *Sharded) Search(ctx context.Context, src string, opts SearchOpts) (*Result, error) {
-	pl, hit, err := s.plans.planText(src)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.set.searchPlan(ctx, pl, opts, hit)
-	if err == nil {
-		s.plans.observePlan(pl, res.Count)
-	}
-	return res, err
-}
-
-// SearchQuery evaluates an already-parsed query across the shards
-// under ctx with the given bounds.
-func (s *Sharded) SearchQuery(ctx context.Context, q *query.Query, opts SearchOpts) (*Result, error) {
-	if q.Size() == 0 {
-		return nil, fmt.Errorf("core: empty query")
-	}
-	pl, hit, err := s.plans.planQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.set.searchPlan(ctx, pl, opts, hit)
-	if err == nil {
-		s.plans.observePlan(pl, res.Count)
-	}
-	return res, err
-}
-
 // searchPlan runs one compiled plan across the leaves, choosing the
 // evaluation shape from the bounds: bounded searches consult leaves
 // lazily in tid order and stop early, unbounded ones keep the
@@ -382,7 +279,7 @@ func (ls leafSet) searchPlan(ctx context.Context, pl *Plan, opts SearchOpts, hit
 	if opts.Explain {
 		reads = make([]atomic.Uint64, len(pl.Pieces))
 	}
-	if target := opts.target(); target > 0 && !opts.CountOnly {
+	if target := opts.Target(); target > 0 && !opts.CountOnly {
 		return ls.searchLazy(ctx, pl, opts, hit, target, reads)
 	}
 	return ls.searchFanout(ctx, pl, opts, hit, reads)
@@ -426,11 +323,7 @@ func (ls leafSet) searchLazy(ctx context.Context, pl *Plan, opts SearchOpts, hit
 		outs[i] = make(chan shardOut, 1)
 		go func(i int, sh *Index) {
 			var o shardOut
-			var st *QueryStats
-			o.ms, _, st, o.err = sh.evalPlan(ctx, pl, countingGetter(sh.getPosting, &o.fetched), evalOpts{target: target, dels: ls.del(i), pieceReads: reads})
-			if st != nil {
-				o.rows = st.JoinRows
-			}
+			o.ms, _, o.rows, o.err = sh.evalPlan(ctx, pl, countingGetter(sh.getPosting, &o.fetched), evalOpts{target: target, dels: ls.del(i), pieceReads: reads})
 			outs[i] <- o
 		}(i, ls.leaves[i])
 	}
@@ -509,11 +402,7 @@ func (ls leafSet) searchFanout(ctx context.Context, pl *Plan, opts SearchOpts, h
 		go func(i int, sh *Index) {
 			defer wg.Done()
 			o := &outs[i]
-			var st *QueryStats
-			o.ms, o.n, st, o.err = sh.evalPlan(ctx, pl, countingGetter(sh.getPosting, &o.fetched), evalOpts{countOnly: opts.CountOnly, dels: ls.del(i), pieceReads: reads})
-			if st != nil {
-				o.rows = st.JoinRows
-			}
+			o.ms, o.n, o.rows, o.err = sh.evalPlan(ctx, pl, countingGetter(sh.getPosting, &o.fetched), evalOpts{countOnly: opts.CountOnly, dels: ls.del(i), pieceReads: reads})
 		}(i, sh)
 	}
 	wg.Wait()
@@ -539,19 +428,6 @@ func (ls leafSet) searchFanout(ctx context.Context, pl *Plan, opts SearchOpts, h
 	}
 	res.Matches, res.Count, res.Stats.Truncated = window(all, opts)
 	return res, nil
-}
-
-// SearchBatch evaluates a batch of textual queries across the shards
-// under ctx: planned once at the root, then every shard evaluates the
-// whole batch concurrently with per-shard fetch dedup. Bounds apply
-// per query at the merge; batches do not early-terminate across
-// shards. The per-result Stats report the whole batch's fetch total.
-func (s *Sharded) SearchBatch(ctx context.Context, srcs []string, opts SearchOpts) ([]*Result, error) {
-	plans, hits, err := s.plans.planBatch(srcs)
-	if err != nil {
-		return nil, err
-	}
-	return s.set.searchBatchPlans(ctx, plans, hits, opts)
 }
 
 // searchBatchPlans evaluates pre-compiled batch plans on every leaf
@@ -605,35 +481,6 @@ func (ls leafSet) searchBatchPlans(ctx context.Context, plans []*Plan, hits []bo
 	return batchResults(merged, counts, hits, opts, fetched, rows, len(ls.leaves)), nil
 }
 
-// SearchStream parses src and returns a *pending* Result: evaluation
-// advances only as the caller iterates Result.All, with the first
-// match available while the join is still running. Shards are
-// consulted strictly in tid order, one at a time, each through the
-// streaming join — a consumer that stops early (or a Limit that is
-// reached) leaves later shards unopened and later postings undecoded.
-// Count and Stats are finalized when the iteration ends. CountOnly is
-// rejected: counting is a materializing operation (use Search).
-func (s *Sharded) SearchStream(ctx context.Context, src string, opts SearchOpts) (*Result, error) {
-	pl, hit, err := s.plans.planText(src)
-	if err != nil {
-		return nil, err
-	}
-	return newStreamResult(ctx, s.set, pl, opts, hit)
-}
-
-// SearchStream on a single-directory index: as Sharded.SearchStream,
-// with the one directory as the only "shard".
-func (ix *Index) SearchStream(ctx context.Context, src string, opts SearchOpts) (*Result, error) {
-	pl, hit, err := ix.plans.planText(src)
-	if err != nil {
-		return nil, err
-	}
-	return newStreamResult(ctx, leafSet{
-		leaves:  []*Index{ix},
-		offsets: []uint32{0, uint32(ix.meta.NumTrees)},
-	}, pl, opts, hit)
-}
-
 // resultStream is the engine behind a pending Result: a cursor over
 // the per-shard match streams that enforces offset/limit and gathers
 // stats as it goes. It runs entirely on the consumer's goroutine.
@@ -646,7 +493,6 @@ type resultStream struct {
 
 	si        int          // current shard while cur != nil, else next to open
 	cur       *matchStream // nil between shards
-	curStats  *QueryStats
 	fetched   uint64
 	rows      uint64
 	produced  int // matches pulled out of shards, offset-skipped ones included
@@ -673,7 +519,7 @@ func newStreamResult(ctx context.Context, ls leafSet, pl *Plan, opts SearchOpts,
 		ctx:    ctx,
 		ls:     ls,
 		pl:     pl,
-		target: opts.target(),
+		target: opts.Target(),
 		offset: max(opts.Offset, 0),
 		hit:    hit,
 	}
@@ -695,12 +541,12 @@ func (rs *resultStream) pull() (Match, bool) {
 				return Match{}, false
 			}
 			sh := rs.ls.leaves[rs.si]
-			ms, st, err := sh.streamPlan(rs.ctx, rs.pl, countingGetter(sh.getPosting, &rs.fetched), evalOpts{dels: rs.ls.del(rs.si)})
+			ms, err := sh.streamPlan(rs.ctx, rs.pl, countingGetter(sh.getPosting, &rs.fetched), evalOpts{dels: rs.ls.del(rs.si)})
 			if err != nil {
 				rs.err = fmt.Errorf("core: shard %d: %w", rs.si, err)
 				return Match{}, false
 			}
-			rs.cur, rs.curStats = ms, st
+			rs.cur = ms
 			rs.consulted++
 		}
 		m, ok := rs.cur.next()
@@ -737,14 +583,8 @@ func (rs *resultStream) pull() (Match, bool) {
 
 // closeShard folds the current shard's work counters and moves on.
 func (rs *resultStream) closeShard() {
-	if rs.cur == nil {
-		return
-	}
-	if rs.curStats != nil {
-		rs.cur.finish(rs.curStats)
-		rs.rows += uint64(rs.curStats.JoinRows)
-	}
-	rs.cur, rs.curStats = nil, nil
+	rs.rows += uint64(rs.cur.rows())
+	rs.cur = nil
 	rs.si++
 }
 
@@ -755,10 +595,9 @@ func (rs *resultStream) closeShard() {
 // Count reflects only the matches produced, so the exactness contract
 // (unflagged Count == exact total) must not be claimed.
 func (rs *resultStream) finish(r *Result) {
-	if rs.cur != nil && rs.curStats != nil {
-		rs.cur.finish(rs.curStats)
-		rs.rows += uint64(rs.curStats.JoinRows)
-		rs.cur, rs.curStats = nil, nil
+	if rs.cur != nil {
+		rs.rows += uint64(rs.cur.rows())
+		rs.cur = nil
 	}
 	r.Count = rs.produced
 	r.Stats = SearchStats{

@@ -122,12 +122,13 @@ type liveInfo struct {
 	deleted  int // tombstoned trees (stored but invisible to queries)
 }
 
-// Live is an opened index that supports live updates: Append builds
-// new trees into a fresh segment and publishes it without interrupting
-// searches, and Reload picks up segments published by another process.
-// It serves any index layout — single-directory, sharded or segmented
-// — behind the same Handle interface as Index and Sharded, with
-// identical results and per-query costs. All read methods are safe for
+// Live is the one index handle: it opens any on-disk layout —
+// single-directory, sharded or segmented — and evaluates every query
+// over the concatenation of the layout's leaves, with identical results
+// and per-query costs whichever layout holds the corpus. It supports
+// live updates: Append builds new trees into a fresh segment and
+// publishes it without interrupting searches, and Reload picks up
+// segments published by another process. All read methods are safe for
 // concurrent use with each other and with Append/Reload; Append,
 // Reload and Close serialize among themselves.
 type Live struct {
@@ -164,9 +165,9 @@ type Live struct {
 }
 
 // OpenLive opens the index stored in dir — segmented, sharded or
-// single-directory — as a live-updatable handle. opts apply as in
-// OpenSharded: CacheSize is a per-leaf budget and the plan cache lives
-// once at the root.
+// single-directory. opts.CacheSize is a per-leaf budget; the plan cache
+// lives once at the root: leaves share MSS, coding and statistics, so
+// one compiled plan serves the whole fan-out.
 func OpenLive(dir string, opts OpenOptions) (*Live, error) {
 	meta, err := readMeta(dir)
 	if err != nil {
@@ -508,16 +509,7 @@ func (l *Live) Search(ctx context.Context, src string, opts SearchOpts) (*Result
 	if err != nil {
 		return nil, err
 	}
-	e, err := l.pin()
-	if err != nil {
-		return nil, err
-	}
-	defer e.release()
-	res, err := e.set.searchPlan(ctx, pl, opts, hit)
-	if err == nil {
-		l.plans.observePlan(pl, res.Count)
-	}
-	return res, err
+	return l.searchPlan(ctx, pl, opts, hit)
 }
 
 // SearchQuery evaluates an already-parsed query across the live
@@ -530,6 +522,12 @@ func (l *Live) SearchQuery(ctx context.Context, q *query.Query, opts SearchOpts)
 	if err != nil {
 		return nil, err
 	}
+	return l.searchPlan(ctx, pl, opts, hit)
+}
+
+// searchPlan runs one compiled plan on the pinned current epoch and
+// feeds the planner's estimate-error counters.
+func (l *Live) searchPlan(ctx context.Context, pl *Plan, opts SearchOpts, hit bool) (*Result, error) {
 	e, err := l.pin()
 	if err != nil {
 		return nil, err
@@ -542,9 +540,15 @@ func (l *Live) SearchQuery(ctx context.Context, q *query.Query, opts SearchOpts)
 	return res, err
 }
 
-// SearchStream parses src and returns a pending Result over the
-// current segment set (see Sharded.SearchStream for the streaming
-// contract). The epoch pin is held until the All iteration ends —
+// SearchStream parses src and returns a *pending* Result over the
+// current segment set: evaluation advances only as the caller iterates
+// Result.All, with the first match available while the join is still
+// running. Leaves are consulted strictly in tid order, one at a time,
+// each through the streaming join — a consumer that stops early (or a
+// Limit that is reached) leaves later leaves unopened and later
+// postings undecoded. Count and Stats are finalized when the iteration
+// ends. CountOnly is rejected: counting is a materializing operation
+// (use Search). The epoch pin is held until the All iteration ends —
 // also on early break — so a concurrent Append or Close cannot retire
 // the segments mid-stream; an iterator that is never started never
 // releases its pin.
@@ -567,7 +571,13 @@ func (l *Live) SearchStream(ctx context.Context, src string, opts SearchOpts) (*
 }
 
 // SearchBatch evaluates a batch of textual queries across the live
-// segments under ctx (see Sharded.SearchBatch for batch semantics).
+// segments under ctx: planned once at the root, then every leaf
+// evaluates the whole batch concurrently, fetching each distinct cover
+// key's posting list once per leaf. Results keep query order and each
+// is identical to Search on that element; bounds apply per query at
+// the merge (batches do not early-terminate — sharing fetches is their
+// optimization). The per-result Stats report the whole batch's fetch
+// and join-row totals.
 func (l *Live) SearchBatch(ctx context.Context, srcs []string, opts SearchOpts) ([]*Result, error) {
 	plans, hits, err := l.plans.planBatch(srcs)
 	if err != nil {
@@ -579,61 +589,6 @@ func (l *Live) SearchBatch(ctx context.Context, srcs []string, opts SearchOpts) 
 	}
 	defer e.release()
 	return e.set.searchBatchPlans(ctx, plans, hits, opts)
-}
-
-// Query evaluates q across all live segments and returns globally
-// tid-sorted matches.
-func (l *Live) Query(q *query.Query) ([]Match, error) {
-	ms, _, err := l.QueryWithStats(q)
-	return ms, err
-}
-
-// QueryText parses src (through the root's plan cache, when enabled)
-// and evaluates it across all live segments.
-func (l *Live) QueryText(src string) ([]Match, error) {
-	pl, _, err := l.plans.planText(src)
-	if err != nil {
-		return nil, err
-	}
-	e, err := l.pin()
-	if err != nil {
-		return nil, err
-	}
-	defer e.release()
-	ms, _, err := e.set.evalPlanFanout(pl)
-	return ms, err
-}
-
-// QueryWithStats evaluates q across all live segments, reporting
-// summed evaluation statistics.
-func (l *Live) QueryWithStats(q *query.Query) ([]Match, *QueryStats, error) {
-	if q.Size() == 0 {
-		return nil, nil, fmt.Errorf("core: empty query")
-	}
-	pl, _, err := l.plans.planQuery(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	e, err := l.pin()
-	if err != nil {
-		return nil, nil, err
-	}
-	defer e.release()
-	return e.set.evalPlanFanout(pl)
-}
-
-// QueryTextBatch evaluates a batch of textual queries with shared
-// posting fetches, as Sharded.QueryTextBatch.
-func (l *Live) QueryTextBatch(srcs []string) ([][]Match, error) {
-	results, err := l.SearchBatch(context.Background(), srcs, SearchOpts{})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Match, len(results))
-	for i, r := range results {
-		out[i] = r.Matches
-	}
-	return out, nil
 }
 
 // LookupKey sums the key's posting count over all live segments.

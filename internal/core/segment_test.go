@@ -23,12 +23,7 @@ func openLive(t *testing.T, trees []*lingtree.Tree, shards int, opts OpenOptions
 	if _, err := BuildSharded(dir, trees, Options{MSS: 3, Coding: postings.RootSplit}, shards); err != nil {
 		t.Fatal(err)
 	}
-	l, err := OpenLive(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	return l
+	return openDir(t, dir, opts)
 }
 
 // TestAppendMatchesFullRebuild is the core segment invariant: for both
@@ -37,7 +32,7 @@ func openLive(t *testing.T, trees []*lingtree.Tree, shards int, opts OpenOptions
 // same order) of a from-scratch build over the concatenated corpus.
 func TestAppendMatchesFullRebuild(t *testing.T) {
 	trees := shardCorpus(900)
-	full := openSharded(t, trees, 1, OpenOptions{})
+	full := openLive(t, trees, 1, OpenOptions{})
 	ctx := context.Background()
 	for _, shards := range []int{1, 3} {
 		l := openLive(t, trees[:500], shards, OpenOptions{})
@@ -57,11 +52,11 @@ func TestAppendMatchesFullRebuild(t *testing.T) {
 			t.Fatalf("shards=%d: generation %d, want 3 (promotion + two appends)", shards, l.Generation())
 		}
 		for _, q := range shardQueries {
-			want, err := full.QueryText(q)
+			want, err := searchText(full, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := l.QueryText(q)
+			got, err := searchText(l, q)
 			if err != nil {
 				t.Fatalf("shards=%d %q: %v", shards, q, err)
 			}
@@ -115,7 +110,7 @@ func TestAppendMatchesFullRebuild(t *testing.T) {
 }
 
 // TestAppendPersistsAcrossReopen locks the manifest format: after
-// appends, a fresh OpenAny (and OpenLive) of the directory serves the
+// appends, a fresh OpenLive of the directory serves the
 // whole corpus, and the root meta declares the segmented format.
 func TestAppendPersistsAcrossReopen(t *testing.T) {
 	trees := shardCorpus(300)
@@ -130,7 +125,7 @@ func TestAppendPersistsAcrossReopen(t *testing.T) {
 	if _, err := l.Append(context.Background(), trees[200:], 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	want, err := l.QueryText("NP(DT)(NN)")
+	want, err := searchText(l, "NP(DT)(NN)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,15 +145,7 @@ func TestAppendPersistsAcrossReopen(t *testing.T) {
 		t.Fatalf("manifest NumTrees = %d, want 300", meta.NumTrees)
 	}
 
-	h, err := OpenAny(dir, OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	if _, ok := h.(*Live); !ok {
-		t.Fatalf("OpenAny on a segmented root returned %T, want *Live", h)
-	}
-	got, err := h.QueryText("NP(DT)(NN)")
+	got, err := searchText(openDir(t, dir, OpenOptions{}), "NP(DT)(NN)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +175,7 @@ func TestReloadPicksUpExternalSegment(t *testing.T) {
 	if _, err := writer.Append(context.Background(), trees[300:], 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	want, err := writer.QueryText("S(NP)(VP)")
+	want, err := searchText(writer, "S(NP)(VP)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +197,7 @@ func TestReloadPicksUpExternalSegment(t *testing.T) {
 		t.Fatalf("after reload: %d trees in %d segments, want 400 in 2",
 			serving.Meta().NumTrees, serving.Segments())
 	}
-	got, err := serving.QueryText("S(NP)(VP)")
+	got, err := searchText(serving, "S(NP)(VP)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +278,7 @@ func TestCloseWaitsForPinnedSearch(t *testing.T) {
 	l := openLive(t, trees, 2, OpenOptions{})
 	ctx := context.Background()
 	const q = "NP(DT)(NN)"
-	want, err := l.QueryText(q)
+	want, err := searchText(l, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,8 +337,8 @@ func TestConcurrentSearchAppendClose(t *testing.T) {
 	ctx := context.Background()
 	const q = "NP(DT)(NN)"
 
-	full := openSharded(t, trees, 1, OpenOptions{})
-	allMatches, err := full.QueryText(q)
+	full := openLive(t, trees, 1, OpenOptions{})
+	allMatches, err := searchText(full, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +413,7 @@ func TestAppendRetryAfterFailureKeepsData(t *testing.T) {
 	l := openLive(t, trees[:150], 1, OpenOptions{})
 	ctx := context.Background()
 	const q = "NP(DT)(NN)"
-	before, err := l.QueryText(q)
+	before, err := searchText(l, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +429,7 @@ func TestAppendRetryAfterFailureKeepsData(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(l.dir, segDirName(1), indexFileName)); err != nil {
 		t.Fatalf("promoted index payload missing after failed append: %v", err)
 	}
-	mid, err := l.QueryText(q)
+	mid, err := searchText(l, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,12 +444,12 @@ func TestAppendRetryAfterFailureKeepsData(t *testing.T) {
 	if l.Meta().NumTrees != 200 {
 		t.Fatalf("after retry: %d trees, want 200", l.Meta().NumTrees)
 	}
-	full := openSharded(t, trees, 1, OpenOptions{})
-	want, err := full.QueryText(q)
+	full := openLive(t, trees, 1, OpenOptions{})
+	want, err := searchText(full, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := l.QueryText(q)
+	got, err := searchText(l, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +463,7 @@ func TestAppendRetryAfterFailureKeepsData(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
-	got, err = reopened.QueryText(q)
+	got, err = searchText(reopened, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,9 +483,6 @@ func TestOpenRejectsEmptyManifest(t *testing.T) {
 	}
 	if _, err := OpenLive(dir, OpenOptions{}); err == nil {
 		t.Fatal("OpenLive accepted a manifest with no segments")
-	}
-	if _, err := OpenAny(dir, OpenOptions{}); err == nil {
-		t.Fatal("OpenAny accepted a manifest with no segments")
 	}
 
 	// Reload onto an emptied manifest must error, not panic or serve

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -13,18 +12,17 @@ import (
 
 	"repro/internal/lingtree"
 	"repro/internal/planner"
-	"repro/internal/query"
 	"repro/internal/subtree"
 	"repro/internal/treebank"
 )
 
 // This file implements the sharding layer over the single-directory
 // Subtree Index: a sharded build partitions the corpus by tid into N
-// contiguous ranges, builds one independent index directory per range
-// concurrently, and a sharded open fans queries out across the shards
-// and merges their tid-sorted results. Because shard s holds the tids
-// [offset_s, offset_{s+1}), per-shard results only need their shard's
-// base added and concatenated in shard order to be globally sorted —
+// contiguous ranges and builds one independent index directory per
+// range concurrently; leafSet fans queries out across such leaves and
+// merges their tid-sorted results. Because leaf s holds the tids
+// [offset_s, offset_{s+1}), per-leaf results only need their leaf's
+// base added and concatenated in leaf order to be globally sorted —
 // the same partition-then-merge shape zoekt uses for trigram search.
 
 // MaxShards bounds the shard count of one index.
@@ -210,18 +208,18 @@ func removeStaleSegments(dir string) error {
 	return nil
 }
 
-// leafSet is the execution engine shared by every multi-partition
-// handle: an ordered list of single-directory indexes ("leaves") whose
-// contiguous tid ranges concatenate into the global tid space. Sharded
-// serves one leaf per shard directory; Live serves the concatenation
-// of every segment's leaves — the same merge, one level up. All
-// methods are safe for concurrent use.
+// leafSet is the execution engine: an ordered list of single-directory
+// indexes ("leaves") whose contiguous tid ranges concatenate into the
+// global tid space. Every epoch of a Live handle carries one — the
+// concatenation of every segment's leaves, one per shard directory (or
+// the segment directory itself when unsharded). All methods are safe
+// for concurrent use.
 type leafSet struct {
 	leaves  []*Index
 	offsets []uint32 // offsets[i] = first global tid of leaf i; len = len(leaves)+1
 	// dels holds each leaf's tombstone set, parallel to leaves; a nil
-	// slice (Sharded, single-directory, live epochs without deletes)
-	// means no tombstones anywhere — the hot path stays one nil check.
+	// slice (an epoch without deletes) means no tombstones anywhere —
+	// the hot path stays one nil check.
 	dels []*TombSet
 }
 
@@ -353,255 +351,6 @@ func (ls leafSet) tree(tid int) (*lingtree.Tree, error) {
 	ct := *t
 	ct.TID = tid
 	return &ct, nil
-}
-
-// Sharded is an opened sharded index. All read methods are safe for
-// concurrent use: queries fan out across shards with one goroutine per
-// shard, and the per-shard indexes are themselves concurrency-safe.
-type Sharded struct {
-	dir   string
-	meta  Meta
-	plans *compiler
-	set   leafSet
-}
-
-// OpenSharded opens the sharded index rooted at dir. opts apply to
-// every shard (CacheSize is a per-shard budget), except the plan
-// cache, which lives once at the root: shards share MSS and coding, so
-// one compiled plan serves the whole fan-out.
-func OpenSharded(dir string, opts OpenOptions) (*Sharded, error) {
-	meta, err := readMeta(dir)
-	if err != nil {
-		return nil, err
-	}
-	if meta.Shards < 1 {
-		return nil, fmt.Errorf("core: %s is not a sharded index root", dir)
-	}
-	s := &Sharded{dir: dir, meta: meta, plans: newCompiler(meta, opts.PlanCache)}
-	shardOpts := opts
-	shardOpts.PlanCache = 0 // shards evaluate root-compiled plans
-	s.set.offsets = make([]uint32, 0, meta.Shards+1)
-	s.set.offsets = append(s.set.offsets, 0)
-	for i := 0; i < meta.Shards; i++ {
-		sh, err := OpenWith(filepath.Join(dir, shardDirName(i)), shardOpts)
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("core: opening shard %d of %s: %w", i, dir, err)
-		}
-		s.set.leaves = append(s.set.leaves, sh)
-		s.set.offsets = append(s.set.offsets, s.set.offsets[i]+uint32(sh.Meta().NumTrees))
-	}
-	if int(s.set.offsets[meta.Shards]) != meta.NumTrees {
-		s.Close()
-		return nil, fmt.Errorf("core: shards of %s hold %d trees, meta says %d",
-			dir, s.set.offsets[meta.Shards], meta.NumTrees)
-	}
-	return s, nil
-}
-
-// OpenAny opens dir as a segmented, sharded or single-directory index
-// depending on its meta, behind the Handle interface. Callers that
-// need live updates (Append/Reload) should use OpenLive, which serves
-// any of the three layouts and additionally supports appending.
-func OpenAny(dir string, opts OpenOptions) (Handle, error) {
-	meta, err := readMeta(dir)
-	if err != nil {
-		return nil, err
-	}
-	if meta.FormatVersion == FormatSegmented {
-		return OpenLive(dir, opts)
-	}
-	if meta.Shards > 0 {
-		return OpenSharded(dir, opts)
-	}
-	return OpenWith(dir, opts)
-}
-
-// Handle is the read interface shared by single, sharded and live
-// (segmented) indexes; the public si package works through it. Search,
-// SearchQuery and SearchBatch are the v2 execution path (context-first,
-// limit-aware); the Query* methods are the legacy unbounded wrappers.
-type Handle interface {
-	Meta() Meta
-	Close() error
-	Search(ctx context.Context, src string, opts SearchOpts) (*Result, error)
-	SearchStream(ctx context.Context, src string, opts SearchOpts) (*Result, error)
-	SearchQuery(ctx context.Context, q *query.Query, opts SearchOpts) (*Result, error)
-	SearchBatch(ctx context.Context, srcs []string, opts SearchOpts) ([]*Result, error)
-	Query(q *query.Query) ([]Match, error)
-	QueryText(src string) ([]Match, error)
-	QueryTextBatch(srcs []string) ([][]Match, error)
-	QueryWithStats(q *query.Query) ([]Match, *QueryStats, error)
-	Counters() Counters
-	LookupKey(k subtree.Key) (int, error)
-	Keys(start subtree.Key, fn func(k subtree.Key, count int) bool) error
-	Tree(tid int) (*lingtree.Tree, error)
-	NumShards() int
-}
-
-var (
-	_ Handle = (*Index)(nil)
-	_ Handle = (*Sharded)(nil)
-	_ Handle = (*Live)(nil)
-)
-
-// Meta returns the aggregated metadata of the sharded index.
-func (s *Sharded) Meta() Meta { return s.meta }
-
-// NumShards returns the partition count.
-func (s *Sharded) NumShards() int { return len(s.set.leaves) }
-
-// Shard exposes one partition (tools and tests).
-func (s *Sharded) Shard(i int) *Index { return s.set.leaves[i] }
-
-// Close releases every shard, returning the first error.
-func (s *Sharded) Close() error {
-	var first error
-	for _, sh := range s.set.leaves {
-		if err := sh.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// Query evaluates q across all shards and returns globally tid-sorted
-// matches.
-func (s *Sharded) Query(q *query.Query) ([]Match, error) {
-	ms, _, err := s.QueryWithStats(q)
-	return ms, err
-}
-
-// QueryText parses src (through the root's plan cache, when enabled)
-// and evaluates it across all shards; a repeated query string skips
-// parse and decomposition.
-func (s *Sharded) QueryText(src string) ([]Match, error) {
-	pl, _, err := s.plans.planText(src)
-	if err != nil {
-		return nil, err
-	}
-	ms, _, err := s.set.evalPlanFanout(pl)
-	return ms, err
-}
-
-// QueryWithStats compiles q once (through the plan cache) and fans the
-// plan out with one goroutine per shard, rebasing each shard's local
-// tids and concatenating in shard order — contiguous tid partitioning
-// makes that concatenation the sorted merge. Stats are summed over
-// shards.
-func (s *Sharded) QueryWithStats(q *query.Query) ([]Match, *QueryStats, error) {
-	if q.Size() == 0 {
-		return nil, nil, fmt.Errorf("core: empty query")
-	}
-	pl, _, err := s.plans.planQuery(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.set.evalPlanFanout(pl)
-}
-
-// evalPlanFanout evaluates one compiled plan on every leaf
-// concurrently and merges the tid-rebased results and stats.
-func (ls leafSet) evalPlanFanout(pl *Plan) ([]Match, *QueryStats, error) {
-	type result struct {
-		ms  []Match
-		st  *QueryStats
-		err error
-	}
-	results := make([]result, len(ls.leaves))
-	var wg sync.WaitGroup
-	for i, sh := range ls.leaves {
-		wg.Add(1)
-		go func(i int, sh *Index) {
-			defer wg.Done()
-			ms, _, st, err := sh.evalPlan(context.Background(), pl, sh.getPosting, evalOpts{dels: ls.del(i)})
-			results[i] = result{ms: ms, st: st, err: err}
-		}(i, sh)
-	}
-	wg.Wait()
-
-	total := 0
-	for i := range results {
-		if results[i].err != nil {
-			return nil, nil, fmt.Errorf("core: shard %d: %w", i, results[i].err)
-		}
-		total += len(results[i].ms)
-	}
-	out := make([]Match, 0, total)
-	agg := &QueryStats{}
-	for i := range results {
-		out = rebase(out, results[i].ms, ls.offsets[i])
-		if st := results[i].st; st != nil {
-			// Pieces is a property of the query decomposition, identical
-			// in every leaf — report it once, not leaf-count times.
-			agg.Pieces = st.Pieces
-			agg.Joins += st.Joins
-			agg.PostingsFetched += st.PostingsFetched
-			agg.Candidates += st.Candidates
-			agg.Validated += st.Validated
-		}
-	}
-	return out, agg, nil
-}
-
-// QueryTextBatch evaluates a batch of textual queries: all queries are
-// planned once at the root, then every shard evaluates the whole batch
-// concurrently, fetching each distinct cover key's posting list once
-// per shard. Per-query results are identical to sequential QueryText
-// calls.
-func (s *Sharded) QueryTextBatch(srcs []string) ([][]Match, error) {
-	results, err := s.SearchBatch(context.Background(), srcs, SearchOpts{})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Match, len(results))
-	for i, r := range results {
-		out[i] = r.Matches
-	}
-	return out, nil
-}
-
-// Counters sums the shards' posting-fetch counters, reports the root
-// planner's cache activity, and fills the lifecycle gauges (a sharded
-// handle is one segment with no tombstones).
-func (s *Sharded) Counters() Counters {
-	hits, misses := s.plans.counters()
-	replans, est, act := s.plans.plannerCounters()
-	return Counters{
-		PostingFetches:    s.set.sumFetches(),
-		PlanCacheHits:     hits,
-		PlanCacheMisses:   misses,
-		PlanReplans:       replans,
-		PlanEstimatedRows: est,
-		PlanActualRows:    act,
-		LiveTrees:         s.meta.NumTrees,
-		Segments:          1,
-		SegmentBytes:      s.meta.IndexBytes + s.meta.DataBytes,
-		MmapLeaves:        s.set.mappedLeaves(),
-	}
-}
-
-// LookupKey sums the key's posting count over all shards.
-func (s *Sharded) LookupKey(k subtree.Key) (int, error) { return s.set.lookupKey(k) }
-
-// Keys iterates the union of all shards' keys in ascending order, with
-// per-key posting counts summed across shards (so the counts agree with
-// LookupKey), until fn returns false.
-func (s *Sharded) Keys(start subtree.Key, fn func(k subtree.Key, count int) bool) error {
-	return s.set.keys(start, fn)
-}
-
-// Tree fetches the tree with global tid, routing to the owning shard.
-func (s *Sharded) Tree(tid int) (*lingtree.Tree, error) { return s.set.tree(tid) }
-
-// Stores returns the per-shard tree stores in shard order, with the
-// first global tid of each shard — for tools that scan the raw corpus.
-func (s *Sharded) Stores() ([]*treebank.Store, []uint32) {
-	stores := make([]*treebank.Store, len(s.set.leaves))
-	for i, sh := range s.set.leaves {
-		stores[i] = sh.Store()
-	}
-	return stores, s.set.offsets[:len(s.set.leaves)]
 }
 
 // writeMeta persists meta as dir/meta.json.

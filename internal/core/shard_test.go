@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -29,40 +30,24 @@ func shardCorpus(n int) []*lingtree.Tree {
 	return corpusgen.New(2012).Trees(n)
 }
 
-// buildBoth builds a single index and a sharded index over the same
-// corpus and returns open handles to each.
-func openSharded(t *testing.T, trees []*lingtree.Tree, shards int, opts OpenOptions) Handle {
-	t.Helper()
-	dir := filepath.Join(t.TempDir(), "ix")
-	if _, err := BuildSharded(dir, trees, Options{MSS: 3, Coding: postings.RootSplit}, shards); err != nil {
-		t.Fatal(err)
-	}
-	h, err := OpenAny(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { h.Close() })
-	return h
-}
-
 // TestShardedMatchesSingle is the core sharding invariant: for every
-// shard count, Query returns exactly the matches (same global tids,
+// shard count, a search returns exactly the matches (same global tids,
 // same roots, same order) of the unsharded index.
 func TestShardedMatchesSingle(t *testing.T) {
 	trees := shardCorpus(600)
-	single := openSharded(t, trees, 1, OpenOptions{})
+	single := openLive(t, trees, 1, OpenOptions{})
 	for _, shards := range []int{2, 3, 4, 7} {
-		sharded := openSharded(t, trees, shards, OpenOptions{})
+		sharded := openLive(t, trees, shards, OpenOptions{})
 		if got := sharded.NumShards(); got != shards {
 			t.Fatalf("NumShards = %d, want %d", got, shards)
 		}
 		for _, src := range shardQueries {
 			q := query.MustParse(src)
-			want, err := single.Query(q)
+			want, err := searchQuery(single, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sharded.Query(q)
+			got, err := searchQuery(sharded, q)
 			if err != nil {
 				t.Fatalf("shards=%d %s: %v", shards, src, err)
 			}
@@ -90,20 +75,15 @@ func TestShardedMatchesSingleFilterCoding(t *testing.T) {
 	if _, err := BuildSharded(ddir, trees, opt, 3); err != nil {
 		t.Fatal(err)
 	}
-	single, err := Open(sdir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer single.Close()
-	sharded, err := OpenSharded(ddir, OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sharded.Close()
+	single := openDir(t, sdir, OpenOptions{})
+	sharded := openDir(t, ddir, OpenOptions{})
 	for _, src := range shardQueries {
 		q := query.MustParse(src)
-		want, _ := single.Query(q)
-		got, err := sharded.Query(q)
+		want, err := searchQuery(single, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := searchQuery(sharded, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,10 +98,10 @@ func TestShardedMatchesSingleFilterCoding(t *testing.T) {
 // that LookupKey agrees with the merge.
 func TestShardedKeysAndLookup(t *testing.T) {
 	trees := shardCorpus(400)
-	single := openSharded(t, trees, 1, OpenOptions{})
-	sharded := openSharded(t, trees, 4, OpenOptions{})
+	single := openLive(t, trees, 1, OpenOptions{})
+	sharded := openLive(t, trees, 4, OpenOptions{})
 
-	collect := func(h Handle) map[subtree.Key]int {
+	collect := func(h *Live) map[subtree.Key]int {
 		m := map[subtree.Key]int{}
 		var prev subtree.Key
 		first := true
@@ -163,7 +143,7 @@ func TestShardedKeysAndLookup(t *testing.T) {
 // TestShardedTreeRouting checks global-tid routing to the owning shard.
 func TestShardedTreeRouting(t *testing.T) {
 	trees := shardCorpus(101) // odd size: shards differ in length
-	sharded := openSharded(t, trees, 4, OpenOptions{})
+	sharded := openLive(t, trees, 4, OpenOptions{})
 	for _, tid := range []int{0, 25, 26, 50, 75, 100} {
 		got, err := sharded.Tree(tid)
 		if err != nil {
@@ -190,10 +170,10 @@ func TestShardedTreeRouting(t *testing.T) {
 // B+Tree readers.
 func TestShardedConcurrentQueries(t *testing.T) {
 	trees := shardCorpus(400)
-	sharded := openSharded(t, trees, 4, OpenOptions{CacheSize: 1 << 20})
+	sharded := openLive(t, trees, 4, OpenOptions{CacheSize: 1 << 20})
 	want := map[string]int{}
 	for _, src := range shardQueries {
-		ms, err := sharded.Query(query.MustParse(src))
+		ms, err := searchQuery(sharded, query.MustParse(src))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +189,7 @@ func TestShardedConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				src := shardQueries[(g+r)%len(shardQueries)]
-				ms, err := sharded.Query(query.MustParse(src))
+				ms, err := searchQuery(sharded, query.MustParse(src))
 				if err != nil {
 					errc <- err
 					return
@@ -233,7 +213,7 @@ func TestShardedConcurrentQueries(t *testing.T) {
 
 // TestMetaVersioning: unknown future versions are rejected, legacy
 // metas without a version still open, and sharded roots refuse the
-// single-index opener.
+// leaf opener, pointing at OpenLive.
 func TestMetaVersioning(t *testing.T) {
 	trees := shardCorpus(50)
 	dir := filepath.Join(t.TempDir(), "ix")
@@ -257,7 +237,7 @@ func TestMetaVersioning(t *testing.T) {
 	if err := os.WriteFile(metaPath, legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Open(dir)
+	ix, err := OpenLive(dir, OpenOptions{})
 	if err != nil {
 		t.Fatalf("legacy meta rejected: %v", err)
 	}
@@ -272,20 +252,20 @@ func TestMetaVersioning(t *testing.T) {
 	if err := os.WriteFile(metaPath, future, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir); err == nil {
+	if _, err := OpenLive(dir, OpenOptions{}); err == nil {
 		t.Error("future format version accepted")
 	}
 	if err := os.WriteFile(metaPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	// A sharded root must not open as a single index.
+	// A sharded root must not open as a leaf.
 	sdir := filepath.Join(t.TempDir(), "sharded")
 	if _, err := BuildSharded(sdir, trees, Options{MSS: 2, Coding: postings.RootSplit}, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(sdir); err == nil {
-		t.Error("sharded root opened as single index")
+	if _, err := OpenWith(sdir, OpenOptions{}); err == nil || !strings.Contains(err.Error(), "OpenLive") {
+		t.Errorf("sharded root opened as a leaf: err = %v, want one naming OpenLive", err)
 	}
 }
 
@@ -304,11 +284,7 @@ func TestShardedRebuildNarrower(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, shardDirName(3))); !os.IsNotExist(err) {
 		t.Error("stale shard-0003 survived narrower rebuild")
 	}
-	h, err := OpenAny(dir, OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
+	h := openDir(t, dir, OpenOptions{})
 	if h.NumShards() != 2 {
 		t.Errorf("NumShards = %d after rebuild", h.NumShards())
 	}
@@ -334,7 +310,7 @@ func TestShardedRebuildAcrossBoundary(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, shardDirName(0))); !os.IsNotExist(err) {
 		t.Error("stale shard-0000 survived single rebuild")
 	}
-	h, err := OpenAny(dir, OpenOptions{})
+	h, err := OpenLive(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,11 +328,7 @@ func TestShardedRebuildAcrossBoundary(t *testing.T) {
 			t.Errorf("stale %s survived sharded rebuild", name)
 		}
 	}
-	h, err = OpenAny(dir, OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
+	h = openDir(t, dir, OpenOptions{})
 	if h.NumShards() != 3 {
 		t.Errorf("NumShards = %d after sharded rebuild", h.NumShards())
 	}
@@ -373,7 +345,7 @@ func TestShardedBuildRejectionIsNonDestructive(t *testing.T) {
 	if _, err := BuildSharded(dir, trees, Options{MSS: 9, Coding: postings.RootSplit}, 1); err == nil {
 		t.Fatal("mss 9 accepted")
 	}
-	h, err := OpenAny(dir, OpenOptions{})
+	h, err := OpenLive(dir, OpenOptions{})
 	if err != nil {
 		t.Fatalf("index destroyed by rejected rebuild: %v", err)
 	}
@@ -396,7 +368,7 @@ func TestShardedTinyCorpusDegeneratesToSingle(t *testing.T) {
 	if m.FormatVersion != FormatSingle || m.Shards != 0 {
 		t.Errorf("meta = version %d, shards %d; want a single-directory index", m.FormatVersion, m.Shards)
 	}
-	ix, err := Open(dir) // the single-index opener must accept it
+	ix, err := OpenWith(dir, OpenOptions{}) // the leaf opener must accept it
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,24 +30,22 @@ type matchStream struct {
 	// err reports what stopped the stream, nil on clean exhaustion or
 	// while matches are still flowing.
 	err func() error
-	// finish folds the stream's work counters into st (JoinRows,
-	// PostingsFetched, Validated); callable at any point, typically
-	// once after the last next.
-	finish func(st *QueryStats)
+	// rows reports the join rows spent so far (posting entries decoded
+	// plus intermediate rows; trees validated under the filter coding);
+	// callable at any point, typically once after the last next.
+	rows func() int
 }
 
-// streamPlan builds the match stream of one compiled plan, returning
-// it with a QueryStats carrying the structural counters (Pieces,
-// Joins, Candidates); the work counters land in finish. Of ev only
+// streamPlan builds the match stream of one compiled plan. Of ev only
 // dels and pieceReads apply — bounds are the consumer's business.
-func (ix *Index) streamPlan(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) (*matchStream, *QueryStats, error) {
+func (ix *Index) streamPlan(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) (*matchStream, error) {
 	switch ix.meta.Coding {
 	case postings.RootSplit, postings.SubtreeInterval:
 		return ix.streamJoin(ctx, pl, get, ev)
 	case postings.FilterBased:
 		return ix.streamFilter(ctx, pl, get, ev)
 	default:
-		return nil, nil, fmt.Errorf("core: unknown coding %v", ix.meta.Coding)
+		return nil, fmt.Errorf("core: unknown coding %v", ix.meta.Coding)
 	}
 }
 
@@ -79,8 +77,7 @@ func (ix *Index) pieceCursor(pp PlanPiece, get postingGetter, dels *TombSet) (jo
 // uncosted plans), so a query whose cheapest piece is absent never
 // issues the remaining point reads; the relations keep their piece
 // positions for the join.
-func (ix *Index) streamJoin(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) (*matchStream, *QueryStats, error) {
-	st := &QueryStats{Pieces: len(pl.Pieces), Joins: len(pl.Pieces) - 1}
+func (ix *Index) streamJoin(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) (*matchStream, error) {
 	rels := make([]join.StreamRelation, len(pl.Pieces))
 	fetchOrder := pl.Order
 	if len(fetchOrder) != len(pl.Pieces) {
@@ -92,15 +89,15 @@ func (ix *Index) streamJoin(ctx context.Context, pl *Plan, get postingGetter, ev
 			pi = fetchOrder[i]
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		rel, found, err := ix.pieceCursor(pl.Pieces[pi], get, ev.dels)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if !found {
 			// A piece with no postings: no matches anywhere.
-			return emptyStream(), st, nil
+			return emptyStream(), nil
 		}
 		if ev.pieceReads != nil && pi < len(ev.pieceReads) {
 			rel.Cursor = &countCursor{inner: rel.Cursor, n: &ev.pieceReads[pi]}
@@ -112,28 +109,21 @@ func (ix *Index) streamJoin(ctx context.Context, pl *Plan, get postingGetter, ev
 		NoStack: pl.Strategy == planner.StrategyBlock,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return &matchStream{
-		next: js.Next,
-		err:  js.Err,
-		finish: func(st *QueryStats) {
-			st.JoinRows = js.Rows()
-			st.PostingsFetched = js.EntriesRead()
-		},
-	}, st, nil
+	return &matchStream{next: js.Next, err: js.Err, rows: js.Rows}, nil
 }
 
 // streamFilter builds the streaming evaluation for the filter coding:
 // tid lists intersect eagerly (shared with evalFilter), candidate
 // trees validate lazily.
-func (ix *Index) streamFilter(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) (*matchStream, *QueryStats, error) {
-	cands, st, found, err := ix.filterCandidates(ctx, pl, get, ev)
+func (ix *Index) streamFilter(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) (*matchStream, error) {
+	cands, err := ix.filterCandidates(ctx, pl, get, ev)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if !found {
-		return emptyStream(), st, nil
+	if len(cands) == 0 {
+		return emptyStream(), nil
 	}
 
 	m := match.New(pl.Query)
@@ -174,11 +164,8 @@ func (ix *Index) streamFilter(ctx context.Context, pl *Plan, get postingGetter, 
 	return &matchStream{
 		next: next,
 		err:  func() error { return serr },
-		finish: func(st *QueryStats) {
-			st.Validated = validated
-			st.JoinRows = validated
-		},
-	}, st, nil
+		rows: func() int { return validated },
+	}, nil
 }
 
 // countCursor wraps an entry cursor so each decoded entry is tallied
@@ -204,9 +191,9 @@ func (c *countCursor) Err() error { return c.inner.Err() }
 // emptyStream is the no-matches stream (an absent cover piece).
 func emptyStream() *matchStream {
 	return &matchStream{
-		next:   func() (Match, bool) { return Match{}, false },
-		err:    func() error { return nil },
-		finish: func(*QueryStats) {},
+		next: func() (Match, bool) { return Match{}, false },
+		err:  func() error { return nil },
+		rows: func() int { return 0 },
 	}
 }
 

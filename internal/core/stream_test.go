@@ -88,7 +88,7 @@ func TestSearchLazySkipsUnneededShardError(t *testing.T) {
 	ctx := context.Background()
 	const q = "NP(DT)(NN)"
 
-	healthy := openSharded(t, trees, 4, OpenOptions{})
+	healthy := openLive(t, trees, 4, OpenOptions{})
 	full, err := healthy.Search(ctx, q, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
@@ -97,13 +97,10 @@ func TestSearchLazySkipsUnneededShardError(t *testing.T) {
 		t.Fatalf("vacuous corpus: only %d matches", len(full.Matches))
 	}
 
-	broken, ok := openSharded(t, trees, 4, OpenOptions{}).(*Sharded)
-	if !ok {
-		t.Fatal("openSharded did not return a *Sharded")
-	}
+	broken := openLive(t, trees, 4, OpenOptions{})
 	// Sabotage shard 1 — inside the lazy lookahead window, so it is in
 	// flight while shard 0 satisfies a small limit.
-	if err := broken.set.leaves[1].tree.Close(); err != nil {
+	if err := broken.cur.Load().set.leaves[1].tree.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -139,7 +136,7 @@ func TestSearchStreamParity(t *testing.T) {
 	trees := shardCorpus(600)
 	ctx := context.Background()
 	for _, shards := range []int{1, 4} {
-		h := openSharded(t, trees, shards, OpenOptions{})
+		h := openLive(t, trees, shards, OpenOptions{})
 		for _, src := range streamTestQueries {
 			for _, opts := range []SearchOpts{{}, {Limit: 3}, {Limit: 4, Offset: 2}} {
 				want, err := h.Search(ctx, src, opts)
@@ -187,7 +184,7 @@ func TestSearchStreamParity(t *testing.T) {
 func TestSearchStreamStopsOnBreak(t *testing.T) {
 	trees := shardCorpus(800)
 	ctx := context.Background()
-	h := openSharded(t, trees, 4, OpenOptions{})
+	h := openLive(t, trees, 4, OpenOptions{})
 	const q = "NP(DT)(NN)"
 	full, err := h.Search(ctx, q, SearchOpts{})
 	if err != nil {
@@ -224,7 +221,7 @@ func TestSearchStreamStopsOnBreak(t *testing.T) {
 	// On a SINGLE shard too: breaking mid-shard leaves no unconsulted
 	// shards to infer truncation from, but the partial Count must still
 	// be flagged — an unflagged Count claims exactness.
-	h1 := openSharded(t, trees, 1, OpenOptions{})
+	h1 := openLive(t, trees, 1, OpenOptions{})
 	res1, err := h1.SearchStream(ctx, q, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +240,7 @@ func TestSearchStreamStopsOnBreak(t *testing.T) {
 // TestSearchStreamRejectsCountOnly pins the API contract: counting is
 // a materializing operation with no streaming form.
 func TestSearchStreamRejectsCountOnly(t *testing.T) {
-	h := openSharded(t, shardCorpus(50), 1, OpenOptions{})
+	h := openLive(t, shardCorpus(50), 1, OpenOptions{})
 	if _, err := h.SearchStream(context.Background(), "NP", SearchOpts{CountOnly: true}); err == nil {
 		t.Fatal("SearchStream accepted CountOnly")
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/cover"
 	"repro/internal/postings"
 	"repro/internal/query"
+	"repro/internal/treebank"
 	"repro/internal/workload"
 )
 
@@ -73,7 +75,7 @@ func measureRuntimes(cfg Config, reps int) (map[string][]runtimeSample, error) {
 			if _, err := core.Build(subdir(dir, key), trees, core.Options{MSS: mss, Coding: coding}); err != nil {
 				return nil, err
 			}
-			ix, err := core.Open(subdir(dir, key))
+			ix, err := core.OpenLive(subdir(dir, key), core.OpenOptions{})
 			if err != nil {
 				return nil, err
 			}
@@ -81,12 +83,12 @@ func measureRuntimes(cfg Config, reps int) (map[string][]runtimeSample, error) {
 				var matches int
 				start := time.Now()
 				for r := 0; r < reps; r++ {
-					ms, err := ix.Query(q)
+					res, err := ix.SearchQuery(context.Background(), q, core.SearchOpts{})
 					if err != nil {
 						ix.Close()
 						return nil, fmt.Errorf("%s query %s: %w", key, q, err)
 					}
-					matches = len(ms)
+					matches = len(res.Matches)
 				}
 				secs := time.Since(start).Seconds() / float64(reps)
 				out[key] = append(out[key], runtimeSample{
@@ -218,7 +220,7 @@ func Table2(cfg Config) (*Result, error) {
 	if _, err := core.Build(subdir(dir, "rs"), trees, core.Options{MSS: 3, Coding: postings.RootSplit}); err != nil {
 		return nil, err
 	}
-	rs, err := core.Open(subdir(dir, "rs"))
+	rs, err := core.OpenLive(subdir(dir, "rs"), core.OpenOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -226,7 +228,12 @@ func Table2(cfg Config) (*Result, error) {
 	// Baselines validate against the same on-disk data file the Subtree
 	// Index wrote and keep their own postings on disk too, so all
 	// systems pay comparable storage-access costs.
-	atg, err := atreegrep.Build(trees, rs.Store(), subdir(dir, "atg"))
+	store, err := treebank.OpenStore(subdir(dir, "rs"))
+	if err != nil {
+		return nil, err
+	}
+	defer store.Close()
+	atg, err := atreegrep.Build(trees, store, subdir(dir, "atg"))
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +241,7 @@ func Table2(cfg Config) (*Result, error) {
 	fracs := []float64{0.001, 0.01, 0.1}
 	fis := make([]*freqindex.Index, len(fracs))
 	for i, f := range fracs {
-		fi, err := freqindex.Build(trees, rs.Store(), subdir(dir, fmt.Sprintf("fb%d", i)),
+		fi, err := freqindex.Build(trees, store, subdir(dir, fmt.Sprintf("fb%d", i)),
 			freqindex.Options{MSS: 3, Fraction: f})
 		if err != nil {
 			return nil, err
@@ -255,7 +262,7 @@ func Table2(cfg Config) (*Result, error) {
 		}
 		row := []string{string(cls)}
 		row = append(row, fmt.Sprintf("%.5f", timeQueries(qs, func(q *query.Query) error {
-			_, err := rs.Query(q)
+			_, err := rs.SearchQuery(context.Background(), q, core.SearchOpts{})
 			return err
 		})))
 		row = append(row, fmt.Sprintf("%.5f", timeQueries(qs, func(q *query.Query) error {
@@ -327,12 +334,12 @@ func Fig13(cfg Config) (*Result, error) {
 			if _, err := core.Build(subdir(dir, key), trees[:n], core.Options{MSS: 3, Coding: coding}); err != nil {
 				return nil, err
 			}
-			ix, err := core.Open(subdir(dir, key))
+			ix, err := core.OpenLive(subdir(dir, key), core.OpenOptions{})
 			if err != nil {
 				return nil, err
 			}
 			mean := timeQueries(qs, func(q *query.Query) error {
-				_, err := ix.Query(q)
+				_, err := ix.SearchQuery(context.Background(), q, core.SearchOpts{})
 				return err
 			})
 			ix.Close()

@@ -37,7 +37,7 @@
 // server's default timeout (Config.Timeout) unless the request asks
 // for a shorter one with timeout= (a Go duration, e.g. 500ms); a
 // client disconnect cancels evaluation mid-join. limit/offset push
-// down into the v2 search path: a sharded index stops consulting
+// down into the search path: a sharded index stops consulting
 // shards — and fetching their posting lists — once the window is
 // full, and inside each shard the streaming join stops decoding and
 // joining postings at the same point. /stream evaluates incrementally
@@ -56,6 +56,7 @@ import (
 	"fmt"
 	"iter"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -423,27 +424,41 @@ type ServingStats struct {
 	si.Stats
 }
 
-// searchParams are the parsed per-request query parameters shared by
-// /search, /stream and /count.
-type searchParams struct {
-	src     string
-	limit   int
-	offset  int
-	timeout time.Duration
-	explain bool
+// Params are the parsed per-request query parameters shared by
+// /search, /stream and /count — on a node and, through the same parser,
+// on the cluster router, so moving a client from sisrv to sirouter
+// changes the URL and nothing else.
+type Params struct {
+	Src     string        // the q parameter, non-empty
+	Limit   int           // clamped to the match cap; 0 = unlimited
+	Offset  int           // >= 0
+	Timeout time.Duration // requested evaluation deadline; 0 = none
+	Explain bool          // per-piece planner diagnostics requested
 }
 
-// boundParams is the one validation and clamping path for the
+// BoundParams is the one validation and clamping path for the
 // limit/offset/timeout triple every query endpoint accepts: /search,
-// /stream and /count (via parseParams) and /batch (from its JSON body)
-// all pass through here, so the server-side match cap and the
-// parameter sanity rules cannot drift between the GET and POST
-// surfaces. The returned limit is clamped to Config.MaxMatches, a
-// negative offset is rejected, and a timeout must be a positive Go
-// duration.
-func (s *Server) boundParams(limit, offset int, timeout string) (int, int, time.Duration, error) {
+// /stream and /count (via ParseParams) and /batch (from its JSON body),
+// on nodes and on the router, all pass through here, so the match cap
+// and the parameter sanity rules cannot drift between the GET and POST
+// surfaces or between the two servers. The returned limit is clamped to
+// maxMatches (Config.MaxMatches semantics: a requested 0 means the cap
+// itself, a negative cap means unlimited), a negative offset is
+// rejected, offset+limit+1 must be representable — evaluation stops
+// one peek match past the window's end — and a timeout must be a
+// positive Go duration.
+func BoundParams(maxMatches, limit, offset int, timeout string) (int, int, time.Duration, error) {
 	if offset < 0 {
 		return 0, 0, 0, fmt.Errorf("bad offset %d (must be >= 0)", offset)
+	}
+	switch {
+	case maxMatches < 0:
+		limit = max(limit, 0) // no cap: the client's limit, or unlimited
+	case limit <= 0 || limit > maxMatches:
+		limit = maxMatches
+	}
+	if offset >= math.MaxInt-limit {
+		return 0, 0, 0, fmt.Errorf("bad offset %d (offset+limit overflows)", offset)
 	}
 	var d time.Duration
 	if timeout != "" {
@@ -453,15 +468,16 @@ func (s *Server) boundParams(limit, offset int, timeout string) (int, int, time.
 		}
 		d = td
 	}
-	return s.effectiveLimit(limit), offset, d, nil
+	return limit, offset, d, nil
 }
 
-// parseParams validates q, limit, offset and timeout.
-func (s *Server) parseParams(r *http.Request) (searchParams, error) {
-	var p searchParams
+// ParseParams validates a GET query endpoint's q, limit, offset,
+// timeout and explain parameters against the match cap maxMatches.
+func ParseParams(r *http.Request, maxMatches int) (Params, error) {
+	var p Params
 	v := r.URL.Query()
-	p.src = v.Get("q")
-	if p.src == "" {
+	p.Src = v.Get("q")
+	if p.Src == "" {
 		return p, fmt.Errorf("missing q parameter")
 	}
 	if raw := v.Get("limit"); raw != "" {
@@ -469,24 +485,24 @@ func (s *Server) parseParams(r *http.Request) (searchParams, error) {
 		if err != nil {
 			return p, fmt.Errorf("bad limit %q", raw)
 		}
-		p.limit = n
+		p.Limit = n
 	}
 	if raw := v.Get("offset"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil {
 			return p, fmt.Errorf("bad offset %q", raw)
 		}
-		p.offset = n
+		p.Offset = n
 	}
 	if raw := v.Get("explain"); raw != "" {
 		b, err := strconv.ParseBool(raw)
 		if err != nil {
 			return p, fmt.Errorf("bad explain %q (want 1 or 0)", raw)
 		}
-		p.explain = b
+		p.Explain = b
 	}
 	var err error
-	p.limit, p.offset, p.timeout, err = s.boundParams(p.limit, p.offset, v.Get("timeout"))
+	p.Limit, p.Offset, p.Timeout, err = BoundParams(maxMatches, p.Limit, p.Offset, v.Get("timeout"))
 	return p, err
 }
 
@@ -534,7 +550,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := SearchResponse{
-		QueryResult: result(p.src, res),
+		QueryResult: result(p.Src, res),
 		Stats:       statsJSON(res.Stats),
 		TookNS:      took.Nanoseconds(),
 	}
@@ -549,19 +565,19 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := SearchResponse{
-		QueryResult: QueryResult{Query: p.src, Count: res.Count},
+		QueryResult: QueryResult{Query: p.Src, Count: res.Count},
 		TookNS:      took.Nanoseconds(),
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // evaluate runs the shared GET-query path for /search and /count.
-func (s *Server) evaluate(w http.ResponseWriter, r *http.Request, countOnly bool) (*si.SearchResult, searchParams, time.Duration, bool) {
+func (s *Server) evaluate(w http.ResponseWriter, r *http.Request, countOnly bool) (*si.SearchResult, Params, time.Duration, bool) {
 	if r.Method != http.MethodGet {
 		s.fail(w, r, http.StatusMethodNotAllowed, "use GET")
-		return nil, searchParams{}, 0, false
+		return nil, Params{}, 0, false
 	}
-	p, err := s.parseParams(r)
+	p, err := ParseParams(r, s.cfg.MaxMatches)
 	if err != nil {
 		s.fail(w, r, http.StatusBadRequest, err.Error())
 		return nil, p, 0, false
@@ -571,14 +587,14 @@ func (s *Server) evaluate(w http.ResponseWriter, r *http.Request, countOnly bool
 		return nil, p, 0, false
 	}
 	defer release()
-	ctx, cancel := s.requestCtx(r, p.timeout)
+	ctx, cancel := s.requestCtx(r, p.Timeout)
 	defer cancel()
-	limit, offset := p.limit, p.offset
+	limit, offset := p.Limit, p.Offset
 	if countOnly {
 		limit, offset = 0, 0
 	}
 	start := time.Now()
-	res, err := s.ix.Search(ctx, p.src, explainOptions(searchOptions(limit, offset, countOnly), p.explain)...)
+	res, err := s.ix.Search(ctx, p.Src, explainOptions(searchOptions(limit, offset, countOnly), p.Explain)...)
 	if err != nil {
 		s.fail(w, r, errStatus(err), err.Error())
 		return nil, p, 0, false
@@ -608,7 +624,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	p, err := s.parseParams(r)
+	p, err := ParseParams(r, s.cfg.MaxMatches)
 	if err != nil {
 		s.fail(w, r, http.StatusBadRequest, err.Error())
 		return
@@ -621,10 +637,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	ctx, cancel := s.requestCtx(r, p.timeout)
+	ctx, cancel := s.requestCtx(r, p.Timeout)
 	defer cancel()
 	start := time.Now()
-	res, err := s.ix.SearchStream(ctx, p.src, searchOptions(p.limit, p.offset, false)...)
+	res, err := s.ix.SearchStream(ctx, p.Src, searchOptions(p.Limit, p.Offset, false)...)
 	if err != nil {
 		s.fail(w, r, errStatus(err), err.Error())
 		return
@@ -705,7 +721,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Per-item bounds go through the same validation and MaxMatches
 	// clamp as /search's query parameters.
-	limit, offset, timeout, err := s.boundParams(req.Limit, req.Offset, req.Timeout)
+	limit, offset, timeout, err := BoundParams(s.cfg.MaxMatches, req.Limit, req.Offset, req.Timeout)
 	if err != nil {
 		s.fail(w, r, http.StatusBadRequest, err.Error())
 		return
@@ -1078,21 +1094,6 @@ func result(src string, res *si.SearchResult) QueryResult {
 		qr.Matches[i] = MatchJSON{TID: m.TID, Root: m.Root}
 	}
 	return qr
-}
-
-// effectiveLimit clamps a requested per-query match limit to the
-// configured cap; 0 means the cap itself, negative caps mean unlimited.
-func (s *Server) effectiveLimit(requested int) int {
-	if s.cfg.MaxMatches < 0 {
-		if requested > 0 {
-			return requested
-		}
-		return 0 // unlimited
-	}
-	if requested <= 0 || requested > s.cfg.MaxMatches {
-		return s.cfg.MaxMatches
-	}
-	return requested
 }
 
 // errStatus maps an evaluation error to an HTTP status: malformed

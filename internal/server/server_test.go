@@ -427,6 +427,13 @@ func TestErrorPaths(t *testing.T) {
 		method, path, body string
 		wantStatus         int
 	}{
+		// offset+limit overflowing int used to panic inside a shard
+		// goroutine, which net/http cannot recover: one request killed
+		// the process. Every later case doubles as the liveness check.
+		{"GET", "/search?q=NP(DT)(NN)&limit=10&offset=9223372036854775797", "", http.StatusBadRequest},
+		{"GET", "/stream?q=NP(DT)(NN)&limit=10&offset=9223372036854775807", "", http.StatusBadRequest},
+		{"POST", "/batch", `{"queries":["NP(DT)(NN)"],"limit":10,"offset":9223372036854775800}`, http.StatusBadRequest},
+
 		{"GET", "/search", "", http.StatusBadRequest},                                            // missing q
 		{"GET", "/search?q=NP((", "", http.StatusBadRequest},                                     // parse error
 		{"GET", "/search?q=NP&limit=x", "", http.StatusBadRequest},                               // bad limit

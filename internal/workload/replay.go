@@ -35,7 +35,7 @@ type ReplayOptions struct {
 	// CountOnly asks the server to omit match lists (both endpoints).
 	CountOnly bool
 	// Limit asks the server for at most this many matches per query
-	// (the v2 limit pushdown: sharded backends stop fetching postings
+	// (the limit pushdown: sharded backends stop fetching postings
 	// early). With a limit the server's count may be a lower bound, so
 	// Matches becomes a throughput proxy rather than an exact total.
 	Limit int

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"testing"
 	"time"
@@ -283,6 +284,50 @@ func TestCancelledContext(t *testing.T) {
 		}
 		if _, err := ix.Query(ctx, q); !errors.Is(err, context.Canceled) {
 			t.Fatalf("shards=%d: Query on cancelled ctx: %v", shards, err)
+		}
+	}
+}
+
+// TestHugeOffsetSaturates is the regression test for the offset+limit
+// overflow: an offset near math.MaxInt used to panic (makeslice: cap
+// out of range) inside a shard goroutine, which no caller can recover,
+// and a slightly larger one wrapped the early-stop target negative and
+// silently ran the limited search as a full fan-out. The target
+// saturates instead: the search stays a bounded (streamed) one, finds
+// every match, and returns the empty window past them, untruncated.
+func TestHugeOffsetSaturates(t *testing.T) {
+	trees := si.GenerateCorpus(2012, 400)
+	ctx := context.Background()
+	const q = "NP(DT)(NN)"
+	for _, shards := range []int{1, 4} {
+		ix := buildSharded(t, trees, shards)
+		full, err := ix.Search(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, offset := range []int{math.MaxInt - 10, math.MaxInt - 5, math.MaxInt} {
+			res, err := ix.Search(ctx, q, si.WithLimit(10), si.WithOffset(offset))
+			if err != nil {
+				t.Fatalf("shards=%d offset=%d: %v", shards, offset, err)
+			}
+			if len(res.Matches) != 0 || res.Count != full.Count || res.Stats.Truncated {
+				t.Errorf("shards=%d offset=%d: %d matches, count %d, truncated=%v; want the empty window past all %d matches",
+					shards, offset, len(res.Matches), res.Count, res.Stats.Truncated, full.Count)
+			}
+			if res.Stats.Strategy != "stream" {
+				t.Errorf("shards=%d offset=%d: strategy %q, want the bounded search to stream", shards, offset, res.Stats.Strategy)
+			}
+			pending, err := ix.SearchStream(ctx, q, si.WithLimit(10), si.WithOffset(offset))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for m, err := range pending.All() {
+				t.Fatalf("shards=%d offset=%d: stream yielded %+v, %v past the end", shards, offset, m, err)
+			}
+			if pending.Count != full.Count || pending.Stats.Truncated {
+				t.Errorf("shards=%d offset=%d: stream count %d truncated=%v, want %d untruncated",
+					shards, offset, pending.Count, pending.Stats.Truncated, full.Count)
+			}
 		}
 	}
 }

@@ -17,7 +17,7 @@
 //	res, err := ix.Search(ctx, "VP(VBZ(is))(NP(DT(a))(NN))")
 //	for _, m := range res.Matches { ... }
 //
-// Search is context-first and options-carrying (the v2 API): pass
+// Search is context-first and options-carrying: pass
 // WithLimit/WithOffset to page through results — on a sharded index a
 // limited search stops fetching posting lists as soon as enough
 // matches are merged — and cancel or deadline the context to bound a
