@@ -36,9 +36,11 @@ bench-smoke:
 # posting-fetch and join-row counts) and convert the output to
 # BENCH_search.json (the full per-run artifact, not committed). The
 # committed BENCH_baseline.json holds only the guarded metrics of the
-# limited-search, sharded-query, batch and planner-skew benchmarks —
+# limited-search, sharded-query, batch and planner-skew benchmarks and
+# of the join layer's own (internal/join: JoinRun, JoinStream) —
 # the fetch and join-row work counters plus allocs/op and B/op;
-# benchjson diffs the
+# internal/postings' RootDecode rides along for the artifact only (its
+# entries/s is wall clock, its allocations are zero). benchjson diffs the
 # new run against it and fails on a >25% increase — or on a baseline
 # matching nothing — so both the early-termination counters and the
 # zero-copy allocation profile are gates, not just artifacts.
@@ -47,8 +49,9 @@ bench-smoke:
 # then reviewed and committed. That keeps within-tolerance drift from
 # compounding silently — every baseline move is a visible commit.
 BENCH_TOLERANCE ?= 0.25
-BENCH_CMD = $(GO) test -run='^$$' -bench='SearchBatch|CountOnly|LimitedSearch|ShardedQuery|PlannerSkew' \
-	-benchmem -benchtime=1x .
+BENCH_CMD = $(GO) test -run='^$$' \
+	-bench='SearchBatch|CountOnly|LimitedSearch|ShardedQuery|PlannerSkew|JoinRun|JoinStream|RootDecode' \
+	-benchmem -benchtime=1x . ./internal/join ./internal/postings
 bench-json:
 	$(BENCH_CMD) > bench.out
 	$(GO) run ./cmd/benchjson -o BENCH_search.json -baseline BENCH_baseline.json \

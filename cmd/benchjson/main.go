@@ -14,8 +14,8 @@
 // With -baseline FILE the freshly parsed run is also diffed against a
 // previously emitted document: for every benchmark present in both
 // whose name matches -guard (a comma-separated list of substrings;
-// default covers the limited-search, sharded-query and batch
-// benchmarks), the deterministic per-op metrics (fetches/op,
+// default covers the limited-search, sharded-query, batch, planner-skew
+// and join-layer benchmarks), the deterministic per-op metrics (fetches/op,
 // joinrows/op, allocs/op and B/op) must not exceed the baseline by
 // more than -tolerance (default 0.25, i.e. +25%), or the command exits
 // non-zero. Wall-clock (ns/op) is never compared — it is the one
@@ -50,9 +50,11 @@ var guardedMetrics = []string{"fetches/op", "joinrows/op", "allocs/op", "B/op"}
 
 // defaultGuard names the gated benchmark families: limited search (the
 // early-termination counters), the sharded-query and batch paths whose
-// allocation profile the zero-copy read path flattened, and the
-// planner's skewed-corpus fetch/join-row savings.
-const defaultGuard = "LimitedSearch,ShardedQuery,SearchBatch,PlannerSkew"
+// allocation profile the zero-copy read path flattened, the planner's
+// skewed-corpus fetch/join-row savings, and the join layer's own
+// benchmarks (join rows at fixed input cardinalities; the compiled
+// kernel's allocations, constant in the input size for a stream).
+const defaultGuard = "LimitedSearch,ShardedQuery,SearchBatch,PlannerSkew,JoinRun,JoinStream"
 
 // guardItems splits a comma-separated guard list into its non-empty
 // items (so a trailing comma is harmless).

@@ -1,6 +1,5 @@
 // Package arenascope enforces the lifetime contract of the posting
-// arenas (internal/postings RefArena / IntervalIterator.EntryArena):
-// slices carved by Take and entries built by EntryArena stay valid
+// arena (internal/postings RefArena): slices carved by Take stay valid
 // only for the arena's lifetime and the arena is single-goroutine, so
 // an arena-backed value must never outlive the arena's owner:
 //
@@ -115,25 +114,15 @@ func checkFunc(pass *analysis.Pass, fb analysis.FuncBody) {
 	}
 }
 
-// carvingArena returns the arena expression when call carves from one:
-// a.Take(n) (receiver) or it.EntryArena(a) (first argument), matched
-// by method name plus arena type name. Nil otherwise.
+// carvingArena returns the arena expression when call carves from one
+// — a.Take(n), matched by method name plus arena type name. Nil
+// otherwise.
 func carvingArena(pass *analysis.Pass, call *ast.CallExpr) ast.Expr {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
+	if !ok || sel.Sel.Name != "Take" || !isArenaType(pass.TypesInfo.TypeOf(sel.X)) {
 		return nil
 	}
-	switch sel.Sel.Name {
-	case "Take":
-		if isArenaType(pass.TypesInfo.TypeOf(sel.X)) {
-			return sel.X
-		}
-	case "EntryArena":
-		if len(call.Args) == 1 && isArenaType(pass.TypesInfo.TypeOf(call.Args[0])) {
-			return call.Args[0]
-		}
-	}
-	return nil
+	return sel.X
 }
 
 // isArenaType reports whether t is (a pointer to) a named type called

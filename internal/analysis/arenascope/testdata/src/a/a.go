@@ -1,7 +1,6 @@
 // Package a is the arenascope fixture: RefArena mirrors the shape of
-// internal/postings' arena (Take carving a slice, EntryArena building
-// an entry from a caller's arena), and each function is one ownership
-// class's positive or negative case.
+// internal/postings' arena (Take carving a slice), and each function is
+// one ownership class's positive or negative case.
 package a
 
 type node struct{ pre, post int }
@@ -16,14 +15,6 @@ func (a *RefArena) Take(n int) []node {
 }
 
 type entry struct{ nodes []node }
-
-type iterator struct{}
-
-// EntryArena builds an entry from the caller's arena: the parameter
-// class, where the caller manages the lifetime and results flow back.
-func (it *iterator) EntryArena(a *RefArena) entry {
-	return entry{nodes: a.Take(2)}
-}
 
 func use(ns []node) {}
 
@@ -90,16 +81,4 @@ func leakChan(c *cursor, ch chan []node) {
 func leakGo(c *cursor) {
 	ns := c.arena.Take(1)
 	go use(ns) // want `used from a goroutine`
-}
-
-// entryLocal returns an entry built over a local arena.
-func entryLocal(it *iterator) entry {
-	var arena RefArena
-	e := it.EntryArena(&arena)
-	return e // want `returned from entryLocal`
-}
-
-// entryParam builds an entry over the caller's arena.
-func entryParam(it *iterator, a *RefArena) entry {
-	return it.EntryArena(a)
 }

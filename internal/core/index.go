@@ -336,11 +336,29 @@ func (ix *Index) evalStream(ctx context.Context, pl *Plan, get postingGetter, ev
 	return out, count, ms.rows(), nil
 }
 
-// postingPayload fetches one key's posting blob and strips the
-// validated count prefix — the header handling shared by the
-// materialized and streaming fetch paths. found=false means the key
-// is absent.
-func postingPayload(k subtree.Key, get postingGetter) (payload []byte, count int, found bool, err error) {
+// minRecordBytes is the smallest wire size of one posting record under
+// each coding: a root-split record is four varints (tid marker, pre,
+// post, level), a subtree-interval record at least six (tid delta,
+// instance size, one node's four numbers), a filter record one tid
+// delta. A count prefix claiming more records than the payload has
+// bytes for is corrupt.
+func minRecordBytes(coding postings.Coding) int {
+	switch coding {
+	case postings.RootSplit:
+		return 4
+	case postings.SubtreeInterval:
+		return 6
+	default:
+		return 1
+	}
+}
+
+// postingPayload fetches one key's posting blob and strips the count
+// prefix — the header handling shared by the materialized, streaming
+// and filter fetch paths. The count is bounded by what the payload can
+// hold under coding, so a hostile prefix cannot size an allocation;
+// found=false means the key is absent.
+func postingPayload(k subtree.Key, get postingGetter, coding postings.Coding) (payload []byte, count int, found bool, err error) {
 	val, found, err := get(k)
 	if err != nil || !found {
 		return nil, 0, false, err
@@ -349,16 +367,40 @@ func postingPayload(k subtree.Key, get postingGetter) (payload []byte, count int
 	if n <= 0 {
 		return nil, 0, false, fmt.Errorf("core: corrupt posting count for %q", k)
 	}
-	return val[n:], int(c), true, nil
+	payload = val[n:]
+	if c > uint64(len(payload)/minRecordBytes(coding)) {
+		return nil, 0, false, fmt.Errorf("core: corrupt posting count for %q: %d records in %d bytes", k, c, len(payload))
+	}
+	return payload, int(c), true, nil
+}
+
+// recordCarver hands out consecutive width-sized node records of one
+// exact-size arena piece, so a decoded relation's records are
+// contiguous and cost one carve.
+type recordCarver struct {
+	nodes []postings.NodeRef
+	width int
+}
+
+// next returns the next record, or nil when the piece is used up.
+func (c *recordCarver) next() []postings.NodeRef {
+	if len(c.nodes) < c.width {
+		return nil
+	}
+	rec := c.nodes[:c.width:c.width]
+	c.nodes = c.nodes[c.width:]
+	return rec
 }
 
 // fetchPiece reads the posting list of one plan piece, decoded into
 // join relation form with tombstoned tids dropped (dels may be nil).
-// Node slices are carved from arena, so decoding allocates per chunk
-// rather than per entry; the relation stays valid for the arena's
-// lifetime. found=false means the key is absent (no matches).
+// The count prefix says how many records the list holds, so all of the
+// relation's node records are carved from arena in one exact-size
+// piece; the relation stays valid for the arena's lifetime. A list
+// holding more records than its prefix claims is corrupt. found=false
+// means the key is absent (no matches).
 func (ix *Index) fetchPiece(pp PlanPiece, get postingGetter, dels *TombSet, arena *postings.RefArena) (join.Relation, int, bool, error) {
-	payload, count, found, err := postingPayload(pp.Key, get)
+	payload, count, found, err := postingPayload(pp.Key, get, ix.meta.Coding)
 	if err != nil || !found {
 		return join.Relation{}, 0, false, err
 	}
@@ -366,29 +408,50 @@ func (ix *Index) fetchPiece(pp PlanPiece, get postingGetter, dels *TombSet, aren
 	switch ix.meta.Coding {
 	case postings.RootSplit:
 		rel.Slots = []int{pp.Root}
-		rel.Entries = make([]postings.IntervalEntry, 0, count)
+	case postings.SubtreeInterval:
+		rel.Slots = pp.Slots
+	default:
+		return join.Relation{}, 0, false, fmt.Errorf("core: fetch with coding %v", ix.meta.Coding)
+	}
+	width := len(rel.Slots)
+	recs := recordCarver{nodes: arena.Take(count * width), width: width}
+	rel.Entries = make([]postings.IntervalEntry, 0, count)
+	overflow := func() error {
+		return fmt.Errorf("core: corrupt posting count for %q: more than %d records", pp.Key, count)
+	}
+	switch ix.meta.Coding {
+	case postings.RootSplit:
 		it := postings.NewRootIterator(payload)
 		for it.Next() {
 			e := it.Entry()
 			if dels.Has(e.TID) {
 				continue
 			}
-			nodes := arena.Take(1)
-			nodes[0] = e.NodeRef
-			rel.Entries = append(rel.Entries, postings.IntervalEntry{TID: e.TID, Nodes: nodes})
+			rec := recs.next()
+			if rec == nil {
+				return join.Relation{}, 0, false, overflow()
+			}
+			rec[0] = e.NodeRef
+			rel.Entries = append(rel.Entries, postings.IntervalEntry{TID: e.TID, Nodes: rec})
 		}
 		if err := it.Err(); err != nil {
 			return join.Relation{}, 0, false, err
 		}
 	case postings.SubtreeInterval:
-		rel.Slots = pp.Slots
-		rel.Entries = make([]postings.IntervalEntry, 0, count)
 		it := postings.NewIntervalIterator(payload)
 		for it.Next() {
 			if dels.Has(it.TID()) {
 				continue
 			}
-			rel.Entries = append(rel.Entries, it.EntryArena(arena))
+			if len(it.Nodes()) != width {
+				return join.Relation{}, 0, false, fmt.Errorf("core: corrupt posting for %q: instance of %d nodes, want %d", pp.Key, len(it.Nodes()), width)
+			}
+			rec := recs.next()
+			if rec == nil {
+				return join.Relation{}, 0, false, overflow()
+			}
+			copy(rec, it.Nodes())
+			rel.Entries = append(rel.Entries, postings.IntervalEntry{TID: it.TID(), Nodes: rec})
 		}
 		if err := it.Err(); err != nil {
 			return join.Relation{}, 0, false, err
@@ -398,20 +461,20 @@ func (ix *Index) fetchPiece(pp PlanPiece, get postingGetter, dels *TombSet, aren
 		// the pattern's automorphisms so joins that constrain the twins
 		// differently see every assignment (false-negative fix).
 		if len(pp.Perms) > 1 {
-			expanded := make([]postings.IntervalEntry, 0, len(rel.Entries)*len(pp.Perms))
-			for _, e := range rel.Entries {
+			instances := rel.Entries
+			expanded := len(instances) * len(pp.Perms)
+			recs.nodes = arena.Take(expanded * width)
+			rel.Entries = make([]postings.IntervalEntry, 0, expanded)
+			for _, e := range instances {
 				for _, pm := range pp.Perms {
-					nodes := arena.Take(len(e.Nodes))
+					rec := recs.next()
 					for i, src := range pm {
-						nodes[i] = e.Nodes[src]
+						rec[i] = e.Nodes[src]
 					}
-					expanded = append(expanded, postings.IntervalEntry{TID: e.TID, Nodes: nodes})
+					rel.Entries = append(rel.Entries, postings.IntervalEntry{TID: e.TID, Nodes: rec})
 				}
 			}
-			rel.Entries = expanded
 		}
-	default:
-		return join.Relation{}, 0, false, fmt.Errorf("core: fetch with coding %v", ix.meta.Coding)
 	}
 	return rel, count, true, nil
 }
@@ -482,17 +545,13 @@ func (ix *Index) filterCandidates(ctx context.Context, pl *Plan, get postingGett
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		val, ok, err := get(pp.Key)
+		payload, _, ok, err := postingPayload(pp.Key, get, postings.FilterBased)
 		if err != nil || !ok {
 			return nil, err
 		}
-		_, n := binary.Uvarint(val)
-		if n <= 0 {
-			return nil, fmt.Errorf("core: corrupt posting count for %q", pp.Key)
-		}
 		var tids []uint32
 		decoded := 0
-		it := postings.NewFilterIterator(val[n:])
+		it := postings.NewFilterIterator(payload)
 		for it.Next() {
 			// A filter posting list is unbounded; poll cancellation
 			// every 1024 decoded entries so an abandoned query stops

@@ -54,7 +54,7 @@ func (ix *Index) streamPlan(ctx context.Context, pl *Plan, get postingGetter, ev
 // be nil); found=false means the key is absent (the query cannot match
 // anywhere).
 func (ix *Index) pieceCursor(pp PlanPiece, get postingGetter, dels *TombSet) (join.StreamRelation, bool, error) {
-	payload, _, found, err := postingPayload(pp.Key, get)
+	payload, _, found, err := postingPayload(pp.Key, get, ix.meta.Coding)
 	if err != nil || !found {
 		return join.StreamRelation{}, false, err
 	}
@@ -200,13 +200,14 @@ func emptyStream() *matchStream {
 // rootCursor adapts a root-split posting iterator to the join's entry
 // cursor: each posting becomes a one-column entry binding the piece
 // root. Postings of tombstoned trees are skipped before the join sees
-// them (dels may be nil). Node slices come from a per-cursor arena, so
-// emitted entries stay valid for the cursor's (hence the stream's)
-// lifetime without a per-entry allocation.
+// them (dels may be nil). Every entry is served through the one scratch
+// record — valid until the next call to Next, which is all the cursor
+// contract promises (the stream copies what it keeps) — so decoding
+// allocates nothing.
 type rootCursor struct {
-	it    *postings.RootIterator
-	dels  *TombSet
-	arena postings.RefArena
+	it      *postings.RootIterator
+	dels    *TombSet
+	scratch [1]postings.NodeRef
 }
 
 // Next decodes the next surviving root-split posting.
@@ -216,9 +217,8 @@ func (c *rootCursor) Next() (postings.IntervalEntry, bool) {
 		if c.dels.Has(e.TID) {
 			continue
 		}
-		nodes := c.arena.Take(1)
-		nodes[0] = e.NodeRef
-		return postings.IntervalEntry{TID: e.TID, Nodes: nodes}, true
+		c.scratch[0] = e.NodeRef
+		return postings.IntervalEntry{TID: e.TID, Nodes: c.scratch[:]}, true
 	}
 	return postings.IntervalEntry{}, false
 }
@@ -232,14 +232,15 @@ func (c *rootCursor) Err() error { return c.it.Err() }
 // emitted consecutively, which preserves the tid grouping the join
 // stream needs. Postings of tombstoned trees are skipped before the
 // permutation expansion, so a deleted tree costs no variant entries
-// (dels may be nil).
+// (dels may be nil). Entries are valid until the next call to Next: an
+// unpermuted instance is the iterator's own reused node slice, a
+// permuted one is written into the cursor's scratch.
 type intervalCursor struct {
-	it    *postings.IntervalIterator
-	perms [][]int
-	dels  *TombSet
-	cur   postings.IntervalEntry
-	pi    int // next perm of cur to emit; >= len(perms) pulls a fresh instance
-	arena postings.RefArena
+	it      *postings.IntervalIterator
+	perms   [][]int
+	dels    *TombSet
+	pi      int // next perm of the current instance to emit; >= len(perms) pulls a fresh instance
+	scratch []postings.NodeRef
 }
 
 // advance pulls the next surviving instance off the iterator.
@@ -258,22 +259,28 @@ func (c *intervalCursor) Next() (postings.IntervalEntry, bool) {
 		if !c.advance() {
 			return postings.IntervalEntry{}, false
 		}
-		return c.it.EntryArena(&c.arena), true
+		return postings.IntervalEntry{TID: c.it.TID(), Nodes: c.it.Nodes()}, true
 	}
 	if c.pi >= len(c.perms) {
 		if !c.advance() {
 			return postings.IntervalEntry{}, false
 		}
-		c.cur = c.it.EntryArena(&c.arena)
 		c.pi = 0
 	}
 	pm := c.perms[c.pi]
 	c.pi++
-	nodes := c.arena.Take(len(c.cur.Nodes))
-	for i, src := range pm {
-		nodes[i] = c.cur.Nodes[src]
+	// The instance stays in the iterator's slice until advance moves on.
+	cur := c.it.Nodes()
+	if len(cur) != len(pm) {
+		// A corrupt instance of the wrong size: hand it over unpermuted
+		// and let the join reject its width.
+		return postings.IntervalEntry{TID: c.it.TID(), Nodes: cur}, true
 	}
-	return postings.IntervalEntry{TID: c.cur.TID, Nodes: nodes}, true
+	c.scratch = c.scratch[:0]
+	for _, src := range pm {
+		c.scratch = append(c.scratch, cur[src])
+	}
+	return postings.IntervalEntry{TID: c.it.TID(), Nodes: c.scratch}, true
 }
 
 // Err reports the iterator's decode error, if any.

@@ -11,24 +11,34 @@
 //
 // Relations are combined with sort-merge joins on (tid, pre) in the
 // spirit of MPMGJN [Zhang et al., SIGMOD'01], with all applicable
-// predicates applied as residuals. Plans are left-deep, ordered by
-// posting-list length (smallest first), the optimizer policy §5.1
-// assumes.
+// predicates applied as residuals. Plans are left-deep in the order the
+// cost-based planner fixed (Options.Order); only when none is supplied
+// — an uncosted plan — does the package fall back to ordering by
+// posting-list length, smallest first, the policy §5.1 assumes.
+//
+// Both entry points, Run (materialized) and Stream (one tree at a
+// time), execute the same compiled program: the order, every step's
+// shared and fresh columns, the predicates that become checkable and
+// the merge vs. Stack-Tree decision are resolved to column indexes once
+// per evaluation (program.go), and the steps then run over flat rows in
+// two reused buffers, so steady-state evaluation allocates nothing per
+// row or per tree.
 package join
 
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/postings"
 	"repro/internal/query"
 )
 
 // Relation is one input: the postings of one cover piece. Slots[i]
-// names the query node bound by Nodes[i] of each entry. Root-split
-// relations have exactly one slot (the piece root); subtree-interval
-// relations bind every piece node.
+// names the query node bound by Nodes[i] of each entry, so every entry
+// carries exactly len(Slots) nodes. Root-split relations have exactly
+// one slot (the piece root); subtree-interval relations bind every
+// piece node. Entries must be in ascending tid order, as posting lists
+// are; Run rejects a relation that is not.
 type Relation struct {
 	Name    string                   // for diagnostics: the piece's key
 	Slots   []int                    // query node bound by each entry column
@@ -118,11 +128,13 @@ func Execute(q *query.Query, rels []Relation) ([]Match, error) {
 // Run joins the relations under ctx and returns the distinct (tid,
 // root image) matches of the query root, plus execution Info. Every
 // query node must be bound by at least one relation slot *or* be
-// enforceable transitively; the query root must be bound. Cancellation
-// is checked on entry, between join steps, and periodically inside
-// merge loops, so an expired ctx aborts evaluation promptly with
-// ctx.Err(). With Options.CountOnly the match slice stays nil and only
-// the count is computed. For incremental evaluation that can stop
+// enforceable transitively; the query root must be bound. The join is
+// compiled once (see program) and executed over flat rows with the
+// relations read in place, so the run allocates per buffer growth,
+// never per row. Cancellation is checked on entry and periodically
+// inside the join loops, so an expired ctx aborts evaluation promptly
+// with ctx.Err(). With Options.CountOnly the match slice stays nil and
+// only the count is computed. For incremental evaluation that can stop
 // mid-join, use NewStream instead.
 func Run(ctx context.Context, q *query.Query, rels []Relation, opt Options) ([]Match, Info, error) {
 	var info Info
@@ -132,90 +144,70 @@ func Run(ctx context.Context, q *query.Query, rels []Relation, opt Options) ([]M
 	if len(rels) == 0 {
 		return nil, info, fmt.Errorf("join: no relations")
 	}
-	for _, r := range rels {
+	sizes := make([]int, len(rels))
+	for i, r := range rels {
 		if len(r.Entries) == 0 {
 			return nil, info, nil // empty posting list: no matches anywhere
 		}
 		if len(r.Slots) == 0 {
 			return nil, info, fmt.Errorf("join: relation %q has no slots", r.Name)
 		}
+		sizes[i] = len(r.Entries)
 		info.Rows += len(r.Entries)
 	}
-	preds := buildPredicates(q)
 
 	// Order: the planner's, when it supplied a valid one; otherwise the
 	// greedy left-deep runtime order (smallest relation first, then
 	// repeatedly the smallest relation connected to the bound set).
+	slots := relationSlots(rels)
 	order := opt.Order
-	if !validOrder(q, relationSlots(rels), order) {
+	if !validOrder(q, slots, order) {
 		var err error
-		order, err = planOrder(q, rels)
+		order, err = planOrder(q, slots, sizes)
 		if err != nil {
 			return nil, info, err
 		}
 	}
-
-	cc := &canceller{ctx: ctx}
-	var arena postings.RefArena // per-run: rows die with the matches
-	cur := newTable(rels[order[0]])
-	for _, ri := range order[1:] {
-		if err := ctx.Err(); err != nil {
-			return nil, info, err
-		}
-		var err error
-		cur, err = joinStep(cc, cur, rels[ri], preds, &arena, opt.NoStack)
-		if err != nil {
-			return nil, info, err
-		}
-		info.Rows += len(cur.rows)
-		if len(cur.rows) == 0 {
-			return nil, info, nil
-		}
-	}
-	// Final residual pass: predicates whose nodes only became jointly
-	// bound at the end are already applied incrementally; what remains
-	// is projecting the root and deduplicating.
-	out, n, err := projectRoot(cc, q, cur, opt.CountOnly)
+	prog, err := compile(q, slots, order, opt.NoStack)
 	if err != nil {
 		return nil, info, err
 	}
+	inputs, err := borrow(rels)
+	if err != nil {
+		return nil, info, err
+	}
+
+	x := executor{cc: canceller{ctx: ctx}}
+	final, rows, err := x.run(prog, inputs)
+	info.Rows += rows
+	if err != nil || final.len() == 0 {
+		return nil, info, err
+	}
+	out, n := x.project(final, prog.rootCol, nil, opt.CountOnly)
 	info.Count = n
 	return out, info, nil
 }
 
-// projectRoot projects the query root's column out of the final table,
-// deduplicates (tid, root) pairs and sorts them; with countOnly only
-// the count is computed.
-func projectRoot(cc *canceller, q *query.Query, cur *table, countOnly bool) ([]Match, int, error) {
-	rootCol, ok := cur.col[q.Root()]
-	if !ok {
-		return nil, 0, fmt.Errorf("join: query root is not bound by any relation")
+// borrow wraps the relations as kernel inputs without copying them,
+// after checking the two properties the kernel relies on: an entry
+// whose node count disagrees with the relation's slots, or tids that
+// run backwards, are corrupt input and fail the run.
+func borrow(rels []Relation) ([]table, error) {
+	inputs := make([]table, len(rels))
+	for i, r := range rels {
+		last := uint32(0)
+		for _, e := range r.Entries {
+			if len(e.Nodes) != len(r.Slots) {
+				return nil, fmt.Errorf("join: relation %q: entry binds %d nodes, want %d", r.Name, len(e.Nodes), len(r.Slots))
+			}
+			if e.TID < last {
+				return nil, fmt.Errorf("join: relation %q is not tid-sorted", r.Name)
+			}
+			last = e.TID
+		}
+		inputs[i] = table{entries: r.Entries, stride: len(r.Slots)}
 	}
-	seen := make(map[uint64]struct{}, len(cur.rows))
-	var out []Match
-	for _, row := range cur.rows {
-		if err := cc.check(); err != nil {
-			return nil, 0, err
-		}
-		k := uint64(row.tid)<<32 | uint64(row.bind[rootCol].Pre)
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		if !countOnly {
-			out = append(out, Match{TID: row.tid, Root: row.bind[rootCol].Pre})
-		}
-	}
-	if countOnly {
-		return nil, len(seen), nil
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].TID != out[j].TID {
-			return out[i].TID < out[j].TID
-		}
-		return out[i].Root < out[j].Root
-	})
-	return out, len(out), nil
+	return inputs, nil
 }
 
 // buildPredicates derives the full predicate set from the query.
@@ -243,25 +235,26 @@ func buildPredicates(q *query.Query) []pred {
 	return ps
 }
 
-// planOrder picks a left-deep join order: smallest relation first, then
-// repeatedly the smallest relation sharing a query node or a query edge
-// with the bound set.
-func planOrder(q *query.Query, rels []Relation) ([]int, error) {
-	n := len(rels)
+// planOrder picks a left-deep join order over relations with the given
+// slot sets and entry counts: smallest relation first, then repeatedly
+// the smallest relation sharing a query node or a query edge with the
+// bound set.
+func planOrder(q *query.Query, slots [][]int, sizes []int) ([]int, error) {
+	n := len(slots)
 	used := make([]bool, n)
 	bound := map[int]bool{}
 	order := make([]int, 0, n)
 
 	smallest := 0
 	for i := 1; i < n; i++ {
-		if len(rels[i].Entries) < len(rels[smallest].Entries) {
+		if sizes[i] < sizes[smallest] {
 			smallest = i
 		}
 	}
 	take := func(i int) {
 		used[i] = true
 		order = append(order, i)
-		for _, s := range rels[i].Slots {
+		for _, s := range slots[i] {
 			bound[s] = true
 		}
 	}
@@ -270,10 +263,10 @@ func planOrder(q *query.Query, rels []Relation) ([]int, error) {
 	for len(order) < n {
 		best := -1
 		for i := 0; i < n; i++ {
-			if used[i] || !slotsConnected(q, rels[i].Slots, bound) {
+			if used[i] || !slotsConnected(q, slots[i], bound) {
 				continue
 			}
-			if best == -1 || len(rels[i].Entries) < len(rels[best].Entries) {
+			if best == -1 || sizes[i] < sizes[best] {
 				best = i
 			}
 		}
@@ -341,192 +334,6 @@ func validOrder(q *query.Query, slots [][]int, order []int) bool {
 		}
 		for _, s := range slots[ri] {
 			bound[s] = true
-		}
-	}
-	return true
-}
-
-// table is an intermediate result: rows of bindings, with col mapping
-// query nodes to binding columns.
-type table struct {
-	col  map[int]int
-	rows []row
-}
-
-type row struct {
-	tid  uint32
-	bind []postings.NodeRef
-}
-
-func newTable(r Relation) *table {
-	t := &table{col: map[int]int{}}
-	for i, s := range r.Slots {
-		t.col[s] = i
-	}
-	t.rows = make([]row, len(r.Entries))
-	for i, e := range r.Entries {
-		t.rows[i] = row{tid: e.TID, bind: e.Nodes}
-	}
-	return t
-}
-
-// joinStep merge-joins cur with relation r, applying every predicate
-// that becomes checkable (both nodes bound) and keeping shared-slot
-// equality implicit predicates. Result-row bindings are carved from
-// arena, so a step allocates per chunk rather than per surviving row.
-// noStack suppresses the Stack-Tree fast path (a planner decision; see
-// Options.NoStack). It aborts with the context's error when cc
-// observes cancellation mid-merge.
-func joinStep(cc *canceller, cur *table, r Relation, preds []pred, arena *postings.RefArena, noStack bool) (*table, error) {
-	// Columns of the result: existing + new slots of r.
-	out := &table{col: map[int]int{}}
-	for k, v := range cur.col {
-		out.col[k] = v
-	}
-	newSlots := make([]int, 0, len(r.Slots)) // slot indexes in r that are new
-	sharedSlots := make([][2]int, 0)         // (r slot index, cur column)
-	for i, s := range r.Slots {
-		if c, ok := cur.col[s]; ok {
-			sharedSlots = append(sharedSlots, [2]int{i, c})
-		} else {
-			out.col[s] = len(cur.col) + len(newSlots)
-			newSlots = append(newSlots, i)
-		}
-	}
-	// Predicates that become active: both nodes bound in out, at least
-	// one newly bound by r.
-	newlyBound := map[int]bool{}
-	for _, i := range newSlots {
-		newlyBound[r.Slots[i]] = true
-	}
-	var active []pred
-	for _, p := range preds {
-		_, okU := out.col[p.u]
-		_, okV := out.col[p.v]
-		if okU && okV && (newlyBound[p.u] || newlyBound[p.v]) {
-			active = append(active, p)
-		}
-	}
-
-	// Fast path: a pure structural step (no shared slots, a single
-	// parent/ancestor edge crossing the two sides) runs as a
-	// Stack-Tree structural join over (tid, pre)-sorted streams.
-	if !DisableStackJoin && !noStack && len(sharedSlots) == 0 {
-		rSlots := map[int]int{}
-		for i, s := range r.Slots {
-			rSlots[s] = i
-		}
-		if driver, uInCur, ok := stackApplicable(cur, rSlots, active); ok {
-			residual := make([]pred, 0, len(active)-1)
-			for _, p := range active {
-				if p != driver {
-					residual = append(residual, p)
-				}
-			}
-			rows, err := stackJoin(cc, cur, r, out, newSlots, driver, uInCur, residual, arena)
-			if err != nil {
-				return nil, err
-			}
-			out.rows = rows
-			return out, nil
-		}
-	}
-
-	// Merge per-tid blocks, applying shared slot equalities and active
-	// predicates with a block nested loop. Both sides are tid-sorted by
-	// construction (posting lists are tid-ordered and join outputs keep
-	// that order), so the checks below are O(n) reassurance that only
-	// falls back to sorting — copying r.Entries first, which belong to
-	// the caller — on inputs this package did not produce.
-	if !sort.SliceIsSorted(cur.rows, func(i, j int) bool { return cur.rows[i].tid < cur.rows[j].tid }) {
-		sort.Slice(cur.rows, func(i, j int) bool { return cur.rows[i].tid < cur.rows[j].tid })
-	}
-	entries := r.Entries
-	if !sort.SliceIsSorted(entries, func(i, j int) bool { return entries[i].TID < entries[j].TID }) {
-		entries = append([]postings.IntervalEntry(nil), r.Entries...)
-		sort.Slice(entries, func(i, j int) bool { return entries[i].TID < entries[j].TID })
-	}
-
-	var rows []row
-	i, j := 0, 0
-	for i < len(cur.rows) && j < len(entries) {
-		switch {
-		case cur.rows[i].tid < entries[j].TID:
-			i++
-		case cur.rows[i].tid > entries[j].TID:
-			j++
-		default:
-			tid := cur.rows[i].tid
-			i2, j2 := i, j
-			for i2 < len(cur.rows) && cur.rows[i2].tid == tid {
-				i2++
-			}
-			for j2 < len(entries) && entries[j2].TID == tid {
-				j2++
-			}
-			for a := i; a < i2; a++ {
-				for b := j; b < j2; b++ {
-					if err := cc.check(); err != nil {
-						return nil, err
-					}
-					if !sharedEqual(cur.rows[a], entries[b], sharedSlots) {
-						continue
-					}
-					nr := combine(cur.rows[a], entries[b], newSlots, arena)
-					if satisfies(nr, out.col, active) {
-						rows = append(rows, nr)
-					}
-				}
-			}
-			i, j = i2, j2
-		}
-	}
-	out.rows = rows
-	return out, nil
-}
-
-func sharedEqual(a row, e postings.IntervalEntry, shared [][2]int) bool {
-	for _, s := range shared {
-		if a.bind[s[1]].Pre != e.Nodes[s[0]].Pre {
-			return false
-		}
-	}
-	return true
-}
-
-// combine extends row a with e's new-slot bindings, carving the wider
-// binding slice from arena.
-func combine(a row, e postings.IntervalEntry, newSlots []int, arena *postings.RefArena) row {
-	bind := arena.Take(len(a.bind) + len(newSlots))
-	n := copy(bind, a.bind)
-	for _, i := range newSlots {
-		bind[n] = e.Nodes[i]
-		n++
-	}
-	return row{tid: a.tid, bind: bind}
-}
-
-func satisfies(r row, col map[int]int, preds []pred) bool {
-	for _, p := range preds {
-		u := r.bind[col[p.u]]
-		v := r.bind[col[p.v]]
-		switch p.kind {
-		case predParent:
-			if !(u.Pre < v.Pre && u.Post > v.Post && v.Level == u.Level+1) {
-				return false
-			}
-		case predAncestor:
-			if !(u.Pre < v.Pre && u.Post > v.Post) {
-				return false
-			}
-		case predDistinct:
-			if u.Pre == v.Pre {
-				return false
-			}
-		case predEqual:
-			if u.Pre != v.Pre {
-				return false
-			}
 		}
 	}
 	return true

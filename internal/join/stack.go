@@ -1,179 +1,169 @@
 package join
 
 import (
-	"sort"
-
-	"repro/internal/postings"
+	"cmp"
+	"slices"
 )
 
-// DisableStackJoin switches joinStep back to the block-nested merge for
-// all predicates; the ablation benchmark flips it to quantify the
-// stack-based join's benefit (the paper's §7 future-work item of
-// adopting Stack-Tree-style structural joins [Al-Khalifa et al.,
-// ICDE'02] over the (tid, pre)-sorted streams).
+// DisableStackJoin switches every step back to the block-nested merge;
+// the ablation benchmark flips it to quantify the stack-based join's
+// benefit (the paper's §7 future-work item of adopting Stack-Tree-style
+// structural joins [Al-Khalifa et al., ICDE'02] over the (tid,
+// pre)-sorted streams). It is read when a join is compiled — once per
+// Run or Stream — not per step.
 var DisableStackJoin bool
 
-// stackApplicable returns the driving structural predicate and
-// orientation if the step qualifies for the stack join: no shared
-// slots (those are equality joins) and at least one parent/ancestor
-// predicate between a node bound in cur and a node bound only in r.
-func stackApplicable(cur *table, rSlots map[int]int, active []pred) (driver pred, uInCur bool, ok bool) {
-	for _, p := range active {
-		if p.kind != predParent && p.kind != predAncestor {
-			continue
-		}
-		_, uCur := cur.col[p.u]
-		_, vCur := cur.col[p.v]
-		_, uR := rSlots[p.u]
-		_, vR := rSlots[p.v]
-		switch {
-		case uCur && vR && !vCur:
-			return p, true, true
-		case vCur && uR && !uCur:
-			return p, false, true
-		}
-	}
-	return pred{}, false, false
+// group is one level of the Stack-Tree pass's stack: the ancestor-side
+// items bound to one tree node. Distinct intermediate rows routinely
+// bind the same ancestor node, and the nesting-chain argument only
+// holds for distinct intervals, so items on one node open and close
+// together. They are the contiguous run [lo, hi) of the ancestor side's
+// visiting order, so a group costs no allocation.
+type group struct {
+	tid, pre, post uint32
+	lo, hi         int
 }
 
-// stackItem is one element of either join side, keyed by the driving
-// node's structural numbers.
-type stackItem struct {
-	tid  uint32
-	ref  postings.NodeRef
-	side int // index into cur.rows or r.Entries
+// contains reports whether the group's node is a proper ancestor of the
+// node (pre, post) of tree tid.
+func (g *group) contains(tid, pre, post uint32) bool {
+	return g.tid == tid && g.pre < pre && g.post > post
 }
 
-// stackJoin implements the Stack-Tree structural join: both sides are
-// sorted by (tid, pre of the driving node); a single pass maintains
-// the stack of currently-open ancestors and emits every
-// (ancestor, descendant) pair, O(|A| + |D| + |output|) instead of the
-// block join's per-tree nested loops. Residual predicates are applied
-// to each emitted row. cc aborts the pass when its context expires.
-func stackJoin(cc *canceller, cur *table, r Relation, out *table, newSlots []int,
-	driver pred, uInCur bool, residual []pred, arena *postings.RefArena) ([]row, error) {
+// insertionSortMax is the side length up to which an unsorted
+// Stack-Tree side is ordered by insertion sort: a streamed block holds
+// one tree's rows, almost always fewer than this.
+const insertionSortMax = 16
 
-	uCol := -1
-	if uInCur {
-		uCol = cur.col[driver.u]
-	} else {
-		uCol = slotIndex(r.Slots, driver.u)
+// nodeOrder returns the order in which to visit t's rows so that the
+// nodes in column col come in (tid, pre) order: nil when the rows
+// already are in that order — always so for a root-split relation, and
+// checked in O(n) for everything else — otherwise a permutation built
+// in scratch.
+func nodeOrder(t *table, col int, scratch *[]int) []int {
+	n := t.len()
+	key := func(i int) (uint32, uint32) { return t.tid(i), t.row(i)[col].Pre }
+	less := func(a, b int) bool {
+		ta, pa := key(a)
+		tb, pb := key(b)
+		return ta < tb || (ta == tb && pa < pb)
 	}
-	vCol := -1
-	if uInCur {
-		vCol = slotIndex(r.Slots, driver.v)
-	} else {
-		vCol = cur.col[driver.v]
-	}
-
-	var ancN, descN int
-	if uInCur {
-		ancN, descN = len(cur.rows), len(r.Entries)
-	} else {
-		ancN, descN = len(r.Entries), len(cur.rows)
-	}
-	anc := make([]stackItem, 0, ancN)
-	desc := make([]stackItem, 0, descN)
-	if uInCur {
-		for i, rw := range cur.rows {
-			anc = append(anc, stackItem{tid: rw.tid, ref: rw.bind[uCol], side: i})
-		}
-		for i, e := range r.Entries {
-			desc = append(desc, stackItem{tid: e.TID, ref: e.Nodes[vCol], side: i})
-		}
-	} else {
-		for i, e := range r.Entries {
-			anc = append(anc, stackItem{tid: e.TID, ref: e.Nodes[uCol], side: i})
-		}
-		for i, rw := range cur.rows {
-			desc = append(desc, stackItem{tid: rw.tid, ref: rw.bind[vCol], side: i})
+	sorted := true
+	for i := 1; i < n; i++ {
+		if less(i, i-1) {
+			sorted = false
+			break
 		}
 	}
-	byTidPre := func(items []stackItem) func(i, j int) bool {
-		return func(i, j int) bool {
-			if items[i].tid != items[j].tid {
-				return items[i].tid < items[j].tid
+	if sorted {
+		return nil
+	}
+	perm := (*scratch)[:0]
+	for i := 0; i < n; i++ {
+		perm = append(perm, i)
+	}
+	*scratch = perm
+	if n <= insertionSortMax {
+		for i := 1; i < n; i++ {
+			for j := i; j > 0 && less(perm[j], perm[j-1]); j-- {
+				perm[j], perm[j-1] = perm[j-1], perm[j]
 			}
-			return items[i].ref.Pre < items[j].ref.Pre
 		}
+		return perm
 	}
-	sort.Slice(anc, byTidPre(anc))
-	sort.Slice(desc, byTidPre(desc))
+	slices.SortFunc(perm, func(a, b int) int {
+		ta, pa := key(a)
+		tb, pb := key(b)
+		if c := cmp.Compare(ta, tb); c != 0 {
+			return c
+		}
+		return cmp.Compare(pa, pb)
+	})
+	return perm
+}
 
-	contains := func(a, d stackItem) bool {
-		return a.tid == d.tid && a.ref.Pre < d.ref.Pre && a.ref.Post > d.ref.Post
+// stackJoin implements the Stack-Tree structural join for a step whose
+// driving predicate is a parent/ancestor edge between a node of the
+// rows and a node of the relation: both sides are visited in (tid, pre)
+// order of the driving node; a single pass maintains the stack of
+// currently-open ancestors and emits every (ancestor, descendant) pair,
+// O(|A| + |D| + |output|) instead of the merge's per-tree nested loops.
+// Residual predicates are applied to each emitted row. Sides already in
+// order — the usual case — are walked in place; the stack and the
+// permutations of unsorted sides live in the executor and are reused.
+func (x *executor) stackJoin(st *step, cur, rel, out *table) error {
+	anc, ancCol, desc, descCol := rel, st.relCol, cur, st.rowCol
+	if st.ancRows {
+		anc, ancCol, desc, descCol = cur, st.rowCol, rel, st.relCol
 	}
-
-	var rows []row
-	emit := func(a, d stackItem) {
-		if driver.kind == predParent && d.ref.Level != a.ref.Level+1 {
-			return
+	ancPerm := nodeOrder(anc, ancCol, &x.ancPerm)
+	descPerm := nodeOrder(desc, descCol, &x.descPerm)
+	at := func(perm []int, i int) int {
+		if perm != nil {
+			return perm[i]
 		}
-		var nr row
-		if uInCur {
-			nr = combine(cur.rows[a.side], r.Entries[d.side], newSlots, arena)
-		} else {
-			nr = combine(cur.rows[d.side], r.Entries[a.side], newSlots, arena)
-		}
-		if satisfies(nr, out.col, residual) {
-			rows = append(rows, nr)
-		}
-	}
-
-	// Group ancestor items sharing the same (tid, pre): distinct
-	// intermediate rows routinely bind the same ancestor node, and the
-	// nesting-chain argument only holds for distinct intervals. Each
-	// stack level is therefore a group of items on one tree node — a
-	// contiguous run anc[lo:hi] of the sorted slice, so grouping costs
-	// no per-group allocation.
-	type group struct {
-		head   stackItem
-		lo, hi int // anc[lo:hi] are the group's items
-	}
-	var groups []group
-	for i, a := range anc {
-		n := len(groups)
-		if n > 0 && groups[n-1].head.tid == a.tid && groups[n-1].head.ref.Pre == a.ref.Pre {
-			groups[n-1].hi = i + 1
-			continue
-		}
-		groups = append(groups, group{head: a, lo: i, hi: i + 1})
+		return i
 	}
 
-	var stack []group
-	i := 0
-	for _, d := range desc {
-		// Open every ancestor group that starts before d.
-		for i < len(groups) && (groups[i].head.tid < d.tid ||
-			(groups[i].head.tid == d.tid && groups[i].head.ref.Pre < d.ref.Pre)) {
-			for len(stack) > 0 && !contains(stack[len(stack)-1].head, groups[i].head) {
+	stack := x.stack[:0]
+	nA, i := anc.len(), 0
+	for j, nD := 0, desc.len(); j < nD; j++ {
+		if err := x.cc.check(); err != nil {
+			return err
+		}
+		di := at(descPerm, j)
+		dtid := desc.tid(di)
+		d := desc.row(di)[descCol]
+
+		// Open every ancestor node that starts before d in d's tree;
+		// ancestors in earlier trees can contain nothing still to come.
+		for i < nA {
+			ai := at(ancPerm, i)
+			atid := anc.tid(ai)
+			if atid < dtid {
+				i++
+				continue
+			}
+			a := anc.row(ai)[ancCol]
+			if atid > dtid || a.Pre >= d.Pre {
+				break
+			}
+			hi := i + 1
+			for hi < nA {
+				bi := at(ancPerm, hi)
+				if anc.tid(bi) != atid || anc.row(bi)[ancCol].Pre != a.Pre {
+					break
+				}
+				hi++
+			}
+			for len(stack) > 0 && !stack[len(stack)-1].contains(atid, a.Pre, a.Post) {
 				stack = stack[:len(stack)-1]
 			}
-			stack = append(stack, groups[i])
-			i++
+			stack = append(stack, group{tid: atid, pre: a.Pre, post: a.Post, lo: i, hi: hi})
+			i = hi
 		}
-		// Close groups that do not contain d; the remainder is the
+		// Close the nodes that do not contain d; the remainder is the
 		// nesting chain of d's open ancestors.
-		for len(stack) > 0 && !contains(stack[len(stack)-1].head, d) {
+		for len(stack) > 0 && !stack[len(stack)-1].contains(dtid, d.Pre, d.Post) {
 			stack = stack[:len(stack)-1]
 		}
 		for _, g := range stack {
-			for _, a := range anc[g.lo:g.hi] {
-				if err := cc.check(); err != nil {
-					return nil, err
+			for p := g.lo; p < g.hi; p++ {
+				if err := x.cc.check(); err != nil {
+					return err
 				}
-				emit(a, d)
+				ai := at(ancPerm, p)
+				if st.parent && d.Level != anc.row(ai)[ancCol].Level+1 {
+					continue
+				}
+				if st.ancRows {
+					st.emit(out, dtid, cur.row(ai), rel.row(di), st.residual)
+				} else {
+					st.emit(out, dtid, cur.row(di), rel.row(ai), st.residual)
+				}
 			}
 		}
 	}
-	return rows, nil
-}
-
-func slotIndex(slots []int, node int) int {
-	for i, s := range slots {
-		if s == node {
-			return i
-		}
-	}
-	return -1
+	x.stack = stack
+	return nil
 }

@@ -3,6 +3,7 @@ package join
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/postings"
 	"repro/internal/query"
@@ -26,6 +27,11 @@ import (
 // the lazily-decoded counterpart of Relation.Entries. Next returns the
 // next entry until the list is exhausted or a decode error occurs;
 // Err distinguishes the two after Next returns false.
+//
+// An entry's Nodes need only stay valid until the next call to Next:
+// the stream copies the node records of every entry it keeps into its
+// own block buffer at pull time, so a cursor may decode into one
+// scratch slice for its whole life.
 type EntryCursor interface {
 	// Next returns the next entry in (tid, pre) order; ok reports
 	// whether one was produced.
@@ -42,32 +48,41 @@ type StreamRelation struct {
 	Cursor EntryCursor // (tid, pre)-sorted entry source
 }
 
+// source is one relation's pull state. buf holds the entries pulled
+// and not yet released, in flat form: while a block is gathered, the
+// current tree's entries followed by the head — the first entry of a
+// later tree — and between blocks just the head. The backing arrays
+// are reused for the stream's life.
+type source struct {
+	name   string
+	cursor EntryCursor
+	buf    table
+	head   uint32 // tid of the head, the next undelivered entry; valid while live
+	live   bool   // buf ends in a head; false once the cursor is exhausted
+}
+
 // Stream evaluates a join incrementally: Next emits the distinct
 // (tid, root image) matches of the query root in global (tid, root)
 // order, advancing the underlying cursors only as far as demanded.
 // A Stream is single-use and not safe for concurrent use.
 type Stream struct {
-	ctx   context.Context
-	q     *query.Query
-	preds []pred
-	cc    *canceller
+	ctx context.Context
+	q   *query.Query
 
-	rels  []StreamRelation
-	heads []postings.IntervalEntry // heads[i]: next undelivered entry of rels[i]
-	live  []bool                   // heads[i] valid; false once a cursor is exhausted
-	minis []Relation               // reusable single-tid relations
-	order []int                    // join order, computed on the first block and reused
+	srcs    []source
+	slots   [][]int  // each source's slots, for compiling
+	blocks  []table  // blocks[i]: the current tree's entries of srcs[i], a view into its buf
+	prog    *program // compiled up front under a planner order, else on the first block
+	noStack bool     // planner decision: skip the Stack-Tree fast path
+	x       executor
 
 	buf  []Match // matches of the current tid, drained in order
 	bufI int
 
-	arena postings.RefArena // row bindings of per-tid joins, amortized
-
-	read    int  // entries pulled from cursors
-	rows    int  // read + rows produced by join steps
-	noStack bool // planner decision: skip the Stack-Tree fast path
-	done    bool
-	err     error
+	read int // entries pulled from cursors
+	rows int // read + rows produced by join steps
+	done bool
+	err  error
 }
 
 // NewStream validates the inputs and returns a stream positioned
@@ -75,36 +90,48 @@ type Stream struct {
 // Run; an empty posting list is not an error (the stream just produces
 // nothing).
 func NewStream(ctx context.Context, q *query.Query, rels []StreamRelation) (*Stream, error) {
+	return NewStreamOpts(ctx, q, rels, Options{})
+}
+
+// NewStreamOpts is NewStream with planner options applied: a valid
+// opt.Order pins the per-tree join order, so the join is compiled here,
+// before the first entry is joined (without one it is compiled on the
+// first block, from that block's sizes), and opt.NoStack suppresses the
+// Stack-Tree fast path. Invalid orders are ignored, as in Run.
+func NewStreamOpts(ctx context.Context, q *query.Query, rels []StreamRelation, opt Options) (*Stream, error) {
 	if len(rels) == 0 {
 		return nil, fmt.Errorf("join: no relations")
 	}
-	rootBound := false
-	for _, r := range rels {
+	slots := make([][]int, len(rels))
+	for i, r := range rels {
 		if len(r.Slots) == 0 {
 			return nil, fmt.Errorf("join: relation %q has no slots", r.Name)
 		}
-		for _, s := range r.Slots {
-			if s == q.Root() {
-				rootBound = true
-			}
-		}
+		slots[i] = r.Slots
 	}
-	if !rootBound {
+	if !slices.ContainsFunc(slots, func(ss []int) bool { return slices.Contains(ss, q.Root()) }) {
 		return nil, fmt.Errorf("join: query root is not bound by any relation")
 	}
 	s := &Stream{
-		ctx:   ctx,
-		q:     q,
-		preds: buildPredicates(q),
-		cc:    &canceller{ctx: ctx},
-		rels:  rels,
-		heads: make([]postings.IntervalEntry, len(rels)),
-		live:  make([]bool, len(rels)),
-		minis: make([]Relation, len(rels)),
+		ctx:     ctx,
+		q:       q,
+		srcs:    make([]source, len(rels)),
+		slots:   slots,
+		blocks:  make([]table, len(rels)),
+		noStack: opt.NoStack,
+		x:       executor{cc: canceller{ctx: ctx}},
+	}
+	if validOrder(q, slots, opt.Order) {
+		prog, err := compile(q, slots, opt.Order, opt.NoStack)
+		if err != nil {
+			return nil, err
+		}
+		s.prog = prog
 	}
 	//silint:ignore ctxloop priming pulls exactly one entry per relation, bounded by the cover size, not the posting lists
 	for i, r := range rels {
-		s.minis[i] = Relation{Name: r.Name, Slots: r.Slots}
+		s.srcs[i] = source{name: r.Name, cursor: r.Cursor, buf: table{stride: len(r.Slots)}}
+		s.blocks[i].stride = len(r.Slots)
 		if s.done {
 			continue // a source is already known empty: nothing can match
 		}
@@ -113,27 +140,6 @@ func NewStream(ctx context.Context, q *query.Query, rels []StreamRelation) (*Str
 			// the remaining cursors are not even primed.
 			s.done = true
 		}
-	}
-	return s, nil
-}
-
-// NewStreamOpts is NewStream with planner options applied: a valid
-// opt.Order pins the per-tree join order up front (instead of the
-// size-based order computed on the first block) and opt.NoStack
-// suppresses the Stack-Tree fast path. Invalid orders are ignored, as
-// in Run.
-func NewStreamOpts(ctx context.Context, q *query.Query, rels []StreamRelation, opt Options) (*Stream, error) {
-	s, err := NewStream(ctx, q, rels)
-	if err != nil {
-		return nil, err
-	}
-	s.noStack = opt.NoStack
-	slots := make([][]int, len(rels))
-	for i := range rels {
-		slots[i] = rels[i].Slots
-	}
-	if validOrder(q, slots, opt.Order) {
-		s.order = append([]int(nil), opt.Order...)
 	}
 	return s, nil
 }
@@ -167,22 +173,58 @@ func (s *Stream) Rows() int { return s.rows }
 // core reports as postings fetched for bounded evaluations.
 func (s *Stream) EntriesRead() int { return s.read }
 
-// pull advances source i, refreshing its head. It returns false when
-// the source is exhausted or failed (s.err is set on failure).
-func (s *Stream) pull(i int) bool {
-	e, ok := s.rels[i].Cursor.Next()
+// next advances source i's cursor to its next entry, which becomes the
+// head, and returns it — valid, like any cursor entry, until the
+// following call. The entry is counted as read but not yet buffered
+// (see keep). ok is false when the source is exhausted or failed (s.err
+// is set on failure, which includes an entry of the wrong width or a
+// tid that runs backwards — the join relies on both).
+func (s *Stream) next(i int) (e postings.IntervalEntry, ok bool) {
+	c := &s.srcs[i]
+	e, ok = c.cursor.Next()
 	if !ok {
-		s.live[i] = false
-		if err := s.rels[i].Cursor.Err(); err != nil && s.err == nil {
-			s.err = fmt.Errorf("join: relation %q: %w", s.rels[i].Name, err)
+		c.live = false
+		if err := c.cursor.Err(); err != nil && s.err == nil {
+			s.err = fmt.Errorf("join: relation %q: %w", c.name, err)
 		}
-		return false
+		return e, false
 	}
-	s.heads[i] = e
-	s.live[i] = true
+	if len(e.Nodes) != c.buf.stride {
+		return e, s.fail(c, fmt.Errorf("join: relation %q: entry binds %d nodes, want %d", c.name, len(e.Nodes), c.buf.stride))
+	}
+	if c.live && e.TID < c.head {
+		return e, s.fail(c, fmt.Errorf("join: relation %q is not tid-sorted", c.name))
+	}
+	c.head, c.live = e.TID, true
 	s.read++
 	s.rows++
-	return true
+	return e, true
+}
+
+// keep copies e's node records onto the end of the source's buffer:
+// the copy-at-pull that lets cursors reuse their scratch.
+func (c *source) keep(e postings.IntervalEntry) {
+	c.buf.tids = append(c.buf.tids, e.TID)
+	c.buf.refs = append(c.buf.refs, e.Nodes...)
+}
+
+// pull advances source i and buffers the new head behind the entries
+// already held.
+func (s *Stream) pull(i int) bool {
+	e, ok := s.next(i)
+	if ok {
+		s.srcs[i].keep(e)
+	}
+	return ok
+}
+
+// fail ends source c on a malformed entry.
+func (s *Stream) fail(c *source, err error) bool {
+	c.live = false
+	if s.err == nil {
+		s.err = err
+	}
+	return false
 }
 
 // fill advances to the next tid present in every source and joins its
@@ -202,14 +244,13 @@ func (s *Stream) fill() {
 		if !s.collect(tid) {
 			return // a cursor failed mid-block
 		}
-		ms, rows, err := s.joinTID()
-		s.rows += rows
+		err := s.joinBlock()
+		s.release()
 		if err != nil {
 			s.err = err
 			return
 		}
-		if len(ms) > 0 {
-			s.buf = ms
+		if len(s.buf) > 0 {
 			return
 		}
 		// The block joined to nothing; move on to the next common tid.
@@ -217,36 +258,44 @@ func (s *Stream) fill() {
 }
 
 // align advances the cursors until every head carries the same tid —
-// the next tree that can possibly match — and returns it.
+// the next tree that can possibly match — and returns it. Between
+// blocks each source's buffer holds just its head; entries a seek skips
+// are never copied, only the head it stops on replaces the old one.
 func (s *Stream) align() (uint32, bool) {
-	for i := range s.rels {
-		if !s.live[i] {
+	for i := range s.srcs {
+		if !s.srcs[i].live {
 			s.done = true
 			return 0, false
 		}
 	}
-	target := s.heads[0].TID
+	target := s.srcs[0].head
 	for {
 		raised := false
-		for i := range s.rels {
-			for s.heads[i].TID < target {
-				// This seek can decode a whole relation between fill's
-				// per-block polls, so observe cancellation here too,
-				// amortized to one poll per 256 entries.
-				if s.read&255 == 0 {
-					if err := s.ctx.Err(); err != nil {
-						s.err = err
+		for i := range s.srcs {
+			c := &s.srcs[i]
+			if c.head < target {
+				var e postings.IntervalEntry
+				for ok := true; c.head < target; {
+					// This seek can decode a whole relation between
+					// fill's per-block polls, so observe cancellation
+					// here too, amortized to one poll per 256 entries.
+					if s.read&255 == 0 {
+						if err := s.ctx.Err(); err != nil {
+							s.err = err
+							s.done = true
+							return 0, false
+						}
+					}
+					if e, ok = s.next(i); !ok {
 						s.done = true
 						return 0, false
 					}
 				}
-				if !s.pull(i) {
-					s.done = true
-					return 0, false
-				}
+				c.buf.reset(c.buf.stride)
+				c.keep(e)
 			}
-			if s.heads[i].TID > target {
-				target = s.heads[i].TID
+			if c.head > target {
+				target = c.head
 				raised = true
 			}
 		}
@@ -256,12 +305,13 @@ func (s *Stream) align() (uint32, bool) {
 	}
 }
 
-// collect gathers each source's entries for tid into its mini
-// relation, leaving the heads on the first entry of a later tree.
+// collect gathers each source's entries for tid behind its head,
+// leaving the heads on the first entry of a later tree, and points
+// blocks at the gathered runs.
 func (s *Stream) collect(tid uint32) bool {
-	for i := range s.rels {
-		s.minis[i].Entries = s.minis[i].Entries[:0]
-		for s.live[i] && s.heads[i].TID == tid {
+	for i := range s.srcs {
+		c := &s.srcs[i]
+		for c.live && c.head == tid {
 			// A heavy tree's block is unbounded; poll cancellation at
 			// the same amortized cadence as align's seek loop.
 			if s.read&255 == 0 {
@@ -270,46 +320,65 @@ func (s *Stream) collect(tid uint32) bool {
 					break
 				}
 			}
-			s.minis[i].Entries = append(s.minis[i].Entries, s.heads[i])
 			s.pull(i)
 		}
 		if s.err != nil {
 			return false
 		}
+		n := c.buf.len()
+		if c.live {
+			n-- // the head belongs to a later tree
+		}
+		s.blocks[i].tids, s.blocks[i].refs = c.buf.tids[:n], c.buf.refs[:n*c.buf.stride]
 	}
 	return true
 }
 
-// joinTID joins the current single-tid mini relations with the same
-// step machinery as Run, returning the block's distinct matches sorted
-// by root and the intermediate rows produced. The join order is
-// computed on the first block and reused: connectivity is structural
-// (identical every block), and re-running the greedy planner per tree
-// would put O(matched trees) planning work on the hot streaming path
-// for the minor benefit of per-tree size-ordering over tiny blocks.
-func (s *Stream) joinTID() ([]Match, int, error) {
-	if s.order == nil {
-		order, err := planOrder(s.q, s.minis)
-		if err != nil {
-			return nil, 0, err
+// release drops the joined block from every source, moving each head
+// (if any) to the front of its buffer.
+func (s *Stream) release() {
+	for i := range s.srcs {
+		c := &s.srcs[i]
+		n := len(s.blocks[i].tids)
+		if !c.live {
+			c.buf.reset(c.buf.stride)
+			continue
 		}
-		s.order = order
+		c.buf.tids[0] = c.buf.tids[n]
+		copy(c.buf.refs, c.buf.row(n))
+		c.buf.tids, c.buf.refs = c.buf.tids[:1], c.buf.refs[:c.buf.stride]
 	}
-	rows := 0
-	cur := newTable(s.minis[s.order[0]])
-	var err error
-	for _, ri := range s.order[1:] {
-		cur, err = joinStep(s.cc, cur, s.minis[ri], s.preds, &s.arena, s.noStack)
-		if err != nil {
-			return nil, rows, err
+}
+
+// joinBlock runs the compiled join over the current single-tid blocks,
+// leaving the block's distinct matches in buf sorted by root and adding
+// the intermediate rows to the work counter. Without a planner order
+// the join is compiled on the first block, from its sizes, and reused:
+// connectivity is structural (identical every block), and re-planning
+// per tree would put O(matched trees) planning work on the hot
+// streaming path for the minor benefit of per-tree size-ordering over
+// tiny blocks.
+func (s *Stream) joinBlock() error {
+	if s.prog == nil {
+		sizes := make([]int, len(s.blocks))
+		for i := range s.blocks {
+			sizes[i] = s.blocks[i].len()
 		}
-		rows += len(cur.rows)
-		if len(cur.rows) == 0 {
-			return nil, rows, nil
+		order, err := planOrder(s.q, s.slots, sizes)
+		if err != nil {
+			return err
+		}
+		if s.prog, err = compile(s.q, s.slots, order, s.noStack); err != nil {
+			return err
 		}
 	}
-	ms, _, err := projectRoot(s.cc, s.q, cur, false)
-	return ms, rows, err
+	final, rows, err := s.x.run(s.prog, s.blocks)
+	s.rows += rows
+	if err != nil {
+		return err
+	}
+	s.buf, _ = s.x.project(final, s.prog.rootCol, s.buf, false)
+	return nil
 }
 
 // SliceCursor adapts an in-memory entry slice to EntryCursor — the

@@ -12,14 +12,19 @@ import (
 	"repro/internal/query"
 )
 
-// streamOf builds a Stream over materialized relations via SliceCursor.
-func streamOf(t *testing.T, q *query.Query, rels []Relation) *Stream {
-	t.Helper()
+// sliceRelations serves materialized relations through SliceCursors.
+func sliceRelations(rels []Relation) []StreamRelation {
 	srels := make([]StreamRelation, len(rels))
 	for i, r := range rels {
 		srels[i] = StreamRelation{Name: r.Name, Slots: r.Slots, Cursor: NewSliceCursor(r.Entries)}
 	}
-	s, err := NewStream(context.Background(), q, srels)
+	return srels
+}
+
+// streamOf builds a Stream over materialized relations via SliceCursor.
+func streamOf(t *testing.T, q *query.Query, rels []Relation) *Stream {
+	t.Helper()
+	s, err := NewStream(context.Background(), q, sliceRelations(rels))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -244,11 +244,20 @@ func (a *RootAccumulator) Bytes() []byte { return a.buf }
 
 // RootIterator streams root-split postings in (tid, pre) order.
 type RootIterator struct {
-	buf   []byte
-	off   int
-	cur   RootEntry
-	first bool
-	err   error
+	buf []byte
+	off int
+	tid uint32
+	// The current posting's structural numbers, packed two to a word
+	// (post<<32 | pre, order<<32 | level). Entry is inlined into loops
+	// that call it right after Next and copy the record with 8-byte
+	// moves; were Next to leave four freshly written 4-byte fields
+	// behind, each of those loads would straddle two pending stores and
+	// stall until they retire (a store-forwarding miss, a tenth of a
+	// streamed evaluation's time when measured). Words written whole
+	// are read back whole.
+	prePost, levelOrder uint64
+	first               bool
+	err                 error
 }
 
 // NewRootIterator returns an iterator over the wire form buf.
@@ -256,57 +265,67 @@ func NewRootIterator(buf []byte) *RootIterator {
 	return &RootIterator{buf: buf, first: true}
 }
 
-// Next advances; false at end or on error.
+// Next advances; false at end or on error. It is the innermost loop of
+// every root-split evaluation, so the offset lives in a local and a
+// record of four one-byte varints — nearly every record of a long
+// list, where tid deltas are small and pre, post and level are bounded
+// by the tree size — is decoded without a call.
 func (it *RootIterator) Next() bool {
-	if it.err != nil || it.off >= len(it.buf) {
+	buf, off := it.buf, it.off
+	if it.err != nil || off >= len(buf) {
 		return false
 	}
-	marker, ok := it.uv()
-	if !ok {
-		return false
+	var marker, pre, post, level uint64
+	if b := buf[off:]; len(b) >= 4 && b[0]|b[1]|b[2]|b[3] < 0x80 {
+		marker, pre, post, level = uint64(b[0]), uint64(b[1]), uint64(b[2]), uint64(b[3])
+		off += 4
+	} else {
+		v, next, ok := uvarint4(buf, off)
+		if !ok {
+			it.err = fmt.Errorf("postings: corrupt root-split list at offset %d", next)
+			return false
+		}
+		marker, pre, post, level, off = v[0], v[1], v[2], v[3], next
 	}
+	p := uint32(pre)
 	if marker == 0 {
 		if it.first {
 			it.err = fmt.Errorf("postings: root-split list starts with same-tid marker")
 			return false
 		}
-		d, ok := it.uv()
-		if !ok {
-			return false
-		}
-		it.cur.Pre += uint32(d)
+		p += uint32(it.prePost)
 	} else {
-		it.cur.TID += uint32(marker - 1)
-		p, ok := it.uv()
-		if !ok {
-			return false
-		}
-		it.cur.Pre = uint32(p)
+		it.tid += uint32(marker - 1)
 	}
-	post, ok1 := it.uv()
-	level, ok2 := it.uv()
-	if !ok1 || !ok2 {
-		return false
-	}
-	it.cur.Post = uint32(post)
-	it.cur.Level = uint32(level)
-	it.cur.Order = it.cur.Pre
+	it.prePost = uint64(uint32(post))<<32 | uint64(p)
+	it.levelOrder = uint64(p)<<32 | uint64(uint32(level))
 	it.first = false
+	it.off = off
 	return true
 }
 
-func (it *RootIterator) uv() (uint64, bool) {
-	v, n := binary.Uvarint(it.buf[it.off:])
-	if n <= 0 {
-		it.err = fmt.Errorf("postings: corrupt root-split list at offset %d", it.off)
-		return 0, false
+// uvarint4 decodes four consecutive varints starting at buf[off:] and
+// returns the offset just past them; on a truncated or overlong varint
+// ok is false and next is the offset it starts at.
+func uvarint4(buf []byte, off int) (v [4]uint64, next int, ok bool) {
+	for i := range v {
+		x, n := binary.Uvarint(buf[off:])
+		if n <= 0 {
+			return v, off, false
+		}
+		v[i] = x
+		off += n
 	}
-	it.off += n
-	return v, true
+	return v, off, true
 }
 
 // Entry returns the current posting.
-func (it *RootIterator) Entry() RootEntry { return it.cur }
+func (it *RootIterator) Entry() RootEntry {
+	pp, lo := it.prePost, it.levelOrder
+	return RootEntry{TID: it.tid, NodeRef: NodeRef{
+		Pre: uint32(pp), Post: uint32(pp >> 32), Level: uint32(lo), Order: uint32(lo >> 32),
+	}}
+}
 
 // Err reports a decoding error, if any.
 func (it *RootIterator) Err() error { return it.err }
@@ -413,15 +432,6 @@ func (it *IntervalIterator) Nodes() []NodeRef { return it.nodes }
 // Entry returns a copy of the current posting.
 func (it *IntervalIterator) Entry() IntervalEntry {
 	return IntervalEntry{TID: it.tid, Nodes: append([]NodeRef(nil), it.nodes...)}
-}
-
-// EntryArena is Entry with the node copy carved from a instead of
-// freshly allocated — the bulk-decode path uses it so a whole posting
-// list costs one allocation per arena chunk.
-func (it *IntervalIterator) EntryArena(a *RefArena) IntervalEntry {
-	nodes := a.Take(len(it.nodes))
-	copy(nodes, it.nodes)
-	return IntervalEntry{TID: it.tid, Nodes: nodes}
 }
 
 // Err reports a decoding error, if any.

@@ -394,3 +394,42 @@ func TestIteratorsStayStopped(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkRootDecode is the postings layer's decode benchmark: one
+// long root-split list — a few occurrences per tree, every number a
+// one-byte varint, the shape of a frequent key's list — and one sparse
+// list whose tid deltas need multi-byte varints, iterated end to end.
+// Besides ns/op it reports entries/s, and bytes/s through SetBytes.
+func BenchmarkRootDecode(b *testing.B) {
+	var decodeSink [8]RootEntry
+	for _, shape := range []struct {
+		name    string
+		tidStep uint32
+	}{{"dense", 1}, {"sparse", 1000}} {
+		acc := NewRootAccumulator(true)
+		const trees, perTree = 50000, 3
+		for t := uint32(0); t < trees; t++ {
+			for k := uint32(0); k < perTree; k++ {
+				pre := 1 + 7*k
+				acc.Add(t*shape.tidStep, NodeRef{Pre: pre, Post: pre + 3, Level: 1 + k, Order: pre})
+			}
+		}
+		blob := acc.Bytes()
+		b.Run(shape.name, func(b *testing.B) {
+			b.SetBytes(int64(len(blob)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				it := NewRootIterator(blob)
+				n := 0
+				for it.Next() {
+					decodeSink[n&7] = it.Entry() // the whole record, as the cursors copy it
+					n++
+				}
+				if n != acc.Count() || it.Err() != nil {
+					b.Fatalf("decoded %d of %d entries, err %v", n, acc.Count(), it.Err())
+				}
+			}
+			b.ReportMetric(float64(acc.Count())*float64(b.N)/b.Elapsed().Seconds(), "entries/s")
+		})
+	}
+}
