@@ -8,8 +8,8 @@ STATICCHECK_VERSION ?= 2024.1.1
 STATICCHECK ?= $(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 
 # The repository's own vet tool (cmd/silint): borrowcheck, epochpin,
-# arenascope, ctxloop plus the lostcancel/nilness extras. docs/LINTING.md
-# is the catalog.
+# ctxloop plus the lostcancel/nilness extras. docs/LINTING.md is the
+# catalog.
 SILINT := bin/silint
 
 .PHONY: build test bench bench-smoke bench-json bench-baseline fuzz-short lint silint serve serve-append-smoke serve-cluster-smoke docs-check examples ci
@@ -36,14 +36,14 @@ bench-smoke:
 # posting-fetch and join-row counts) and convert the output to
 # BENCH_search.json (the full per-run artifact, not committed). The
 # committed BENCH_baseline.json holds only the guarded metrics of the
-# limited-search, sharded-query, batch and planner-skew benchmarks and
-# of the join layer's own (internal/join: JoinRun, JoinStream) —
-# the fetch and join-row work counters plus allocs/op and B/op;
-# internal/postings' RootDecode rides along for the artifact only (its
-# entries/s is wall clock, its allocations are zero). benchjson diffs the
-# new run against it and fails on a >25% increase — or on a baseline
-# matching nothing — so both the early-termination counters and the
-# zero-copy allocation profile are gates, not just artifacts.
+# limited-search, sharded-query, batch and planner-skew benchmarks, of
+# the join layer's own (internal/join: JoinRun, JoinStream) and of
+# internal/postings' RootDecode — the fetch and join-row work counters
+# plus allocs/op and B/op (RootDecode's are zero, and a zero baseline
+# fails on any increase). benchjson diffs the new run against it and
+# fails on a >25% increase — or on a baseline matching nothing — so
+# both the early-termination counters and the zero-copy allocation
+# profile are gates, not just artifacts.
 # bench-json never touches the committed baseline:
 # rebasing it is the deliberate `make bench-baseline`, whose diff is
 # then reviewed and committed. That keeps within-tolerance drift from

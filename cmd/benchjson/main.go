@@ -14,19 +14,21 @@
 // With -baseline FILE the freshly parsed run is also diffed against a
 // previously emitted document: for every benchmark present in both
 // whose name matches -guard (a comma-separated list of substrings;
-// default covers the limited-search, sharded-query, batch, planner-skew
-// and join-layer benchmarks), the deterministic per-op metrics (fetches/op,
-// joinrows/op, allocs/op and B/op) must not exceed the baseline by
-// more than -tolerance (default 0.25, i.e. +25%), or the command exits
-// non-zero. Wall-clock (ns/op) is never compared — it is the one
-// metric too noisy across runners to gate on. The gate fails CLOSED: a
-// baseline that loads but matches zero guarded counters (benchmarks
-// renamed, -guard typo) is an error, not a silent pass, and so is any
-// individual -guard item that gates zero counters while the others
-// match; only a missing baseline file skips with a note. -write-baseline FILE emits, after a
-// passing gate, a stripped document holding just the guarded counters —
-// deterministic for a fixed corpus seed, so the committed baseline only
-// changes when the gated numbers do.
+// default covers the limited-search, sharded-query, batch, planner-skew,
+// join-layer and root-decode benchmarks), the deterministic per-op
+// metrics (fetches/op, joinrows/op, allocs/op and B/op) must not exceed
+// the baseline by more than -tolerance (default 0.25, i.e. +25%), or
+// the command exits non-zero — a counter whose baseline is 0 therefore
+// fails on any increase. Wall-clock (ns/op) is never compared — it is
+// the one metric too noisy across runners to gate on. The gate fails
+// CLOSED: a baseline that loads but matches zero guarded counters
+// (benchmarks renamed, -guard typo) is an error, not a silent pass, and
+// so is any individual -guard item that gates zero counters while the
+// others match; only a missing baseline file skips with a note.
+// -write-baseline FILE emits, after a passing gate, a stripped document
+// holding just the guarded counters — deterministic for a fixed corpus
+// seed, so the committed baseline only changes when the gated numbers
+// do.
 package main
 
 import (
@@ -51,10 +53,11 @@ var guardedMetrics = []string{"fetches/op", "joinrows/op", "allocs/op", "B/op"}
 // defaultGuard names the gated benchmark families: limited search (the
 // early-termination counters), the sharded-query and batch paths whose
 // allocation profile the zero-copy read path flattened, the planner's
-// skewed-corpus fetch/join-row savings, and the join layer's own
+// skewed-corpus fetch/join-row savings, the join layer's own
 // benchmarks (join rows at fixed input cardinalities; the compiled
-// kernel's allocations, constant in the input size for a stream).
-const defaultGuard = "LimitedSearch,ShardedQuery,SearchBatch,PlannerSkew,JoinRun,JoinStream"
+// kernel's allocations, constant in the input size for a stream), and
+// the root-split decode loop's zero allocations.
+const defaultGuard = "LimitedSearch,ShardedQuery,SearchBatch,PlannerSkew,JoinRun,JoinStream,RootDecode"
 
 // guardItems splits a comma-separated guard list into its non-empty
 // items (so a trailing comma is harmless).
@@ -216,7 +219,7 @@ func diffBaseline(path string, doc *Doc, guard string, tolerance float64) error 
 		for _, metric := range guardedMetrics {
 			cur, okCur := b.Metrics[metric]
 			was, okWas := old.Metrics[metric]
-			if !okCur || !okWas || was <= 0 {
+			if !okCur || !okWas {
 				continue
 			}
 			compared++

@@ -178,6 +178,20 @@ func TestDiffBaselineAllocs(t *testing.T) {
 	if err := diffBaseline(base, mk(800, 12_000_000), "ShardedQuery", 0.25); err == nil {
 		t.Fatal("a +71%% B/op regression passed the gate")
 	}
+	// A baseline of zero is a counter like any other: it stays green at
+	// zero — and keeps its guard item alive while doing so — and any
+	// increase fails, naming the counter.
+	zero := writeDoc(t, mk(0, 0))
+	if err := diffBaseline(zero, mk(0, 0), "ShardedQuery", 0.25); err != nil {
+		t.Fatalf("zero counters holding at zero failed the gate: %v", err)
+	}
+	err = diffBaseline(zero, mk(3, 0), "ShardedQuery", 0.25)
+	if err == nil {
+		t.Fatal("allocs/op regressing 0 -> 3 passed the gate")
+	}
+	if !strings.Contains(err.Error(), "BenchmarkShardedQuery/shards=4 allocs/op regressed: 0 -> 3") {
+		t.Fatalf("regression report does not name the zero-baseline counter: %v", err)
+	}
 }
 
 // TestMatchesGuard asserts the comma-separated guard list: every named
@@ -188,6 +202,7 @@ func TestMatchesGuard(t *testing.T) {
 		"BenchmarkLimitedSearch/limit5/shards=4",
 		"BenchmarkShardedQuery/shards=2",
 		"BenchmarkSearchBatch/shards=1",
+		"BenchmarkRootDecode",
 	} {
 		if !matchesGuard(name, defaultGuard) {
 			t.Fatalf("default guard misses %s", name)

@@ -1,8 +1,7 @@
 // Command silint is the repository's vet tool: a multichecker bundling
 // the custom analyzers that machine-check the read path's memory and
-// cancellation conventions (borrowcheck, epochpin, arenascope,
-// ctxloop) plus the two extra standard passes CI forces (lostcancel,
-// nilness). docs/LINTING.md is the catalog.
+// cancellation conventions (borrowcheck, epochpin, ctxloop) plus the
+// two extra standard passes CI forces (lostcancel, nilness). docs/LINTING.md is the catalog.
 //
 // It is not run directly; cmd/go drives it:
 //
@@ -18,7 +17,6 @@ import (
 	"os"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/arenascope"
 	"repro/internal/analysis/borrowcheck"
 	"repro/internal/analysis/ctxloop"
 	"repro/internal/analysis/driver"
@@ -30,7 +28,6 @@ import (
 var analyzers = []*analysis.Analyzer{
 	borrowcheck.Analyzer,
 	epochpin.Analyzer,
-	arenascope.Analyzer,
 	ctxloop.Analyzer,
 	vetlite.LostCancel,
 	vetlite.Nilness,

@@ -14,8 +14,8 @@
 // matches (on a sharded index a limited query stops fetching postings
 // early), -timeout bounds each query's evaluation, and -count asks
 // only for the exact match count through the allocation-free path.
-// -explain additionally prints how the planner executed the query: the
-// chosen strategy, the estimated match cardinality, and each cover
+// -explain additionally prints how the query was planned and executed:
+// the strategy, the estimated match cardinality, and each cover
 // piece's estimated vs. actually decoded posting entries. -info prints
 // the index's segment state (segments, generation, live and tombstoned
 // tree counts) instead of running queries — the offline equivalent of
@@ -138,14 +138,11 @@ func runQuery(ctx context.Context, ix *si.Index, src string, limit, offset, show
 }
 
 // printExplain prints the planner's view of one executed query: the
-// chosen strategy, the plan-time match estimate, and each cover
-// piece's estimated vs. actually decoded posting entries.
+// strategy, the plan-time match estimate (0 on an index built before
+// statistics existed), and each cover piece's estimated vs. actually
+// decoded posting entries.
 func printExplain(st si.SearchStats) {
-	strategy := st.Strategy
-	if strategy == "" {
-		strategy = "uncosted" // an index built before statistics existed
-	}
-	fmt.Printf("  plan: strategy=%s estimated_rows=%d\n", strategy, st.EstimatedRows)
+	fmt.Printf("  plan: strategy=%s estimated_rows=%d\n", st.Strategy, st.EstimatedRows)
 	for _, p := range st.Pieces {
 		fmt.Printf("  piece %-24q est=%-8d actual=%d\n", p.Key, p.Est, p.Actual)
 	}

@@ -16,8 +16,6 @@
 //
 //   - borrowcheck: pager.ReadPage's (view, release) borrow contract;
 //   - epochpin: epoch pin/release pairing in internal/core;
-//   - arenascope: arena-carved slices staying inside their arena's
-//     owner;
 //   - ctxloop: cancellation checks inside unbounded consumption loops;
 //   - lostcancel / nilness (lite): the two extra go vet passes CI
 //     forces beyond the default set.

@@ -19,7 +19,7 @@ func TestRootCursorNextAllocatesNothing(t *testing.T) {
 	for i := uint32(0); i < n; i++ {
 		acc.Add(i/2, postings.NodeRef{Pre: i % 2, Post: 9, Level: i % 2, Order: i % 2})
 	}
-	c := &rootCursor{it: postings.NewRootIterator(acc.Bytes())}
+	c := &rootCursor{it: *postings.NewRootIterator(acc.Bytes())}
 	pulled := 0
 	allocs := testing.AllocsPerRun(n/2, func() {
 		if _, ok := c.Next(); ok {

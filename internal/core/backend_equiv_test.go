@@ -36,7 +36,7 @@ func collectKeys(t *testing.T, l *Live) []keyCount {
 }
 
 // sameMatches compares two match slices treating nil and empty as
-// equal (the streaming and materialized paths differ in which they
+// equal (Search and a drained SearchStream differ in which they
 // produce for a matchless query).
 func sameMatches(a, b []Match) bool {
 	if len(a) == 0 && len(b) == 0 {
@@ -192,7 +192,7 @@ func TestQuickBackendEquivalence(t *testing.T) {
 				return false
 			}
 			if !sameMatches(ams, a.Matches) {
-				t.Logf("query %s: stream disagrees with materialized search", src)
+				t.Logf("query %s: stream disagrees with Search", src)
 				return false
 			}
 		}

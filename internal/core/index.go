@@ -12,8 +12,6 @@ import (
 	"repro/internal/btree"
 	"repro/internal/join"
 	"repro/internal/lingtree"
-	"repro/internal/match"
-	"repro/internal/planner"
 	"repro/internal/postings"
 	"repro/internal/subtree"
 	"repro/internal/treebank"
@@ -278,36 +276,17 @@ func (ev *evalOpts) notePieceRead(i, n int) {
 	}
 }
 
-// evalPlan evaluates a compiled plan one of three ways: bounded
-// evaluations (ev.target) and plans the planner marked StrategyStream
-// drain the streaming producer, everything else runs the filter
-// coding's intersect-and-validate or the materialized join. It returns
-// the sorted matches, their count and the join rows spent (posting
+// evalPlan evaluates a compiled plan by draining its match stream
+// (streamPlan) — the one evaluator every coding and every bound shares:
+// to completion, or with ev.target set only until target+1 matches
+// exist, so unneeded posting entries are never decoded and unneeded
+// join rows never produced. It returns the matches in ascending
+// (tid, root) order, their count and the join rows spent (posting
 // entries decoded plus intermediate rows; trees validated under the
 // filter coding); with ev.countOnly the match slice stays nil (no
 // per-match allocation) and only the count is meaningful. ctx cancels
-// evaluation between and inside the fetch, join and validation loops.
+// evaluation between the posting fetches and inside the stream.
 func (ix *Index) evalPlan(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) ([]Match, int, int, error) {
-	filter := ix.meta.Coding == postings.FilterBased
-	switch {
-	case ev.target > 0 && !ev.countOnly,
-		!filter && pl.Strategy == planner.StrategyStream && len(pl.Pieces) > 1:
-		return ix.evalStream(ctx, pl, get, ev)
-	case filter:
-		return ix.evalFilter(ctx, pl, get, ev)
-	default:
-		return ix.evalJoin(ctx, pl, get, ev)
-	}
-}
-
-// evalStream drains the streaming producer: to completion for the
-// planner's StrategyStream (estimated input large enough that
-// materializing every relation up front would dominate), or — with
-// ev.target set — only until target+1 matches exist, so unneeded
-// posting entries are never decoded and unneeded join rows never
-// produced. Output order and dedup match evalJoin: the stream yields
-// distinct (tid, root) pairs in ascending order.
-func (ix *Index) evalStream(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) ([]Match, int, int, error) {
 	ms, err := ix.streamPlan(ctx, pl, get, ev)
 	if err != nil {
 		return nil, 0, 0, err
@@ -319,9 +298,9 @@ func (ix *Index) evalStream(ctx context.Context, pl *Plan, get postingGetter, ev
 		out = make([]Match, 0, min(bound, 63)+1) // bound+1 would overflow at MaxInt
 	}
 	count := 0
-	//silint:ignore ctxloop ms.next observes ctx: both stream producers poll cancellation per block and surface it via ms.err
+	//silint:ignore ctxloop ms.Next observes ctx: both stream producers poll cancellation per block and surface it via ms.Err
 	for bound == 0 || count <= bound {
-		m, ok := ms.next()
+		m, ok := ms.Next()
 		if !ok {
 			break
 		}
@@ -330,10 +309,10 @@ func (ix *Index) evalStream(ctx context.Context, pl *Plan, get postingGetter, ev
 			out = append(out, m)
 		}
 	}
-	if err := ms.err(); err != nil {
+	if err := ms.Err(); err != nil {
 		return nil, 0, 0, err
 	}
-	return out, count, ms.rows(), nil
+	return out, count, ms.Rows(), nil
 }
 
 // minRecordBytes is the smallest wire size of one posting record under
@@ -354,182 +333,33 @@ func minRecordBytes(coding postings.Coding) int {
 }
 
 // postingPayload fetches one key's posting blob and strips the count
-// prefix — the header handling shared by the materialized, streaming
-// and filter fetch paths. The count is bounded by what the payload can
-// hold under coding, so a hostile prefix cannot size an allocation;
-// found=false means the key is absent.
-func postingPayload(k subtree.Key, get postingGetter, coding postings.Coding) (payload []byte, count int, found bool, err error) {
+// prefix — the header handling shared by the join and filter fetch
+// paths. Nothing is sized by the count, but a prefix claiming more
+// records than the payload can hold under coding marks the value as
+// corrupt; found=false means the key is absent.
+func postingPayload(k subtree.Key, get postingGetter, coding postings.Coding) (payload []byte, found bool, err error) {
 	val, found, err := get(k)
 	if err != nil || !found {
-		return nil, 0, false, err
+		return nil, false, err
 	}
 	c, n := binary.Uvarint(val)
 	if n <= 0 {
-		return nil, 0, false, fmt.Errorf("core: corrupt posting count for %q", k)
+		return nil, false, fmt.Errorf("core: corrupt posting count for %q", k)
 	}
 	payload = val[n:]
 	if c > uint64(len(payload)/minRecordBytes(coding)) {
-		return nil, 0, false, fmt.Errorf("core: corrupt posting count for %q: %d records in %d bytes", k, c, len(payload))
+		return nil, false, fmt.Errorf("core: corrupt posting count for %q: %d records in %d bytes", k, c, len(payload))
 	}
-	return payload, int(c), true, nil
+	return payload, true, nil
 }
 
-// recordCarver hands out consecutive width-sized node records of one
-// exact-size arena piece, so a decoded relation's records are
-// contiguous and cost one carve.
-type recordCarver struct {
-	nodes []postings.NodeRef
-	width int
-}
-
-// next returns the next record, or nil when the piece is used up.
-func (c *recordCarver) next() []postings.NodeRef {
-	if len(c.nodes) < c.width {
-		return nil
-	}
-	rec := c.nodes[:c.width:c.width]
-	c.nodes = c.nodes[c.width:]
-	return rec
-}
-
-// fetchPiece reads the posting list of one plan piece, decoded into
-// join relation form with tombstoned tids dropped (dels may be nil).
-// The count prefix says how many records the list holds, so all of the
-// relation's node records are carved from arena in one exact-size
-// piece; the relation stays valid for the arena's lifetime. A list
-// holding more records than its prefix claims is corrupt. found=false
-// means the key is absent (no matches).
-func (ix *Index) fetchPiece(pp PlanPiece, get postingGetter, dels *TombSet, arena *postings.RefArena) (join.Relation, int, bool, error) {
-	payload, count, found, err := postingPayload(pp.Key, get, ix.meta.Coding)
-	if err != nil || !found {
-		return join.Relation{}, 0, false, err
-	}
-	rel := join.Relation{Name: string(pp.Key)}
-	switch ix.meta.Coding {
-	case postings.RootSplit:
-		rel.Slots = []int{pp.Root}
-	case postings.SubtreeInterval:
-		rel.Slots = pp.Slots
-	default:
-		return join.Relation{}, 0, false, fmt.Errorf("core: fetch with coding %v", ix.meta.Coding)
-	}
-	width := len(rel.Slots)
-	recs := recordCarver{nodes: arena.Take(count * width), width: width}
-	rel.Entries = make([]postings.IntervalEntry, 0, count)
-	overflow := func() error {
-		return fmt.Errorf("core: corrupt posting count for %q: more than %d records", pp.Key, count)
-	}
-	switch ix.meta.Coding {
-	case postings.RootSplit:
-		it := postings.NewRootIterator(payload)
-		for it.Next() {
-			e := it.Entry()
-			if dels.Has(e.TID) {
-				continue
-			}
-			rec := recs.next()
-			if rec == nil {
-				return join.Relation{}, 0, false, overflow()
-			}
-			rec[0] = e.NodeRef
-			rel.Entries = append(rel.Entries, postings.IntervalEntry{TID: e.TID, Nodes: rec})
-		}
-		if err := it.Err(); err != nil {
-			return join.Relation{}, 0, false, err
-		}
-	case postings.SubtreeInterval:
-		it := postings.NewIntervalIterator(payload)
-		for it.Next() {
-			if dels.Has(it.TID()) {
-				continue
-			}
-			if len(it.Nodes()) != width {
-				return join.Relation{}, 0, false, fmt.Errorf("core: corrupt posting for %q: instance of %d nodes, want %d", pp.Key, len(it.Nodes()), width)
-			}
-			rec := recs.next()
-			if rec == nil {
-				return join.Relation{}, 0, false, overflow()
-			}
-			copy(rec, it.Nodes())
-			rel.Entries = append(rel.Entries, postings.IntervalEntry{TID: it.TID(), Nodes: rec})
-		}
-		if err := it.Err(); err != nil {
-			return join.Relation{}, 0, false, err
-		}
-		// Pieces with identical-encoding siblings admit several
-		// equivalent slot assignments per instance; expand postings by
-		// the pattern's automorphisms so joins that constrain the twins
-		// differently see every assignment (false-negative fix).
-		if len(pp.Perms) > 1 {
-			instances := rel.Entries
-			expanded := len(instances) * len(pp.Perms)
-			recs.nodes = arena.Take(expanded * width)
-			rel.Entries = make([]postings.IntervalEntry, 0, expanded)
-			for _, e := range instances {
-				for _, pm := range pp.Perms {
-					rec := recs.next()
-					for i, src := range pm {
-						rec[i] = e.Nodes[src]
-					}
-					rel.Entries = append(rel.Entries, postings.IntervalEntry{TID: e.TID, Nodes: rec})
-				}
-			}
-		}
-	}
-	return rel, count, true, nil
-}
-
-// evalJoin evaluates a plan under root-split or subtree-interval
-// coding. Pieces are fetched in the plan's cost order (syntactic order
-// on uncosted plans), aborting as soon as one comes back absent or
-// empty: on a costed plan the cheapest — most selective — piece is read
-// first, so a query whose rare piece has no postings here never fetches
-// or decodes the expensive ones. The relations keep their piece
-// positions, so the join layer sees the same input regardless of fetch
-// order.
-func (ix *Index) evalJoin(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) ([]Match, int, int, error) {
-	rels := make([]join.Relation, len(pl.Pieces))
-	var arena postings.RefArena // per-evaluation: rels die with the matches
-	fetchOrder := pl.Order
-	if len(fetchOrder) != len(pl.Pieces) {
-		fetchOrder = nil
-	}
-	for i := range pl.Pieces {
-		pi := i
-		if fetchOrder != nil {
-			pi = fetchOrder[i]
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, 0, 0, err
-		}
-		rel, _, found, err := ix.fetchPiece(pl.Pieces[pi], get, ev.dels, &arena)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		if !found || len(rel.Entries) == 0 {
-			return nil, 0, 0, nil // a piece with no live postings: no matches
-		}
-		ev.notePieceRead(pi, len(rel.Entries))
-		rels[pi] = rel
-	}
-	ms, info, err := join.Run(ctx, pl.Query, rels, join.Options{
-		CountOnly: ev.countOnly,
-		Order:     pl.Order,
-		NoStack:   pl.Strategy == planner.StrategyBlock,
-	})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return ms, info.Count, info.Rows, nil
-}
-
-// filterCandidates runs the filter coding's candidate phase, shared by
-// the materialized and streaming paths: fetch each piece's tid list
-// (skipping tombstoned tids) and intersect. Lists are fetched in the
-// plan's cost order (syntactic on uncosted plans) and the phase aborts
-// as soon as one comes back absent or empty — the intersection is
-// already known to be empty, so the remaining, larger lists are never
-// read; the candidate list is then nil.
+// filterCandidates runs the filter coding's candidate phase (the join
+// phase of §4.4.1): fetch each piece's tid list (skipping tombstoned
+// tids) and intersect. Lists are fetched in the plan's cost order
+// (syntactic on uncosted plans) and the phase aborts as soon as one
+// comes back absent or empty — the intersection is already known to be
+// empty, so the remaining, larger lists are never read; the candidate
+// list is then nil.
 func (ix *Index) filterCandidates(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) ([]uint32, error) {
 	fetchOrder := pl.Order
 	if len(fetchOrder) != len(pl.Pieces) {
@@ -545,7 +375,7 @@ func (ix *Index) filterCandidates(ctx context.Context, pl *Plan, get postingGett
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		payload, _, ok, err := postingPayload(pp.Key, get, postings.FilterBased)
+		payload, ok, err := postingPayload(pp.Key, get, postings.FilterBased)
 		if err != nil || !ok {
 			return nil, err
 		}
@@ -576,44 +406,6 @@ func (ix *Index) filterCandidates(ctx context.Context, pl *Plan, get postingGett
 		lists = append(lists, tids)
 	}
 	return intersect(lists), nil
-}
-
-// evalFilter evaluates a plan under filter-based coding: intersect tid
-// lists of all pieces, then fetch candidate trees from the data file
-// and run the exact matcher (the costly filtering phase of §4.4.1).
-// Cancellation is checked per piece and per validated candidate tree —
-// validation dominates this coding's cost, so an expired ctx stops the
-// scan within one tree's worth of work. The join rows reported are the
-// trees validated.
-func (ix *Index) evalFilter(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) ([]Match, int, int, error) {
-	cands, err := ix.filterCandidates(ctx, pl, get, ev)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if len(cands) == 0 {
-		return nil, 0, 0, nil
-	}
-	m := match.New(pl.Query)
-	var out []Match
-	count := 0
-	for _, tid := range cands {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, 0, err
-		}
-		t, err := ix.store.Tree(int(tid))
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		roots := m.Roots(t)
-		count += len(roots)
-		if ev.countOnly {
-			continue
-		}
-		for _, root := range roots {
-			out = append(out, Match{TID: tid, Root: uint32(root)})
-		}
-	}
-	return out, count, len(cands), nil
 }
 
 // intersect computes the intersection of sorted tid lists, smallest

@@ -137,8 +137,8 @@ func TestQuickEndToEndAllCodings(t *testing.T) {
 // structural steps carry residual predicates — extra parent/ancestor
 // edges and sibling distinctness), evaluation with the Stack-Tree join
 // must agree exactly with the block-nested merge under
-// DisableStackJoin, through both the materialized path and the
-// streaming (limited) path. Must not run parallel to other tests:
+// DisableStackJoin, through both the full drain and the bounded
+// (limited) one. Must not run parallel to other tests:
 // DisableStackJoin is a package-global ablation switch.
 func TestQuickStackJoinAgreesWithBlock(t *testing.T) {
 	defer func() { join.DisableStackJoin = false }()

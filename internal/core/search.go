@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/planner"
 	"repro/internal/subtree"
 )
 
@@ -89,10 +88,9 @@ type SearchStats struct {
 	// cross-shard fetch savings. (A limit the result fits inside does
 	// all the work and saves nothing.)
 	JoinRows uint64 `json:"join_rows"`
-	// Strategy is the execution mode the query ran under ("filter",
-	// "stack", "block" or "stream" — bounded and pending searches
-	// always stream); empty when the plan was uncosted (no statistics
-	// available).
+	// Strategy is the execution mode the query ran under: "filter"
+	// (intersect and validate) on a filter-coded index, "stream" (the
+	// tree-at-a-time join) otherwise.
 	Strategy string `json:"strategy,omitempty"`
 	// EstimatedRows is the planner's estimated distinct-match
 	// cardinality for the query; 0 when the plan was uncosted.
@@ -118,18 +116,12 @@ type PieceStat struct {
 }
 
 // planStats fills the Stats' planner-facing fields from the compiled
-// plan: the chosen strategy (overridden to "stream" when bounded
-// evaluation streamed regardless of the plan's pick), the estimated
-// cardinality, and — when reads is non-nil (Explain) — the per-piece
+// plan: the strategy, the estimated cardinality (0 on an uncosted
+// plan), and — when reads is non-nil (Explain) — the per-piece
 // estimated vs. actual table.
-func planStats(stats *SearchStats, pl *Plan, reads []atomic.Uint64, streamed bool) {
-	if pl.Costed {
-		stats.Strategy = pl.Strategy.String()
-		if streamed {
-			stats.Strategy = planner.StrategyStream.String()
-		}
-		stats.EstimatedRows = pl.EstRows
-	}
+func planStats(stats *SearchStats, pl *Plan, reads []atomic.Uint64) {
+	stats.Strategy = pl.Strategy.String()
+	stats.EstimatedRows = pl.EstRows
 	if reads == nil {
 		return
 	}
@@ -380,7 +372,7 @@ func (ls leafSet) searchLazy(ctx context.Context, pl *Plan, opts SearchOpts, hit
 	var trimmed bool
 	res.Matches, res.Count, trimmed = window(all, opts)
 	res.Stats.Truncated = trimmed || consulted < len(ls.leaves)
-	planStats(&res.Stats, pl, reads, true)
+	planStats(&res.Stats, pl, reads)
 	return res, nil
 }
 
@@ -418,7 +410,7 @@ func (ls leafSet) searchFanout(ctx context.Context, pl *Plan, opts SearchOpts, h
 		res.Stats.PostingFetches += outs[i].fetched
 		res.Stats.JoinRows += uint64(outs[i].rows)
 	}
-	planStats(&res.Stats, pl, reads, false)
+	planStats(&res.Stats, pl, reads)
 	if opts.CountOnly {
 		return res, nil
 	}
@@ -491,8 +483,8 @@ type resultStream struct {
 	target int // offset+limit; 0 = unbounded
 	offset int
 
-	si        int          // current shard while cur != nil, else next to open
-	cur       *matchStream // nil between shards
+	si        int         // current shard while cur != nil, else next to open
+	cur       matchStream // nil between shards
 	fetched   uint64
 	rows      uint64
 	produced  int // matches pulled out of shards, offset-skipped ones included
@@ -549,9 +541,9 @@ func (rs *resultStream) pull() (Match, bool) {
 			rs.cur = ms
 			rs.consulted++
 		}
-		m, ok := rs.cur.next()
+		m, ok := rs.cur.Next()
 		if !ok {
-			if err := rs.cur.err(); err != nil {
+			if err := rs.cur.Err(); err != nil {
 				rs.err = fmt.Errorf("core: shard %d: %w", rs.si, err)
 				return Match{}, false
 			}
@@ -583,7 +575,7 @@ func (rs *resultStream) pull() (Match, bool) {
 
 // closeShard folds the current shard's work counters and moves on.
 func (rs *resultStream) closeShard() {
-	rs.rows += uint64(rs.cur.rows())
+	rs.rows += uint64(rs.cur.Rows())
 	rs.cur = nil
 	rs.si++
 }
@@ -596,7 +588,7 @@ func (rs *resultStream) closeShard() {
 // (unflagged Count == exact total) must not be claimed.
 func (rs *resultStream) finish(r *Result) {
 	if rs.cur != nil {
-		rs.rows += uint64(rs.cur.rows())
+		rs.rows += uint64(rs.cur.Rows())
 		rs.cur = nil
 	}
 	r.Count = rs.produced
@@ -607,7 +599,7 @@ func (rs *resultStream) finish(r *Result) {
 		Truncated:       rs.truncated || !rs.finished || rs.consulted < len(rs.ls.leaves),
 		JoinRows:        rs.rows,
 	}
-	planStats(&r.Stats, rs.pl, nil, true)
+	planStats(&r.Stats, rs.pl, nil)
 	if rs.release != nil {
 		rs.release()
 		rs.release = nil

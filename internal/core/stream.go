@@ -7,38 +7,39 @@ import (
 
 	"repro/internal/join"
 	"repro/internal/match"
-	"repro/internal/planner"
 	"repro/internal/postings"
+	"repro/internal/treebank"
 )
 
-// This file adapts one index's plan evaluation to a pull-based match
+// This file is one index's plan evaluation as a pull-based match
 // stream: posting blobs are fetched up front (one B+Tree read per
-// piece, same as the materialized path) but *decoded* lazily, and the
-// join advances tree by tree only as matches are demanded
-// (join.Stream). A consumer that stops after offset+limit matches
-// therefore stops the decode and join work inside the shard — the
-// in-shard half of limit pushdown. The filter coding streams too:
-// candidate tids intersect eagerly (cheap), but trees are fetched and
-// validated one at a time, so a satisfied limit stops the costly
-// validation scan.
+// piece) but *decoded* lazily, and the join advances tree by tree only
+// as matches are demanded (join.Stream). A consumer that stops after
+// offset+limit matches therefore stops the decode and join work inside
+// the shard — the in-shard half of limit pushdown — and a full drain
+// (evalPlan) stops at the first exhausted posting list. The filter
+// coding streams too: candidate tids intersect eagerly (cheap), but
+// trees are fetched and validated one at a time, so a satisfied limit
+// stops the costly validation scan.
 
 // matchStream is a pull producer of one plan's matches on one index,
-// in (tid, root) order.
-type matchStream struct {
-	// next returns the next match; ok=false at the end or on error.
-	next func() (Match, bool)
-	// err reports what stopped the stream, nil on clean exhaustion or
+// in (tid, root) order. *join.Stream is the join codings' producer,
+// *filterStream the filter coding's.
+type matchStream interface {
+	// Next returns the next match; ok=false at the end or on error.
+	Next() (Match, bool)
+	// Err reports what stopped the stream, nil on clean exhaustion or
 	// while matches are still flowing.
-	err func() error
-	// rows reports the join rows spent so far (posting entries decoded
+	Err() error
+	// Rows reports the join rows spent so far (posting entries decoded
 	// plus intermediate rows; trees validated under the filter coding);
-	// callable at any point, typically once after the last next.
-	rows func() int
+	// callable at any point, typically once after the last Next.
+	Rows() int
 }
 
 // streamPlan builds the match stream of one compiled plan. Of ev only
 // dels and pieceReads apply — bounds are the consumer's business.
-func (ix *Index) streamPlan(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) (*matchStream, error) {
+func (ix *Index) streamPlan(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) (matchStream, error) {
 	switch ix.meta.Coding {
 	case postings.RootSplit, postings.SubtreeInterval:
 		return ix.streamJoin(ctx, pl, get, ev)
@@ -54,18 +55,18 @@ func (ix *Index) streamPlan(ctx context.Context, pl *Plan, get postingGetter, ev
 // be nil); found=false means the key is absent (the query cannot match
 // anywhere).
 func (ix *Index) pieceCursor(pp PlanPiece, get postingGetter, dels *TombSet) (join.StreamRelation, bool, error) {
-	payload, _, found, err := postingPayload(pp.Key, get, ix.meta.Coding)
+	payload, found, err := postingPayload(pp.Key, get, ix.meta.Coding)
 	if err != nil || !found {
 		return join.StreamRelation{}, false, err
 	}
 	rel := join.StreamRelation{Name: string(pp.Key)}
 	switch ix.meta.Coding {
 	case postings.RootSplit:
-		rel.Slots = []int{pp.Root}
-		rel.Cursor = &rootCursor{it: postings.NewRootIterator(payload), dels: dels}
+		c := &rootCursor{it: *postings.NewRootIterator(payload), dels: dels, slot: [1]int{pp.Root}}
+		rel.Slots, rel.Cursor = c.slot[:], c
 	case postings.SubtreeInterval:
 		rel.Slots = pp.Slots
-		rel.Cursor = &intervalCursor{it: postings.NewIntervalIterator(payload), perms: pp.Perms, pi: len(pp.Perms), dels: dels}
+		rel.Cursor = &intervalCursor{it: *postings.NewIntervalIterator(payload), perms: pp.Perms, pi: len(pp.Perms), dels: dels}
 	default:
 		return join.StreamRelation{}, false, fmt.Errorf("core: stream with coding %v", ix.meta.Coding)
 	}
@@ -76,8 +77,9 @@ func (ix *Index) pieceCursor(pp PlanPiece, get postingGetter, dels *TombSet) (jo
 // Posting blobs are fetched in the plan's cost order (syntactic on
 // uncosted plans), so a query whose cheapest piece is absent never
 // issues the remaining point reads; the relations keep their piece
-// positions for the join.
-func (ix *Index) streamJoin(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) (*matchStream, error) {
+// positions for the join, which decides merge vs. Stack-Tree per step
+// itself.
+func (ix *Index) streamJoin(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) (matchStream, error) {
 	rels := make([]join.StreamRelation, len(pl.Pieces))
 	fetchOrder := pl.Order
 	if len(fetchOrder) != len(pl.Pieces) {
@@ -97,76 +99,90 @@ func (ix *Index) streamJoin(ctx context.Context, pl *Plan, get postingGetter, ev
 		}
 		if !found {
 			// A piece with no postings: no matches anywhere.
-			return emptyStream(), nil
+			return emptyStream, nil
 		}
 		if ev.pieceReads != nil && pi < len(ev.pieceReads) {
 			rel.Cursor = &countCursor{inner: rel.Cursor, n: &ev.pieceReads[pi]}
 		}
 		rels[pi] = rel
 	}
-	js, err := join.NewStreamOpts(ctx, pl.Query, rels, join.Options{
-		Order:   pl.Order,
-		NoStack: pl.Strategy == planner.StrategyBlock,
-	})
+	js, err := join.NewStreamOpts(ctx, pl.Query, rels, join.Options{Order: pl.Order})
 	if err != nil {
 		return nil, err
 	}
-	return &matchStream{next: js.Next, err: js.Err, rows: js.Rows}, nil
+	return js, nil
 }
 
+// filterStream is the filter coding's match stream: the candidate tids
+// (already intersected) validate lazily, one tree per refill.
+type filterStream struct {
+	ctx   context.Context
+	store *treebank.Store
+	m     *match.Matcher
+	cands []uint32 // candidates not yet validated
+
+	buf       []Match // matches of the last validated tree, drained in order
+	bufI      int
+	validated int
+	err       error
+}
+
+// emptyStream is the no-matches stream (an absent or empty cover
+// piece); it holds no state, so every evaluation shares it.
+var emptyStream matchStream = &filterStream{}
+
 // streamFilter builds the streaming evaluation for the filter coding:
-// tid lists intersect eagerly (shared with evalFilter), candidate
-// trees validate lazily.
-func (ix *Index) streamFilter(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) (*matchStream, error) {
+// intersect the tid lists of all pieces eagerly, then fetch candidate
+// trees from the data file and run the exact matcher (the costly
+// filtering phase of §4.4.1) one tree at a time.
+func (ix *Index) streamFilter(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) (matchStream, error) {
 	cands, err := ix.filterCandidates(ctx, pl, get, ev)
 	if err != nil {
 		return nil, err
 	}
 	if len(cands) == 0 {
-		return emptyStream(), nil
+		return emptyStream, nil
 	}
+	return &filterStream{ctx: ctx, store: ix.store, m: match.New(pl.Query), cands: cands}, nil
+}
 
-	m := match.New(pl.Query)
-	var (
-		buf       []Match
-		bufI, ci  int
-		validated int
-		serr      error
-	)
-	next := func() (Match, bool) {
-		for {
-			if bufI < len(buf) {
-				mm := buf[bufI]
-				bufI++
-				return mm, true
-			}
-			if serr != nil || ci >= len(cands) {
-				return Match{}, false
-			}
-			if err := ctx.Err(); err != nil {
-				serr = err
-				return Match{}, false
-			}
-			tid := cands[ci]
-			ci++
-			t, err := ix.store.Tree(int(tid))
-			if err != nil {
-				serr = err
-				return Match{}, false
-			}
-			validated++
-			buf, bufI = buf[:0], 0
-			for _, root := range m.Roots(t) {
-				buf = append(buf, Match{TID: tid, Root: uint32(root)})
-			}
+// Next validates candidate trees until one matches. Cancellation is
+// checked per validated tree — validation dominates this coding's cost,
+// so an expired ctx stops the scan within one tree's worth of work.
+func (s *filterStream) Next() (Match, bool) {
+	for {
+		if s.bufI < len(s.buf) {
+			m := s.buf[s.bufI]
+			s.bufI++
+			return m, true
+		}
+		if s.err != nil || len(s.cands) == 0 {
+			return Match{}, false
+		}
+		if s.err = s.ctx.Err(); s.err != nil {
+			return Match{}, false
+		}
+		tid := s.cands[0]
+		s.cands = s.cands[1:]
+		t, err := s.store.Tree(int(tid))
+		if err != nil {
+			s.err = err
+			return Match{}, false
+		}
+		s.validated++
+		s.buf, s.bufI = s.buf[:0], 0
+		for _, root := range s.m.Roots(t) {
+			s.buf = append(s.buf, Match{TID: tid, Root: uint32(root)})
 		}
 	}
-	return &matchStream{
-		next: next,
-		err:  func() error { return serr },
-		rows: func() int { return validated },
-	}, nil
 }
+
+// Err reports the tree-fetch failure or cancellation that stopped the
+// stream, if any.
+func (s *filterStream) Err() error { return s.err }
+
+// Rows reports the trees validated so far.
+func (s *filterStream) Rows() int { return s.validated }
 
 // countCursor wraps an entry cursor so each decoded entry is tallied
 // into a per-piece explain counter; only attached when a caller asked
@@ -188,26 +204,19 @@ func (c *countCursor) Next() (postings.IntervalEntry, bool) {
 // Err reports the inner cursor's decode error, if any.
 func (c *countCursor) Err() error { return c.inner.Err() }
 
-// emptyStream is the no-matches stream (an absent cover piece).
-func emptyStream() *matchStream {
-	return &matchStream{
-		next: func() (Match, bool) { return Match{}, false },
-		err:  func() error { return nil },
-		rows: func() int { return 0 },
-	}
-}
-
 // rootCursor adapts a root-split posting iterator to the join's entry
 // cursor: each posting becomes a one-column entry binding the piece
 // root. Postings of tombstoned trees are skipped before the join sees
 // them (dels may be nil). Every entry is served through the one scratch
 // record — valid until the next call to Next, which is all the cursor
 // contract promises (the stream copies what it keeps) — so decoding
-// allocates nothing.
+// allocates nothing. The iterator and the relation's one-slot list live
+// in the cursor, so a piece's whole set-up is this one object.
 type rootCursor struct {
-	it      *postings.RootIterator
+	it      postings.RootIterator
 	dels    *TombSet
 	scratch [1]postings.NodeRef
+	slot    [1]int // the piece root, backing the relation's Slots
 }
 
 // Next decodes the next surviving root-split posting.
@@ -227,8 +236,10 @@ func (c *rootCursor) Next() (postings.IntervalEntry, bool) {
 func (c *rootCursor) Err() error { return c.it.Err() }
 
 // intervalCursor adapts a subtree-interval posting iterator, expanding
-// each instance by the pattern's slot automorphisms (see
-// Index.fetchPiece) lazily: the perm variants of one instance are
+// each instance by the pattern's slot automorphisms lazily — pieces with
+// identical-encoding siblings admit several equivalent slot assignments
+// per instance, and joins that constrain the twins differently must see
+// every one (false-negative fix): the perm variants of one instance are
 // emitted consecutively, which preserves the tid grouping the join
 // stream needs. Postings of tombstoned trees are skipped before the
 // permutation expansion, so a deleted tree costs no variant entries
@@ -236,7 +247,7 @@ func (c *rootCursor) Err() error { return c.it.Err() }
 // unpermuted instance is the iterator's own reused node slice, a
 // permuted one is written into the cursor's scratch.
 type intervalCursor struct {
-	it      *postings.IntervalIterator
+	it      postings.IntervalIterator
 	perms   [][]int
 	dels    *TombSet
 	pi      int // next perm of the current instance to emit; >= len(perms) pulls a fresh instance

@@ -2,7 +2,13 @@ package core
 
 import (
 	"context"
+	"path/filepath"
+	"slices"
 	"testing"
+
+	"repro/internal/join"
+	"repro/internal/lingtree"
+	"repro/internal/postings"
 )
 
 // streamTestQueries mix single-piece, multi-piece, //-edge and
@@ -243,5 +249,120 @@ func TestSearchStreamRejectsCountOnly(t *testing.T) {
 	h := openLive(t, shardCorpus(50), 1, OpenOptions{})
 	if _, err := h.SearchStream(context.Background(), "NP", SearchOpts{CountOnly: true}); err == nil {
 		t.Fatal("SearchStream accepted CountOnly")
+	}
+}
+
+// eagerRelations decodes a subtree-interval plan's posting lists whole
+// into join.Run's input, expanding every instance of a piece with
+// identical-encoding siblings by all of the pattern's slot
+// automorphisms up front — the eager reference intervalCursor's lazy
+// expansion is held to. Tombstoned tids are dropped before expansion.
+func eagerRelations(t *testing.T, leaf *Index, pl *Plan, dels *TombSet) []join.Relation {
+	t.Helper()
+	rels := make([]join.Relation, len(pl.Pieces))
+	for i, pp := range pl.Pieces {
+		payload, found, err := postingPayload(pp.Key, leaf.getPosting, postings.SubtreeInterval)
+		if err != nil || !found {
+			t.Fatalf("piece %q: found=%v err=%v", pp.Key, found, err)
+		}
+		rel := join.Relation{Name: string(pp.Key), Slots: pp.Slots}
+		it := postings.NewIntervalIterator(payload)
+		for it.Next() {
+			if dels.Has(it.TID()) {
+				continue
+			}
+			inst := slices.Clone(it.Nodes())
+			if len(pp.Perms) <= 1 {
+				rel.Entries = append(rel.Entries, postings.IntervalEntry{TID: it.TID(), Nodes: inst})
+				continue
+			}
+			for _, pm := range pp.Perms {
+				rec := make([]postings.NodeRef, len(pm))
+				for j, src := range pm {
+					rec[j] = inst[src]
+				}
+				rel.Entries = append(rel.Entries, postings.IntervalEntry{TID: it.TID(), Nodes: rec})
+			}
+		}
+		if err := it.Err(); err != nil {
+			t.Fatalf("piece %q: %v", pp.Key, err)
+		}
+		rels[i] = rel
+	}
+	return rels
+}
+
+// TestLazyPermExpansionAgreesWithEager holds the drained evalPlan — whose
+// intervalCursor expands automorphic instances one variant at a time —
+// to join.Run over the eagerly expanded relations, with and without
+// tombstones, full and count-only. On the generated corpus (MSS 4) the
+// first two queries are one twin piece each and the third joins a twin
+// piece to a plain one; on the hand-built trees the // edge constrains
+// only one of the twins, so trees whose stored instance has them the
+// other way round match only through the swapped variant.
+func TestLazyPermExpansionAgreesWithEager(t *testing.T) {
+	ctx := context.Background()
+	for _, fx := range []struct {
+		trees   []*lingtree.Tree
+		mss     int
+		queries []string
+	}{
+		{shardCorpus(600), 4, []string{"NP(NN)(NN)", "NP(DT)(NN)(NN)", "S(NP(NN)(NN))(VP)"}},
+		{[]*lingtree.Tree{
+			lingtree.MustParse(0, "(X (N (A a)) (N b))"),
+			lingtree.MustParse(1, "(X (N b) (N (A a)))"),
+			lingtree.MustParse(2, "(X (N b) (N c))"),
+			lingtree.MustParse(3, "(X (N (A a)) (N (A a)))"),
+		}, 3, []string{"X(N)(N(//a))"}},
+	} {
+		dir := filepath.Join(t.TempDir(), "ix")
+		if _, err := Build(dir, fx.trees, Options{MSS: fx.mss, Coding: postings.SubtreeInterval}); err != nil {
+			t.Fatal(err)
+		}
+		l := openDir(t, dir, OpenOptions{})
+		leaf := l.cur.Load().set.leaves[0]
+		for _, src := range fx.queries {
+			pl, _, err := l.plans.planText(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.ContainsFunc(pl.Pieces, func(pp PlanPiece) bool { return len(pp.Perms) > 1 }) {
+				t.Fatalf("%s: no piece has automorphisms, the fixture is vacuous", src)
+			}
+			all, _, _, err := leaf.evalPlan(ctx, pl, leaf.getPosting, evalOpts{})
+			if err != nil || len(all) < 3 {
+				t.Fatalf("%s: %d matches, err %v; want at least 3", src, len(all), err)
+			}
+			// Tombstone every other matching tree.
+			var dead []uint32
+			for i, m := range all {
+				if i%2 == 0 && (len(dead) == 0 || dead[len(dead)-1] != m.TID) {
+					dead = append(dead, m.TID)
+				}
+			}
+			for _, dels := range []*TombSet{nil, newTombSet(dead)} {
+				rels := eagerRelations(t, leaf, pl, dels)
+				for _, countOnly := range []bool{false, true} {
+					want, info, err := join.Run(ctx, pl.Query, rels, join.Options{CountOnly: countOnly, Order: pl.Order})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, n, rows, err := leaf.evalPlan(ctx, pl, leaf.getPosting, evalOpts{countOnly: countOnly, dels: dels})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if n != info.Count || !slices.Equal(got, want) {
+						t.Errorf("%s tombstones=%d countOnly=%v: drained %d matches (count %d), eager reference %d (count %d)",
+							src, dels.Len(), countOnly, len(got), n, len(want), info.Count)
+					}
+					// A single list is drained whole, so the two drivers
+					// must also have seen the same number of variants.
+					if len(pl.Pieces) == 1 && rows != info.Rows {
+						t.Errorf("%s tombstones=%d countOnly=%v: drain spent %d rows, eager reference %d",
+							src, dels.Len(), countOnly, rows, info.Rows)
+					}
+				}
+			}
+		}
 	}
 }

@@ -16,8 +16,10 @@
 // — an uncosted plan — does the package fall back to ordering by
 // posting-list length, smallest first, the policy §5.1 assumes.
 //
-// Both entry points, Run (materialized) and Stream (one tree at a
-// time), execute the same compiled program: the order, every step's
+// Both entry points execute the same compiled program — Stream (one
+// tree at a time) is the driver every query evaluation runs on; Run
+// (materialized relations in, all matches out) is the oracle the tests
+// hold it to and the driver the benchmark's layer probes time: the order, every step's
 // shared and fresh columns, the predicates that become checkable and
 // the merge vs. Stack-Tree decision are resolved to column indexes once
 // per evaluation (program.go), and the steps then run over flat rows in
@@ -67,9 +69,9 @@ type pred struct {
 }
 
 // Options shape one Run: count-only evaluation skips materializing,
-// sorting and returning the match slice altogether; Order and NoStack
-// let a cost-based planner pin the execution this package would
-// otherwise choose from runtime sizes.
+// sorting and returning the match slice altogether; Order lets a
+// cost-based planner pin the join order this package would otherwise
+// choose from runtime sizes.
 type Options struct {
 	// CountOnly makes Run return only the distinct-match count, with a
 	// nil match slice — no per-match allocation happens.
@@ -80,10 +82,11 @@ type Options struct {
 	// back to the runtime size-based order otherwise, so a stale or
 	// uncosted plan can degrade but never break a join.
 	Order []int
-	// NoStack disables the Stack-Tree fast path for this run. The
-	// planner sets it when its plan-time simulation shows no step would
-	// qualify, keeping execution deterministic with the chosen strategy;
-	// a mistaken NoStack costs only the fast path, never correctness.
+	// NoStack disables the Stack-Tree fast path for this run; it costs
+	// only the fast path, never correctness. Query evaluation never sets
+	// it (compile decides merge vs. Stack-Tree per step): the field stays
+	// for the kernel's own ablation tests and benchmarks and because the
+	// frozen benchmark's probes (bench/layers.go) name it.
 	NoStack bool
 }
 

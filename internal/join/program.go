@@ -54,9 +54,8 @@ type program struct {
 // bookkeeping the executor used to redo per step and per tree: which
 // slots of each relation are already bound (shared) or new (fresh),
 // which predicates have both operands bound for the first time, and
-// whether the step qualifies for the Stack-Tree pass. noStack (a
-// planner decision, see Options.NoStack) and DisableStackJoin are read
-// here, once.
+// whether the step qualifies for the Stack-Tree pass. noStack (see
+// Options.NoStack) and DisableStackJoin are read here, once.
 func compile(q *query.Query, slots [][]int, order []int, noStack bool) (*program, error) {
 	preds := buildPredicates(q)
 	useStack := !noStack && !DisableStackJoin

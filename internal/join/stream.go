@@ -73,7 +73,7 @@ type Stream struct {
 	slots   [][]int  // each source's slots, for compiling
 	blocks  []table  // blocks[i]: the current tree's entries of srcs[i], a view into its buf
 	prog    *program // compiled up front under a planner order, else on the first block
-	noStack bool     // planner decision: skip the Stack-Tree fast path
+	noStack bool     // Options.NoStack: skip the Stack-Tree fast path
 	x       executor
 
 	buf  []Match // matches of the current tid, drained in order

@@ -4,11 +4,11 @@
 // (the decompose stage the paper's §5 describes), annotated with
 // per-piece cardinality estimates from build-time posting statistics,
 // a cost-based left-deep join order (smallest estimate first, with
-// slot-connectivity tie-breaking), and a per-query execution strategy
-// (stack vs. block vs. stream). Execution layers honor the order and
-// strategy but remain correct without them: a plan compiled without
-// statistics (an index whose manifest predates stats) degrades to the
-// legacy runtime-size ordering and structural dispatch.
+// slot-connectivity tie-breaking), and the execution strategy the
+// index's coding implies. Execution layers honor the order but remain
+// correct without it: a plan compiled without statistics (an index
+// whose manifest predates stats) degrades to the join layer's
+// runtime-size ordering.
 package planner
 
 import (
@@ -20,36 +20,28 @@ import (
 
 // UseSyntacticOrder is the planner's ablation switch: when set, New
 // pins the join order to the cover's construction (syntactic) order and
-// skips cost-based ordering and strategy selection. The skewed-corpus
+// skips cost-based ordering. The skewed-corpus
 // benchmark flips it to quantify what the statistics buy; nothing else
 // should.
 var UseSyntacticOrder bool
 
-// StreamEntriesThreshold is the estimated total posting-entry count
-// above which an unbounded query runs on the streaming join instead of
-// materializing every relation: past this point the block join's
-// up-front decode of all posting lists dominates its per-tree merge
-// advantage, and the stream's per-tid working set keeps memory flat.
-const StreamEntriesThreshold = 1 << 16
-
-// Strategy is the execution mode the planner chose for a query.
+// Strategy is the execution mode a query runs under. Every plan
+// evaluates as one drained match stream, so the coding alone decides
+// it.
 type Strategy uint8
 
-// Execution strategies, in the order the planner considers them.
+// Execution strategies.
 const (
-	// StrategyAuto is the zero value: no statistics were available, so
-	// execution falls back to the legacy structural dispatch.
-	StrategyAuto Strategy = iota
 	// StrategyFilter is the filter-and-validate path of filter-based
 	// coding (postings carry no node references to join on).
-	StrategyFilter
-	// StrategyStack joins with the Stack-Tree structural fast path where
-	// steps qualify, block-merging the rest.
-	StrategyStack
-	// StrategyBlock joins with per-tree block nested-loop merges.
+	StrategyFilter Strategy = iota + 1
+	// StrategyBlock is never chosen: the join kernel decides merge vs.
+	// Stack-Tree per step on its own. Declared only because the frozen
+	// benchmark (bench/layers.go) compares Plan.Strategy against it.
 	StrategyBlock
 	// StrategyStream joins incrementally, one tree at a time, without
-	// materializing relations.
+	// materializing relations — the root-split and subtree-interval
+	// codings' path.
 	StrategyStream
 )
 
@@ -59,8 +51,6 @@ func (s Strategy) String() string {
 	switch s {
 	case StrategyFilter:
 		return "filter"
-	case StrategyStack:
-		return "stack"
 	case StrategyBlock:
 		return "block"
 	case StrategyStream:
@@ -113,30 +103,33 @@ type Plan struct {
 	// slot-connected to the bound set. nil on uncosted plans, where
 	// execution falls back to runtime-size ordering.
 	Order []int
-	// Strategy is the execution mode chosen from the estimates;
-	// StrategyAuto on uncosted plans.
+	// Strategy is the execution mode the coding implies; set on
+	// uncosted plans too.
 	Strategy Strategy
 	// EstRows is the estimated distinct-match cardinality of the whole
 	// join — the smallest piece estimate, since every match embeds an
 	// occurrence of every piece. 0 on uncosted plans.
 	EstRows uint64
-	// Costed reports whether statistics were available: Est, Order,
-	// Strategy and EstRows are meaningful only when set.
+	// Costed reports whether statistics were available: Est, Order and
+	// EstRows are meaningful only when set.
 	Costed bool
 }
 
 // New decomposes q into cover pieces for an index with the given MSS
 // and coding, resolves each piece to its index key, slot mapping and
 // automorphisms, and — when stats is non-nil — annotates the pieces
-// with cardinality estimates, picks the join order and chooses the
-// execution strategy. stats == nil yields an uncosted plan with legacy
-// execution behavior.
+// with cardinality estimates and picks the join order. stats == nil
+// yields an uncosted plan, whose join order the join layer works out at
+// run time.
 func New(q *query.Query, mss int, coding postings.Coding, stats *Stats) (*Plan, error) {
 	covers, err := coverQuery(q, mss, coding == postings.RootSplit)
 	if err != nil {
 		return nil, err
 	}
-	pl := &Plan{Query: q}
+	pl := &Plan{Query: q, Strategy: StrategyStream}
+	if coding == postings.FilterBased {
+		pl.Strategy = StrategyFilter
+	}
 	for _, c := range covers {
 		for _, p := range c {
 			pat, slots, err := q.SubPattern(p.Nodes)
@@ -152,7 +145,7 @@ func New(q *query.Query, mss int, coding postings.Coding, stats *Stats) (*Plan, 
 	}
 	if UseSyntacticOrder {
 		// Ablation baseline: pin the syntactic order so execution cannot
-		// reorder at runtime, and keep the legacy dispatch.
+		// reorder at runtime.
 		pl.Order = identityOrder(len(pl.Pieces))
 		return pl, nil
 	}
@@ -163,22 +156,19 @@ func New(q *query.Query, mss int, coding postings.Coding, stats *Stats) (*Plan, 
 	return pl, nil
 }
 
-// cost annotates the plan with estimates, order and strategy.
+// cost annotates the plan with estimates and order.
 func (pl *Plan) cost(coding postings.Coding, stats *Stats) {
 	pl.Costed = true
-	var sum uint64
 	min := uint64(0)
 	for i := range pl.Pieces {
 		est := stats.Estimate(string(pl.Pieces[i].Key))
 		pl.Pieces[i].Est = est
-		sum += est
 		if i == 0 || est < min {
 			min = est
 		}
 	}
 	pl.EstRows = min
 	pl.Order = pl.costOrder(coding)
-	pl.Strategy = pl.chooseStrategy(coding, sum)
 }
 
 // identityOrder returns 0..n-1.
@@ -280,82 +270,6 @@ func (pl *Plan) costOrder(coding postings.Coding) []int {
 		take(best)
 	}
 	return order
-}
-
-// chooseStrategy picks the execution mode from the estimates and the
-// plan's structure. Filter-based coding has exactly one evaluation
-// algorithm; for the joining codings, an estimated input above
-// StreamEntriesThreshold streams (bounding memory and letting empty
-// trees skip cheaply), otherwise the plan is simulated step by step to
-// see whether the Stack-Tree fast path would drive any join step:
-// StrategyStack if so, StrategyBlock if every step is an equality-heavy
-// block merge.
-func (pl *Plan) chooseStrategy(coding postings.Coding, sumEst uint64) Strategy {
-	if coding == postings.FilterBased {
-		return StrategyFilter
-	}
-	if sumEst >= StreamEntriesThreshold && len(pl.Pieces) > 1 {
-		return StrategyStream
-	}
-	if pl.stackDrivable(coding) {
-		return StrategyStack
-	}
-	return StrategyBlock
-}
-
-// stackDrivable simulates the ordered join's steps with the same rules
-// the executor applies (shared slots become equality joins; predicates
-// activate when both endpoints are bound and one is newly bound) and
-// reports whether any step qualifies for the Stack-Tree fast path: no
-// shared slots and a parent/ancestor predicate crossing the two sides.
-func (pl *Plan) stackDrivable(coding postings.Coding) bool {
-	order := pl.Order
-	if order == nil {
-		order = identityOrder(len(pl.Pieces))
-	}
-	if len(order) < 2 {
-		return false
-	}
-	q := pl.Query
-	bound := map[int]bool{}
-	for _, s := range pl.Pieces[order[0]].boundSlots(coding) {
-		bound[s] = true
-	}
-	for _, pi := range order[1:] {
-		slots := pl.Pieces[pi].boundSlots(coding)
-		inR := map[int]bool{}
-		shared := 0
-		for _, s := range slots {
-			inR[s] = true
-			if bound[s] {
-				shared++
-			}
-		}
-		if shared == 0 && stackStep(q, bound, inR) {
-			return true
-		}
-		for _, s := range slots {
-			bound[s] = true
-		}
-	}
-	return false
-}
-
-// stackStep reports whether a parent/child or ancestor/descendant query
-// edge crosses the bound set and the incoming relation's new slots —
-// the driving predicate stackApplicable looks for.
-func stackStep(q *query.Query, bound, inR map[int]bool) bool {
-	for v := 1; v < q.Size(); v++ {
-		u := q.Nodes[v].Parent
-		// u above, v below; either side may be the incoming relation.
-		if bound[u] && inR[v] && !bound[v] {
-			return true
-		}
-		if bound[v] && inR[u] && !bound[u] {
-			return true
-		}
-	}
-	return false
 }
 
 // coverQuery computes per-component covers with the decomposition

@@ -37,8 +37,8 @@ func statsFor(entries map[string]uint64) *Stats {
 	return s
 }
 
-// TestNewUncosted asserts that a nil-stats compile yields the legacy
-// plan shape: pieces resolved but no order, no strategy, no estimates.
+// TestNewUncosted asserts that a nil-stats compile yields pieces and
+// the coding's strategy but no order and no estimates.
 func TestNewUncosted(t *testing.T) {
 	pl, err := New(mustParse(t, "A(B)(C)"), 1, postings.RootSplit, nil)
 	if err != nil {
@@ -47,9 +47,11 @@ func TestNewUncosted(t *testing.T) {
 	if pl.Costed {
 		t.Fatal("nil-stats plan reports Costed")
 	}
-	if pl.Order != nil || pl.Strategy != StrategyAuto || pl.EstRows != 0 {
-		t.Fatalf("uncosted plan carries cost annotations: order=%v strategy=%v est=%d",
-			pl.Order, pl.Strategy, pl.EstRows)
+	if pl.Order != nil || pl.EstRows != 0 {
+		t.Fatalf("uncosted plan carries cost annotations: order=%v est=%d", pl.Order, pl.EstRows)
+	}
+	if pl.Strategy != StrategyStream {
+		t.Fatalf("uncosted root-split plan has strategy %v, want stream", pl.Strategy)
 	}
 	if len(pl.Pieces) != 3 {
 		t.Fatalf("MSS=1 cover of a 3-node query has %d pieces, want 3", len(pl.Pieces))
@@ -111,49 +113,30 @@ func TestCostOrderSmallestFirst(t *testing.T) {
 	}
 }
 
-// TestChooseStrategy asserts the dispatch thresholds: filter coding is
-// always filter, a small costed join picks stack or block, and an
-// estimated input above StreamEntriesThreshold streams.
+// TestChooseStrategy asserts the strategy follows from the coding alone
+// — filter-based coding filters, the joining codings stream — whatever
+// the estimates and the piece count.
 func TestChooseStrategy(t *testing.T) {
-	q := mustParse(t, "A(B)(C)")
-	stats := statsFor(map[string]uint64{"A": 10, "B": 10, "C": 10})
-
-	pl, err := New(q, 1, postings.FilterBased, stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.Strategy != StrategyFilter {
-		t.Fatalf("filter coding chose %v", pl.Strategy)
-	}
-
-	pl, err = New(q, 1, postings.RootSplit, stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Root-split single-node pieces share no slots and join across
-	// parent/child edges: the Stack-Tree fast path applies.
-	if pl.Strategy != StrategyStack {
-		t.Fatalf("small root-split join chose %v, want stack", pl.Strategy)
-	}
-
-	heavy := statsFor(map[string]uint64{
-		"A": StreamEntriesThreshold, "B": StreamEntriesThreshold, "C": StreamEntriesThreshold,
-	})
-	pl, err = New(q, 1, postings.RootSplit, heavy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.Strategy != StrategyStream {
-		t.Fatalf("heavy join chose %v, want stream", pl.Strategy)
-	}
-
-	// A single-piece query never streams: there is no join to bound.
-	pl, err = New(mustParse(t, "A"), 1, postings.RootSplit, heavy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.Strategy == StrategyStream {
-		t.Fatal("single-piece plan chose stream")
+	heavy := statsFor(map[string]uint64{"A": 1 << 20, "B": 1 << 20, "C": 1 << 20})
+	for _, c := range []struct {
+		coding postings.Coding
+		want   Strategy
+	}{
+		{postings.FilterBased, StrategyFilter},
+		{postings.RootSplit, StrategyStream},
+		{postings.SubtreeInterval, StrategyStream},
+	} {
+		for _, src := range []string{"A(B)(C)", "A"} {
+			for _, stats := range []*Stats{nil, statsFor(map[string]uint64{"A": 10, "B": 10, "C": 10}), heavy} {
+				pl, err := New(mustParse(t, src), 1, c.coding, stats)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pl.Strategy != c.want {
+					t.Errorf("%v %q costed=%v: strategy %v, want %v", c.coding, src, pl.Costed, pl.Strategy, c.want)
+				}
+			}
+		}
 	}
 }
 

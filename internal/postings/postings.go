@@ -83,6 +83,11 @@ type NodeRef struct {
 // Take stay valid for the arena's lifetime (retired chunks are kept
 // alive by the entries referencing them); the arena itself is
 // per-cursor or per-query and must not be shared across goroutines.
+//
+// Query evaluation no longer carves from an arena — cursors serve one
+// scratch record and the join stream copies what it keeps. The type
+// stays declared only because the frozen benchmark's decode probes
+// (bench/layers.go) name it.
 type RefArena struct {
 	buf []NodeRef
 }

@@ -242,9 +242,8 @@ type StatsJSON struct {
 	// intermediate join rows produced. Limits push into the join, so a
 	// truncated query reports fewer rows than its unlimited run.
 	JoinRows uint64 `json:"join_rows"`
-	// Strategy is the execution strategy the planner chose (filter,
-	// stack, block or stream); present only with explain=1 on an index
-	// built with statistics.
+	// Strategy is the execution mode the query ran under: "filter" on
+	// a filter-coded index, "stream" otherwise.
 	Strategy string `json:"strategy,omitempty"`
 	// EstimatedRows is the planner's estimated match cardinality;
 	// present only with explain=1 on a costed plan.

@@ -426,10 +426,10 @@ func WithOffset(n int) SearchOption { return func(o *SearchOptions) { o.Offset =
 // Count is the one-call form.
 func WithCountOnly() SearchOption { return func(o *SearchOptions) { o.CountOnly = true } }
 
-// WithExplain asks the search to report how the planner executed it:
-// SearchStats gains the chosen strategy, the plan's estimated match
-// cardinality, and a per-piece table of estimated vs. actually decoded
-// posting entries (SearchStats.Pieces). Explain adds a per-piece
+// WithExplain asks the search to report how the plan executed: next to
+// the strategy and the plan's estimated match cardinality, which every
+// search reports, SearchStats gains a per-piece table of estimated vs.
+// actually decoded posting entries (SearchStats.Pieces). Explain adds a per-piece
 // counter to the hot path, so leave it off in production loops; it is
 // ignored by SearchBatch.
 func WithExplain() SearchOption { return func(o *SearchOptions) { o.Explain = true } }
@@ -453,10 +453,10 @@ func searchOptions(opts []SearchOption) SearchOptions {
 type SearchResult = core.Result
 
 // SearchStats are per-query execution statistics: posting fetches
-// issued, plan-cache hit, shards consulted, and whether the result was
-// truncated by a limit. With WithExplain they additionally carry the
-// planner's chosen strategy, estimated match cardinality and per-piece
-// estimates (see PieceStat).
+// issued, plan-cache hit, shards consulted, whether the result was
+// truncated by a limit, the execution strategy and the planner's
+// estimated match cardinality. With WithExplain they additionally carry
+// per-piece estimates (see PieceStat).
 type SearchStats = core.SearchStats
 
 // PieceStat is one cover piece's explain row: the piece's index key,
