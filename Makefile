@@ -37,10 +37,13 @@ bench-smoke:
 # BENCH_search.json (the full per-run artifact, not committed). The
 # committed BENCH_baseline.json holds only the guarded metrics of the
 # limited-search, sharded-query, batch and planner-skew benchmarks, of
-# the join layer's own (internal/join: JoinRun, JoinStream) and of
-# internal/postings' RootDecode — the fetch and join-row work counters
-# plus allocs/op and B/op (RootDecode's are zero, and a zero baseline
-# fails on any increase). benchjson diffs the new run against it and
+# the join layer's own (internal/join: JoinRun, JoinStream, and
+# StreamAlign at seek gaps of 1, 8, 64 and 512 entries) and of
+# internal/postings' RootDecode and RootBlock (the per-entry and the
+# batch decoder, the latter also over a real frequent key's list) — the
+# fetch and join-row work counters plus allocs/op and B/op (the decoders'
+# are zero, and a zero baseline fails on any increase). benchjson diffs
+# the new run against it and
 # fails on a >25% increase — or on a baseline matching nothing — so
 # both the early-termination counters and the zero-copy allocation
 # profile are gates, not just artifacts.
@@ -50,7 +53,7 @@ bench-smoke:
 # compounding silently — every baseline move is a visible commit.
 BENCH_TOLERANCE ?= 0.25
 BENCH_CMD = $(GO) test -run='^$$' \
-	-bench='SearchBatch|CountOnly|LimitedSearch|ShardedQuery|PlannerSkew|JoinRun|JoinStream|RootDecode' \
+	-bench='SearchBatch|CountOnly|LimitedSearch|ShardedQuery|PlannerSkew|JoinRun|JoinStream|StreamAlign|RootDecode|RootBlock' \
 	-benchmem -benchtime=1x . ./internal/join ./internal/postings
 bench-json:
 	$(BENCH_CMD) > bench.out
@@ -68,14 +71,16 @@ bench-baseline:
 	@echo rewrote BENCH_baseline.json — review its diff and commit it
 
 # Short fuzz pass over the byte-level decoders that face raw (possibly
-# hostile) file contents: posting-list iterators and the pager's
-# header/page reader. The committed testdata/fuzz corpora always replay
+# hostile) file contents: posting-list iterators (FuzzRootBlock holds
+# the batch root-split decoder to the per-entry one, record for record)
+# and the pager's header/page reader. The committed testdata/fuzz corpora always replay
 # in plain `go test`; this target additionally explores for a few
 # seconds per target, which is enough to catch gross regressions (a
 # panic or over-read lands within seconds on these tiny inputs).
 FUZZTIME ?= 10s
 fuzz-short:
 	$(GO) test -fuzz=FuzzPostingDecode -fuzztime=$(FUZZTIME) ./internal/postings/
+	$(GO) test -fuzz=FuzzRootBlock -fuzztime=$(FUZZTIME) ./internal/postings/
 	$(GO) test -fuzz=FuzzPageHeader -fuzztime=$(FUZZTIME) ./internal/pager/
 
 # Build the repository's vet tool.

@@ -54,10 +54,11 @@ var guardedMetrics = []string{"fetches/op", "joinrows/op", "allocs/op", "B/op"}
 // early-termination counters), the sharded-query and batch paths whose
 // allocation profile the zero-copy read path flattened, the planner's
 // skewed-corpus fetch/join-row savings, the join layer's own
-// benchmarks (join rows at fixed input cardinalities; the compiled
-// kernel's allocations, constant in the input size for a stream), and
-// the root-split decode loop's zero allocations.
-const defaultGuard = "LimitedSearch,ShardedQuery,SearchBatch,PlannerSkew,JoinRun,JoinStream,RootDecode"
+// benchmarks (join rows at fixed input cardinalities and, for the
+// stream's seek, at fixed gap lengths; the compiled kernel's
+// allocations, constant in the input size for a stream), and the
+// root-split decoders' zero allocations, per entry and per block.
+const defaultGuard = "LimitedSearch,ShardedQuery,SearchBatch,PlannerSkew,JoinRun,JoinStream,StreamAlign,RootDecode,RootBlock"
 
 // guardItems splits a comma-separated guard list into its non-empty
 // items (so a trailing comma is harmless).

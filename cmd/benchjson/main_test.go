@@ -203,6 +203,8 @@ func TestMatchesGuard(t *testing.T) {
 		"BenchmarkShardedQuery/shards=2",
 		"BenchmarkSearchBatch/shards=1",
 		"BenchmarkRootDecode",
+		"BenchmarkRootBlock/real/block",
+		"BenchmarkStreamAlign/gap=64",
 	} {
 		if !matchesGuard(name, defaultGuard) {
 			t.Fatalf("default guard misses %s", name)

@@ -8,28 +8,30 @@ import (
 	"repro/internal/postings"
 )
 
-// TestRootCursorNextAllocatesNothing locks in the streaming decode's
-// allocation profile: the cursor serves every entry through its one
-// scratch record (the join copies what it keeps), so pulling an entry
-// costs no allocation. Excluded under the race detector, which
-// instruments allocation.
-func TestRootCursorNextAllocatesNothing(t *testing.T) {
+// TestRootCursorBlockAllocatesNothing locks in the streaming decode's
+// allocation profile: the cursor decodes every block straight into the
+// caller's buffers and squeezes tombstoned postings out in place, so a
+// block costs no allocation, with or without tombstones. Excluded under
+// the race detector, which instruments allocation.
+func TestRootCursorBlockAllocatesNothing(t *testing.T) {
 	acc := postings.NewRootAccumulator(true)
 	const n = 4096
 	for i := uint32(0); i < n; i++ {
 		acc.Add(i/2, postings.NodeRef{Pre: i % 2, Post: 9, Level: i % 2, Order: i % 2})
 	}
-	c := &rootCursor{it: *postings.NewRootIterator(acc.Bytes())}
-	pulled := 0
-	allocs := testing.AllocsPerRun(n/2, func() {
-		if _, ok := c.Next(); ok {
-			pulled++
+	for _, dels := range []*TombSet{nil, newTombSet([]uint32{3, 4, 900, 2047})} {
+		c := &rootCursor{it: *postings.NewRootIterator(acc.Bytes()), dels: dels.Scan()}
+		tids, refs := make([]uint32, 0, 64), make([]postings.NodeRef, 0, 64)
+		pulled := 0
+		allocs := testing.AllocsPerRun(n/64, func() {
+			got, _ := c.NextBlock(tids, refs, cap(tids))
+			pulled += len(got)
+		})
+		if allocs != 0 {
+			t.Fatalf("tombstones=%d: rootCursor.NextBlock allocates %.2f objects per block, want 0", dels.Len(), allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("rootCursor.Next allocates %.2f objects per entry, want 0", allocs)
-	}
-	if pulled < n/2 {
-		t.Fatalf("pulled %d entries, want at least %d", pulled, n/2)
+		if want := n - 2*dels.Len(); pulled != want || c.Err() != nil {
+			t.Fatalf("tombstones=%d: pulled %d entries, want %d (err %v)", dels.Len(), pulled, want, c.Err())
+		}
 	}
 }

@@ -10,7 +10,8 @@ import (
 )
 
 // TestCorruptPostingCountIsAnError feeds every evaluation bound, on
-// every coding, posting values whose count prefix lies. An unchecked
+// every coding, posting values whose count prefix lies, and then values
+// cut inside their last record. An unchecked
 // 1<<62 once sized an allocation and panicked (makeslice: cap out of
 // range) inside a search goroutine net/http cannot recover — one
 // corrupt B+Tree value killed the server. The stream sizes nothing by
@@ -45,6 +46,23 @@ func TestCorruptPostingCountIsAnError(t *testing.T) {
 			_, _, _, err := leaf.evalPlan(context.Background(), pl, withCount(1<<62), ev.opts)
 			if err == nil || !strings.Contains(err.Error(), "corrupt posting count") {
 				t.Errorf("%v %s: count 1<<62 gave err %v, want a corrupt posting count error", coding, ev.name, err)
+			}
+		}
+		// A value cut inside its last record gets past the count check and
+		// must fail where it is decoded — the block decoder for root-split
+		// lists, the per-entry iterators for the other two codings. Every
+		// list is cut, so the one the evaluation reads to its end is too.
+		cut := func(k subtree.Key) ([]byte, bool, error) {
+			val, found, err := leaf.getPosting(k)
+			if err != nil || !found {
+				return val, found, err
+			}
+			return val[:len(val)-1], true, nil
+		}
+		for _, countOnly := range []bool{false, true} {
+			_, _, _, err := leaf.evalPlan(context.Background(), pl, cut, evalOpts{countOnly: countOnly})
+			if err == nil || !strings.Contains(err.Error(), "corrupt") {
+				t.Errorf("%v countOnly=%v: a truncated posting list gave err %v, want a corrupt-list error", coding, countOnly, err)
 			}
 		}
 	}

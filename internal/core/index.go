@@ -260,15 +260,15 @@ type evalOpts struct {
 	// rows and can never surface as a match.
 	dels *TombSet
 	// pieceReads, when non-nil, accumulates per-piece actual
-	// cardinalities (decoded posting entries, indexed like pl.Pieces) for
-	// explain output. The slice is shared across the concurrent leaf
+	// cardinalities (posting entries the evaluation consumed, indexed like
+	// pl.Pieces) for explain output. The slice is shared across the concurrent leaf
 	// evaluations of a sharded or segmented query, hence the atomics; it
 	// is only allocated when a caller asked for explain, so the normal
 	// path pays nothing.
 	pieceReads []atomic.Uint64
 }
 
-// notePieceRead credits n decoded entries to piece i for explain
+// notePieceRead credits n consumed entries to piece i for explain
 // output; a no-op when explain was not requested.
 func (ev *evalOpts) notePieceRead(i, n int) {
 	if ev.pieceReads != nil && i < len(ev.pieceReads) {
@@ -311,6 +311,14 @@ func (ix *Index) evalPlan(ctx context.Context, pl *Plan, get postingGetter, ev e
 	}
 	if err := ms.Err(); err != nil {
 		return nil, 0, 0, err
+	}
+	// Explain's per-piece actuals are the join stream's own logical
+	// positions, read once the drain has ended (the filter coding credits
+	// its pieces as it intersects them).
+	if js, ok := ms.(*join.Stream); ok && ev.pieceReads != nil {
+		for i := range pl.Pieces {
+			ev.notePieceRead(i, js.SourceRead(i))
+		}
 	}
 	return out, count, ms.Rows(), nil
 }
@@ -381,6 +389,7 @@ func (ix *Index) filterCandidates(ctx context.Context, pl *Plan, get postingGett
 		}
 		var tids []uint32
 		decoded := 0
+		dels := ev.dels.Scan()
 		it := postings.NewFilterIterator(payload)
 		for it.Next() {
 			// A filter posting list is unbounded; poll cancellation
@@ -391,7 +400,7 @@ func (ix *Index) filterCandidates(ctx context.Context, pl *Plan, get postingGett
 					return nil, err
 				}
 			}
-			if ev.dels.Has(it.TID()) {
+			if dels.Has(it.TID()) {
 				continue
 			}
 			tids = append(tids, it.TID())
@@ -474,8 +483,9 @@ func (ix *Index) lookupKeyLive(k subtree.Key, dels *TombSet) (int, error) {
 
 // liveCount decodes one key's posting payload and counts the records
 // whose tree survives dels.
-func (ix *Index) liveCount(payload []byte, dels *TombSet) (int, error) {
+func (ix *Index) liveCount(payload []byte, set *TombSet) (int, error) {
 	live := 0
+	dels := set.Scan()
 	switch ix.meta.Coding {
 	case postings.FilterBased:
 		it := postings.NewFilterIterator(payload)

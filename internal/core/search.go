@@ -111,7 +111,9 @@ type PieceStat struct {
 	Key string `json:"key"`
 	// Est is the planner's estimated entry count; 0 on uncosted plans.
 	Est uint64 `json:"est"`
-	// Actual is the number of posting entries decoded for the piece.
+	// Actual is the number of the piece's posting entries the evaluation
+	// consumed: those a one-at-a-time decode would have produced, not the
+	// few decoded ahead of the join into its window.
 	Actual uint64 `json:"actual"`
 }
 

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
+	"slices"
 
 	"repro/internal/join"
 	"repro/internal/match"
@@ -38,7 +38,8 @@ type matchStream interface {
 }
 
 // streamPlan builds the match stream of one compiled plan. Of ev only
-// dels and pieceReads apply — bounds are the consumer's business.
+// dels applies, and under the filter coding pieceReads — bounds, and a
+// join stream's per-piece reads, are the consumer's business.
 func (ix *Index) streamPlan(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) (matchStream, error) {
 	switch ix.meta.Coding {
 	case postings.RootSplit, postings.SubtreeInterval:
@@ -50,10 +51,11 @@ func (ix *Index) streamPlan(ctx context.Context, pl *Plan, get postingGetter, ev
 	}
 }
 
-// pieceCursor returns the lazily-decoding entry cursor of one plan
-// piece's posting blob, filtered by the leaf's tombstone set (dels may
-// be nil); found=false means the key is absent (the query cannot match
-// anywhere).
+// pieceCursor returns the lazily-decoding cursor of one plan piece's
+// posting blob — a batch cursor for root-split lists, a per-entry one
+// for subtree-interval lists — filtered by the leaf's tombstone set
+// (dels may be nil); found=false means the key is absent (the query
+// cannot match anywhere).
 func (ix *Index) pieceCursor(pp PlanPiece, get postingGetter, dels *TombSet) (join.StreamRelation, bool, error) {
 	payload, found, err := postingPayload(pp.Key, get, ix.meta.Coding)
 	if err != nil || !found {
@@ -62,11 +64,11 @@ func (ix *Index) pieceCursor(pp PlanPiece, get postingGetter, dels *TombSet) (jo
 	rel := join.StreamRelation{Name: string(pp.Key)}
 	switch ix.meta.Coding {
 	case postings.RootSplit:
-		c := &rootCursor{it: *postings.NewRootIterator(payload), dels: dels, slot: [1]int{pp.Root}}
-		rel.Slots, rel.Cursor = c.slot[:], c
+		c := &rootCursor{it: *postings.NewRootIterator(payload), dels: dels.Scan(), slot: [1]int{pp.Root}}
+		rel.Slots, rel.Blocks = c.slot[:], c
 	case postings.SubtreeInterval:
 		rel.Slots = pp.Slots
-		rel.Cursor = &intervalCursor{it: *postings.NewIntervalIterator(payload), perms: pp.Perms, pi: len(pp.Perms), dels: dels}
+		rel.Cursor = &intervalCursor{it: *postings.NewIntervalIterator(payload), perms: pp.Perms, pi: len(pp.Perms), dels: dels.Scan()}
 	default:
 		return join.StreamRelation{}, false, fmt.Errorf("core: stream with coding %v", ix.meta.Coding)
 	}
@@ -100,9 +102,6 @@ func (ix *Index) streamJoin(ctx context.Context, pl *Plan, get postingGetter, ev
 		if !found {
 			// A piece with no postings: no matches anywhere.
 			return emptyStream, nil
-		}
-		if ev.pieceReads != nil && pi < len(ev.pieceReads) {
-			rel.Cursor = &countCursor{inner: rel.Cursor, n: &ev.pieceReads[pi]}
 		}
 		rels[pi] = rel
 	}
@@ -184,52 +183,44 @@ func (s *filterStream) Err() error { return s.err }
 // Rows reports the trees validated so far.
 func (s *filterStream) Rows() int { return s.validated }
 
-// countCursor wraps an entry cursor so each decoded entry is tallied
-// into a per-piece explain counter; only attached when a caller asked
-// for explain output.
-type countCursor struct {
-	inner join.EntryCursor
-	n     *atomic.Uint64
-}
-
-// Next decodes the next entry, counting it.
-func (c *countCursor) Next() (postings.IntervalEntry, bool) {
-	e, ok := c.inner.Next()
-	if ok {
-		c.n.Add(1)
-	}
-	return e, ok
-}
-
-// Err reports the inner cursor's decode error, if any.
-func (c *countCursor) Err() error { return c.inner.Err() }
-
-// rootCursor adapts a root-split posting iterator to the join's entry
+// rootCursor adapts a root-split posting iterator to the join's batch
 // cursor: each posting becomes a one-column entry binding the piece
-// root. Postings of tombstoned trees are skipped before the join sees
-// them (dels may be nil). Every entry is served through the one scratch
-// record — valid until the next call to Next, which is all the cursor
-// contract promises (the stream copies what it keeps) — so decoding
-// allocates nothing. The iterator and the relation's one-slot list live
-// in the cursor, so a piece's whole set-up is this one object.
+// root, decoded a block at a time straight into the stream's window, so
+// decoding allocates nothing and copies nothing. Postings of tombstoned
+// trees are squeezed out of each decoded block before the join sees
+// them — tids only grow along a list, so one forward scan of the
+// tombstone set serves the whole list. The iterator and the relation's
+// one-slot list live in the cursor, so a piece's whole set-up is this
+// one object.
 type rootCursor struct {
-	it      postings.RootIterator
-	dels    *TombSet
-	scratch [1]postings.NodeRef
-	slot    [1]int // the piece root, backing the relation's Slots
+	it   postings.RootIterator
+	dels TombScan
+	slot [1]int // the piece root, backing the relation's Slots
 }
 
-// Next decodes the next surviving root-split posting.
-func (c *rootCursor) Next() (postings.IntervalEntry, bool) {
-	for c.it.Next() {
-		e := c.it.Entry()
-		if c.dels.Has(e.TID) {
-			continue
+// NextBlock decodes up to max further surviving postings onto the end
+// of tids and refs. A block whose every posting is tombstoned is decoded
+// over, not returned: appending nothing means the list has ended.
+func (c *rootCursor) NextBlock(tids []uint32, refs []postings.NodeRef, max int) ([]uint32, []postings.NodeRef) {
+	nt, nr := len(tids), len(refs)
+	tids, refs = slices.Grow(tids, max)[:nt+max], slices.Grow(refs, max)[:nr+max]
+	bt, br := tids[nt:], refs[nr:]
+	for {
+		n := c.it.NextBlock(bt, br)
+		kept := n
+		if len(c.dels.tids) > 0 {
+			kept = 0
+			for i, tid := range bt[:n] {
+				if !c.dels.Has(tid) {
+					bt[kept], br[kept] = tid, br[i]
+					kept++
+				}
+			}
 		}
-		c.scratch[0] = e.NodeRef
-		return postings.IntervalEntry{TID: e.TID, Nodes: c.scratch[:]}, true
+		if kept > 0 || n == 0 {
+			return tids[:nt+kept], refs[:nr+kept]
+		}
 	}
-	return postings.IntervalEntry{}, false
 }
 
 // Err reports the iterator's decode error, if any.
@@ -249,7 +240,7 @@ func (c *rootCursor) Err() error { return c.it.Err() }
 type intervalCursor struct {
 	it      postings.IntervalIterator
 	perms   [][]int
-	dels    *TombSet
+	dels    TombScan
 	pi      int // next perm of the current instance to emit; >= len(perms) pulls a fresh instance
 	scratch []postings.NodeRef
 }

@@ -6,9 +6,11 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/corpusgen"
 	"repro/internal/join"
 	"repro/internal/lingtree"
 	"repro/internal/postings"
+	"repro/internal/workload"
 )
 
 // streamTestQueries mix single-piece, multi-piece, //-edge and
@@ -363,6 +365,270 @@ func TestLazyPermExpansionAgreesWithEager(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// refRootCursor is the per-entry reference the batch rootCursor is held
+// to: one posting per call through RootIterator.Next, tombstones by
+// point lookup, every entry served through one scratch record.
+type refRootCursor struct {
+	it      *postings.RootIterator
+	dels    *TombSet
+	scratch [1]postings.NodeRef
+}
+
+func (c *refRootCursor) Next() (postings.IntervalEntry, bool) {
+	for c.it.Next() {
+		e := c.it.Entry()
+		if c.dels.Has(e.TID) {
+			continue
+		}
+		c.scratch[0] = e.NodeRef
+		return postings.IntervalEntry{TID: e.TID, Nodes: c.scratch[:]}, true
+	}
+	return postings.IntervalEntry{}, false
+}
+
+func (c *refRootCursor) Err() error { return c.it.Err() }
+
+// TestExplainActualsMatchPerEntryReference pins the work a search
+// reports on a leaf with tombstones — SearchStats.JoinRows and explain's
+// per-piece actual — to a join stream fed one entry at a time by the
+// reference cursor over the same posting blobs and stopped after the
+// same number of matches, for a full evaluation and under limit=10. The
+// production path decodes blocks ahead of the join and filters
+// tombstones per block; none of that read-ahead may show in the
+// counters, and the matches must be the reference's.
+func TestExplainActualsMatchPerEntryReference(t *testing.T) {
+	ctx := context.Background()
+	l := openLive(t, shardCorpus(1500), 1, OpenOptions{})
+	const q0 = "NP(DT)(NN)"
+	before, err := l.Search(ctx, q0, SearchOpts{CountOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dead []int
+	for tid := 0; tid < 1500; tid++ {
+		if tid%7 == 0 || (tid >= 100 && tid < 180) { // a scatter and a run longer than a window
+			dead = append(dead, tid)
+		}
+	}
+	if _, err := l.Delete(ctx, dead); err != nil {
+		t.Fatal(err)
+	}
+	set := l.cur.Load().set
+	leaf, dels := set.leaves[0], set.del(0)
+	if after, err := l.Search(ctx, q0, SearchOpts{CountOnly: true}); err != nil || after.Count >= before.Count || dels.Len() != len(dead) {
+		t.Fatalf("vacuous fixture: %d matches before the delete, %d after (err %v), %d tombstones", before.Count, after.Count, err, dels.Len())
+	}
+	for _, src := range []string{q0, "NP", "S(NP(DT)(NN))(VP(VBZ)(NP))", "S(NP)(VP(VBD)(NP)(PP(IN)(NP)))", "NP(NP(NN))(PP(IN)(NP(NNP)))"} {
+		pl, _, err := l.plans.planText(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, limit := range []int{0, 10} {
+			res, err := l.Search(ctx, src, SearchOpts{Limit: limit, Explain: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Matches) < 10 {
+				t.Fatalf("%s: %d matches; the fixture needs more than the limit", src, len(res.Matches))
+			}
+			rels := make([]join.StreamRelation, len(pl.Pieces))
+			for i, pp := range pl.Pieces {
+				payload, found, err := postingPayload(pp.Key, leaf.getPosting, postings.RootSplit)
+				if err != nil || !found {
+					t.Fatalf("%s piece %q: found=%v err=%v", src, pp.Key, found, err)
+				}
+				rels[i] = join.StreamRelation{Name: string(pp.Key), Slots: []int{pp.Root},
+					Cursor: &refRootCursor{it: postings.NewRootIterator(payload), dels: dels}}
+			}
+			ref, err := join.NewStreamOpts(ctx, pl.Query, rels, join.Options{Order: pl.Order})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []Match
+			for limit == 0 || len(want) <= limit { // a bounded evaluation pulls one match past its window
+				m, ok := ref.Next()
+				if !ok {
+					break
+				}
+				want = append(want, m)
+			}
+			if ref.Err() != nil {
+				t.Fatal(ref.Err())
+			}
+			if limit > 0 {
+				want = want[:min(limit, len(want))]
+			}
+			if !slices.Equal(res.Matches, want) {
+				t.Errorf("%s limit=%d: %d matches, per-entry reference %d", src, limit, len(res.Matches), len(want))
+			}
+			if res.Stats.JoinRows != uint64(ref.Rows()) {
+				t.Errorf("%s limit=%d: JoinRows %d, per-entry reference %d", src, limit, res.Stats.JoinRows, ref.Rows())
+			}
+			for i, p := range res.Stats.Pieces {
+				if p.Actual != uint64(ref.SourceRead(i)) {
+					t.Errorf("%s limit=%d piece %q: actual %d, per-entry reference %d", src, limit, p.Key, p.Actual, ref.SourceRead(i))
+				}
+			}
+			if len(res.Stats.Pieces) != len(pl.Pieces) {
+				t.Errorf("%s limit=%d: %d piece records for %d pieces", src, limit, len(res.Stats.Pieces), len(pl.Pieces))
+			}
+		}
+	}
+}
+
+// seekGaps replays the join stream's seek pattern over the tid lists of
+// one plan's pieces — heads aligned leapfrog-fashion on the next common
+// tid, each tree's run then passed over — and adds to hist how far each
+// seek moved a lagging list: hist[g] counts the seeks that stepped over g
+// entries. The replay stops once the tree stop has been gathered (the
+// tree holding a bounded evaluation's last match), or when a list ends.
+func seekGaps(lists [][]uint32, stop uint32, hist map[int]int) {
+	pos := make([]int, len(lists))
+	for {
+		if pos[0] == len(lists[0]) {
+			return
+		}
+		target := lists[0][pos[0]]
+		for raised := true; raised; {
+			raised = false
+			for i, l := range lists {
+				from := pos[i]
+				for pos[i] < len(l) && l[pos[i]] < target {
+					pos[i]++
+				}
+				if pos[i] > from {
+					hist[pos[i]-from]++
+				}
+				if pos[i] == len(l) {
+					return
+				}
+				if l[pos[i]] > target {
+					target, raised = l[pos[i]], true
+				}
+			}
+		}
+		for i, l := range lists {
+			for pos[i] < len(l) && l[pos[i]] == target {
+				pos[i]++
+			}
+		}
+		if target >= stop {
+			return
+		}
+	}
+}
+
+// TestSeekGapTable measures what a skip header over fixed-size posting
+// blocks could save, on the benchmark's three kinds of traffic: the WH
+// queries drained, lexical FB queries drained, and both under limit=10.
+// A header lets a seek pass over whole blocks without decoding them, so
+// it only helps the entries that lie in gaps of at least a block; the
+// table (printed under -v; ARCHITECTURE.md quotes it) shows that on the
+// WH queries nearly all stepped-over entries lie in gaps far shorter
+// than the 128 entries ROADMAP item 3 proposed, and on no traffic the
+// two thirds its "3x fewer decoded entries" would need — which is why
+// decoding got cheaper per entry instead.
+func TestSeekGapTable(t *testing.T) {
+	ctx := context.Background()
+	trees := corpusgen.New(1).Trees(4000)
+	l := openLive(t, trees, 1, OpenOptions{})
+	leaf := l.cur.Load().set.leaves[0]
+
+	var wh, fb []string
+	for _, g := range workload.WHGroups {
+		for _, q := range workload.WHQuerySet()[g] {
+			wh = append(wh, q.String())
+		}
+	}
+	gen, lc := corpusgen.New(1), workload.NewLabelClassifier(trees[:2000])
+	var held []*lingtree.Tree
+	for i := 0; i < 400; i++ {
+		held = append(held, gen.Tree(1<<20+i))
+	}
+	seen, fb70 := map[string]bool{}, 0
+	for draw := uint64(0); draw < 8; draw++ {
+		if draw == 1 {
+			fb70 = len(fb) // the first draw: one query per class and size
+		}
+		set := workload.FBQuerySet(lc, held, 1_000_003+draw)
+		for _, cls := range workload.FBClasses {
+			for _, q := range set[cls] {
+				if c := q.Canonical(); !seen[c] {
+					seen[c] = true
+					fb = append(fb, q.String())
+				}
+			}
+		}
+	}
+
+	measure := func(queries []string, limit int) (meanGap, longShare float64) {
+		hist := map[int]int{}
+		for _, src := range queries {
+			pl, _, err := l.plans.planText(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stop := ^uint32(0)
+			if limit > 0 {
+				ms, _, _, err := leaf.evalPlan(ctx, pl, leaf.getPosting, evalOpts{target: limit})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ms) > limit {
+					stop = ms[limit].TID
+				}
+			}
+			lists := make([][]uint32, len(pl.Pieces))
+			for i, pp := range pl.Pieces {
+				payload, found, err := postingPayload(pp.Key, leaf.getPosting, postings.RootSplit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !found {
+					lists = nil // an absent piece: the query reads nothing
+					break
+				}
+				for it := postings.NewRootIterator(payload); it.Next(); {
+					lists[i] = append(lists[i], it.Entry().TID)
+				}
+			}
+			if lists != nil {
+				seekGaps(lists, stop, hist)
+			}
+		}
+		seeks, stepped, long := 0, 0, 0
+		for gap, n := range hist {
+			seeks += n
+			stepped += gap * n
+			if gap >= 128 {
+				long += gap * n
+			}
+		}
+		if seeks == 0 {
+			t.Fatal("no seek moved a list: vacuous query set")
+		}
+		return float64(stepped) / float64(seeks), float64(long) / float64(stepped)
+	}
+	t.Logf("%-22s %9s %26s", "traffic", "mean gap", "entries in gaps >= 128")
+	for _, row := range []struct {
+		name    string
+		queries []string
+		limit   int
+	}{
+		{"WH, drained", wh, 0},
+		{"FB lexical, drained", fb, 0},
+		{"WH + FB-70, limit=10", append(slices.Clone(wh), fb[:fb70]...), 10},
+	} {
+		mean, long := measure(row.queries, row.limit)
+		t.Logf("%-22s %9.1f %25.1f%%", row.name, mean, 100*long)
+		// Decoding 3x fewer entries takes two thirds of them in long gaps.
+		if long >= 2.0/3 {
+			t.Errorf("%s: %.0f%% of stepped-over entries lie in gaps >= 128 (mean gap %.1f): skip headers could now cut decoding 3x, revisit ARCHITECTURE.md's note",
+				row.name, 100*long, mean)
 		}
 	}
 }

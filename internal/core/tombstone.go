@@ -49,6 +49,50 @@ func (t *TombSet) Has(tid uint32) bool {
 	return i < n && t.tids[i] == tid
 }
 
+// Scan returns a forward-only membership cursor over the set, for the
+// decode loops, which all probe in ascending tid order: each probe
+// resumes where the previous one stopped instead of searching the whole
+// set again. Safe on a nil set, whose scan holds nothing.
+func (t *TombSet) Scan() TombScan {
+	if t == nil {
+		return TombScan{}
+	}
+	return TombScan{tids: t.tids}
+}
+
+// TombScan answers membership in a TombSet for a non-decreasing
+// sequence of probes (a repeated tid is fine). The zero value is the
+// scan of the empty set.
+type TombScan struct {
+	tids []uint32 // the set's tids at or after the last probe
+}
+
+// Has reports whether tid is tombstoned. tid must not be smaller than
+// any earlier probe of this scan. Tombstones below tid are dropped from
+// the front — galloping, so a probe far ahead costs the logarithm of
+// the distance, and a probe next to the last one a single compare.
+func (s *TombScan) Has(tid uint32) bool {
+	t := s.tids
+	if len(t) == 0 || t[0] > tid {
+		return false
+	}
+	// Invariant: every tid before t[lo] is < tid; t[hi], if any, is >= tid.
+	lo, hi := 0, 1
+	for hi < len(t) && t[hi] < tid {
+		lo, hi = hi+1, 2*hi+1
+	}
+	hi = min(hi, len(t))
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); t[mid] < tid {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	s.tids = t[lo:]
+	return lo < len(t) && t[lo] == tid
+}
+
 // Len returns the number of tombstoned tids; 0 on a nil set.
 func (t *TombSet) Len() int {
 	if t == nil {

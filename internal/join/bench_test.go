@@ -105,3 +105,49 @@ func BenchmarkJoinStream(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStreamAlign times the stream's seek in each gap regime: the
+// query A(B) where relation A has an entry in every gap-th tree and
+// relation B one in every tree, so aligning on each of A's trees steps B
+// over gap entries — one at gap=1, most of a window at gap=64, several
+// whole windows at gap=512. Input arrives through a batch cursor over
+// flat arrays, so what is timed is the stream's own window scan, refill
+// and block hand-over, in ns per entry of B.
+func BenchmarkStreamAlign(b *testing.B) {
+	q := query.MustParse("A(B)")
+	const n = 1 << 17 // entries of B
+	for _, gap := range []int{1, 8, 64, 512} {
+		rels := benchRelations(n, 1) // B: one child in every tree
+		var sparse []postings.IntervalEntry
+		for i := 0; i < n; i += gap {
+			sparse = append(sparse, rels[0].Entries[i])
+		}
+		rels[0].Entries = sparse // A: a root in every gap-th tree
+		b.Run(fmt.Sprintf("gap=%d", gap), func(b *testing.B) {
+			b.ReportAllocs()
+			ca, cb := newFlatCursor(rels[0].Entries), newFlatCursor(rels[1].Entries)
+			b.ResetTimer()
+			var s *Stream
+			for i := 0; i < b.N; i++ {
+				var err error
+				ca.i, cb.i = 0, 0
+				s, err = NewStreamOpts(context.Background(), q, []StreamRelation{
+					{Name: "A", Slots: rels[0].Slots, Blocks: ca},
+					{Name: "B", Slots: rels[1].Slots, Blocks: cb},
+				}, Options{Order: []int{0, 1}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				got := 0
+				for _, ok := s.Next(); ok; _, ok = s.Next() {
+					got++
+				}
+				if got != len(sparse) || s.Err() != nil {
+					b.Fatalf("%d matches, want %d (err %v)", got, len(sparse), s.Err())
+				}
+			}
+			b.ReportMetric(float64(s.Rows()), "joinrows/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/entry")
+		})
+	}
+}

@@ -24,7 +24,11 @@
 // the merge vs. Stack-Tree decision are resolved to column indexes once
 // per evaluation (program.go), and the steps then run over flat rows in
 // two reused buffers, so steady-state evaluation allocates nothing per
-// row or per tree.
+// row or per tree. A Stream reads its relations through fixed-size
+// windows of flat tids and node records that batch cursors decode into
+// directly (BlockCursor; per-entry cursors are copied in by one
+// adapter), so stepping over an entry is a compare in a scan, and the
+// kernel joins views into the windows without copying them.
 package join
 
 import (

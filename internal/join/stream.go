@@ -23,15 +23,16 @@ import (
 // every entry it never needed — the in-shard half of limit pushdown,
 // complementing the cross-shard early termination in internal/core.
 
-// EntryCursor is a pull source of (tid, pre)-sorted posting entries —
-// the lazily-decoded counterpart of Relation.Entries. Next returns the
-// next entry until the list is exhausted or a decode error occurs;
-// Err distinguishes the two after Next returns false.
+// EntryCursor is a per-entry pull source of (tid, pre)-sorted posting
+// entries — the lazily-decoded counterpart of Relation.Entries. Next
+// returns the next entry until the list is exhausted or a decode error
+// occurs; Err distinguishes the two after Next returns false.
 //
 // An entry's Nodes need only stay valid until the next call to Next:
-// the stream copies the node records of every entry it keeps into its
-// own block buffer at pull time, so a cursor may decode into one
-// scratch slice for its whole life.
+// the stream copies them into the relation's window as it fills it (see
+// BlockCursor), so a cursor may decode into one scratch slice for its
+// whole life. A cursor that can produce many entries per call should
+// implement BlockCursor instead and skip that copy.
 type EntryCursor interface {
 	// Next returns the next entry in (tid, pre) order; ok reports
 	// whether one was produced.
@@ -40,25 +41,109 @@ type EntryCursor interface {
 	Err() error
 }
 
+// BlockCursor is the batch pull source the stream reads: each call
+// decodes many entries straight into the stream's own flat buffers, so
+// stepping over an entry costs the stream a compare, not a call.
+type BlockCursor interface {
+	// NextBlock appends up to max further entries, in (tid, pre) order,
+	// to tids and refs — one tid per entry and, for a cursor whose
+	// entries bind w nodes, w consecutive records per entry — and returns
+	// the extended slices. The stream passes slices with room for max
+	// entries, so a cursor that stays within max never reallocates them.
+	// Appending nothing means the list is exhausted or failed to decode;
+	// Err distinguishes the two, and NextBlock is not called again.
+	NextBlock(tids []uint32, refs []postings.NodeRef, max int) ([]uint32, []postings.NodeRef)
+	// Err reports the decode error that stopped NextBlock, if any.
+	Err() error
+}
+
 // StreamRelation is one lazily-decoded join input: Slots as in
-// Relation, entries pulled from Cursor on demand.
+// Relation, entries read from Blocks or, when that is nil, pulled from
+// Cursor one at a time.
 type StreamRelation struct {
 	Name   string      // for diagnostics: the piece's key
 	Slots  []int       // query node bound by each entry column
-	Cursor EntryCursor // (tid, pre)-sorted entry source
+	Cursor EntryCursor // per-entry (tid, pre)-sorted source; unused when Blocks is set
+	Blocks BlockCursor // batch (tid, pre)-sorted source
 }
 
-// source is one relation's pull state. buf holds the entries pulled
-// and not yet released, in flat form: while a block is gathered, the
-// current tree's entries followed by the head — the first entry of a
-// later tree — and between blocks just the head. The backing arrays
-// are reused for the stream's life.
+// window is how many entries a source's buffer holds before it has to
+// be refilled: large enough that the per-refill work — one cursor call,
+// one cancellation poll, the batch checks — vanishes per entry, small
+// enough that a bounded search decodes little it will not use and that
+// every window of a stream comes out of one small allocation. A source
+// whose single tree holds more entries than this grows its own buffer.
+const window = 32
+
+// source is one relation's input: a window of decoded entries in flat
+// form, refilled from the cursor a batch at a time. Entries before lo
+// are consumed; win.tids[lo] is the head, the next undelivered entry.
 type source struct {
 	name   string
+	cursor BlockCursor
+	plain  entryBlocks // cursor, for a relation that supplied only an EntryCursor
+	win    table
+	lo     int    // the head's index in win; win.len() when there is no head
+	base   int    // entries dropped off the front of win so far
+	last   uint32 // tid of the newest entry read, for the order check
+	eof    bool   // the cursor is exhausted or failed: no further refills
+}
+
+// live reports whether the source has a head.
+func (c *source) live() bool { return c.lo < len(c.win.tids) }
+
+// read is the source's logical position: how many entries have been its
+// head so far. Entries decoded ahead of the head sit in the window
+// uncounted, so the figure is exactly what a per-entry pull would have
+// decoded and does not depend on the window size.
+func (c *source) read() int {
+	n := c.base + c.lo
+	if c.live() {
+		n++
+	}
+	return n
+}
+
+// entryBlocks fills a window from a per-entry cursor — the one place an
+// EntryCursor is consumed, so relations with and without a batch decoder
+// share the stream's whole align/collect/join path.
+type entryBlocks struct {
 	cursor EntryCursor
-	buf    table
-	head   uint32 // tid of the head, the next undelivered entry; valid while live
-	live   bool   // buf ends in a head; false once the cursor is exhausted
+	stride int
+	err    error // an entry of the wrong width
+}
+
+// NextBlock pulls up to max entries and copies them out of the cursor's
+// scratch. Entries are a few records wide, so the copy is a loop: a
+// memmove call per entry costs more than the records it moves.
+func (a *entryBlocks) NextBlock(tids []uint32, refs []postings.NodeRef, max int) ([]uint32, []postings.NodeRef) {
+	nt, nr, w := len(tids), len(refs), a.stride
+	tids, refs = slices.Grow(tids, max)[:nt+max], slices.Grow(refs, max*w)[:nr+max*w]
+	k := 0
+	for ; k < max; k++ {
+		e, ok := a.cursor.Next()
+		if !ok {
+			break
+		}
+		if len(e.Nodes) != w {
+			a.err = fmt.Errorf("entry binds %d nodes, want %d", len(e.Nodes), w)
+			break
+		}
+		tids[nt+k] = e.TID
+		dst := refs[nr+k*w:][:w]
+		for j := range dst {
+			dst[j] = e.Nodes[j]
+		}
+	}
+	return tids[:nt+k], refs[:nr+k*w]
+}
+
+// Err reports the malformed entry or the cursor's own decode error.
+func (a *entryBlocks) Err() error {
+	if a.err != nil {
+		return a.err
+	}
+	return a.cursor.Err()
 }
 
 // Stream evaluates a join incrementally: Next emits the distinct
@@ -71,7 +156,7 @@ type Stream struct {
 
 	srcs    []source
 	slots   [][]int  // each source's slots, for compiling
-	blocks  []table  // blocks[i]: the current tree's entries of srcs[i], a view into its buf
+	blocks  []table  // blocks[i]: the current tree's entries of srcs[i], a view into its window
 	prog    *program // compiled up front under a planner order, else on the first block
 	noStack bool     // Options.NoStack: skip the Stack-Tree fast path
 	x       executor
@@ -79,10 +164,9 @@ type Stream struct {
 	buf  []Match // matches of the current tid, drained in order
 	bufI int
 
-	read int // entries pulled from cursors
-	rows int // read + rows produced by join steps
-	done bool
-	err  error
+	stepRows int // rows produced by join steps
+	done     bool
+	err      error
 }
 
 // NewStream validates the inputs and returns a stream positioned
@@ -97,17 +181,21 @@ func NewStream(ctx context.Context, q *query.Query, rels []StreamRelation) (*Str
 // opt.Order pins the per-tree join order, so the join is compiled here,
 // before the first entry is joined (without one it is compiled on the
 // first block, from that block's sizes), and opt.NoStack suppresses the
-// Stack-Tree fast path. Invalid orders are ignored, as in Run.
+// Stack-Tree fast path. Invalid orders are ignored, as in Run. Every
+// relation's window is carved from two arrays allocated here, so a
+// stream's set-up cost does not depend on the list lengths.
 func NewStreamOpts(ctx context.Context, q *query.Query, rels []StreamRelation, opt Options) (*Stream, error) {
 	if len(rels) == 0 {
 		return nil, fmt.Errorf("join: no relations")
 	}
 	slots := make([][]int, len(rels))
+	width := 0
 	for i, r := range rels {
 		if len(r.Slots) == 0 {
 			return nil, fmt.Errorf("join: relation %q has no slots", r.Name)
 		}
 		slots[i] = r.Slots
+		width += len(r.Slots)
 	}
 	if !slices.ContainsFunc(slots, func(ss []int) bool { return slices.Contains(ss, q.Root()) }) {
 		return nil, fmt.Errorf("join: query root is not bound by any relation")
@@ -128,16 +216,22 @@ func NewStreamOpts(ctx context.Context, q *query.Query, rels []StreamRelation, o
 		}
 		s.prog = prog
 	}
-	//silint:ignore ctxloop priming pulls exactly one entry per relation, bounded by the cover size, not the posting lists
+	tids := make([]uint32, window*len(rels))
+	refs := make([]postings.NodeRef, window*width)
 	for i, r := range rels {
-		s.srcs[i] = source{name: r.Name, cursor: r.Cursor, buf: table{stride: len(r.Slots)}}
-		s.blocks[i].stride = len(r.Slots)
-		if s.done {
-			continue // a source is already known empty: nothing can match
+		c := &s.srcs[i]
+		stride := len(r.Slots)
+		c.name, c.cursor = r.Name, r.Blocks
+		if c.cursor == nil {
+			c.plain = entryBlocks{cursor: r.Cursor, stride: stride}
+			c.cursor = &c.plain
 		}
-		if !s.pull(i) {
-			// One source is empty (or corrupt): no tree can match, so
-			// the remaining cursors are not even primed.
+		c.win = table{tids: tids[:0:window], refs: refs[: 0 : window*stride], stride: stride}
+		tids, refs = tids[window:], refs[window*stride:]
+		s.blocks[i].stride = stride
+		// Prime the head. Once one source is known empty (or corrupt) no
+		// tree can match, so the remaining cursors are not even read.
+		if !s.done && !s.refill(c) {
 			s.done = true
 		}
 	}
@@ -165,66 +259,82 @@ func (s *Stream) Next() (Match, bool) {
 func (s *Stream) Err() error { return s.err }
 
 // Rows reports join work so far, measured exactly as Info.Rows: cursor
-// entries decoded plus intermediate rows produced by join steps.
-func (s *Stream) Rows() int { return s.rows }
+// entries read plus intermediate rows produced by join steps.
+func (s *Stream) Rows() int { return s.EntriesRead() + s.stepRows }
 
-// EntriesRead reports how many posting entries have been decoded so
+// EntriesRead reports how many posting entries the join has consumed so
 // far — the stream's share of Rows attributable to input, the measure
-// core reports as postings fetched for bounded evaluations.
-func (s *Stream) EntriesRead() int { return s.read }
+// core reports as postings fetched for bounded evaluations. It is the
+// sum of SourceRead over the relations.
+func (s *Stream) EntriesRead() int {
+	n := 0
+	for i := range s.srcs {
+		n += s.srcs[i].read()
+	}
+	return n
+}
 
-// next advances source i's cursor to its next entry, which becomes the
-// head, and returns it — valid, like any cursor entry, until the
-// following call. The entry is counted as read but not yet buffered
-// (see keep). ok is false when the source is exhausted or failed (s.err
-// is set on failure, which includes an entry of the wrong width or a
-// tid that runs backwards — the join relies on both).
-func (s *Stream) next(i int) (e postings.IntervalEntry, ok bool) {
-	c := &s.srcs[i]
-	e, ok = c.cursor.Next()
-	if !ok {
-		c.live = false
-		if err := c.cursor.Err(); err != nil && s.err == nil {
+// SourceRead reports how many entries of relation i the join has
+// consumed so far: those that have been the relation's head, which is
+// what a per-entry pull would have decoded — entries decoded ahead of
+// the head into the window do not count. Explain output reports it as a
+// piece's actual cardinality.
+func (s *Stream) SourceRead(i int) int { return s.srcs[i].read() }
+
+// refill reads the next batch of c's cursor into its window and reports
+// whether any entry arrived; false means the source is exhausted or the
+// stream failed (s.err). The entries from the head on are kept — moved
+// to the window's front — and everything before it is dropped, so views
+// into the window taken earlier are dead after this call. A window
+// already full of kept entries (one tree's block outgrew it) doubles.
+// This is also where the stream observes cancellation while it seeks or
+// gathers: once per batch.
+func (s *Stream) refill(c *source) bool {
+	if c.eof || s.err != nil {
+		return false
+	}
+	if err := s.ctx.Err(); err != nil {
+		s.err = err
+		return false
+	}
+	w := &c.win
+	kept := copy(w.tids, w.tids[c.lo:])
+	copy(w.refs, w.refs[c.lo*w.stride:])
+	c.base += c.lo
+	c.lo = 0
+	w.tids, w.refs = w.tids[:kept], w.refs[:kept*w.stride]
+	if kept == cap(w.tids) {
+		w.tids = slices.Grow(w.tids, kept)
+		w.refs = slices.Grow(w.refs, kept*w.stride)
+	}
+	tids, refs := c.cursor.NextBlock(w.tids, w.refs, min(cap(w.tids), cap(w.refs)/w.stride)-kept)
+	if len(tids) == kept {
+		c.eof = true
+		if err := c.cursor.Err(); err != nil {
 			s.err = fmt.Errorf("join: relation %q: %w", c.name, err)
 		}
-		return e, false
+		return false
 	}
-	if len(e.Nodes) != c.buf.stride {
-		return e, s.fail(c, fmt.Errorf("join: relation %q: entry binds %d nodes, want %d", c.name, len(e.Nodes), c.buf.stride))
+	// The join relies on two properties of its input; both are checked
+	// here, once per batch, before any of it becomes a head.
+	if len(refs) != len(tids)*w.stride {
+		c.eof = true
+		s.err = fmt.Errorf("join: relation %q: block of %d entries binds %d nodes, want %d each",
+			c.name, len(tids)-kept, len(refs)-kept*w.stride, w.stride)
+		return false
 	}
-	if c.live && e.TID < c.head {
-		return e, s.fail(c, fmt.Errorf("join: relation %q is not tid-sorted", c.name))
+	last := c.last
+	for _, tid := range tids[kept:] {
+		if tid < last {
+			c.eof = true
+			s.err = fmt.Errorf("join: relation %q is not tid-sorted", c.name)
+			return false
+		}
+		last = tid
 	}
-	c.head, c.live = e.TID, true
-	s.read++
-	s.rows++
-	return e, true
-}
-
-// keep copies e's node records onto the end of the source's buffer:
-// the copy-at-pull that lets cursors reuse their scratch.
-func (c *source) keep(e postings.IntervalEntry) {
-	c.buf.tids = append(c.buf.tids, e.TID)
-	c.buf.refs = append(c.buf.refs, e.Nodes...)
-}
-
-// pull advances source i and buffers the new head behind the entries
-// already held.
-func (s *Stream) pull(i int) bool {
-	e, ok := s.next(i)
-	if ok {
-		s.srcs[i].keep(e)
-	}
-	return ok
-}
-
-// fail ends source c on a malformed entry.
-func (s *Stream) fail(c *source, err error) bool {
-	c.live = false
-	if s.err == nil {
-		s.err = err
-	}
-	return false
+	c.last = last
+	w.tids, w.refs = tids, refs
+	return true
 }
 
 // fill advances to the next tid present in every source and joins its
@@ -244,9 +354,7 @@ func (s *Stream) fill() {
 		if !s.collect(tid) {
 			return // a cursor failed mid-block
 		}
-		err := s.joinBlock()
-		s.release()
-		if err != nil {
+		if err := s.joinBlock(); err != nil {
 			s.err = err
 			return
 		}
@@ -257,45 +365,26 @@ func (s *Stream) fill() {
 	}
 }
 
-// align advances the cursors until every head carries the same tid —
-// the next tree that can possibly match — and returns it. Between
-// blocks each source's buffer holds just its head; entries a seek skips
-// are never copied, only the head it stops on replaces the old one.
+// align advances the heads until every one carries the same tid — the
+// next tree that can possibly match — and returns it.
 func (s *Stream) align() (uint32, bool) {
 	for i := range s.srcs {
-		if !s.srcs[i].live {
+		if !s.srcs[i].live() {
 			s.done = true
 			return 0, false
 		}
 	}
-	target := s.srcs[0].head
+	target := s.srcs[0].win.tids[s.srcs[0].lo] // source 0's head
 	for {
 		raised := false
 		for i := range s.srcs {
-			c := &s.srcs[i]
-			if c.head < target {
-				var e postings.IntervalEntry
-				for ok := true; c.head < target; {
-					// This seek can decode a whole relation between
-					// fill's per-block polls, so observe cancellation
-					// here too, amortized to one poll per 256 entries.
-					if s.read&255 == 0 {
-						if err := s.ctx.Err(); err != nil {
-							s.err = err
-							s.done = true
-							return 0, false
-						}
-					}
-					if e, ok = s.next(i); !ok {
-						s.done = true
-						return 0, false
-					}
-				}
-				c.buf.reset(c.buf.stride)
-				c.keep(e)
+			head, ok := s.seek(&s.srcs[i], target)
+			if !ok {
+				s.done = true
+				return 0, false
 			}
-			if c.head > target {
-				target = c.head
+			if head > target {
+				target = head
 				raised = true
 			}
 		}
@@ -305,49 +394,58 @@ func (s *Stream) align() (uint32, bool) {
 	}
 }
 
-// collect gathers each source's entries for tid behind its head,
-// leaving the heads on the first entry of a later tree, and points
-// blocks at the gathered runs.
+// seek moves c's head to its first entry of tree target or later and
+// returns that entry's tid: a scan over the window's flat tids that
+// refills when it runs off the end (a window that ends below the target
+// is passed over without the scan). ok is false when the source is
+// exhausted or the stream failed.
+func (s *Stream) seek(c *source, target uint32) (head uint32, ok bool) {
+	for {
+		tids, lo := c.win.tids, c.lo
+		if n := len(tids); n > 0 && tids[n-1] < target {
+			lo = n
+		}
+		for lo < len(tids) && tids[lo] < target {
+			lo++
+		}
+		c.lo = lo
+		if lo < len(tids) {
+			return tids[lo], true
+		}
+		if !s.refill(c) {
+			return 0, false
+		}
+	}
+}
+
+// collect points blocks at each source's run of entries for tid and
+// moves the heads past them, onto the first entry of a later tree. A run
+// that reaches the window's end may continue in the next batch, so the
+// window is refilled — keeping the run — until a later tree or the end
+// of the list shows.
 func (s *Stream) collect(tid uint32) bool {
 	for i := range s.srcs {
 		c := &s.srcs[i]
-		for c.live && c.head == tid {
-			// A heavy tree's block is unbounded; poll cancellation at
-			// the same amortized cadence as align's seek loop.
-			if s.read&255 == 0 {
-				if err := s.ctx.Err(); err != nil {
-					s.err = err
-					break
-				}
+		hi := c.lo
+		for {
+			tids := c.win.tids
+			for hi < len(tids) && tids[hi] == tid {
+				hi++
 			}
-			s.pull(i)
+			if hi < len(tids) || c.eof {
+				break
+			}
+			run := hi - c.lo
+			if !s.refill(c) && s.err != nil {
+				return false
+			}
+			hi = run // refill moved the run to the window's front
 		}
-		if s.err != nil {
-			return false
-		}
-		n := c.buf.len()
-		if c.live {
-			n-- // the head belongs to a later tree
-		}
-		s.blocks[i].tids, s.blocks[i].refs = c.buf.tids[:n], c.buf.refs[:n*c.buf.stride]
+		w := &c.win
+		s.blocks[i].tids, s.blocks[i].refs = w.tids[c.lo:hi], w.refs[c.lo*w.stride:hi*w.stride]
+		c.lo = hi
 	}
 	return true
-}
-
-// release drops the joined block from every source, moving each head
-// (if any) to the front of its buffer.
-func (s *Stream) release() {
-	for i := range s.srcs {
-		c := &s.srcs[i]
-		n := len(s.blocks[i].tids)
-		if !c.live {
-			c.buf.reset(c.buf.stride)
-			continue
-		}
-		c.buf.tids[0] = c.buf.tids[n]
-		copy(c.buf.refs, c.buf.row(n))
-		c.buf.tids, c.buf.refs = c.buf.tids[:1], c.buf.refs[:c.buf.stride]
-	}
 }
 
 // joinBlock runs the compiled join over the current single-tid blocks,
@@ -373,7 +471,7 @@ func (s *Stream) joinBlock() error {
 		}
 	}
 	final, rows, err := s.x.run(s.prog, s.blocks)
-	s.rows += rows
+	s.stepRows += rows
 	if err != nil {
 		return err
 	}

@@ -3,9 +3,11 @@ package join
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/postings"
@@ -260,30 +262,95 @@ func TestStreamSurfacesCursorError(t *testing.T) {
 	}
 }
 
+// flatCursor is a BlockCursor over entries held the way a batch decoder
+// produces them — flat tids and node records — so handing over a batch
+// is two copies. Each call hands over at most batch() entries (nil: as
+// many as asked for), so tests choose where batches, and therefore
+// window refills, fall.
+type flatCursor struct {
+	tids   []uint32
+	refs   []postings.NodeRef
+	stride int
+	i      int // next entry
+	batch  func() int
+}
+
+// newFlatCursor flattens materialized entries of one width.
+func newFlatCursor(entries []postings.IntervalEntry) *flatCursor {
+	c := &flatCursor{}
+	for _, e := range entries {
+		c.tids, c.refs, c.stride = append(c.tids, e.TID), append(c.refs, e.Nodes...), len(e.Nodes)
+	}
+	return c
+}
+
+func (c *flatCursor) NextBlock(tids []uint32, refs []postings.NodeRef, max int) ([]uint32, []postings.NodeRef) {
+	if c.batch != nil {
+		max = min(max, c.batch())
+	}
+	end := min(c.i+max, len(c.tids))
+	tids, refs = append(tids, c.tids[c.i:end]...), append(refs, c.refs[c.i*c.stride:end*c.stride]...)
+	c.i = end
+	return tids, refs
+}
+func (c *flatCursor) Err() error { return nil }
+
 // cancellingCursor yields its inner entries and cancels a context after
-// a fixed number of pulls, simulating a caller abandoning the query
-// while a cursor is mid-decode.
+// a fixed number of them, simulating a caller abandoning the query while
+// a cursor is mid-decode. It serves both cursor contracts: per entry
+// through Next, or in batches through NextBlock.
 type cancellingCursor struct {
-	inner  EntryCursor
+	inner  *flatCursor
 	after  int
 	n      int
 	cancel context.CancelFunc
 }
 
 func (c *cancellingCursor) Next() (postings.IntervalEntry, bool) {
-	c.n++
-	if c.n == c.after {
+	in := c.inner
+	if in.i >= len(in.tids) {
+		return postings.IntervalEntry{}, false
+	}
+	e := postings.IntervalEntry{TID: in.tids[in.i], Nodes: in.refs[in.i*in.stride : (in.i+1)*in.stride]}
+	in.i++
+	c.tick(1)
+	return e, true
+}
+
+func (c *cancellingCursor) NextBlock(tids []uint32, refs []postings.NodeRef, max int) ([]uint32, []postings.NodeRef) {
+	before := len(tids)
+	tids, refs = c.inner.NextBlock(tids, refs, max)
+	c.tick(len(tids) - before)
+	return tids, refs
+}
+
+func (c *cancellingCursor) tick(entries int) {
+	if c.n < c.after && c.n+entries >= c.after {
 		c.cancel()
 	}
-	return c.inner.Next()
+	c.n += entries
 }
-func (c *cancellingCursor) Err() error { return c.inner.Err() }
+func (c *cancellingCursor) Err() error { return nil }
+
+// cancelModes serves a cancellingCursor to the stream through either
+// contract.
+var cancelModes = []struct {
+	name string
+	rel  func(name string, slot int, c *cancellingCursor) StreamRelation
+}{
+	{"entry", func(name string, slot int, c *cancellingCursor) StreamRelation {
+		return StreamRelation{Name: name, Slots: []int{slot}, Cursor: c}
+	}},
+	{"block", func(name string, slot int, c *cancellingCursor) StreamRelation {
+		return StreamRelation{Name: name, Slots: []int{slot}, Blocks: c}
+	}},
+}
 
 // TestStreamCancelMidSeek locks in the align fix flagged by
 // silint/ctxloop: the seek toward a distant target tid can decode a
 // whole relation between fill's per-block polls, so cancellation
-// mid-seek must stop the stream within the amortization window instead
-// of after draining the relation.
+// mid-seek must stop the stream within one batch instead of after
+// draining the relation.
 func TestStreamCancelMidSeek(t *testing.T) {
 	q := query.MustParse("A(B)")
 	const n = 5000
@@ -292,23 +359,26 @@ func TestStreamCancelMidSeek(t *testing.T) {
 		small[i] = postings.IntervalEntry{TID: uint32(i), Nodes: []postings.NodeRef{{Pre: 1, Post: 1, Level: 1, Order: 1}}}
 	}
 	far := []postings.IntervalEntry{{TID: n + 10, Nodes: []postings.NodeRef{{Pre: 0, Post: 3, Level: 0, Order: 0}}}}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	s, err := NewStream(ctx, q, []StreamRelation{
-		{Name: "A", Slots: []int{0}, Cursor: NewSliceCursor(far)},
-		{Name: "B", Slots: []int{1}, Cursor: &cancellingCursor{inner: NewSliceCursor(small), after: 1000, cancel: cancel}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m, ok := s.Next(); ok {
-		t.Fatalf("cancelled stream yielded %+v", m)
-	}
-	if !errors.Is(s.Err(), context.Canceled) {
-		t.Fatalf("Err = %v, want context.Canceled", s.Err())
-	}
-	if s.EntriesRead() >= n {
-		t.Fatalf("seek drained the relation after cancellation: %d entries read", s.EntriesRead())
+	for _, mode := range cancelModes {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		s, err := NewStream(ctx, q, []StreamRelation{
+			{Name: "A", Slots: []int{0}, Cursor: NewSliceCursor(far)},
+			mode.rel("B", 1, &cancellingCursor{inner: newFlatCursor(small), after: 1000, cancel: cancel}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, ok := s.Next(); ok {
+			t.Fatalf("%s: cancelled stream yielded %+v", mode.name, m)
+		}
+		if !errors.Is(s.Err(), context.Canceled) {
+			t.Fatalf("%s: Err = %v, want context.Canceled", mode.name, s.Err())
+		}
+		// The batch in flight when the caller cancelled is the last one.
+		if got := s.EntriesRead(); got >= n || got > 1000+window+1 {
+			t.Fatalf("%s: seek read %d of %d entries after cancellation at 1000", mode.name, got, n)
+		}
 	}
 }
 
@@ -324,22 +394,221 @@ func TestStreamCancelMidCollect(t *testing.T) {
 		block[i] = postings.IntervalEntry{TID: 7, Nodes: []postings.NodeRef{{Pre: p, Post: p, Level: 1, Order: p}}}
 	}
 	root := []postings.IntervalEntry{{TID: 7, Nodes: []postings.NodeRef{{Pre: 0, Post: n + 2, Level: 0, Order: 0}}}}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	s, err := NewStream(ctx, q, []StreamRelation{
-		{Name: "A", Slots: []int{0}, Cursor: NewSliceCursor(root)},
-		{Name: "B", Slots: []int{1}, Cursor: &cancellingCursor{inner: NewSliceCursor(block), after: 1000, cancel: cancel}},
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, mode := range cancelModes {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		s, err := NewStream(ctx, q, []StreamRelation{
+			{Name: "A", Slots: []int{0}, Cursor: NewSliceCursor(root)},
+			mode.rel("B", 1, &cancellingCursor{inner: newFlatCursor(block), after: 1000, cancel: cancel}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, ok := s.Next(); ok {
+			t.Fatalf("%s: cancelled stream yielded %+v", mode.name, m)
+		}
+		if !errors.Is(s.Err(), context.Canceled) {
+			t.Fatalf("%s: Err = %v, want context.Canceled", mode.name, s.Err())
+		}
+		if s.EntriesRead() >= n {
+			t.Fatalf("%s: collect gathered the whole block after cancellation: %d entries read", mode.name, s.EntriesRead())
+		}
 	}
-	if m, ok := s.Next(); ok {
-		t.Fatalf("cancelled stream yielded %+v", m)
+}
+
+// heavyRelations builds A(B) inputs whose blocks straddle and outgrow
+// the stream's windows: relation A holds one root in most trees,
+// relation B anything from no entry to several windows' worth per tree.
+func heavyRelations(rng *rand.Rand, trees int) []Relation {
+	rels := []Relation{{Name: "A", Slots: []int{0}}, {Name: "B", Slots: []int{1}}}
+	for tid := uint32(0); tid < uint32(trees); tid++ {
+		if rng.Intn(5) > 0 {
+			rels[0].Entries = append(rels[0].Entries, postings.IntervalEntry{
+				TID: tid, Nodes: []postings.NodeRef{{Pre: 0, Post: 1 << 20, Level: 0, Order: 0}}})
+		}
+		k := []int{0, 1, 2, 3, window - 1, window, window + 1, 3*window + 5}[rng.Intn(8)]
+		for j := 1; j <= k; j++ {
+			p := uint32(j)
+			rels[1].Entries = append(rels[1].Entries, postings.IntervalEntry{
+				TID: tid, Nodes: []postings.NodeRef{{Pre: p, Post: p, Level: uint32(1 + j%2), Order: p}}})
+		}
 	}
-	if !errors.Is(s.Err(), context.Canceled) {
-		t.Fatalf("Err = %v, want context.Canceled", s.Err())
+	return rels
+}
+
+// pullCounts replays the per-entry pull protocol that defines the
+// stream's work counters — one head per relation, a seek pulls entries
+// until the head reaches the target tid, a collect pulls a tree's
+// entries and the head after them — over the relations' tids alone. It
+// returns each relation's pulled-entry count after every gathered tree,
+// keyed by tid, and at the end of the evaluation.
+func pullCounts(rels []Relation) (after map[uint32][]int, final []int) {
+	pos := make([]int, len(rels)) // each relation's head
+	live := func(i int) bool { return pos[i] < len(rels[i].Entries) }
+	head := func(i int) uint32 { return rels[i].Entries[pos[i]].TID }
+	counts := func() []int {
+		c := make([]int, len(rels))
+		for i := range c {
+			c[i] = min(pos[i]+1, len(rels[i].Entries))
+		}
+		return c
 	}
-	if s.EntriesRead() >= n {
-		t.Fatalf("collect gathered the whole block after cancellation: %d entries read", s.EntriesRead())
+	after = map[uint32][]int{}
+	for {
+		for i := range rels {
+			if !live(i) {
+				return after, counts()
+			}
+		}
+		target := head(0)
+		for raised := true; raised; {
+			raised = false
+			for i := range rels {
+				for live(i) && head(i) < target {
+					pos[i]++
+				}
+				if !live(i) {
+					return after, counts()
+				}
+				if head(i) > target {
+					target, raised = head(i), true
+				}
+			}
+		}
+		for i := range rels {
+			for live(i) && head(i) == target {
+				pos[i]++
+			}
+		}
+		after[target] = counts()
+	}
+}
+
+// TestStreamCountersIgnoreBatching is the logical-counter rule: however
+// the input reaches the stream — one entry per cursor call, whole
+// windows, or batches of random sizes that cut trees' blocks anywhere —
+// EntriesRead and every SourceRead are, after each match and at the end,
+// exactly what the per-entry pull protocol (pullCounts) would have
+// decoded, because an entry counts when it becomes a relation's head,
+// never when it is decoded ahead into a window. The blocks here straddle
+// refills and outgrow the window, so refill's keep-and-grow path is held
+// to Run's matches too.
+func TestStreamCountersIgnoreBatching(t *testing.T) {
+	q := query.MustParse("A(B)")
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 40; trial++ {
+		rels := heavyRelations(rng, 1+rng.Intn(60))
+		if len(rels[0].Entries) == 0 || len(rels[1].Entries) == 0 {
+			continue
+		}
+		want, _, err := Run(context.Background(), q, rels, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		after, final := pullCounts(rels)
+		whole, random := make([]StreamRelation, len(rels)), make([]StreamRelation, len(rels))
+		for i, r := range rels {
+			whole[i] = StreamRelation{Name: r.Name, Slots: r.Slots, Blocks: newFlatCursor(r.Entries)}
+			cut := newFlatCursor(r.Entries)
+			cut.batch = func() int { return 1 + rng.Intn(2*window) }
+			random[i] = StreamRelation{Name: r.Name, Slots: r.Slots, Blocks: cut}
+		}
+		rows := -1
+		for _, v := range []struct {
+			name  string
+			srels []StreamRelation
+		}{{"entry", sliceRelations(rels)}, {"whole", whole}, {"random", random}} {
+			s, err := NewStream(context.Background(), q, v.srels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(at string, wantReads []int) {
+				t.Helper()
+				if s.SourceRead(0) != wantReads[0] || s.SourceRead(1) != wantReads[1] || s.EntriesRead() != wantReads[0]+wantReads[1] {
+					t.Fatalf("trial %d %s %s: read %d+%d (total %d), per-entry protocol %v",
+						trial, v.name, at, s.SourceRead(0), s.SourceRead(1), s.EntriesRead(), wantReads)
+				}
+			}
+			var got []Match
+			for {
+				m, ok := s.Next()
+				if !ok {
+					break
+				}
+				check(fmt.Sprintf("at match %+v", m), after[m.TID])
+				got = append(got, m)
+			}
+			check("drained", final)
+			if s.Err() != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d %s: %d matches (err %v), Run %d", trial, v.name, len(got), s.Err(), len(want))
+			}
+			if rows < 0 {
+				rows = s.Rows()
+			}
+			if s.Rows() != rows {
+				t.Fatalf("trial %d %s: %d rows, entry-cursor stream %d", trial, v.name, s.Rows(), rows)
+			}
+		}
+	}
+}
+
+// brokenCursor is a BlockCursor that hands over scripted batches,
+// well-formed or not.
+type brokenCursor struct {
+	batches []struct {
+		tids []uint32
+		refs int // node records appended for the batch
+	}
+}
+
+func (c *brokenCursor) NextBlock(tids []uint32, refs []postings.NodeRef, max int) ([]uint32, []postings.NodeRef) {
+	if len(c.batches) == 0 {
+		return tids, refs
+	}
+	b := c.batches[0]
+	c.batches = c.batches[1:]
+	return append(tids, b.tids...), append(refs, make([]postings.NodeRef, b.refs)...)
+}
+func (c *brokenCursor) Err() error { return nil }
+
+// TestStreamRejectsMalformedBlocks holds batch input to the two
+// properties the join relies on, which per-entry input is held to entry
+// by entry: a batch whose node records do not come to the relation's
+// width per entry, and a tid that runs backwards — inside one batch or
+// from one batch to the next — each fail the stream rather than join
+// garbage. The entry-cursor forms of the same two errors ride along.
+func TestStreamRejectsMalformedBlocks(t *testing.T) {
+	type batch = struct {
+		tids []uint32
+		refs int
+	}
+	ref := []postings.NodeRef{{Pre: 0, Post: 1}}
+	for _, tc := range []struct {
+		name string
+		rel  StreamRelation
+		want string
+	}{
+		{"short refs", StreamRelation{Blocks: &brokenCursor{batches: []batch{{[]uint32{1, 2, 3}, 2}}}}, "binds 2 nodes, want 1 each"},
+		{"long refs", StreamRelation{Blocks: &brokenCursor{batches: []batch{{[]uint32{1, 2}, 4}}}}, "binds 4 nodes, want 1 each"},
+		{"bad second batch", StreamRelation{Blocks: &brokenCursor{batches: []batch{{[]uint32{1}, 1}, {[]uint32{2, 3}, 1}}}}, "binds 1 nodes, want 1 each"},
+		{"backwards in a batch", StreamRelation{Blocks: &brokenCursor{batches: []batch{{[]uint32{1, 5, 4}, 3}}}}, "not tid-sorted"},
+		{"backwards across batches", StreamRelation{Blocks: &brokenCursor{batches: []batch{{[]uint32{1, 5}, 2}, {[]uint32{4}, 1}}}}, "not tid-sorted"},
+		{"entry of the wrong width", StreamRelation{Cursor: NewSliceCursor([]postings.IntervalEntry{
+			{TID: 1, Nodes: ref}, {TID: 2, Nodes: append(ref, ref...)}})}, "entry binds 2 nodes, want 1"},
+		{"entries backwards", StreamRelation{Cursor: NewSliceCursor([]postings.IntervalEntry{
+			{TID: 1, Nodes: ref}, {TID: 5, Nodes: ref}, {TID: 4, Nodes: ref}})}, "not tid-sorted"},
+	} {
+		tc.rel.Name, tc.rel.Slots = "1:A", []int{0}
+		s, err := NewStream(context.Background(), query.MustParse("A"), []StreamRelation{tc.rel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, ok := s.Next(); ok; _, ok = s.Next() {
+			n++
+		}
+		if s.Err() == nil || !strings.Contains(s.Err().Error(), tc.want) || !strings.Contains(s.Err().Error(), `"1:A"`) {
+			t.Errorf("%s: stream ended after %d matches with %v, want an error naming the relation and %q", tc.name, n, s.Err(), tc.want)
+		}
 	}
 }

@@ -84,10 +84,9 @@ type NodeRef struct {
 // alive by the entries referencing them); the arena itself is
 // per-cursor or per-query and must not be shared across goroutines.
 //
-// Query evaluation no longer carves from an arena — cursors serve one
-// scratch record and the join stream copies what it keeps. The type
-// stays declared only because the frozen benchmark's decode probes
-// (bench/layers.go) name it.
+// Query evaluation no longer carves from an arena — cursors decode into
+// the join stream's own windows. The type stays declared only because
+// the frozen benchmark's decode probes (bench/layers.go) name it.
 type RefArena struct {
 	buf []NodeRef
 }
@@ -307,6 +306,97 @@ func (it *RootIterator) Next() bool {
 	it.first = false
 	it.off = off
 	return true
+}
+
+// NextBlock is the batch form of Next: it decodes up to len(tids)
+// records — refs must be at least as long — into tids[i] and refs[i]
+// and returns how many it produced. A short count means the list ended
+// or a record failed to decode; the records before the failure are
+// delivered, Err reports it, and every later call returns 0, so the
+// sequence of records and the error are exactly those of a Next/Entry
+// loop over the same bytes. Next and NextBlock may be interleaved.
+//
+// One loop carries offset, tid and previous pre in locals. A record of
+// four one-byte varints is one 32-bit load and a mask test, and the
+// same-tid marker selects arithmetically between "pre is a delta, tid
+// stays" and "pre is absolute, tid advances": on real lists that choice
+// is close to a coin flip per record, and as a branch it mispredicts
+// often enough to cost more than the whole rest of the loop.
+func (it *RootIterator) NextBlock(tids []uint32, refs []NodeRef) int {
+	n := len(tids)
+	refs = refs[:n]
+	i := 0
+	if it.first && n > 0 {
+		// The leading-marker check belongs to the first record alone.
+		if !it.Next() {
+			return 0
+		}
+		e := it.Entry()
+		tids[0], refs[0], i = e.TID, e.NodeRef, 1
+	}
+	if it.err != nil {
+		return i
+	}
+	buf, off := it.buf, it.off
+	tid, pre := it.tid, uint32(it.prePost)
+	for i < n && off < len(buf) {
+		if len(buf)-off >= 4 && binary.LittleEndian.Uint32(buf[off:])&0x80808080 == 0 {
+			var k int
+			k, off, tid, pre = rootRun(buf, off, tids[i:], refs[i:], tid, pre)
+			i += k
+			continue
+		}
+		// A record the fast run does not take: a multi-byte varint, or the
+		// last bytes of the blob.
+		v, next, ok := uvarint4(buf, off)
+		if !ok {
+			it.err = fmt.Errorf("postings: corrupt root-split list at offset %d", next)
+			break
+		}
+		if v[0] == 0 {
+			pre += uint32(v[1])
+		} else {
+			tid += uint32(v[0] - 1)
+			pre = uint32(v[1])
+		}
+		off = next
+		tids[i] = tid
+		refs[i] = NodeRef{Pre: pre, Post: uint32(v[2]), Level: uint32(v[3]), Order: pre}
+		i++
+	}
+	if it.off != off {
+		last := refs[i-1]
+		it.off, it.tid = off, tid
+		it.prePost = uint64(last.Post)<<32 | uint64(last.Pre)
+		it.levelOrder = uint64(last.Pre)<<32 | uint64(last.Level)
+	}
+	return i
+}
+
+// rootRun is NextBlock's inner loop: starting at buf[off:], after a
+// record of tree tid rooted at pre, it decodes consecutive records made
+// of four one-byte varints into tids and refs until tids is full, fewer
+// than four bytes remain, or a record holds a multi-byte varint. It
+// returns how many it decoded, the offset after them, and the tid and
+// pre of the last. The loop makes no calls and carries only offset, tid
+// and pre, so all of its state stays in registers.
+func rootRun(buf []byte, off int, tids []uint32, refs []NodeRef, tid, pre uint32) (int, int, uint32, uint32) {
+	refs = refs[:len(tids)]
+	i := 0
+	for ; i < len(tids) && len(buf)-off >= 4; i++ {
+		w := binary.LittleEndian.Uint32(buf[off:])
+		if w&0x80808080 != 0 {
+			break
+		}
+		m := w & 0xff
+		same := -((m - 1) >> 31) // all ones for the same-tid marker 0
+		tid += (m - 1) &^ same
+		pre = w>>8&0xff + pre&same
+		off += 4
+		tids[i] = tid
+		refs[i] = NodeRef{Pre: pre, Post: w >> 16 & 0xff, Level: w >> 24, Order: pre}
+	}
+	return i, off, tid, pre
 }
 
 // uvarint4 decodes four consecutive varints starting at buf[off:] and

@@ -3,6 +3,7 @@ package postings
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -302,14 +303,21 @@ func iterate(t *testing.T, coding Coding, blob []byte) (records int, err error) 
 		}
 		return records, it.Err()
 	case RootSplit:
-		it := NewRootIterator(blob)
-		for it.Next() {
-			_ = it.Entry()
-			if records++; records > cap {
-				t.Fatalf("root-split: runaway iteration on %x", blob)
+		want, err := rootEntries(blob, nil)
+		if len(want) > cap {
+			t.Fatalf("root-split: runaway iteration on %x", blob)
+		}
+		// The block method is held to the per-entry loop on every blob
+		// these tables produce, at a batch size that splits the records
+		// unevenly and at one that takes the list whole.
+		for _, batch := range []int{1, 3, len(blob) + 1} {
+			got, gotErr := rootEntries(blob, func() int { return batch })
+			if !slices.Equal(got, want) || !sameError(gotErr, err) {
+				t.Fatalf("root-split %x: blocks of %d decoded %d records (err %v), Next %d (err %v)",
+					blob, batch, len(got), gotErr, len(want), err)
 			}
 		}
-		return records, it.Err()
+		return len(want), err
 	default:
 		it := NewIntervalIterator(blob)
 		for it.Next() {
@@ -319,6 +327,104 @@ func iterate(t *testing.T, coding Coding, blob []byte) (records int, err error) 
 			}
 		}
 		return records, it.Err()
+	}
+}
+
+// rootEntries decodes a root-split blob to the end or the first error:
+// through Next and Entry when batch is nil, else through NextBlock with
+// each call's size drawn from batch (clamped to at least one record).
+func rootEntries(blob []byte, batch func() int) ([]RootEntry, error) {
+	var out []RootEntry
+	it := NewRootIterator(blob)
+	if batch == nil {
+		for it.Next() {
+			out = append(out, it.Entry())
+		}
+		return out, it.Err()
+	}
+	for {
+		n := max(batch(), 1)
+		tids, refs := make([]uint32, n), make([]NodeRef, n)
+		got := it.NextBlock(tids, refs)
+		for i := 0; i < got; i++ {
+			out = append(out, RootEntry{TID: tids[i], NodeRef: refs[i]})
+		}
+		if got < n {
+			// A short block is the end of the list or an error, and the
+			// iterator stays there.
+			if again := it.NextBlock(tids, refs); again != 0 {
+				panic("NextBlock resumed after a short block")
+			}
+			return out, it.Err()
+		}
+	}
+}
+
+// sameError reports whether two decode outcomes agree: both clean, or
+// the same message (which names the failing offset).
+func sameError(a, b error) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	return a.Error() == b.Error()
+}
+
+// TestRootBlockAgreesWithNext holds NextBlock to the per-entry loop on
+// well-formed lists of every varint width: random (tid, pre) walks whose
+// deltas and structural numbers range from one-byte to five-byte
+// varints, decoded with random batch sizes, and with Next calls
+// interleaved between the blocks.
+func TestRootBlockAgreesWithNext(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 300; trial++ {
+		acc := NewRootAccumulator(rng.Intn(2) == 0)
+		// This trial's value ranges; tid steps stay below 2^21 so 200 of
+		// them cannot wrap.
+		wide := uint32(1) << (7 * uint(1+rng.Intn(4)))
+		tidWide := uint32(1) << (7 * uint(1+rng.Intn(3)))
+		tid, pre := uint32(0), uint32(0)
+		for i, n := 0, rng.Intn(200); i < n; i++ {
+			d := rng.Uint32() % wide
+			if i == 0 || rng.Intn(3) == 0 || pre+d < pre {
+				tid += 1 + rng.Uint32()%tidWide
+				pre = d
+			} else {
+				pre += d
+			}
+			acc.Add(tid, NodeRef{Pre: pre, Post: rng.Uint32() >> uint(rng.Intn(32)), Level: rng.Uint32() % 200, Order: pre})
+		}
+		blob := acc.Bytes()
+		want, err := rootEntries(blob, nil)
+		if err != nil || len(want) != acc.Count() {
+			t.Fatalf("trial %d: Next decoded %d of %d records, err %v", trial, len(want), acc.Count(), err)
+		}
+		got, err := rootEntries(blob, func() int { return 1 + rng.Intn(9) })
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("trial %d: NextBlock decoded %d records (err %v), Next %d", trial, len(got), err, len(want))
+		}
+		// Interleaved: both methods advance the one iterator state.
+		it := NewRootIterator(blob)
+		var mixed []RootEntry
+		tids, refs := make([]uint32, 4), make([]NodeRef, 4)
+		for {
+			if rng.Intn(2) == 0 {
+				if !it.Next() {
+					break
+				}
+				mixed = append(mixed, it.Entry())
+				continue
+			}
+			k := it.NextBlock(tids, refs)
+			for i := 0; i < k; i++ {
+				mixed = append(mixed, RootEntry{TID: tids[i], NodeRef: refs[i]})
+			}
+			if k < len(tids) {
+				break
+			}
+		}
+		if it.Err() != nil || !slices.Equal(mixed, want) {
+			t.Fatalf("trial %d: interleaved decode gave %d records (err %v), Next %d", trial, len(mixed), it.Err(), len(want))
+		}
 	}
 }
 
@@ -377,6 +483,14 @@ func TestIteratorsStayStopped(t *testing.T) {
 		case RootSplit:
 			it := NewRootIterator(trunc)
 			next, errf = it.Next, it.Err
+			// The block method stops, and stays stopped, the same way.
+			bit := NewRootIterator(trunc)
+			tids, refs := make([]uint32, 2), make([]NodeRef, 2)
+			for bit.NextBlock(tids, refs) == len(tids) {
+			}
+			if bit.Err() == nil || bit.NextBlock(tids, refs) != 0 || bit.Next() {
+				t.Fatalf("root-split: NextBlock resumed after error %v", bit.Err())
+			}
 		default:
 			it := NewIntervalIterator(trunc)
 			next, errf = it.Next, it.Err
@@ -392,44 +506,5 @@ func TestIteratorsStayStopped(t *testing.T) {
 		if errf() != first {
 			t.Fatalf("%v: Err changed after repeated Next", coding)
 		}
-	}
-}
-
-// BenchmarkRootDecode is the postings layer's decode benchmark: one
-// long root-split list — a few occurrences per tree, every number a
-// one-byte varint, the shape of a frequent key's list — and one sparse
-// list whose tid deltas need multi-byte varints, iterated end to end.
-// Besides ns/op it reports entries/s, and bytes/s through SetBytes.
-func BenchmarkRootDecode(b *testing.B) {
-	var decodeSink [8]RootEntry
-	for _, shape := range []struct {
-		name    string
-		tidStep uint32
-	}{{"dense", 1}, {"sparse", 1000}} {
-		acc := NewRootAccumulator(true)
-		const trees, perTree = 50000, 3
-		for t := uint32(0); t < trees; t++ {
-			for k := uint32(0); k < perTree; k++ {
-				pre := 1 + 7*k
-				acc.Add(t*shape.tidStep, NodeRef{Pre: pre, Post: pre + 3, Level: 1 + k, Order: pre})
-			}
-		}
-		blob := acc.Bytes()
-		b.Run(shape.name, func(b *testing.B) {
-			b.SetBytes(int64(len(blob)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				it := NewRootIterator(blob)
-				n := 0
-				for it.Next() {
-					decodeSink[n&7] = it.Entry() // the whole record, as the cursors copy it
-					n++
-				}
-				if n != acc.Count() || it.Err() != nil {
-					b.Fatalf("decoded %d of %d entries, err %v", n, acc.Count(), it.Err())
-				}
-			}
-			b.ReportMetric(float64(acc.Count())*float64(b.N)/b.Elapsed().Seconds(), "entries/s")
-		})
 	}
 }
