@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"repro/internal/join"
 	"repro/internal/match"
@@ -198,27 +197,25 @@ type rootCursor struct {
 	slot [1]int // the piece root, backing the relation's Slots
 }
 
-// NextBlock decodes up to max further surviving postings onto the end
-// of tids and refs. A block whose every posting is tombstoned is decoded
-// over, not returned: appending nothing means the list has ended.
-func (c *rootCursor) NextBlock(tids []uint32, refs []postings.NodeRef, max int) ([]uint32, []postings.NodeRef) {
-	nt, nr := len(tids), len(refs)
-	tids, refs = slices.Grow(tids, max)[:nt+max], slices.Grow(refs, max)[:nr+max]
-	bt, br := tids[nt:], refs[nr:]
+// NextBlock fills tids and refs with the next surviving postings and
+// returns how many it wrote. A block whose every posting is tombstoned
+// is decoded over, not returned: writing nothing means the list has
+// ended.
+func (c *rootCursor) NextBlock(tids []uint32, refs []postings.NodeRef) int {
 	for {
-		n := c.it.NextBlock(bt, br)
+		n := c.it.NextBlock(tids, refs)
 		kept := n
 		if len(c.dels.tids) > 0 {
 			kept = 0
-			for i, tid := range bt[:n] {
+			for i, tid := range tids[:n] {
 				if !c.dels.Has(tid) {
-					bt[kept], br[kept] = tid, br[i]
+					tids[kept], refs[kept] = tid, refs[i]
 					kept++
 				}
 			}
 		}
 		if kept > 0 || n == 0 {
-			return tids[:nt+kept], refs[:nr+kept]
+			return kept
 		}
 	}
 }

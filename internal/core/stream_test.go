@@ -10,6 +10,7 @@ import (
 	"repro/internal/join"
 	"repro/internal/lingtree"
 	"repro/internal/postings"
+	"repro/internal/query"
 	"repro/internal/workload"
 )
 
@@ -476,6 +477,57 @@ func TestExplainActualsMatchPerEntryReference(t *testing.T) {
 			if len(res.Stats.Pieces) != len(pl.Pieces) {
 				t.Errorf("%s limit=%d: %d piece records for %d pieces", src, limit, len(res.Stats.Pieces), len(pl.Pieces))
 			}
+		}
+	}
+}
+
+// TestRootCursorHeavyTreeAgreesWithReference joins two root-split lists
+// in which one tree holds thousands of postings — far more than a stream
+// window, which therefore doubles again and again around the run — with
+// trees after it and tombstones on either side: the batch rootCursor must
+// produce the matches and the counters of the per-entry reference over
+// the same blobs, down to the last tree.
+func TestRootCursorHeavyTreeAgreesWithReference(t *testing.T) {
+	ctx := context.Background()
+	q := query.MustParse("A(B)")
+	as, bs := postings.NewRootAccumulator(true), postings.NewRootAccumulator(true)
+	for tid := uint32(0); tid < 60; tid++ {
+		n := uint32(3)
+		if tid == 20 || tid == 41 {
+			n = 6000 + tid
+		}
+		as.Add(tid, postings.NodeRef{Pre: 0, Post: 1 << 20, Level: 0, Order: 0})
+		for j := uint32(1); j <= n; j++ {
+			bs.Add(tid, postings.NodeRef{Pre: j, Post: j, Level: 1, Order: j})
+		}
+	}
+	for _, dels := range []*TombSet{nil, newTombSet([]uint32{0, 19, 21, 40, 59})} {
+		batch := []join.StreamRelation{
+			{Name: "A", Slots: []int{0}, Blocks: &rootCursor{it: *postings.NewRootIterator(as.Bytes()), dels: dels.Scan()}},
+			{Name: "B", Slots: []int{1}, Blocks: &rootCursor{it: *postings.NewRootIterator(bs.Bytes()), dels: dels.Scan()}},
+		}
+		entry := []join.StreamRelation{
+			{Name: "A", Slots: []int{0}, Cursor: &refRootCursor{it: postings.NewRootIterator(as.Bytes()), dels: dels}},
+			{Name: "B", Slots: []int{1}, Cursor: &refRootCursor{it: postings.NewRootIterator(bs.Bytes()), dels: dels}},
+		}
+		var matches [2][]Match
+		var rows, read [2]int
+		for i, rels := range [][]join.StreamRelation{batch, entry} {
+			s, err := join.NewStream(ctx, q, rels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for m, ok := s.Next(); ok; m, ok = s.Next() {
+				matches[i] = append(matches[i], m)
+			}
+			if s.Err() != nil {
+				t.Fatal(s.Err())
+			}
+			rows[i], read[i] = s.Rows(), s.EntriesRead()
+		}
+		if len(matches[0]) != 60-dels.Len() || !slices.Equal(matches[0], matches[1]) || rows[0] != rows[1] || read[0] != read[1] {
+			t.Errorf("tombstones=%d: batch cursor %d matches, %d rows, %d entries; per-entry reference %d, %d, %d; want %d matches",
+				dels.Len(), len(matches[0]), rows[0], read[0], len(matches[1]), rows[1], read[1], 60-dels.Len())
 		}
 	}
 }

@@ -45,14 +45,13 @@ type EntryCursor interface {
 // decodes many entries straight into the stream's own flat buffers, so
 // stepping over an entry costs the stream a compare, not a call.
 type BlockCursor interface {
-	// NextBlock appends up to max further entries, in (tid, pre) order,
-	// to tids and refs — one tid per entry and, for a cursor whose
-	// entries bind w nodes, w consecutive records per entry — and returns
-	// the extended slices. The stream passes slices with room for max
-	// entries, so a cursor that stays within max never reallocates them.
-	// Appending nothing means the list is exhausted or failed to decode;
-	// Err distinguishes the two, and NextBlock is not called again.
-	NextBlock(tids []uint32, refs []postings.NodeRef, max int) ([]uint32, []postings.NodeRef)
+	// NextBlock fills tids and refs with the next entries in (tid, pre)
+	// order — one tid per entry and, for a cursor whose entries bind w
+	// nodes, w consecutive records per entry: len(refs) is len(tids)*w —
+	// and returns how many entries it wrote, at most len(tids). Writing
+	// none means the list is exhausted or failed to decode; Err
+	// distinguishes the two, and NextBlock is not called again.
+	NextBlock(tids []uint32, refs []postings.NodeRef) int
 	// Err reports the decode error that stopped NextBlock, if any.
 	Err() error
 }
@@ -110,32 +109,37 @@ func (c *source) read() int {
 type entryBlocks struct {
 	cursor EntryCursor
 	stride int
+	done   bool  // the cursor ended or failed: it is not pulled again
 	err    error // an entry of the wrong width
 }
 
-// NextBlock pulls up to max entries and copies them out of the cursor's
-// scratch. Entries are a few records wide, so the copy is a loop: a
-// memmove call per entry costs more than the records it moves.
-func (a *entryBlocks) NextBlock(tids []uint32, refs []postings.NodeRef, max int) ([]uint32, []postings.NodeRef) {
-	nt, nr, w := len(tids), len(refs), a.stride
-	tids, refs = slices.Grow(tids, max)[:nt+max], slices.Grow(refs, max*w)[:nr+max*w]
-	k := 0
-	for ; k < max; k++ {
+// NextBlock pulls up to len(tids) entries and copies them out of the
+// cursor's scratch. Entries are a few records wide, so the copy is a
+// loop: a memmove call per entry costs more than the records it moves.
+// The entries ahead of a malformed one are handed over; the call after
+// that hands over nothing, so the stream fails exactly at that entry.
+func (a *entryBlocks) NextBlock(tids []uint32, refs []postings.NodeRef) int {
+	if a.done {
+		return 0
+	}
+	w := a.stride
+	for k := range tids {
 		e, ok := a.cursor.Next()
-		if !ok {
-			break
-		}
-		if len(e.Nodes) != w {
+		if ok && len(e.Nodes) != w {
 			a.err = fmt.Errorf("entry binds %d nodes, want %d", len(e.Nodes), w)
-			break
+			ok = false
 		}
-		tids[nt+k] = e.TID
-		dst := refs[nr+k*w:][:w]
+		if !ok {
+			a.done = true
+			return k
+		}
+		tids[k] = e.TID
+		dst := refs[k*w:][:w]
 		for j := range dst {
 			dst[j] = e.Nodes[j]
 		}
 	}
-	return tids[:nt+k], refs[:nr+k*w]
+	return len(tids)
 }
 
 // Err reports the malformed entry or the cursor's own decode error.
@@ -286,7 +290,8 @@ func (s *Stream) SourceRead(i int) int { return s.srcs[i].read() }
 // stream failed (s.err). The entries from the head on are kept — moved
 // to the window's front — and everything before it is dropped, so views
 // into the window taken earlier are dead after this call. A window
-// already full of kept entries (one tree's block outgrew it) doubles.
+// already full of kept entries (one tree's block outgrew it) moves to
+// arrays of twice the size, so a batch always has room for an entry.
 // This is also where the stream observes cancellation while it seeks or
 // gathers: once per batch.
 func (s *Stream) refill(c *source) bool {
@@ -297,44 +302,46 @@ func (s *Stream) refill(c *source) bool {
 		s.err = err
 		return false
 	}
+	// A window's arrays hold the same number of entries: cap(w.refs) is
+	// cap(w.tids)*w.stride, as carved by NewStreamOpts and as made here.
 	w := &c.win
-	kept := copy(w.tids, w.tids[c.lo:])
-	copy(w.refs, w.refs[c.lo*w.stride:])
+	room, kept := cap(w.tids), len(w.tids)-c.lo
+	tids, refs := w.tids[:room], w.refs[:room*w.stride]
+	if kept == room {
+		room *= 2
+		tids, refs = make([]uint32, room), make([]postings.NodeRef, room*w.stride)
+	}
+	copy(tids, w.tids[c.lo:])
+	copy(refs, w.refs[c.lo*w.stride:])
 	c.base += c.lo
 	c.lo = 0
-	w.tids, w.refs = w.tids[:kept], w.refs[:kept*w.stride]
-	if kept == cap(w.tids) {
-		w.tids = slices.Grow(w.tids, kept)
-		w.refs = slices.Grow(w.refs, kept*w.stride)
-	}
-	tids, refs := c.cursor.NextBlock(w.tids, w.refs, min(cap(w.tids), cap(w.refs)/w.stride)-kept)
-	if len(tids) == kept {
-		c.eof = true
+	n := c.cursor.NextBlock(tids[kept:], refs[kept*w.stride:])
+	if n <= 0 {
+		n = 0
 		if err := c.cursor.Err(); err != nil {
 			s.err = fmt.Errorf("join: relation %q: %w", c.name, err)
 		}
-		return false
+	} else if n > room-kept {
+		s.err = fmt.Errorf("join: relation %q: block of %d entries in room for %d", c.name, n, room-kept)
+		n = 0
 	}
-	// The join relies on two properties of its input; both are checked
-	// here, once per batch, before any of it becomes a head.
-	if len(refs) != len(tids)*w.stride {
-		c.eof = true
-		s.err = fmt.Errorf("join: relation %q: block of %d entries binds %d nodes, want %d each",
-			c.name, len(tids)-kept, len(refs)-kept*w.stride, w.stride)
-		return false
-	}
+	// The join relies on its input being tid-sorted; that is checked
+	// here, once per batch, before any of it becomes a head. (The other
+	// property, every entry binding the relation's width of nodes, holds
+	// by construction for a batch and entry by entry in entryBlocks.)
 	last := c.last
-	for _, tid := range tids[kept:] {
+	for _, tid := range tids[kept : kept+n] {
 		if tid < last {
-			c.eof = true
 			s.err = fmt.Errorf("join: relation %q is not tid-sorted", c.name)
-			return false
+			n = 0
+			break
 		}
 		last = tid
 	}
 	c.last = last
-	w.tids, w.refs = tids, refs
-	return true
+	c.eof = n == 0
+	w.tids, w.refs = tids[:kept+n], refs[:(kept+n)*w.stride]
+	return n > 0
 }
 
 // fill advances to the next tid present in every source and joins its

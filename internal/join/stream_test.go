@@ -284,14 +284,14 @@ func newFlatCursor(entries []postings.IntervalEntry) *flatCursor {
 	return c
 }
 
-func (c *flatCursor) NextBlock(tids []uint32, refs []postings.NodeRef, max int) ([]uint32, []postings.NodeRef) {
+func (c *flatCursor) NextBlock(tids []uint32, refs []postings.NodeRef) int {
 	if c.batch != nil {
-		max = min(max, c.batch())
+		tids = tids[:min(len(tids), c.batch())]
 	}
-	end := min(c.i+max, len(c.tids))
-	tids, refs = append(tids, c.tids[c.i:end]...), append(refs, c.refs[c.i*c.stride:end*c.stride]...)
-	c.i = end
-	return tids, refs
+	n := copy(tids, c.tids[c.i:])
+	copy(refs, c.refs[c.i*c.stride:(c.i+n)*c.stride])
+	c.i += n
+	return n
 }
 func (c *flatCursor) Err() error { return nil }
 
@@ -317,11 +317,10 @@ func (c *cancellingCursor) Next() (postings.IntervalEntry, bool) {
 	return e, true
 }
 
-func (c *cancellingCursor) NextBlock(tids []uint32, refs []postings.NodeRef, max int) ([]uint32, []postings.NodeRef) {
-	before := len(tids)
-	tids, refs = c.inner.NextBlock(tids, refs, max)
-	c.tick(len(tids) - before)
-	return tids, refs
+func (c *cancellingCursor) NextBlock(tids []uint32, refs []postings.NodeRef) int {
+	n := c.inner.NextBlock(tids, refs)
+	c.tick(n)
+	return n
 }
 
 func (c *cancellingCursor) tick(entries int) {
@@ -552,51 +551,128 @@ func TestStreamCountersIgnoreBatching(t *testing.T) {
 	}
 }
 
-// brokenCursor is a BlockCursor that hands over scripted batches,
-// well-formed or not.
-type brokenCursor struct {
-	batches []struct {
-		tids []uint32
-		refs int // node records appended for the batch
+// TestStreamJoinsRunsFarLargerThanTheWindow is the keep-and-grow path at
+// scale: a relation holding thousands of entries for one tree — its
+// window doubling many times over — and trees after it, through both
+// cursor contracts and for one- and three-node entries, is joined in
+// full. A window whose two arrays disagreed about their room would end
+// such a relation early and silently drop every later tree.
+func TestStreamJoinsRunsFarLargerThanTheWindow(t *testing.T) {
+	const run = 5000
+	for _, tc := range []struct {
+		q     string
+		slots [][]int // of relations A and B
+	}{
+		{"A(B)", [][]int{{0}, {1}}},
+		{"A(B(C)(D))", [][]int{{0}, {1, 2, 3}}},
+	} {
+		q := query.MustParse(tc.q)
+		rels := []Relation{{Name: "A", Slots: tc.slots[0]}, {Name: "B", Slots: tc.slots[1]}}
+		for tid := uint32(0); tid < 40; tid++ {
+			n := 2
+			if tid == 7 || tid == 30 {
+				n = run + int(tid)
+			}
+			rels[0].Entries = append(rels[0].Entries, postings.IntervalEntry{
+				TID: tid, Nodes: []postings.NodeRef{{Pre: 0, Post: 1 << 20, Level: 0, Order: 0}}})
+			for j := 0; j < n; j++ {
+				p := uint32(1 + 4*j)
+				nodes := []postings.NodeRef{
+					{Pre: p, Post: p + 3, Level: 1, Order: uint32(j)},
+					{Pre: p + 1, Post: p + 1, Level: 2, Order: 0},
+					{Pre: p + 2, Post: p + 2, Level: 2, Order: 1},
+				}
+				rels[1].Entries = append(rels[1].Entries, postings.IntervalEntry{TID: tid, Nodes: nodes[:len(tc.slots[1])]})
+			}
+		}
+		want, info, err := Run(context.Background(), q, rels, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) != 40 {
+			t.Fatalf("%s: Run found %d matches, want one per tree", tc.q, len(want))
+		}
+		blocks := make([]StreamRelation, len(rels))
+		for i, r := range rels {
+			blocks[i] = StreamRelation{Name: r.Name, Slots: r.Slots, Blocks: newFlatCursor(r.Entries)}
+		}
+		for name, srels := range map[string][]StreamRelation{"entry": sliceRelations(rels), "block": blocks} {
+			s, err := NewStream(context.Background(), q, srels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []Match
+			for m, ok := s.Next(); ok; m, ok = s.Next() {
+				got = append(got, m)
+			}
+			if s.Err() != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %s: %d matches (err %v), Run %d", tc.q, name, len(got), s.Err(), len(want))
+			}
+			if s.Rows() != info.Rows || s.EntriesRead() != len(rels[0].Entries)+len(rels[1].Entries) {
+				t.Fatalf("%s %s: %d rows, %d entries read; Run %d rows over %d+%d entries",
+					tc.q, name, s.Rows(), s.EntriesRead(), info.Rows, len(rels[0].Entries), len(rels[1].Entries))
+			}
+		}
 	}
 }
 
-func (c *brokenCursor) NextBlock(tids []uint32, refs []postings.NodeRef, max int) ([]uint32, []postings.NodeRef) {
+// brokenCursor is a BlockCursor that hands over scripted batches,
+// well-formed or not: each batch is its tids, written as far as they
+// fit, and the entry count the cursor claims for it (0: the tids').
+type brokenCursor struct {
+	batches []brokenBatch
+}
+
+type brokenBatch struct {
+	tids  []uint32
+	claim int
+}
+
+func (c *brokenCursor) NextBlock(tids []uint32, refs []postings.NodeRef) int {
 	if len(c.batches) == 0 {
-		return tids, refs
+		return 0
 	}
 	b := c.batches[0]
 	c.batches = c.batches[1:]
-	return append(tids, b.tids...), append(refs, make([]postings.NodeRef, b.refs)...)
+	copy(tids, b.tids)
+	if b.claim != 0 {
+		return b.claim
+	}
+	return len(b.tids)
 }
 func (c *brokenCursor) Err() error { return nil }
 
-// TestStreamRejectsMalformedBlocks holds batch input to the two
-// properties the join relies on, which per-entry input is held to entry
-// by entry: a batch whose node records do not come to the relation's
-// width per entry, and a tid that runs backwards — inside one batch or
-// from one batch to the next — each fail the stream rather than join
-// garbage. The entry-cursor forms of the same two errors ride along.
+// TestStreamRejectsMalformedBlocks holds batch input to what the join
+// relies on: a batch that claims more entries than it was given room
+// for, and a tid that runs backwards — inside one batch or from one
+// batch to the next — each fail the stream rather than join garbage. (A
+// batch cannot hold entries of the wrong width: the stream hands the
+// cursor the records' room along with the tids'.) Per-entry input is
+// held to the same entry by entry: an entry of the wrong width or a tid
+// running backwards fails the stream when that entry would become the
+// relation's head — which is before the tree ahead of it is joined, since
+// gathering a tree's entries reads the head after them, as it did when
+// entries were pulled one at a time — and no match behind it is emitted.
 func TestStreamRejectsMalformedBlocks(t *testing.T) {
-	type batch = struct {
-		tids []uint32
-		refs int
-	}
+	type batch = brokenBatch
 	ref := []postings.NodeRef{{Pre: 0, Post: 1}}
+	wide := append(ref, ref...)
 	for _, tc := range []struct {
-		name string
-		rel  StreamRelation
-		want string
+		name    string
+		rel     StreamRelation
+		want    string
+		matches int // emitted ahead of the error
 	}{
-		{"short refs", StreamRelation{Blocks: &brokenCursor{batches: []batch{{[]uint32{1, 2, 3}, 2}}}}, "binds 2 nodes, want 1 each"},
-		{"long refs", StreamRelation{Blocks: &brokenCursor{batches: []batch{{[]uint32{1, 2}, 4}}}}, "binds 4 nodes, want 1 each"},
-		{"bad second batch", StreamRelation{Blocks: &brokenCursor{batches: []batch{{[]uint32{1}, 1}, {[]uint32{2, 3}, 1}}}}, "binds 1 nodes, want 1 each"},
-		{"backwards in a batch", StreamRelation{Blocks: &brokenCursor{batches: []batch{{[]uint32{1, 5, 4}, 3}}}}, "not tid-sorted"},
-		{"backwards across batches", StreamRelation{Blocks: &brokenCursor{batches: []batch{{[]uint32{1, 5}, 2}, {[]uint32{4}, 1}}}}, "not tid-sorted"},
-		{"entry of the wrong width", StreamRelation{Cursor: NewSliceCursor([]postings.IntervalEntry{
-			{TID: 1, Nodes: ref}, {TID: 2, Nodes: append(ref, ref...)}})}, "entry binds 2 nodes, want 1"},
+		{"overfull batch", StreamRelation{Blocks: &brokenCursor{batches: []batch{{[]uint32{1, 2}, window + 1}}}}, "block of 33 entries in room for 32", 0},
+		{"overfull second batch", StreamRelation{Blocks: &brokenCursor{batches: []batch{{[]uint32{1}, 0}, {[]uint32{2, 3}, 2 * window}}}}, "block of 64 entries in room for 31", 0},
+		{"backwards in a batch", StreamRelation{Blocks: &brokenCursor{batches: []batch{{[]uint32{1, 5, 4}, 0}}}}, "not tid-sorted", 0},
+		{"backwards across batches", StreamRelation{Blocks: &brokenCursor{batches: []batch{{[]uint32{1, 5}, 0}, {[]uint32{4}, 0}}}}, "not tid-sorted", 1},
+		{"last entry of the wrong width", StreamRelation{Cursor: NewSliceCursor([]postings.IntervalEntry{
+			{TID: 1, Nodes: ref}, {TID: 2, Nodes: wide}})}, "entry binds 2 nodes, want 1", 0},
+		{"middle entry of the wrong width", StreamRelation{Cursor: NewSliceCursor([]postings.IntervalEntry{
+			{TID: 1, Nodes: ref}, {TID: 2, Nodes: ref}, {TID: 3, Nodes: wide}, {TID: 4, Nodes: ref}, {TID: 5, Nodes: ref}})}, "entry binds 2 nodes, want 1", 1},
 		{"entries backwards", StreamRelation{Cursor: NewSliceCursor([]postings.IntervalEntry{
-			{TID: 1, Nodes: ref}, {TID: 5, Nodes: ref}, {TID: 4, Nodes: ref}})}, "not tid-sorted"},
+			{TID: 1, Nodes: ref}, {TID: 5, Nodes: ref}, {TID: 4, Nodes: ref}})}, "not tid-sorted", 0},
 	} {
 		tc.rel.Name, tc.rel.Slots = "1:A", []int{0}
 		s, err := NewStream(context.Background(), query.MustParse("A"), []StreamRelation{tc.rel})
@@ -610,5 +686,40 @@ func TestStreamRejectsMalformedBlocks(t *testing.T) {
 		if s.Err() == nil || !strings.Contains(s.Err().Error(), tc.want) || !strings.Contains(s.Err().Error(), `"1:A"`) {
 			t.Errorf("%s: stream ended after %d matches with %v, want an error naming the relation and %q", tc.name, n, s.Err(), tc.want)
 		}
+		if n != tc.matches {
+			t.Errorf("%s: %d matches ahead of the error, want %d", tc.name, n, tc.matches)
+		}
+	}
+}
+
+// TestStreamStopsAtAMalformedEntry is the bounded-drain side of the
+// above: the per-entry adapter does not pull its cursor past an entry of
+// the wrong width, so a stream read on after the matches ahead of that
+// entry fails instead of resuming behind it.
+func TestStreamStopsAtAMalformedEntry(t *testing.T) {
+	ref := []postings.NodeRef{{Pre: 0, Post: 1}}
+	var entries []postings.IntervalEntry
+	for tid := uint32(0); tid < 3*window; tid++ {
+		entries = append(entries, postings.IntervalEntry{TID: tid, Nodes: ref})
+	}
+	const bad = window + 3
+	entries[bad].Nodes = append(ref, ref...)
+	cur := NewSliceCursor(entries)
+	s, err := NewStream(context.Background(), query.MustParse("A"), []StreamRelation{{Name: "1:A", Slots: []int{0}, Cursor: cur}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The tree just ahead of the bad entry is not joined: gathering it
+	// reads the next head, which is the bad entry.
+	for want := uint32(0); want < bad-1; want++ {
+		if m, ok := s.Next(); !ok || m.TID != want || s.Err() != nil {
+			t.Fatalf("match %d: got %+v ok=%v err=%v", want, m, ok, s.Err())
+		}
+	}
+	if m, ok := s.Next(); ok || s.Err() == nil || !strings.Contains(s.Err().Error(), "entry binds 2 nodes, want 1") {
+		t.Fatalf("read past the malformed entry: %+v ok=%v err=%v", m, ok, s.Err())
+	}
+	if cur.i != bad+1 {
+		t.Fatalf("cursor pulled to entry %d, want it stopped at the malformed entry %d", cur.i-1, bad)
 	}
 }
