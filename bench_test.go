@@ -292,7 +292,7 @@ func BenchmarkSearchBatch(b *testing.B) {
 		if _, err := si.Build(dir, si.GenerateCorpus(2012, 3000), opts); err != nil {
 			b.Fatal(err)
 		}
-		ix, err := si.OpenWith(dir, si.OpenOptions{PlanCacheSize: 1024})
+		ix, err := si.Open(dir)
 		if err != nil {
 			b.Fatal(err)
 		}

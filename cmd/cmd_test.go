@@ -184,7 +184,7 @@ func TestSisrvServes(t *testing.T) {
 	addr := l.Addr().String()
 	l.Close()
 
-	cmd := exec.Command(sisrv, "-index", idx, "-addr", addr, "-plancache", "64")
+	cmd := exec.Command(sisrv, "-index", idx, "-addr", addr)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@
 //
 // Serve an existing index directory:
 //
-//	sisrv -index idx -addr :8080 -cache 8388608 -plancache 4096 -timeout 10s
+//	sisrv -index idx -addr :8080 -cache 8388608 -timeout 10s
 //
 // Or build a throwaway demo index first (removed on exit):
 //
@@ -81,7 +81,6 @@ func main() {
 	flag.IntVar(&sc.shards, "shards", 1, "shard count for -gen")
 	cache := flag.Int64("cache", 0, "LRU page cache bytes per index file (0 = uncached, the paper's setup; unused while mmap serves the file)")
 	mmap := flag.Bool("mmap", true, "memory-map index files for zero-copy page reads (falls back to pread when mapping is unavailable)")
-	plancache := flag.Int("plancache", 4096, "LRU query-plan cache entries (0 = disabled)")
 	flag.IntVar(&sc.limit, "limit", server.DefaultMaxMatches, "max matches returned per query (-1 = unlimited)")
 	flag.IntVar(&sc.maxbatch, "maxbatch", server.DefaultMaxBatch, "max queries per /batch request")
 	flag.Int64Var(&sc.maxappend, "maxappend", server.DefaultMaxAppendBody, "max /append body bytes (-1 = disable /append, /delete and /compact)")
@@ -95,7 +94,7 @@ func main() {
 	flag.IntVar(&sc.compact.minDeleted, "compact-min-deleted", 64, "background compaction threshold: compact at this many tombstoned trees")
 	flag.Parse()
 
-	sc.open = si.OpenOptions{CacheSize: *cache, PlanCacheSize: *plancache}
+	sc.open = si.OpenOptions{CacheSize: *cache}
 	if !*mmap {
 		sc.open.Mmap = si.MmapOff
 	}

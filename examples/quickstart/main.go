@@ -34,12 +34,11 @@ func main() {
 		info.Keys, info.Postings, info.IndexBytes/1024)
 
 	// Open in serving configuration: an in-process page cache keeps hot
-	// B+Tree pages in memory and a plan cache skips re-parsing and
-	// re-decomposing repeated queries. (Plain si.Open keeps both off,
-	// the paper's measurement setup.)
+	// B+Tree pages in memory. (Plain si.Open keeps it off, the paper's
+	// measurement setup.) Repeated queries always reuse their compiled
+	// plan.
 	ix, err := si.OpenWith(dir, si.OpenOptions{
-		CacheSize:     4 << 20, // 4 MiB page cache per shard
-		PlanCacheSize: 1024,    // compiled query plans
+		CacheSize: 4 << 20, // 4 MiB page cache per shard
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -65,7 +65,7 @@ func buildNode(t *testing.T, trees []*si.Tree, shards int, cfg server.Config) (*
 	if _, err := si.Build(dir, trees, opts); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := si.OpenWith(dir, si.OpenOptions{PlanCacheSize: 64})
+	ix, err := si.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

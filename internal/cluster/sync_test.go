@@ -28,7 +28,7 @@ func startLeader(t *testing.T, corpus []*si.Tree) (*si.Index, *httptest.Server, 
 	if _, err := si.Build(dir, corpus[:200], si.DefaultBuildOptions()); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := si.OpenWith(dir, si.OpenOptions{PlanCacheSize: 64})
+	ix, err := si.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSyncReplication(t *testing.T) {
 		t.Fatalf("sync generation %d, leader %d", res.Generation, leaderIx.Generation())
 	}
 
-	fix, err := si.OpenWith(followerDir, si.OpenOptions{PlanCacheSize: 64})
+	fix, err := si.Open(followerDir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -45,29 +47,38 @@ func TestBatchMatchesSequential(t *testing.T) {
 }
 
 // TestBatchMatchesSequentialSharded runs the same parity check through
-// the sharded fan-out.
+// the sharded fan-out, and checks plan-level dedup: a query, its
+// repeat and a sibling permutation resolve to one *Plan, which the
+// batch evaluates once — the same join work as the query alone.
 func TestBatchMatchesSequentialSharded(t *testing.T) {
 	trees := shardCorpus(500)
+	ctx := context.Background()
 	for _, shards := range []int{1, 3} {
-		// PlanCache 64 also exercises plan-level dedup: the repeated and
-		// permuted queries in batchQueries resolve to one *Plan, which
-		// batch evaluation runs once and shares.
-		for _, opts := range []OpenOptions{{}, {PlanCache: 64}} {
-			h := openLive(t, trees, shards, opts)
-			batch, err := searchBatch(h, batchQueries)
+		h := openLive(t, trees, shards, OpenOptions{})
+		batch, err := searchBatch(h, batchQueries)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		for i, src := range batchQueries {
+			seq, err := searchText(h, src)
 			if err != nil {
-				t.Fatalf("shards=%d: %v", shards, err)
+				t.Fatal(err)
 			}
-			for i, src := range batchQueries {
-				seq, err := searchText(h, src)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(trunc(batch[i]), trunc(seq)) {
-					t.Errorf("shards=%d cache=%d: %q: batch differs from sequential",
-						shards, opts.PlanCache, src)
-				}
+			if !reflect.DeepEqual(trunc(batch[i]), trunc(seq)) {
+				t.Errorf("shards=%d: %q: batch differs from sequential", shards, src)
 			}
+		}
+		alone, err := h.SearchBatch(ctx, []string{"NP(DT)(NN)"}, SearchOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dup, err := h.SearchBatch(ctx, []string{"NP(DT)(NN)", "NP(DT)(NN)", "NP(NN)(DT)"}, SearchOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if alone[0].Stats.JoinRows == 0 || dup[0].Stats.JoinRows != alone[0].Stats.JoinRows {
+			t.Errorf("shards=%d: batch of a query, its repeat and a permutation did %d join rows, the query alone %d",
+				shards, dup[0].Stats.JoinRows, alone[0].Stats.JoinRows)
 		}
 	}
 }
@@ -110,12 +121,11 @@ func TestBatchBadQuery(t *testing.T) {
 	}
 }
 
-// TestPlanCache exercises the serving cache: repeats hit by raw text,
-// sibling permutations hit through the canonical key, and the LRU
-// bound holds.
+// TestPlanCache exercises the epoch's plan map: a repeat hits, and a
+// sibling permutation hits through the canonical key.
 func TestPlanCache(t *testing.T) {
 	trees := shardCorpus(300)
-	h := openLive(t, trees, 2, OpenOptions{PlanCache: 64})
+	h := openLive(t, trees, 2, OpenOptions{})
 	want, err := searchText(h, "NP(DT)(NN)")
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +135,7 @@ func TestPlanCache(t *testing.T) {
 		t.Fatalf("first query: hits=%d misses=%d, want exactly 0/1 (one miss per lookup)",
 			c0.PlanCacheHits, c0.PlanCacheMisses)
 	}
-	got, err := searchText(h, "NP(DT)(NN)") // raw-text repeat
+	got, err := searchText(h, "NP(DT)(NN)") // repeat
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +144,7 @@ func TestPlanCache(t *testing.T) {
 	}
 	c1 := h.Counters()
 	if c1.PlanCacheHits != c0.PlanCacheHits+1 {
-		t.Fatalf("raw repeat: hits %d -> %d, want +1", c0.PlanCacheHits, c1.PlanCacheHits)
+		t.Fatalf("repeat: hits %d -> %d, want +1", c0.PlanCacheHits, c1.PlanCacheHits)
 	}
 	got, err = searchText(h, "NP(NN)(DT)") // permutation: canonical-key hit
 	if err != nil {
@@ -155,7 +165,7 @@ func TestPlanCache(t *testing.T) {
 // query before retaining it.
 func TestPlanCacheCallerMutation(t *testing.T) {
 	trees := shardCorpus(300)
-	h := openLive(t, trees, 1, OpenOptions{PlanCache: 64})
+	h := openLive(t, trees, 1, OpenOptions{})
 	q := query.MustParse("NP(DT)(NN)")
 	want, err := searchQuery(h, q)
 	if err != nil {
@@ -171,79 +181,35 @@ func TestPlanCacheCallerMutation(t *testing.T) {
 	}
 }
 
-// TestPlanCacheEviction asserts the cache is bounded: filling it far
-// past its capacity keeps the plan count at the bound.
+// TestPlanCacheEviction asserts the epoch's plan map is bounded:
+// more distinct queries than maxEpochPlans clear it wholesale instead
+// of growing it, and searches keep answering correctly throughout.
 func TestPlanCacheEviction(t *testing.T) {
-	c := newPlanCache(8)
-	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l"}
-	for _, k := range keys {
-		c.put(k, &Plan{Query: query.MustParse(k)})
+	h := openLive(t, shardCorpus(100), 1, OpenOptions{})
+	ctx := context.Background()
+	want, err := h.Search(ctx, "NP(DT)(NN)", SearchOpts{CountOnly: true})
+	if err != nil || want.Count == 0 {
+		t.Fatalf("vacuous fixture: %v, %v", want, err)
 	}
-	if got := c.len(); got != 8 {
-		t.Fatalf("cache holds %d plans, want bound 8", got)
-	}
-	if _, ok := c.get("a"); ok {
-		t.Fatal("oldest key survived past the bound")
-	}
-	if _, ok := c.get("l"); !ok {
-		t.Fatal("newest key evicted")
-	}
-}
-
-// TestPlanCacheAliasesDoNotThrash is the regression test for the
-// alias-eviction bug: storing a raw-text alias right after its
-// canonical key hit used to evict that very canonical entry when the
-// cache sat at capacity, so a size-1 cache alternating two spellings
-// of one query missed on every single lookup. A plan's keys must count
-// once: after the first compilation, every further lookup of either
-// spelling hits.
-func TestPlanCacheAliasesDoNotThrash(t *testing.T) {
-	p := newCompiler(Meta{MSS: 3}, 1)
-	const alias = "NP(NN)(DT)"     // non-canonical sibling order
-	const canonical = "NP(DT)(NN)" // its canonical form
-	if _, _, err := p.planText(alias); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		for _, src := range []string{canonical, alias} {
-			pl, hit, err := p.planText(src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !hit || pl == nil {
-				t.Fatalf("round %d %q: miss; alias storage evicted the canonical entry", i, src)
-			}
+	for i := 0; i <= maxEpochPlans+10; i++ {
+		res, err := h.Search(ctx, fmt.Sprintf("NP(DT)(ZZ%d)", i), SearchOpts{CountOnly: true})
+		if err != nil || res.Count != 0 {
+			t.Fatalf("query %d: %v, %v", i, res, err)
 		}
 	}
-	hits, misses := p.counters()
-	if misses != 1 || hits != 6 {
-		t.Fatalf("hits=%d misses=%d, want 6 hits and the single initial miss", hits, misses)
+	e := h.cur.Load()
+	e.plansMu.Lock()
+	n := len(e.plans)
+	e.plansMu.Unlock()
+	if n > maxEpochPlans || n == 0 {
+		t.Fatalf("plan map holds %d plans, want 1..%d", n, maxEpochPlans)
 	}
-	if got := p.cache.len(); got != 1 {
-		t.Fatalf("cache holds %d plans, want 1 (both keys share it)", got)
+	got, err := h.Search(ctx, "NP(DT)(NN)", SearchOpts{CountOnly: true})
+	if err != nil || got.Count != want.Count {
+		t.Fatalf("after overflow: count %v (err %v), want %d", got, err, want.Count)
 	}
-}
-
-// TestPlanCacheAliasBound asserts the per-plan alias set stays capped:
-// unlimited distinct spellings of one query cannot grow a cached
-// plan's key set without bound.
-func TestPlanCacheAliasBound(t *testing.T) {
-	c := newPlanCache(4)
-	pl := &Plan{Query: query.MustParse("A")}
-	for _, k := range []string{"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7", "k8", "k9"} {
-		c.put(k, pl)
-	}
-	if got := c.len(); got != 1 {
-		t.Fatalf("one plan stored under many keys occupies %d slots, want 1", got)
-	}
-	live := 0
-	for _, k := range []string{"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7", "k8", "k9"} {
-		if _, ok := c.get(k); ok {
-			live++
-		}
-	}
-	if live != 1+maxPlanAliases {
-		t.Fatalf("%d keys resolve, want the first plus %d aliases", live, maxPlanAliases)
+	if c := h.Counters(); c.PlanCacheMisses != maxEpochPlans+13 {
+		t.Fatalf("misses = %d, want one per distinct query plus the cleared repeat", c.PlanCacheMisses)
 	}
 }
 

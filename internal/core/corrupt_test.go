@@ -21,7 +21,7 @@ func TestCorruptPostingCountIsAnError(t *testing.T) {
 	const q = "NP(DT)(NN)"
 	for coding, l := range buildAll(t, shardCorpus(200), 3) {
 		leaf := l.cur.Load().set.leaves[0]
-		pl, _, err := l.plans.planText(q)
+		pl, _, err := l.planText(l.cur.Load(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,12 +56,6 @@ type OpenOptions struct {
 	// cache is only used when the mmap backend is off or unavailable —
 	// a mapping already serves every page without copies.
 	CacheSize int64
-	// PlanCache bounds the in-process LRU cache of compiled query plans
-	// (parsed query + cover decomposition), keyed by query text. The
-	// zero value disables plan caching; serving deployments typically
-	// set a few thousand entries. Plans compile once at the root
-	// (OpenLive); a leaf opened on its own ignores the field.
-	PlanCache int
 	// Mmap selects the read backend for index files; the zero value
 	// (MmapAuto) maps them when possible.
 	Mmap MmapMode
@@ -134,19 +128,17 @@ type Counters struct {
 	// each distinct key once per shard, so a batch with shared covers
 	// advances this counter less than the equivalent sequential runs.
 	PostingFetches uint64 `json:"posting_fetches"`
-	// PlanCacheHits counts query compilations skipped by the plan cache.
+	// PlanCacheHits counts searches whose plan was already stored on
+	// the epoch they pinned, skipping cover decomposition and costing.
 	PlanCacheHits uint64 `json:"plan_cache_hits"`
-	// PlanCacheMisses counts plan-cache lookups that found no entry and
-	// had to parse and/or decompose. Both cache counters stay zero when
-	// the plan cache is disabled.
+	// PlanCacheMisses counts searches that compiled their plan against
+	// the pinned epoch's statistics — every first search of a query
+	// after a publish is one.
 	PlanCacheMisses uint64 `json:"plan_cache_misses"`
-	// PlanReplans counts compilations forced by a statistics-generation
-	// bump: a published segment change purged the plan cache, and a query
-	// whose plan was purged compiled again under the new statistics.
-	PlanReplans uint64 `json:"plan_replans"`
 	// PlanEstimatedRows accumulates the planner's estimated join
-	// cardinality over costed queries; together with PlanActualRows it
-	// exposes the cost model's aggregate estimate error.
+	// cardinality over costed queries whose result was complete (not
+	// truncated by a limit); together with PlanActualRows it exposes
+	// the cost model's aggregate estimate error.
 	PlanEstimatedRows uint64 `json:"plan_estimated_rows"`
 	// PlanActualRows accumulates the actual match counts of the same
 	// costed queries PlanEstimatedRows covers.

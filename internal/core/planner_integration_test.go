@@ -7,102 +7,121 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/lingtree"
 	"repro/internal/planner"
 	"repro/internal/postings"
 )
 
-// TestPlanCacheInvalidationOnPublish is the statistics-generation
-// regression test: a published segment-set change (append, delete,
-// compact) must purge the plan cache — a plan costed against replaced
-// statistics may never serve the republished index — and the purged
-// queries must count as replans when they next compile.
-func TestPlanCacheInvalidationOnPublish(t *testing.T) {
-	trees := shardCorpus(300)
-	l := openLive(t, trees[:200], 1, OpenOptions{PlanCache: 64})
-	ctx := context.Background()
-	const q = "NP(DT)(NN)"
+// heavyTrees returns n trees that each hold NP(DT)(NN) several times,
+// so appending them makes that cover piece of heavyQuery far heavier
+// in the merged statistics.
+func heavyTrees(n int) []*lingtree.Tree {
+	trees := make([]*lingtree.Tree, n)
+	for i := range trees {
+		trees[i] = lingtree.MustParse(i, "(S (NP (DT a) (NN dog)) (VP (VBZ sees) (NP (DT the) (NN cat)) (NP (DT a) (NN rat))))")
+	}
+	return trees
+}
 
-	search := func() {
-		t.Helper()
-		if _, err := l.Search(ctx, q, SearchOpts{}); err != nil {
-			t.Fatal(err)
+// heavyQuery is the query whose piece heavyTrees weighs down.
+const heavyQuery = "S(NP(DT)(NN))(VP)"
+
+// heavier reports whether some piece's estimate grew from before to
+// after.
+func heavier(before, after map[string]uint64) bool {
+	for k, est := range after {
+		if est > before[k] {
+			return true
 		}
 	}
-	search()
-	search()
-	c := l.Counters()
-	if c.PlanCacheMisses != 1 || c.PlanCacheHits != 1 {
-		t.Fatalf("warm-up: hits=%d misses=%d, want 1/1", c.PlanCacheHits, c.PlanCacheMisses)
-	}
-	if c.PlanReplans != 0 {
-		t.Fatalf("replans before any publish: %d", c.PlanReplans)
-	}
+	return false
+}
 
-	// Append publishes a new generation: the cached plan must die and the
-	// next compile of the same query counts as a replan.
-	if _, err := l.Append(ctx, trees[200:250], 1, 0); err != nil {
+// explainFresh runs q with explain on l and asserts the plan was costed
+// against the statistics l currently serves: it was compiled on the
+// current epoch (no plan-map hit) and every piece's estimate is the
+// current merged statistics' estimate. It returns the piece estimates
+// by key.
+func explainFresh(t *testing.T, l *Live, q string) map[string]uint64 {
+	t.Helper()
+	res, err := l.Search(context.Background(), q, SearchOpts{Explain: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	search()
-	c = l.Counters()
-	if c.PlanCacheMisses != 2 {
-		t.Fatalf("post-append search hit a stale plan: hits=%d misses=%d", c.PlanCacheHits, c.PlanCacheMisses)
+	if res.Stats.PlanCacheHit {
+		t.Fatalf("%s: first search after a publish reused a plan", q)
 	}
-	if c.PlanReplans != 1 {
-		t.Fatalf("PlanReplans = %d after append, want 1", c.PlanReplans)
+	stats := l.Meta().KeyStats
+	if stats == nil || len(res.Stats.Pieces) == 0 {
+		t.Fatalf("%s: vacuous fixture: stats %v, %d pieces", q, stats, len(res.Stats.Pieces))
+	}
+	est := make(map[string]uint64, len(res.Stats.Pieces))
+	for _, p := range res.Stats.Pieces {
+		if want := stats.Estimate(p.Key); p.Est != want {
+			t.Fatalf("%s: piece %s costed at %d, current statistics say %d", q, p.Key, p.Est, want)
+		}
+		est[p.Key] = p.Est
+	}
+	return est
+}
+
+// TestPlanCacheInvalidationOnPublish asserts a plan is costed against
+// the epoch it runs on: after an Append (and a Delete + Compact)
+// publishes a new segment set, the very next search of a warmed query
+// compiles afresh, with per-piece estimates equal to the new merged
+// statistics; a repeat with no publish in between reuses that plan.
+func TestPlanCacheInvalidationOnPublish(t *testing.T) {
+	l := openLive(t, shardCorpus(200), 1, OpenOptions{})
+	ctx := context.Background()
+	const q = heavyQuery
+
+	before := explainFresh(t, l, q)
+	if res, err := l.Search(ctx, q, SearchOpts{}); err != nil || !res.Stats.PlanCacheHit {
+		t.Fatalf("warm repeat: hit=%v err=%v, want a plan-map hit", res != nil && res.Stats.PlanCacheHit, err)
 	}
 
-	// Compact publishes again: same contract.
+	if _, err := l.Append(ctx, heavyTrees(100), 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if after := explainFresh(t, l, q); !heavier(before, after) {
+		t.Fatalf("append made no piece heavier: %v -> %v", before, after)
+	}
+
 	if _, err := l.Delete(ctx, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := l.Compact(ctx, CompactOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	search()
-	c = l.Counters()
-	if c.PlanReplans < 2 {
-		t.Fatalf("PlanReplans = %d after delete+compact, want >= 2", c.PlanReplans)
+	explainFresh(t, l, q)
+	hits := l.Counters().PlanCacheHits
+	if _, err := l.Search(ctx, q, SearchOpts{}); err != nil {
+		t.Fatal(err)
 	}
-	// The estimate-error counters accumulate on every costed search.
-	if c.PlanEstimatedRows == 0 || c.PlanActualRows == 0 {
-		t.Fatalf("estimate-error counters empty: est=%d act=%d", c.PlanEstimatedRows, c.PlanActualRows)
-	}
-
-	// A repeat with no publish in between stays a cache hit — the purge
-	// must not over-invalidate.
-	hits := c.PlanCacheHits
-	search()
 	if got := l.Counters().PlanCacheHits; got != hits+1 {
-		t.Fatalf("post-compact repeat was not a cache hit: hits %d -> %d", hits, got)
+		t.Fatalf("post-compact repeat was not a plan-map hit: hits %d -> %d", hits, got)
 	}
 }
 
 // TestReloadInvalidatesPlans covers the cross-process half: a Reload
-// that picks up another process's publish must purge cached plans too.
+// that picks up another process's publish serves a new epoch, so the
+// next search plans against the reloaded statistics.
 func TestReloadInvalidatesPlans(t *testing.T) {
-	trees := shardCorpus(260)
 	dir := filepath.Join(t.TempDir(), "ix")
-	if _, err := BuildSharded(dir, trees[:200], Options{MSS: 3, Coding: postings.RootSplit}, 1); err != nil {
+	if _, err := BuildSharded(dir, shardCorpus(200), Options{MSS: 3, Coding: postings.RootSplit}, 1); err != nil {
 		t.Fatal(err)
 	}
-	serving, err := OpenLive(dir, OpenOptions{PlanCache: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer serving.Close()
+	serving := openDir(t, dir, OpenOptions{})
 	ctx := context.Background()
-	const q = "S(//NN)"
-	if _, err := serving.Search(ctx, q, SearchOpts{}); err != nil {
-		t.Fatal(err)
-	}
+	const q = heavyQuery
+	before := explainFresh(t, serving, q)
 
 	// A second writer process appends and publishes.
 	writer, err := OpenLive(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := writer.Append(ctx, trees[200:], 1, 0); err != nil {
+	if _, err := writer.Append(ctx, heavyTrees(100), 1, 0); err != nil {
 		writer.Close()
 		t.Fatal(err)
 	}
@@ -111,15 +130,38 @@ func TestReloadInvalidatesPlans(t *testing.T) {
 	if changed, err := serving.Reload(); err != nil || !changed {
 		t.Fatalf("Reload = %v, %v; want a pickup", changed, err)
 	}
-	if _, err := serving.Search(ctx, q, SearchOpts{}); err != nil {
-		t.Fatal(err)
+	if after := explainFresh(t, serving, q); !heavier(before, after) {
+		t.Fatalf("reload made no piece heavier: %v -> %v", before, after)
 	}
-	c := serving.Counters()
-	if c.PlanReplans != 1 {
-		t.Fatalf("PlanReplans = %d after reload, want 1", c.PlanReplans)
+}
+
+// TestEstimateCountersSkipTruncated asserts the estimate-error counters
+// only observe complete results: a limited search whose Count is a
+// prefix leaves both unchanged, while the unlimited search adds its
+// estimate and exactly its count.
+func TestEstimateCountersSkipTruncated(t *testing.T) {
+	l := openLive(t, shardCorpus(300), 2, OpenOptions{})
+	ctx := context.Background()
+	const q = "NP(DT)(NN)"
+	c0 := l.Counters()
+	res, err := l.Search(ctx, q, SearchOpts{Limit: 1})
+	if err != nil || !res.Stats.Truncated {
+		t.Fatalf("vacuous fixture: limited search truncated=%v err=%v", res != nil && res.Stats.Truncated, err)
 	}
-	if c.PlanCacheMisses != 2 {
-		t.Fatalf("post-reload search should recompile: hits=%d misses=%d", c.PlanCacheHits, c.PlanCacheMisses)
+	if c := l.Counters(); c.PlanEstimatedRows != c0.PlanEstimatedRows || c.PlanActualRows != c0.PlanActualRows {
+		t.Fatalf("truncated search moved the counters: est %d -> %d, act %d -> %d",
+			c0.PlanEstimatedRows, c.PlanEstimatedRows, c0.PlanActualRows, c.PlanActualRows)
+	}
+	res, err = l.Search(ctx, q, SearchOpts{})
+	if err != nil || res.Count < 2 || res.Stats.EstimatedRows == 0 {
+		t.Fatalf("vacuous fixture: count %v, est %v, err %v", res.Count, res.Stats.EstimatedRows, err)
+	}
+	c := l.Counters()
+	if got := c.PlanActualRows - c0.PlanActualRows; got != uint64(res.Count) {
+		t.Fatalf("unlimited search added %d actual rows, want its count %d", got, res.Count)
+	}
+	if got := c.PlanEstimatedRows - c0.PlanEstimatedRows; got != res.Stats.EstimatedRows {
+		t.Fatalf("unlimited search added %d estimated rows, want its estimate %d", got, res.Stats.EstimatedRows)
 	}
 }
 

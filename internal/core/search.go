@@ -67,8 +67,8 @@ type SearchStats struct {
 	// search issued (for a batch: the whole batch, since shared fetches
 	// cannot be attributed to one query).
 	PostingFetches uint64 `json:"posting_fetches"`
-	// PlanCacheHit reports that the query skipped parse/decomposition
-	// via the plan cache.
+	// PlanCacheHit reports that the query reused the plan already
+	// compiled on its epoch, skipping decomposition and costing.
 	PlanCacheHit bool `json:"plan_cache_hit"`
 	// ShardsConsulted is the number of index partitions evaluated;
 	// under a Limit it can be less than the shard count, which is

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/lingtree"
 	"repro/internal/planner"
+	"repro/internal/postings"
 	"repro/internal/query"
 	"repro/internal/subtree"
 	"repro/internal/treebank"
@@ -80,11 +81,56 @@ func (sg *segment) unref() {
 // one reference per in-flight query plus one for being the current
 // epoch; when it drains, the epoch's segment references are dropped —
 // a segment kept alive only by retired epochs closes at that point.
+//
+// An epoch also owns the plans compiled against it: stats is the
+// merged posting statistics of its segments, and plans maps a query's
+// canonical text to the plan costed against exactly those statistics.
+// A publish starts a new epoch with an empty map, so a plan never runs
+// on a segment set other than the one it was costed for.
 type epoch struct {
-	segs []*segment
-	set  leafSet
-	gen  int
-	refs atomic.Int64
+	segs   []*segment
+	set    leafSet
+	gen    int
+	refs   atomic.Int64
+	mss    int
+	coding postings.Coding
+	stats  *planner.Stats
+
+	plansMu sync.Mutex
+	plans   map[string]*Plan
+}
+
+// maxEpochPlans bounds an epoch's plan map; a full map is cleared
+// wholesale rather than evicted entry by entry.
+const maxEpochPlans = 4096
+
+// plan returns q's plan costed against the epoch's statistics and
+// whether it was already stored, compiling and storing it otherwise.
+// A shared q belongs to the caller and is cloned before the plan
+// retains it, so later caller mutations cannot corrupt stored plans.
+// Spellings equal up to sibling order share one *Plan.
+func (e *epoch) plan(q *query.Query, shared bool) (*Plan, bool, error) {
+	canon := q.Canonical()
+	e.plansMu.Lock()
+	pl, ok := e.plans[canon]
+	e.plansMu.Unlock()
+	if ok {
+		return pl, true, nil
+	}
+	if shared {
+		q = q.Clone()
+	}
+	pl, err := planner.New(q, e.mss, e.coding, e.stats)
+	if err != nil {
+		return nil, false, err
+	}
+	e.plansMu.Lock()
+	if len(e.plans) >= maxEpochPlans {
+		clear(e.plans)
+	}
+	e.plans[canon] = pl
+	e.plansMu.Unlock()
+	return pl, false, nil
 }
 
 // pin takes a query reference, failing if the epoch already drained
@@ -133,8 +179,7 @@ type liveInfo struct {
 // Reload and Close serialize among themselves.
 type Live struct {
 	dir      string
-	leafOpts OpenOptions // per-leaf options (plan cache lives at the root)
-	plans    *compiler
+	leafOpts OpenOptions // per-leaf options
 	info     atomic.Pointer[liveInfo]
 	cur      atomic.Pointer[epoch] // nil once closed
 
@@ -162,12 +207,18 @@ type Live struct {
 
 	closeMu  sync.Mutex
 	closeErr error
+
+	// Cumulative planning counters across every epoch: plan-map hits
+	// and misses, and the estimated vs. actual rows of costed queries
+	// whose result was complete.
+	planHits, planMisses atomic.Uint64
+	estRows, actRows     atomic.Uint64
 }
 
 // OpenLive opens the index stored in dir — segmented, sharded or
-// single-directory. opts.CacheSize is a per-leaf budget; the plan cache
-// lives once at the root: leaves share MSS, coding and statistics, so
-// one compiled plan serves the whole fan-out.
+// single-directory. opts.CacheSize is a per-leaf budget; plans live
+// once per epoch at the root: leaves share MSS, coding and statistics,
+// so one compiled plan serves the whole fan-out.
 func OpenLive(dir string, opts OpenOptions) (*Live, error) {
 	meta, err := readMeta(dir)
 	if err != nil {
@@ -176,7 +227,6 @@ func OpenLive(dir string, opts OpenOptions) (*Live, error) {
 	l := &Live{
 		dir:      dir,
 		leafOpts: OpenOptions{CacheSize: opts.CacheSize, Mmap: opts.Mmap},
-		plans:    newCompiler(meta, opts.PlanCache),
 		openSegs: make(map[*segment]struct{}),
 	}
 	var segs []*segment
@@ -392,16 +442,12 @@ func (l *Live) publishLocked(segs []*segment, gen int, tombs map[string][]int) {
 	if deleted > 0 {
 		set.dels = dels
 	}
-	e := &epoch{segs: segs, set: set, gen: gen}
-	e.refs.Store(1)
 	meta := aggregateMeta(segs)
 	meta.Generation = gen
+	e := &epoch{segs: segs, set: set, gen: gen, mss: meta.MSS, coding: meta.Coding,
+		stats: meta.KeyStats, plans: make(map[string]*Plan)}
+	e.refs.Store(1)
 	l.info.Store(&liveInfo{meta: meta, leaves: len(set.leaves), segments: len(segs), gen: gen, deleted: deleted})
-	// Every publish path (open, Append, Delete, Compact, Reload) funnels
-	// through here: install the merged statistics in the compiler, and —
-	// when the generation moved — purge the plan cache so no plan costed
-	// against the replaced segment set is ever served again.
-	l.plans.setStats(meta.KeyStats, uint64(gen))
 	if old := l.cur.Swap(e); old != nil {
 		old.release()
 	}
@@ -466,22 +512,20 @@ func (l *Live) Close() error {
 	return l.closeErr
 }
 
-// Counters reports cumulative serving counters — the plan cache's
-// activity plus posting fetches summed over every open segment
+// Counters reports cumulative serving counters — plan-map hits and
+// misses summed over every epoch, the planner's estimate-error totals,
+// and posting fetches summed over every open segment
 // (including ones already delisted but still pinned by running
 // queries) and all retired ones, a total that only ever grows — and
 // the point-in-time lifecycle gauges (live/tombstoned trees, segment
 // count and bytes) of the current epoch.
 func (l *Live) Counters() Counters {
-	hits, misses := l.plans.counters()
-	replans, est, act := l.plans.plannerCounters()
 	info := l.info.Load()
 	c := Counters{
-		PlanCacheHits:     hits,
-		PlanCacheMisses:   misses,
-		PlanReplans:       replans,
-		PlanEstimatedRows: est,
-		PlanActualRows:    act,
+		PlanCacheHits:     l.planHits.Load(),
+		PlanCacheMisses:   l.planMisses.Load(),
+		PlanEstimatedRows: l.estRows.Load(),
+		PlanActualRows:    l.actRows.Load(),
 		LiveTrees:         info.meta.NumTrees - info.deleted,
 		TombstonedTrees:   info.deleted,
 		Segments:          info.segments,
@@ -501,15 +545,21 @@ func (l *Live) Counters() Counters {
 	return c
 }
 
-// Search parses src (through the root's plan cache, when enabled) and
-// evaluates it across the live segments under ctx with the given
-// bounds, pinned to the segment set current when the call started.
+// Search pins the current segment set, parses src, plans it against
+// that set's statistics (reusing the set's stored plan of any spelling
+// equal up to sibling order) and evaluates it under ctx with the given
+// bounds.
 func (l *Live) Search(ctx context.Context, src string, opts SearchOpts) (*Result, error) {
-	pl, hit, err := l.plans.planText(src)
+	e, err := l.pin()
 	if err != nil {
 		return nil, err
 	}
-	return l.searchPlan(ctx, pl, opts, hit)
+	defer e.release()
+	pl, hit, err := l.planText(e, src)
+	if err != nil {
+		return nil, err
+	}
+	return l.searchPlan(ctx, e, pl, opts, hit)
 }
 
 // SearchQuery evaluates an already-parsed query across the live
@@ -518,24 +568,47 @@ func (l *Live) SearchQuery(ctx context.Context, q *query.Query, opts SearchOpts)
 	if q.Size() == 0 {
 		return nil, fmt.Errorf("core: empty query")
 	}
-	pl, hit, err := l.plans.planQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	return l.searchPlan(ctx, pl, opts, hit)
-}
-
-// searchPlan runs one compiled plan on the pinned current epoch and
-// feeds the planner's estimate-error counters.
-func (l *Live) searchPlan(ctx context.Context, pl *Plan, opts SearchOpts, hit bool) (*Result, error) {
 	e, err := l.pin()
 	if err != nil {
 		return nil, err
 	}
 	defer e.release()
+	pl, hit, err := l.plan(e, q, true)
+	if err != nil {
+		return nil, err
+	}
+	return l.searchPlan(ctx, e, pl, opts, hit)
+}
+
+// plan plans q on the pinned epoch e (see epoch.plan), counting the
+// lookup as a plan-map hit or miss.
+func (l *Live) plan(e *epoch, q *query.Query, shared bool) (*Plan, bool, error) {
+	pl, hit, err := e.plan(q, shared)
+	if hit {
+		l.planHits.Add(1)
+	} else {
+		l.planMisses.Add(1)
+	}
+	return pl, hit, err
+}
+
+// planText parses src and plans it on the pinned epoch e.
+func (l *Live) planText(e *epoch, src string) (*Plan, bool, error) {
+	q, err := query.Parse(src)
+	if err != nil {
+		return nil, false, err
+	}
+	return l.plan(e, q, false)
+}
+
+// searchPlan runs one compiled plan on the pinned epoch e. A complete
+// result of a costed plan feeds the planner's estimate-error counters;
+// a truncated one is skipped, since its Count is only a prefix.
+func (l *Live) searchPlan(ctx context.Context, e *epoch, pl *Plan, opts SearchOpts, hit bool) (*Result, error) {
 	res, err := e.set.searchPlan(ctx, pl, opts, hit)
-	if err == nil {
-		l.plans.observePlan(pl, res.Count)
+	if err == nil && pl.Costed && !res.Stats.Truncated {
+		l.estRows.Add(pl.EstRows)
+		l.actRows.Add(uint64(res.Count))
 	}
 	return res, err
 }
@@ -553,12 +626,13 @@ func (l *Live) searchPlan(ctx context.Context, pl *Plan, opts SearchOpts, hit bo
 // the segments mid-stream; an iterator that is never started never
 // releases its pin.
 func (l *Live) SearchStream(ctx context.Context, src string, opts SearchOpts) (*Result, error) {
-	pl, hit, err := l.plans.planText(src)
+	e, err := l.pin()
 	if err != nil {
 		return nil, err
 	}
-	e, err := l.pin()
+	pl, hit, err := l.planText(e, src)
 	if err != nil {
+		e.release()
 		return nil, err
 	}
 	res, err := newStreamResult(ctx, e.set, pl, opts, hit)
@@ -571,23 +645,28 @@ func (l *Live) SearchStream(ctx context.Context, src string, opts SearchOpts) (*
 }
 
 // SearchBatch evaluates a batch of textual queries across the live
-// segments under ctx: planned once at the root, then every leaf
-// evaluates the whole batch concurrently, fetching each distinct cover
-// key's posting list once per leaf. Results keep query order and each
+// segments under ctx: planned once at the root against the pinned
+// segment set — repeated and permuted spellings resolve to one plan,
+// evaluated once — then every leaf evaluates the whole batch
+// concurrently, fetching each distinct cover key's posting list once
+// per leaf. Results keep query order and each
 // is identical to Search on that element; bounds apply per query at
 // the merge (batches do not early-terminate — sharing fetches is their
 // optimization). The per-result Stats report the whole batch's fetch
 // and join-row totals.
 func (l *Live) SearchBatch(ctx context.Context, srcs []string, opts SearchOpts) ([]*Result, error) {
-	plans, hits, err := l.plans.planBatch(srcs)
-	if err != nil {
-		return nil, err
-	}
 	e, err := l.pin()
 	if err != nil {
 		return nil, err
 	}
 	defer e.release()
+	plans := make([]*Plan, len(srcs))
+	hits := make([]bool, len(srcs))
+	for i, src := range srcs {
+		if plans[i], hits[i], err = l.planText(e, src); err != nil {
+			return nil, fmt.Errorf("core: batch query %d %q: %w", i, src, err)
+		}
+	}
 	return e.set.searchBatchPlans(ctx, plans, hits, opts)
 }
 

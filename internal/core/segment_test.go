@@ -333,7 +333,7 @@ func TestCloseWaitsForPinnedSearch(t *testing.T) {
 // states).
 func TestConcurrentSearchAppendClose(t *testing.T) {
 	trees := shardCorpus(600)
-	l := openLive(t, trees[:300], 2, OpenOptions{PlanCache: 64})
+	l := openLive(t, trees[:300], 2, OpenOptions{})
 	ctx := context.Background()
 	const q = "NP(DT)(NN)"
 

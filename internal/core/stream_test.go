@@ -325,7 +325,7 @@ func TestLazyPermExpansionAgreesWithEager(t *testing.T) {
 		l := openDir(t, dir, OpenOptions{})
 		leaf := l.cur.Load().set.leaves[0]
 		for _, src := range fx.queries {
-			pl, _, err := l.plans.planText(src)
+			pl, _, err := l.planText(l.cur.Load(), src)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -424,7 +424,7 @@ func TestExplainActualsMatchPerEntryReference(t *testing.T) {
 		t.Fatalf("vacuous fixture: %d matches before the delete, %d after (err %v), %d tombstones", before.Count, after.Count, err, dels.Len())
 	}
 	for _, src := range []string{q0, "NP", "S(NP(DT)(NN))(VP(VBZ)(NP))", "S(NP)(VP(VBD)(NP)(PP(IN)(NP)))", "NP(NP(NN))(PP(IN)(NP(NNP)))"} {
-		pl, _, err := l.plans.planText(src)
+		pl, _, err := l.planText(l.cur.Load(), src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -620,7 +620,7 @@ func TestSeekGapTable(t *testing.T) {
 	measure := func(queries []string, limit int) (meanGap, longShare float64) {
 		hist := map[int]int{}
 		for _, src := range queries {
-			pl, _, err := l.plans.planText(src)
+			pl, _, err := l.planText(l.cur.Load(), src)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -86,9 +86,9 @@ type PlanPiece struct {
 // Plan is a compiled query: the parsed query together with its cover
 // decomposition under one index configuration (MSS and coding), plus
 // the planner's cost annotations. A Plan is immutable after New returns
-// and safe to share between goroutines — the plan cache hands one
-// instance to all of them; the cache key carries the statistics
-// generation, so a plan never outlives the stats it was costed under.
+// and safe to share between goroutines — the live index keeps one
+// instance per query on the published segment set (epoch) whose
+// statistics it was costed under, so a plan never runs on any other.
 // All evaluation runs against plan.Query; two textual queries that are
 // equal up to sibling order share a plan, which is sound because
 // matches expose only the query root's image.

@@ -36,7 +36,7 @@ func newSurfaceServer(t *testing.T, cfg Config, withDir bool) (*Server, *httptes
 	if _, err := si.Build(dir, trees[:150], si.DefaultBuildOptions()); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := si.OpenWith(dir, si.OpenOptions{PlanCacheSize: 64})
+	ix, err := si.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -233,7 +233,8 @@ type StatsJSON struct {
 	// PostingFetches is the number of physical posting-list reads the
 	// query issued.
 	PostingFetches uint64 `json:"posting_fetches"`
-	// PlanCacheHit reports the query skipped parse/decomposition.
+	// PlanCacheHit reports the query reused a stored plan, skipping
+	// decomposition and costing.
 	PlanCacheHit bool `json:"plan_cache_hit"`
 	// ShardsConsulted is how many index partitions were evaluated;
 	// under a limit this can be less than the shard count.

@@ -37,7 +37,7 @@ func newTestServer(t *testing.T, shards int, cfg Config) (*httptest.Server, *si.
 	if _, err := si.Build(dir, trees, opts); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := si.OpenWith(dir, si.OpenOptions{PlanCacheSize: 256})
+	ix, err := si.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func startServer(t *testing.T) (*httptest.Server, *si.Index) {
 	if _, err := si.Build(dir, si.GenerateCorpus(2012, 400), opts); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := si.OpenWith(dir, si.OpenOptions{PlanCacheSize: 256})
+	ix, err := si.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

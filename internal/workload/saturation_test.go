@@ -29,7 +29,7 @@ func TestReplaySaturation(t *testing.T) {
 	if _, err := si.Build(dir, si.GenerateCorpus(2012, 400), opts); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := si.OpenWith(dir, si.OpenOptions{PlanCacheSize: 256})
+	ix, err := si.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,8 +113,7 @@ func ExampleIndex_SearchBatch() {
 		log.Fatal(err)
 	}
 	ix, err := si.OpenWith(dir, si.OpenOptions{
-		CacheSize:     1 << 20, // 1 MiB page cache per shard
-		PlanCacheSize: 1024,    // compiled query plans
+		CacheSize: 1 << 20, // 1 MiB page cache per shard
 	})
 	if err != nil {
 		log.Fatal(err)

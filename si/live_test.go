@@ -65,7 +65,7 @@ func TestConcurrentAppendSearchProperty(t *testing.T) {
 	if _, err := si.Build(dir, trees[:cuts[0]], opts); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := si.OpenWith(dir, si.OpenOptions{PlanCacheSize: 64})
+	ix, err := si.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,12 +178,12 @@ type OpenOptions struct {
 	// operating system buffers pages; serving deployments typically set
 	// a few megabytes.
 	CacheSize int64
-	// PlanCacheSize bounds the in-process LRU cache of compiled query
-	// plans — parsed query plus chosen cover decomposition — keyed by
-	// query text (raw and canonical, so syntactic variants of one query
-	// share an entry). A repeated query skips parsing and decomposition
-	// entirely. The default 0 disables plan caching; serving
-	// deployments typically set a few thousand entries.
+	// PlanCacheSize is ignored: compiled plans are always kept, one
+	// bounded map per published segment set, keyed by the query's
+	// canonical text.
+	//
+	// Deprecated: plan caching is unconditional. The field remains
+	// only because the frozen benchmark (bench/layers.go) sets it.
 	PlanCacheSize int
 	// Mmap selects the read backend for index files. The default
 	// (MmapAuto) memory-maps them so page reads are zero-copy subslices
@@ -216,7 +216,6 @@ func Open(dir string) (*Index, error) { return OpenWith(dir, OpenOptions{}) }
 func OpenWith(dir string, opts OpenOptions) (*Index, error) {
 	ix, err := core.OpenLive(dir, core.OpenOptions{
 		CacheSize: opts.CacheSize,
-		PlanCache: opts.PlanCacheSize,
 		Mmap:      opts.Mmap,
 	})
 	if err != nil {
@@ -472,8 +471,9 @@ func (i *Index) Query(ctx context.Context, q *Query, opts ...SearchOption) (*Sea
 // Search parses and evaluates a query in one call. The context bounds
 // evaluation: cancellation and deadlines are checked inside the join
 // and scan loops, so an expired ctx aborts promptly with ctx.Err().
-// With OpenOptions.PlanCacheSize set, a repeated query string skips
-// parsing and decomposition via the plan cache. A limited search
+// The query is planned against the segment set the search pins: a
+// query seen before on that set (in any sibling order) reuses its
+// stored plan and skips decomposition and costing. A limited search
 // pushes the bound all the way into the join: evaluation stops
 // decoding postings and producing join rows once offset+limit matches
 // exist, inside a shard as well as across shards.
@@ -508,10 +508,11 @@ func (i *Index) SearchStream(ctx context.Context, querySrc string, opts ...Searc
 }
 
 // SearchBatch evaluates a batch of queries in one pass: all queries
-// are planned up front (deduplicating through the plan cache), then
-// each distinct cover key's posting list is fetched once per shard for
-// the whole batch — on workloads with shared covers this issues
-// strictly fewer posting fetches than len(srcs) Search calls.
+// are planned up front (repeats and sibling permutations share one
+// plan, evaluated once), then each distinct cover key's posting list
+// is fetched once per shard for the whole batch — on workloads with
+// shared covers this issues strictly fewer posting fetches than
+// len(srcs) Search calls.
 // Results[i] matches Search(ctx, srcs[i]) with the same options; any
 // unparsable query fails the whole batch with an error naming its
 // position. Batches optimize fetch sharing rather than early
