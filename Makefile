@@ -72,8 +72,10 @@ bench-baseline:
 
 # Short fuzz pass over the byte-level decoders that face raw (possibly
 # hostile) file contents: posting-list iterators (FuzzRootBlock holds
-# the batch root-split decoder to the per-entry one, record for record)
-# and the pager's header/page reader. The committed testdata/fuzz corpora always replay
+# the batch root-split decoder to the per-entry one, record for record),
+# the pager's header/page reader and the B+Tree's page decoding
+# (FuzzBTreeGet: lookups and a full scan of mutated built files, which
+# must error rather than panic or loop). The committed testdata/fuzz corpora always replay
 # in plain `go test`; this target additionally explores for a few
 # seconds per target, which is enough to catch gross regressions (a
 # panic or over-read lands within seconds on these tiny inputs).
@@ -82,6 +84,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzPostingDecode -fuzztime=$(FUZZTIME) ./internal/postings/
 	$(GO) test -fuzz=FuzzRootBlock -fuzztime=$(FUZZTIME) ./internal/postings/
 	$(GO) test -fuzz=FuzzPageHeader -fuzztime=$(FUZZTIME) ./internal/pager/
+	$(GO) test -fuzz=FuzzBTreeGet -fuzztime=$(FUZZTIME) ./internal/btree/
 
 # Build the repository's vet tool.
 silint:

@@ -27,6 +27,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"os"
 
 	"repro/internal/pager"
 )
@@ -85,10 +86,12 @@ type Stats struct {
 // Options configure how a tree is opened; the zero value reproduces
 // Open (pread, no cache).
 type Options struct {
-	// CacheBytes is the pager page-cache budget; 0 or less disables it.
+	// CacheBytes is the pager page-cache budget; 0 or less disables it,
+	// and a positive budget selects the cached backend over Mmap.
 	CacheBytes int64
-	// Mmap requests the pager's memory-mapped backend, falling back to
-	// pread when mapping is unavailable (see pager.OpenOptions.Mmap).
+	// Mmap requests the pager's memory-mapped backend when no cache is
+	// requested, falling back to pread when mapping is unavailable (see
+	// pager.OpenOptions).
 	Mmap bool
 }
 
@@ -120,6 +123,17 @@ func OpenWith(path string, opts Options) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The builder writes every page it allocates, so a file shorter than
+	// its header's page count is cut or lying — and that count bounds
+	// what a value may claim to hold (readOverflow).
+	st, err := os.Stat(path)
+	if err == nil && st.Size() < pf.SizeBytes() {
+		err = fmt.Errorf("btree: %s holds %d bytes, not the %d pages its header claims", path, st.Size(), pf.NumPages())
+	}
+	if err != nil {
+		pf.Close()
+		return nil, err
+	}
 	return fromPager(pf)
 }
 
@@ -142,6 +156,12 @@ func fromPager(pf *pager.File) (*Tree, error) {
 		stable: pf.Stable(),
 	}
 	release()
+	// Every level of a tree is at least one page, so a larger height is
+	// corrupt — and would let a cyclic descent run for billions of steps.
+	if t.height == 0 || t.height > pf.NumPages() {
+		pf.Close()
+		return nil, fmt.Errorf("btree: meta page claims height %d in a file of %d pages", t.height, pf.NumPages())
+	}
 	return t, nil
 }
 
@@ -168,94 +188,126 @@ func (t *Tree) Get(key []byte) (value []byte, found bool, err error) {
 	if t.keys == 0 {
 		return nil, false, nil
 	}
-	id := t.root
-	for {
-		page, release, err := t.pf.ReadPage(id)
-		if err != nil {
-			return nil, false, err
-		}
-		switch page[0] {
-		case pageInternal:
-			id = routeInternal(page, key)
-			release()
-		case pageLeaf:
-			v, found, err := t.searchLeaf(page, key)
-			release()
-			return v, found, err
-		default:
-			b := page[0]
-			release()
-			return nil, false, fmt.Errorf("btree: unexpected page type %q at %d", b, id)
-		}
+	page, release, err := t.descend(key)
+	if err != nil {
+		return nil, false, err
 	}
+	value, found, err = t.searchLeaf(page, key)
+	release()
+	return value, found, err
 }
 
-// routeInternal returns the child page for key.
-func routeInternal(page []byte, key []byte) uint32 {
+// leafEntry is one decoded leaf entry: an inline value is a view into
+// the page; an overflow value is its chain's first page and length.
+type leafEntry struct {
+	key, val []byte
+	overflow bool
+	first    uint32
+	vlen     uint64
+}
+
+// seek decodes the entries of a leaf page into e, from entry i at byte
+// off on, and stops at the first whose key is >= key — entry i itself
+// for a nil key. It returns that entry's index and the offset after it;
+// found is false when no entry of the page qualifies. Every length in a
+// file is outside input (a follower serves files it pulled over the
+// network), so an entry that runs past the page is an error, never an
+// out-of-range slice.
+func (e *leafEntry) seek(page []byte, i, off int, key []byte) (int, int, bool, error) {
+	n := int(binary.LittleEndian.Uint16(page[1:]))
+	for ; i < n && off < len(page); i++ {
+		overflow := page[off] != 0
+		klen, m := binary.Uvarint(page[off+1:])
+		if off += 1 + m; m <= 0 || klen > uint64(len(page)-off) {
+			break
+		}
+		k := page[off : off+int(klen)]
+		off += int(klen)
+		vlen, m := binary.Uvarint(page[off:])
+		if m <= 0 {
+			break
+		}
+		off += m
+		size := vlen
+		if overflow {
+			size = 4 // the chain's first page
+		}
+		if size > uint64(len(page)-off) {
+			break
+		}
+		off += int(size)
+		// Only the entry seek stops at is stored: the ones it passes
+		// cost no writes.
+		if key == nil || bytes.Compare(k, key) >= 0 {
+			*e = leafEntry{key: k, overflow: overflow, vlen: vlen}
+			if v := page[off-int(size) : off : off]; overflow {
+				e.first = binary.LittleEndian.Uint32(v)
+			} else {
+				e.val = v
+			}
+			return i, off, true, nil
+		}
+	}
+	if i < n {
+		return i, off, false, fmt.Errorf("btree: leaf entry %d runs past its page", i)
+	}
+	return i, off, false, nil
+}
+
+// routeInternal returns the child page for key, checking each entry
+// against the page as seek does.
+func routeInternal(page []byte, key []byte) (uint32, error) {
 	n := int(binary.LittleEndian.Uint16(page[1:]))
 	child := binary.LittleEndian.Uint32(page[3:])
 	off := internalHeader
 	for i := 0; i < n; i++ {
 		klen, m := binary.Uvarint(page[off:])
-		off += m
+		if off += m; m <= 0 || klen > uint64(len(page)-off) || len(page)-off-int(klen) < 4 {
+			return 0, fmt.Errorf("btree: internal entry %d runs past its page", i)
+		}
 		k := page[off : off+int(klen)]
 		off += int(klen)
-		c := binary.LittleEndian.Uint32(page[off:])
-		off += 4
-		if bytes.Compare(key, k) >= 0 {
-			child = c
-		} else {
+		if bytes.Compare(key, k) < 0 {
 			break
 		}
+		child = binary.LittleEndian.Uint32(page[off:])
+		off += 4
 	}
-	return child
+	return child, nil
 }
 
-// searchLeaf scans a leaf page for key. Inline values are returned as
+// searchLeaf looks key up in a leaf page. Inline values are returned as
 // page subslices when the backend is stable (the caller still holds
 // the page borrow here; stability makes the subslice outlive release),
 // and copied otherwise.
 func (t *Tree) searchLeaf(page []byte, key []byte) ([]byte, bool, error) {
-	n := int(binary.LittleEndian.Uint16(page[1:]))
-	off := leafHeader
-	for i := 0; i < n; i++ {
-		flag := page[off]
-		off++
-		klen, m := binary.Uvarint(page[off:])
-		off += m
-		k := page[off : off+int(klen)]
-		off += int(klen)
-		vlen, m := binary.Uvarint(page[off:])
-		off += m
-		cmp := bytes.Compare(k, key)
-		if flag == 0 {
-			if cmp == 0 {
-				if t.stable {
-					return page[off : off+int(vlen) : off+int(vlen)], true, nil
-				}
-				return append([]byte(nil), page[off:off+int(vlen)]...), true, nil
-			}
-			off += int(vlen)
-		} else {
-			first := binary.LittleEndian.Uint32(page[off:])
-			off += 4
-			if cmp == 0 {
-				v, err := t.readOverflow(first, int(vlen))
-				return v, err == nil, err
-			}
-		}
-		if cmp > 0 {
-			return nil, false, nil
-		}
+	var e leafEntry
+	_, _, found, err := e.seek(page, 0, leafHeader, key)
+	switch {
+	case err != nil || !found || !bytes.Equal(e.key, key):
+		return nil, false, err
+	case e.overflow:
+		v, err := t.readOverflow(e.first, e.vlen)
+		return v, err == nil, err
+	case t.stable:
+		return e.val, true, nil
+	default:
+		return append([]byte(nil), e.val...), true, nil
 	}
-	return nil, false, nil
 }
 
-func (t *Tree) readOverflow(first uint32, total int) ([]byte, error) {
-	out := make([]byte, 0, total)
+// readOverflow assembles a value of total bytes from the chain starting
+// at page first. No value can be longer than every page of the file
+// but the header and the meta page would hold, so a larger total is
+// corrupt and is refused before anything is allocated for it.
+func (t *Tree) readOverflow(first uint32, total uint64) ([]byte, error) {
 	chunk := t.pf.PageSize() - overflowHeader
+	if limit := uint64(t.pf.NumPages()-2) * uint64(chunk); total > limit {
+		return nil, fmt.Errorf("btree: overflow value of %d bytes in a file that holds at most %d", total, limit)
+	}
+	out := make([]byte, 0, total)
 	id := first
-	for len(out) < total {
+	for len(out) < int(total) {
 		if id == 0 {
 			return nil, fmt.Errorf("btree: overflow chain truncated (%d of %d bytes)", len(out), total)
 		}
@@ -263,10 +315,7 @@ func (t *Tree) readOverflow(first uint32, total int) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		n := total - len(out)
-		if n > chunk {
-			n = chunk
-		}
+		n := min(int(total)-len(out), chunk)
 		out = append(out, page[overflowHeader:overflowHeader+n]...)
 		id = binary.LittleEndian.Uint32(page[0:])
 		release()
@@ -274,37 +323,31 @@ func (t *Tree) readOverflow(first uint32, total int) ([]byte, error) {
 	return out, nil
 }
 
-// firstLeaf descends to the leftmost leaf.
-func (t *Tree) firstLeaf() (uint32, error) {
-	return t.descend(nil, func(page []byte, _ []byte) uint32 {
-		return binary.LittleEndian.Uint32(page[3:])
-	})
-}
-
-// leafFor descends to the leaf that would contain key.
-func (t *Tree) leafFor(key []byte) (uint32, error) {
-	return t.descend(key, routeInternal)
-}
-
-// descend walks internal pages from the root, choosing each child with
-// route, until it reaches a leaf.
-func (t *Tree) descend(key []byte, route func(page, key []byte) uint32) (uint32, error) {
+// descend walks internal pages from the root toward key (the leftmost
+// path for a nil key, which sorts before every stored key) and returns
+// the leaf it reaches, borrowed. An internal page at the meta page's
+// height — where only leaves may be — is a corrupt or cyclic tree.
+func (t *Tree) descend(key []byte) ([]byte, func(), error) {
 	id := t.root
-	for {
+	for depth := uint32(1); ; depth++ {
 		page, release, err := t.pf.ReadPage(id)
 		if err != nil {
-			return 0, err
+			return nil, nil, err
 		}
 		if page[0] == pageLeaf {
-			release()
-			return id, nil
+			return page, release, nil
 		}
-		if page[0] != pageInternal {
-			b := page[0]
-			release()
-			return 0, fmt.Errorf("btree: unexpected page type %q", b)
+		b := page[0]
+		if b == pageInternal && depth < t.height {
+			id, err = routeInternal(page, key)
+		} else if b == pageInternal {
+			err = fmt.Errorf("btree: internal page %d at depth %d of a tree of height %d", id, depth, t.height)
+		} else {
+			err = fmt.Errorf("btree: unexpected page type %q at %d", b, id)
 		}
-		id = route(page, key)
 		release()
+		if err != nil {
+			return nil, nil, err
+		}
 	}
 }

@@ -1,8 +1,8 @@
 package btree
 
 import (
-	"bytes"
 	"encoding/binary"
+	"fmt"
 )
 
 // Iterator walks key/value pairs in ascending key order, starting at the
@@ -17,12 +17,12 @@ type Iterator struct {
 	t       *Tree
 	page    []byte
 	release func() // releases the borrow on page; nil when none held
-	n       int    // entries in current page
 	i       int    // next entry index
 	off     int    // byte offset of next entry
+	start   []byte // the start bound, until the first key at or past it
+	hops    uint32 // leaf-chain links followed, bounded by the file's pages
 	err     error
 	done    bool
-	prevOff int // offset of the most recently decoded entry
 
 	key []byte
 	val []byte
@@ -31,54 +31,51 @@ type Iterator struct {
 // Iterator returns an iterator positioned at the first key >= start
 // (nil starts at the beginning).
 func (t *Tree) Iterator(start []byte) *Iterator {
-	it := &Iterator{t: t}
+	it := &Iterator{t: t, start: start}
 	if t.keys == 0 {
 		it.done = true
 		return it
 	}
-	var leaf uint32
-	var err error
-	if start == nil {
-		leaf, err = t.firstLeaf()
-	} else {
-		leaf, err = t.leafFor(start)
-	}
+	page, release, err := t.descend(start)
 	if err != nil {
-		it.err = err
-		it.done = true
+		it.fail(err)
 		return it
 	}
-	if err := it.loadLeaf(leaf); err != nil {
-		it.err = err
-		it.done = true
-		return it
-	}
-	if start != nil {
-		for it.Next() {
-			if bytes.Compare(it.Key(), start) >= 0 {
-				it.rewindOne()
-				break
-			}
-		}
-	}
+	it.setLeaf(page, release)
 	return it
 }
 
-// rewindOne makes the entry just decoded be returned again by Next.
-func (it *Iterator) rewindOne() { it.i--; it.off = it.prevOff }
+// setLeaf makes the borrowed leaf page the current one.
+func (it *Iterator) setLeaf(page []byte, release func()) {
+	it.page, it.release = page, release
+	it.i, it.off = 0, leafHeader
+}
 
-// loadLeaf swaps the current page borrow for leaf id.
-func (it *Iterator) loadLeaf(id uint32) error {
+// nextLeaf moves to the next leaf of the chain, ending the iteration
+// after the last. A chain with more links than the file has pages loops.
+func (it *Iterator) nextLeaf() {
+	id := binary.LittleEndian.Uint32(it.page[3:])
 	it.dropPage()
+	if id == 0 {
+		it.done = true
+		return
+	}
+	if it.hops++; it.hops > it.t.pf.NumPages() {
+		it.fail(fmt.Errorf("btree: leaf chain runs past the file's %d pages", it.t.pf.NumPages()))
+		return
+	}
 	page, release, err := it.t.pf.ReadPage(id)
 	if err != nil {
-		return err
+		it.fail(err)
+		return
 	}
-	it.page, it.release = page, release
-	it.n = int(binary.LittleEndian.Uint16(page[1:]))
-	it.i = 0
-	it.off = leafHeader
-	return nil
+	if page[0] != pageLeaf {
+		b := page[0]
+		release()
+		it.fail(fmt.Errorf("btree: leaf chain reaches page type %q at %d", b, id))
+		return
+	}
+	it.setLeaf(page, release)
 }
 
 // dropPage releases the current page borrow, if any.
@@ -89,53 +86,39 @@ func (it *Iterator) dropPage() {
 	}
 }
 
+// fail ends the iteration with err.
+func (it *Iterator) fail(err error) {
+	it.err = err
+	it.done = true
+	it.dropPage()
+}
+
 // Next advances to the next pair; it returns false at the end or on
 // error (check Err).
 func (it *Iterator) Next() bool {
-	if it.done {
-		return false
-	}
-	for it.i >= it.n {
-		next := binary.LittleEndian.Uint32(it.page[3:])
-		if next == 0 {
-			it.done = true
-			it.dropPage()
-			return false
+	for !it.done {
+		var e leafEntry
+		i, off, found, err := e.seek(it.page, it.i, it.off, it.start)
+		switch {
+		case err != nil:
+			it.fail(err)
+		case !found:
+			it.nextLeaf()
+		default:
+			// Keys ascend, so every later key is past the start bound too.
+			it.i, it.off, it.start = i+1, off, nil
+			it.key = append(it.key[:0], e.key...)
+			if !e.overflow {
+				it.val = append(it.val[:0], e.val...)
+				return true
+			}
+			if it.val, err = it.t.readOverflow(e.first, e.vlen); err == nil {
+				return true
+			}
+			it.fail(err)
 		}
-		if err := it.loadLeaf(next); err != nil {
-			it.err = err
-			it.done = true
-			return false
-		}
 	}
-	it.prevOff = it.off
-	off := it.off
-	flag := it.page[off]
-	off++
-	klen, m := binary.Uvarint(it.page[off:])
-	off += m
-	it.key = append(it.key[:0], it.page[off:off+int(klen)]...)
-	off += int(klen)
-	vlen, m := binary.Uvarint(it.page[off:])
-	off += m
-	if flag == 0 {
-		it.val = append(it.val[:0], it.page[off:off+int(vlen)]...)
-		off += int(vlen)
-	} else {
-		first := binary.LittleEndian.Uint32(it.page[off:])
-		off += 4
-		v, err := it.t.readOverflow(first, int(vlen))
-		if err != nil {
-			it.err = err
-			it.done = true
-			it.dropPage()
-			return false
-		}
-		it.val = v
-	}
-	it.off = off
-	it.i++
-	return true
+	return false
 }
 
 // Key returns the current key; valid until the next call to Next.
@@ -144,5 +127,5 @@ func (it *Iterator) Key() []byte { return it.key }
 // Value returns the current value; valid until the next call to Next.
 func (it *Iterator) Value() []byte { return it.val }
 
-// Err reports any IO error encountered while iterating.
+// Err reports any IO or corruption error encountered while iterating.
 func (it *Iterator) Err() error { return it.err }

@@ -109,8 +109,8 @@ type Meta struct {
 	// live layer re-merges segment stats in memory at every open and
 	// publish, keeping the frequently rewritten manifest small. Metas
 	// written before statistics existed simply lack the field and read
-	// as nil, which compiles uncosted plans (no estimates, join order
-	// worked out at run time).
+	// as nil, which compiles uncosted plans (no estimates, the syntactic
+	// connected join order).
 	KeyStats     *planner.Stats  `json:"key_stats,omitempty"`
 	MSS          int             `json:"mss"`           // maximum indexed subtree size
 	Coding       postings.Coding `json:"coding"`        // posting-list scheme

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/btree"
+	"repro/internal/pager"
+	"repro/internal/postings"
 	"repro/internal/subtree"
 )
 
@@ -64,6 +69,62 @@ func TestCorruptPostingCountIsAnError(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "corrupt") {
 				t.Errorf("%v countOnly=%v: a truncated posting list gave err %v, want a corrupt-list error", coding, countOnly, err)
 			}
+		}
+	}
+}
+
+// TestCorruptCountPrefixOnKeyPaths holds the key-count paths — a point
+// count (lookupKeyLive, behind KeyCount) and the key iteration of leaf
+// merges — to postingPayload's bound. A count prefix of 1<<63 used to
+// read as a negative count with no error.
+func TestCorruptCountPrefixOnKeyPaths(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Build(dir, shardCorpus(40), Options{MSS: 2, Coding: postings.RootSplit}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, indexFileName)
+	src, err := btree.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pairs [][2][]byte
+	for it := src.Iterator(nil); it.Next(); {
+		pairs = append(pairs, [2][]byte{bytes.Clone(it.Key()), bytes.Clone(it.Value())})
+	}
+	src.Close()
+	if len(pairs) < 2 {
+		t.Fatalf("vacuous fixture: %d keys", len(pairs))
+	}
+	// Rewrite the tree with the first key's count prefix forged.
+	_, n := binary.Uvarint(pairs[0][1])
+	pairs[0][1] = append(binary.AppendUvarint(nil, 1<<63), pairs[0][1][n:]...)
+	b, err := btree.NewBuilder(path, pager.DefaultPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kv := range pairs {
+		if err := b.Add(kv[0], kv[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := OpenWith(dir, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	for _, dels := range []*TombSet{nil, newTombSet([]uint32{0})} {
+		if c, err := ix.lookupKeyLive(subtree.Key(pairs[0][0]), dels); err == nil || !strings.Contains(err.Error(), "corrupt posting count") {
+			t.Errorf("tombstones=%d: forged key counts %d, err %v; want a corrupt posting count error", dels.Len(), c, err)
+		}
+		if c, err := ix.lookupKeyLive(subtree.Key(pairs[1][0]), dels); err != nil || c <= 0 {
+			t.Errorf("tombstones=%d: intact key counts %d, err %v", dels.Len(), c, err)
+		}
+		it := ix.keyIterLive("", dels)
+		if it.Next() || it.Err() == nil || !strings.Contains(it.Err().Error(), "corrupt posting count") {
+			t.Errorf("tombstones=%d: key iteration over the forged key: key %q count %d, err %v", dels.Len(), it.Key(), it.Count(), it.Err())
 		}
 	}
 }

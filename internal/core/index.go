@@ -53,11 +53,11 @@ type OpenOptions struct {
 	// CacheSize is the byte budget of an in-process LRU page cache over
 	// the index file (per shard when sharded). The zero value disables
 	// the cache, preserving the paper's §6.1 no-user-cache setup. A
-	// cache is only used when the mmap backend is off or unavailable —
-	// a mapping already serves every page without copies.
+	// positive budget selects the cached pread backend whatever Mmap
+	// says.
 	CacheSize int64
-	// Mmap selects the read backend for index files; the zero value
-	// (MmapAuto) maps them when possible.
+	// Mmap selects the read backend for index files when no cache is
+	// requested; the zero value (MmapAuto) maps them when possible.
 	Mmap MmapMode
 }
 
@@ -332,45 +332,44 @@ func minRecordBytes(coding postings.Coding) int {
 	}
 }
 
+// splitCount splits one key's posting value into its count prefix and
+// payload. Nothing is sized by the count, but a prefix claiming more
+// records than the payload can hold under coding marks the value as
+// corrupt — so the count always fits an int.
+func splitCount(k subtree.Key, val []byte, coding postings.Coding) (count int, payload []byte, err error) {
+	c, n := binary.Uvarint(val)
+	if n <= 0 {
+		return 0, nil, fmt.Errorf("core: corrupt posting count for %q", k)
+	}
+	payload = val[n:]
+	if c > uint64(len(payload)/minRecordBytes(coding)) {
+		return 0, nil, fmt.Errorf("core: corrupt posting count for %q: %d records in %d bytes", k, c, len(payload))
+	}
+	return int(c), payload, nil
+}
+
 // postingPayload fetches one key's posting blob and strips the count
 // prefix — the header handling shared by the join and filter fetch
-// paths. Nothing is sized by the count, but a prefix claiming more
-// records than the payload can hold under coding marks the value as
-// corrupt; found=false means the key is absent.
+// paths; found=false means the key is absent.
 func postingPayload(k subtree.Key, get postingGetter, coding postings.Coding) (payload []byte, found bool, err error) {
 	val, found, err := get(k)
 	if err != nil || !found {
 		return nil, false, err
 	}
-	c, n := binary.Uvarint(val)
-	if n <= 0 {
-		return nil, false, fmt.Errorf("core: corrupt posting count for %q", k)
-	}
-	payload = val[n:]
-	if c > uint64(len(payload)/minRecordBytes(coding)) {
-		return nil, false, fmt.Errorf("core: corrupt posting count for %q: %d records in %d bytes", k, c, len(payload))
-	}
-	return payload, true, nil
+	_, payload, err = splitCount(k, val, coding)
+	return payload, err == nil, err
 }
 
 // filterCandidates runs the filter coding's candidate phase (the join
 // phase of §4.4.1): fetch each piece's tid list (skipping tombstoned
-// tids) and intersect. Lists are fetched in the plan's cost order
-// (syntactic on uncosted plans) and the phase aborts as soon as one
-// comes back absent or empty — the intersection is already known to be
-// empty, so the remaining, larger lists are never read; the candidate
-// list is then nil.
+// tids) and intersect. Lists are fetched in the plan's join order and
+// the phase aborts as soon as one comes back absent or empty — the
+// intersection is already known to be empty, so the remaining (on a
+// costed plan, larger) lists are never read; the candidate list is then
+// nil.
 func (ix *Index) filterCandidates(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) ([]uint32, error) {
-	fetchOrder := pl.Order
-	if len(fetchOrder) != len(pl.Pieces) {
-		fetchOrder = nil
-	}
 	var lists [][]uint32
-	for i := range pl.Pieces {
-		pi := i
-		if fetchOrder != nil {
-			pi = fetchOrder[i]
-		}
+	for _, pi := range pl.Order {
 		pp := pl.Pieces[pi]
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -463,14 +462,11 @@ func (ix *Index) lookupKeyLive(k subtree.Key, dels *TombSet) (int, error) {
 	if err != nil || !found {
 		return 0, err
 	}
-	count, n := binary.Uvarint(val)
-	if n <= 0 {
-		return 0, fmt.Errorf("core: corrupt posting count for %q", k)
+	count, payload, err := splitCount(k, val, ix.meta.Coding)
+	if err != nil || dels == nil {
+		return count, err
 	}
-	if dels == nil {
-		return int(count), nil
-	}
-	return ix.liveCount(val[n:], dels)
+	return ix.liveCount(payload, dels)
 }
 
 // liveCount decodes one key's posting payload and counts the records
@@ -548,14 +544,13 @@ func (k *KeyIter) Next() bool {
 			}
 			return false
 		}
-		count, n := binary.Uvarint(k.it.Value())
-		if n <= 0 {
-			k.err = fmt.Errorf("core: corrupt posting count for %q", k.it.Key())
+		key := subtree.Key(k.it.Key())
+		live, payload, err := splitCount(key, k.it.Value(), k.ix.meta.Coding)
+		if k.err = err; err != nil {
 			return false
 		}
-		live := int(count)
 		if k.dels != nil {
-			live, k.err = k.ix.liveCount(k.it.Value()[n:], k.dels)
+			live, k.err = k.ix.liveCount(payload, k.dels)
 			if k.err != nil {
 				return false
 			}
@@ -563,7 +558,7 @@ func (k *KeyIter) Next() bool {
 				continue // every posting tombstoned: the key no longer exists
 			}
 		}
-		k.key = subtree.Key(k.it.Key())
+		k.key = key
 		k.count = live
 		return true
 	}

@@ -75,22 +75,13 @@ func (ix *Index) pieceCursor(pp PlanPiece, get postingGetter, dels *TombSet) (jo
 }
 
 // streamJoin builds the streaming evaluation for the join codings.
-// Posting blobs are fetched in the plan's cost order (syntactic on
-// uncosted plans), so a query whose cheapest piece is absent never
-// issues the remaining point reads; the relations keep their piece
-// positions for the join, which decides merge vs. Stack-Tree per step
-// itself.
+// Posting blobs are fetched in the plan's join order, so a query whose
+// first piece is absent — on a costed plan, its cheapest — never issues
+// the remaining point reads; the relations keep their piece positions
+// for the join, which decides merge vs. Stack-Tree per step itself.
 func (ix *Index) streamJoin(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) (matchStream, error) {
 	rels := make([]join.StreamRelation, len(pl.Pieces))
-	fetchOrder := pl.Order
-	if len(fetchOrder) != len(pl.Pieces) {
-		fetchOrder = nil
-	}
-	for i := range pl.Pieces {
-		pi := i
-		if fetchOrder != nil {
-			pi = fetchOrder[i]
-		}
+	for _, pi := range pl.Order {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

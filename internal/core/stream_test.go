@@ -513,7 +513,7 @@ func TestRootCursorHeavyTreeAgreesWithReference(t *testing.T) {
 		var matches [2][]Match
 		var rows, read [2]int
 		for i, rels := range [][]join.StreamRelation{batch, entry} {
-			s, err := join.NewStream(ctx, q, rels)
+			s, err := join.NewStreamOpts(ctx, q, rels, join.Options{Order: []int{0, 1}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,15 +11,15 @@
 //
 // Relations are combined with sort-merge joins on (tid, pre) in the
 // spirit of MPMGJN [Zhang et al., SIGMOD'01], with all applicable
-// predicates applied as residuals. Plans are left-deep in the order the
-// cost-based planner fixed (Options.Order); only when none is supplied
-// — an uncosted plan — does the package fall back to ordering by
-// posting-list length, smallest first, the policy §5.1 assumes.
+// predicates applied as residuals. Plans are left-deep in exactly the
+// order the planner fixed (Options.Order); the package never orders a
+// join itself, and refuses an order that is missing, not a permutation
+// of the relations, or not connected.
 //
 // Both entry points execute the same compiled program — Stream (one
 // tree at a time) is the driver every query evaluation runs on; Run
 // (materialized relations in, all matches out) is the oracle the tests
-// hold it to and the driver the benchmark's layer probes time: the order, every step's
+// hold it to and the driver the benchmark's layer probes time: every step's
 // shared and fresh columns, the predicates that become checkable and
 // the merge vs. Stack-Tree decision are resolved to column indexes once
 // per evaluation (program.go), and the steps then run over flat rows in
@@ -34,6 +34,7 @@ package join
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/postings"
 	"repro/internal/query"
@@ -72,19 +73,18 @@ type pred struct {
 	u, v int // query nodes; for parent/ancestor, u is the upper node
 }
 
-// Options shape one Run: count-only evaluation skips materializing,
-// sorting and returning the match slice altogether; Order lets a
-// cost-based planner pin the join order this package would otherwise
-// choose from runtime sizes.
+// Options shape one Run or Stream: count-only evaluation skips
+// materializing, sorting and returning the match slice altogether;
+// Order is the join order the planner fixed.
 type Options struct {
 	// CountOnly makes Run return only the distinct-match count, with a
 	// nil match slice — no per-match allocation happens.
 	CountOnly bool
-	// Order, when non-nil, is the preferred left-deep join order as
-	// indexes into rels. Run validates it — it must be a permutation
-	// whose every step connects to the bound set — and silently falls
-	// back to the runtime size-based order otherwise, so a stale or
-	// uncosted plan can degrade but never break a join.
+	// Order is the left-deep join order as indexes into the relations:
+	// a permutation in which every relation after the first connects to
+	// the ones before it (a shared slot or a query edge). It is
+	// required — Run and NewStreamOpts return an error for any other
+	// order, nil included.
 	Order []int
 	// NoStack disables the Stack-Tree fast path for this run; it costs
 	// only the fast path, never correctness. Query evaluation never sets
@@ -124,25 +124,17 @@ func (c *canceller) check() error {
 	return c.ctx.Err()
 }
 
-// Execute joins the relations and returns the distinct (tid, root
-// image) matches of the query root. It is Run without cancellation or
-// count-only shortcuts, kept for callers with no context to thread.
-func Execute(q *query.Query, rels []Relation) ([]Match, error) {
-	ms, _, err := Run(context.Background(), q, rels, Options{})
-	return ms, err
-}
-
-// Run joins the relations under ctx and returns the distinct (tid,
-// root image) matches of the query root, plus execution Info. Every
-// query node must be bound by at least one relation slot *or* be
-// enforceable transitively; the query root must be bound. The join is
-// compiled once (see program) and executed over flat rows with the
-// relations read in place, so the run allocates per buffer growth,
-// never per row. Cancellation is checked on entry and periodically
-// inside the join loops, so an expired ctx aborts evaluation promptly
-// with ctx.Err(). With Options.CountOnly the match slice stays nil and
-// only the count is computed. For incremental evaluation that can stop
-// mid-join, use NewStream instead.
+// Run joins the relations under ctx in the order opt.Order and returns
+// the distinct (tid, root image) matches of the query root, plus
+// execution Info. Every query node must be bound by at least one
+// relation slot *or* be enforceable transitively; the query root must
+// be bound. The join is compiled once (see program) and executed over
+// flat rows with the relations read in place, so the run allocates per
+// buffer growth, never per row. Cancellation is checked on entry and
+// periodically inside the join loops, so an expired ctx aborts
+// evaluation promptly with ctx.Err(). With Options.CountOnly the match
+// slice stays nil and only the count is computed. For incremental
+// evaluation that can stop mid-join, use NewStreamOpts instead.
 func Run(ctx context.Context, q *query.Query, rels []Relation, opt Options) ([]Match, Info, error) {
 	var info Info
 	if err := ctx.Err(); err != nil {
@@ -151,31 +143,20 @@ func Run(ctx context.Context, q *query.Query, rels []Relation, opt Options) ([]M
 	if len(rels) == 0 {
 		return nil, info, fmt.Errorf("join: no relations")
 	}
-	sizes := make([]int, len(rels))
-	for i, r := range rels {
+	slots := relationSlots(rels)
+	if err := validOrder(q, slots, opt.Order); err != nil {
+		return nil, info, err
+	}
+	for _, r := range rels {
 		if len(r.Entries) == 0 {
 			return nil, info, nil // empty posting list: no matches anywhere
 		}
 		if len(r.Slots) == 0 {
 			return nil, info, fmt.Errorf("join: relation %q has no slots", r.Name)
 		}
-		sizes[i] = len(r.Entries)
 		info.Rows += len(r.Entries)
 	}
-
-	// Order: the planner's, when it supplied a valid one; otherwise the
-	// greedy left-deep runtime order (smallest relation first, then
-	// repeatedly the smallest relation connected to the bound set).
-	slots := relationSlots(rels)
-	order := opt.Order
-	if !validOrder(q, slots, order) {
-		var err error
-		order, err = planOrder(q, slots, sizes)
-		if err != nil {
-			return nil, info, err
-		}
-	}
-	prog, err := compile(q, slots, order, opt.NoStack)
+	prog, err := compile(q, slots, opt.Order, opt.NoStack)
 	if err != nil {
 		return nil, info, err
 	}
@@ -242,49 +223,6 @@ func buildPredicates(q *query.Query) []pred {
 	return ps
 }
 
-// planOrder picks a left-deep join order over relations with the given
-// slot sets and entry counts: smallest relation first, then repeatedly
-// the smallest relation sharing a query node or a query edge with the
-// bound set.
-func planOrder(q *query.Query, slots [][]int, sizes []int) ([]int, error) {
-	n := len(slots)
-	used := make([]bool, n)
-	bound := map[int]bool{}
-	order := make([]int, 0, n)
-
-	smallest := 0
-	for i := 1; i < n; i++ {
-		if sizes[i] < sizes[smallest] {
-			smallest = i
-		}
-	}
-	take := func(i int) {
-		used[i] = true
-		order = append(order, i)
-		for _, s := range slots[i] {
-			bound[s] = true
-		}
-	}
-	take(smallest)
-
-	for len(order) < n {
-		best := -1
-		for i := 0; i < n; i++ {
-			if used[i] || !slotsConnected(q, slots[i], bound) {
-				continue
-			}
-			if best == -1 || sizes[i] < sizes[best] {
-				best = i
-			}
-		}
-		if best == -1 {
-			return nil, fmt.Errorf("join: relations do not connect (disconnected cover)")
-		}
-		take(best)
-	}
-	return order, nil
-}
-
 // slotsConnected reports whether a relation's slot set touches the
 // bound set: a shared query node, or a query edge between one of its
 // slots and a bound node.
@@ -315,19 +253,24 @@ func relationSlots(rels []Relation) [][]int {
 	return slots
 }
 
-// validOrder reports whether order can drive a left-deep join over
+// validOrder checks that order can drive a left-deep join over
 // relations with the given slot sets: a permutation of them in which
 // every relation after the first connects to the already-bound set —
-// the same invariant planOrder establishes. An invalid (or nil) order
-// makes the executor fall back to its runtime ordering.
-func validOrder(q *query.Query, slots [][]int, order []int) bool {
+// the invariant the planner's orders carry. Any other order, nil
+// included, is an error naming it.
+func validOrder(q *query.Query, slots [][]int, order []int) error {
+	bad := func() error {
+		// A copy, so that order itself does not escape: callers pass
+		// literal orders on hot paths.
+		return fmt.Errorf("join: order %v is not a connected order of %d relations", slices.Clone(order), len(slots))
+	}
 	if len(order) != len(slots) || len(order) == 0 {
-		return false
+		return bad()
 	}
 	seen := make([]bool, len(slots))
 	for _, i := range order {
 		if i < 0 || i >= len(slots) || seen[i] {
-			return false
+			return bad()
 		}
 		seen[i] = true
 	}
@@ -337,11 +280,11 @@ func validOrder(q *query.Query, slots [][]int, order []int) bool {
 	}
 	for _, ri := range order[1:] {
 		if !slotsConnected(q, slots[ri], bound) {
-			return false
+			return bad()
 		}
 		for _, s := range slots[ri] {
 			bound[s] = true
 		}
 	}
-	return true
+	return nil
 }

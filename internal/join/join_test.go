@@ -1,7 +1,10 @@
 package join
 
 import (
+	"context"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/postings"
@@ -26,7 +29,7 @@ func TestSingleRelation(t *testing.T) {
 			entry(7, ref(0, 9, 0)),
 		},
 	}}
-	got, err := Execute(q, rels)
+	got, err := execute(q, rels, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +50,7 @@ func TestEqualityJoinOnSharedRoot(t *testing.T) {
 		entry(1, ref(0, 9, 0)),
 		entry(2, ref(5, 7, 2)), // different A: no join
 	}}
-	got, err := Execute(q, []Relation{ab, ac})
+	got, err := execute(q, []Relation{ab, ac}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +72,7 @@ func TestParentJoinBetweenRoots(t *testing.T) {
 		entry(1, ref(1, 1, 1)),
 		entry(1, ref(2, 0, 2)),
 	}}
-	got, err := Execute(q, []Relation{ra, rb})
+	got, err := execute(q, []Relation{ra, rb}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +92,7 @@ func TestAncestorJoin(t *testing.T) {
 		entry(1, ref(2, 2, 2)), // descendant at any depth
 		entry(2, ref(1, 9, 1)), // not inside the A above
 	}}
-	got, err := Execute(q, []Relation{ra, rb})
+	got, err := execute(q, []Relation{ra, rb}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +115,7 @@ func TestSiblingDistinctness(t *testing.T) {
 	by := Relation{Name: "A(B(y))", Slots: []int{0, 3, 4}, Entries: []postings.IntervalEntry{
 		entry(1, ref(0, 4, 0), ref(1, 3, 1), ref(3, 1, 2)),
 	}}
-	got, err := Execute(q, []Relation{bx, by})
+	got, err := execute(q, []Relation{bx, by}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +129,7 @@ func TestSiblingDistinctness(t *testing.T) {
 	by2 := Relation{Name: "A(B(y))", Slots: []int{0, 3, 4}, Entries: []postings.IntervalEntry{
 		entry(2, ref(0, 6, 0), ref(3, 5, 1), ref(4, 3, 2)),
 	}}
-	got, err = Execute(q, []Relation{bx2, by2})
+	got, err = execute(q, []Relation{bx2, by2}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +142,7 @@ func TestEmptyRelationShortCircuits(t *testing.T) {
 	q := query.MustParse("A(B)")
 	ra := Relation{Name: "A", Slots: []int{0}, Entries: []postings.IntervalEntry{entry(1, ref(0, 1, 0))}}
 	rb := Relation{Name: "B", Slots: []int{1}}
-	got, err := Execute(q, []Relation{ra, rb})
+	got, err := execute(q, []Relation{ra, rb}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +161,7 @@ func TestDeduplicationOfRootImages(t *testing.T) {
 		entry(1, ref(1, 2, 1)),
 		entry(1, ref(3, 5, 1)),
 	}}
-	got, err := Execute(q, []Relation{ra, rb})
+	got, err := execute(q, []Relation{ra, rb}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,29 +172,69 @@ func TestDeduplicationOfRootImages(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	q := query.MustParse("A(B)")
-	if _, err := Execute(q, nil); err == nil {
+	if _, err := execute(q, nil); err == nil {
 		t.Error("no relations accepted")
 	}
 	// Root not bound.
 	rb := Relation{Name: "B", Slots: []int{1}, Entries: []postings.IntervalEntry{entry(1, ref(1, 1, 1))}}
-	if _, err := Execute(q, []Relation{rb}); err == nil {
+	if _, err := execute(q, []Relation{rb}, 0); err == nil {
 		t.Error("unbound root accepted")
 	}
 	// Slotless relation.
 	bad := Relation{Name: "bad", Entries: []postings.IntervalEntry{entry(1, ref(0, 0, 0))}}
-	if _, err := Execute(q, []Relation{bad}); err == nil {
+	if _, err := execute(q, []Relation{bad}, 0); err == nil {
 		t.Error("slotless relation accepted")
 	}
 }
 
 func TestDisconnectedRelationsRejected(t *testing.T) {
-	// Query A(B(C)): relations binding only A and only C connect via
-	// the B edges? A-C are not adjacent and share no slot; with no
-	// relation binding B they cannot connect.
+	// Query A(B(C)): relations binding only A and only C share no slot
+	// and no query edge, and no relation binds the B between them, so no
+	// order of the two connects; Run and the stream both refuse each one.
 	q := query.MustParse("A(B(C))")
 	ra := Relation{Name: "A", Slots: []int{0}, Entries: []postings.IntervalEntry{entry(1, ref(0, 2, 0))}}
 	rc := Relation{Name: "C", Slots: []int{2}, Entries: []postings.IntervalEntry{entry(1, ref(2, 0, 2))}}
-	if _, err := Execute(q, []Relation{ra, rc}); err == nil {
-		t.Error("disconnected cover accepted")
+	for _, order := range [][]int{{0, 1}, {1, 0}} {
+		if _, err := execute(q, []Relation{ra, rc}, order...); err == nil {
+			t.Errorf("Run accepted the disconnected order %v", order)
+		}
+		if _, err := NewStreamOpts(context.Background(), q, sliceRelations([]Relation{ra, rc}), Options{Order: order}); err == nil {
+			t.Errorf("NewStreamOpts accepted the disconnected order %v", order)
+		}
+	}
+}
+
+// TestOrderRequired holds both entry points to the order contract: the
+// join runs the order it is given or refuses it, naming the order and
+// the relation count — a nil order, one that is not a permutation of the
+// relations, and one in which a relation does not connect to those
+// before it are errors even when every relation is empty, and a valid
+// order of the same relations is not.
+func TestOrderRequired(t *testing.T) {
+	q := query.MustParse("A(B(C))")
+	full := []Relation{
+		{Name: "A", Slots: []int{0}, Entries: []postings.IntervalEntry{entry(1, ref(0, 2, 0))}},
+		{Name: "B", Slots: []int{1}, Entries: []postings.IntervalEntry{entry(1, ref(1, 1, 1))}},
+		{Name: "C", Slots: []int{2}, Entries: []postings.IntervalEntry{entry(1, ref(2, 0, 2))}},
+	}
+	empty := []Relation{{Name: "A", Slots: []int{0}}, {Name: "B", Slots: []int{1}}, {Name: "C", Slots: []int{2}}}
+	for _, rels := range [][]Relation{full, empty} {
+		for _, order := range [][]int{nil, {}, {0, 1}, {0, 1, 1}, {0, 1, 3}, {0, 1, 2, 0}, {-1, 1, 2}, {0, 2, 1}, {2, 0, 1}} {
+			want := fmt.Sprintf("order %v is not a connected order of 3 relations", order)
+			if _, err := execute(q, rels, order...); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("Run with order %v: %v, want an error containing %q", order, err, want)
+			}
+			if _, err := NewStreamOpts(context.Background(), q, sliceRelations(rels), Options{Order: order}); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("NewStreamOpts with order %v: %v, want an error containing %q", order, err, want)
+			}
+		}
+		for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}, {1, 2, 0}} {
+			if _, err := execute(q, rels, order...); err != nil {
+				t.Errorf("Run refused the connected order %v: %v", order, err)
+			}
+			if _, err := NewStreamOpts(context.Background(), q, sliceRelations(rels), Options{Order: order}); err != nil {
+				t.Errorf("NewStreamOpts refused the connected order %v: %v", order, err)
+			}
+		}
 	}
 }

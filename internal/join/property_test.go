@@ -125,25 +125,27 @@ func hasSameLabelSiblings(q *query.Query) bool {
 	return false
 }
 
-// randomValidOrder returns a random join order the kernel will accept,
-// or nil when a few shuffles find none.
+// randomValidOrder returns a random join order the kernel will accept:
+// a shuffle that connects, or the syntactic connected order when a few
+// shuffles find none.
 func randomValidOrder(rng *rand.Rand, q *query.Query, rels []Relation) []int {
 	for try := 0; try < 20; try++ {
 		order := rng.Perm(len(rels))
-		if validOrder(q, relationSlots(rels), order) {
+		if validOrder(q, relationSlots(rels), order) == nil {
 			return order
 		}
 	}
-	return nil
+	return syntacticOrder(q, rels)
 }
 
 // TestKernelAgreesWithExactMatcher checks the compiled kernel against
 // the backtracking matcher of internal/match on random trees, queries
 // and covers: equal match lists for queries without same-label
 // siblings, a superset for those with — under every execution shape the
-// options can select (planner order or runtime order, Stack-Tree on or
-// off per run and per package switch), from both Run and a drained
-// Stream, which must also agree with each other exactly.
+// options can select (the syntactic connected order or a random
+// connected one, Stack-Tree on or off per run and per package switch),
+// from both Run and a drained Stream, which must also agree with each
+// other exactly.
 func TestKernelAgreesWithExactMatcher(t *testing.T) {
 	defer func() { DisableStackJoin = false }()
 	rng := rand.New(rand.NewSource(20120831))
@@ -174,7 +176,7 @@ func TestKernelAgreesWithExactMatcher(t *testing.T) {
 
 		var first []Match
 		for variant := 0; variant < 8; variant++ {
-			opt := Options{NoStack: variant&1 != 0}
+			opt := Options{NoStack: variant&1 != 0, Order: syntacticOrder(q, rels)}
 			if variant&2 != 0 {
 				opt.Order = randomValidOrder(rng, q, rels)
 			}

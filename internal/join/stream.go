@@ -3,7 +3,6 @@ package join
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"repro/internal/postings"
 	"repro/internal/query"
@@ -156,14 +155,11 @@ func (a *entryBlocks) Err() error {
 // A Stream is single-use and not safe for concurrent use.
 type Stream struct {
 	ctx context.Context
-	q   *query.Query
 
-	srcs    []source
-	slots   [][]int  // each source's slots, for compiling
-	blocks  []table  // blocks[i]: the current tree's entries of srcs[i], a view into its window
-	prog    *program // compiled up front under a planner order, else on the first block
-	noStack bool     // Options.NoStack: skip the Stack-Tree fast path
-	x       executor
+	srcs   []source
+	blocks []table  // blocks[i]: the current tree's entries of srcs[i], a view into its window
+	prog   *program // compiled from opt.Order by NewStreamOpts
+	x      executor
 
 	buf  []Match // matches of the current tid, drained in order
 	bufI int
@@ -173,21 +169,13 @@ type Stream struct {
 	err      error
 }
 
-// NewStream validates the inputs and returns a stream positioned
-// before the first match. Relation and query requirements are those of
-// Run; an empty posting list is not an error (the stream just produces
-// nothing).
-func NewStream(ctx context.Context, q *query.Query, rels []StreamRelation) (*Stream, error) {
-	return NewStreamOpts(ctx, q, rels, Options{})
-}
-
-// NewStreamOpts is NewStream with planner options applied: a valid
-// opt.Order pins the per-tree join order, so the join is compiled here,
-// before the first entry is joined (without one it is compiled on the
-// first block, from that block's sizes), and opt.NoStack suppresses the
-// Stack-Tree fast path. Invalid orders are ignored, as in Run. Every
-// relation's window is carved from two arrays allocated here, so a
-// stream's set-up cost does not depend on the list lengths.
+// NewStreamOpts validates the inputs, compiles the join in the order
+// opt.Order and returns a stream positioned before the first match.
+// Relation, query and order requirements are those of Run, and
+// opt.NoStack suppresses the Stack-Tree fast path as it does there; an
+// empty posting list is not an error (the stream just produces
+// nothing). Every relation's window is carved from two arrays allocated
+// here, so a stream's set-up cost does not depend on the list lengths.
 func NewStreamOpts(ctx context.Context, q *query.Query, rels []StreamRelation, opt Options) (*Stream, error) {
 	if len(rels) == 0 {
 		return nil, fmt.Errorf("join: no relations")
@@ -201,24 +189,19 @@ func NewStreamOpts(ctx context.Context, q *query.Query, rels []StreamRelation, o
 		slots[i] = r.Slots
 		width += len(r.Slots)
 	}
-	if !slices.ContainsFunc(slots, func(ss []int) bool { return slices.Contains(ss, q.Root()) }) {
-		return nil, fmt.Errorf("join: query root is not bound by any relation")
+	if err := validOrder(q, slots, opt.Order); err != nil {
+		return nil, err
+	}
+	prog, err := compile(q, slots, opt.Order, opt.NoStack)
+	if err != nil {
+		return nil, err
 	}
 	s := &Stream{
-		ctx:     ctx,
-		q:       q,
-		srcs:    make([]source, len(rels)),
-		slots:   slots,
-		blocks:  make([]table, len(rels)),
-		noStack: opt.NoStack,
-		x:       executor{cc: canceller{ctx: ctx}},
-	}
-	if validOrder(q, slots, opt.Order) {
-		prog, err := compile(q, slots, opt.Order, opt.NoStack)
-		if err != nil {
-			return nil, err
-		}
-		s.prog = prog
+		ctx:    ctx,
+		srcs:   make([]source, len(rels)),
+		blocks: make([]table, len(rels)),
+		prog:   prog,
+		x:      executor{cc: canceller{ctx: ctx}},
 	}
 	tids := make([]uint32, window*len(rels))
 	refs := make([]postings.NodeRef, window*width)
@@ -457,26 +440,8 @@ func (s *Stream) collect(tid uint32) bool {
 
 // joinBlock runs the compiled join over the current single-tid blocks,
 // leaving the block's distinct matches in buf sorted by root and adding
-// the intermediate rows to the work counter. Without a planner order
-// the join is compiled on the first block, from its sizes, and reused:
-// connectivity is structural (identical every block), and re-planning
-// per tree would put O(matched trees) planning work on the hot
-// streaming path for the minor benefit of per-tree size-ordering over
-// tiny blocks.
+// the intermediate rows to the work counter.
 func (s *Stream) joinBlock() error {
-	if s.prog == nil {
-		sizes := make([]int, len(s.blocks))
-		for i := range s.blocks {
-			sizes[i] = s.blocks[i].len()
-		}
-		order, err := planOrder(s.q, s.slots, sizes)
-		if err != nil {
-			return err
-		}
-		if s.prog, err = compile(s.q, s.slots, order, s.noStack); err != nil {
-			return err
-		}
-	}
 	final, rows, err := s.x.run(s.prog, s.blocks)
 	s.stepRows += rows
 	if err != nil {
@@ -485,29 +450,3 @@ func (s *Stream) joinBlock() error {
 	s.buf, _ = s.x.project(final, s.prog.rootCol, s.buf, false)
 	return nil
 }
-
-// SliceCursor adapts an in-memory entry slice to EntryCursor — the
-// bridge for callers (and tests) holding materialized relations.
-type SliceCursor struct {
-	entries []postings.IntervalEntry
-	i       int
-}
-
-// NewSliceCursor returns a cursor over entries, which must already be
-// in (tid, pre) order.
-func NewSliceCursor(entries []postings.IntervalEntry) *SliceCursor {
-	return &SliceCursor{entries: entries}
-}
-
-// Next returns the next entry of the slice.
-func (c *SliceCursor) Next() (postings.IntervalEntry, bool) {
-	if c.i >= len(c.entries) {
-		return postings.IntervalEntry{}, false
-	}
-	e := c.entries[c.i]
-	c.i++
-	return e, true
-}
-
-// Err always reports nil: a slice cannot fail to decode.
-func (c *SliceCursor) Err() error { return nil }

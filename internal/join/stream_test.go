@@ -14,19 +14,11 @@ import (
 	"repro/internal/query"
 )
 
-// sliceRelations serves materialized relations through SliceCursors.
-func sliceRelations(rels []Relation) []StreamRelation {
-	srels := make([]StreamRelation, len(rels))
-	for i, r := range rels {
-		srels[i] = StreamRelation{Name: r.Name, Slots: r.Slots, Cursor: NewSliceCursor(r.Entries)}
-	}
-	return srels
-}
-
-// streamOf builds a Stream over materialized relations via SliceCursor.
+// streamOf builds a Stream over materialized relations via SliceCursor,
+// joined in their syntactic connected order.
 func streamOf(t *testing.T, q *query.Query, rels []Relation) *Stream {
 	t.Helper()
-	s, err := NewStream(context.Background(), q, sliceRelations(rels))
+	s, err := NewStreamOpts(context.Background(), q, sliceRelations(rels), Options{Order: syntacticOrder(q, rels)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +122,7 @@ func TestStreamAgreesWithRun(t *testing.T) {
 					skip = true // Run treats an empty relation as no matches; stream too
 				}
 			}
-			want, _, err := Run(context.Background(), q, rels, Options{})
+			want, _, err := Run(context.Background(), q, rels, Options{Order: syntacticOrder(q, rels)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,10 +136,7 @@ func TestStreamAgreesWithRun(t *testing.T) {
 			// The stream never decodes more input than exists: even a
 			// full drain reads at most every entry once (and often
 			// fewer — it stops pulling a source once any other is
-			// exhausted, where Run materializes everything). Step-row
-			// totals are not compared: the per-tid join may pick a
-			// different order than the global join, so only the input
-			// half of the work measure is path-independent.
+			// exhausted, where Run materializes everything).
 			total := 0
 			for _, r := range rels {
 				total += len(r.Entries)
@@ -175,7 +164,7 @@ func TestStreamStopsEarly(t *testing.T) {
 		{Name: "A", Slots: []int{0}, Entries: ra},
 		{Name: "B", Slots: []int{1}, Entries: rb},
 	}
-	_, info, err := Run(context.Background(), q, rels, Options{})
+	_, info, err := Run(context.Background(), q, rels, Options{Order: []int{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +198,7 @@ func TestStreamCancellation(t *testing.T) {
 		{Name: "A", Slots: []int{0}, Cursor: NewSliceCursor(rels[0].Entries)},
 		{Name: "B", Slots: []int{1}, Cursor: NewSliceCursor(rels[1].Entries)},
 	}
-	s, err := NewStream(ctx, q, srels)
+	s, err := NewStreamOpts(ctx, q, srels, Options{Order: []int{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +214,7 @@ func TestStreamCancellation(t *testing.T) {
 func TestStreamRejectsUnboundRoot(t *testing.T) {
 	q := query.MustParse("A(B)")
 	srels := []StreamRelation{{Name: "B", Slots: []int{1}, Cursor: NewSliceCursor(nil)}}
-	if _, err := NewStream(context.Background(), q, srels); err == nil {
+	if _, err := NewStreamOpts(context.Background(), q, srels, Options{Order: []int{0}}); err == nil {
 		t.Fatal("stream accepted relations that never bind the query root")
 	}
 }
@@ -246,9 +235,9 @@ func (c *failCursor) Err() error { return errors.New("synthetic decode failure")
 // stream with a named-relation error instead of a silent short result.
 func TestStreamSurfacesCursorError(t *testing.T) {
 	q := query.MustParse("A")
-	s, err := NewStream(context.Background(), q, []StreamRelation{
+	s, err := NewStreamOpts(context.Background(), q, []StreamRelation{
 		{Name: "1:A", Slots: []int{0}, Cursor: &failCursor{}},
-	})
+	}, Options{Order: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,10 +350,10 @@ func TestStreamCancelMidSeek(t *testing.T) {
 	for _, mode := range cancelModes {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		s, err := NewStream(ctx, q, []StreamRelation{
+		s, err := NewStreamOpts(ctx, q, []StreamRelation{
 			{Name: "A", Slots: []int{0}, Cursor: NewSliceCursor(far)},
 			mode.rel("B", 1, &cancellingCursor{inner: newFlatCursor(small), after: 1000, cancel: cancel}),
-		})
+		}, Options{Order: []int{0, 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,10 +385,10 @@ func TestStreamCancelMidCollect(t *testing.T) {
 	for _, mode := range cancelModes {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		s, err := NewStream(ctx, q, []StreamRelation{
+		s, err := NewStreamOpts(ctx, q, []StreamRelation{
 			{Name: "A", Slots: []int{0}, Cursor: NewSliceCursor(root)},
 			mode.rel("B", 1, &cancellingCursor{inner: newFlatCursor(block), after: 1000, cancel: cancel}),
-		})
+		}, Options{Order: []int{0, 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -500,7 +489,7 @@ func TestStreamCountersIgnoreBatching(t *testing.T) {
 		if len(rels[0].Entries) == 0 || len(rels[1].Entries) == 0 {
 			continue
 		}
-		want, _, err := Run(context.Background(), q, rels, Options{})
+		want, _, err := Run(context.Background(), q, rels, Options{Order: []int{0, 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -517,7 +506,7 @@ func TestStreamCountersIgnoreBatching(t *testing.T) {
 			name  string
 			srels []StreamRelation
 		}{{"entry", sliceRelations(rels)}, {"whole", whole}, {"random", random}} {
-			s, err := NewStream(context.Background(), q, v.srels)
+			s, err := NewStreamOpts(context.Background(), q, v.srels, Options{Order: []int{0, 1}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -585,7 +574,7 @@ func TestStreamJoinsRunsFarLargerThanTheWindow(t *testing.T) {
 				rels[1].Entries = append(rels[1].Entries, postings.IntervalEntry{TID: tid, Nodes: nodes[:len(tc.slots[1])]})
 			}
 		}
-		want, info, err := Run(context.Background(), q, rels, Options{})
+		want, info, err := Run(context.Background(), q, rels, Options{Order: []int{0, 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -597,7 +586,7 @@ func TestStreamJoinsRunsFarLargerThanTheWindow(t *testing.T) {
 			blocks[i] = StreamRelation{Name: r.Name, Slots: r.Slots, Blocks: newFlatCursor(r.Entries)}
 		}
 		for name, srels := range map[string][]StreamRelation{"entry": sliceRelations(rels), "block": blocks} {
-			s, err := NewStream(context.Background(), q, srels)
+			s, err := NewStreamOpts(context.Background(), q, srels, Options{Order: []int{0, 1}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -675,7 +664,7 @@ func TestStreamRejectsMalformedBlocks(t *testing.T) {
 			{TID: 1, Nodes: ref}, {TID: 5, Nodes: ref}, {TID: 4, Nodes: ref}})}, "not tid-sorted", 0},
 	} {
 		tc.rel.Name, tc.rel.Slots = "1:A", []int{0}
-		s, err := NewStream(context.Background(), query.MustParse("A"), []StreamRelation{tc.rel})
+		s, err := NewStreamOpts(context.Background(), query.MustParse("A"), []StreamRelation{tc.rel}, Options{Order: []int{0}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -705,7 +694,7 @@ func TestStreamStopsAtAMalformedEntry(t *testing.T) {
 	const bad = window + 3
 	entries[bad].Nodes = append(ref, ref...)
 	cur := NewSliceCursor(entries)
-	s, err := NewStream(context.Background(), query.MustParse("A"), []StreamRelation{{Name: "1:A", Slots: []int{0}, Cursor: cur}})
+	s, err := NewStreamOpts(context.Background(), query.MustParse("A"), []StreamRelation{{Name: "1:A", Slots: []int{0}, Cursor: cur}}, Options{Order: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,6 +114,37 @@ func cachedPages(c *pageCache) int {
 // configured below cacheShards pages used to round every shard up to
 // one page and silently hold up to cacheShards pages; now small
 // budgets clamp the shard count instead.
+// TestCacheBudgetSelectsCachedBackend: a positive cache budget is a
+// request for the cached pread backend, mapping requested or not. It
+// used to be silently dropped whenever the mapping succeeded, so every
+// documented cache configuration (left at the mmap default) ran mapped.
+func TestCacheBudgetSelectsCachedBackend(t *testing.T) {
+	path := writePages(t, 4)
+	for _, mmap := range []bool{false, true} {
+		f, err := OpenWith(path, OpenOptions{CacheBytes: 4 * 128, Mmap: mmap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			for id := uint32(1); id <= 4; id++ {
+				readPage(t, f, id)
+			}
+		}
+		if st := f.CacheStats(); f.Mapped() || !f.Stable() || st.Misses != 4 || st.Hits != 4 {
+			t.Errorf("mmap=%v: mapped=%v stable=%v cache %+v, want the cached backend with 4 misses then 4 hits", mmap, f.Mapped(), f.Stable(), st)
+		}
+		f.Close()
+	}
+	f, err := OpenWith(path, OpenOptions{Mmap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if f.CacheStats() != (CacheStats{}) {
+		t.Errorf("no budget: cache %+v", f.CacheStats())
+	}
+}
+
 func TestCacheSmallBudgetHonored(t *testing.T) {
 	for _, budget := range []int{1, 2, 3, 7} {
 		c := newPageCache(budget)

@@ -67,16 +67,16 @@ type File struct {
 // reading; the zero value reproduces Open (pread, no cache).
 type OpenOptions struct {
 	// CacheBytes is the budget of a sharded LRU page cache, rounded
-	// down to whole pages; 0 or less disables the cache. Ignored when a
-	// requested mapping succeeds — the mapping already serves every
-	// page without copies, so a cache on top would only duplicate
-	// memory.
+	// down to whole pages; 0 or less disables the cache. A positive
+	// budget selects the cached pread backend, so Mmap is then not
+	// tried: asking for a cache is asking for that backend.
 	CacheBytes int64
-	// Mmap requests the memory-mapped backend: page reads become
-	// subslices of one read-only mapping of the file. When the platform
-	// has no mmap, or mapping fails (exotic filesystems, empty file),
-	// the open silently falls back to the pread backend — the two are
-	// bit-for-bit equivalent, mapping is purely a performance choice.
+	// Mmap requests the memory-mapped backend when no cache is
+	// requested: page reads become subslices of one read-only mapping of
+	// the file. When the platform has no mmap, or mapping fails (exotic
+	// filesystems, empty file), the open silently falls back to the
+	// pread backend — the two are bit-for-bit equivalent, mapping is
+	// purely a performance choice.
 	Mmap bool
 }
 
@@ -152,17 +152,16 @@ func OpenWith(path string, opts OpenOptions) (*File, error) {
 		return nil, fmt.Errorf("pager: corrupt header in %s", path)
 	}
 	p.initPool()
+	if opts.CacheBytes > 0 {
+		p.cache = newPageCache(int(opts.CacheBytes / int64(p.pageSize)))
+		return p, nil
+	}
 	if opts.Mmap {
 		if st, err := f.Stat(); err == nil && st.Size() > 0 && st.Size() <= int64(maxMapLen) {
 			if data, err := mmapFile(f.Fd(), int(st.Size())); err == nil {
 				p.data = data
-				return p, nil // mapping supersedes any cache request
 			}
 		}
-		// Mapping unavailable: fall back to pread (plus cache, below).
-	}
-	if opts.CacheBytes > 0 {
-		p.cache = newPageCache(int(opts.CacheBytes / int64(p.pageSize)))
 	}
 	return p, nil
 }

@@ -5,13 +5,17 @@
 // per-piece cardinality estimates from build-time posting statistics,
 // a cost-based left-deep join order (smallest estimate first, with
 // slot-connectivity tie-breaking), and the execution strategy the
-// index's coding implies. Execution layers honor the order but remain
-// correct without it: a plan compiled without statistics (an index
-// whose manifest predates stats) degrades to the join layer's
-// runtime-size ordering.
+// index's coding implies. Every plan carries its join order, and the
+// join layer runs exactly that order: a plan compiled without
+// statistics (an index whose manifest predates stats) or under the
+// UseSyntacticOrder ablation takes the syntactic connected order
+// instead, and a cover whose pieces do not connect is rejected here.
 package planner
 
 import (
+	"fmt"
+	"slices"
+
 	"repro/internal/cover"
 	"repro/internal/postings"
 	"repro/internal/query"
@@ -19,8 +23,9 @@ import (
 )
 
 // UseSyntacticOrder is the planner's ablation switch: when set, New
-// pins the join order to the cover's construction (syntactic) order and
-// skips cost-based ordering. The skewed-corpus
+// skips costing and pins the join order to the syntactic connected
+// order — the cover's construction order, which is the identity
+// whenever the identity connects. The skewed-corpus
 // benchmark flips it to quantify what the statistics buy; nothing else
 // should.
 var UseSyntacticOrder bool
@@ -98,10 +103,11 @@ type Plan struct {
 	// Pieces is the cover decomposition across all child components, in
 	// construction order.
 	Pieces []PlanPiece
-	// Order is the chosen left-deep join order as indexes into Pieces:
-	// smallest estimated cardinality first, each subsequent piece
-	// slot-connected to the bound set. nil on uncosted plans, where
-	// execution falls back to runtime-size ordering.
+	// Order is the left-deep join order as indexes into Pieces: a
+	// permutation in which every piece after the first is slot-connected
+	// to the pieces before it. A costed plan takes the smallest estimated
+	// cardinality first; an uncosted one the syntactic connected order
+	// (see joinOrder). The join runs this order and no other.
 	Order []int
 	// Strategy is the execution mode the coding implies; set on
 	// uncosted plans too.
@@ -110,17 +116,17 @@ type Plan struct {
 	// join — the smallest piece estimate, since every match embeds an
 	// occurrence of every piece. 0 on uncosted plans.
 	EstRows uint64
-	// Costed reports whether statistics were available: Est, Order and
-	// EstRows are meaningful only when set.
+	// Costed reports whether statistics were available: Est and EstRows
+	// are meaningful only when set, and Order is cost-based.
 	Costed bool
 }
 
 // New decomposes q into cover pieces for an index with the given MSS
 // and coding, resolves each piece to its index key, slot mapping and
 // automorphisms, and — when stats is non-nil — annotates the pieces
-// with cardinality estimates and picks the join order. stats == nil
-// yields an uncosted plan, whose join order the join layer works out at
-// run time.
+// with cardinality estimates. It then picks the join order (by cost on
+// a costed plan, syntactically otherwise); a cover with no connected
+// order is an error.
 func New(q *query.Query, mss int, coding postings.Coding, stats *Stats) (*Plan, error) {
 	covers, err := coverQuery(q, mss, coding == postings.RootSplit)
 	if err != nil {
@@ -143,21 +149,17 @@ func New(q *query.Query, mss int, coding postings.Coding, stats *Stats) (*Plan, 
 			pl.Pieces = append(pl.Pieces, pp)
 		}
 	}
-	if UseSyntacticOrder {
-		// Ablation baseline: pin the syntactic order so execution cannot
-		// reorder at runtime.
-		pl.Order = identityOrder(len(pl.Pieces))
-		return pl, nil
+	if stats != nil && !UseSyntacticOrder {
+		pl.cost(stats)
 	}
-	if stats == nil {
-		return pl, nil
+	if pl.Order, err = pl.joinOrder(coding); err != nil {
+		return nil, err
 	}
-	pl.cost(coding, stats)
 	return pl, nil
 }
 
-// cost annotates the plan with estimates and order.
-func (pl *Plan) cost(coding postings.Coding, stats *Stats) {
+// cost annotates the plan with estimates.
+func (pl *Plan) cost(stats *Stats) {
 	pl.Costed = true
 	min := uint64(0)
 	for i := range pl.Pieces {
@@ -168,60 +170,40 @@ func (pl *Plan) cost(coding postings.Coding, stats *Stats) {
 		}
 	}
 	pl.EstRows = min
-	pl.Order = pl.costOrder(coding)
-}
-
-// identityOrder returns 0..n-1.
-func identityOrder(n int) []int {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	return order
 }
 
 // boundSlots returns the query nodes a piece's relation binds under the
-// given coding: root-split postings carry only the piece root, the
-// other codings bind every covered node.
+// given coding: root-split postings carry only the piece root — the
+// first of Slots, which follows the pattern's pre-order — the other
+// codings bind every covered node.
 func (pp *PlanPiece) boundSlots(coding postings.Coding) []int {
 	if coding == postings.RootSplit {
-		return []int{pp.Root}
+		return pp.Slots[:1]
 	}
 	return pp.Slots
 }
 
-// costOrder picks the left-deep join order by estimated cardinality:
-// the globally smallest piece first, then repeatedly the smallest piece
-// connected to the bound set (a shared slot or a query edge into a
-// bound node — the same connectivity rule the join layer enforces).
-// Ties break toward the piece sharing more slots with the bound set,
-// then toward syntactic position, so the order is deterministic.
-func (pl *Plan) costOrder(coding postings.Coding) []int {
+// joinOrder picks the left-deep join order greedily: a first piece,
+// then repeatedly a piece connected to the bound set (a shared slot or
+// a query edge into a bound node — the same connectivity rule the join
+// layer enforces). A costed plan goes by estimated cardinality: the
+// globally smallest piece first, then the smallest connected one, ties
+// breaking toward the piece sharing more slots with the bound set, then
+// toward syntactic position. An uncosted plan takes the syntactic
+// connected order: piece 0, then always the lowest-index connected
+// piece, which is the identity whenever the identity connects. A cover
+// that no order connects is an error.
+func (pl *Plan) joinOrder(coding postings.Coding) ([]int, error) {
 	n := len(pl.Pieces)
-	if n == 0 {
-		return nil
-	}
 	q := pl.Query
-	used := make([]bool, n)
 	bound := map[int]bool{}
 	order := make([]int, 0, n)
 
-	slots := make([][]int, n)
-	for i := range pl.Pieces {
-		slots[i] = pl.Pieces[i].boundSlots(coding)
-	}
-	take := func(i int) {
-		used[i] = true
-		order = append(order, i)
-		for _, s := range slots[i] {
-			bound[s] = true
-		}
-	}
 	// sharedWith counts a piece's connections to the bound set: bound
 	// slots plus query edges into bound nodes.
 	sharedWith := func(i int) int {
 		c := 0
-		for _, s := range slots[i] {
+		for _, s := range pl.Pieces[i].boundSlots(coding) {
 			if bound[s] {
 				c++
 				continue
@@ -240,36 +222,32 @@ func (pl *Plan) costOrder(coding postings.Coding) []int {
 		return c
 	}
 
-	smallest := 0
-	for i := 1; i < n; i++ {
-		if pl.Pieces[i].Est < pl.Pieces[smallest].Est {
-			smallest = i
-		}
-	}
-	take(smallest)
+	// The first pick has nothing bound yet, so every piece is eligible and
+	// shares nothing: it is the smallest estimate, or piece 0 uncosted.
 	for len(order) < n {
 		best, bestShared := -1, 0
 		for i := 0; i < n; i++ {
-			if used[i] {
+			if slices.Contains(order, i) {
 				continue
 			}
 			sh := sharedWith(i)
-			if sh == 0 {
+			if sh == 0 && len(order) > 0 {
 				continue
 			}
-			if best == -1 || pl.Pieces[i].Est < pl.Pieces[best].Est ||
-				(pl.Pieces[i].Est == pl.Pieces[best].Est && sh > bestShared) {
+			if best == -1 || pl.Costed && (pl.Pieces[i].Est < pl.Pieces[best].Est ||
+				(pl.Pieces[i].Est == pl.Pieces[best].Est && sh > bestShared)) {
 				best, bestShared = i, sh
 			}
 		}
 		if best == -1 {
-			// Disconnected cover: surrender the order and let the join
-			// layer report it (or handle it) at execution time.
-			return nil
+			return nil, fmt.Errorf("planner: the cover pieces of %s do not connect", q)
 		}
-		take(best)
+		order = append(order, best)
+		for _, s := range pl.Pieces[best].boundSlots(coding) {
+			bound[s] = true
+		}
 	}
-	return order
+	return order, nil
 }
 
 // coverQuery computes per-component covers with the decomposition

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,8 +38,11 @@ func statsFor(entries map[string]uint64) *Stats {
 	return s
 }
 
-// TestNewUncosted asserts that a nil-stats compile yields pieces and
-// the coding's strategy but no order and no estimates.
+// TestNewUncosted asserts that a nil-stats compile yields pieces, the
+// coding's strategy and the syntactic connected order, but no
+// estimates. The MSS=1 cover of A(B)(C) is built as B, C, A: the
+// identity would join the siblings B and C with nothing binding their
+// parent, so A is taken second.
 func TestNewUncosted(t *testing.T) {
 	pl, err := New(mustParse(t, "A(B)(C)"), 1, postings.RootSplit, nil)
 	if err != nil {
@@ -47,8 +51,14 @@ func TestNewUncosted(t *testing.T) {
 	if pl.Costed {
 		t.Fatal("nil-stats plan reports Costed")
 	}
-	if pl.Order != nil || pl.EstRows != 0 {
-		t.Fatalf("uncosted plan carries cost annotations: order=%v est=%d", pl.Order, pl.EstRows)
+	if pl.EstRows != 0 {
+		t.Fatalf("uncosted plan carries an estimate: %d", pl.EstRows)
+	}
+	if got := []string{pieceLabel(pl.Pieces[0]), pieceLabel(pl.Pieces[1]), pieceLabel(pl.Pieces[2])}; !slices.Equal(got, []string{"B", "C", "A"}) {
+		t.Fatalf("cover built as %v, want B, C, A", got)
+	}
+	if !slices.Equal(pl.Order, []int{0, 2, 1}) {
+		t.Fatalf("uncosted order %v, want the syntactic connected order [0 2 1]", pl.Order)
 	}
 	if pl.Strategy != StrategyStream {
 		t.Fatalf("uncosted root-split plan has strategy %v, want stream", pl.Strategy)
@@ -140,22 +150,28 @@ func TestChooseStrategy(t *testing.T) {
 	}
 }
 
-// TestUseSyntacticOrder asserts the ablation switch: the order pins to
-// construction order and costing is skipped entirely.
+// TestUseSyntacticOrder asserts the ablation switch: costing is skipped
+// entirely and the order pins to the syntactic connected order — the
+// identity for A(B(C)), whose cover is built top-down, and the uncosted
+// order [0 2 1] for A(B)(C), whose identity does not connect (see
+// TestNewUncosted) — whatever the statistics say.
 func TestUseSyntacticOrder(t *testing.T) {
 	UseSyntacticOrder = true
 	defer func() { UseSyntacticOrder = false }()
-	pl, err := New(mustParse(t, "A(B)(C)"), 1, postings.RootSplit,
-		statsFor(map[string]uint64{"A": 1000, "B": 500, "C": 2}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.Costed {
-		t.Fatal("ablation plan reports Costed")
-	}
-	for i, pi := range pl.Order {
-		if pi != i {
-			t.Fatalf("ablation order %v is not the identity", pl.Order)
+	for _, c := range []struct {
+		src  string
+		want []int
+	}{{"A(B(C))", []int{0, 1, 2}}, {"A(B)(C)", []int{0, 2, 1}}} {
+		pl, err := New(mustParse(t, c.src), 1, postings.RootSplit,
+			statsFor(map[string]uint64{"1:A": 1000, "1:B": 500, "1:C": 2}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.Costed {
+			t.Fatalf("%s: ablation plan reports Costed", c.src)
+		}
+		if !slices.Equal(pl.Order, c.want) {
+			t.Fatalf("%s: ablation order %v, want %v", c.src, pl.Order, c.want)
 		}
 	}
 }

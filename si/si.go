@@ -176,7 +176,8 @@ type OpenOptions struct {
 	// the index file (per shard when sharded). The default 0 keeps
 	// reads uncached, preserving the paper's §6.1 setup where only the
 	// operating system buffers pages; serving deployments typically set
-	// a few megabytes.
+	// a few megabytes. A positive budget selects the cached pread
+	// backend, so index files are then not memory-mapped (see Mmap).
 	CacheSize int64
 	// PlanCacheSize is ignored: compiled plans are always kept, one
 	// bounded map per published segment set, keyed by the query's
@@ -185,11 +186,11 @@ type OpenOptions struct {
 	// Deprecated: plan caching is unconditional. The field remains
 	// only because the frozen benchmark (bench/layers.go) sets it.
 	PlanCacheSize int
-	// Mmap selects the read backend for index files. The default
-	// (MmapAuto) memory-maps them so page reads are zero-copy subslices
-	// of the mapping; MmapOff forces positioned reads. When mapping is
-	// unavailable the open silently falls back to pread — results are
-	// identical either way.
+	// Mmap selects the read backend for index files when CacheSize is
+	// 0. The default (MmapAuto) memory-maps them so page reads are
+	// zero-copy subslices of the mapping; MmapOff forces positioned
+	// reads. When mapping is unavailable the open silently falls back to
+	// pread — results are identical either way.
 	Mmap MmapMode
 }
 
