@@ -40,9 +40,11 @@ bench-smoke:
 # the join layer's own (internal/join: JoinRun, JoinStream, and
 # StreamAlign at seek gaps of 1, 8, 64 and 512 entries) and of
 # internal/postings' RootDecode and RootBlock (the per-entry and the
-# batch decoder, the latter also over a real frequent key's list) — the
-# fetch and join-row work counters plus allocs/op and B/op (the decoders'
-# are zero, and a zero baseline fails on any increase). benchjson diffs
+# batch decoder, the latter also over a real frequent key's list) and of
+# internal/subtree's ExtractMSS3/MSS5 (the build's key kernel, one
+# reused extractor) — the fetch and join-row work counters plus
+# allocs/op and B/op (the decoders' and the extractor's are zero, and a
+# zero baseline fails on any increase). benchjson diffs
 # the new run against it and
 # fails on a >25% increase — or on a baseline matching nothing — so
 # both the early-termination counters and the zero-copy allocation
@@ -53,8 +55,8 @@ bench-smoke:
 # compounding silently — every baseline move is a visible commit.
 BENCH_TOLERANCE ?= 0.25
 BENCH_CMD = $(GO) test -run='^$$' \
-	-bench='SearchBatch|CountOnly|LimitedSearch|ShardedQuery|PlannerSkew|JoinRun|JoinStream|StreamAlign|RootDecode|RootBlock' \
-	-benchmem -benchtime=1x . ./internal/join ./internal/postings
+	-bench='SearchBatch|CountOnly|LimitedSearch|ShardedQuery|PlannerSkew|JoinRun|JoinStream|StreamAlign|RootDecode|RootBlock|Extract' \
+	-benchmem -benchtime=1x . ./internal/join ./internal/postings ./internal/subtree
 bench-json:
 	$(BENCH_CMD) > bench.out
 	$(GO) run ./cmd/benchjson -o BENCH_search.json -baseline BENCH_baseline.json \
@@ -75,7 +77,9 @@ bench-baseline:
 # the batch root-split decoder to the per-entry one, record for record),
 # the pager's header/page reader and the B+Tree's page decoding
 # (FuzzBTreeGet: lookups and a full scan of mutated built files, which
-# must error rather than panic or loop). The committed testdata/fuzz corpora always replay
+# must error rather than panic or loop), plus the build's subtree
+# extractor (FuzzExtract: bracketed trees, keys and slot mappings held
+# to the top-down reference extractor). The committed testdata/fuzz corpora always replay
 # in plain `go test`; this target additionally explores for a few
 # seconds per target, which is enough to catch gross regressions (a
 # panic or over-read lands within seconds on these tiny inputs).
@@ -85,6 +89,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzRootBlock -fuzztime=$(FUZZTIME) ./internal/postings/
 	$(GO) test -fuzz=FuzzPageHeader -fuzztime=$(FUZZTIME) ./internal/pager/
 	$(GO) test -fuzz=FuzzBTreeGet -fuzztime=$(FUZZTIME) ./internal/btree/
+	$(GO) test -fuzz=FuzzExtract -fuzztime=$(FUZZTIME) ./internal/subtree/
 
 # Build the repository's vet tool.
 silint:

@@ -15,7 +15,7 @@
 // previously emitted document: for every benchmark present in both
 // whose name matches -guard (a comma-separated list of substrings;
 // default covers the limited-search, sharded-query, batch, planner-skew,
-// join-layer and root-decode benchmarks), the deterministic per-op
+// join-layer, root-decode and subtree-extraction benchmarks), the deterministic per-op
 // metrics (fetches/op, joinrows/op, allocs/op and B/op) must not exceed
 // the baseline by more than -tolerance (default 0.25, i.e. +25%), or
 // the command exits non-zero — a counter whose baseline is 0 therefore
@@ -56,9 +56,10 @@ var guardedMetrics = []string{"fetches/op", "joinrows/op", "allocs/op", "B/op"}
 // skewed-corpus fetch/join-row savings, the join layer's own
 // benchmarks (join rows at fixed input cardinalities and, for the
 // stream's seek, at fixed gap lengths; the compiled kernel's
-// allocations, constant in the input size for a stream), and the
-// root-split decoders' zero allocations, per entry and per block.
-const defaultGuard = "LimitedSearch,ShardedQuery,SearchBatch,PlannerSkew,JoinRun,JoinStream,StreamAlign,RootDecode,RootBlock"
+// allocations, constant in the input size for a stream), the
+// root-split decoders' zero allocations, per entry and per block, and
+// the build's subtree extractor's zero allocations per tree.
+const defaultGuard = "LimitedSearch,ShardedQuery,SearchBatch,PlannerSkew,JoinRun,JoinStream,StreamAlign,RootDecode,RootBlock,Extract"
 
 // guardItems splits a comma-separated guard list into its non-empty
 // items (so a trailing comma is harmless).

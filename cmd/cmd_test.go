@@ -108,7 +108,7 @@ func TestToolPipeline(t *testing.T) {
 	// 5. A sharded build answers identically, queried through a cache.
 	idx3 := filepath.Join(work, "idx3")
 	out = run(t, sibuild, "-gen", "300", "-seed", "7", "-out", idx3,
-		"-mss", "3", "-coding", "root-split", "-shards", "3", "-workers", "2")
+		"-mss", "3", "-coding", "root-split", "-shards", "3")
 	if !strings.Contains(out, "3 shards") {
 		t.Errorf("sibuild sharded output: %s", out)
 	}

@@ -6,8 +6,7 @@
 //
 // With -gen N the corpus is generated in-process instead of read from
 // a file, which makes end-to-end experiments one command. -shards N
-// partitions the corpus by tid into N index shards built concurrently;
-// -workers W parallelises subtree extraction within each shard.
+// partitions the corpus by tid into N index shards built concurrently.
 //
 // With -append the trees are added to the existing index at -out as a
 // fresh immutable segment instead of rebuilding it: the new trees get
@@ -48,7 +47,6 @@ func main() {
 	mss := flag.Int("mss", 3, "maximum subtree size (1..6)")
 	codingName := flag.String("coding", "root-split", "posting coding: filter-based | root-split | subtree-interval")
 	shards := flag.Int("shards", 1, "partition the index into N shards built concurrently")
-	workers := flag.Int("workers", 1, "subtree-extraction goroutines per shard")
 	appendMode := flag.Bool("append", false, "append the trees to the existing index at -out as a new segment (keeps its mss/coding)")
 	deleteTids := flag.String("delete", "", "tombstone these comma-separated tids in the existing index at -out (e.g. 3,7,9)")
 	compactMode := flag.Bool("compact", false, "merge the existing index at -out into one segment, dropping tombstoned trees")
@@ -63,7 +61,7 @@ func main() {
 		if *corpus != "" || *gen > 0 || *appendMode {
 			fatal(fmt.Errorf("-delete/-compact modify the index at -out in place; drop -corpus/-gen/-append"))
 		}
-		mutate(*out, *deleteTids, *compactMode, *shards, *workers)
+		mutate(*out, *deleteTids, *compactMode, *shards)
 		return
 	}
 	var trees []*si.Tree
@@ -90,7 +88,7 @@ func main() {
 			fatal(err)
 		}
 		info, err := ix.AppendWith(context.Background(), trees,
-			si.AppendOptions{Shards: *shards, Workers: *workers})
+			si.AppendOptions{Shards: *shards})
 		if err != nil {
 			ix.Close()
 			fatal(err)
@@ -107,10 +105,9 @@ func main() {
 	}
 
 	info, err := si.Build(*out, trees, si.BuildOptions{
-		MSS:     *mss,
-		Coding:  coding,
-		Shards:  *shards,
-		Workers: *workers,
+		MSS:    *mss,
+		Coding: coding,
+		Shards: *shards,
 	})
 	if err != nil {
 		fatal(err)
@@ -122,7 +119,7 @@ func main() {
 // mutate runs the in-place modes: tombstone the -delete tids, then
 // compact if -compact was set (so `-delete ... -compact` deletes and
 // reclaims in one command).
-func mutate(out, deleteTids string, compact bool, shards, workers int) {
+func mutate(out, deleteTids string, compact bool, shards int) {
 	ix, err := si.Open(out)
 	if err != nil {
 		fatal(err)
@@ -143,7 +140,7 @@ func mutate(out, deleteTids string, compact bool, shards, workers int) {
 			deleted, len(tids), out, st.LiveTrees, st.TombstonedTrees, ix.Generation())
 	}
 	if compact {
-		compacted, err := ix.CompactWith(ctx, si.CompactOptions{Shards: shards, Workers: workers})
+		compacted, err := ix.CompactWith(ctx, si.CompactOptions{Shards: shards})
 		if err != nil {
 			fatal(err)
 		}

@@ -64,14 +64,16 @@ func Build(trees []*lingtree.Tree, src treebank.TreeSource, dir string, opt Opti
 	// First pass: per-key tid lists (deduplicated) and frequencies.
 	all := map[subtree.Key][]uint32{}
 	freq := map[subtree.Key]int{}
+	var ex subtree.Extractor
 	for _, t := range trees {
-		for _, occ := range subtree.Extract(t, opt.MSS) {
-			freq[occ.Key]++
-			l := all[occ.Key]
-			if len(l) == 0 || l[len(l)-1] != uint32(t.TID) {
-				all[occ.Key] = append(l, uint32(t.TID))
+		tid := uint32(t.TID)
+		ex.Extract(t, opt.MSS, func(key []byte, _ int, _ []int) {
+			k := subtree.Key(key)
+			freq[k]++
+			if l := all[k]; len(l) == 0 || l[len(l)-1] != tid {
+				all[k] = append(l, tid)
 			}
-		}
+		})
 	}
 	// Retain all size-1 keys plus the top fraction of larger keys.
 	type kf struct {

@@ -90,7 +90,7 @@ func TestQuickBackendEquivalence(t *testing.T) {
 			t.Logf("open writer: %v", err)
 			return false
 		}
-		if _, err := w.Append(ctx, trees[30:], 1, 0); err != nil {
+		if _, err := w.Append(ctx, trees[30:], 1); err != nil {
 			w.Close()
 			t.Logf("append: %v", err)
 			return false

@@ -26,8 +26,6 @@ type CompactOptions struct {
 	// Shards is the partition count of the compacted segment; <= 0
 	// builds a single shard.
 	Shards int
-	// Workers is the per-shard extraction concurrency, as in Options.
-	Workers int
 	// MinSegments and MinTombstones gate the run: compaction proceeds
 	// when the index has at least MinSegments segments *or* at least
 	// MinTombstones tombstoned trees, and reports (false, nil, nil)
@@ -89,9 +87,8 @@ func (l *Live) Compact(ctx context.Context, opts CompactOptions) (bool, *Meta, e
 		return false, nil, fmt.Errorf("core: compaction would leave no trees; rebuild the index instead")
 	}
 
-	// Gather the survivors in global tid order, renumbered 0..live-1.
-	// Node storage is shared read-only with the still-serving leaves, so
-	// a shallow copy per tree suffices (as in localTrees).
+	// Gather the survivors in global tid order; the build numbers them
+	// 0..live-1 by position.
 	survivors := make([]*lingtree.Tree, 0, live)
 	li := 0
 	for _, sg := range cur.segs {
@@ -110,9 +107,7 @@ func (l *Live) Compact(ctx context.Context, opts CompactOptions) (bool, *Meta, e
 				if err != nil {
 					return false, nil, err
 				}
-				ct := *t
-				ct.TID = len(survivors)
-				survivors = append(survivors, &ct)
+				survivors = append(survivors, t)
 			}
 		}
 	}
@@ -127,9 +122,8 @@ func (l *Live) Compact(ctx context.Context, opts CompactOptions) (bool, *Meta, e
 		return false, nil, err
 	}
 	built, err := BuildSharded(segPath, survivors, Options{
-		MSS:     info.meta.MSS,
-		Coding:  info.meta.Coding,
-		Workers: opts.Workers,
+		MSS:    info.meta.MSS,
+		Coding: info.meta.Coding,
 	}, max(opts.Shards, 1))
 	if err != nil {
 		os.RemoveAll(segPath)

@@ -55,11 +55,6 @@ type Options struct {
 	// DisableRootDedup keeps one posting per instance even under
 	// root-split coding; only the ablation benchmarks set it.
 	DisableRootDedup bool
-	// Workers is the number of goroutines extracting subtrees during
-	// the build; 0 or 1 means sequential. Aggregation stays in tid
-	// order, so the built index is byte-identical regardless of
-	// Workers.
-	Workers int
 }
 
 func (o *Options) normalize() error {
@@ -169,12 +164,14 @@ func (a *accumulator) bytes() []byte {
 
 // Build constructs an SI over trees in dir. The corpus is also written
 // to dir as the data file (needed by filter-based validation and by
-// downstream tools).
+// downstream tools). Trees are numbered by position: the i-th tree is
+// stored and indexed as tid i, whatever its TID field says.
 func Build(dir string, trees []*lingtree.Tree, opt Options) (*Meta, error) {
 	if err := opt.normalize(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
+	trees = renumbered(trees)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -184,9 +181,11 @@ func Build(dir string, trees []*lingtree.Tree, opt Options) (*Meta, error) {
 
 	// Extraction phase: enumerate occurrences tree by tree and fold
 	// them into per-key accumulators. Trees arrive in tid order, so
-	// accumulator ordering invariants hold by construction.
+	// accumulator ordering invariants hold by construction. The
+	// extractor lends each key as bytes; the map lookup does not copy
+	// them, so only a key's first occurrence allocates.
 	extractStart := time.Now()
-	accs := make(map[subtree.Key]*accumulator)
+	accs := make(map[string]*accumulator)
 	totalPostings := 0
 	newAcc := func() *accumulator {
 		switch opt.Coding {
@@ -198,34 +197,30 @@ func Build(dir string, trees []*lingtree.Tree, opt Options) (*Meta, error) {
 			return &accumulator{interval: &postings.IntervalAccumulator{}}
 		}
 	}
-	fold := func(t *lingtree.Tree, occs []subtree.Occurrence) {
-		for _, occ := range occs {
-			acc := accs[occ.Key]
+	var ex subtree.Extractor
+	var refs []postings.NodeRef
+	for _, t := range trees {
+		tid := uint32(t.TID)
+		ex.Extract(t, opt.MSS, func(key []byte, root int, slots []int) {
+			acc := accs[string(key)]
 			if acc == nil {
 				acc = newAcc()
-				accs[occ.Key] = acc
+				accs[string(key)] = acc
 			}
-			acc.sawTID(uint32(t.TID))
+			acc.sawTID(tid)
 			switch opt.Coding {
 			case postings.FilterBased:
-				acc.filter.Add(uint32(t.TID))
+				acc.filter.Add(tid)
 			case postings.RootSplit:
-				acc.root.Add(uint32(t.TID), nodeRef(t, occ.Root))
+				acc.root.Add(tid, nodeRef(t, root))
 			default:
-				refs := make([]postings.NodeRef, len(occ.Nodes))
-				for i, v := range occ.Nodes {
-					refs[i] = nodeRef(t, v)
+				refs = refs[:0]
+				for _, v := range slots {
+					refs = append(refs, nodeRef(t, v))
 				}
-				acc.interval.Add(uint32(t.TID), refs)
+				acc.interval.Add(tid, refs)
 			}
-		}
-	}
-	if opt.Workers <= 1 {
-		for _, t := range trees {
-			fold(t, subtree.Extract(t, opt.MSS))
-		}
-	} else {
-		parallelExtract(trees, opt.MSS, opt.Workers, fold)
+		})
 	}
 	extractNanos := time.Since(extractStart).Nanoseconds()
 
@@ -235,7 +230,7 @@ func Build(dir string, trees []*lingtree.Tree, opt Options) (*Meta, error) {
 	loadStart := time.Now()
 	keys := make([]string, 0, len(accs))
 	for k := range accs {
-		keys = append(keys, string(k))
+		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	bld, err := btree.NewBuilder(filepath.Join(dir, indexFileName), opt.PageSize)
@@ -245,7 +240,7 @@ func Build(dir string, trees []*lingtree.Tree, opt Options) (*Meta, error) {
 	stats := &planner.Stats{}
 	var val []byte
 	for _, k := range keys {
-		acc := accs[subtree.Key(k)]
+		acc := accs[k]
 		totalPostings += acc.count()
 		val = val[:0]
 		val = appendUvarint(val, uint64(acc.count()))
@@ -294,6 +289,26 @@ func Build(dir string, trees []*lingtree.Tree, opt Options) (*Meta, error) {
 		return nil, err
 	}
 	return meta, nil
+}
+
+// renumbered returns trees with TIDs 0..n-1 by position. Node storage
+// is shared read-only, so a shallow copy of a tree whose TID differs
+// suffices; a slice already numbered by position is returned as is.
+func renumbered(trees []*lingtree.Tree) []*lingtree.Tree {
+	for i, t := range trees {
+		if t.TID == i {
+			continue
+		}
+		out := make([]*lingtree.Tree, len(trees))
+		copy(out, trees[:i])
+		for j := i; j < len(trees); j++ {
+			ct := *trees[j]
+			ct.TID = j
+			out[j] = &ct
+		}
+		return out
+	}
+	return trees
 }
 
 func nodeRef(t *lingtree.Tree, v int) postings.NodeRef {

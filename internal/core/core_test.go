@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -267,46 +265,4 @@ func TestOpenMissing(t *testing.T) {
 	if _, err := OpenLive(t.TempDir(), OpenOptions{}); err == nil {
 		t.Error("want error opening empty dir")
 	}
-}
-
-func TestParallelBuildIdenticalToSequential(t *testing.T) {
-	trees := corpusgen.New(13).Trees(120)
-	seqDir := filepath.Join(t.TempDir(), "seq")
-	parDir := filepath.Join(t.TempDir(), "par")
-	m1, err := Build(seqDir, trees, Options{MSS: 3, Coding: postings.RootSplit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := Build(parDir, trees, Options{MSS: 3, Coding: postings.RootSplit, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1.Keys != m2.Keys || m1.Postings != m2.Postings || m1.IndexBytes != m2.IndexBytes {
-		t.Errorf("parallel build differs: %+v vs %+v", m1, m2)
-	}
-	h1, err := hashFile(filepath.Join(seqDir, indexFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := hashFile(filepath.Join(parDir, indexFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1 != h2 {
-		t.Error("parallel build produced a different index file")
-	}
-	// And the parallel-built index answers queries.
-	ms, err := searchQuery(openDir(t, parDir, OpenOptions{}), query.MustParse("NP(DT)"))
-	if err != nil || len(ms) == 0 {
-		t.Errorf("parallel index query: %d matches, %v", len(ms), err)
-	}
-}
-
-func hashFile(path string) (string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(data)
-	return string(sum[:]), nil
 }

@@ -84,7 +84,7 @@ func TestEveryLayoutThroughOneHandle(t *testing.T) {
 		defer l.Close()
 		at := 200
 		for _, n := range batches {
-			if _, err := l.Append(ctx, trees[at:at+n], 1, 0); err != nil {
+			if _, err := l.Append(ctx, trees[at:at+n], 1); err != nil {
 				t.Fatal(err)
 			}
 			at += n

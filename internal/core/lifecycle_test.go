@@ -45,7 +45,7 @@ func TestDeleteHidesTreesEverywhere(t *testing.T) {
 	}
 	defer l.Close()
 	ctx := context.Background()
-	if _, err := l.Append(ctx, trees[300:], 1, 0); err != nil {
+	if _, err := l.Append(ctx, trees[300:], 1); err != nil {
 		t.Fatal(err)
 	}
 	// One extra tree with a vocabulary all its own, so its keys must
@@ -54,7 +54,7 @@ func TestDeleteHidesTreesEverywhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(ctx, []*lingtree.Tree{rare}, 1, 0); err != nil {
+	if _, err := l.Append(ctx, []*lingtree.Tree{rare}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := l.LookupKey(subtree.Key("1:zyzzyva")); err != nil || n == 0 {
@@ -250,10 +250,10 @@ func TestCompactEquivalentToRebuild(t *testing.T) {
 	trees := shardCorpus(900)
 	l := openLive(t, trees[:500], 2, OpenOptions{})
 	ctx := context.Background()
-	if _, err := l.Append(ctx, trees[500:700], 1, 0); err != nil {
+	if _, err := l.Append(ctx, trees[500:700], 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(ctx, trees[700:], 2, 2); err != nil {
+	if _, err := l.Append(ctx, trees[700:], 2); err != nil {
 		t.Fatal(err)
 	}
 	del := deleteTids(900, 7)
@@ -368,7 +368,7 @@ func TestCompactThresholds(t *testing.T) {
 	if compacted, _, err := l.Compact(ctx, CompactOptions{}); err != nil || compacted {
 		t.Fatalf("Compact on a legacy root = (%v, %v), want (false, nil)", compacted, err)
 	}
-	if _, err := l.Append(ctx, shardCorpus(150)[100:], 1, 0); err != nil {
+	if _, err := l.Append(ctx, shardCorpus(150)[100:], 1); err != nil {
 		t.Fatal(err)
 	}
 	// Two segments, no tombstones: high thresholds decline, defaults run.
@@ -470,7 +470,7 @@ func TestCompactionDuringPinnedStream(t *testing.T) {
 	}
 	defer l.Close()
 	ctx := context.Background()
-	if _, err := l.Append(ctx, trees[250:], 1, 0); err != nil {
+	if _, err := l.Append(ctx, trees[250:], 1); err != nil {
 		t.Fatal(err)
 	}
 	const q = "S(NP)(VP)"
@@ -573,7 +573,7 @@ func TestCompactionDuringPinnedMmapStream(t *testing.T) {
 		t.Skip("mmap unavailable on this platform; the pread shape is TestCompactionDuringPinnedStream")
 	}
 	ctx := context.Background()
-	if _, err := l.Append(ctx, trees[250:], 1, 0); err != nil {
+	if _, err := l.Append(ctx, trees[250:], 1); err != nil {
 		t.Fatal(err)
 	}
 	const q = "S(NP)(VP)"
@@ -675,7 +675,7 @@ func TestReloadPicksUpTombstonesAndCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := writer.Append(ctx, trees[200:], 1, 0); err != nil {
+	if _, err := writer.Append(ctx, trees[200:], 1); err != nil {
 		t.Fatal(err)
 	}
 	const q = "S(//NN)"
@@ -741,11 +741,11 @@ func TestUpdateAtomicDeletePlusAppend(t *testing.T) {
 	trees := shardCorpus(260)
 	l := openLive(t, trees[:250], 1, OpenOptions{})
 	ctx := context.Background()
-	if _, err := l.Append(ctx, trees[250:255], 1, 0); err != nil {
+	if _, err := l.Append(ctx, trees[250:255], 1); err != nil {
 		t.Fatal(err)
 	}
 	gen := l.Generation()
-	built, newly, err := l.Update(ctx, []int{5, 9}, trees[255:], 1, 0)
+	built, newly, err := l.Update(ctx, []int{5, 9}, trees[255:], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -766,7 +766,7 @@ func TestUpdateAtomicDeletePlusAppend(t *testing.T) {
 	}
 	// An update whose deletes are all already tombstoned and that brings
 	// no trees publishes nothing.
-	if _, newly, err := l.Update(ctx, []int{5, 9}, nil, 0, 0); err != nil || newly != 0 {
+	if _, newly, err := l.Update(ctx, []int{5, 9}, nil, 0); err != nil || newly != 0 {
 		t.Fatalf("no-op update = (newly %d, %v), want (0, nil)", newly, err)
 	}
 	if l.Generation() != gen+1 {

@@ -80,7 +80,7 @@ func TestPlanCacheInvalidationOnPublish(t *testing.T) {
 		t.Fatalf("warm repeat: hit=%v err=%v, want a plan-map hit", res != nil && res.Stats.PlanCacheHit, err)
 	}
 
-	if _, err := l.Append(ctx, heavyTrees(100), 1, 0); err != nil {
+	if _, err := l.Append(ctx, heavyTrees(100), 1); err != nil {
 		t.Fatal(err)
 	}
 	if after := explainFresh(t, l, q); !heavier(before, after) {
@@ -121,7 +121,7 @@ func TestReloadInvalidatesPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := writer.Append(ctx, heavyTrees(100), 1, 0); err != nil {
+	if _, err := writer.Append(ctx, heavyTrees(100), 1); err != nil {
 		writer.Close()
 		t.Fatal(err)
 	}

@@ -702,39 +702,24 @@ func (l *Live) Tree(tid int) (*lingtree.Tree, error) {
 	return e.set.tree(tid)
 }
 
-// localTrees re-tids trees to a segment-local 0..n-1 range. Node
-// storage is shared (read-only during extraction); only the TID field
-// differs, so a shallow copy suffices — the same trick the sharded
-// build uses.
-func localTrees(trees []*lingtree.Tree) []*lingtree.Tree {
-	local := make([]*lingtree.Tree, len(trees))
-	for i, t := range trees {
-		ct := *t
-		ct.TID = i
-		local[i] = &ct
-	}
-	return local
-}
-
 // Append builds trees into a fresh immutable segment — sharded into
-// the given number of partitions, extracted with workers goroutines
-// per shard (both as in BuildOptions) — publishes it in the manifest,
-// and atomically swaps the serving epoch so subsequent queries see the
-// new trees without reopening anything. In-flight queries finish on
-// the segment set they pinned. The new trees receive the global tids
-// following the current corpus. The first Append to a legacy
-// (single-directory or sharded) root first promotes it: its files move
-// into a generation directory and a version-3 manifest takes their
-// place at the root. Appends serialize; concurrent appends from other
-// processes are not coordinated and must be avoided (the manifest
-// write is last-wins). The index's MSS and coding carry over to the
-// new segment. Returns the new segment's build statistics. Append is
-// Update with no deletes; Delete is Update with no trees.
-func (l *Live) Append(ctx context.Context, trees []*lingtree.Tree, shards, workers int) (*Meta, error) {
+// the given number of partitions, as in BuildOptions — publishes it in
+// the manifest, and atomically swaps the serving epoch so subsequent
+// queries see the new trees without reopening anything. In-flight
+// queries finish on the segment set they pinned. The new trees receive
+// the global tids following the current corpus. The first Append to a
+// legacy (single-directory or sharded) root first promotes it: its
+// files move into a generation directory and a version-3 manifest
+// takes their place at the root. Appends serialize; concurrent appends
+// from other processes are not coordinated and must be avoided (the
+// manifest write is last-wins). The index's MSS and coding carry over
+// to the new segment. Returns the new segment's build statistics.
+// Append is Update with no deletes; Delete is Update with no trees.
+func (l *Live) Append(ctx context.Context, trees []*lingtree.Tree, shards int) (*Meta, error) {
 	if len(trees) == 0 {
 		return nil, fmt.Errorf("core: append of zero trees")
 	}
-	built, _, err := l.Update(ctx, nil, trees, shards, workers)
+	built, _, err := l.Update(ctx, nil, trees, shards)
 	return built, err
 }
 

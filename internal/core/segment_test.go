@@ -36,10 +36,10 @@ func TestAppendMatchesFullRebuild(t *testing.T) {
 	ctx := context.Background()
 	for _, shards := range []int{1, 3} {
 		l := openLive(t, trees[:500], shards, OpenOptions{})
-		if _, err := l.Append(ctx, trees[500:700], 1, 0); err != nil {
+		if _, err := l.Append(ctx, trees[500:700], 1); err != nil {
 			t.Fatalf("shards=%d: first append: %v", shards, err)
 		}
-		if _, err := l.Append(ctx, trees[700:900], 2, 2); err != nil {
+		if _, err := l.Append(ctx, trees[700:900], 2); err != nil {
 			t.Fatalf("shards=%d: second append: %v", shards, err)
 		}
 		if got := l.Meta().NumTrees; got != 900 {
@@ -122,7 +122,7 @@ func TestAppendPersistsAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(context.Background(), trees[200:], 1, 0); err != nil {
+	if _, err := l.Append(context.Background(), trees[200:], 1); err != nil {
 		t.Fatal(err)
 	}
 	want, err := searchText(l, "NP(DT)(NN)")
@@ -172,7 +172,7 @@ func TestReloadPicksUpExternalSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := writer.Append(context.Background(), trees[300:], 1, 0); err != nil {
+	if _, err := writer.Append(context.Background(), trees[300:], 1); err != nil {
 		t.Fatal(err)
 	}
 	want, err := searchText(writer, "S(NP)(VP)")
@@ -235,7 +235,7 @@ func TestQueryPinnedAcrossAppend(t *testing.T) {
 			t.Fatalf("pinned stream failed: %v", err)
 		}
 		if !appended {
-			if _, err := l.Append(ctx, trees[200:], 1, 0); err != nil {
+			if _, err := l.Append(ctx, trees[200:], 1); err != nil {
 				t.Fatalf("append during stream: %v", err)
 			}
 			appended = true
@@ -318,7 +318,7 @@ func TestCloseWaitsForPinnedSearch(t *testing.T) {
 	if _, err := l.Search(ctx, q, SearchOpts{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("search after close: %v, want ErrClosed", err)
 	}
-	if _, err := l.Append(ctx, trees[:1], 1, 0); !errors.Is(err, ErrClosed) {
+	if _, err := l.Append(ctx, trees[:1], 1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("append after close: %v, want ErrClosed", err)
 	}
 	if err := l.Close(); err != nil {
@@ -376,10 +376,10 @@ func TestConcurrentSearchAppendClose(t *testing.T) {
 			}
 		}()
 	}
-	if _, err := l.Append(ctx, trees[300:450], 1, 0); err != nil {
+	if _, err := l.Append(ctx, trees[300:450], 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(ctx, trees[450:600], 2, 0); err != nil {
+	if _, err := l.Append(ctx, trees[450:600], 2); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -392,12 +392,12 @@ func TestConcurrentSearchAppendClose(t *testing.T) {
 func TestAppendRejectsEmptyAndClosed(t *testing.T) {
 	trees := shardCorpus(50)
 	l := openLive(t, trees, 1, OpenOptions{})
-	if _, err := l.Append(context.Background(), nil, 1, 0); err == nil {
+	if _, err := l.Append(context.Background(), nil, 1); err == nil {
 		t.Fatal("append of zero trees succeeded")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := l.Append(ctx, trees[:1], 1, 0); !errors.Is(err, context.Canceled) {
+	if _, err := l.Append(ctx, trees[:1], 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("append under cancelled ctx: %v", err)
 	}
 }
@@ -419,7 +419,7 @@ func TestAppendRetryAfterFailureKeepsData(t *testing.T) {
 	}
 
 	// Fails after promotion: MaxShards+1 is rejected by the segment build.
-	if _, err := l.Append(ctx, trees[150:], MaxShards+1, 0); err == nil {
+	if _, err := l.Append(ctx, trees[150:], MaxShards+1); err == nil {
 		t.Fatal("append with an out-of-range shard count succeeded")
 	}
 	if l.Generation() != 1 || l.Segments() != 1 {
@@ -438,7 +438,7 @@ func TestAppendRetryAfterFailureKeepsData(t *testing.T) {
 	}
 
 	// The retry must succeed and serve the union.
-	if _, err := l.Append(ctx, trees[150:], 1, 0); err != nil {
+	if _, err := l.Append(ctx, trees[150:], 1); err != nil {
 		t.Fatalf("retried append: %v", err)
 	}
 	if l.Meta().NumTrees != 200 {
@@ -489,7 +489,7 @@ func TestOpenRejectsEmptyManifest(t *testing.T) {
 	// nothing.
 	trees := shardCorpus(100)
 	l := openLive(t, trees, 1, OpenOptions{})
-	if _, err := l.Append(context.Background(), trees[:10], 1, 0); err != nil {
+	if _, err := l.Append(context.Background(), trees[:10], 1); err != nil {
 		t.Fatal(err)
 	}
 	man.Generation = 99
@@ -511,7 +511,7 @@ func TestCountersMonotonicAcrossRetirement(t *testing.T) {
 	l := openLive(t, trees[:200], 1, OpenOptions{})
 	ctx := context.Background()
 	const q = "NP(DT)(NN)"
-	if _, err := l.Append(ctx, trees[200:], 1, 0); err != nil {
+	if _, err := l.Append(ctx, trees[200:], 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Search(ctx, q, SearchOpts{}); err != nil {

@@ -100,17 +100,9 @@ func BuildSharded(dir string, trees []*lingtree.Tree, opt Options, shards int) (
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			lo, hi := bounds[s], bounds[s+1]
-			// Re-tid the slice to local ids 0..hi-lo-1. Node storage is
-			// shared (read-only during extraction); only the TID field
-			// differs, so a shallow copy suffices.
-			local := make([]*lingtree.Tree, hi-lo)
-			for i := lo; i < hi; i++ {
-				ct := *trees[i]
-				ct.TID = i - lo
-				local[i-lo] = &ct
-			}
-			metas[s], errs[s] = Build(filepath.Join(dir, shardDirName(s)), local, opt)
+			// Build numbers the shard's slice by position, so its local
+			// tids start at 0.
+			metas[s], errs[s] = Build(filepath.Join(dir, shardDirName(s)), trees[bounds[s]:bounds[s+1]], opt)
 		}(s)
 	}
 	wg.Wait()

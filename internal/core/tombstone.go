@@ -212,7 +212,7 @@ func (l *Live) Delete(ctx context.Context, tids []int) (int, error) {
 	if len(tids) == 0 {
 		return 0, fmt.Errorf("core: delete of zero tids")
 	}
-	_, n, err := l.Update(ctx, tids, nil, 0, 0)
+	_, n, err := l.Update(ctx, tids, nil, 0)
 	return n, err
 }
 
@@ -221,11 +221,11 @@ func (l *Live) Delete(ctx context.Context, tids []int) (int, error) {
 // on any failure — neither does. deletes are global tids of the
 // *current* corpus (the trees being appended are not yet addressable);
 // trees, when present, build one new segment exactly as Append with the
-// given shard and worker counts. Returns the new segment's build
+// given shard count. Returns the new segment's build
 // statistics (nil when no trees were appended) and the number of newly
 // tombstoned tids. An update that changes nothing — no trees, every
 // delete already tombstoned — returns without republishing.
-func (l *Live) Update(ctx context.Context, deletes []int, trees []*lingtree.Tree, shards, workers int) (*Meta, int, error) {
+func (l *Live) Update(ctx context.Context, deletes []int, trees []*lingtree.Tree, shards int) (*Meta, int, error) {
 	if len(trees) == 0 && len(deletes) == 0 {
 		return nil, 0, fmt.Errorf("core: update with no deletes and no trees")
 	}
@@ -279,10 +279,9 @@ func (l *Live) Update(ctx context.Context, deletes []int, trees []*lingtree.Tree
 		}
 		meta := l.info.Load().meta
 		var err error
-		built, err = BuildSharded(segPath, localTrees(trees), Options{
-			MSS:     meta.MSS,
-			Coding:  meta.Coding,
-			Workers: workers,
+		built, err = BuildSharded(segPath, trees, Options{
+			MSS:    meta.MSS,
+			Coding: meta.Coding,
 		}, max(shards, 1))
 		if err != nil {
 			os.RemoveAll(segPath)

@@ -41,24 +41,22 @@ func fig2On(cfg Config, sizes []int) (*Result, error) {
 		Header: []string{"sentences", "mss=1", "mss=2", "mss=3", "mss=4", "mss=5"},
 	}
 	// Incremental sets so each corpus size extends the previous.
-	sets := make([]map[subtree.Key]struct{}, 5)
+	sets := make([]map[string]struct{}, 5)
 	for i := range sets {
-		sets[i] = map[subtree.Key]struct{}{}
+		sets[i] = map[string]struct{}{}
 	}
 	done := 0
+	var ex subtree.Extractor
 	for _, n := range sizes {
-		// Extract once at mss=5 and bucket keys by their size: a key of
-		// size s is an index key for every mss >= s.
+		// Extract once at mss=5 and bucket keys by their size (its
+		// instance's slot count): a key of size s is an index key for
+		// every mss >= s.
 		for ; done < n && done < len(trees); done++ {
-			for _, occ := range subtree.Extract(trees[done], 5) {
-				p, err := subtree.ParseKey(occ.Key)
-				if err != nil {
-					return nil, err
+			ex.Extract(trees[done], 5, func(key []byte, _ int, slots []int) {
+				for m := len(slots); m <= 5; m++ {
+					sets[m-1][string(key)] = struct{}{}
 				}
-				for m := p.Size(); m <= 5; m++ {
-					sets[m-1][occ.Key] = struct{}{}
-				}
-			}
+			})
 		}
 		row := []string{fmt.Sprintf("%d", n)}
 		for m := 1; m <= 5; m++ {

@@ -46,7 +46,9 @@ func TestEnumerateMatchesPaperExample(t *testing.T) {
 	// distinct shapes.
 	tr := lingtree.MustParse(0, "(A (C (A) (B)) (D (C)))")
 	keys := map[Key]struct{}{}
-	UniqueKeys(tr, 3, keys)
+	for _, o := range collect(&Extractor{}, tr, 3) {
+		keys[o.Key] = struct{}{}
+	}
 	// Count unique keys of each size.
 	bySize := map[int]int{}
 	for k := range keys {
@@ -142,7 +144,7 @@ func randomLingTree(rng *rand.Rand, n int) *lingtree.Tree {
 
 func TestExtractOccurrences(t *testing.T) {
 	tr := lingtree.MustParse(0, "(NP (DT a) (NN))")
-	occs := Extract(tr, 2)
+	occs := collect(&Extractor{}, tr, 2)
 	// Size 1: NP, DT, a, NN -> 4. Size 2: NP(DT), NP(NN), DT(a) -> 3.
 	if len(occs) != 7 {
 		t.Fatalf("got %d occurrences, want 7", len(occs))
@@ -171,7 +173,7 @@ func TestExtractSymmetricInstances(t *testing.T) {
 	b.Add(np, "NN")
 	b.Add(np, "NN")
 	tr := b.Tree()
-	occs := Extract(tr, 2)
+	occs := collect(&Extractor{}, tr, 2)
 	key := P("NP", P("NN")).Key()
 	count := 0
 	for _, o := range occs {
@@ -184,22 +186,27 @@ func TestExtractSymmetricInstances(t *testing.T) {
 	}
 }
 
-func BenchmarkExtractMSS3(b *testing.B) {
-	g := corpusgen.New(1)
-	trees := g.Trees(50)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Extract(trees[i%len(trees)], 3)
-	}
-}
+func BenchmarkExtractMSS3(b *testing.B) { benchmarkExtract(b, 3) }
 
-func BenchmarkExtractMSS5(b *testing.B) {
-	g := corpusgen.New(1)
-	trees := g.Trees(50)
+func BenchmarkExtractMSS5(b *testing.B) { benchmarkExtract(b, 5) }
+
+// benchmarkExtract times one reused Extractor over a fixed tree set and
+// reports ns per extracted instance. The warm-up pass sizes the
+// Extractor's arenas for every tree, so the timed loop allocates
+// nothing.
+func benchmarkExtract(b *testing.B, mss int) {
+	trees := corpusgen.New(1).Trees(50)
+	var e Extractor
+	occs := 0
+	count := func([]byte, int, []int) { occs++ }
+	for _, t := range trees {
+		e.Extract(t, mss, count)
+	}
+	occs = 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Extract(trees[i%len(trees)], 5)
+		e.Extract(trees[i%len(trees)], mss, count)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(occs), "ns/occ")
 }

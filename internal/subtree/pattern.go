@@ -122,19 +122,31 @@ func encodeToken(size int, label string) string {
 	return strconv.Itoa(size) + ":" + escape(label)
 }
 
+// appendToken appends encodeToken(size, label) to dst.
+func appendToken(dst []byte, size int, label string) []byte {
+	dst = strconv.AppendInt(dst, int64(size), 10)
+	dst = append(dst, ':')
+	return appendEscaped(dst, label)
+}
+
 func escape(label string) string {
 	if !strings.ContainsAny(label, " :\\()") {
 		return label
 	}
-	var sb strings.Builder
+	return string(appendEscaped(nil, label))
+}
+
+// appendEscaped appends label to dst with every key metacharacter
+// (space, colon, backslash, parentheses) backslash-escaped.
+func appendEscaped(dst []byte, label string) []byte {
 	for i := 0; i < len(label); i++ {
 		switch label[i] {
 		case ' ', ':', '\\', '(', ')':
-			sb.WriteByte('\\')
+			dst = append(dst, '\\')
 		}
-		sb.WriteByte(label[i])
+		dst = append(dst, label[i])
 	}
-	return sb.String()
+	return dst
 }
 
 // ParseKey decodes a Key back into its pattern. The returned pattern is

@@ -116,7 +116,7 @@ func TestConcurrentAppendSearchProperty(t *testing.T) {
 	if _, err := ix.Append(ctx, trees[cuts[0]:cuts[1]]); err != nil {
 		t.Fatalf("first append: %v", err)
 	}
-	if _, err := ix.AppendWith(ctx, trees[cuts[1]:cuts[2]], si.AppendOptions{Shards: 2, Workers: 2}); err != nil {
+	if _, err := ix.AppendWith(ctx, trees[cuts[1]:cuts[2]], si.AppendOptions{Shards: 2}); err != nil {
 		t.Fatalf("second append: %v", err)
 	}
 	close(stop)

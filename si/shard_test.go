@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -22,7 +23,6 @@ func TestShardedBuildAndOpen(t *testing.T) {
 		dir := filepath.Join(t.TempDir(), fmt.Sprintf("ix%d", shards))
 		opts := si.DefaultBuildOptions()
 		opts.Shards = shards
-		opts.Workers = 2
 		if _, err := si.Build(dir, trees, opts); err != nil {
 			t.Fatal(err)
 		}
@@ -49,6 +49,49 @@ func TestShardedBuildAndOpen(t *testing.T) {
 				want[q] = n
 			} else if n != want[q] {
 				t.Errorf("shards=%d %s: Count = %d, want %d", shards, q, n, want[q])
+			}
+		}
+	}
+}
+
+// TestBuildNumbersTreesByPosition builds a corpus slice whose first TID
+// is not 0: single-shard and sharded builds both number it by position,
+// return the same matches, and Tree(tid) returns the tree that matched.
+func TestBuildNumbersTreesByPosition(t *testing.T) {
+	trees := si.GenerateCorpus(1, 200)[100:]
+	const q = "NP(DT)(NN)"
+	var want []si.Match
+	for _, shards := range []int{1, 2} {
+		dir := filepath.Join(t.TempDir(), fmt.Sprintf("ix%d", shards))
+		opts := si.DefaultBuildOptions()
+		opts.Shards = shards
+		if _, err := si.Build(dir, trees, opts); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		ix, err := si.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		res, err := ix.Search(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Matches) == 0 {
+			t.Fatalf("shards=%d: %s has no matches, vacuous", shards, q)
+		}
+		if shards == 1 {
+			want = res.Matches
+		} else if !slices.Equal(res.Matches, want) {
+			t.Errorf("shards=%d: %d matches differ from the single-shard build's %d", shards, len(res.Matches), len(want))
+		}
+		for _, m := range res.Matches {
+			got, err := ix.Tree(int(m.TID))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != trees[m.TID].String() || got.Label(int(m.Root)) != "NP" {
+				t.Fatalf("shards=%d: Tree(%d) = %s, want the matched tree %s", shards, m.TID, got, trees[m.TID])
 			}
 		}
 	}

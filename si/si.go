@@ -106,10 +106,6 @@ type BuildOptions struct {
 	// tid-sorted results, so results are identical to a single-shard
 	// build. 0 or 1 builds the paper's single-directory index.
 	Shards int
-	// Workers is the number of subtree-extraction goroutines per shard
-	// build; 0 or 1 extracts sequentially. The built index bytes do not
-	// depend on Workers.
-	Workers int
 }
 
 // DefaultBuildOptions returns the recommended configuration:
@@ -130,7 +126,8 @@ type BuildInfo struct {
 // Build constructs a Subtree Index over trees in directory dir,
 // overwriting any previous index there. The corpus itself is stored
 // alongside the index (the "data file"), so dir is self-contained.
-// With BuildOptions.Shards > 1 the corpus is partitioned by tid and the
+// Trees are numbered by position: the i-th tree becomes tid i, whatever
+// its TID field says. With BuildOptions.Shards > 1 the corpus is partitioned by tid and the
 // shards are built concurrently.
 func Build(dir string, trees []*Tree, opts BuildOptions) (BuildInfo, error) {
 	if opts.MSS == 0 {
@@ -144,7 +141,6 @@ func Build(dir string, trees []*Tree, opts BuildOptions) (BuildInfo, error) {
 		MSS:      opts.MSS,
 		Coding:   opts.Coding,
 		PageSize: opts.PageSize,
-		Workers:  opts.Workers,
 	}, shards)
 	if err != nil {
 		return BuildInfo{}, err
@@ -233,15 +229,13 @@ func OpenWith(dir string, opts OpenOptions) (*Index, error) {
 func (i *Index) Close() error { return i.ix.Close() }
 
 // AppendOptions configure how Append builds its new segment; the zero
-// value builds a single-partition segment with sequential extraction.
+// value builds a single-partition segment.
 // The index's MSS and coding always carry over.
 type AppendOptions struct {
 	// Shards partitions the appended segment like BuildOptions.Shards;
 	// 0 or 1 builds one partition. Small incremental batches rarely
 	// need more than one.
 	Shards int
-	// Workers parallelizes subtree extraction like BuildOptions.Workers.
-	Workers int
 }
 
 // Append indexes trees into a fresh immutable segment and publishes it
@@ -261,7 +255,7 @@ func (i *Index) Append(ctx context.Context, trees []*Tree) (BuildInfo, error) {
 
 // AppendWith is Append with explicit segment build options.
 func (i *Index) AppendWith(ctx context.Context, trees []*Tree, opts AppendOptions) (BuildInfo, error) {
-	m, err := i.ix.Append(ctx, trees, opts.Shards, opts.Workers)
+	m, err := i.ix.Append(ctx, trees, opts.Shards)
 	if err != nil {
 		return BuildInfo{}, err
 	}
@@ -297,7 +291,7 @@ func (i *Index) Delete(ctx context.Context, tids ...int) (int, error) {
 // build statistics (zero when no trees were appended) and the number
 // of newly tombstoned tids.
 func (i *Index) Update(ctx context.Context, deleteTids []int, trees []*Tree) (BuildInfo, int, error) {
-	m, newly, err := i.ix.Update(ctx, deleteTids, trees, 0, 0)
+	m, newly, err := i.ix.Update(ctx, deleteTids, trees, 0)
 	if err != nil {
 		return BuildInfo{}, 0, err
 	}
@@ -321,8 +315,6 @@ type CompactOptions struct {
 	// Shards partitions the compacted segment like BuildOptions.Shards;
 	// 0 or 1 builds one partition.
 	Shards int
-	// Workers parallelizes subtree extraction like BuildOptions.Workers.
-	Workers int
 	// MinSegments and MinTombstones gate the run: compaction proceeds
 	// when the index has at least MinSegments segments or at least
 	// MinTombstones tombstoned trees, and is a no-op otherwise. Zero
@@ -355,7 +347,6 @@ func (i *Index) Compact(ctx context.Context) (bool, error) {
 func (i *Index) CompactWith(ctx context.Context, opts CompactOptions) (bool, error) {
 	changed, _, err := i.ix.Compact(ctx, core.CompactOptions{
 		Shards:        opts.Shards,
-		Workers:       opts.Workers,
 		MinSegments:   opts.MinSegments,
 		MinTombstones: opts.MinTombstones,
 	})
