@@ -79,7 +79,9 @@ bench-baseline:
 # (FuzzBTreeGet: lookups and a full scan of mutated built files, which
 # must error rather than panic or loop), plus the build's subtree
 # extractor (FuzzExtract: bracketed trees, keys and slot mappings held
-# to the top-down reference extractor). The committed testdata/fuzz corpora always replay
+# to the top-down reference extractor) and the query-parameter parser
+# sisrv and sirouter share (FuzzParseParams: accepted windows never
+# overflow and /batch bounds agree). The committed testdata/fuzz corpora always replay
 # in plain `go test`; this target additionally explores for a few
 # seconds per target, which is enough to catch gross regressions (a
 # panic or over-read lands within seconds on these tiny inputs).
@@ -90,6 +92,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzPageHeader -fuzztime=$(FUZZTIME) ./internal/pager/
 	$(GO) test -fuzz=FuzzBTreeGet -fuzztime=$(FUZZTIME) ./internal/btree/
 	$(GO) test -fuzz=FuzzExtract -fuzztime=$(FUZZTIME) ./internal/subtree/
+	$(GO) test -fuzz=FuzzParseParams -fuzztime=$(FUZZTIME) ./internal/server/
 
 # Build the repository's vet tool.
 silint:

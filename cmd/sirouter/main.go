@@ -27,9 +27,10 @@
 // mid-stream, the next replica continues from the exact match the dead
 // one stopped at and the client stream completes.
 //
-// Node match caps must cover the router's windows (run nodes with
-// -limit -1, or at least the router's -limit), or per-node windows
-// arrive clipped and the router flags the result truncated.
+// Each group is asked for offset+limit matches, which a node clamps to
+// its own -limit, so even equal caps clip once offset > 0. A clipped
+// group ends the merge: the answer is a valid prefix of the window,
+// flagged truncated. Run nodes with -limit -1 for full windows.
 package main
 
 import (
@@ -51,7 +52,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":9000", "listen address")
 	nodes := flag.String("nodes", "", "node topology: comma-separated tid-range groups of pipe-separated replica URLs, e.g. 'http://a:9101|http://b:9101,http://c:9102'")
-	limit := flag.Int("limit", server.DefaultMaxMatches, "max matches returned per routed query (-1 = unlimited; node -limit must be at least this)")
+	limit := flag.Int("limit", server.DefaultMaxMatches, "max matches returned per routed query (-1 = unlimited); nodes clamp the offset+limit each group is asked for to their own -limit, and a clipped group ends the answer as a truncated prefix, so run nodes with -limit -1 for full windows")
 	maxbatch := flag.Int("maxbatch", server.DefaultMaxBatch, "max queries per /batch request")
 	timeout := flag.Duration("timeout", 30*time.Second, "default end-to-end deadline per routed request; requests may shorten it with ?timeout= (0 = none)")
 	healthEvery := flag.Duration("health-every", cluster.DefaultHealthEvery, "how often each node's /readyz is polled")

@@ -7,11 +7,11 @@
 // into groups in tid order (each group serves one contiguous tid
 // range, exactly like one shard of a sharded index), and each group is
 // a set of replica sisrv nodes serving identical corpora. The router
-// mirrors the in-process leafSet execution shapes over that topology —
-// lazy in-order group consultation for limited searches, concurrent
-// fan-out for unlimited ones and counts, batch merge without early
-// termination, and strict in-order streaming — using the merge helpers
-// internal/core exports (Rebase, Window), so a query through the
+// runs the in-process leafSet execution over that topology with the
+// helpers internal/core exports — core.Gather's consultation policy
+// (lazy in-order groups for limited searches, every group at once for
+// unlimited ones, counts and batches), core.Rebase and core.Window for
+// the merge — plus strict in-order streaming, so a query through the
 // router returns byte-identical matches, counts and truncation flags
 // to the same query on a single sharded index with the same
 // partition boundaries (asserted by the parity tests).
@@ -62,9 +62,11 @@ type Config struct {
 	Groups [][]string
 	// MaxMatches caps the per-query match window the router returns,
 	// with the same semantics as server.Config.MaxMatches: 0 means
-	// DefaultMaxMatches, negative means no cap. Node-side caps must be
-	// at least as large (or unlimited) or per-node windows arrive
-	// already clipped.
+	// DefaultMaxMatches, negative means no cap. Each group is asked for
+	// offset+limit matches, which a node clamps to its own cap — so even
+	// equal caps clip once offset > 0. A clipped group ends the merge:
+	// the answer is then a valid prefix of the window, flagged
+	// truncated. Run nodes uncapped (-limit -1) for full windows.
 	MaxMatches int
 	// MaxBatch caps queries per /batch request. 0 means DefaultMaxBatch.
 	MaxBatch int

@@ -296,6 +296,91 @@ func TestRouterBatchParity(t *testing.T) {
 	}
 }
 
+// TestRoutedWindowsArePrefixes runs the router over nodes whose own
+// match cap (5) is smaller than the per-group windows the router asks
+// for, the case the parity tests rule out by running nodes uncapped.
+// A clipped group window must end the merge: whatever /search (limited
+// and unlimited) and /batch return is the reference's matches at the
+// same global positions, and a window shorter than requested is flagged
+// truncated — never group 0's clipped prefix followed by group 1's
+// matches.
+func TestRoutedWindowsArePrefixes(t *testing.T) {
+	corpus := si.GenerateCorpus(2012, 600)
+	_, ref := buildNode(t, corpus, 2, server.Config{MaxMatches: -1})
+	bounds := core.ShardBounds(len(corpus), 2)
+	full := map[string][]server.MatchJSON{}
+	for _, q := range parityQueries {
+		var all server.SearchResponse
+		getJSON(t, ref.URL+"/search?limit=-1&q="+url.QueryEscape(q), &all)
+		full[q] = all.Matches
+	}
+	short := 0 // windows the node caps actually clipped
+	check := func(label, q string, limit, offset int, qr server.QueryResult) {
+		t.Helper()
+		all := full[q]
+		want := max(0, len(all)-offset)
+		if limit > 0 {
+			want = min(want, limit)
+		}
+		if len(qr.Matches) > want || qr.Count > len(all) {
+			t.Fatalf("%s: %d matches, count %d; the reference window holds %d of %d",
+				label, len(qr.Matches), qr.Count, want, len(all))
+		}
+		for i, m := range qr.Matches {
+			if m != all[offset+i] {
+				t.Fatalf("%s: match %d = %+v, reference match at global position %d is %+v",
+					label, i, m, offset+i, all[offset+i])
+			}
+		}
+		if len(qr.Matches) < want {
+			short++
+			if !qr.Truncated {
+				t.Fatalf("%s: %d of %d window matches, not flagged truncated", label, len(qr.Matches), want)
+			}
+		}
+	}
+	for _, nodeShards := range []int{0, 3} {
+		topo := make([][]string, 2)
+		for g := range topo {
+			_, nts := buildNode(t, renumber(corpus[bounds[g]:bounds[g+1]]), nodeShards, server.Config{MaxMatches: 5})
+			topo[g] = []string{nts.URL}
+		}
+		routers := map[int]*httptest.Server{}
+		for _, rcap := range []int{5, -1} {
+			_, routers[rcap] = startRouter(t, Config{Groups: topo, MaxMatches: rcap, HealthEvery: time.Minute, HedgeAfter: -1})
+		}
+		windows := []struct{ rcap, limit, offset int }{
+			{5, 5, 0}, {5, 5, 3}, {5, 2, 4}, {5, 1, 7}, {-1, -1, 0}, {-1, -1, 3}, {-1, 10, 2},
+		}
+		for _, w := range windows {
+			base := routers[w.rcap].URL
+			for _, q := range parityQueries {
+				path := fmt.Sprintf("/search?q=%s&limit=%d&offset=%d", url.QueryEscape(q), w.limit, w.offset)
+				var got server.SearchResponse
+				getJSON(t, base+path, &got)
+				check(fmt.Sprintf("node shards=%d router cap %d %s", nodeShards, w.rcap, path), q, w.limit, w.offset, got.QueryResult)
+			}
+			body, _ := json.Marshal(server.BatchRequest{Queries: parityQueries, Limit: w.limit, Offset: w.offset})
+			resp, err := http.Post(base+"/batch", "application/json", strings.NewReader(string(body)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var br server.BatchResponse
+			err = json.NewDecoder(resp.Body).Decode(&br)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK || len(br.Results) != len(parityQueries) {
+				t.Fatalf("/batch %+v: status %d, %d results, %v", w, resp.StatusCode, len(br.Results), err)
+			}
+			for i, q := range parityQueries {
+				check(fmt.Sprintf("node shards=%d /batch %+v %s", nodeShards, w, q), q, w.limit, w.offset, br.Results[i])
+			}
+		}
+	}
+	if short == 0 {
+		t.Fatal("vacuous: no node cap ever clipped a routed window")
+	}
+}
+
 // streamAll reads a full NDJSON stream: the ordered match lines and
 // the trailing summary.
 func streamAll(t *testing.T, url string) ([]server.MatchJSON, server.StreamSummary) {

@@ -15,16 +15,12 @@ import (
 )
 
 // This file is the unary scatter-gather: /search, /count and /batch
-// fan out over the groups and merge with the exact leafSet semantics —
-// limited searches consult groups lazily in tid order with the same
-// lookahead as the in-process engine, unlimited ones fan out to every
-// group, batches never early-terminate — so the router is
-// observationally a sharded index whose shards happen to be networked.
-
-// routerLookahead mirrors the engine's lazyLookahead: a limited search
-// keeps this many groups in flight, overlapping the next group's
-// evaluation with the current one's merge.
-const routerLookahead = 2
+// consult the groups through core.Gather — the leafSet engine's own
+// consultation policy — and fold the per-group windows with core.Rebase
+// and core.Window, so the router is observationally a sharded index
+// whose shards happen to be networked. A limited /search is a bounded
+// gather (groups consulted lazily in tid order, the engine's
+// lookahead); unlimited searches, counts and batches are unbounded.
 
 // requestCtx bounds a routed request like a node bounds its own: the
 // client's context, capped by the requested timeout clamped to the
@@ -37,10 +33,21 @@ func (r *Router) requestCtx(req *http.Request, requested time.Duration) (context
 	return contextWithTimeout(req.Context(), d)
 }
 
+// remaining renders what is left of ctx's deadline as a node timeout
+// parameter, so a node never evaluates past the point the router would
+// discard its answer; "" when there is no deadline.
+func remaining(ctx context.Context) string {
+	if dl, ok := ctx.Deadline(); ok {
+		if rem := time.Until(dl); rem > 0 {
+			return rem.String()
+		}
+	}
+	return ""
+}
+
 // nodeQuery builds the query string of one node subrequest: the query
 // text, the pushed-down window, and whatever of the routed deadline
-// remains, so a node never evaluates past the point the router would
-// discard its answer.
+// remains.
 func nodeQuery(ctx context.Context, src string, limit, offset int) url.Values {
 	q := url.Values{}
 	q.Set("q", src)
@@ -48,10 +55,8 @@ func nodeQuery(ctx context.Context, src string, limit, offset int) url.Values {
 	if offset > 0 {
 		q.Set("offset", strconv.Itoa(offset))
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); rem > 0 {
-			q.Set("timeout", rem.String())
-		}
+	if rem := remaining(ctx); rem != "" {
+		q.Set("timeout", rem)
 	}
 	return q
 }
@@ -85,6 +90,84 @@ func (r *Router) writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// groupErr names the failing group in a subrequest error; nil stays nil.
+func groupErr(i int, err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("group %d: %w", i, err)
+}
+
+// groupGet is the Gather evaluation of a unary GET endpoint: group i's
+// answer to path?q.
+func (r *Router) groupGet(ctx context.Context, path string, q url.Values) func(int) (server.SearchResponse, error) {
+	return func(i int) (server.SearchResponse, error) {
+		var resp server.SearchResponse
+		err := r.doGroup(ctx, r.groups[i], http.MethodGet, path, q, nil, &resp)
+		return resp, groupErr(i, err)
+	}
+}
+
+// groupMerge folds one query's per-group windows in tid order: group
+// i's matches rebased by its tree-count prefix sum (core.Rebase) and
+// concatenated, its count summed into the found count.
+type groupMerge struct {
+	opts    core.SearchOpts // the client's window
+	target  int             // opts.Target(); 0 = unbounded
+	bases   []uint32
+	ms      []core.Match
+	found   int
+	clipped bool
+}
+
+// newGroupMerge starts the merge of one query's window over groups
+// based at bases.
+func newGroupMerge(bases []uint32, limit, offset int) *groupMerge {
+	opts := core.SearchOpts{Limit: limit, Offset: offset}
+	return &groupMerge{opts: opts, target: opts.Target(), bases: bases}
+}
+
+// nodeLimit is the window every group is asked for: its leading target
+// matches, or all of them (-1) when unbounded.
+func (m *groupMerge) nodeLimit() int {
+	if m.target == 0 {
+		return -1
+	}
+	return m.target
+}
+
+// add folds group i's window and reports the merge full: the target is
+// reached, or the group was clipped. A node clamps the window it is
+// asked for to its own match cap, so a group that reports truncated
+// with fewer matches than the router asked for (any, when unbounded)
+// stopped short of matches that exist. Matches of later groups would
+// then land after a gap, so a clipped group ends the merge: later
+// groups are ignored and the result stays a valid prefix, flagged
+// truncated — the engine's own prefix property.
+func (m *groupMerge) add(i int, qr server.QueryResult) (full bool) {
+	if m.clipped {
+		return true
+	}
+	m.ms = rebaseMatches(m.ms, qr.Matches, m.bases[i])
+	m.found += qr.Count
+	m.clipped = qr.Truncated && (m.target == 0 || len(qr.Matches) < m.target)
+	return m.clipped || (m.target > 0 && m.found >= m.target)
+}
+
+// result cuts the client's window out of the merged matches with
+// core.Window. Each group's window is its leading <= target matches, so
+// the merged slice's first target elements are exactly the global
+// result's. unconsulted reports groups the gather never folded.
+func (m *groupMerge) result(src string, unconsulted bool) server.QueryResult {
+	out, _, _ := core.Window(m.ms, m.opts)
+	return server.QueryResult{
+		Query:     src,
+		Count:     m.found,
+		Matches:   wireMatches(out),
+		Truncated: m.clipped || unconsulted || (m.target > 0 && m.found > m.target),
+	}
+}
+
 // rebaseMatches converts one node's wire matches to engine matches
 // shifted onto the global tid range via core.Rebase.
 func rebaseMatches(dst []core.Match, ms []server.MatchJSON, base uint32) []core.Match {
@@ -107,9 +190,9 @@ func wireMatches(ms []core.Match) []server.MatchJSON {
 	return out
 }
 
-// handleSearch serves GET /search through the cluster: a limited
-// search mirrors the engine's lazy in-order group consultation, an
-// unlimited one fans out to every group.
+// handleSearch serves GET /search through the cluster: one gather over
+// the groups, bounded exactly when the window is, each group asked for
+// the window's leading target matches.
 func (r *Router) handleSearch(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
 		r.fail(w, http.StatusMethodNotAllowed, "use GET")
@@ -123,140 +206,19 @@ func (r *Router) handleSearch(w http.ResponseWriter, req *http.Request) {
 	ctx, cancel := r.requestCtx(req, p.Timeout)
 	defer cancel()
 	start := time.Now()
-	var qr server.QueryResult
-	if target := searchTarget(p.Limit, p.Offset); target > 0 {
-		qr, err = r.searchLazy(ctx, p, target)
-	} else {
-		qr, err = r.searchFanout(ctx, p)
-	}
+	m := newGroupMerge(r.bases(), p.Limit, p.Offset)
+	eval := r.groupGet(ctx, "/search", nodeQuery(ctx, p.Src, m.nodeLimit(), 0))
+	consulted, err := core.Gather(len(r.groups), m.target > 0, eval, func(i int, resp server.SearchResponse) bool {
+		return m.add(i, resp.QueryResult)
+	})
 	if err != nil {
 		r.fail(w, failStatus(ctx, err), err.Error())
 		return
 	}
 	r.writeJSON(w, http.StatusOK, server.SearchResponse{
-		QueryResult: qr,
+		QueryResult: m.result(p.Src, consulted < len(r.groups)),
 		TookNS:      time.Since(start).Nanoseconds(),
 	})
-}
-
-// searchTarget is the engine's own early-stop target: the number of
-// leading global matches that must be merged before evaluation may
-// stop — offset+limit (saturating), or 0 for "all".
-func searchTarget(limit, offset int) int {
-	return core.SearchOpts{Limit: limit, Offset: offset}.Target()
-}
-
-// searchLazy consults groups in tid order, routerLookahead at a time,
-// and stops launching once the window's target is reached — the
-// networked twin of the engine's searchLazy, with the identical
-// deterministic consultation set: every launched group's answer folds
-// into the found count, a group that fails after the window filled was
-// speculative and is skipped, and a group the window still needs
-// failing fails the search.
-func (r *Router) searchLazy(ctx context.Context, p server.Params, target int) (server.QueryResult, error) {
-	bases := r.bases()
-	nq := nodeQuery(ctx, p.Src, target, 0)
-	outs := make([]chan groupSearch, len(r.groups))
-	launched := 0
-	launch := func() {
-		i := launched
-		launched++
-		outs[i] = make(chan groupSearch, 1)
-		go func() {
-			var resp server.SearchResponse
-			err := r.doGroup(ctx, r.groups[i], http.MethodGet, "/search", nq, nil, &resp)
-			outs[i] <- groupSearch{resp: resp, err: err}
-		}()
-	}
-	for launched < len(r.groups) && launched < routerLookahead {
-		launch()
-	}
-	var merged []core.Match
-	found := 0
-	consulted := 0
-	satisfied := false
-	var firstErr error
-	for i := 0; i < launched; i++ {
-		o := <-outs[i]
-		if o.err != nil {
-			if firstErr == nil && !satisfied {
-				firstErr = fmt.Errorf("group %d: %w", i, o.err)
-			}
-			continue // drain what is in flight, as the engine does
-		}
-		if firstErr != nil {
-			continue
-		}
-		merged = rebaseMatches(merged, o.resp.Matches, bases[i])
-		found += o.resp.Count
-		consulted++
-		if found >= target {
-			satisfied = true
-			continue
-		}
-		if launched < len(r.groups) {
-			launch()
-		}
-	}
-	if firstErr != nil {
-		return server.QueryResult{}, firstErr
-	}
-	// Each group's window is its leading <= target matches, so the
-	// merged slice's first target elements are exactly the global
-	// result's — the same prefix the engine's window() would cut.
-	upper := min(target, len(merged))
-	lower := min(p.Offset, upper)
-	return server.QueryResult{
-		Query:     p.Src,
-		Count:     found,
-		Matches:   wireMatches(merged[lower:upper]),
-		Truncated: found > target || consulted < len(r.groups),
-	}, nil
-}
-
-// groupSearch is one group's answer to a scattered /search.
-type groupSearch struct {
-	resp server.SearchResponse
-	err  error
-}
-
-// searchFanout is the unlimited path: every group evaluates fully and
-// concurrently, counts are exact, and the merge applies only the
-// offset. A node whose own match cap clipped its window reports
-// truncated, which the router propagates (run nodes with -limit -1 to
-// make unlimited routed searches exact).
-func (r *Router) searchFanout(ctx context.Context, p server.Params) (server.QueryResult, error) {
-	bases := r.bases()
-	nq := nodeQuery(ctx, p.Src, -1, 0)
-	outs := make([]groupSearch, len(r.groups))
-	done := make(chan int, len(r.groups))
-	for i := range r.groups {
-		go func(i int) {
-			outs[i].err = r.doGroup(ctx, r.groups[i], http.MethodGet, "/search", nq, nil, &outs[i].resp)
-			done <- i
-		}(i)
-	}
-	for range r.groups {
-		<-done
-	}
-	var merged []core.Match
-	found := 0
-	truncated := false
-	for i := range outs {
-		if outs[i].err != nil {
-			return server.QueryResult{}, fmt.Errorf("group %d: %w", i, outs[i].err)
-		}
-		merged = rebaseMatches(merged, outs[i].resp.Matches, bases[i])
-		found += outs[i].resp.Count
-		truncated = truncated || outs[i].resp.Truncated
-	}
-	lower := min(p.Offset, len(merged))
-	return server.QueryResult{
-		Query:     p.Src,
-		Count:     found,
-		Matches:   wireMatches(merged[lower:]),
-		Truncated: truncated,
-	}, nil
 }
 
 // handleCount serves GET /count: every group's exact count, summed.
@@ -273,31 +235,14 @@ func (r *Router) handleCount(w http.ResponseWriter, req *http.Request) {
 	ctx, cancel := r.requestCtx(req, p.Timeout)
 	defer cancel()
 	start := time.Now()
-	nq := url.Values{}
-	nq.Set("q", p.Src)
-	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); rem > 0 {
-			nq.Set("timeout", rem.String())
-		}
-	}
-	outs := make([]groupSearch, len(r.groups))
-	done := make(chan int, len(r.groups))
-	for i := range r.groups {
-		go func(i int) {
-			outs[i].err = r.doGroup(ctx, r.groups[i], http.MethodGet, "/count", nq, nil, &outs[i].resp)
-			done <- i
-		}(i)
-	}
-	for range r.groups {
-		<-done
-	}
 	total := 0
-	for i := range outs {
-		if outs[i].err != nil {
-			r.fail(w, failStatus(ctx, outs[i].err), fmt.Sprintf("group %d: %v", i, outs[i].err))
-			return
-		}
-		total += outs[i].resp.Count
+	eval := r.groupGet(ctx, "/count", nodeQuery(ctx, p.Src, -1, 0))
+	if _, err := core.Gather(len(r.groups), false, eval, func(_ int, resp server.SearchResponse) bool {
+		total += resp.Count
+		return false
+	}); err != nil {
+		r.fail(w, failStatus(ctx, err), err.Error())
+		return
 	}
 	r.writeJSON(w, http.StatusOK, server.SearchResponse{
 		QueryResult: server.QueryResult{Query: p.Src, Count: total},
@@ -340,77 +285,39 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	ctx, cancel := r.requestCtx(req, timeout)
 	defer cancel()
 	start := time.Now()
-	target := searchTarget(limit, offset)
-	nodeLimit := -1
-	if target > 0 {
-		nodeLimit = target
-	}
-	nodeReq := server.BatchRequest{
+	bases := r.bases()
+	body, err := json.Marshal(server.BatchRequest{
 		Queries:   breq.Queries,
-		Limit:     nodeLimit,
+		Limit:     newGroupMerge(bases, limit, offset).nodeLimit(),
 		CountOnly: breq.CountOnly,
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); rem > 0 {
-			nodeReq.Timeout = rem.String()
-		}
-	}
-	body, err := json.Marshal(nodeReq)
+		Timeout:   remaining(ctx),
+	})
 	if err != nil {
 		r.fail(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	bases := r.bases()
-	type groupBatch struct {
-		resp server.BatchResponse
-		err  error
-	}
-	outs := make([]groupBatch, len(r.groups))
-	done := make(chan int, len(r.groups))
-	for i := range r.groups {
-		go func(i int) {
-			outs[i].err = r.doGroup(ctx, r.groups[i], http.MethodPost, "/batch", nil, body, &outs[i].resp)
-			done <- i
-		}(i)
-	}
-	for range r.groups {
-		<-done
-	}
-	for i := range outs {
-		if outs[i].err != nil {
-			r.fail(w, failStatus(ctx, outs[i].err), fmt.Sprintf("group %d: %v", i, outs[i].err))
-			return
+	outs := make([]server.BatchResponse, len(r.groups))
+	if _, err := core.Gather(len(r.groups), false, func(i int) (server.BatchResponse, error) {
+		var resp server.BatchResponse
+		err := r.doGroup(ctx, r.groups[i], http.MethodPost, "/batch", nil, body, &resp)
+		if err == nil && len(resp.Results) != len(breq.Queries) {
+			err = fmt.Errorf("%d results for %d queries", len(resp.Results), len(breq.Queries))
 		}
-		if len(outs[i].resp.Results) != len(breq.Queries) {
-			r.fail(w, http.StatusBadGateway,
-				fmt.Sprintf("group %d: %d results for %d queries", i, len(outs[i].resp.Results), len(breq.Queries)))
-			return
-		}
+		return resp, groupErr(i, err)
+	}, func(i int, resp server.BatchResponse) bool {
+		outs[i] = resp
+		return false
+	}); err != nil {
+		r.fail(w, failStatus(ctx, err), err.Error())
+		return
 	}
 	resp := server.BatchResponse{Results: make([]server.QueryResult, len(breq.Queries))}
-	for qi := range breq.Queries {
-		var merged []core.Match
-		found := 0
-		nodeTrunc := false
+	for qi, q := range breq.Queries {
+		m := newGroupMerge(bases, limit, offset)
 		for i := range outs {
-			qr := outs[i].resp.Results[qi]
-			found += qr.Count
-			nodeTrunc = nodeTrunc || qr.Truncated
-			if !breq.CountOnly {
-				merged = rebaseMatches(merged, qr.Matches, bases[i])
-			}
+			m.add(i, outs[i].Results[qi])
 		}
-		out := server.QueryResult{Query: breq.Queries[qi], Count: found}
-		if !breq.CountOnly {
-			upper := len(merged)
-			if target > 0 {
-				upper = min(target, upper)
-			}
-			lower := min(offset, upper)
-			out.Matches = wireMatches(merged[lower:upper])
-			out.Truncated = (target > 0 && found > target) || nodeTrunc
-		}
-		resp.Results[qi] = out
+		resp.Results[qi] = m.result(q, false)
 	}
 	resp.TookNS = time.Since(start).Nanoseconds()
 	r.writeJSON(w, http.StatusOK, resp)

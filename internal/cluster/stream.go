@@ -6,10 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/url"
-	"strconv"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/server"
 )
 
@@ -68,7 +67,7 @@ func (r *Router) handleStream(w http.ResponseWriter, req *http.Request) {
 	defer cancel()
 	start := time.Now()
 	bases := r.bases()
-	st := &streamState{target: searchTarget(p.Limit, p.Offset), offset: p.Offset}
+	st := &streamState{target: core.SearchOpts{Limit: p.Limit, Offset: p.Offset}.Target(), offset: p.Offset}
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	flusher, _ := w.(http.Flusher)
@@ -168,17 +167,7 @@ func (r *Router) streamAttempt(ctx context.Context, n *node, base uint32, src st
 	if st.target > 0 {
 		wantLimit = st.target + 1 - st.produced // through the peek match
 	}
-	q := url.Values{}
-	q.Set("q", src)
-	q.Set("limit", strconv.Itoa(wantLimit))
-	if *consumed > 0 {
-		q.Set("offset", strconv.Itoa(*consumed))
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); rem > 0 {
-			q.Set("timeout", rem.String())
-		}
-	}
+	q := nodeQuery(ctx, src, wantLimit, *consumed)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.url+"/stream?"+q.Encode(), nil)
 	if err != nil {
 		return &nodeError{url: n.url, msg: err.Error()}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"regexp"
+	"sync"
 
 	"repro/internal/treebank"
 )
@@ -11,9 +12,10 @@ import (
 // cluster layer: the exported pieces a follower needs to pull a
 // published segment set over HTTP — the on-disk file names, the set of
 // payload files a segment carries, and the validation of
-// segment-relative paths a node may serve — plus the merge helpers a
-// router needs to combine per-node results with exactly the semantics
-// of the in-process leafSet engine (see internal/cluster). Keeping
+// segment-relative paths a node may serve — plus the consultation and
+// merge helpers (Gather, Rebase, Window) the in-process leafSet engine
+// runs on and a router reuses to combine per-node results with exactly
+// the same semantics (see internal/cluster). Keeping
 // them here means the wire layout can never drift from the index
 // layout: both sides read the same constants.
 
@@ -93,3 +95,75 @@ func Window(ms []Match, opts SearchOpts) (out []Match, found int, truncated bool
 // one). Exported so cluster tooling can partition a corpus over nodes
 // at exactly the boundaries a local sharded build would choose.
 func ShardBounds(n, shards int) []int { return shardBounds(n, shards) }
+
+// lazyLookahead is how many partitions a bounded Gather keeps in
+// flight: partition i+1 evaluates while partition i is folded, so a
+// limited search overlaps evaluation instead of running strictly
+// sequentially, at the cost of at most one partition of speculative
+// work beyond what the window needed — which keeps the strictly-fewer-
+// fetches guarantee deterministic whenever the window fills before the
+// last lookahead window.
+const lazyLookahead = 2
+
+// Gather is the one consultation policy over tid-ordered partitions:
+// the leaves of a search, the shards of a build, the groups of a
+// router. It evaluates partitions 0..n-1 concurrently and folds each
+// result in partition order on the caller's goroutine.
+//
+//   - A bounded gather keeps lazyLookahead partitions in flight; an
+//     unbounded one starts all n at once.
+//   - Once fold reports the window full, no further partition starts;
+//     those already in flight are drained.
+//   - A failure before the window is full fails the gather with the
+//     lowest-index error, and nothing folds after it.
+//   - A failure after the window is full was speculative work the
+//     result never needed: it is skipped, and later successes still
+//     fold.
+//
+// Gather returns only once every started eval has returned, and
+// consulted is the number of partitions folded. Because partitions
+// hold contiguous tid ranges, folding in order and stopping at the
+// window is exact: every partition never started is work never done.
+func Gather[T any](n int, bounded bool, eval func(i int) (T, error), fold func(i int, v T) (full bool)) (consulted int, err error) {
+	type slot struct {
+		v    T
+		err  error
+		done sync.WaitGroup
+	}
+	slots := make([]slot, n)
+	launched := 0
+	launch := func() {
+		i, s := launched, &slots[launched]
+		launched++
+		s.done.Add(1)
+		go func() {
+			defer s.done.Done()
+			s.v, s.err = eval(i)
+		}()
+	}
+	ahead := n
+	if bounded {
+		ahead = min(n, lazyLookahead)
+	}
+	for launched < ahead {
+		launch()
+	}
+	full := false
+	for i := 0; i < launched; i++ {
+		s := &slots[i]
+		s.done.Wait()
+		switch {
+		case s.err != nil:
+			if err == nil && !full {
+				err = s.err
+			}
+		case err == nil:
+			consulted++
+			full = fold(i, s.v) || full
+		}
+		if err == nil && !full && launched < n {
+			launch()
+		}
+	}
+	return consulted, err
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"iter"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/subtree"
@@ -224,7 +223,7 @@ func window(ms []Match, opts SearchOpts) (out []Match, found int, truncated bool
 
 // rebase appends ms to dst with each match's local shard tid shifted
 // to the global range starting at base — the one merge step shared by
-// the lazy, fan-out and batch shard paths.
+// the search, batch and stream paths.
 func rebase(dst []Match, ms []Match, base uint32) []Match {
 	for _, m := range ms {
 		dst = append(dst, Match{TID: m.TID + base, Root: m.Root})
@@ -264,213 +263,112 @@ func batchResults(mss [][]Match, counts []int, hits []bool, opts SearchOpts, fet
 	return out
 }
 
-// searchPlan runs one compiled plan across the leaves, choosing the
-// evaluation shape from the bounds: bounded searches consult leaves
-// lazily in tid order and stop early, unbounded ones keep the
-// concurrent fan-out.
+// leafErr names the failing leaf in an evaluation error; nil stays nil.
+func leafErr(i int, err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("core: shard %d: %w", i, err)
+}
+
+// searchPlan runs one compiled plan across the leaves through Gather.
+// Leaves partition the corpus into contiguous tid ranges, so the
+// globally sorted match stream is leaf 0's matches, then leaf 1's, and
+// so on. A bounded search (a limit, not count-only) therefore consults
+// leaves lazily in order and stops once Offset+Limit matches are
+// folded: every leaf never started is posting fetches never issued
+// (asserted against the fetch counter in the tests). Each leaf also
+// evaluates with that target pushed into its join, so none produces
+// more than target+1 matches' worth of join rows. An unbounded or
+// count-only search starts every leaf at once and counts exactly. A
+// lookahead leaf failing after the window filled is skipped; the
+// window only uses matches folded before that gap, and the result is
+// flagged Truncated.
 func (ls leafSet) searchPlan(ctx context.Context, pl *Plan, opts SearchOpts, hit bool) (*Result, error) {
 	var reads []atomic.Uint64
 	if opts.Explain {
 		reads = make([]atomic.Uint64, len(pl.Pieces))
 	}
-	if target := opts.Target(); target > 0 && !opts.CountOnly {
-		return ls.searchLazy(ctx, pl, opts, hit, target, reads)
+	target := 0
+	if !opts.CountOnly {
+		target = opts.Target()
 	}
-	return ls.searchFanout(ctx, pl, opts, hit, reads)
-}
-
-// lazyLookahead is how many shards the lazy merge keeps in flight:
-// shard i+1 evaluates while shard i's results are consumed, so the
-// limited path overlaps evaluation instead of running strictly
-// sequentially, at the cost of at most one shard of speculative work
-// beyond what the limit needed — which keeps the strictly-fewer-
-// fetches guarantee deterministic whenever the limit is satisfied
-// before the last lookahead window.
-const lazyLookahead = 2
-
-// searchLazy is the early-terminating path: because shards partition
-// the corpus into contiguous tid ranges, the globally sorted match
-// stream is shard 0's matches, then shard 1's, and so on — a k-way
-// merge whose streams never interleave. Consuming shards in that
-// order (evaluated lazyLookahead at a time) and stopping once
-// Offset+Limit matches are merged is therefore exact, and every shard
-// never started is posting fetches never issued (asserted against the
-// fetch counter in the tests). Each shard additionally evaluates with
-// the target pushed into its join, so no shard ever produces more
-// than target+1 matches' worth of join rows. A shard that fails
-// *after* the window is already complete does not fail the search:
-// its results were never needed, so the completed window is returned
-// with Truncated set. Successful shards already in flight past the
-// failure still fold into Count and ShardsConsulted — their matches
-// exist, so the found-count stays a valid lower bound — while the
-// window itself only ever uses matches merged before the gap, keeping
-// the prefix property intact.
-func (ls leafSet) searchLazy(ctx context.Context, pl *Plan, opts SearchOpts, hit bool, target int, reads []atomic.Uint64) (*Result, error) {
-	type shardOut struct {
+	type leafOut struct {
 		ms      []Match
-		fetched uint64
-		rows    int
-		err     error
+		n, rows int
 	}
-	outs := make([]chan shardOut, len(ls.leaves))
-	launch := func(i int) {
-		outs[i] = make(chan shardOut, 1)
-		go func(i int, sh *Index) {
-			var o shardOut
-			o.ms, _, o.rows, o.err = sh.evalPlan(ctx, pl, countingGetter(sh.getPosting, &o.fetched), evalOpts{target: target, dels: ls.del(i), pieceReads: reads})
-			outs[i] <- o
-		}(i, ls.leaves[i])
+	var fetched atomic.Uint64 // every started leaf's, skipped failures included
+	parts := make([][]Match, len(ls.leaves))
+	res := &Result{Stats: SearchStats{PlanCacheHit: hit}}
+	consulted, err := Gather(len(ls.leaves), target > 0, func(i int) (o leafOut, err error) {
+		var n uint64
+		sh := ls.leaves[i]
+		o.ms, o.n, o.rows, err = sh.evalPlan(ctx, pl, countingGetter(sh.getPosting, &n),
+			evalOpts{countOnly: opts.CountOnly, target: target, dels: ls.del(i), pieceReads: reads})
+		fetched.Add(n)
+		return o, leafErr(i, err)
+	}, func(i int, o leafOut) bool {
+		parts[i] = o.ms
+		res.Count += o.n
+		res.Stats.JoinRows += uint64(o.rows)
+		return target > 0 && res.Count >= target
+	})
+	if err != nil {
+		return nil, err
 	}
-	launched := 0
-	for launched < len(ls.leaves) && launched < lazyLookahead {
-		launch(launched)
-		launched++
-	}
-	var fetched, rows uint64
-	var all []Match
-	var firstErr error
-	satisfied := false // the target window is complete without further shards
-	consulted := 0
-	for i := 0; i < launched; i++ {
-		o := <-outs[i]
-		fetched += o.fetched
-		rows += uint64(o.rows)
-		if o.err != nil {
-			// Only a shard the window still depends on can fail the
-			// search; a lookahead shard erroring after the window filled
-			// was speculative work the result never needed.
-			if firstErr == nil && !satisfied {
-				firstErr = fmt.Errorf("core: shard %d: %w", i, o.err)
-			}
-			continue // keep draining in-flight shards before returning
-		}
-		if firstErr != nil {
-			continue
-		}
-		// Successful in-flight shards keep contributing to the found
-		// count even once the window is satisfied (or a later shard's
-		// error was skipped): the window itself only ever uses the
-		// leading matches, which predate any skipped shard.
-		all = rebase(all, o.ms, ls.offsets[i])
-		consulted++
-		if len(all) >= target {
-			satisfied = true
-			continue // stop launching; drain what is already in flight
-		}
-		if launched < len(ls.leaves) {
-			launch(launched)
-			launched++
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	res := &Result{Stats: SearchStats{
-		PostingFetches:  fetched,
-		PlanCacheHit:    hit,
-		ShardsConsulted: consulted,
-		JoinRows:        rows,
-	}}
-	var trimmed bool
-	res.Matches, res.Count, trimmed = window(all, opts)
-	res.Stats.Truncated = trimmed || consulted < len(ls.leaves)
+	res.Stats.PostingFetches = fetched.Load()
+	res.Stats.ShardsConsulted = consulted
 	planStats(&res.Stats, pl, reads)
-	return res, nil
-}
-
-// searchFanout is the full-evaluation path (unlimited or count-only):
-// one goroutine per shard, results rebased to global tids and
-// concatenated in shard order.
-func (ls leafSet) searchFanout(ctx context.Context, pl *Plan, opts SearchOpts, hit bool, reads []atomic.Uint64) (*Result, error) {
-	type shardOut struct {
-		ms      []Match
-		n       int
-		fetched uint64
-		rows    int
-		err     error
-	}
-	outs := make([]shardOut, len(ls.leaves))
-	var wg sync.WaitGroup
-	for i, sh := range ls.leaves {
-		wg.Add(1)
-		go func(i int, sh *Index) {
-			defer wg.Done()
-			o := &outs[i]
-			o.ms, o.n, o.rows, o.err = sh.evalPlan(ctx, pl, countingGetter(sh.getPosting, &o.fetched), evalOpts{countOnly: opts.CountOnly, dels: ls.del(i), pieceReads: reads})
-		}(i, sh)
-	}
-	wg.Wait()
-
-	res := &Result{Stats: SearchStats{PlanCacheHit: hit, ShardsConsulted: len(ls.leaves)}}
-	total := 0
-	for i := range outs {
-		if outs[i].err != nil {
-			return nil, fmt.Errorf("core: shard %d: %w", i, outs[i].err)
+	if !opts.CountOnly {
+		all := make([]Match, 0, res.Count)
+		for i, ms := range parts {
+			all = rebase(all, ms, ls.offsets[i])
 		}
-		total += len(outs[i].ms)
-		res.Count += outs[i].n
-		res.Stats.PostingFetches += outs[i].fetched
-		res.Stats.JoinRows += uint64(outs[i].rows)
+		res.Matches, _, res.Stats.Truncated = window(all, opts)
 	}
-	planStats(&res.Stats, pl, reads)
-	if opts.CountOnly {
-		return res, nil
-	}
-	all := make([]Match, 0, total)
-	for i := range outs {
-		all = rebase(all, outs[i].ms, ls.offsets[i])
-	}
-	res.Matches, res.Count, res.Stats.Truncated = window(all, opts)
+	res.Stats.Truncated = res.Stats.Truncated || consulted < len(ls.leaves)
 	return res, nil
 }
 
 // searchBatchPlans evaluates pre-compiled batch plans on every leaf
-// concurrently with per-leaf fetch dedup and merges per query.
+// concurrently, with per-leaf fetch dedup, and merges per query. A
+// batch never stops early: every leaf is consulted.
 func (ls leafSet) searchBatchPlans(ctx context.Context, plans []*Plan, hits []bool, opts SearchOpts) ([]*Result, error) {
-	type shardOut struct {
-		ms      [][]Match
-		counts  []int
-		fetched uint64
-		rows    uint64
-		err     error
+	type leafOut struct {
+		ms            [][]Match
+		counts        []int
+		fetched, rows uint64
 	}
-	outs := make([]shardOut, len(ls.leaves))
-	var wg sync.WaitGroup
-	for i, sh := range ls.leaves {
-		wg.Add(1)
-		go func(i int, sh *Index) {
-			defer wg.Done()
-			o := &outs[i]
-			o.ms, o.counts, o.rows, o.err = sh.evalPlans(ctx, plans, countingGetter(sh.getPosting, &o.fetched), opts.CountOnly, ls.del(i))
-		}(i, sh)
-	}
-	wg.Wait()
+	outs := make([]leafOut, len(ls.leaves))
 	var fetched, rows uint64
-	for i := range outs {
-		if outs[i].err != nil {
-			return nil, fmt.Errorf("core: shard %d: %w", i, outs[i].err)
-		}
-		fetched += outs[i].fetched
-		rows += outs[i].rows
+	_, err := Gather(len(ls.leaves), false, func(i int) (o leafOut, err error) {
+		sh := ls.leaves[i]
+		o.ms, o.counts, o.rows, err = sh.evalPlans(ctx, plans, countingGetter(sh.getPosting, &o.fetched), opts.CountOnly, ls.del(i))
+		return o, leafErr(i, err)
+	}, func(i int, o leafOut) bool {
+		outs[i] = o
+		fetched += o.fetched
+		rows += o.rows
+		return false
+	})
+	if err != nil {
+		return nil, err
 	}
 	merged := make([][]Match, len(plans))
 	counts := make([]int, len(plans))
 	for qi := range plans {
+		total := 0
 		for i := range outs {
 			counts[qi] += outs[i].counts[qi]
+			total += len(outs[i].ms[qi])
 		}
 		if opts.CountOnly {
 			continue
 		}
-		total := 0
+		merged[qi] = make([]Match, 0, total)
 		for i := range outs {
-			total += len(outs[i].ms[qi])
+			merged[qi] = rebase(merged[qi], outs[i].ms[qi], ls.offsets[i])
 		}
-		all := make([]Match, 0, total)
-		for i := range outs {
-			all = rebase(all, outs[i].ms[qi], ls.offsets[i])
-		}
-		merged[qi] = all
 	}
 	return batchResults(merged, counts, hits, opts, fetched, rows, len(ls.leaves)), nil
 }
@@ -537,7 +435,7 @@ func (rs *resultStream) pull() (Match, bool) {
 			sh := rs.ls.leaves[rs.si]
 			ms, err := sh.streamPlan(rs.ctx, rs.pl, countingGetter(sh.getPosting, &rs.fetched), evalOpts{dels: rs.ls.del(rs.si)})
 			if err != nil {
-				rs.err = fmt.Errorf("core: shard %d: %w", rs.si, err)
+				rs.err = leafErr(rs.si, err)
 				return Match{}, false
 			}
 			rs.cur = ms
@@ -546,13 +444,13 @@ func (rs *resultStream) pull() (Match, bool) {
 		m, ok := rs.cur.Next()
 		if !ok {
 			if err := rs.cur.Err(); err != nil {
-				rs.err = fmt.Errorf("core: shard %d: %w", rs.si, err)
+				rs.err = leafErr(rs.si, err)
 				return Match{}, false
 			}
 			rs.closeShard()
 			// The window is complete; whether more shards hold matches
 			// is unknown and not worth their posting fetches — exactly
-			// the materialized lazy path's truncation semantics.
+			// a bounded Search's truncation semantics.
 			if rs.target > 0 && rs.produced >= rs.target && rs.si < len(rs.ls.leaves) {
 				rs.truncated = true
 				rs.finished = true

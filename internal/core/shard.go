@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/lingtree"
@@ -92,37 +91,21 @@ func BuildSharded(dir string, trees []*lingtree.Tree, opt Options, shards int) (
 		return nil, err
 	}
 
-	bounds := shardBounds(len(trees), shards)
-	metas := make([]*Meta, shards)
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			// Build numbers the shard's slice by position, so its local
-			// tids start at 0.
-			metas[s], errs[s] = Build(filepath.Join(dir, shardDirName(s)), trees[bounds[s]:bounds[s+1]], opt)
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	meta := &Meta{
 		FormatVersion: FormatSharded,
 		Shards:        shards,
 		MSS:           opt.MSS,
 		Coding:        opt.Coding,
-		BuildNanos:    time.Since(start).Nanoseconds(),
 	}
 	// The root's statistics merge the per-shard models (sealed back to
 	// the cap), so root-compiled plans cost against corpus-wide counts.
 	stats := &planner.Stats{}
-	for _, m := range metas {
+	bounds := shardBounds(len(trees), shards)
+	_, err := Gather(shards, false, func(s int) (*Meta, error) {
+		// Build numbers the shard's slice by position, so its local
+		// tids start at 0.
+		return Build(filepath.Join(dir, shardDirName(s)), trees[bounds[s]:bounds[s+1]], opt)
+	}, func(_ int, m *Meta) bool {
 		meta.NumTrees += m.NumTrees
 		meta.Keys += m.Keys
 		meta.Postings += m.Postings
@@ -131,9 +114,14 @@ func BuildSharded(dir string, trees []*lingtree.Tree, opt Options, shards int) (
 		meta.ExtractNanos += m.ExtractNanos
 		meta.LoadNanos += m.LoadNanos
 		stats.Merge(m.KeyStats)
+		return false
+	})
+	if err != nil {
+		return nil, err
 	}
 	stats.Seal(0)
 	meta.KeyStats = stats
+	meta.BuildNanos = time.Since(start).Nanoseconds()
 	if err := writeMeta(dir, meta); err != nil {
 		return nil, err
 	}
@@ -254,23 +242,15 @@ func (ls leafSet) mappedLeaves() int {
 // lookupKey sums the key's live posting count over all leaves
 // (tombstoned postings excluded).
 func (ls leafSet) lookupKey(k subtree.Key) (int, error) {
-	counts := make([]int, len(ls.leaves))
-	errs := make([]error, len(ls.leaves))
-	var wg sync.WaitGroup
-	for i, sh := range ls.leaves {
-		wg.Add(1)
-		go func(i int, sh *Index) {
-			defer wg.Done()
-			counts[i], errs[i] = sh.lookupKeyLive(k, ls.del(i))
-		}(i, sh)
-	}
-	wg.Wait()
 	total := 0
-	for i := range counts {
-		if errs[i] != nil {
-			return 0, errs[i]
-		}
-		total += counts[i]
+	_, err := Gather(len(ls.leaves), false, func(i int) (int, error) {
+		return ls.leaves[i].lookupKeyLive(k, ls.del(i))
+	}, func(_ int, n int) bool {
+		total += n
+		return false
+	})
+	if err != nil {
+		return 0, err
 	}
 	return total, nil
 }
