@@ -42,9 +42,10 @@ bench-smoke:
 # internal/postings' RootDecode and RootBlock (the per-entry and the
 # batch decoder, the latter also over a real frequent key's list) and of
 # internal/subtree's ExtractMSS3/MSS5 (the build's key kernel, one
-# reused extractor) — the fetch and join-row work counters plus
-# allocs/op and B/op (the decoders' and the extractor's are zero, and a
-# zero baseline fails on any increase). benchjson diffs
+# reused extractor) and of internal/btree's Get (short and 20-page
+# values on pread and mmap) — the fetch and join-row work counters plus
+# allocs/op and B/op (the decoders', the extractor's and a mapped Get's
+# are zero, and a zero baseline fails on any increase). benchjson diffs
 # the new run against it and
 # fails on a >25% increase — or on a baseline matching nothing — so
 # both the early-termination counters and the zero-copy allocation
@@ -55,8 +56,8 @@ bench-smoke:
 # compounding silently — every baseline move is a visible commit.
 BENCH_TOLERANCE ?= 0.25
 BENCH_CMD = $(GO) test -run='^$$' \
-	-bench='SearchBatch|CountOnly|LimitedSearch|ShardedQuery|PlannerSkew|JoinRun|JoinStream|StreamAlign|RootDecode|RootBlock|Extract' \
-	-benchmem -benchtime=1x . ./internal/join ./internal/postings ./internal/subtree
+	-bench='SearchBatch|CountOnly|LimitedSearch|ShardedQuery|PlannerSkew|JoinRun|JoinStream|StreamAlign|RootDecode|RootBlock|Extract|Get' \
+	-benchmem -benchtime=1x . ./internal/join ./internal/postings ./internal/subtree ./internal/btree
 bench-json:
 	$(BENCH_CMD) > bench.out
 	$(GO) run ./cmd/benchjson -o BENCH_search.json -baseline BENCH_baseline.json \

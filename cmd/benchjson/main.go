@@ -15,7 +15,8 @@
 // previously emitted document: for every benchmark present in both
 // whose name matches -guard (a comma-separated list of substrings;
 // default covers the limited-search, sharded-query, batch, planner-skew,
-// join-layer, root-decode and subtree-extraction benchmarks), the deterministic per-op
+// join-layer, root-decode, subtree-extraction and B+Tree lookup
+// benchmarks), the deterministic per-op
 // metrics (fetches/op, joinrows/op, allocs/op and B/op) must not exceed
 // the baseline by more than -tolerance (default 0.25, i.e. +25%), or
 // the command exits non-zero — a counter whose baseline is 0 therefore
@@ -57,9 +58,10 @@ var guardedMetrics = []string{"fetches/op", "joinrows/op", "allocs/op", "B/op"}
 // benchmarks (join rows at fixed input cardinalities and, for the
 // stream's seek, at fixed gap lengths; the compiled kernel's
 // allocations, constant in the input size for a stream), the
-// root-split decoders' zero allocations, per entry and per block, and
-// the build's subtree extractor's zero allocations per tree.
-const defaultGuard = "LimitedSearch,ShardedQuery,SearchBatch,PlannerSkew,JoinRun,JoinStream,StreamAlign,RootDecode,RootBlock,Extract"
+// root-split decoders' zero allocations, per entry and per block, the
+// build's subtree extractor's zero allocations per tree, and the B+Tree
+// lookup's (zero for any value on a mapped file, one copy on pread).
+const defaultGuard = "LimitedSearch,ShardedQuery,SearchBatch,PlannerSkew,JoinRun,JoinStream,StreamAlign,RootDecode,RootBlock,Extract,Get"
 
 // guardItems splits a comma-separated guard list into its non-empty
 // items (so a trailing comma is harmless).

@@ -205,6 +205,7 @@ func TestMatchesGuard(t *testing.T) {
 		"BenchmarkRootDecode",
 		"BenchmarkRootBlock/real/block",
 		"BenchmarkStreamAlign/gap=64",
+		"BenchmarkGet/long/mmap",
 	} {
 		if !matchesGuard(name, defaultGuard) {
 			t.Fatalf("default guard misses %s", name)

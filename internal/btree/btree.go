@@ -1,8 +1,9 @@
 // Package btree implements the native disk-based B+Tree the Subtree
 // Index is stored in (paper §6.1): variable-length keys mapping to
-// posting-list blobs, values larger than a page spilling into overflow
-// chains, and leaves chained for range scans. Indexes are built once by
-// a bulk loader from a sorted key stream and then opened read-only; by
+// posting-list blobs, values too long to share a leaf stored as one
+// contiguous page-aligned extent each, and leaves chained for range
+// scans. Indexes are built once by a bulk loader from a sorted key
+// stream and then opened read-only; by
 // default no user-level page cache is layered over the pager (the paper
 // relies on OS page buffering, and so do we), while OpenCached opts a
 // tree into the pager's sharded LRU page cache and OpenWith can select
@@ -14,8 +15,10 @@
 // On those backends — where page views stay valid until Close — Get
 // returns inline values as subslices of the page itself; on the pooled
 // pread path it copies, because the scratch page is reused after
-// release. Either way the returned value is read-only and valid until
-// the Tree is closed.
+// release. An extent value is borrowed from the mapping when the file
+// is mapped (pager.ReadExtent: no copy, no allocation) and read into a
+// fresh buffer with one positioned read otherwise. Either way the
+// returned value is read-only and valid until the Tree is closed.
 //
 // An opened Tree is safe for concurrent use: Get and Iterator keep all
 // mutable state (page borrows, cursors) per call or per Iterator, and
@@ -32,12 +35,19 @@ import (
 	"repro/internal/pager"
 )
 
-// Page type tags, first byte of every B+Tree page.
+// Page type tags, first byte of every tree page. Extent pages carry no
+// tag: they hold nothing but value bytes.
 const (
 	pageLeaf     = 'L'
 	pageInternal = 'I'
-	pageOverflow = 'O'
 	pageMeta     = 'M'
+)
+
+// Leaf entry flags, first byte of every leaf entry.
+const (
+	flagInline = 0
+	flagChain  = 1 // a linked overflow chain: an older format, refused
+	flagExtent = 2
 )
 
 // leaf page layout:
@@ -45,10 +55,14 @@ const (
 //	[0] = 'L'
 //	[1:3] = number of entries (uint16)
 //	[3:7] = next leaf page id (0 = last leaf)
-//	entries: flag byte (0 inline, 1 overflow),
+//	entries: flag byte (flagInline or flagExtent),
 //	         key length uvarint, key bytes,
 //	         inline: value length uvarint, value bytes
-//	         overflow: total value length uvarint, first chain page (uint32)
+//	         extent: value length uvarint, first extent page (uint32)
+//
+// extent layout: the value's bytes from the start of its first page on,
+// across ⌈length/pageSize⌉ consecutive pages, the last zero-padded; no
+// per-page header.
 //
 // internal page layout:
 //
@@ -57,11 +71,6 @@ const (
 //	[3:7] = leftmost child page id
 //	entries: key length uvarint, key bytes, child page id (uint32);
 //	         entry i routes keys >= key_i (and < key_{i+1}) to child_i
-//
-// overflow page layout:
-//
-//	[0:4] = next chain page id (0 = end)
-//	[4:]  = value bytes
 //
 // meta page layout (page 1):
 //
@@ -72,7 +81,6 @@ const (
 const (
 	leafHeader     = 7
 	internalHeader = 7
-	overflowHeader = 4
 )
 
 // Stats describes a built tree.
@@ -125,7 +133,7 @@ func OpenWith(path string, opts Options) (*Tree, error) {
 	}
 	// The builder writes every page it allocates, so a file shorter than
 	// its header's page count is cut or lying — and that count bounds
-	// what a value may claim to hold (readOverflow).
+	// where an extent may claim to lie (readExtent).
 	st, err := os.Stat(path)
 	if err == nil && st.Size() < pf.SizeBytes() {
 		err = fmt.Errorf("btree: %s holds %d bytes, not the %d pages its header claims", path, st.Size(), pf.NumPages())
@@ -182,8 +190,9 @@ func (t *Tree) Stats() Stats {
 
 // Get returns the value stored under key, or found=false. The returned
 // slice is read-only and valid until the Tree is closed: on the mmap
-// and cached backends an inline value is a zero-copy subslice of the
-// page, elsewhere (and for overflow values) it is freshly assembled.
+// backend every value is a zero-copy subslice of the mapping, on the
+// cached backend an inline value is a subslice of the cached page, and
+// elsewhere the value is copied.
 func (t *Tree) Get(key []byte) (value []byte, found bool, err error) {
 	if t.keys == 0 {
 		return nil, false, nil
@@ -198,10 +207,10 @@ func (t *Tree) Get(key []byte) (value []byte, found bool, err error) {
 }
 
 // leafEntry is one decoded leaf entry: an inline value is a view into
-// the page; an overflow value is its chain's first page and length.
+// the page; an extent value is its first page and length.
 type leafEntry struct {
 	key, val []byte
-	overflow bool
+	extent   bool
 	first    uint32
 	vlen     uint64
 }
@@ -212,11 +221,19 @@ type leafEntry struct {
 // found is false when no entry of the page qualifies. Every length in a
 // file is outside input (a follower serves files it pulled over the
 // network), so an entry that runs past the page is an error, never an
-// out-of-range slice.
+// out-of-range slice, and an entry of an older or unknown format is an
+// error, never a misread.
 func (e *leafEntry) seek(page []byte, i, off int, key []byte) (int, int, bool, error) {
 	n := int(binary.LittleEndian.Uint16(page[1:]))
 	for ; i < n && off < len(page); i++ {
-		overflow := page[off] != 0
+		switch page[off] {
+		case flagInline, flagExtent:
+		case flagChain:
+			return i, off, false, fmt.Errorf("btree: leaf entry %d is an overflow chain, a format this version no longer reads: rebuild the index", i)
+		default:
+			return i, off, false, fmt.Errorf("btree: leaf entry %d has unknown flag %d", i, page[off])
+		}
+		extent := page[off] == flagExtent
 		klen, m := binary.Uvarint(page[off+1:])
 		if off += 1 + m; m <= 0 || klen > uint64(len(page)-off) {
 			break
@@ -229,8 +246,8 @@ func (e *leafEntry) seek(page []byte, i, off int, key []byte) (int, int, bool, e
 		}
 		off += m
 		size := vlen
-		if overflow {
-			size = 4 // the chain's first page
+		if extent {
+			size = 4 // the extent's first page
 		}
 		if size > uint64(len(page)-off) {
 			break
@@ -239,8 +256,8 @@ func (e *leafEntry) seek(page []byte, i, off int, key []byte) (int, int, bool, e
 		// Only the entry seek stops at is stored: the ones it passes
 		// cost no writes.
 		if key == nil || bytes.Compare(k, key) >= 0 {
-			*e = leafEntry{key: k, overflow: overflow, vlen: vlen}
-			if v := page[off-int(size) : off : off]; overflow {
+			*e = leafEntry{key: k, extent: extent, vlen: vlen}
+			if v := page[off-int(size) : off : off]; extent {
 				e.first = binary.LittleEndian.Uint32(v)
 			} else {
 				e.val = v
@@ -286,8 +303,8 @@ func (t *Tree) searchLeaf(page []byte, key []byte) ([]byte, bool, error) {
 	switch {
 	case err != nil || !found || !bytes.Equal(e.key, key):
 		return nil, false, err
-	case e.overflow:
-		v, err := t.readOverflow(e.first, e.vlen)
+	case e.extent:
+		v, err := t.readExtent(e.first, e.vlen)
 		return v, err == nil, err
 	case t.stable:
 		return e.val, true, nil
@@ -296,31 +313,20 @@ func (t *Tree) searchLeaf(page []byte, key []byte) ([]byte, bool, error) {
 	}
 }
 
-// readOverflow assembles a value of total bytes from the chain starting
-// at page first. No value can be longer than every page of the file
-// but the header and the meta page would hold, so a larger total is
-// corrupt and is refused before anything is allocated for it.
-func (t *Tree) readOverflow(first uint32, total uint64) ([]byte, error) {
-	chunk := t.pf.PageSize() - overflowHeader
-	if limit := uint64(t.pf.NumPages()-2) * uint64(chunk); total > limit {
-		return nil, fmt.Errorf("btree: overflow value of %d bytes in a file that holds at most %d", total, limit)
+// readExtent returns the vlen-byte value stored from page first on,
+// borrowed from the mapping or read fresh (pager.ReadExtent). An extent
+// must lie past the pager header and the meta page and end within the
+// file, which bounds vlen before anything is allocated for it.
+func (t *Tree) readExtent(first uint32, vlen uint64) ([]byte, error) {
+	ps := uint64(t.pf.PageSize())
+	pages := vlen / ps
+	if vlen%ps != 0 {
+		pages++
 	}
-	out := make([]byte, 0, total)
-	id := first
-	for len(out) < int(total) {
-		if id == 0 {
-			return nil, fmt.Errorf("btree: overflow chain truncated (%d of %d bytes)", len(out), total)
-		}
-		page, release, err := t.pf.ReadPage(id)
-		if err != nil {
-			return nil, err
-		}
-		n := min(int(total)-len(out), chunk)
-		out = append(out, page[overflowHeader:overflowHeader+n]...)
-		id = binary.LittleEndian.Uint32(page[0:])
-		release()
+	if first < 2 || uint64(first)+pages > uint64(t.pf.NumPages()) {
+		return nil, fmt.Errorf("btree: extent of %d bytes from page %d lies outside the file's %d pages", vlen, first, t.pf.NumPages())
 	}
-	return out, nil
+	return t.pf.ReadExtent(first, int(vlen))
 }
 
 // descend walks internal pages from the root toward key (the leftmost

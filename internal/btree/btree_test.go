@@ -10,7 +10,14 @@ import (
 	"testing/quick"
 )
 
+// buildTree builds pairs into a fresh file and opens it with pread.
 func buildTree(t testing.TB, pageSize int, pairs [][2][]byte) *Tree {
+	t.Helper()
+	return openTree(t, buildFile(t, pageSize, pairs), Options{})
+}
+
+// buildFile bulk-loads pairs into a fresh file and returns its path.
+func buildFile(t testing.TB, pageSize int, pairs [][2][]byte) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "t.db")
 	b, err := NewBuilder(path, pageSize)
@@ -25,7 +32,13 @@ func buildTree(t testing.TB, pageSize int, pairs [][2][]byte) *Tree {
 	if err := b.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Open(path)
+	return path
+}
+
+// openTree opens path with opts, closing it when the test ends.
+func openTree(t testing.TB, path string, opts Options) *Tree {
+	t.Helper()
+	tr, err := OpenWith(path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,17 +115,20 @@ func TestLargeValuesOverflow(t *testing.T) {
 		{[]byte("b"), big},
 		{[]byte("c"), bytes.Repeat([]byte{0xFF}, 300)},
 	}
-	tr := buildTree(t, 256, pairs)
-	v, found, err := tr.Get([]byte("b"))
-	if err != nil || !found {
-		t.Fatalf("Get(b): %v %v", found, err)
-	}
-	if !bytes.Equal(v, big) {
-		t.Errorf("overflow value corrupted: len %d want %d", len(v), len(big))
-	}
-	v, found, _ = tr.Get([]byte("c"))
-	if !found || !bytes.Equal(v, bytes.Repeat([]byte{0xFF}, 300)) {
-		t.Error("medium value corrupted")
+	path := buildFile(t, 256, pairs)
+	for _, mmap := range []bool{false, true} {
+		tr := openTree(t, path, Options{Mmap: mmap})
+		v, found, err := tr.Get([]byte("b"))
+		if err != nil || !found {
+			t.Fatalf("mmap=%v: Get(b): %v %v", mmap, found, err)
+		}
+		if !bytes.Equal(v, big) {
+			t.Errorf("mmap=%v: extent value corrupted: len %d want %d", mmap, len(v), len(big))
+		}
+		v, found, _ = tr.Get([]byte("c"))
+		if !found || !bytes.Equal(v, bytes.Repeat([]byte{0xFF}, 300)) {
+			t.Errorf("mmap=%v: medium value corrupted", mmap)
+		}
 	}
 }
 
@@ -205,6 +221,39 @@ func TestIteratorSeek(t *testing.T) {
 	}
 }
 
+// TestIteratorInlineAfterExtentMapped: on the mmap backend an extent
+// value is a read-only view of the mapping, so the iterator must never
+// copy the next inline value into it — that write faults.
+func TestIteratorInlineAfterExtentMapped(t *testing.T) {
+	var pairs [][2][]byte
+	for i := 0; i < 40; i++ {
+		v := []byte(fmt.Sprintf("v%d", i))
+		if i%3 == 1 {
+			v = bytes.Repeat(v, 300) // an extent of several 256-byte pages
+		}
+		pairs = append(pairs, [2][]byte{[]byte(fmt.Sprintf("k%02d", i)), v})
+	}
+	tr := openTree(t, buildFile(t, 256, pairs), Options{Mmap: true})
+	if !tr.Mapped() {
+		t.Skip("mmap unavailable")
+	}
+	for _, from := range []int{0, 7} { // a full scan, and a seek onto an extent
+		var start []byte
+		if from > 0 {
+			start = pairs[from][0]
+		}
+		it, i := tr.Iterator(start), from
+		for ; it.Next(); i++ {
+			if !bytes.Equal(it.Key(), pairs[i][0]) || !bytes.Equal(it.Value(), pairs[i][1]) {
+				t.Fatalf("scan from %q: entry %d = %q, %d value bytes", start, i, it.Key(), len(it.Value()))
+			}
+		}
+		if err := it.Err(); err != nil || i != len(pairs) {
+			t.Errorf("scan from %q ended at %d of %d: %v", start, i, len(pairs), err)
+		}
+	}
+}
+
 func TestQuickRandomKeyValueRoundTrip(t *testing.T) {
 	f := func(seed int64, nRaw uint16, pageChoice uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -256,21 +305,39 @@ func TestQuickRandomKeyValueRoundTrip(t *testing.T) {
 	}
 }
 
+// longValue is the length of BenchmarkGet's long values: a 20-page
+// extent at 4 KiB pages, about a long posting list.
+const longValue = 20 * 4096
+
+// BenchmarkGet looks keys up with short (inline) and long (extent)
+// values on the pread and mmap backends. A mapped extent is borrowed,
+// so long/mmap must allocate nothing; pread copies every value once.
 func BenchmarkGet(b *testing.B) {
-	var pairs [][2][]byte
-	for i := 0; i < 20000; i++ {
-		pairs = append(pairs, [2][]byte{
-			[]byte(fmt.Sprintf("k%08d", i)),
-			[]byte(fmt.Sprintf("value-%d", i)),
-		})
-	}
-	tr := buildTree(b, 4096, pairs)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := []byte(fmt.Sprintf("k%08d", i%20000))
-		if _, found, err := tr.Get(k); !found || err != nil {
-			b.Fatal("missing key")
+	for _, c := range []struct {
+		name      string
+		keys, len int
+	}{{"short", 20000, 0}, {"long", 16, longValue}} {
+		var pairs [][2][]byte
+		for i := 0; i < c.keys; i++ {
+			v := []byte(fmt.Sprintf("value-%d", i))
+			if c.len > 0 {
+				v = bytes.Repeat([]byte{byte(i)}, c.len)
+			}
+			pairs = append(pairs, [2][]byte{[]byte(fmt.Sprintf("k%08d", i)), v})
+		}
+		path := buildFile(b, 4096, pairs)
+		for _, backend := range []string{"pread", "mmap"} {
+			b.Run(c.name+"/"+backend, func(b *testing.B) {
+				tr := openTree(b, path, Options{Mmap: backend == "mmap"})
+				tr.Get(pairs[0][0]) // warm the pread scratch-page pool
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, found, err := tr.Get(pairs[i%len(pairs)][0]); !found || err != nil {
+						b.Fatal("missing key")
+					}
+				}
+			})
 		}
 	}
 }

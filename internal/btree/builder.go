@@ -60,7 +60,7 @@ func NewBuilder(path string, pageSize int) (*Builder, error) {
 }
 
 // MaxKeyLen returns the largest key the builder accepts for its page
-// size; a routing entry (and an overflow leaf entry) must fit a page
+// size; a routing entry (and an extent leaf entry) must fit a page
 // with room to spare so internal fanout stays at least two.
 func (b *Builder) MaxKeyLen() int { return b.pf.PageSize()/2 - 16 }
 
@@ -102,77 +102,57 @@ func (b *Builder) Add(key, value []byte) error {
 	return nil
 }
 
-// encodeEntry renders one leaf entry, writing the value to an overflow
-// chain when it cannot share a page with its key.
+// encodeEntry renders one leaf entry, writing the value to an extent
+// when it cannot share a page with its key.
 func (b *Builder) encodeEntry(key, value []byte) ([]byte, error) {
-	var tmp [binary.MaxVarintLen64]byte
 	inlineSize := 1 + uvlen(uint64(len(key))) + len(key) + uvlen(uint64(len(value))) + len(value)
 	// Inline if the whole entry fits in half a page; large values go to
-	// overflow chains so leaves keep fanout.
+	// extents so leaves keep fanout.
 	if inlineSize <= b.pf.PageSize()/2 {
 		e := make([]byte, 0, inlineSize)
-		e = append(e, 0)
-		n := binary.PutUvarint(tmp[:], uint64(len(key)))
-		e = append(e, tmp[:n]...)
+		e = append(e, flagInline)
+		e = binary.AppendUvarint(e, uint64(len(key)))
 		e = append(e, key...)
-		n = binary.PutUvarint(tmp[:], uint64(len(value)))
-		e = append(e, tmp[:n]...)
-		e = append(e, value...)
-		return e, nil
+		e = binary.AppendUvarint(e, uint64(len(value)))
+		return append(e, value...), nil
 	}
-	first, err := b.writeOverflow(value)
+	first, err := b.writeExtent(value)
 	if err != nil {
 		return nil, err
 	}
 	e := make([]byte, 0, 1+uvlen(uint64(len(key)))+len(key)+uvlen(uint64(len(value)))+4)
-	e = append(e, 1)
-	n := binary.PutUvarint(tmp[:], uint64(len(key)))
-	e = append(e, tmp[:n]...)
+	e = append(e, flagExtent)
+	e = binary.AppendUvarint(e, uint64(len(key)))
 	e = append(e, key...)
-	n = binary.PutUvarint(tmp[:], uint64(len(value)))
-	e = append(e, tmp[:n]...)
-	var pid [4]byte
-	binary.LittleEndian.PutUint32(pid[:], first)
-	e = append(e, pid[:]...)
-	return e, nil
+	e = binary.AppendUvarint(e, uint64(len(value)))
+	return binary.LittleEndian.AppendUint32(e, first), nil
 }
 
-func (b *Builder) writeOverflow(value []byte) (uint32, error) {
-	chunk := b.pf.PageSize() - overflowHeader
-	// Allocate the whole chain first so next-pointers are known.
-	n := (len(value) + chunk - 1) / chunk
-	if n == 0 {
-		n = 1
-	}
-	ids := make([]uint32, n)
-	for i := range ids {
+// writeExtent stores value across ⌈len/pageSize⌉ freshly allocated —
+// hence consecutive — pages, zero-padding the last, and returns the
+// first page's id.
+func (b *Builder) writeExtent(value []byte) (uint32, error) {
+	ps := b.pf.PageSize()
+	var first uint32
+	for lo := 0; lo < len(value); lo += ps {
 		id, err := b.pf.Alloc()
 		if err != nil {
 			return 0, err
 		}
-		ids[i] = id
-	}
-	page := make([]byte, b.pf.PageSize())
-	for i := range ids {
-		next := uint32(0)
-		if i+1 < len(ids) {
-			next = ids[i+1]
+		if lo == 0 {
+			first = id
 		}
-		binary.LittleEndian.PutUint32(page[0:], next)
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > len(value) {
-			hi = len(value)
+		page := value[lo:min(lo+ps, len(value))]
+		if len(page) < ps {
+			padded := make([]byte, ps)
+			copy(padded, page)
+			page = padded
 		}
-		copy(page[overflowHeader:], value[lo:hi])
-		for j := overflowHeader + (hi - lo); j < len(page); j++ {
-			page[j] = 0
-		}
-		if err := b.pf.Write(ids[i], page); err != nil {
+		if err := b.pf.Write(id, page); err != nil {
 			return 0, err
 		}
 	}
-	return ids[0], nil
+	return first, nil
 }
 
 func (b *Builder) startLeaf(firstKey []byte) error {

@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -116,13 +117,59 @@ func TestInternalEntryPastPage(t *testing.T) {
 	expectCorrupt(t, path, "internal entry 0 runs past its page", "a", "z")
 }
 
+// extentEntry is a leaf entry of the given flag whose vlen-byte value
+// claims to start at page first.
+func extentEntry(flag byte, key string, vlen uint64, first uint32) []byte {
+	e := append([]byte{flag, byte(len(key))}, key...)
+	e = binary.AppendUvarint(e, vlen)
+	return binary.LittleEndian.AppendUint32(e, first)
+}
+
 // TestOverflowLengthBeyondFile: a value claiming 1<<62 bytes once
-// panicked in readOverflow with "makeslice: cap out of range".
+// panicked with "makeslice: cap out of range". An extent must start past
+// the meta page and end within the file; one ending exactly at the last
+// page is intact.
 func TestOverflowLengthBeyondFile(t *testing.T) {
-	entry := append([]byte{1, 1, 'k'}, binary.AppendUvarint(nil, 1<<62)...)
-	entry = append(entry, 3, 0, 0, 0) // first chain page
-	path := rawFile(t, 2, 1, rawPage(pageLeaf, 1, 0, entry...), []byte{0, 0, 0, 0})
-	expectCorrupt(t, path, "overflow value of 4611686018427387904 bytes", "k")
+	data := bytes.Repeat([]byte("x"), rawPageSize+1) // pages 3 and 4
+	for _, c := range []struct {
+		vlen  uint64
+		first uint32
+		want  string
+	}{
+		{1 << 62, 3, "extent of 4611686018427387904 bytes from page 3 lies outside the file's 5 pages"},
+		{2*rawPageSize + 1, 3, "extent of 513 bytes from page 3 lies outside"},
+		{rawPageSize + 1, 4, "extent of 257 bytes from page 4 lies outside"},
+		{10, 0, "extent of 10 bytes from page 0 lies outside"},
+		{10, 1, "extent of 10 bytes from page 1 lies outside"},
+	} {
+		leaf := rawPage(pageLeaf, 1, 0, extentEntry(flagExtent, "k", c.vlen, c.first)...)
+		expectCorrupt(t, rawFile(t, 2, 1, leaf, data[:rawPageSize], data[rawPageSize:]), c.want, "k")
+	}
+
+	leaf := rawPage(pageLeaf, 2, 0, append(extentEntry(flagExtent, "k", uint64(len(data)), 3), inline("m", "1")...)...)
+	path := rawFile(t, 2, 1, leaf, data[:rawPageSize], data[rawPageSize:])
+	for _, mmap := range []bool{false, true} {
+		tr, err := OpenWith(path, Options{Mmap: mmap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, found, err := tr.Get([]byte("k")); err != nil || !found || !bytes.Equal(v, data) {
+			t.Errorf("mmap=%v: Get of an extent ending at the last page = %d bytes, %v, %v", mmap, len(v), found, err)
+		}
+		if err := scanAll(tr, nil); err != nil {
+			t.Errorf("mmap=%v: scan: %v", mmap, err)
+		}
+		tr.Close()
+	}
+}
+
+// TestChainedOverflowRefused: a leaf entry of the retired linked-chain
+// format (flag 1) is refused with a request to rebuild, never read as an
+// extent.
+func TestChainedOverflowRefused(t *testing.T) {
+	chain := append([]byte{0, 0, 0, 0}, "chained"...) // next page 0, then the bytes
+	leaf := rawPage(pageLeaf, 1, 0, extentEntry(flagChain, "k", 7, 3)...)
+	expectCorrupt(t, rawFile(t, 2, 1, leaf, chain), "overflow chain, a format this version no longer reads: rebuild the index", "k")
 }
 
 // TestCyclicDescent: an internal page whose leftmost child is itself
@@ -131,7 +178,8 @@ func TestOverflowLengthBeyondFile(t *testing.T) {
 func TestCyclicDescent(t *testing.T) {
 	path := rawFile(t, 2, 2, rawPage(pageInternal, 0, 2))
 	expectCorrupt(t, path, "internal page 2 at depth 2 of a tree of height 2", "k")
-	// A child pointer into an overflow page is refused by its type.
+	// A child pointer into a page that is no tree page (here value bytes
+	// of an extent, which carry no type tag) is refused by its type.
 	path = rawFile(t, 2, 2, rawPage(pageInternal, 0, 3), []byte{0, 0, 0, 0})
 	expectCorrupt(t, path, "unexpected page type", "k")
 }

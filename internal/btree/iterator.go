@@ -12,7 +12,8 @@ import (
 // across Next calls and is released when the iterator advances to the
 // next leaf or finishes. Keys and inline values are copied into
 // per-iterator buffers reused across Next calls, so they stay valid
-// until the next Next regardless of backend.
+// until the next Next regardless of backend; extent values are returned
+// as Get returns them.
 type Iterator struct {
 	t       *Tree
 	page    []byte
@@ -25,7 +26,8 @@ type Iterator struct {
 	done    bool
 
 	key []byte
-	val []byte
+	val []byte // the current value: buf, or an extent borrowed from the mapping
+	buf []byte // scratch for inline values; never an extent, which may be read-only
 }
 
 // Iterator returns an iterator positioned at the first key >= start
@@ -108,11 +110,12 @@ func (it *Iterator) Next() bool {
 			// Keys ascend, so every later key is past the start bound too.
 			it.i, it.off, it.start = i+1, off, nil
 			it.key = append(it.key[:0], e.key...)
-			if !e.overflow {
-				it.val = append(it.val[:0], e.val...)
+			if !e.extent {
+				it.buf = append(it.buf[:0], e.val...)
+				it.val = it.buf
 				return true
 			}
-			if it.val, err = it.t.readOverflow(e.first, e.vlen); err == nil {
+			if it.val, err = it.t.readExtent(e.first, e.vlen); err == nil {
 				return true
 			}
 			it.fail(err)

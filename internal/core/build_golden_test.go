@@ -19,8 +19,10 @@ import (
 // very subtree.idx (and key and posting counts) recorded in
 // testdata/build_golden.json. The file was generated before extraction
 // became the bottom-up key DP, from the top-down pattern extractor, so
-// it holds the new kernel to the old one's output byte for byte.
-// Regenerate it only for a deliberate on-disk change:
+// it holds the new kernel to the old one's output byte for byte; its
+// hashes were regenerated once since, for the B+Tree's switch to extent
+// values, with every key and posting count unchanged. Regenerate it
+// only for a deliberate on-disk change:
 //
 //	go test ./internal/core -run TestBuildBytesGolden -update-build-golden
 var updateBuildGolden = flag.Bool("update-build-golden", false, "rewrite testdata/build_golden.json from this build")

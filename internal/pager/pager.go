@@ -28,6 +28,12 @@
 // release and copy only on the unstable pooled path. Read(id, buf)
 // remains the copying convenience wrapper.
 //
+// ReadExtent(first, n) reads a byte range that starts at a page and
+// spans consecutive pages (the B+Tree's long values). It has no
+// release: on a mapped file it is borrowed from the mapping and valid
+// until Close; on every other backend it is one positioned read into a
+// fresh buffer the caller owns, and it bypasses the page cache.
+//
 // The read path is safe for concurrent use: ReadPage on a read-only
 // File serves the mapping, the internally locked cache shards, or
 // positioned reads (ReadAt) on per-goroutine pooled buffers, so any
@@ -273,6 +279,33 @@ func (p *File) ReadPage(id uint32) (data []byte, release func(), err error) {
 		return nil, nil, err
 	}
 	return pb.buf, pb.release, nil
+}
+
+// ReadExtent returns the n bytes stored from the start of page first
+// on, across as many consecutive pages as they need. On a mapped file
+// the result is a capped subslice of the mapping — no copy, no
+// allocation, no syscall — valid until Close. Otherwise it is one
+// positioned read of exactly n bytes into a fresh buffer the caller
+// owns; the page cache is neither consulted nor filled, so it keeps
+// holding single tree pages only. A range past the allocated pages (or
+// the mapping) is an error rather than an over-read.
+func (p *File) ReadExtent(first uint32, n int) ([]byte, error) {
+	off := int64(first) * int64(p.pageSize)
+	end := off + int64(n)
+	if first == 0 || n < 0 || end > p.SizeBytes() {
+		return nil, fmt.Errorf("pager: extent of %d bytes from page %d runs past the %d allocated pages", n, first, p.npages)
+	}
+	if p.data != nil {
+		if end > int64(len(p.data)) {
+			return nil, fmt.Errorf("pager: extent from page %d ends at %d, beyond the %d-byte mapping", first, end, len(p.data))
+		}
+		return p.data[off:end:end], nil
+	}
+	buf := make([]byte, n)
+	if _, err := p.f.ReadAt(buf, off); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // Read fills buf (which must be exactly one page long) with page id.
