@@ -82,7 +82,11 @@ bench-baseline:
 # extractor (FuzzExtract: bracketed trees, keys and slot mappings held
 # to the top-down reference extractor) and the query-parameter parser
 # sisrv and sirouter share (FuzzParseParams: accepted windows never
-# overflow and /batch bounds agree). The committed testdata/fuzz corpora always replay
+# overflow and /batch bounds agree) and the router's relay of node
+# /stream bodies (FuzzRoutedStream: whatever bytes a node sends, the
+# routed answer is a JSON error or NDJSON with one done:true line after
+# in-range, strictly increasing match lines, at most limit of them).
+# The committed testdata/fuzz corpora always replay
 # in plain `go test`; this target additionally explores for a few
 # seconds per target, which is enough to catch gross regressions (a
 # panic or over-read lands within seconds on these tiny inputs).
@@ -94,6 +98,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzBTreeGet -fuzztime=$(FUZZTIME) ./internal/btree/
 	$(GO) test -fuzz=FuzzExtract -fuzztime=$(FUZZTIME) ./internal/subtree/
 	$(GO) test -fuzz=FuzzParseParams -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -fuzz=FuzzRoutedStream -fuzztime=$(FUZZTIME) ./internal/cluster/
 
 # Build the repository's vet tool.
 silint:

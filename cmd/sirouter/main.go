@@ -1,10 +1,13 @@
-// Command sirouter serves a Subtree Index cluster: it scatter-gathers
-// /search, /count, /batch and /stream over a static set of sisrv node
-// groups (each group one contiguous tid-range of the corpus, each
-// group a set of identical replicas), merging results with the exact
-// window and truncation semantics of a single sharded sisrv over the
-// same corpus. /stats merges every node's stats into a cluster view;
-// /healthz and /readyz report the replica set.
+// Command sirouter serves a Subtree Index cluster through the same
+// HTTP surface as sisrv (internal/server over a cluster.Router
+// backend): it scatter-gathers /search, /count, /batch and /stream
+// over a static set of sisrv node groups (each group one contiguous
+// tid-range of the corpus, each group a set of identical replicas),
+// merging results with the exact window and truncation semantics of a
+// single sharded sisrv over the same corpus. /stats merges every
+// node's stats into a cluster view; /healthz and /readyz report the
+// replica set, and on SIGTERM /readyz turns 503 while in-flight
+// requests drain for up to -drain, exactly as on a node.
 //
 // Topology is declarative: groups are comma-separated in tid order,
 // replicas pipe-separated within a group —
@@ -35,11 +38,8 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
-	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -57,73 +57,31 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "default end-to-end deadline per routed request; requests may shorten it with ?timeout= (0 = none)")
 	healthEvery := flag.Duration("health-every", cluster.DefaultHealthEvery, "how often each node's /readyz is polled")
 	hedgeAfter := flag.Duration("hedge-after", cluster.DefaultHedgeAfter, "hedge a unary subrequest to the next replica after this long, until the node's p95 latency takes over (negative = never hedge)")
-	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown: how long to wait for in-flight requests")
+	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown: how long to wait for in-flight requests after /readyz flips to 503")
 	flag.Parse()
 
-	if err := run(*addr, *nodes, *limit, *maxbatch, *timeout, *healthEvery, *hedgeAfter, *drain); err != nil {
+	if *nodes == "" {
+		log.Fatal("sirouter: set -nodes (e.g. -nodes 'http://a:9101,http://b:9102')")
+	}
+	groups, err := cluster.ParseNodes(*nodes)
+	if err != nil {
 		log.Fatal(err)
 	}
-}
-
-// run builds the router over the node topology and serves it until
-// SIGINT/SIGTERM, then drains gracefully.
-func run(addr, nodes string, limit, maxbatch int, timeout, healthEvery, hedgeAfter, drain time.Duration) error {
-	if nodes == "" {
-		return errors.New("sirouter: set -nodes (e.g. -nodes 'http://a:9101,http://b:9102')")
-	}
-	groups, err := cluster.ParseNodes(nodes)
+	rt, err := cluster.New(cluster.Config{Groups: groups, HealthEvery: *healthEvery, HedgeAfter: *hedgeAfter})
 	if err != nil {
-		return err
+		log.Fatal(err)
 	}
-	rt, err := cluster.New(cluster.Config{
-		Groups:      groups,
-		MaxMatches:  limit,
-		MaxBatch:    maxbatch,
-		Timeout:     timeout,
-		HealthEvery: healthEvery,
-		HedgeAfter:  hedgeAfter,
-	})
-	if err != nil {
-		return err
-	}
-	defer rt.Close()
 	total := 0
 	for _, g := range groups {
 		total += len(g)
 	}
 	log.Printf("routing %d group(s) over %d node(s)", len(groups), total)
-
-	writeTimeout := time.Duration(0)
-	if timeout > 0 {
-		writeTimeout = timeout + 30*time.Second
-		if writeTimeout < 60*time.Second {
-			writeTimeout = 60 * time.Second
-		}
-	}
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           rt,
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      writeTimeout,
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() {
-		log.Printf("listening on %s", addr)
-		errc <- srv.ListenAndServe()
-	}()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		log.Printf("shutting down: draining for up to %s", drain)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			return fmt.Errorf("sirouter: shutdown: %w", err)
-		}
-		return nil
+	h := server.Over(rt, server.Config{MaxMatches: *limit, MaxBatch: *maxbatch, Timeout: *timeout})
+	err = h.ListenAndServe(ctx, *addr, *drain)
+	stop()
+	rt.Close()
+	if err != nil {
+		log.Fatal(err)
 	}
 }

@@ -217,7 +217,9 @@ func initialSync(ctx context.Context, sc serveConfig) error {
 }
 
 // run builds, opens or replicates the index and serves it until
-// SIGINT/SIGTERM, then drains gracefully.
+// SIGINT/SIGTERM, then drains gracefully (server.ListenAndServe: the
+// write deadline follows -timeout, /readyz turns 503, in-flight
+// requests get up to -drain).
 func run(sc serveConfig) error {
 	if sc.dir == "" && sc.gen == 0 {
 		return errors.New("sisrv: set -index to serve an existing index, or -gen N to build a demo index")
@@ -271,29 +273,6 @@ func run(sc serveConfig) error {
 		Timeout:       sc.timeout,
 		Dir:           sc.dir,
 	})
-
-	// The evaluation timeout flows to per-request contexts through
-	// server.Config; the http.Server write timeout is derived from it
-	// with headroom to serialize the response, so the connection
-	// deadline never fires before the evaluation deadline has had its
-	// chance to produce a clean 504. -timeout 0 means no deadline at
-	// either level: the write timeout is disabled too, or a >60s
-	// evaluation would have its connection severed mid-response.
-	writeTimeout := time.Duration(0)
-	if sc.timeout > 0 {
-		writeTimeout = sc.timeout + 30*time.Second
-		if writeTimeout < 60*time.Second {
-			writeTimeout = 60 * time.Second
-		}
-	}
-	srv := &http.Server{
-		Addr:              sc.addr,
-		Handler:           h,
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      writeTimeout,
-	}
-
 	if sc.compact.every > 0 {
 		log.Printf("background compaction: every %s at >=%d segments or >=%d deleted trees",
 			sc.compact.every, sc.compact.minSegments, sc.compact.minDeleted)
@@ -314,25 +293,5 @@ func run(sc serveConfig) error {
 		}()
 		defer func() { stop(); <-syncDone }()
 	}
-	errc := make(chan error, 1)
-	go func() {
-		log.Printf("listening on %s", sc.addr)
-		errc <- srv.ListenAndServe()
-	}()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		// Graceful drain: flip /readyz to 503 first so routers and load
-		// balancers stop sending work, then let Shutdown wait for
-		// in-flight requests (active streams included) up to -drain.
-		log.Printf("shutting down: draining for up to %s", sc.drain)
-		h.SetDraining(true)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), sc.drain)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			return fmt.Errorf("sisrv: shutdown: %w", err)
-		}
-		return nil
-	}
+	return h.ListenAndServe(ctx, sc.addr, sc.drain)
 }

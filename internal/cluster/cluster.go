@@ -1,7 +1,8 @@
-// Package cluster is the distributed serving layer over sisrv nodes:
-// the sirouter HTTP handler (scatter-gather over a replicated,
-// tid-partitioned node set) and the follower Sync that replicates a
-// leader's published segments over the /manifest + /segment surface.
+// Package cluster is the distributed half of the serving tier: the
+// remote Backend behind sirouter (server.Over(router, cfg) serves the
+// same HTTP surface as a node, written once in internal/server) and
+// the follower Sync that replicates a leader's published segments over
+// the /manifest + /segment surface.
 //
 // The topology is static and declarative: the corpus is partitioned
 // into groups in tid order (each group serves one contiguous tid
@@ -14,19 +15,24 @@
 // the merge — plus strict in-order streaming, so a query through the
 // router returns byte-identical matches, counts and truncation flags
 // to the same query on a single sharded index with the same
-// partition boundaries (asserted by the parity tests).
+// partition boundaries (asserted by the parity tests). Every node
+// answer is checked before it is merged: a match outside the group's
+// tid range or out of (tid, root) order is the replica's fault.
 //
 // Replica failures are absorbed three ways: a health loop polls
 // /readyz and routes around not-ready nodes; unary subrequests are
 // hedged — after the node's recent p95 latency a duplicate goes to the
 // next replica and the first response wins, the loser cancelled — and
-// failed over on transport errors, 5xx and 429; and /stream subrequests
-// resume on the next replica from the exact match offset already
-// consumed (segments are immutable, so the resumed stream continues
-// where the dead node stopped, and the client stream completes).
+// failed over on transport errors, 5xx, 429 and invalid answers; and
+// /stream subrequests resume on the next replica from the exact match
+// offset already consumed (segments are immutable, so the resumed
+// stream continues where the dead node stopped, and the client stream
+// completes).
 package cluster
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -46,36 +52,20 @@ const (
 	// DefaultHedgeAfter is the hedge delay used until a node has enough
 	// latency samples for a p95 estimate.
 	DefaultHedgeAfter = 100 * time.Millisecond
-	// DefaultMaxMatches mirrors the node-side default match cap.
-	DefaultMaxMatches = server.DefaultMaxMatches
-	// DefaultMaxBatch mirrors the node-side default batch cap.
-	DefaultMaxBatch = server.DefaultMaxBatch
-	// DefaultMaxBody mirrors the node-side default /batch body cap.
-	DefaultMaxBody = server.DefaultMaxBody
 )
 
-// Config configures a Router.
+// Config configures a Router. The query limits — match cap, batch
+// cap, default deadline, admission — are the server.Config of the
+// surface serving the router. Each group is asked for offset+limit
+// matches, which a node clamps to its own cap, so even equal caps clip
+// once offset > 0; a clipped group ends the merge and the answer is a
+// valid prefix of the window, flagged truncated. Run nodes uncapped
+// (-limit -1) for full windows.
 type Config struct {
 	// Groups is the node topology: one entry per tid-range partition in
 	// serving (tid) order, each listing the URLs of the replicas that
 	// serve that partition. See ParseNodes for the flag syntax.
 	Groups [][]string
-	// MaxMatches caps the per-query match window the router returns,
-	// with the same semantics as server.Config.MaxMatches: 0 means
-	// DefaultMaxMatches, negative means no cap. Each group is asked for
-	// offset+limit matches, which a node clamps to its own cap — so even
-	// equal caps clip once offset > 0. A clipped group ends the merge:
-	// the answer is then a valid prefix of the window, flagged
-	// truncated. Run nodes uncapped (-limit -1) for full windows.
-	MaxMatches int
-	// MaxBatch caps queries per /batch request. 0 means DefaultMaxBatch.
-	MaxBatch int
-	// MaxBody caps the /batch request body. 0 means DefaultMaxBody.
-	MaxBody int64
-	// Timeout is the default end-to-end deadline per routed request; a
-	// request's timeout= parameter may shorten it but never extend it.
-	// 0 means no router-imposed deadline.
-	Timeout time.Duration
 	// HealthEvery is the /readyz poll period. 0 means DefaultHealthEvery.
 	HealthEvery time.Duration
 	// HedgeAfter is the hedge delay used for a node until its latency
@@ -83,34 +73,15 @@ type Config struct {
 	// never trusted to hedge sooner than). 0 means DefaultHedgeAfter;
 	// negative disables hedging entirely (failover on error remains).
 	HedgeAfter time.Duration
-	// Client issues all node subrequests; nil means a dedicated client
-	// with connection pooling per node and no global timeout (deadlines
-	// come from request contexts).
-	Client *http.Client
 }
 
 // normalize fills in defaults for zero fields.
 func (c *Config) normalize() {
-	if c.MaxMatches == 0 {
-		c.MaxMatches = DefaultMaxMatches
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = DefaultMaxBatch
-	}
-	if c.MaxBody == 0 {
-		c.MaxBody = DefaultMaxBody
-	}
 	if c.HealthEvery == 0 {
 		c.HealthEvery = DefaultHealthEvery
 	}
 	if c.HedgeAfter == 0 {
 		c.HedgeAfter = DefaultHedgeAfter
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 16,
-			IdleConnTimeout:     90 * time.Second,
-		}}
 	}
 }
 
@@ -198,22 +169,19 @@ func (l *latencyRing) p95() (time.Duration, bool) {
 	return buf[k*95/100], true
 }
 
-// Router is the sirouter HTTP handler: it scatter-gathers /search,
-// /count, /batch and /stream over the node groups, merges /stats, and
-// exposes its own /healthz and /readyz.
+// Router is the server.Backend of sirouter: it scatter-gathers
+// searches, counts, batches and streams over the node groups, merges
+// their /stats, and reports the replica set's health.
 type Router struct {
 	cfg    Config
 	groups [][]*node
 	nodes  []*node // flattened, for the health loop and /stats
-	mux    *http.ServeMux
+	client *http.Client
 	stop   chan struct{}
 	wg     sync.WaitGroup
 
-	requests  atomic.Uint64 // client requests accepted
-	errors    atomic.Uint64 // client requests answered with an error status
 	hedges    atomic.Uint64 // duplicate subrequests launched by the hedge timer
 	failovers atomic.Uint64 // subrequest retries after a replica failure
-	started   time.Time
 }
 
 // New builds a Router over cfg's topology, performs one synchronous
@@ -224,7 +192,10 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Groups) == 0 {
 		return nil, fmt.Errorf("cluster: no node groups configured")
 	}
-	r := &Router{cfg: cfg, mux: http.NewServeMux(), stop: make(chan struct{}), started: time.Now()}
+	// One pooled client issues every node subrequest; it has no global
+	// timeout, because deadlines come from the request contexts.
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16, IdleConnTimeout: 90 * time.Second}}
+	r := &Router{cfg: cfg, client: client, stop: make(chan struct{})}
 	for _, g := range cfg.Groups {
 		if len(g) == 0 {
 			return nil, fmt.Errorf("cluster: empty replica group")
@@ -237,13 +208,6 @@ func New(cfg Config) (*Router, error) {
 		}
 		r.groups = append(r.groups, ns)
 	}
-	r.mux.HandleFunc("/search", r.handleSearch)
-	r.mux.HandleFunc("/count", r.handleCount)
-	r.mux.HandleFunc("/batch", r.handleBatch)
-	r.mux.HandleFunc("/stream", r.handleStream)
-	r.mux.HandleFunc("/stats", r.handleStats)
-	r.mux.HandleFunc("/healthz", r.handleHealthz)
-	r.mux.HandleFunc("/readyz", r.handleReadyz)
 	r.Refresh()
 	r.wg.Add(1)
 	go r.healthLoop()
@@ -255,18 +219,6 @@ func New(cfg Config) (*Router, error) {
 func (r *Router) Close() {
 	close(r.stop)
 	r.wg.Wait()
-}
-
-// ServeHTTP dispatches to the router endpoints. Like the node server,
-// every request gets an X-Request-Id (accepted or minted) echoed in
-// the response headers and forwarded on every node subrequest, so one
-// client query is traceable across the whole fan-out.
-func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	r.requests.Add(1)
-	rid := server.RequestID(req)
-	w.Header().Set(server.RequestIDHeader, rid)
-	req = req.WithContext(server.WithRequestID(req.Context(), rid))
-	r.mux.ServeHTTP(w, req)
 }
 
 // healthLoop polls every node's /readyz on the configured period.
@@ -301,7 +253,6 @@ func (r *Router) Refresh() {
 
 // probe updates one node's health state from its /readyz.
 func (r *Router) probe(n *node) {
-	hc := r.cfg.Client
 	req, err := http.NewRequest(http.MethodGet, n.url+"/readyz", nil)
 	if err != nil {
 		n.ready.Store(false)
@@ -309,16 +260,16 @@ func (r *Router) probe(n *node) {
 	}
 	// The probe must never hang the sweep: readiness answers are
 	// in-memory on the node, so a bounded wait is generous.
-	ctx, cancel := contextWithTimeout(req.Context(), r.cfg.HealthEvery)
+	ctx, cancel := context.WithTimeout(req.Context(), r.cfg.HealthEvery)
 	defer cancel()
-	resp, err := hc.Do(req.WithContext(ctx))
+	resp, err := r.client.Do(req.WithContext(ctx))
 	if err != nil {
 		n.ready.Store(false)
 		return
 	}
 	defer resp.Body.Close()
 	var ready server.ReadyResponse
-	if err := decodeJSONBody(resp, &ready); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&ready); err != nil {
 		n.ready.Store(false)
 		return
 	}
@@ -329,18 +280,20 @@ func (r *Router) probe(n *node) {
 	n.ready.Store(resp.StatusCode == http.StatusOK && ready.Ready)
 }
 
-// bases snapshots the tid base offset of every group: group i's local
-// tids rebase to global tids by adding the total trees of groups
-// before it — the same contiguous-partition arithmetic as shard
-// offsets in a sharded index.
-func (r *Router) bases() []uint32 {
-	bases := make([]uint32, len(r.groups))
+// layout snapshots every group's tree count and tid base offset: group
+// i's local tids lie in [0, sizes[i]) and rebase to global tids by
+// adding the total trees of groups before it — the same
+// contiguous-partition arithmetic as shard offsets in a sharded index.
+func (r *Router) layout() (sizes []int64, bases []uint32) {
+	sizes = make([]int64, len(r.groups))
+	bases = make([]uint32, len(r.groups))
 	var sum int64
 	for i, g := range r.groups {
+		sizes[i] = groupTrees(g)
 		bases[i] = uint32(sum)
-		sum += groupTrees(g)
+		sum += sizes[i]
 	}
-	return bases
+	return sizes, bases
 }
 
 // groupTrees is the corpus size of one group: the tree count of its

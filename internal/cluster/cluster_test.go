@@ -76,15 +76,16 @@ func buildNode(t *testing.T, trees []*si.Tree, shards int, cfg server.Config) (*
 	return h, ts
 }
 
-// startRouter mounts a Router over the given topology on httptest.
-func startRouter(t *testing.T, cfg Config) (*Router, *httptest.Server) {
+// startRouter mounts the HTTP surface over a Router over the given
+// topology on httptest.
+func startRouter(t *testing.T, cfg Config, scfg server.Config) (*Router, *httptest.Server) {
 	t.Helper()
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
-	ts := httptest.NewServer(rt)
+	ts := httptest.NewServer(server.Over(rt, scfg))
 	t.Cleanup(ts.Close)
 	return rt, ts
 }
@@ -109,10 +110,9 @@ func newParityPair(t *testing.T, corpus []*si.Tree, groups, replicas int) (ref *
 	}
 	rt, rts = startRouter(t, Config{
 		Groups:      topo,
-		MaxMatches:  -1,
 		HealthEvery: time.Minute, // New probes synchronously; no churn during the test
 		HedgeAfter:  -1,          // deterministic subrequest counts for parity
-	})
+	}, server.Config{MaxMatches: -1})
 	return ref, rt, rts
 }
 
@@ -347,7 +347,7 @@ func TestRoutedWindowsArePrefixes(t *testing.T) {
 		}
 		routers := map[int]*httptest.Server{}
 		for _, rcap := range []int{5, -1} {
-			_, routers[rcap] = startRouter(t, Config{Groups: topo, MaxMatches: rcap, HealthEvery: time.Minute, HedgeAfter: -1})
+			_, routers[rcap] = startRouter(t, Config{Groups: topo, HealthEvery: time.Minute, HedgeAfter: -1}, server.Config{MaxMatches: rcap})
 		}
 		windows := []struct{ rcap, limit, offset int }{
 			{5, 5, 0}, {5, 5, 3}, {5, 2, 4}, {5, 1, 7}, {-1, -1, 0}, {-1, -1, 3}, {-1, 10, 2},
@@ -545,11 +545,9 @@ func TestRouterHedging(t *testing.T) {
 
 	rt, rts := startRouter(t, Config{
 		Groups:      [][]string{{slow.URL, fast.URL}},
-		MaxMatches:  -1,
 		HealthEvery: time.Minute,
 		HedgeAfter:  10 * time.Millisecond,
-		Timeout:     time.Minute,
-	})
+	}, server.Config{MaxMatches: -1, Timeout: time.Minute})
 
 	var want server.SearchResponse
 	getJSON(t, fast.URL+"/search?q=NP(DT)(NN)&limit=5", &want)
@@ -595,10 +593,9 @@ func TestRouterFailover(t *testing.T) {
 
 	rt, rts := startRouter(t, Config{
 		Groups:      [][]string{{broken.URL, good.URL}},
-		MaxMatches:  -1,
 		HealthEvery: time.Minute,
 		HedgeAfter:  -1,
-	})
+	}, server.Config{MaxMatches: -1})
 
 	var want, got server.SearchResponse
 	getJSON(t, good.URL+"/search?q=S(NP)(VP)&limit=3", &want)
@@ -657,10 +654,9 @@ func TestRouterStreamFailover(t *testing.T) {
 
 	rt, rts := startRouter(t, Config{
 		Groups:      [][]string{{dying.URL, good0.URL}, {good1.URL}},
-		MaxMatches:  -1,
 		HealthEvery: time.Minute,
 		HedgeAfter:  -1,
-	})
+	}, server.Config{MaxMatches: -1})
 
 	refLines, refSum := streamAll(t, ref.URL+"/stream?q=NP(DT)(NN)&limit=-1")
 	if len(refLines) < 10 {
@@ -674,5 +670,114 @@ func TestRouterStreamFailover(t *testing.T) {
 		rts.URL+"/stream?q=NP(DT)(NN)&limit=-1")
 	if rt.failovers.Load() == 0 {
 		t.Fatal("the stream never failed over")
+	}
+}
+
+// TestRoutedStreamStatusBeforeFirstMatch requires a routed /stream that
+// fails before its first match to answer with a status and a JSON
+// error, as a node does and as the routed /search and /count do: group
+// 0 answers with no match at all, and group 1's only replica fails.
+func TestRoutedStreamStatusBeforeFirstMatch(t *testing.T) {
+	corpus := si.GenerateCorpus(2012, 300)
+	bounds := core.ShardBounds(len(corpus), 2)
+	_, good0 := buildNode(t, renumber(corpus[:bounds[1]]), 0, server.Config{MaxMatches: -1})
+	h1, _ := buildNode(t, renumber(corpus[bounds[1]:]), 0, server.Config{MaxMatches: -1})
+	broken := httptest.NewServer(brokenReplica{inner: h1})
+	t.Cleanup(broken.Close)
+	_, rts := startRouter(t, Config{
+		Groups:      [][]string{{good0.URL}, {broken.URL}},
+		HealthEvery: time.Minute,
+		HedgeAfter:  -1,
+	}, server.Config{MaxMatches: -1})
+	for _, ep := range []string{"/search", "/count", "/stream"} {
+		wantError(t, rts.URL+ep+"?q="+url.QueryEscape("ZZZ(QQQ)"), http.StatusBadGateway)
+	}
+}
+
+// wantError requires GET url to answer status with a JSON error body.
+func wantError(t *testing.T, url string, status int) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e struct {
+		Error string `json:"error"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&e)
+	if resp.StatusCode != status || err != nil || e.Error == "" {
+		t.Fatalf("GET %s: status %d, error %q (%v); want %d with a JSON error", url, resp.StatusCode, e.Error, err, status)
+	}
+}
+
+// lyingNode reports 10 trees on /readyz and answers /search and
+// /stream with a fixed match list, whatever the query.
+type lyingNode struct {
+	matches []server.MatchJSON
+}
+
+// ServeHTTP answers readiness and the two query endpoints.
+func (h lyingNode) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	enc := json.NewEncoder(w)
+	switch r.URL.Path {
+	case "/readyz":
+		enc.Encode(server.ReadyResponse{Ready: true, Trees: 10, Segments: 1})
+	case "/search":
+		enc.Encode(server.SearchResponse{QueryResult: server.QueryResult{Count: len(h.matches), Matches: h.matches}})
+	case "/stream":
+		for _, m := range h.matches {
+			enc.Encode(m)
+		}
+		enc.Encode(server.StreamSummary{Done: true, Count: len(h.matches)})
+	default:
+		http.NotFound(w, r)
+	}
+}
+
+// TestRouterRejectsInvalidNodeAnswers holds node answers to the group's
+// tid range and to strictly increasing (tid, root) order. A node that
+// reports 10 trees but answers tid 4000000000, or answers out of
+// order, is a failed replica: alone in its group the routed query is a
+// 502, and placed before a good replica it is failed over, so the
+// answer is the good replica's.
+func TestRouterRejectsInvalidNodeAnswers(t *testing.T) {
+	_, good := buildNode(t, si.GenerateCorpus(2012, 10), 0, server.Config{MaxMatches: -1})
+	path := "/search?limit=-1&q=" + url.QueryEscape("NP(DT)(NN)")
+	var want server.SearchResponse
+	getJSON(t, good.URL+path, &want)
+	if len(want.Matches) < 2 {
+		t.Fatalf("fixture too small: %d matches in 10 trees", len(want.Matches))
+	}
+	cfg := Config{HealthEvery: time.Minute, HedgeAfter: -1}
+	for _, c := range []struct {
+		name    string
+		matches []server.MatchJSON
+	}{
+		{"out of range", []server.MatchJSON{{TID: 4000000000}, {TID: 1}}},
+		{"out of order", []server.MatchJSON{{TID: 5, Root: 2}, {TID: 1}}},
+		{"repeated", []server.MatchJSON{{TID: 5, Root: 2}, {TID: 5, Root: 2}}},
+	} {
+		liar := httptest.NewServer(lyingNode{matches: c.matches})
+		t.Cleanup(liar.Close)
+		cfg.Groups = [][]string{{liar.URL}}
+		_, alone := startRouter(t, cfg, server.Config{MaxMatches: -1})
+		wantError(t, alone.URL+path, http.StatusBadGateway)
+
+		cfg.Groups = [][]string{{liar.URL, good.URL}}
+		_, failover := startRouter(t, cfg, server.Config{MaxMatches: -1})
+		var got server.SearchResponse
+		getJSON(t, failover.URL+path, &got)
+		sameResult(t, c.name+" /search", want.QueryResult, got.QueryResult)
+
+		// A stream line is checked as it arrives: a first line out of
+		// range fails the stream before anything is on the wire.
+		// Later lines cannot be judged before the earlier ones are
+		// relayed, so only that case has a stream status to check.
+		if c.matches[0].TID >= 10 {
+			stream := strings.Replace(path, "/search", "/stream", 1)
+			wantError(t, alone.URL+stream, http.StatusBadGateway)
+			sameStream(t, c.name+" /stream", good.URL+stream, failover.URL+stream)
+		}
 	}
 }

@@ -19,11 +19,11 @@ import (
 
 // nodeError is a subrequest failure that carries the upstream HTTP
 // status, so the router can distinguish the client's fault (4xx: relay
-// as-is) from a replica's (5xx/429/transport: retry elsewhere, and
-// surface as 502 if every replica fails).
+// as-is) from a replica's (5xx/429/transport/invalid answer: retry
+// elsewhere, and surface as 502 if every replica fails).
 type nodeError struct {
 	url    string
-	status int // 0 for transport-level failures
+	status int // 0 for transport-level failures and invalid answers
 	msg    string
 }
 
@@ -36,30 +36,26 @@ func (e *nodeError) Error() string {
 }
 
 // retryable reports whether another replica might succeed where this
-// one failed: transport errors, 5xx and 429 are the replica's problem;
-// any other 4xx means the request itself is bad and every replica
-// would refuse it the same way.
+// one failed: transport errors, invalid answers, 5xx and 429 are the
+// replica's problem; any other 4xx means the request itself is bad and
+// every replica would refuse it the same way.
 func (e *nodeError) retryable() bool {
 	return e.status == 0 || e.status >= 500 || e.status == http.StatusTooManyRequests
+}
+
+// HTTPStatus is the status the routed request answers with: the
+// upstream's own when the request itself was refused, 502 when
+// replicas failed.
+func (e *nodeError) HTTPStatus() int {
+	if e.retryable() {
+		return http.StatusBadGateway
+	}
+	return e.status
 }
 
 // maxErrorBody bounds how much of an upstream error body the router
 // reads back; error messages are one line, not payloads.
 const maxErrorBody = 8 << 10
-
-// contextWithTimeout is context.WithTimeout that tolerates a zero or
-// negative bound (meaning: no additional deadline).
-func contextWithTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	if d <= 0 {
-		return context.WithCancel(ctx)
-	}
-	return context.WithTimeout(ctx, d)
-}
-
-// decodeJSONBody decodes one JSON response body into out.
-func decodeJSONBody(resp *http.Response, out any) error {
-	return json.NewDecoder(resp.Body).Decode(out)
-}
 
 // attempt issues one subrequest to one node and decodes the reply.
 // A non-2xx answer becomes a *nodeError carrying the upstream status
@@ -85,7 +81,7 @@ func (r *Router) attempt(ctx context.Context, n *node, method, path string, q ur
 		req.Header.Set(server.RequestIDHeader, rid)
 	}
 	start := time.Now()
-	resp, err := r.cfg.Client.Do(req)
+	resp, err := r.client.Do(req)
 	if err != nil {
 		return &nodeError{url: n.url, msg: err.Error()}
 	}
@@ -93,7 +89,7 @@ func (r *Router) attempt(ctx context.Context, n *node, method, path string, q ur
 	if resp.StatusCode != http.StatusOK {
 		return &nodeError{url: n.url, status: resp.StatusCode, msg: readErrorBody(resp)}
 	}
-	if err := decodeJSONBody(resp, out); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		return &nodeError{url: n.url, msg: "bad response body: " + err.Error()}
 	}
 	n.lat.record(time.Since(start))
@@ -116,19 +112,21 @@ func readErrorBody(resp *http.Response) string {
 	return resp.Status
 }
 
-// doGroup executes one unary subrequest against a replica group:
+// groupDo executes one unary subrequest against a replica group:
 // launch on the preferred (first ready) replica, hedge to the next one
 // if no answer arrives within the node's hedge delay, fail over
-// immediately on a retryable error, and return the first successful
-// reply — cancelling whatever else is still in flight. out must be a
-// fresh value; exactly one successful decode writes into it.
+// immediately on a retryable error, and return the first valid reply —
+// cancelling whatever else is still in flight. check validates a
+// decoded reply; a reply it refuses is the replica's fault, so the
+// next replica is tried.
 //
 // The hedge fires on latency, not failure: the duplicate races the
 // original and the first response of either wins, which converts one
 // straggling replica into the next replica's p50 instead of the
 // client-visible tail. A non-retryable error (a 400, typically a bad
 // query) returns immediately — every replica would refuse it too.
-func (r *Router) doGroup(ctx context.Context, g []*node, method, path string, q url.Values, body []byte, out any) error {
+func groupDo[T any](ctx context.Context, r *Router, g []*node, method, path string, q url.Values, body []byte, check func(*T) error) (T, error) {
+	var zero T
 	cands := candidates(g)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -139,14 +137,19 @@ func (r *Router) doGroup(ctx context.Context, g []*node, method, path string, q 
 	}
 	results := make(chan outcome, len(cands))
 	// Each attempt decodes into its own value: a losing attempt must
-	// not race a concurrent winner writing the caller's out.
-	outs := make([]json.RawMessage, len(cands))
+	// not race a concurrent winner.
+	outs := make([]T, len(cands))
 	launched := 0
 	launch := func() {
 		i := launched
 		launched++
 		go func() {
 			err := r.attempt(ctx, cands[i], method, path, q, body, &outs[i])
+			if err == nil {
+				if cerr := check(&outs[i]); cerr != nil {
+					err = &nodeError{url: cands[i].url, msg: "invalid answer: " + cerr.Error()}
+				}
+			}
 			select {
 			case results <- outcome{idx: i, err: err}:
 			case <-ctx.Done():
@@ -175,9 +178,9 @@ func (r *Router) doGroup(ctx context.Context, g []*node, method, path string, q 
 		select {
 		case <-ctx.Done():
 			if firstErr != nil {
-				return firstErr
+				return zero, firstErr
 			}
-			return &nodeError{url: "-", msg: ctx.Err().Error()}
+			return zero, &nodeError{url: "-", msg: ctx.Err().Error()}
 		case <-hedge:
 			r.hedges.Add(1)
 			launch()
@@ -185,11 +188,11 @@ func (r *Router) doGroup(ctx context.Context, g []*node, method, path string, q 
 			armHedge()
 		case o := <-results:
 			if o.err == nil {
-				return json.Unmarshal(outs[o.idx], out)
+				return outs[o.idx], nil
 			}
 			ne, _ := o.err.(*nodeError)
 			if ne != nil && !ne.retryable() {
-				return o.err // the request is at fault; no replica will differ
+				return zero, o.err // the request is at fault; no replica will differ
 			}
 			if firstErr == nil {
 				firstErr = o.err
@@ -202,7 +205,7 @@ func (r *Router) doGroup(ctx context.Context, g []*node, method, path string, q 
 				armHedge()
 			}
 			if inflight == 0 {
-				return firstErr
+				return zero, firstErr
 			}
 		}
 	}

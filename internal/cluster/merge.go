@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -14,24 +13,13 @@ import (
 	"repro/internal/server"
 )
 
-// This file is the unary scatter-gather: /search, /count and /batch
+// This file is the unary scatter-gather: searches, counts and batches
 // consult the groups through core.Gather — the leafSet engine's own
 // consultation policy — and fold the per-group windows with core.Rebase
 // and core.Window, so the router is observationally a sharded index
-// whose shards happen to be networked. A limited /search is a bounded
+// whose shards happen to be networked. A limited search is a bounded
 // gather (groups consulted lazily in tid order, the engine's
 // lookahead); unlimited searches, counts and batches are unbounded.
-
-// requestCtx bounds a routed request like a node bounds its own: the
-// client's context, capped by the requested timeout clamped to the
-// router default.
-func (r *Router) requestCtx(req *http.Request, requested time.Duration) (context.Context, context.CancelFunc) {
-	d := r.cfg.Timeout
-	if requested > 0 && (d <= 0 || requested < d) {
-		d = requested
-	}
-	return contextWithTimeout(req.Context(), d)
-}
 
 // remaining renders what is left of ctx's deadline as a node timeout
 // parameter, so a node never evaluates past the point the router would
@@ -61,35 +49,6 @@ func nodeQuery(ctx context.Context, src string, limit, offset int) url.Values {
 	return q
 }
 
-// failStatus maps a subrequest error to the client-facing status: the
-// upstream status when the request itself was refused (4xx), 504 when
-// the routed deadline expired, 502 for replica failures.
-func failStatus(ctx context.Context, err error) int {
-	if ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) {
-		return http.StatusGatewayTimeout
-	}
-	var ne *nodeError
-	if errors.As(err, &ne) && ne.status != 0 && !ne.retryable() {
-		return ne.status
-	}
-	return http.StatusBadGateway
-}
-
-// fail answers with a JSON error body.
-func (r *Router) fail(w http.ResponseWriter, status int, msg string) {
-	r.errors.Add(1)
-	r.writeJSON(w, status, map[string]string{"error": msg})
-}
-
-// writeJSON encodes v as the response with the given status.
-func (r *Router) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
 // groupErr names the failing group in a subrequest error; nil stays nil.
 func groupErr(i int, err error) error {
 	if err == nil {
@@ -98,12 +57,41 @@ func groupErr(i int, err error) error {
 	return fmt.Errorf("group %d: %w", i, err)
 }
 
+// checkMatch is the router's guard on one node match: it must lie in
+// the group's tid range [0, trees) and, when prev is set, follow it in
+// strictly increasing (tid, root) order — the order the merge and the
+// window arithmetic rely on.
+func checkMatch(m server.MatchJSON, trees int64, prev *server.MatchJSON) error {
+	if int64(m.TID) >= trees {
+		return fmt.Errorf("match tid %d outside the group's %d trees", m.TID, trees)
+	}
+	if prev != nil && (m.TID < prev.TID || m.TID == prev.TID && m.Root <= prev.Root) {
+		return fmt.Errorf("match %+v does not follow %+v", m, *prev)
+	}
+	return nil
+}
+
+// checkMatches applies checkMatch to one node's match list.
+func checkMatches(ms []server.MatchJSON, trees int64) error {
+	for i := range ms {
+		var prev *server.MatchJSON
+		if i > 0 {
+			prev = &ms[i-1]
+		}
+		if err := checkMatch(ms[i], trees, prev); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // groupGet is the Gather evaluation of a unary GET endpoint: group i's
-// answer to path?q.
-func (r *Router) groupGet(ctx context.Context, path string, q url.Values) func(int) (server.SearchResponse, error) {
+// checked answer to path?q.
+func (r *Router) groupGet(ctx context.Context, path string, q url.Values, sizes []int64) func(int) (server.SearchResponse, error) {
 	return func(i int) (server.SearchResponse, error) {
-		var resp server.SearchResponse
-		err := r.doGroup(ctx, r.groups[i], http.MethodGet, path, q, nil, &resp)
+		resp, err := groupDo(ctx, r, r.groups[i], http.MethodGet, path, q, nil, func(resp *server.SearchResponse) error {
+			return checkMatches(resp.Matches, sizes[i])
+		})
 		return resp, groupErr(i, err)
 	}
 }
@@ -148,7 +136,7 @@ func (m *groupMerge) add(i int, qr server.QueryResult) (full bool) {
 	if m.clipped {
 		return true
 	}
-	m.ms = rebaseMatches(m.ms, qr.Matches, m.bases[i])
+	m.ms = core.Rebase(m.ms, qr.Matches, m.bases[i])
 	m.found += qr.Count
 	m.clipped = qr.Truncated && (m.target == 0 || len(qr.Matches) < m.target)
 	return m.clipped || (m.target > 0 && m.found >= m.target)
@@ -158,169 +146,84 @@ func (m *groupMerge) add(i int, qr server.QueryResult) (full bool) {
 // core.Window. Each group's window is its leading <= target matches, so
 // the merged slice's first target elements are exactly the global
 // result's. unconsulted reports groups the gather never folded.
-func (m *groupMerge) result(src string, unconsulted bool) server.QueryResult {
+func (m *groupMerge) result(unconsulted bool) server.QueryResult {
 	out, _, _ := core.Window(m.ms, m.opts)
 	return server.QueryResult{
-		Query:     src,
 		Count:     m.found,
-		Matches:   wireMatches(out),
+		Matches:   out,
 		Truncated: m.clipped || unconsulted || (m.target > 0 && m.found > m.target),
 	}
 }
 
-// rebaseMatches converts one node's wire matches to engine matches
-// shifted onto the global tid range via core.Rebase.
-func rebaseMatches(dst []core.Match, ms []server.MatchJSON, base uint32) []core.Match {
-	local := make([]core.Match, len(ms))
-	for i, m := range ms {
-		local[i] = core.Match{TID: m.TID, Root: m.Root}
+// Search answers one query through the cluster. A count is every
+// group's exact count, summed; a search is one gather over the groups,
+// bounded exactly when the window is, each group asked for the
+// window's leading target matches.
+func (r *Router) Search(ctx context.Context, p server.Params) (server.QueryResult, *server.StatsJSON, error) {
+	sizes, bases := r.layout()
+	if p.CountOnly {
+		total := 0
+		eval := r.groupGet(ctx, "/count", nodeQuery(ctx, p.Src, -1, 0), sizes)
+		_, err := core.Gather(len(r.groups), false, eval, func(_ int, resp server.SearchResponse) bool {
+			total += resp.Count
+			return false
+		})
+		return server.QueryResult{Count: total}, nil, err
 	}
-	return core.Rebase(dst, local, base)
-}
-
-// wireMatches converts merged engine matches back to the wire form.
-func wireMatches(ms []core.Match) []server.MatchJSON {
-	if ms == nil {
-		return nil
-	}
-	out := make([]server.MatchJSON, len(ms))
-	for i, m := range ms {
-		out[i] = server.MatchJSON{TID: m.TID, Root: m.Root}
-	}
-	return out
-}
-
-// handleSearch serves GET /search through the cluster: one gather over
-// the groups, bounded exactly when the window is, each group asked for
-// the window's leading target matches.
-func (r *Router) handleSearch(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		r.fail(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	p, err := server.ParseParams(req, r.cfg.MaxMatches)
-	if err != nil {
-		r.fail(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	ctx, cancel := r.requestCtx(req, p.Timeout)
-	defer cancel()
-	start := time.Now()
-	m := newGroupMerge(r.bases(), p.Limit, p.Offset)
-	eval := r.groupGet(ctx, "/search", nodeQuery(ctx, p.Src, m.nodeLimit(), 0))
+	m := newGroupMerge(bases, p.Limit, p.Offset)
+	eval := r.groupGet(ctx, "/search", nodeQuery(ctx, p.Src, m.nodeLimit(), 0), sizes)
 	consulted, err := core.Gather(len(r.groups), m.target > 0, eval, func(i int, resp server.SearchResponse) bool {
 		return m.add(i, resp.QueryResult)
 	})
 	if err != nil {
-		r.fail(w, failStatus(ctx, err), err.Error())
-		return
+		return server.QueryResult{}, nil, err
 	}
-	r.writeJSON(w, http.StatusOK, server.SearchResponse{
-		QueryResult: m.result(p.Src, consulted < len(r.groups)),
-		TookNS:      time.Since(start).Nanoseconds(),
-	})
+	return m.result(consulted < len(r.groups)), nil, nil
 }
 
-// handleCount serves GET /count: every group's exact count, summed.
-func (r *Router) handleCount(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		r.fail(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	p, err := server.ParseParams(req, r.cfg.MaxMatches)
-	if err != nil {
-		r.fail(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	ctx, cancel := r.requestCtx(req, p.Timeout)
-	defer cancel()
-	start := time.Now()
-	total := 0
-	eval := r.groupGet(ctx, "/count", nodeQuery(ctx, p.Src, -1, 0))
-	if _, err := core.Gather(len(r.groups), false, eval, func(_ int, resp server.SearchResponse) bool {
-		total += resp.Count
-		return false
-	}); err != nil {
-		r.fail(w, failStatus(ctx, err), err.Error())
-		return
-	}
-	r.writeJSON(w, http.StatusOK, server.SearchResponse{
-		QueryResult: server.QueryResult{Query: p.Src, Count: total},
-		TookNS:      time.Since(start).Nanoseconds(),
-	})
-}
-
-// handleBatch serves POST /batch: the whole batch goes to every group
-// (batches share fetches, they do not early-terminate — the engine's
-// own contract), and each query merges like an unlimited or windowed
-// search.
-func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		r.fail(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	var breq server.BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, r.cfg.MaxBody))
-	if err := dec.Decode(&breq); err != nil {
-		r.fail(w, http.StatusBadRequest, "bad batch body: "+err.Error())
-		return
-	}
-	if len(breq.Queries) == 0 {
-		r.fail(w, http.StatusBadRequest, "empty queries")
-		return
-	}
-	if len(breq.Queries) > r.cfg.MaxBatch {
-		r.fail(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d queries exceeds limit %d", len(breq.Queries), r.cfg.MaxBatch))
-		return
-	}
-	limit, offset, timeout, err := server.BoundParams(r.cfg.MaxMatches, breq.Limit, breq.Offset, breq.Timeout)
-	if err != nil {
-		r.fail(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if breq.CountOnly {
-		limit, offset = 0, 0
-	}
-	ctx, cancel := r.requestCtx(req, timeout)
-	defer cancel()
-	start := time.Now()
-	bases := r.bases()
+// Batch sends the whole batch to every group (batches share fetches,
+// they do not early-terminate — the engine's own contract), and merges
+// each query like an unlimited or windowed search.
+func (r *Router) Batch(ctx context.Context, queries []string, p server.Params) ([]server.QueryResult, error) {
+	sizes, bases := r.layout()
 	body, err := json.Marshal(server.BatchRequest{
-		Queries:   breq.Queries,
-		Limit:     newGroupMerge(bases, limit, offset).nodeLimit(),
-		CountOnly: breq.CountOnly,
+		Queries:   queries,
+		Limit:     newGroupMerge(bases, p.Limit, p.Offset).nodeLimit(),
+		CountOnly: p.CountOnly,
 		Timeout:   remaining(ctx),
 	})
 	if err != nil {
-		r.fail(w, http.StatusInternalServerError, err.Error())
-		return
+		return nil, err
 	}
 	outs := make([]server.BatchResponse, len(r.groups))
 	if _, err := core.Gather(len(r.groups), false, func(i int) (server.BatchResponse, error) {
-		var resp server.BatchResponse
-		err := r.doGroup(ctx, r.groups[i], http.MethodPost, "/batch", nil, body, &resp)
-		if err == nil && len(resp.Results) != len(breq.Queries) {
-			err = fmt.Errorf("%d results for %d queries", len(resp.Results), len(breq.Queries))
-		}
+		resp, err := groupDo(ctx, r, r.groups[i], http.MethodPost, "/batch", nil, body, func(resp *server.BatchResponse) error {
+			if len(resp.Results) != len(queries) {
+				return fmt.Errorf("%d results for %d queries", len(resp.Results), len(queries))
+			}
+			for _, qr := range resp.Results {
+				if err := checkMatches(qr.Matches, sizes[i]); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 		return resp, groupErr(i, err)
 	}, func(i int, resp server.BatchResponse) bool {
 		outs[i] = resp
 		return false
 	}); err != nil {
-		r.fail(w, failStatus(ctx, err), err.Error())
-		return
+		return nil, err
 	}
-	resp := server.BatchResponse{Results: make([]server.QueryResult, len(breq.Queries))}
-	for qi, q := range breq.Queries {
-		m := newGroupMerge(bases, limit, offset)
+	results := make([]server.QueryResult, len(queries))
+	for qi := range queries {
+		m := newGroupMerge(bases, p.Limit, p.Offset)
 		for i := range outs {
 			m.add(i, outs[i].Results[qi])
 		}
-		resp.Results[qi] = m.result(q, false)
+		results[qi] = m.result(false)
 	}
-	resp.TookNS = time.Since(start).Nanoseconds()
-	r.writeJSON(w, http.StatusOK, resp)
+	return results, nil
 }
 
 // NodeStats is one node's entry in the router's /stats answer.
@@ -337,7 +240,7 @@ type NodeStats struct {
 
 // RouterServing are the router's own cumulative counters.
 type RouterServing struct {
-	// UptimeSeconds since New.
+	// UptimeSeconds since the router's server was created.
 	UptimeSeconds int64 `json:"uptime_seconds"`
 	// Requests is the number of client requests accepted.
 	Requests uint64 `json:"requests"`
@@ -366,12 +269,9 @@ type RouterStatsResponse struct {
 	Nodes []NodeStats `json:"nodes"`
 }
 
-// handleStats serves GET /stats: every node polled concurrently, the
-// per-group index stats summed into a cluster view.
-func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	ctx, cancel := r.requestCtx(req, 0)
-	defer cancel()
-	byURL := make(map[string]*NodeStats, len(r.nodes))
+// Stats polls every node's /stats concurrently and sums the per-group
+// index stats into a cluster view.
+func (r *Router) Stats(ctx context.Context, serving server.ServingStats) any {
 	nodes := make([]NodeStats, len(r.nodes))
 	done := make(chan int, len(r.nodes))
 	for i, n := range r.nodes {
@@ -390,6 +290,7 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 	for range r.nodes {
 		<-done
 	}
+	byURL := make(map[string]*NodeStats, len(r.nodes))
 	for i := range nodes {
 		byURL[nodes[i].URL] = &nodes[i]
 	}
@@ -417,24 +318,25 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 			break // one reporting replica per group
 		}
 	}
-	r.writeJSON(w, http.StatusOK, RouterStatsResponse{
+	return RouterStatsResponse{
 		Cluster: cluster,
 		Router: RouterServing{
-			UptimeSeconds: int64(time.Since(r.started).Seconds()),
-			Requests:      r.requests.Load(),
-			Errors:        r.errors.Load(),
+			UptimeSeconds: serving.UptimeSeconds,
+			Requests:      serving.Requests,
+			Errors:        serving.Errors,
 			Hedges:        r.hedges.Load(),
 			Failovers:     r.failovers.Load(),
 		},
 		Nodes: nodes,
-	})
+	}
 }
 
 // RouterHealth is the router's /healthz and /readyz response body.
 type RouterHealth struct {
 	// Status is "ok" whenever the router can answer at all.
 	Status string `json:"status"`
-	// Ready reports every group has at least one ready replica.
+	// Ready reports every group has at least one ready replica and the
+	// router is not draining for shutdown.
 	Ready bool `json:"ready"`
 	// Groups is the configured group count.
 	Groups int `json:"groups"`
@@ -446,39 +348,24 @@ type RouterHealth struct {
 	ReadyNodes int `json:"ready_nodes"`
 }
 
-// health snapshots the replica set's readiness.
-func (r *Router) health() RouterHealth {
+// Health snapshots the replica set's readiness. /healthz is always
+// 200 — the router process is up; /readyz is 200 only when every
+// tid-range group has at least one ready replica, i.e. the router can
+// answer whole-corpus queries, and it is not draining.
+func (r *Router) Health(draining bool) (live, ready any, ok bool) {
 	h := RouterHealth{Status: "ok", Groups: len(r.groups), Nodes: len(r.nodes)}
 	for _, g := range r.groups {
-		ready := false
+		groupReady := false
 		for _, n := range g {
 			if n.ready.Load() {
-				ready = true
+				groupReady = true
 				h.ReadyNodes++
 			}
 		}
-		if ready {
+		if groupReady {
 			h.ReadyGroups++
 		}
 	}
-	h.Ready = h.ReadyGroups == h.Groups
-	return h
-}
-
-// handleHealthz serves GET /healthz: router liveness plus the replica
-// set summary (always 200 — the router process is up).
-func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
-	r.writeJSON(w, http.StatusOK, r.health())
-}
-
-// handleReadyz serves GET /readyz: 200 only when every tid-range group
-// has at least one ready replica, i.e. the router can answer whole-
-// corpus queries.
-func (r *Router) handleReadyz(w http.ResponseWriter, req *http.Request) {
-	h := r.health()
-	status := http.StatusOK
-	if !h.Ready {
-		status = http.StatusServiceUnavailable
-	}
-	r.writeJSON(w, status, h)
+	h.Ready = h.ReadyGroups == h.Groups && !draining
+	return h, h, h.Ready
 }

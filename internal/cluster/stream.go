@@ -4,20 +4,18 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/server"
 )
 
-// This file is the routed /stream: NDJSON re-streamed to the client as
-// node lines arrive, with the engine's resultStream semantics mapped
-// onto sequential group consultation — strict tid order, offset
-// skipping and the one-past-the-window peek all happen at the router,
-// so the client sees exactly the lines (and the summary flags) a
-// single sharded sisrv would have sent.
+// This file is the routed /stream: node lines are handed to the
+// surface's NDJSON writer as they arrive, with the engine's
+// resultStream semantics mapped onto sequential group consultation —
+// strict tid order, offset skipping and the one-past-the-window peek
+// all happen at the router, so the client sees exactly the lines (and
+// the summary flags) a single sharded sisrv would have sent.
 //
 // The distributed twist is mid-stream failover: the router counts the
 // matches it has consumed from the current group, and when a replica
@@ -44,103 +42,58 @@ type streamState struct {
 	produced  int  // matches consumed across all groups, offset-skips and peek included
 	truncated bool // window cut evaluation short (or a node's own cap did)
 	done      bool // stop consulting groups
-	gone      bool // client write failed; nothing more can be sent
-	committed bool // the 200 + NDJSON header is on the wire
+	emit      func(server.MatchJSON) bool
+}
+
+// groupStream is one group's slice of the stream, kept across the
+// replicas it fails over to.
+type groupStream struct {
+	trees    int64  // the group's tid range is [0, trees)
+	base     uint32 // added to its tids to make them global
+	consumed int    // matches consumed from the group, across attempts
+	last     server.MatchJSON
 }
 
 // maxStreamLine bounds one NDJSON line from a node; real lines are
 // tens of bytes.
 const maxStreamLine = 1 << 20
 
-// handleStream serves GET /stream through the cluster.
-func (r *Router) handleStream(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		r.fail(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	p, err := server.ParseParams(req, r.cfg.MaxMatches)
-	if err != nil {
-		r.fail(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	ctx, cancel := r.requestCtx(req, p.Timeout)
-	defer cancel()
-	start := time.Now()
-	bases := r.bases()
-	st := &streamState{target: core.SearchOpts{Limit: p.Limit, Offset: p.Offset}.Target(), offset: p.Offset}
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	flusher, _ := w.(http.Flusher)
-
-	var streamErr error
+// Stream evaluates one query through the cluster, group by group in
+// tid order, handing each window match to emit as its node line
+// arrives.
+func (r *Router) Stream(ctx context.Context, p server.Params, emit func(server.MatchJSON) bool) (server.StreamSummary, error) {
+	sizes, bases := r.layout()
+	st := &streamState{target: core.SearchOpts{Limit: p.Limit, Offset: p.Offset}.Target(), offset: p.Offset, emit: emit}
 	for gi := range r.groups {
 		if st.done {
 			break
 		}
-		if err := r.streamGroup(ctx, w, enc, flusher, gi, bases[gi], p.Src, st); err != nil {
-			streamErr = fmt.Errorf("group %d: %w", gi, err)
-			break
+		if err := r.streamGroup(ctx, gi, &groupStream{trees: sizes[gi], base: bases[gi]}, p.Src, st); err != nil {
+			return server.StreamSummary{Count: st.produced}, groupErr(gi, err)
 		}
 		// The window is complete with groups still unconsulted: their
 		// matches exist or not, but fetching them is work the window
 		// does not need — the engine's exact stop, and its exact
 		// truncation flag.
 		if st.target > 0 && st.produced >= st.target && gi+1 < len(r.groups) {
-			st.truncated = true
-			st.done = true
+			st.truncated, st.done = true, true
 		}
 	}
-	if st.gone {
-		return // client went away mid-stream; nothing left to tell it
-	}
-	if streamErr != nil && !st.committed {
-		// Nothing on the wire yet: answer with a status, like a node
-		// whose stream fails before its first match.
-		r.fail(w, failStatus(ctx, streamErr), streamErr.Error())
-		return
-	}
-	if !st.committed {
-		commitStream(w, st)
-	}
-	summary := server.StreamSummary{
-		Done:      true,
-		Count:     st.produced,
-		Truncated: st.truncated,
-		TookNS:    time.Since(start).Nanoseconds(),
-		RequestID: server.RequestIDFrom(req.Context()),
-	}
-	if streamErr != nil {
-		summary.Error = streamErr.Error()
-		summary.Truncated = true
-		r.errors.Add(1)
-	}
-	_ = enc.Encode(summary)
-	if flusher != nil {
-		flusher.Flush()
-	}
-}
-
-// commitStream puts the NDJSON 200 on the wire.
-func commitStream(w http.ResponseWriter, st *streamState) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	st.committed = true
+	return server.StreamSummary{Count: st.produced, Truncated: st.truncated}, nil
 }
 
 // streamGroup consumes one group's slice of the stream, failing over
 // across its replicas with offset resume. It returns nil when the
 // group is exhausted or the stream is finished (st.done); an error
 // means every replica failed while the window still needed the group.
-func (r *Router) streamGroup(ctx context.Context, w http.ResponseWriter, enc *json.Encoder, flusher http.Flusher, gi int, base uint32, src string, st *streamState) error {
-	consumed := 0 // matches consumed from this group, across attempts
-	cands := candidates(r.groups[gi])
+func (r *Router) streamGroup(ctx context.Context, gi int, g *groupStream, src string, st *streamState) error {
 	var lastErr error
-	for ai, n := range cands {
+	for ai, n := range candidates(r.groups[gi]) {
 		if ai > 0 {
 			r.failovers.Add(1)
 		}
-		err := r.streamAttempt(ctx, n, base, src, &consumed, st, w, enc, flusher)
-		if err == nil || st.done || st.gone {
+		err := r.streamAttempt(ctx, n, g, src, st)
+		if err == nil || st.done {
 			return nil
 		}
 		ne, _ := err.(*nodeError)
@@ -156,18 +109,20 @@ func (r *Router) streamGroup(ctx context.Context, w http.ResponseWriter, enc *js
 }
 
 // streamAttempt opens one node /stream and pumps its lines into the
-// client stream, resuming at *consumed and advancing it as lines are
+// routed stream, resuming at g.consumed and advancing it as lines are
 // read so a follow-up attempt on another replica continues exactly
-// where this one stopped. A nil return means the node finished its
-// slice cleanly (summary seen, no error) or the routed stream is done.
-func (r *Router) streamAttempt(ctx context.Context, n *node, base uint32, src string, consumed *int, st *streamState, w http.ResponseWriter, enc *json.Encoder, flusher http.Flusher) error {
+// where this one stopped. Each line is checked like a unary answer: a
+// match outside the group's tid range or not after the one before it
+// fails the attempt. A nil return means the node finished its slice
+// cleanly (summary seen, no error) or the routed stream is done.
+func (r *Router) streamAttempt(ctx context.Context, n *node, g *groupStream, src string, st *streamState) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel() // aborting mid-body stops the node's evaluation
 	wantLimit := -1
 	if st.target > 0 {
 		wantLimit = st.target + 1 - st.produced // through the peek match
 	}
-	q := nodeQuery(ctx, src, wantLimit, *consumed)
+	q := nodeQuery(ctx, src, wantLimit, g.consumed)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.url+"/stream?"+q.Encode(), nil)
 	if err != nil {
 		return &nodeError{url: n.url, msg: err.Error()}
@@ -175,18 +130,13 @@ func (r *Router) streamAttempt(ctx context.Context, n *node, base uint32, src st
 	if rid := server.RequestIDFrom(ctx); rid != "" {
 		req.Header.Set(server.RequestIDHeader, rid)
 	}
-	resp, err := r.cfg.Client.Do(req)
+	resp, err := r.client.Do(req)
 	if err != nil {
 		return &nodeError{url: n.url, msg: err.Error()}
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return &nodeError{url: n.url, status: resp.StatusCode, msg: readErrorBody(resp)}
-	}
-	if !st.committed {
-		// The node accepted the query and started evaluating: commit
-		// the 200 exactly where a node commits its own.
-		commitStream(w, st)
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 64<<10), maxStreamLine)
@@ -207,13 +157,21 @@ func (r *Router) streamAttempt(ctx context.Context, n *node, base uint32, src st
 				// what the router asked for. Matches are now missing in
 				// the middle of the global order, so consulting further
 				// groups would emit a gapped stream; stop and flag it.
-				st.truncated = true
-				st.done = true
+				st.truncated, st.done = true, true
 			}
 			return nil
 		}
+		m := server.MatchJSON{TID: line.TID, Root: line.Root}
+		var prev *server.MatchJSON
+		if g.consumed > 0 {
+			prev = &g.last
+		}
+		if err := checkMatch(m, g.trees, prev); err != nil {
+			return &nodeError{url: n.url, msg: "invalid stream line: " + err.Error()}
+		}
 		lines++
-		*consumed++
+		g.consumed++
+		g.last = m
 		st.produced++
 		if st.produced <= st.offset {
 			continue // paging: skip into the window
@@ -221,16 +179,13 @@ func (r *Router) streamAttempt(ctx context.Context, n *node, base uint32, src st
 		if st.target > 0 && st.produced > st.target {
 			// The peek match past the window: more matches exist than
 			// the window holds, so the count is a lower bound.
-			st.truncated = true
-			st.done = true
+			st.truncated, st.done = true, true
 			return nil
 		}
-		if err := enc.Encode(server.MatchJSON{TID: line.TID + base, Root: line.Root}); err != nil {
-			st.gone = true
+		m.TID += g.base
+		if !st.emit(m) {
+			st.done = true // the client went away
 			return nil
-		}
-		if flusher != nil {
-			flusher.Flush()
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -54,8 +54,8 @@ type Relation struct {
 
 // Match is one result: the image of the query root in a tree.
 type Match struct {
-	TID  uint32 // tree identifier
-	Root uint32 // pre number of the query root's image
+	TID  uint32 `json:"tid"`  // tree identifier
+	Root uint32 `json:"root"` // pre number of the query root's image
 }
 
 // predKind enumerates structural predicates.
