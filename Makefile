@@ -85,7 +85,10 @@ bench-baseline:
 # overflow and /batch bounds agree) and the router's relay of node
 # /stream bodies (FuzzRoutedStream: whatever bytes a node sends, the
 # routed answer is a JSON error or NDJSON with one done:true line after
-# in-range, strictly increasing match lines, at most limit of them).
+# in-range, strictly increasing match lines, at most limit of them),
+# and the index manifest (FuzzManifest: arbitrary meta.json bytes
+# through OpenLive and Reload at a root with one valid segment must
+# error or serve only segments under the root).
 # The committed testdata/fuzz corpora always replay
 # in plain `go test`; this target additionally explores for a few
 # seconds per target, which is enough to catch gross regressions (a
@@ -99,6 +102,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzExtract -fuzztime=$(FUZZTIME) ./internal/subtree/
 	$(GO) test -fuzz=FuzzParseParams -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -fuzz=FuzzRoutedStream -fuzztime=$(FUZZTIME) ./internal/cluster/
+	$(GO) test -fuzz=FuzzManifest -fuzztime=$(FUZZTIME) ./internal/core/
 
 # Build the repository's vet tool.
 silint:

@@ -161,7 +161,9 @@ func compactLoop(ctx context.Context, ix *si.Index, cc compactConfig) {
 }
 
 // syncLoop polls the leader every sc.syncEvery, pulls new segments and
-// reloads, until ctx is cancelled. A failed sync is logged and retried
+// reloads — the reload's sweep reclaims segments the leader dropped,
+// the next sync an interrupted one's downloads — until ctx is
+// cancelled. A failed sync is logged and retried
 // at the next tick; the node keeps serving whatever generation it has.
 func syncLoop(ctx context.Context, ix *si.Index, sc serveConfig) {
 	hc := &http.Client{}
@@ -174,12 +176,10 @@ func syncLoop(ctx context.Context, ix *si.Index, sc serveConfig) {
 		case <-t.C:
 		}
 		res, err := cluster.Sync(ctx, hc, sc.follow, sc.dir)
-		if err != nil {
-			if ctx.Err() == nil {
-				log.Printf("sync from %s failed (retrying next tick): %v", sc.follow, err)
-			}
-			continue
+		if err != nil && ctx.Err() == nil {
+			log.Printf("sync from %s failed (retrying next tick): %v", sc.follow, err)
 		}
+		// A sync that failed after its manifest rename still Changed it.
 		if !res.Changed {
 			continue
 		}
@@ -189,9 +189,6 @@ func syncLoop(ctx context.Context, ix *si.Index, sc serveConfig) {
 		}
 		log.Printf("synced to generation %d from %s (%d segment(s) fetched), %d trees",
 			res.Generation, sc.follow, res.Fetched, ix.NumTrees())
-		if err := cluster.RemoveStaleSegments(sc.dir, res.Segments); err != nil {
-			log.Printf("stale segment cleanup: %v", err)
-		}
 	}
 }
 

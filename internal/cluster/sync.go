@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -15,14 +16,16 @@ import (
 
 // This file is the follower half of replication: pull the leader's
 // manifest over GET /manifest, fetch every segment the follower does
-// not yet have over GET /segment/{name}/{file}, publish the manifest
-// locally with the same atomic write-then-rename the engine uses, and
-// let the caller /reload. Segments are immutable once published, so a
-// segment directory that already exists locally is complete and is
-// never re-fetched — each sync transfers only the delta, and a sync
-// interrupted at any point leaves either the old manifest or the new
-// one, never a half-state (incomplete downloads live under a hidden
-// staging name until their final rename).
+// not yet have over GET /segment/{name}/{file}, and commit the
+// leader's manifest bytes locally through the engine's one durable
+// publish path, then let the caller /reload. Segments are immutable
+// once published, and a follower installs one under its name only
+// after every file is downloaded and synced, so a segment directory
+// present locally is complete and never re-fetched — each sync
+// transfers only the delta. A sync interrupted at any point, crash
+// included, leaves the old manifest or the new one; the next sync
+// removes its staging directories, and the next open or reload sweeps
+// the segments its manifest dropped.
 
 // SyncResult reports what one Sync did.
 type SyncResult struct {
@@ -33,15 +36,18 @@ type SyncResult struct {
 	Generation int
 	// Fetched is how many segment directories were downloaded.
 	Fetched int
-	// Segments is the manifest's segment list — what a cleanup of
-	// stale local directories must keep (see RemoveStaleSegments).
-	Segments []string
 }
 
 // Sync replicates the leader's published segment set into dir. The
 // leader must serve a segmented (v3) index — a legacy single-directory
 // index has no named segments to pull; one /append on the leader
-// promotes it. Sync is not safe for concurrent use on the same dir.
+// promotes it. The leader's manifest is checked (core.CheckManifest)
+// before anything is written; every missing segment is installed
+// durably (core.InstallSegment) before the manifest bytes are committed
+// (core.CommitManifest). Sync first removes the staging directories
+// an interrupted sync left (core.RemoveStaging), so it is not safe for
+// concurrent use on the same dir; a Reload or open of dir meanwhile is
+// safe, as the sweep keeps segments newer than the local generation.
 func Sync(ctx context.Context, hc *http.Client, leader, dir string) (SyncResult, error) {
 	var res SyncResult
 	leader = strings.TrimRight(leader, "/")
@@ -56,22 +62,15 @@ func Sync(ctx context.Context, hc *http.Client, leader, dir string) (SyncResult,
 	if man.FormatVersion != core.FormatSegmented {
 		return res, fmt.Errorf("cluster: leader index is not segmented (format %d); append once to promote it before following", man.FormatVersion)
 	}
-	res.Generation = man.Generation
-	res.Segments = append(res.Segments, man.Segments...)
-	if local, err := os.ReadFile(filepath.Join(dir, core.MetaFileName)); err == nil {
-		var lm core.Meta
-		if json.Unmarshal(local, &lm) == nil &&
-			lm.FormatVersion == core.FormatSegmented && lm.Generation == man.Generation {
-			return res, nil // already at this generation
-		}
+	if err := core.CheckManifest(man); err != nil {
+		return res, fmt.Errorf("cluster: leader manifest: %w", err)
 	}
+	res.Generation = man.Generation
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return res, err
 	}
+	core.RemoveStaging(dir) // an interrupted sync's downloads; a failure is retried next sync
 	for _, seg := range man.Segments {
-		if !core.IsSegmentName(seg) {
-			return res, fmt.Errorf("cluster: leader manifest names invalid segment %q", seg)
-		}
 		fetched, err := fetchSegment(ctx, hc, leader, dir, seg)
 		if err != nil {
 			return res, fmt.Errorf("cluster: segment %s: %w", seg, err)
@@ -80,29 +79,22 @@ func Sync(ctx context.Context, hc *http.Client, leader, dir string) (SyncResult,
 			res.Fetched++
 		}
 	}
-	// Publish the manifest byte-for-byte with the engine's own
-	// temp-then-rename, so a reader (or a crash) sees the old manifest
-	// or the new one, nothing in between. Tombstones ride along: they
-	// live in the manifest, not the segments.
-	tmp := filepath.Join(dir, ".meta.json.sync")
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return res, err
+	local, err := os.ReadFile(filepath.Join(dir, core.MetaFileName))
+	if err == nil && res.Fetched == 0 && bytes.Equal(local, raw) {
+		return res, nil // already at the leader's manifest
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, core.MetaFileName)); err != nil {
-		return res, err
-	}
-	res.Changed = true
-	return res, nil
+	// Tombstones ride along: they live in the manifest, not the
+	// segments. The local root serves the new manifest once it is
+	// renamed in, even if the final fsync fails.
+	res.Changed, err = core.CommitManifest(dir, raw)
+	return res, err
 }
 
 // fetchSegment downloads one segment directory unless it already
-// exists locally (segments are immutable: present means complete). The
-// download stages under a hidden directory and renames into place only
-// when every payload file landed, so a crashed or failed sync never
-// leaves a half-segment under a live name.
+// exists locally (segments are immutable, and installed only whole:
+// present means complete).
 func fetchSegment(ctx context.Context, hc *http.Client, leader, dir, seg string) (bool, error) {
-	final := filepath.Join(dir, seg)
-	if _, err := os.Stat(filepath.Join(final, core.MetaFileName)); err == nil {
+	if _, err := os.Stat(filepath.Join(dir, seg, core.MetaFileName)); err == nil {
 		return false, nil
 	}
 	metaRaw, err := fetch(ctx, hc, leader+"/segment/"+seg+"/"+core.MetaFileName)
@@ -117,86 +109,39 @@ func fetchSegment(ctx context.Context, hc *http.Client, leader, dir, seg string)
 	if err != nil {
 		return false, err
 	}
-	stage := filepath.Join(dir, ".sync-"+seg)
-	if err := os.RemoveAll(stage); err != nil {
-		return false, err
-	}
-	if err := os.MkdirAll(stage, 0o755); err != nil {
-		return false, err
-	}
-	for _, f := range files {
-		dst := filepath.Join(stage, filepath.FromSlash(f))
-		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-			return false, err
-		}
+	err = core.InstallSegment(dir, seg, files, func(f, dst string) error {
 		if f == core.MetaFileName {
-			if err := os.WriteFile(dst, metaRaw, 0o644); err != nil {
-				return false, err
-			}
-			continue
+			return os.WriteFile(dst, metaRaw, 0o644)
 		}
-		if err := download(ctx, hc, leader+"/segment/"+seg+"/"+f, dst); err != nil {
-			os.RemoveAll(stage)
-			return false, err
-		}
-	}
-	if err := os.Rename(stage, final); err != nil {
-		os.RemoveAll(stage)
-		return false, err
-	}
-	return true, nil
-}
-
-// RemoveStaleSegments deletes local segment directories (and leftover
-// sync staging directories) that the manifest no longer references —
-// the follower-side reclaim after the leader compacts. Call it only
-// after the index handle reloaded onto the new manifest; queries still
-// pinned to old segments keep their mappings alive through the open
-// file descriptors, so removal is safe even then.
-func RemoveStaleSegments(dir string, keep []string) error {
-	keepSet := make(map[string]bool, len(keep))
-	for _, k := range keep {
-		keepSet[k] = true
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		name := e.Name()
-		stale := (core.IsSegmentName(name) && !keepSet[name]) ||
-			strings.HasPrefix(name, ".sync-")
-		if !stale {
-			continue
-		}
-		if err := os.RemoveAll(filepath.Join(dir, name)); err != nil {
-			return err
-		}
-	}
-	return nil
+		return download(ctx, hc, leader+"/segment/"+seg+"/"+f, dst)
+	})
+	return err == nil, err
 }
 
 // fetch GETs one URL fully into memory (manifests and segment metas
 // are small).
 func fetch(ctx context.Context, hc *http.Client, url string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, &nodeError{url: url, status: resp.StatusCode, msg: readErrorBody(resp)}
-	}
-	return io.ReadAll(resp.Body)
+	var buf bytes.Buffer
+	err := get(ctx, hc, url, &buf)
+	return buf.Bytes(), err
 }
 
 // download GETs one URL straight to a file (segment payloads can be
 // large; they never transit memory whole).
 func download(ctx context.Context, hc *http.Client, url, dst string) error {
+	f, err := os.Create(dst)
+	if err != nil {
+		return err
+	}
+	err = get(ctx, hc, url, f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// get GETs one URL into w, failing on any status but 200.
+func get(ctx context.Context, hc *http.Client, url string, w io.Writer) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return err
@@ -209,13 +154,6 @@ func download(ctx context.Context, hc *http.Client, url, dst string) error {
 	if resp.StatusCode != http.StatusOK {
 		return &nodeError{url: url, status: resp.StatusCode, msg: readErrorBody(resp)}
 	}
-	f, err := os.Create(dst)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(f, resp.Body); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	_, err = io.Copy(w, resp.Body)
+	return err
 }

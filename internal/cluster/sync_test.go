@@ -3,8 +3,9 @@ package cluster
 // Follower replication tests: Sync must converge a cold directory onto
 // the leader's published segment set, transfer only the delta on later
 // syncs, be idempotent at the same generation, and leave the follower
-// answering queries identically to the leader. RemoveStaleSegments
-// must reclaim exactly the directories the manifest dropped.
+// answering queries identically to the leader. The sweep at the
+// next open or reload must reclaim exactly the directories the
+// manifest dropped, and the next sync an interrupted one's staging.
 
 import (
 	"context"
@@ -54,7 +55,7 @@ func TestSyncReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Changed || res.Fetched == 0 || len(res.Segments) == 0 {
+	if !res.Changed || res.Fetched == 0 {
 		t.Fatalf("cold sync = %+v, want fetched segments and a changed manifest", res)
 	}
 	if res.Generation != leaderIx.Generation() {
@@ -132,45 +133,114 @@ func TestSyncRejectsLegacyLeader(t *testing.T) {
 	}
 }
 
-// TestRemoveStaleSegments reclaims dropped segments and staging
-// leftovers while keeping everything the manifest still references.
+// TestSyncRejectsBadManifest checks the leader's segment list before
+// anything is written: a name reaching outside the follower directory
+// fails the sync with the follower directory never created.
+func TestSyncRejectsBadManifest(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"format_version":3,"generation":2,"segments":["seg-000001","../victim"],"mss":3}`))
+	}))
+	t.Cleanup(ts.Close)
+	dir := filepath.Join(t.TempDir(), "f")
+	if _, err := Sync(context.Background(), http.DefaultClient, ts.URL, dir); err == nil {
+		t.Fatal("sync accepted a manifest naming ../victim")
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("a rejected sync touched the follower directory: %v", err)
+	}
+}
+
+// TestRemoveStaleSegments reclaims what the follower no longer needs
+// — a segment the manifest dropped at the next open or reload, the
+// engine's one sweep, and an interrupted download at the next sync —
+// while keeping everything the manifest references, a segment newer
+// than its generation (a publish may be staging it) and entries that
+// are not segment names.
 func TestRemoveStaleSegments(t *testing.T) {
 	ctx := context.Background()
 	corpus := si.GenerateCorpus(99, 300)
-	_, leader, _ := startLeader(t, corpus)
+	lix, leader, _ := startLeader(t, corpus)
 	followerDir := filepath.Join(t.TempDir(), "follower")
-	res, err := Sync(ctx, http.DefaultClient, leader.URL, followerDir)
-	if err != nil {
-		t.Fatal(err)
+	sync := func() {
+		if _, err := Sync(ctx, http.DefaultClient, leader.URL, followerDir); err != nil {
+			t.Fatal(err)
+		}
 	}
+	sync()
 
-	// Plant a dropped segment and an interrupted download.
-	stale := filepath.Join(followerDir, "seg-000099")
+	// Plant a segment newer than the generation, an interrupted
+	// download and an operator's copy of a segment.
+	newer := filepath.Join(followerDir, "seg-000099")
 	staging := filepath.Join(followerDir, ".sync-seg-000042")
-	for _, d := range []string{stale, staging} {
+	backup := filepath.Join(followerDir, "seg-000001.bak")
+	for _, d := range []string{newer, staging, backup} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := RemoveStaleSegments(followerDir, res.Segments); err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range []string{stale, staging} {
-		if _, err := os.Stat(d); !os.IsNotExist(err) {
-			t.Fatalf("%s survived the reclaim", d)
+	present := func(when string, want bool, dirs ...string) {
+		t.Helper()
+		for _, d := range dirs {
+			if _, err := os.Stat(d); (err == nil) != want {
+				t.Fatalf("after the %s, %s present = %v, want %v", when, d, err == nil, want)
+			}
 		}
 	}
-	raw, err := os.ReadFile(filepath.Join(followerDir, core.MetaFileName))
+	listed := func(when string) {
+		t.Helper()
+		raw, err := os.ReadFile(filepath.Join(followerDir, core.MetaFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var man core.Meta
+		if err := json.Unmarshal(raw, &man); err != nil {
+			t.Fatal(err)
+		}
+		for _, seg := range man.Segments {
+			present(when, true, filepath.Join(followerDir, seg))
+		}
+	}
+	fix, err := si.Open(followerDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var man core.Meta
-	if err := json.Unmarshal(raw, &man); err != nil {
+	defer fix.Close()
+	listed("open")
+	present("open", true, newer, staging, backup)
+
+	// The leader compacts seg-000001 and seg-000002 into seg-000003.
+	if _, err := lix.Compact(ctx); err != nil {
 		t.Fatal(err)
 	}
-	for _, seg := range man.Segments {
-		if _, err := os.Stat(filepath.Join(followerDir, seg)); err != nil {
-			t.Fatalf("live segment %s missing after reclaim: %v", seg, err)
+	sync()
+	present("sync", false, staging)
+	if _, err := fix.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	listed("reload")
+	dropped := filepath.Join(followerDir, "seg-000002")
+	present("reload", false, filepath.Join(followerDir, "seg-000001"), dropped)
+	present("reload", true, newer, backup)
+
+	// A dropped segment left behind (say, by a crash) is swept by the
+	// next reload and the next open.
+	for _, when := range []string{"reload", "open"} {
+		if err := os.MkdirAll(dropped, 0o755); err != nil {
+			t.Fatal(err)
 		}
+		if when == "reload" {
+			_, err = fix.Reload()
+		} else {
+			var again *si.Index
+			if again, err = si.Open(followerDir); err == nil {
+				again.Close()
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		listed(when)
+		present(when, false, dropped)
+		present(when, true, newer, backup)
 	}
 }

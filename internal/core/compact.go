@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"repro/internal/lingtree"
 )
@@ -52,9 +50,10 @@ type CompactOptions struct {
 // false on a never-segmented root, which is a single segment with no
 // tombstones) and, when it ran, the compacted segment's build
 // statistics. Compact serializes with Append, Update, Reload and
-// Close; a crash after the manifest publish but before directory
-// removal leaves unreferenced seg-NNNNNN directories that the next
-// full rebuild sweeps away.
+// Close. It publishes through the one durable path (publish.go): a
+// crash leaves the old segment set or the compacted one, and a crash
+// after the manifest commit but before the replaced directories are
+// removed leaves them unlisted for the next open or reload to sweep.
 func (l *Live) Compact(ctx context.Context, opts CompactOptions) (bool, *Meta, error) {
 	minSegs := opts.MinSegments
 	if minSegs <= 0 {
@@ -112,46 +111,12 @@ func (l *Live) Compact(ctx context.Context, opts CompactOptions) (bool, *Meta, e
 		}
 	}
 
-	gen := cur.gen + 1
-	name := segDirName(gen)
-	segPath := filepath.Join(l.dir, name)
-	// A crashed or failed previous attempt may have left a partial
-	// directory at this generation; it was never in the manifest, so
-	// dropping it is safe.
-	if err := os.RemoveAll(segPath); err != nil {
-		return false, nil, err
-	}
-	built, err := BuildSharded(segPath, survivors, Options{
-		MSS:    info.meta.MSS,
-		Coding: info.meta.Coding,
-	}, max(opts.Shards, 1))
+	sg, built, err := l.stageSegment(ctx, cur.gen+1, survivors, opts.Shards)
 	if err != nil {
-		os.RemoveAll(segPath)
 		return false, nil, err
 	}
-	// As in Update: honor a cancellation that arrived during the build
-	// rather than publishing a segment the caller was told failed.
-	if err := ctx.Err(); err != nil {
-		os.RemoveAll(segPath)
+	if err := l.commitLocked(cur.gen+1, []*segment{sg}, nil); err != nil {
 		return false, nil, err
 	}
-	sg, err := l.openSegment(name)
-	if err != nil {
-		os.RemoveAll(segPath)
-		return false, nil, err
-	}
-	if err := l.writeManifestLocked(gen, []*segment{sg}, nil); err != nil {
-		sg.close(sg)
-		os.RemoveAll(segPath)
-		return false, nil, err
-	}
-	// The old segments are no longer listed anywhere; mark them for
-	// directory removal when their last reader drains, then swap the
-	// serving epoch.
-	for _, old := range cur.segs {
-		old.removeDir.Store(true)
-	}
-	l.publishLocked([]*segment{sg}, gen, nil)
-	l.tombs = nil
 	return true, built, nil
 }

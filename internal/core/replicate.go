@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"regexp"
 	"sync"
-
-	"repro/internal/treebank"
 )
 
 // This file is the replication contract between a serving node and the
@@ -33,6 +31,9 @@ const (
 // segName matches published segment directory names (seg-NNNNNN); the
 // legacy unpromoted root has no name and cannot be served remotely.
 var segName = regexp.MustCompile(`^seg-[0-9]{6}$`)
+
+// isShardName reports whether name is a shard directory (shard-NNNN).
+var isShardName = regexp.MustCompile(`^shard-[0-9]{4}$`).MatchString
 
 // segFile matches the files a segment may legitimately serve: the
 // segment's own meta.json and the three leaf payload files, either at
@@ -62,7 +63,7 @@ func SegmentPayload(meta Meta) ([]string, error) {
 	if meta.FormatVersion == FormatSegmented {
 		return nil, fmt.Errorf("core: a segment cannot itself be segmented")
 	}
-	leaf := []string{MetaFileName, IndexFileName, treebank.DataFileName, treebank.IndexFileName}
+	leaf := append([]string{MetaFileName}, leafFiles...)
 	if meta.Shards == 0 {
 		return leaf, nil
 	}

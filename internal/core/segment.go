@@ -2,11 +2,10 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -15,7 +14,6 @@ import (
 	"repro/internal/postings"
 	"repro/internal/query"
 	"repro/internal/subtree"
-	"repro/internal/treebank"
 )
 
 // This file implements live index updates: a Live handle serves an
@@ -23,11 +21,11 @@ import (
 // single-directory or sharded index built by the existing build
 // machinery — and can grow by appending new segments while queries are
 // in flight. The segment list lives in a version-3 meta.json manifest
-// at the root, republished atomically (write-temp-then-rename) on
-// every Append, so readers never observe a half-written manifest; the
-// segment-per-generation serving shape follows zoekt's append-only
-// shard model. Queries fan out over the concatenation of every
-// segment's leaves through the same leafSet engine the shard layer
+// at the root, republished durably on every Append through the one
+// publish path (publish.go), so readers never observe a half-written
+// manifest; the segment-per-generation serving shape follows zoekt's
+// append-only shard model. Queries fan out over the concatenation of
+// every segment's leaves through the same leafSet engine the shard layer
 // uses — segments are the shard merge applied one level up, so a
 // single-segment index pays nothing for the extra layer.
 //
@@ -63,9 +61,10 @@ type segment struct {
 	leaves []*Index
 	refs   atomic.Int64
 	close  func(*segment)
-	// removeDir marks a segment replaced by compaction: once the last
-	// epoch referencing it drains and its files close, the directory is
-	// deleted from disk. Never set on a still-listed segment.
+	// removeDir marks a segment a publish or reload delisted: once the
+	// last epoch referencing it drains and its files close, the
+	// directory is deleted from disk. Never set on a still-listed
+	// segment.
 	removeDir atomic.Bool
 }
 
@@ -232,8 +231,8 @@ func OpenLive(dir string, opts OpenOptions) (*Live, error) {
 	var segs []*segment
 	gen := 0
 	if meta.FormatVersion == FormatSegmented {
-		if len(meta.Segments) == 0 {
-			return nil, fmt.Errorf("core: segmented manifest in %s lists no segments", dir)
+		if err := CheckManifest(meta); err != nil {
+			return nil, fmt.Errorf("%w (in %s)", err, dir)
 		}
 		gen = meta.Generation
 		for _, name := range meta.Segments {
@@ -258,8 +257,8 @@ func OpenLive(dir string, opts OpenOptions) (*Live, error) {
 		closeSegments(segs)
 		return nil, err
 	}
-	l.tombs = tombs
 	l.publishLocked(segs, gen, tombs)
+	l.sweep(meta)
 	return l, nil
 }
 
@@ -336,11 +335,11 @@ func (l *Live) closeSegment(sg *segment) {
 			first = err
 		}
 	}
-	// A segment replaced by compaction is reclaimed once its files are
-	// closed; it left the manifest when the compacted segment was
-	// published, so no reader can reach it anymore.
+	// A delisted segment is reclaimed once its files are closed; it
+	// left the manifest before its epoch was replaced, so no reader can
+	// reach it anymore.
 	if sg.removeDir.Load() && sg.name != "" {
-		if err := os.RemoveAll(filepath.Join(l.dir, sg.name)); err != nil && first == nil {
+		if err := disk.RemoveAll(filepath.Join(l.dir, sg.name)); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -412,10 +411,12 @@ func mergeSegmentStats(segs []*segment) *planner.Stats {
 
 // publishLocked installs segs as the current epoch at generation gen
 // and retires the previous epoch. tombs is the normalized tombstone map
-// for segs; its segment-local tids are split into per-leaf TombSets
-// carried by the epoch's leafSet, so queries consult an immutable
-// snapshot that a later Delete can never mutate. Callers hold l.mu (or
-// are the only goroutine, during OpenLive).
+// for segs, which becomes l.tombs; its segment-local tids are split
+// into per-leaf TombSets carried by the epoch's leafSet, so queries
+// consult an immutable snapshot that a later Delete can never mutate. A segment of the
+// previous epoch that segs drops is unlisted from then on: its
+// directory is removed once its last reader drains. Callers hold l.mu
+// (or are the only goroutine, during OpenLive).
 func (l *Live) publishLocked(segs []*segment, gen int, tombs map[string][]int) {
 	set := leafSet{offsets: make([]uint32, 1, len(segs)+1)}
 	var dels []*TombSet
@@ -447,8 +448,14 @@ func (l *Live) publishLocked(segs []*segment, gen int, tombs map[string][]int) {
 	e := &epoch{segs: segs, set: set, gen: gen, mss: meta.MSS, coding: meta.Coding,
 		stats: meta.KeyStats, plans: make(map[string]*Plan)}
 	e.refs.Store(1)
+	l.tombs = tombs
 	l.info.Store(&liveInfo{meta: meta, leaves: len(set.leaves), segments: len(segs), gen: gen, deleted: deleted})
 	if old := l.cur.Swap(e); old != nil {
+		for _, sg := range old.segs {
+			if !slices.Contains(segs, sg) {
+				sg.removeDir.Store(true)
+			}
+		}
 		old.release()
 	}
 }
@@ -709,10 +716,10 @@ func (l *Live) Tree(tid int) (*lingtree.Tree, error) {
 // queries finish on the segment set they pinned. The new trees receive
 // the global tids following the current corpus. The first Append to a
 // legacy (single-directory or sharded) root first promotes it: its
-// files move into a generation directory and a version-3 manifest
-// takes their place at the root. Appends serialize; concurrent appends
-// from other processes are not coordinated and must be avoided (the
-// manifest write is last-wins). The index's MSS and coding carry over
+// files are linked into a generation directory and a version-3
+// manifest takes their place at the root. Appends serialize;
+// concurrent appends from other processes are not coordinated and must
+// be avoided (the manifest write is last-wins). The index's MSS and coding carry over
 // to the new segment. Returns the new segment's build statistics.
 // Append is Update with no deletes; Delete is Update with no trees.
 func (l *Live) Append(ctx context.Context, trees []*lingtree.Tree, shards int) (*Meta, error) {
@@ -721,97 +728,6 @@ func (l *Live) Append(ctx context.Context, trees []*lingtree.Tree, shards int) (
 	}
 	built, _, err := l.Update(ctx, nil, trees, shards)
 	return built, err
-}
-
-// promoteLocked converts a legacy root into segment seg-000001: the
-// index payload moves (via rename, so already-open file handles keep
-// working) into the generation directory, which gets the legacy meta
-// as its own, and a generation-1 manifest replaces the root meta. A
-// rename failure partway rolls the already-moved files back, leaving
-// the legacy root intact; a process crash mid-promotion is the one
-// window where the directory needs manual repair (move the seg-000001
-// contents back, or rebuild). Callers hold l.mu and, on success, must
-// republish so the in-memory generation reflects the manifest.
-func (l *Live) promoteLocked(sg *segment) error {
-	name := segDirName(1)
-	path := filepath.Join(l.dir, name)
-	// Only a partial directory from a *failed* earlier attempt can be
-	// here — a completed promotion publishes generation >= 1 and this
-	// function is never called again. Its payload, if any, was rolled
-	// back to the root, so the directory is safe to drop.
-	if err := os.RemoveAll(path); err != nil {
-		return err
-	}
-	if err := os.MkdirAll(path, 0o755); err != nil {
-		return err
-	}
-	var payload []string
-	if sg.meta.Shards > 0 {
-		for i := 0; i < sg.meta.Shards; i++ {
-			payload = append(payload, shardDirName(i))
-		}
-	} else {
-		payload = []string{indexFileName, treebank.DataFileName, treebank.IndexFileName}
-	}
-	for i, f := range payload {
-		if err := os.Rename(filepath.Join(l.dir, f), filepath.Join(path, f)); err != nil {
-			// Roll the files already moved back so the root stays a valid
-			// legacy index.
-			for _, g := range payload[:i] {
-				os.Rename(filepath.Join(path, g), filepath.Join(l.dir, g))
-			}
-			return fmt.Errorf("core: promoting %s to %s: %w", l.dir, name, err)
-		}
-	}
-	rollback := func(err error) error {
-		for _, g := range payload {
-			os.Rename(filepath.Join(path, g), filepath.Join(l.dir, g))
-		}
-		return err
-	}
-	segMeta := sg.meta
-	if err := writeMeta(path, &segMeta); err != nil {
-		return rollback(err)
-	}
-	sg.name = name
-	if err := l.writeManifestLocked(1, []*segment{sg}, nil); err != nil {
-		sg.name = ""
-		return rollback(err)
-	}
-	return nil
-}
-
-// writeManifestLocked publishes the version-3 manifest for segs at
-// generation gen with the given tombstone section (nil omits it, which
-// older readers parse unchanged), atomically (temp file + rename).
-// Callers hold l.mu.
-func (l *Live) writeManifestLocked(gen int, segs []*segment, tombs map[string][]int) error {
-	man := aggregateMeta(segs)
-	man.FormatVersion = FormatSegmented
-	man.Shards = 0
-	man.Generation = gen
-	// The manifest is rewritten on every publish; per-key statistics
-	// stay out of it (they live in the immutable segment metas and are
-	// re-merged in memory at open and publish — see Meta.KeyStats).
-	man.KeyStats = nil
-	man.Segments = make([]string, len(segs))
-	for i, sg := range segs {
-		man.Segments[i] = sg.name
-	}
-	if len(tombs) > 0 {
-		man.Tombstones = tombs
-	} else {
-		man.Tombstones = nil
-	}
-	mb, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := filepath.Join(l.dir, metaFileName+".tmp")
-	if err := os.WriteFile(tmp, mb, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(l.dir, metaFileName))
 }
 
 // Reload re-reads the manifest from disk and picks up segments and
@@ -824,38 +740,40 @@ func (l *Live) writeManifestLocked(gen int, segs []*segment, tombs map[string][]
 // generation already matches; every delete and compaction bumps the
 // generation, so tombstone changes are never missed). The on-disk
 // manifest must be segmented and agree on MSS and coding; a full
-// offline rebuild requires reopening the index instead.
+// offline rebuild requires reopening the index instead. A successful
+// reload sweeps what the manifest no longer names, as OpenLive does.
 func (l *Live) Reload() (bool, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return false, ErrClosed
 	}
-	disk, err := readMeta(l.dir)
+	man, err := readMeta(l.dir)
 	if err != nil {
 		return false, err
 	}
-	cur := l.cur.Load()
-	if disk.FormatVersion != FormatSegmented {
-		return false, fmt.Errorf("core: reload needs a segmented manifest, found format %d; reopen the index after offline rebuilds", disk.FormatVersion)
+	if man.FormatVersion != FormatSegmented {
+		return false, fmt.Errorf("core: reload needs a segmented manifest, found format %d; reopen the index after offline rebuilds", man.FormatVersion)
 	}
-	if disk.Generation == cur.gen {
+	if err := CheckManifest(man); err != nil {
+		return false, err
+	}
+	cur := l.cur.Load()
+	if man.Generation == cur.gen {
+		l.sweep(man)
 		return false, nil
 	}
-	if len(disk.Segments) == 0 {
-		return false, fmt.Errorf("core: segmented manifest in %s lists no segments", l.dir)
-	}
 	meta := l.info.Load().meta
-	if disk.MSS != meta.MSS || disk.Coding != meta.Coding {
+	if man.MSS != meta.MSS || man.Coding != meta.Coding {
 		return false, fmt.Errorf("core: manifest changed mss/coding (%d/%v -> %d/%v); reopen the index",
-			meta.MSS, meta.Coding, disk.MSS, disk.Coding)
+			meta.MSS, meta.Coding, man.MSS, man.Coding)
 	}
 	byName := make(map[string]*segment, len(cur.segs))
 	for _, sg := range cur.segs {
 		byName[sg.name] = sg
 	}
 	var newSegs, fresh []*segment
-	for _, name := range disk.Segments {
+	for _, name := range man.Segments {
 		if sg, ok := byName[name]; ok {
 			newSegs = append(newSegs, sg)
 			continue
@@ -868,12 +786,12 @@ func (l *Live) Reload() (bool, error) {
 		newSegs = append(newSegs, sg)
 		fresh = append(fresh, sg)
 	}
-	tombs, err := normalizeTombstones(newSegs, disk.Tombstones)
+	tombs, err := normalizeTombstones(newSegs, man.Tombstones)
 	if err != nil {
 		closeSegments(fresh)
 		return false, err
 	}
-	l.tombs = tombs
-	l.publishLocked(newSegs, disk.Generation, tombs)
+	l.publishLocked(newSegs, man.Generation, tombs)
+	l.sweep(man)
 	return true, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -12,7 +13,6 @@ import (
 	"repro/internal/lingtree"
 	"repro/internal/planner"
 	"repro/internal/subtree"
-	"repro/internal/treebank"
 )
 
 // This file implements the sharding layer over the single-directory
@@ -69,10 +69,7 @@ func BuildSharded(dir string, trees []*lingtree.Tree, opt Options, shards int) (
 		// A previous build here may have been sharded or segmented; drop
 		// those directories so the single-directory index fully replaces
 		// it.
-		if err := removeStaleShards(dir, 0); err != nil {
-			return nil, err
-		}
-		if err := removeStaleSegments(dir); err != nil {
+		if err := removeStale(dir, 0); err != nil {
 			return nil, err
 		}
 		return Build(dir, trees, opt)
@@ -81,13 +78,7 @@ func BuildSharded(dir string, trees []*lingtree.Tree, opt Options, shards int) (
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	if err := removeStaleShards(dir, shards); err != nil {
-		return nil, err
-	}
-	if err := removeStaleSingle(dir); err != nil {
-		return nil, err
-	}
-	if err := removeStaleSegments(dir); err != nil {
+	if err := removeStale(dir, shards); err != nil {
 		return nil, err
 	}
 
@@ -128,64 +119,17 @@ func BuildSharded(dir string, trees []*lingtree.Tree, opt Options, shards int) (
 	return meta, nil
 }
 
-// removeStaleShards deletes shard directories at or beyond the new
-// count, so reopening never sees leftovers of a wider previous build.
-func removeStaleShards(dir string, shards int) error {
-	entries, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if !e.IsDir() || !strings.HasPrefix(e.Name(), "shard-") {
-			continue
-		}
+// removeStale deletes what a previous build of another shape left in
+// dir — segment directories, shard directories at or beyond shards
+// and, for a sharded build, root-level leaf files — so reopening never
+// sees leftovers of a wider, unsharded or appended-to previous index.
+func removeStale(dir string, shards int) error {
+	return removeEntries(dir, func(name string) bool {
 		var s int
-		if _, err := fmt.Sscanf(e.Name(), "shard-%04d", &s); err != nil {
-			continue
-		}
-		if s >= shards {
-			if err := os.RemoveAll(filepath.Join(dir, e.Name())); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// removeStaleSingle deletes root-level single-index files, so a
-// sharded rebuild over a previously unsharded directory leaves no
-// stale index or data file behind.
-func removeStaleSingle(dir string) error {
-	for _, name := range []string{indexFileName, treebank.DataFileName, treebank.IndexFileName} {
-		if err := os.Remove(filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-	}
-	return nil
-}
-
-// removeStaleSegments deletes segment directories of a previous
-// segmented index, so a full rebuild over a previously appended-to
-// directory leaves no stale generations behind.
-func removeStaleSegments(dir string) error {
-	entries, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if e.IsDir() && strings.HasPrefix(e.Name(), segDirPrefix) {
-			if err := os.RemoveAll(filepath.Join(dir, e.Name())); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+		_, err := fmt.Sscanf(name, "shard-%04d", &s)
+		return strings.HasPrefix(name, segDirPrefix) || err == nil && s >= shards ||
+			shards > 1 && slices.Contains(leafFiles, name)
+	})
 }
 
 // leafSet is the execution engine: an ordered list of single-directory

@@ -3,8 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
+	"slices"
 	"sort"
 
 	"repro/internal/lingtree"
@@ -142,15 +141,6 @@ func normalizeTombstones(segs []*segment, raw map[string][]int) (map[string][]in
 	return clean, nil
 }
 
-// countTombstones totals a normalized tombstone map.
-func countTombstones(tombs map[string][]int) int {
-	n := 0
-	for _, tids := range tombs {
-		n += len(tids)
-	}
-	return n
-}
-
 // mergeTombstones folds global-tid deletes into a copy of the current
 // tombstone map, returning the merged map and how many tids were newly
 // tombstoned (already-deleted tids merge idempotently). Callers
@@ -246,71 +236,31 @@ func (l *Live) Update(ctx context.Context, deletes []int, trees []*lingtree.Tree
 			return nil, 0, fmt.Errorf("core: delete of tid %d out of range [0, %d)", tid, total)
 		}
 	}
-	gen := cur.gen
-	if gen == 0 {
+	if cur.gen == 0 {
+		// Promotion commits and serves generation 1 on its own: if a
+		// later step of this update fails, the in-memory generation
+		// agrees with the on-disk manifest, so a retry does not promote
+		// again. (A legacy root has no tombstones by construction.)
 		if err := l.promoteLocked(cur.segs[0]); err != nil {
 			return nil, 0, err
 		}
-		// Publish the promoted state immediately: if a later step of this
-		// update fails, the in-memory generation (now 1) agrees with the
-		// on-disk manifest, so a retry must not run the promotion again —
-		// re-promoting would delete the already-moved payload in
-		// seg-000001. (A legacy root has no tombstones by construction.)
-		l.publishLocked(cur.segs, 1, nil)
 		cur = l.cur.Load()
-		gen = 1
 	}
-	newTombs, newly := mergeTombstones(l.tombs, cur.segs, deletes)
+	tombs, newly := mergeTombstones(l.tombs, cur.segs, deletes)
 	if len(trees) == 0 && newly == 0 {
 		return nil, 0, nil // every victim already tombstoned: nothing to publish
 	}
-	gen++
-	newSegs := cur.segs
+	gen, segs := cur.gen+1, cur.segs
 	var built *Meta
-	var segPath string
 	if len(trees) > 0 {
-		name := segDirName(gen)
-		segPath = filepath.Join(l.dir, name)
-		// A crashed or failed previous attempt may have left a partial
-		// directory at this generation; it was never in the manifest, so
-		// dropping it is safe.
-		if err := os.RemoveAll(segPath); err != nil {
-			return nil, 0, err
-		}
-		meta := l.info.Load().meta
-		var err error
-		built, err = BuildSharded(segPath, trees, Options{
-			MSS:    meta.MSS,
-			Coding: meta.Coding,
-		}, max(shards, 1))
+		sg, b, err := l.stageSegment(ctx, gen, trees, shards)
 		if err != nil {
-			os.RemoveAll(segPath)
 			return nil, 0, err
 		}
-		// The build can be long; honor a cancellation that arrived during
-		// it rather than publishing a segment the caller was told failed.
-		// (Cancellation after this point can still publish — exact-once
-		// updates need caller-side dedup, not provided here.)
-		if err := ctx.Err(); err != nil {
-			os.RemoveAll(segPath)
-			return nil, 0, err
-		}
-		sg, err := l.openSegment(name)
-		if err != nil {
-			os.RemoveAll(segPath)
-			return nil, 0, err
-		}
-		newSegs = append(append([]*segment(nil), cur.segs...), sg)
+		segs, built = append(slices.Clip(segs), sg), b
 	}
-	if err := l.writeManifestLocked(gen, newSegs, newTombs); err != nil {
-		if len(trees) > 0 {
-			sg := newSegs[len(newSegs)-1]
-			sg.close(sg)
-			os.RemoveAll(segPath)
-		}
+	if err := l.commitLocked(gen, segs, tombs); err != nil {
 		return nil, 0, err
 	}
-	l.publishLocked(newSegs, gen, newTombs)
-	l.tombs = newTombs
 	return built, newly, nil
 }

@@ -65,12 +65,14 @@ func (w *Writer) Append(t *lingtree.Tree) error {
 	return nil
 }
 
-// Close flushes the data file and writes the offset directory.
+// Close flushes the data file and writes the offset directory. The
+// data file is closed on every path, a failed flush included.
 func (w *Writer) Close() error {
-	if err := w.data.Flush(); err != nil {
-		return err
+	err := w.data.Flush()
+	if cerr := w.dataF.Close(); err == nil {
+		err = cerr
 	}
-	if err := w.dataF.Close(); err != nil {
+	if err != nil {
 		return err
 	}
 	idx, err := os.Create(filepath.Join(w.dir, IndexFileName))
@@ -257,6 +259,7 @@ func Write(dir string, trees []*lingtree.Tree) error {
 	}
 	for _, t := range trees {
 		if err := w.Append(t); err != nil {
+			w.dataF.Close()
 			return err
 		}
 	}

@@ -1,6 +1,9 @@
 package treebank
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/corpusgen"
@@ -107,5 +110,28 @@ func TestLoadForest(t *testing.T) {
 func TestOpenMissing(t *testing.T) {
 	if _, err := OpenStore(t.TempDir()); err == nil {
 		t.Error("want error for missing store")
+	}
+}
+
+// TestCloseReleasesDataFileOnFlushError writes through /dev/full, so
+// the final flush fails with ENOSPC: Close must report it and still
+// close the data file.
+func TestCloseReleasesDataFileOnFlushError(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Symlink("/dev/full", filepath.Join(dir, DataFileName)); err != nil {
+		t.Skip(err)
+	}
+	w, err := NewWriter(dir)
+	if err != nil {
+		t.Skip(err)
+	}
+	if err := w.Append(corpusgen.New(5).Trees(1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err == nil {
+		t.Fatal("Close on a full device succeeded")
+	}
+	if err := w.dataF.Close(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("data file still open after a failed Close: second close = %v", err)
 	}
 }
