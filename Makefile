@@ -8,8 +8,8 @@ STATICCHECK_VERSION ?= 2024.1.1
 STATICCHECK ?= $(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 
 # The repository's own vet tool (cmd/silint): borrowcheck, epochpin,
-# ctxloop plus the lostcancel/nilness extras. docs/LINTING.md is the
-# catalog.
+# ctxloop and nilness (lite), the checks plain go vet cannot make.
+# docs/LINTING.md is the catalog.
 SILINT := bin/silint
 
 .PHONY: build test bench bench-smoke bench-json bench-baseline fuzz-short lint silint serve serve-append-smoke serve-cluster-smoke docs-check examples ci
@@ -135,12 +135,13 @@ serve-append-smoke:
 serve-cluster-smoke:
 	sh scripts/serve-cluster-smoke.sh
 
-# Documentation checks: markdown link integrity, doc-comment coverage
-# of every exported identifier, and ARCHITECTURE.md's invariants each
-# citing a test that exists (docs_check_test.go), plus vet.
+# Documentation checks: markdown link integrity, every markdown file a
+# Go comment cites existing, doc-comment coverage of every exported
+# identifier, and ARCHITECTURE.md's invariants each citing a test that
+# exists (docs_check_test.go), plus vet.
 docs-check:
 	$(GO) vet ./...
-	$(GO) test -run 'TestDocLinks|TestExportedDocs|TestInvariantsNameTests' .
+	$(GO) test -run 'TestDocLinks|TestGoCommentsCiteExistingDocs|TestExportedDocs|TestInvariantsNameTests' .
 
 # Compile every example program so they cannot rot (building multiple
 # main packages at once type-checks and discards the binaries).

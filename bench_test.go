@@ -1,7 +1,7 @@
 // Package repro_test hosts the benchmark harness: one benchmark per
 // table and figure of the paper (run the full-scale versions with
-// cmd/siexp), plus ablation benches for the design decisions DESIGN.md
-// calls out. Benchmarks use bounded corpus sizes so `go test -bench=.`
+// cmd/siexp), plus ablation benches for the design decisions
+// docs/ARCHITECTURE.md describes. Benchmarks use bounded corpus sizes so `go test -bench=.`
 // completes on a laptop; shapes, not absolute numbers, are the
 // reproduction target.
 package repro_test
@@ -337,7 +337,8 @@ func BenchmarkSearchBatch(b *testing.B) {
 }
 
 // BenchmarkAblationStackJoin quantifies the Stack-Tree structural join
-// (DESIGN.md §6) against the block-nested merge on //-heavy queries.
+// (docs/ARCHITECTURE.md, "The join kernel") against the block-nested
+// merge on //-heavy queries.
 func BenchmarkAblationStackJoin(b *testing.B) {
 	trees := si.GenerateCorpus(2012, 1500)
 	qs := []*query.Query{

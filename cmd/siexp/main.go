@@ -8,7 +8,7 @@
 //
 // Output is a text table per experiment, with a note recalling the
 // shape the paper reports. Absolute numbers depend on the machine and
-// the synthetic corpus; see EXPERIMENTS.md for recorded runs.
+// the synthetic corpus; runs are reproduced with siexp -exp all.
 package main
 
 import (

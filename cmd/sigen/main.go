@@ -1,6 +1,7 @@
 // Command sigen generates a synthetic parsed news corpus in bracketed
 // format, one tree per line — the stand-in for the AQUAINT corpus
-// parsed with the Stanford parser (see DESIGN.md).
+// parsed with the Stanford parser (TestCorpusShape in internal/corpusgen
+// holds it to the structural statistics the paper reports).
 //
 // Usage:
 //

@@ -1,16 +1,16 @@
 // Command silint is the repository's vet tool: a multichecker bundling
 // the custom analyzers that machine-check the read path's memory and
-// cancellation conventions (borrowcheck, epochpin, ctxloop) plus the
-// two extra standard passes CI forces (lostcancel, nilness). docs/LINTING.md is the catalog.
+// cancellation conventions (borrowcheck, epochpin, ctxloop) plus
+// nilness (lite), which plain go vet does not run. docs/LINTING.md is
+// the catalog.
 //
 // It is not run directly; cmd/go drives it:
 //
 //	go build -o bin/silint ./cmd/silint
 //	go vet -vettool=bin/silint ./...
 //
-// Disable one analyzer with its flag (go vet -vettool=... -ctxloop=false ./...),
-// or silence a single finding in source with
-// //silint:ignore <analyzer> <justification>.
+// Every analyzer always runs; a single finding is silenced in source
+// with //silint:ignore <analyzer> <justification>.
 package main
 
 import (
@@ -21,7 +21,7 @@ import (
 	"repro/internal/analysis/ctxloop"
 	"repro/internal/analysis/driver"
 	"repro/internal/analysis/epochpin"
-	"repro/internal/analysis/vetlite"
+	"repro/internal/analysis/nilness"
 )
 
 // analyzers is the suite silint runs, in reporting order.
@@ -29,8 +29,7 @@ var analyzers = []*analysis.Analyzer{
 	borrowcheck.Analyzer,
 	epochpin.Analyzer,
 	ctxloop.Analyzer,
-	vetlite.LostCancel,
-	vetlite.Nilness,
+	nilness.Analyzer,
 }
 
 func main() {

@@ -1,8 +1,8 @@
 // Documentation checks, run as part of the normal test suite and by
 // the CI docs job (`make docs-check`): every relative link in the
-// repository's markdown must resolve, and every exported identifier
-// must carry a doc comment so the packages read correctly on
-// pkg.go.dev.
+// repository's markdown must resolve, every markdown file a Go comment
+// cites must exist, and every exported identifier must carry a doc
+// comment so the packages read correctly on pkg.go.dev.
 package repro_test
 
 import (
@@ -205,6 +205,55 @@ func TestDocLinks(t *testing.T) {
 				t.Errorf("%s: broken link %q (resolved %s)", md, m[1], resolved)
 			}
 		}
+	}
+}
+
+// mdCite matches a markdown file named in prose, such as
+// docs/LINTING.md or ARCHITECTURE.md.
+var mdCite = regexp.MustCompile(`[\w./-]*\w\.md\b`)
+
+// TestGoCommentsCiteExistingDocs parses every Go file and fails on a
+// comment naming a markdown file the repository does not have, so no
+// comment sends its reader to a document that was never written or has
+// since been deleted. A name resolves against the citing file's
+// directory, the repository root or docs/.
+func TestGoCommentsCiteExistingDocs(t *testing.T) {
+	exists := func(path string) bool {
+		_, err := os.Stat(path)
+		return err == nil
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == ".git" || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		for _, cg := range f.Comments {
+			for _, name := range mdCite.FindAllString(cg.Text(), -1) {
+				if strings.HasPrefix(name, "/") {
+					continue // the path of a URL
+				}
+				if !exists(filepath.Join(filepath.Dir(path), name)) && !exists(name) && !exists(filepath.Join("docs", name)) {
+					t.Errorf("%s: comment cites %s, which does not exist", fset.Position(cg.Pos()), name)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

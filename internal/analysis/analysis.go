@@ -14,11 +14,16 @@
 // The analyzers machine-check the read-path conventions the compiler
 // cannot see (docs/LINTING.md has the catalog):
 //
-//   - borrowcheck: pager.ReadPage's (view, release) borrow contract;
+//   - borrowcheck: pager.ReadPage's (view, release) borrow contract,
+//     and no writes into read-only views (pages, extents, Tree.Get
+//     values);
 //   - epochpin: epoch pin/release pairing in internal/core;
 //   - ctxloop: cancellation checks inside unbounded consumption loops;
-//   - lostcancel / nilness (lite): the two extra go vet passes CI
-//     forces beyond the default set.
+//   - nilness (lite): guaranteed nil dereferences, which plain go vet
+//     does not report.
+//
+// Everything `go vet`'s default set already checks is left to it:
+// make lint runs both.
 //
 // # Suppression
 //
@@ -40,20 +45,16 @@ import (
 	"strings"
 )
 
-// An Analyzer describes one static check: a name (also the silint flag
-// and the suppression key), a short doc string, and the Run function
-// applied to each type-checked package.
+// An Analyzer describes one static check: a name (also the
+// suppression key) and the Run function applied to each type-checked
+// package. Its package comment documents it.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, flags and
-	// //silint:ignore comments. By convention lower-case, no spaces.
+	// Name identifies the analyzer in diagnostics and //silint:ignore
+	// comments. By convention lower-case, no spaces.
 	Name string
-	// Doc is a one-paragraph description; its first line is the
-	// summary shown by silint -flags usage text.
-	Doc string
 	// Run applies the check to one package, reporting findings
-	// through pass.Report. It returns an error only for internal
-	// failures, never for findings.
-	Run func(pass *Pass) error
+	// through pass.Reportf.
+	Run func(pass *Pass)
 }
 
 // A Pass carries one type-checked package through an Analyzer's Run:
@@ -101,53 +102,47 @@ type Diagnostic struct {
 // surviving findings sorted by position: suppressed findings (see
 // //silint:ignore in the package comment) are filtered out, and
 // malformed suppressions are reported as findings themselves.
-func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
+func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		pass := &Pass{
+		a.Run(&Pass{
 			Analyzer:  a,
 			Fset:      fset,
 			Files:     files,
 			Pkg:       pkg,
 			TypesInfo: info,
 			diags:     &diags,
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("analyzer %s: %w", a.Name, err)
-		}
+		})
 	}
-	diags = append(diags, filterSuppressed(fset, files, &diags)...)
+	diags = suppress(fset, files, diags)
 	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
-	return diags, nil
+	return diags
 }
 
 // ignorePrefix introduces an in-source suppression comment.
 const ignorePrefix = "//silint:ignore"
 
-// suppression is one parsed //silint:ignore comment: the line it
-// covers and the analyzers it silences.
-type suppression struct {
-	analyzers map[string]bool
-}
-
-// filterSuppressed removes findings covered by a //silint:ignore on
-// the same line or the line immediately above, rewriting diags in
-// place. It returns extra findings for malformed suppressions (no
-// analyzer name, or no justification), so an ignore can never silently
-// rot into a blanket waiver.
-func filterSuppressed(fset *token.FileSet, files []*ast.File, diags *[]Diagnostic) []Diagnostic {
+// suppress drops the findings covered by a //silint:ignore naming
+// their analyzer on the same line or the line immediately above, and
+// adds a finding for each malformed suppression (no analyzer name, or
+// no justification), so an ignore can never silently rot into a
+// blanket waiver.
+func suppress(fset *token.FileSet, files []*ast.File, diags []Diagnostic) []Diagnostic {
+	type key struct {
+		file     string
+		line     int
+		analyzer string
+	}
+	ignored := make(map[key]bool)
 	var malformed []Diagnostic
-	// file -> covered line -> suppression
-	byLine := make(map[string]map[int]suppression)
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, ignorePrefix) {
+				rest, ok := strings.CutPrefix(c.Text, ignorePrefix)
+				if !ok {
 					continue
 				}
-				rest := strings.TrimPrefix(c.Text, ignorePrefix)
 				fields := strings.Fields(rest)
-				pos := fset.Position(c.Pos())
 				if len(fields) < 2 {
 					malformed = append(malformed, Diagnostic{
 						Pos:      c.Pos(),
@@ -156,48 +151,23 @@ func filterSuppressed(fset *token.FileSet, files []*ast.File, diags *[]Diagnosti
 					})
 					continue
 				}
-				m := byLine[pos.Filename]
-				if m == nil {
-					m = make(map[int]suppression)
-					byLine[pos.Filename] = m
-				}
 				// A comment on its own line covers the next line; a
 				// trailing comment covers its own. Cover both — the
 				// ambiguity is harmless because the analyzer name
 				// must still match.
-				sup := suppression{analyzers: map[string]bool{fields[0]: true}}
-				for line := pos.Line; line <= pos.Line+1; line++ {
-					if prev, ok := m[line]; ok {
-						prev.analyzers[fields[0]] = true
-					} else {
-						m[line] = suppression{analyzers: copySet(sup.analyzers)}
-					}
-				}
+				pos := fset.Position(c.Pos())
+				ignored[key{pos.Filename, pos.Line, fields[0]}] = true
+				ignored[key{pos.Filename, pos.Line + 1, fields[0]}] = true
 			}
 		}
 	}
-	kept := (*diags)[:0]
-	for _, d := range *diags {
-		pos := fset.Position(d.Pos)
-		if m, ok := byLine[pos.Filename]; ok {
-			if sup, ok := m[pos.Line]; ok && sup.analyzers[d.Analyzer] {
-				continue
-			}
+	kept := diags[:0]
+	for _, d := range diags {
+		if pos := fset.Position(d.Pos); !ignored[key{pos.Filename, pos.Line, d.Analyzer}] {
+			kept = append(kept, d)
 		}
-		kept = append(kept, d)
 	}
-	*diags = kept
-	return malformed
-}
-
-// copySet clones a string set so per-line suppressions stay
-// independent.
-func copySet(s map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
+	return append(kept, malformed...)
 }
 
 // IsContext reports whether t is context.Context, the type several

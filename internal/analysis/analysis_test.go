@@ -14,8 +14,7 @@ import (
 // behavior can be observed without type information.
 var demo = &analysis.Analyzer{
 	Name: "demo",
-	Doc:  "report every function",
-	Run: func(pass *analysis.Pass) error {
+	Run: func(pass *analysis.Pass) {
 		for _, f := range pass.Files {
 			for _, d := range f.Decls {
 				if fd, ok := d.(*ast.FuncDecl); ok {
@@ -23,7 +22,6 @@ var demo = &analysis.Analyzer{
 				}
 			}
 		}
-		return nil
 	},
 }
 
@@ -47,10 +45,7 @@ func e() {}
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.Run(fset, []*ast.File{file}, nil, nil, []*analysis.Analyzer{demo})
-	if err != nil {
-		t.Fatal(err)
-	}
+	diags := analysis.Run(fset, []*ast.File{file}, nil, nil, []*analysis.Analyzer{demo})
 	var got []string
 	for _, d := range diags {
 		got = append(got, d.Analyzer+": "+d.Message)
@@ -91,10 +86,7 @@ func TestDiagnosticsSorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.Run(fset, []*ast.File{file}, nil, nil, []*analysis.Analyzer{demo})
-	if err != nil {
-		t.Fatal(err)
-	}
+	diags := analysis.Run(fset, []*ast.File{file}, nil, nil, []*analysis.Analyzer{demo})
 	if len(diags) != 2 || diags[0].Pos >= diags[1].Pos {
 		t.Fatalf("diagnostics not position-sorted: %+v", diags)
 	}

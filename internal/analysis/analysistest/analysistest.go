@@ -5,15 +5,16 @@
 //
 //	v, release, err := f.ReadPage(1) // want `release not called`
 //
-// where each backquoted (or double-quoted) string is a regular
-// expression that must match a diagnostic reported on that line. Lines
-// without a want comment must produce no diagnostics, so each fixture
-// is simultaneously the positive and the negative suite for its
-// analyzer.
+// where each backquoted string is a regular expression that must match
+// a diagnostic reported on that line. Lines without a want comment must
+// produce no diagnostics, so each fixture is simultaneously the
+// positive and the negative suite for its analyzer.
 //
-// Fixtures are parsed and type-checked from source with the stdlib
-// source importer, so they may import standard-library packages but
-// nothing outside GOROOT.
+// A fixture's package path is its directory under testdata/src, so a
+// fixture at testdata/src/repro/internal/btree stands in for that
+// package where an analyzer matches by import path. Fixtures are parsed
+// and type-checked from source with the stdlib source importer, so they
+// may import standard-library packages but nothing outside GOROOT.
 package analysistest
 
 import (
@@ -27,7 +28,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -41,15 +41,16 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	for _, pkg := range pkgs {
 		t.Run(pkg, func(t *testing.T) {
-			runPackage(t, filepath.Join(dir, pkg), a)
+			runPackage(t, dir, pkg, a)
 		})
 	}
 }
 
-// runPackage type-checks one fixture directory and diffs diagnostics
-// against the want annotations.
-func runPackage(t *testing.T, dir string, a *analysis.Analyzer) {
+// runPackage type-checks the fixture package at path under src and
+// diffs diagnostics against the want annotations.
+func runPackage(t *testing.T, src, path string, a *analysis.Analyzer) {
 	t.Helper()
+	dir := filepath.Join(src, path)
 	fset := token.NewFileSet()
 	files, err := parseDir(fset, dir)
 	if err != nil {
@@ -64,15 +65,11 @@ func runPackage(t *testing.T, dir string, a *analysis.Analyzer) {
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	pkg, err := conf.Check(files[0].Name.Name, fset, files, info)
+	pkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		t.Fatalf("type-checking %s: %v", dir, err)
 	}
-	diags, err := analysis.Run(fset, files, pkg, info, []*analysis.Analyzer{a})
-	if err != nil {
-		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
-	}
-	checkWants(t, fset, files, diags)
+	checkWants(t, fset, files, analysis.Run(fset, files, pkg, info, []*analysis.Analyzer{a}))
 }
 
 // parseDir parses every .go file in dir, comments included.
@@ -146,8 +143,8 @@ func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []an
 	}
 }
 
-// wantRe splits a want comment's payload into quoted regexps.
-var wantRe = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
+// wantRe splits a want comment's payload into backquoted regexps.
+var wantRe = regexp.MustCompile("`[^`]*`")
 
 // parseWant extracts the expectations from one comment, if it is a
 // want comment.
@@ -160,16 +157,7 @@ func parseWant(t *testing.T, fset *token.FileSet, c *ast.Comment) []*expectation
 	pos := fset.Position(c.Pos())
 	var out []*expectation
 	for _, q := range wantRe.FindAllString(text, -1) {
-		pat := q
-		if strings.HasPrefix(q, "\"") {
-			unq, err := strconv.Unquote(q)
-			if err != nil {
-				t.Fatalf("%s: bad want string %s: %v", pos, q, err)
-			}
-			pat = unq
-		} else {
-			pat = strings.Trim(q, "`")
-		}
+		pat := strings.Trim(q, "`")
 		re, err := regexp.Compile(pat)
 		if err != nil {
 			t.Fatalf("%s: bad want regexp %q: %v", pos, pat, err)

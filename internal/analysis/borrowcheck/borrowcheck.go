@@ -2,7 +2,8 @@
 // (internal/pager, "Read path and the borrow contract"): every
 // `view, release, err := f.ReadPage(id)` acquisition must call release
 // on every path out of the acquiring scope — error returns included —
-// and the view must not outlive the borrow by escaping the function.
+// the view must not outlive the borrow by escaping the function, and
+// nothing may write through a read-only view.
 //
 // Recognized discharges, beyond a plain release() call:
 //
@@ -18,15 +19,35 @@
 // global, channel or goroutine is an escape — unless the same
 // statement also transfers the release (borrow moves as a pair), or
 // the function consults Stable(), the pager's explicit marker that
-// views outlive release on this backend.
+// views outlive release on this backend. The pairing and escape checks
+// track only the directly bound variables of a ReadPage acquisition.
 //
-// The analyzer identifies ReadPage by name and result shape
-// ([]byte, func(), error), tracks only the directly bound variables
-// (derived aliases are out of scope), and skips _test.go files.
+// # Read-only views
+//
+// A mapped file is mapped read-only, so writing through a view of it is
+// a SIGSEGV, and on the other backends it corrupts a cached or pooled
+// page. The views are the first result of ReadPage
+// ([]byte, func(), error), of ReadExtent ([]byte, error), of
+// (*btree.Tree).Get, and of any package-local function that returns one
+// of these (or a variable holding one) as its first result. A variable
+// or struct field assigned a view anywhere in the package holds one
+// everywhere in the package — so a field that carries an extent on one
+// path (the B+Tree iterator's current value) must never be appended
+// into on another. Flagged writes through a holder or a reslice of one:
+//
+//	v[i] = x          // element assignment (and v[i]++, v[i] += x)
+//	copy(v, src)      // copy into it
+//	append(v[:k], x)  // append into its capacity
+//
+// Writes made by a callee the view is passed to are out of scope.
+//
+// The analyzer identifies ReadPage and ReadExtent by name and result
+// shape, Tree.Get by package path and name, and skips _test.go files.
 package borrowcheck
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"repro/internal/analysis"
@@ -36,23 +57,17 @@ import (
 // Analyzer is the borrowcheck pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "borrowcheck",
-	Doc:  "check that pager.ReadPage borrows release on all paths and views do not escape",
-	Run:  run,
+	Run: func(pass *analysis.Pass) {
+		views := readOnlyViews(pass)
+		analysis.ForEachFunc(pass, func(fb analysis.FuncBody) {
+			checkFunc(pass, fb)
+			checkWrites(pass, fb, views)
+		})
+	},
 }
 
-// run visits every function and checks each ReadPage acquisition in
-// it.
-func run(pass *analysis.Pass) error {
-	for _, file := range pass.Files {
-		if len(file.Decls) > 0 && analysis.IsTestFile(pass.Fset, file.Pos()) {
-			continue
-		}
-		analysis.Funcs(file, func(fb analysis.FuncBody) {
-			checkFunc(pass, fb)
-		})
-	}
-	return nil
-}
+// btreeTree is the type whose Get method returns read-only values.
+const btreeTree = "*repro/internal/btree.Tree"
 
 // checkFunc checks the ReadPage acquisitions directly inside fb's body
 // (nested literals are visited as their own FuncBody).
@@ -109,28 +124,41 @@ func viewName(view *ast.Ident) string {
 }
 
 // borrowCall returns the ReadPage call when assign is a borrow
-// acquisition — a := with a single call whose results are
-// ([]byte, func(), error) from a method named ReadPage — else nil.
+// acquisition — a := of three names from a single ReadPage call — else
+// nil.
 func borrowCall(pass *analysis.Pass, assign *ast.AssignStmt) *ast.CallExpr {
-	if assign.Tok.String() != ":=" || len(assign.Rhs) != 1 || len(assign.Lhs) != 3 {
+	if assign.Tok != token.DEFINE || len(assign.Rhs) != 1 || len(assign.Lhs) != 3 {
 		return nil
 	}
 	call, ok := assign.Rhs[0].(*ast.CallExpr)
-	if !ok {
-		return nil
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "ReadPage" {
-		return nil
-	}
-	tup, ok := pass.TypesInfo.TypeOf(call).(*types.Tuple)
-	if !ok || tup.Len() != 3 {
-		return nil
-	}
-	if !isByteSlice(tup.At(0).Type()) || !isNullarySig(tup.At(1).Type()) || !isError(tup.At(2).Type()) {
+	if !ok || !isReadPage(callee(pass.TypesInfo, call)) {
 		return nil
 	}
 	return call
+}
+
+// callee returns the function or method call invokes, or nil for
+// builtins, conversions and calls of function values.
+func callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch f := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = f
+	case *ast.SelectorExpr:
+		id = f.Sel
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
+}
+
+// isReadPage reports whether fn is a ReadPage with results
+// ([]byte, func(), error).
+func isReadPage(fn *types.Func) bool {
+	if fn == nil || fn.Name() != "ReadPage" {
+		return false
+	}
+	res := fn.Type().(*types.Signature).Results()
+	return res.Len() == 3 && isByteSlice(res.At(0).Type()) && isNullarySig(res.At(1).Type()) && analysis.IsError(res.At(2).Type())
 }
 
 // isByteSlice reports whether t is []byte.
@@ -147,11 +175,6 @@ func isByteSlice(t types.Type) bool {
 func isNullarySig(t types.Type) bool {
 	sig, ok := t.Underlying().(*types.Signature)
 	return ok && sig.Params().Len() == 0 && sig.Results().Len() == 0
-}
-
-// isError reports whether t is the error interface.
-func isError(t types.Type) bool {
-	return types.Identical(t, types.Universe.Lookup("error").Type())
 }
 
 // lhsIdent returns assign.Lhs[i] as a non-blank identifier, or nil.
@@ -282,4 +305,136 @@ func derivesFrom(e ast.Expr, obj types.Object, info *types.Info) bool {
 		}
 	}
 	return false
+}
+
+// views is the package's set of read-only view holders: variables and
+// struct fields ever assigned a view, and package-local functions whose
+// first result is one.
+type views struct {
+	info    *types.Info
+	holders map[types.Object]bool
+}
+
+// readOnlyViews collects the view holders of pass's package. It
+// iterates to a fixpoint, because a wrapper is only recognized once
+// what it returns is.
+func readOnlyViews(pass *analysis.Pass) views {
+	v := views{pass.TypesInfo, make(map[types.Object]bool)}
+	for grew := true; grew; {
+		grew = false
+		mark := func(e ast.Expr) {
+			if obj := v.object(e); obj != nil && !v.holders[obj] {
+				v.holders[obj], grew = true, true
+			}
+		}
+		analysis.ForEachFunc(pass, func(fb analysis.FuncBody) {
+			ast.Inspect(fb.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncLit:
+					return false // its own visit
+				case *ast.AssignStmt:
+					if len(n.Rhs) == 1 && len(n.Lhs) > 1 && v.holds(n.Rhs[0]) {
+						mark(n.Lhs[0]) // a view is the first result
+					} else if len(n.Rhs) == len(n.Lhs) {
+						for i, r := range n.Rhs {
+							if v.holds(r) {
+								mark(n.Lhs[i])
+							}
+						}
+					}
+				case *ast.KeyValueExpr:
+					if f, ok := v.object(n.Key).(*types.Var); ok && f.IsField() && v.holds(n.Value) {
+						mark(n.Key)
+					}
+				case *ast.ReturnStmt:
+					if fb.Decl != nil && len(n.Results) > 0 && v.holds(n.Results[0]) {
+						mark(fb.Decl.Name)
+					}
+				}
+				return true
+			})
+		})
+	}
+	return v
+}
+
+// object returns the variable, field or function e names, or nil.
+func (v views) object(e ast.Expr) types.Object {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return v.info.ObjectOf(e)
+	case *ast.SelectorExpr:
+		return v.info.ObjectOf(e.Sel)
+	}
+	return nil
+}
+
+// holds reports whether e is a read-only view: a holder, a reslice of
+// one, or a call whose first result is a view.
+func (v views) holds(e ast.Expr) bool {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident, *ast.SelectorExpr:
+		return v.holders[v.object(e)]
+	case *ast.SliceExpr:
+		return v.holds(e.X)
+	case *ast.CallExpr:
+		fn := callee(v.info, e)
+		if fn == nil {
+			return false
+		}
+		sig := fn.Type().(*types.Signature)
+		res := sig.Results()
+		switch {
+		case v.holders[fn], isReadPage(fn):
+			return true
+		case fn.Name() == "ReadExtent":
+			return res.Len() == 2 && isByteSlice(res.At(0).Type()) && analysis.IsError(res.At(1).Type())
+		case fn.Name() == "Get":
+			return sig.Recv() != nil && types.TypeString(sig.Recv().Type(), nil) == btreeTree
+		}
+	}
+	return false
+}
+
+// checkWrites reports each write through a read-only view directly
+// inside fb's body (nested literals are visited as their own FuncBody).
+func checkWrites(pass *analysis.Pass, fb analysis.FuncBody, v views) {
+	report := func(at ast.Node, view ast.Expr, how string) {
+		pass.Reportf(at.Pos(), "%s writes into %s, a read-only view (in %s): write into a buffer this code owns",
+			how, types.ExprString(view), fb.Name)
+	}
+	element := func(e ast.Expr) {
+		if ix, ok := ast.Unparen(e).(*ast.IndexExpr); ok && v.holds(ix.X) {
+			report(ix, ix.X, "element assignment")
+		}
+	}
+	ast.Inspect(fb.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.AssignStmt:
+			for _, l := range n.Lhs {
+				element(l)
+			}
+		case *ast.IncDecStmt:
+			element(n.X)
+		case *ast.CallExpr:
+			id, _ := ast.Unparen(n.Fun).(*ast.Ident)
+			b, ok := pass.TypesInfo.Uses[id].(*types.Builtin)
+			if !ok || len(n.Args) == 0 {
+				return true
+			}
+			switch dst := ast.Unparen(n.Args[0]); b.Name() {
+			case "copy":
+				if v.holds(dst) {
+					report(n, dst, "copy")
+				}
+			case "append":
+				if s, ok := dst.(*ast.SliceExpr); ok && v.holds(s.X) {
+					report(n, s.X, "append")
+				}
+			}
+		}
+		return true
+	})
 }

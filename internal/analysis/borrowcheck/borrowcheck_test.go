@@ -8,5 +8,5 @@ import (
 )
 
 func TestBorrowcheck(t *testing.T) {
-	analysistest.Run(t, "testdata/src", borrowcheck.Analyzer, "a")
+	analysistest.Run(t, "testdata/src", borrowcheck.Analyzer, "a", "repro/internal/btree")
 }

@@ -30,30 +30,14 @@ import (
 // Analyzer is the ctxloop pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxloop",
-	Doc:  "check that posting-decode and join loops observe context cancellation",
-	Run:  run,
+	Run: func(pass *analysis.Pass) {
+		analysis.ForEachFunc(pass, func(fb analysis.FuncBody) { checkFunc(pass, fb) })
+	},
 }
 
 // advanceNames are the cursor-advancing method names that make a loop
 // a consumption loop.
 var advanceNames = map[string]bool{"Next": true, "next": true, "pull": true, "Pull": true}
-
-// run visits every function with a reachable context and checks its
-// consumption loops.
-func run(pass *analysis.Pass) error {
-	for _, file := range pass.Files {
-		if len(file.Decls) > 0 && analysis.IsTestFile(pass.Fset, file.Pos()) {
-			continue
-		}
-		analysis.Funcs(file, func(fb analysis.FuncBody) {
-			if !hasContext(pass, fb) {
-				return
-			}
-			checkFunc(pass, fb)
-		})
-	}
-	return nil
-}
 
 // hasContext reports whether fb can reach a context.Context: as a
 // parameter, lexically in its body, or as a field of its receiver.
@@ -106,8 +90,11 @@ func structHasContext(t types.Type) bool {
 }
 
 // checkFunc flags each consumption loop in fb whose nest has no
-// context use.
+// context use, when fb has a context in reach.
 func checkFunc(pass *analysis.Pass, fb analysis.FuncBody) {
+	if !hasContext(pass, fb) {
+		return
+	}
 	ast.Inspect(fb.Body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false // its own FuncBody visit

@@ -5,7 +5,8 @@
 // dependency):
 //
 //  1. `silint -flags` prints the tool's flag set as JSON, which go vet
-//     merges into its own flag handling;
+//     merges into its own flag handling. silint has no flags of its
+//     own, so it prints [];
 //  2. for each package, cmd/go writes a vet.cfg JSON file — source
 //     file lists, the import map, and the compiled export data of
 //     every dependency — and invokes `silint [flags] path/to/vet.cfg`
@@ -18,8 +19,8 @@
 //     the facts output and reports nothing. The silint analyzers are
 //     all package-local, so the facts file is always empty.
 //
-// Every analyzer gets a boolean flag named after it (default on), so
-// `go vet -vettool=silint -borrowcheck=false ./...` runs all but one.
+// Every run applies every analyzer: the only waiver is a justified
+// //silint:ignore in the source.
 package driver
 
 import (
@@ -42,12 +43,8 @@ import (
 // Config is the subset of cmd/go's vet config (see buildVetConfig in
 // cmd/go/internal/work) that silint consumes.
 type Config struct {
-	// ID is the package ID being vetted, e.g. "repro/internal/core".
-	ID string
 	// Compiler is "gc" (used for types.Sizes selection).
 	Compiler string
-	// Dir is the package directory.
-	Dir string
 	// ImportPath is the canonical package path.
 	ImportPath string
 	// GoFiles are the package's Go sources, absolute.
@@ -58,8 +55,6 @@ type Config struct {
 	// PackageFile maps canonical package paths to files holding their
 	// export data.
 	PackageFile map[string]string
-	// Standard marks standard-library packages.
-	Standard map[string]bool
 	// VetxOnly means this run only feeds facts to later runs; silint
 	// has no cross-package facts, so it just writes the output stub.
 	VetxOnly bool
@@ -73,14 +68,10 @@ type Config struct {
 }
 
 // Main is the silint entry point: protocol flags, then one vet.cfg
-// unit. It returns the process exit code.
+// unit run through every analyzer. It returns the process exit code.
 func Main(analyzers []*analysis.Analyzer) int {
-	printFlags := flag.Bool("flags", false, "print analyzer flags as JSON (vet tool protocol)")
+	printFlags := flag.Bool("flags", false, "print the tool's flags as JSON (vet tool protocol)")
 	version := flag.String("V", "", "print version and exit (vet tool protocol; use -V=full)")
-	enabled := make(map[string]*bool, len(analyzers))
-	for _, a := range analyzers {
-		enabled[a.Name] = flag.Bool(a.Name, true, firstLine(a.Doc))
-	}
 	flag.Parse()
 
 	if *version != "" {
@@ -91,20 +82,15 @@ func Main(analyzers []*analysis.Analyzer) int {
 		return 0
 	}
 	if *printFlags {
-		return emitFlags(analyzers)
+		fmt.Println("[]")
+		return 0
 	}
 	args := flag.Args()
 	if len(args) != 1 || !strings.HasSuffix(args[0], ".cfg") {
 		fmt.Fprintln(os.Stderr, "usage: silint [flags] vet.cfg  (run via: go vet -vettool=$(command -v silint) ./...)")
 		return 1
 	}
-	var active []*analysis.Analyzer
-	for _, a := range analyzers {
-		if *enabled[a.Name] {
-			active = append(active, a)
-		}
-	}
-	return RunUnit(args[0], active, os.Stderr)
+	return RunUnit(args[0], analyzers, os.Stderr)
 }
 
 // selfID returns a content hash of the running executable, so the vet
@@ -126,35 +112,6 @@ func selfID() string {
 		return "unknown"
 	}
 	return fmt.Sprintf("%x", h.Sum(nil)[:16])
-}
-
-// emitFlags prints the protocol's flag description JSON.
-func emitFlags(analyzers []*analysis.Analyzer) int {
-	type flagDesc struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	descs := []flagDesc{}
-	for _, a := range analyzers {
-		descs = append(descs, flagDesc{Name: a.Name, Bool: true, Usage: firstLine(a.Doc)})
-	}
-	out, err := json.Marshal(descs)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	os.Stdout.Write(out)
-	os.Stdout.Write([]byte("\n"))
-	return 0
-}
-
-// firstLine truncates a doc string to its first line for flag usage.
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }
 
 // RunUnit executes analyzers over the unit described by the vet config
@@ -198,11 +155,7 @@ func RunUnit(cfgPath string, analyzers []*analysis.Analyzer, diagOut io.Writer) 
 		fmt.Fprintf(os.Stderr, "silint: typechecking %s: %v\n", cfg.ImportPath, err)
 		return 1
 	}
-	diags, err := analysis.Run(fset, files, pkg, info, analyzers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "silint: %v\n", err)
-		return 1
-	}
+	diags := analysis.Run(fset, files, pkg, info, analyzers)
 	if len(diags) == 0 {
 		return 0
 	}

@@ -2,10 +2,12 @@ package driver_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/analysis"
@@ -30,11 +32,26 @@ func TestRunUnitRejectsEmptyConfig(t *testing.T) {
 	}
 }
 
-// TestVetToolProtocol drives the real thing end to end: build silint,
-// point `go vet -vettool` at a fixture module with a known finding, and
-// require the -V/-flags/vet.cfg handshake to produce exactly that
-// diagnostic and exit nonzero.
-func TestVetToolProtocol(t *testing.T) {
+// tool is the silint binary the end-to-end tests share, built once.
+var tool struct {
+	once sync.Once
+	dir  string // removed by TestMain
+	path string
+	err  error
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if tool.dir != "" {
+		os.RemoveAll(tool.dir)
+	}
+	os.Exit(code)
+}
+
+// silint returns the go tool and a freshly built silint, skipping
+// under -short.
+func silint(t *testing.T) (goTool, silint string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("builds cmd/silint and invokes go vet")
 	}
@@ -42,23 +59,41 @@ func TestVetToolProtocol(t *testing.T) {
 	if err != nil {
 		t.Skip("go tool not on PATH")
 	}
-
-	tool := filepath.Join(t.TempDir(), "silint")
-	build := exec.Command(goTool, "build", "-o", tool, "repro/cmd/silint")
-	build.Dir = repoRoot(t)
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building silint: %v\n%s", err, out)
+	tool.once.Do(func() {
+		if tool.dir, tool.err = os.MkdirTemp("", "silint"); tool.err != nil {
+			return
+		}
+		tool.path = filepath.Join(tool.dir, "silint")
+		build := exec.Command(goTool, "build", "-o", tool.path, "repro/cmd/silint")
+		build.Dir = repoRoot(t)
+		if out, err := build.CombinedOutput(); err != nil {
+			tool.err = fmt.Errorf("building silint: %v\n%s", err, out)
+		}
+	})
+	if tool.err != nil {
+		t.Fatal(tool.err)
 	}
+	return goTool, tool.path
+}
+
+// TestVetToolProtocol drives the real thing end to end: build silint,
+// point `go vet -vettool` at a fixture module with a known finding, and
+// require the -V/-flags/vet.cfg handshake to produce exactly that
+// diagnostic and exit nonzero.
+func TestVetToolProtocol(t *testing.T) {
+	goTool, tool := silint(t)
 
 	mod := t.TempDir()
 	writeFile(t, filepath.Join(mod, "go.mod"), "module fixturemod\n\ngo 1.24\n")
-	writeFile(t, filepath.Join(mod, "leak.go"), `package fixturemod
+	writeFile(t, filepath.Join(mod, "nil.go"), `package fixturemod
 
-import "context"
+type box struct{ v int }
 
-func Leak(ctx context.Context) context.Context {
-	c, _ := context.WithCancel(ctx)
-	return c
+func Get(b *box) int {
+	if b == nil {
+		return b.v
+	}
+	return 0
 }
 `)
 
@@ -68,11 +103,23 @@ func Leak(ctx context.Context) context.Context {
 	if err == nil {
 		t.Fatalf("go vet exited 0 on a module with a known finding\n%s", out)
 	}
-	if !strings.Contains(string(out), "silint/lostcancel") {
-		t.Fatalf("diagnostic missing silint/lostcancel attribution:\n%s", out)
+	if !strings.Contains(string(out), "silint/nilness") {
+		t.Fatalf("diagnostic missing silint/nilness attribution:\n%s", out)
 	}
-	if !strings.Contains(string(out), "leak.go:6") {
-		t.Fatalf("diagnostic missing position leak.go:6:\n%s", out)
+	if !strings.Contains(string(out), "nil.go:7:10") {
+		t.Fatalf("diagnostic missing position nil.go:7:10:\n%s", out)
+	}
+}
+
+// TestRepoIsSilintClean runs the whole suite over this repository, the
+// gate make lint applies: every finding must be fixed or carry a
+// justified //silint:ignore.
+func TestRepoIsSilintClean(t *testing.T) {
+	goTool, tool := silint(t)
+	vet := exec.Command(goTool, "vet", "-vettool="+tool, "repro/...")
+	vet.Dir = repoRoot(t)
+	if out, err := vet.CombinedOutput(); err != nil {
+		t.Fatalf("go vet -vettool=silint repro/...: %v\n%s", err, out)
 	}
 }
 

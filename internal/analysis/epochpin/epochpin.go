@@ -34,25 +34,13 @@ import (
 // Analyzer is the epochpin pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "epochpin",
-	Doc:  "check that every epoch pin is released or handed off on every path",
-	Run:  run,
+	Run: func(pass *analysis.Pass) {
+		analysis.ForEachFunc(pass, func(fb analysis.FuncBody) { checkFunc(pass, fb) })
+	},
 }
 
 // releaseNames are the methods that drop a pin reference.
 var releaseNames = map[string]bool{"release": true, "unref": true, "Release": true, "Unref": true}
-
-// run visits every function and checks each pin acquisition in it.
-func run(pass *analysis.Pass) error {
-	for _, file := range pass.Files {
-		if len(file.Decls) > 0 && analysis.IsTestFile(pass.Fset, file.Pos()) {
-			continue
-		}
-		analysis.Funcs(file, func(fb analysis.FuncBody) {
-			checkFunc(pass, fb)
-		})
-	}
-	return nil
-}
 
 // checkFunc checks pin acquisitions directly inside fb's body.
 func checkFunc(pass *analysis.Pass, fb analysis.FuncBody) {
@@ -81,7 +69,7 @@ func checkHandleForm(pass *analysis.Pass, fb analysis.FuncBody, assign *ast.Assi
 		return
 	}
 	tup, ok := pass.TypesInfo.TypeOf(call).(*types.Tuple)
-	if !ok || tup.Len() != 2 || !isError(tup.At(1).Type()) {
+	if !ok || tup.Len() != 2 || !analysis.IsError(tup.At(1).Type()) {
 		return
 	}
 	handle, ok := assign.Lhs[0].(*ast.Ident)
@@ -170,11 +158,6 @@ func checkGuardForm(pass *analysis.Pass, fb analysis.FuncBody, ifs *ast.IfStmt) 
 func isPinCall(call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	return ok && (sel.Sel.Name == "pin" || sel.Sel.Name == "Pin")
-}
-
-// isError reports whether t is the error interface.
-func isError(t types.Type) bool {
-	return types.Identical(t, types.Universe.Lookup("error").Type())
 }
 
 // dischargesHandle reports whether stmt discharges the pin obligation

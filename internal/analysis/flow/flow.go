@@ -164,9 +164,7 @@ func (c *checker) evalStmt(s ast.Stmt, in st, brk, cont *st) st {
 		return c.evalList(s.List, in, brk, cont)
 
 	case *ast.IfStmt:
-		if s.Init != nil {
-			in = c.evalLeaf(s.Init, in)
-		}
+		in = c.evalLeaf(s.Init, in)
 		thenIn, elseIn := in, in
 		if c.cfg.ExemptCond != nil {
 			switch c.cfg.ExemptCond(s.Cond) {
@@ -185,25 +183,15 @@ func (c *checker) evalStmt(s ast.Stmt, in st, brk, cont *st) st {
 		return out
 
 	case *ast.ForStmt:
-		if s.Init != nil {
-			in = c.evalLeaf(s.Init, in)
-		}
-		infinite := s.Cond == nil
-		return c.evalLoop(s.Body, in, infinite)
+		return c.evalLoop(s.Body, c.evalLeaf(s.Init, in), s.Cond == nil)
 
 	case *ast.RangeStmt:
 		return c.evalLoop(s.Body, in, false)
 
 	case *ast.SwitchStmt:
-		if s.Init != nil {
-			in = c.evalLeaf(s.Init, in)
-		}
-		return c.evalClauses(s.Body, in, cont, !hasDefault(s.Body))
+		return c.evalClauses(s.Body, c.evalLeaf(s.Init, in), cont, !hasDefault(s.Body))
 	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			in = c.evalLeaf(s.Init, in)
-		}
-		return c.evalClauses(s.Body, in, cont, !hasDefault(s.Body))
+		return c.evalClauses(s.Body, c.evalLeaf(s.Init, in), cont, !hasDefault(s.Body))
 	case *ast.SelectStmt:
 		// A select without default blocks until some clause runs, so
 		// the no-clause fall-through does not apply.
@@ -211,30 +199,18 @@ func (c *checker) evalStmt(s ast.Stmt, in st, brk, cont *st) st {
 
 	case *ast.BranchStmt:
 		switch s.Tok {
-		case token.BREAK:
-			if s.Label != nil {
+		case token.BREAK, token.CONTINUE:
+			target, kind := brk, LeakBreak
+			if s.Tok == token.CONTINUE {
+				target, kind = cont, LeakContinue
+			}
+			switch {
+			case s.Label != nil:
 				c.bailed = true
-				return 0
-			}
-			if brk != nil {
-				*brk |= in
-				return 0
-			}
-			if in&stLive != 0 {
-				c.leak(s.Pos(), LeakBreak)
-			}
-			return 0
-		case token.CONTINUE:
-			if s.Label != nil {
-				c.bailed = true
-				return 0
-			}
-			if cont != nil {
-				*cont |= in
-				return 0
-			}
-			if in&stLive != 0 {
-				c.leak(s.Pos(), LeakContinue)
+			case target != nil:
+				*target |= in
+			case in&stLive != 0:
+				c.leak(s.Pos(), kind)
 			}
 			return 0
 		case token.FALLTHROUGH:
@@ -305,9 +281,7 @@ func (c *checker) evalClauses(body *ast.BlockStmt, in st, cont *st, mayskip bool
 		case *ast.CaseClause:
 			stmts = cl.Body
 		case *ast.CommClause:
-			if cl.Comm != nil {
-				clauseIn = c.evalLeaf(cl.Comm, clauseIn)
-			}
+			clauseIn = c.evalLeaf(cl.Comm, clauseIn)
 			stmts = cl.Body
 		}
 		out |= c.evalList(stmts, clauseIn, &swBrk, cont)
@@ -328,9 +302,13 @@ func hasDefault(body *ast.BlockStmt) bool {
 	return false
 }
 
-// evalLeaf evaluates a non-control statement: a discharge flips the
-// path to released, a guaranteed-panicking call ends it.
+// evalLeaf evaluates a non-control statement (or an absent init
+// clause, a no-op): a discharge flips the path to released, a
+// guaranteed-panicking call ends it.
 func (c *checker) evalLeaf(s ast.Stmt, in st) st {
+	if s == nil {
+		return in
+	}
 	if c.cfg.Discharges(s) {
 		return stReleased
 	}

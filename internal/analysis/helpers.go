@@ -22,28 +22,28 @@ type FuncBody struct {
 	Body *ast.BlockStmt
 }
 
-// Funcs yields every function body in the file — declarations and
-// literals — so analyzers see code inside closures too.
-func Funcs(file *ast.File, visit func(FuncBody)) {
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			if n.Body != nil {
-				visit(FuncBody{Name: n.Name.Name, Decl: n, Type: n.Type, Body: n.Body})
-			}
-		case *ast.FuncLit:
-			visit(FuncBody{Name: "func literal", Type: n.Type, Body: n.Body})
+// ForEachFunc calls visit on every function body — declarations and
+// literals, so closures are checked too — in the package's non-test
+// files. The contract analyzers skip _test.go files: tests deliberately
+// construct broken states, and the invariants they lock are exercised
+// by the fixtures instead.
+func ForEachFunc(pass *Pass, visit func(FuncBody)) {
+	for _, file := range pass.Files {
+		if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
+			continue
 		}
-		return true
-	})
-}
-
-// IsTestFile reports whether pos lies in a _test.go file. The contract
-// analyzers skip test files: tests deliberately construct broken
-// states, and the invariants they lock are exercised by the fixtures
-// instead.
-func IsTestFile(fset *token.FileSet, pos token.Pos) bool {
-	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					visit(FuncBody{Name: n.Name.Name, Decl: n, Type: n.Type, Body: n.Body})
+				}
+			case *ast.FuncLit:
+				visit(FuncBody{Name: "func literal", Type: n.Type, Body: n.Body})
+			}
+			return true
+		})
+	}
 }
 
 // UsesObject reports whether any identifier under n resolves to obj.
@@ -75,14 +75,14 @@ func ErrExemptCond(errObj types.Object, info *types.Info) func(cond ast.Expr) in
 		}
 		var other ast.Expr
 		switch {
-		case isObj(be.X, errObj, info):
+		case IsIdentOf(be.X, errObj, info):
 			other = be.Y
-		case isObj(be.Y, errObj, info):
+		case IsIdentOf(be.Y, errObj, info):
 			other = be.X
 		default:
 			return 0
 		}
-		if !isNil(other, info) {
+		if !IsNil(other, info) {
 			return 0
 		}
 		switch be.Op {
@@ -95,14 +95,14 @@ func ErrExemptCond(errObj types.Object, info *types.Info) func(cond ast.Expr) in
 	}
 }
 
-// isObj reports whether e is an identifier for obj.
-func isObj(e ast.Expr, obj types.Object, info *types.Info) bool {
+// IsIdentOf reports whether e is an identifier for obj.
+func IsIdentOf(e ast.Expr, obj types.Object, info *types.Info) bool {
 	id, ok := e.(*ast.Ident)
 	return ok && info.ObjectOf(id) == obj
 }
 
-// isNil reports whether e is the predeclared nil.
-func isNil(e ast.Expr, info *types.Info) bool {
+// IsNil reports whether e is the predeclared nil.
+func IsNil(e ast.Expr, info *types.Info) bool {
 	tv, ok := info.Types[e]
 	return ok && tv.IsNil()
 }
@@ -154,28 +154,7 @@ func IsPackageLevel(obj types.Object) bool {
 	return obj != nil && obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope()
 }
 
-// IsParam reports whether obj is bound by ft's parameter (or
-// receiver) list rather than a local declaration.
-func IsParam(obj types.Object, fb FuncBody, info *types.Info) bool {
-	if obj == nil {
-		return false
-	}
-	match := false
-	check := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, f := range fl.List {
-			for _, name := range f.Names {
-				if info.ObjectOf(name) == obj {
-					match = true
-				}
-			}
-		}
-	}
-	check(fb.Type.Params)
-	if fb.Decl != nil {
-		check(fb.Decl.Recv)
-	}
-	return match
+// IsError reports whether t is the error interface.
+func IsError(t types.Type) bool {
+	return types.Identical(t, types.Universe.Lookup("error").Type())
 }

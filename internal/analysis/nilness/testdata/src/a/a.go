@@ -1,7 +1,7 @@
-// Package nilness is the nilness (lite) fixture: each function
+// Package a is the nilness (lite) fixture: each function
 // dereferences — or safely avoids — a value inside the branch where a
 // nil test guarantees it is nil.
-package nilness
+package a
 
 type box struct{ v int }
 

@@ -83,8 +83,8 @@ func TestGrammarClosure(t *testing.T) {
 }
 
 // TestCorpusShape asserts the structural statistics the paper reports
-// for its parsed news corpus, which the substitution argument in
-// DESIGN.md depends on.
+// for its parsed news corpus, on which the synthetic corpus's standing
+// in for it rests.
 func TestCorpusShape(t *testing.T) {
 	g := New(7)
 	st := lingtree.NewStats()

@@ -2,8 +2,8 @@
 // paper's evaluation (§6) over the synthetic corpus. Each driver
 // produces a Result whose rows mirror the rows/series of the paper;
 // absolute numbers differ from the paper's testbed, but orderings and
-// growth shapes are the reproduction targets (EXPERIMENTS.md records
-// both). Corpus sizes default to laptop scale and grow with Config.
+// growth shapes are the reproduction targets (runs are reproduced with
+// siexp -exp all). Corpus sizes default to laptop scale and grow with Config.
 // Scale to approach the paper's.
 package experiments
 

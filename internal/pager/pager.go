@@ -5,8 +5,8 @@
 // user-level page cache on top: reads go through the operating system's
 // page buffering (§6.1). OpenCached adds an optional sharded LRU page
 // cache for serving workloads that want hot pages pinned in process
-// memory, and OpenMapped serves reads as subslices of a read-only
-// memory mapping of the whole file — no copies at all.
+// memory, and OpenWith with Mmap serves reads as subslices of a
+// read-only memory mapping of the whole file — no copies at all.
 //
 // # Read path and the borrow contract
 //
@@ -30,9 +30,11 @@
 //
 // ReadExtent(first, n) reads a byte range that starts at a page and
 // spans consecutive pages (the B+Tree's long values). It has no
-// release: on a mapped file it is borrowed from the mapping and valid
-// until Close; on every other backend it is one positioned read into a
-// fresh buffer the caller owns, and it bypasses the page cache.
+// release: on a mapped file it is a read-only view borrowed from the
+// mapping and valid until Close; on every other backend it is one
+// positioned read into a fresh buffer, and it bypasses the page cache.
+// Callers treat the result as read-only either way (cmd/silint's
+// borrowcheck enforces it).
 //
 // The read path is safe for concurrent use: ReadPage on a read-only
 // File serves the mapping, the internally locked cache shards, or
@@ -181,12 +183,6 @@ const maxMapLen = int(^uint(0) >> 1)
 // the read path allocates scratch buffers of that size. Far above any
 // configuration the builder produces.
 const maxOpenPageSize = 1 << 24
-
-// OpenMapped opens an existing page file read-only with the mmap
-// backend, falling back to plain pread when mapping is unavailable.
-func OpenMapped(path string) (*File, error) {
-	return OpenWith(path, OpenOptions{Mmap: true})
-}
 
 func (p *File) writeHeader() error {
 	var hdr [headerSize]byte

@@ -16,9 +16,9 @@ var WHGroups = []string{"who", "which", "where", "what"}
 
 // WHQuerySet returns the 48-query WH set: 12 structure-only queries per
 // group, modelled on Stanford parses of declarative rewrites of AOL
-// questions (the corpus substitution is documented in DESIGN.md). Leaf
-// terms are removed exactly as the paper describes, leaving tag
-// structure.
+// questions (internal/corpusgen's synthetic corpus stands in for the
+// paper's parsed news). Leaf terms are removed exactly as the paper
+// describes, leaving tag structure.
 func WHQuerySet() map[string][]*query.Query {
 	src := map[string][]string{
 		// "who is the mayor of new york city" → "mayor of new york city
