@@ -105,7 +105,7 @@ func TestToolPipeline(t *testing.T) {
 		t.Errorf("file-built and gen-built indexes disagree: %d vs %d", c1, c2)
 	}
 
-	// 5. A sharded build answers identically, queried through a cache.
+	// 5. A sharded build answers identically.
 	idx3 := filepath.Join(work, "idx3")
 	out = run(t, sibuild, "-gen", "300", "-seed", "7", "-out", idx3,
 		"-mss", "3", "-coding", "root-split", "-shards", "3")
@@ -115,7 +115,7 @@ func TestToolPipeline(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(idx3, "shard-0002", "subtree.idx")); err != nil {
 		t.Errorf("shard directory missing: %v", err)
 	}
-	c3 := matchCount(t, run(t, siquery, "-index", idx3, "-cache", "1048576", "NP(DT)(NN)"))
+	c3 := matchCount(t, run(t, siquery, "-index", idx3, "NP(DT)(NN)"))
 	if c3 != c1 {
 		t.Errorf("sharded index disagrees: %d vs %d", c3, c1)
 	}

@@ -40,14 +40,13 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-query evaluation timeout (0 = none)")
 	count := flag.Bool("count", false, "print only exact match counts (count-only path)")
 	explain := flag.Bool("explain", false, "print the planner's strategy and per-piece estimated vs. actual cardinality")
-	cache := flag.Int64("cache", 0, "LRU page cache bytes per index file (0 = uncached, the paper's setup)")
 	info := flag.Bool("info", false, "print the index's segment state instead of running queries")
 	flag.Parse()
 	if flag.NArg() == 0 && !*info {
 		fmt.Fprintln(os.Stderr, "usage: siquery -index DIR QUERY... | siquery -index DIR -info")
 		os.Exit(2)
 	}
-	ix, err := si.OpenWith(*dir, si.OpenOptions{CacheSize: *cache})
+	ix, err := si.Open(*dir)
 	if err != nil {
 		fatal(err)
 	}

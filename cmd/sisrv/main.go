@@ -7,7 +7,7 @@
 //
 // Serve an existing index directory:
 //
-//	sisrv -index idx -addr :8080 -cache 8388608 -timeout 10s
+//	sisrv -index idx -addr :8080 -timeout 10s
 //
 // Or build a throwaway demo index first (removed on exit):
 //
@@ -79,7 +79,6 @@ func main() {
 	flag.Uint64Var(&sc.seed, "seed", 42, "seed for -gen")
 	flag.IntVar(&sc.mss, "mss", 3, "maximum subtree size for -gen (1..6)")
 	flag.IntVar(&sc.shards, "shards", 1, "shard count for -gen")
-	cache := flag.Int64("cache", 0, "LRU page cache bytes per index file (0 = uncached, the paper's setup); a positive budget serves reads through the cached pread backend instead of mmap")
 	mmap := flag.Bool("mmap", true, "memory-map index files for zero-copy page reads (falls back to pread when mapping is unavailable)")
 	flag.IntVar(&sc.limit, "limit", server.DefaultMaxMatches, "max matches returned per query (-1 = unlimited)")
 	flag.IntVar(&sc.maxbatch, "maxbatch", server.DefaultMaxBatch, "max queries per /batch request")
@@ -94,7 +93,6 @@ func main() {
 	flag.IntVar(&sc.compact.minDeleted, "compact-min-deleted", 64, "background compaction threshold: compact at this many tombstoned trees")
 	flag.Parse()
 
-	sc.open = si.OpenOptions{CacheSize: *cache}
 	if !*mmap {
 		sc.open.Mmap = si.MmapOff
 	}

@@ -336,3 +336,72 @@ func TestExportedDocs(t *testing.T) {
 			len(missing), strings.Join(missing, "\n  "))
 	}
 }
+
+// TestServingKnobsTable keeps README's sisrv flag table in step with
+// the code: the flags cmd/sisrv/main.go defines and the flags the
+// "serving knobs" table names in its first column must be the same set.
+func TestServingKnobsTable(t *testing.T) {
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "cmd/sisrv/main.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defined := map[string]bool{}
+	ast.Inspect(file, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			return true
+		}
+		// Every flag constructor takes the name as its first string
+		// literal: flag.Int("name", ...), flag.IntVar(&v, "name", ...).
+		for _, arg := range call.Args {
+			if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				defined["-"+strings.Trim(lit.Value, "`\"")] = true
+				break
+			}
+		}
+		return true
+	})
+	if len(defined) == 0 {
+		t.Fatal("found no flag definitions in cmd/sisrv/main.go")
+	}
+
+	raw, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(raw), "The serving knobs:\n")
+	if !ok {
+		t.Fatal(`README.md lost its "The serving knobs:" table`)
+	}
+	listed := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimLeft(section, "\n"), "\n") {
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		cells := strings.Split(line, "|")
+		for _, m := range flagName.FindAllStringSubmatch(cells[1], -1) {
+			listed[m[1]] = true
+		}
+	}
+	for name := range defined {
+		if !listed[name] {
+			t.Errorf("sisrv defines %s, but README's serving knobs table has no row for it", name)
+		}
+	}
+	for name := range listed {
+		if !defined[name] {
+			t.Errorf("README's serving knobs table lists %s, which sisrv does not define", name)
+		}
+	}
+}
+
+// flagName matches a backquoted command-line flag such as `-sync-every`.
+var flagName = regexp.MustCompile("`(-[a-z][a-z0-9-]*)")

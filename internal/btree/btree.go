@@ -3,22 +3,21 @@
 // posting-list blobs, values too long to share a leaf stored as one
 // contiguous page-aligned extent each, and leaves chained for range
 // scans. Indexes are built once by a bulk loader from a sorted key
-// stream and then opened read-only; by
-// default no user-level page cache is layered over the pager (the paper
-// relies on OS page buffering, and so do we), while OpenCached opts a
-// tree into the pager's sharded LRU page cache and OpenWith can select
-// the zero-copy mmap backend for serving workloads.
+// stream and then opened read-only. No user-level page cache is layered
+// over the pager (the paper relies on OS page buffering, and so do we):
+// Open reads with pread, and OpenWith can select the zero-copy mmap
+// backend for serving workloads.
 //
 // Reads go through the pager's borrow contract (pager.ReadPage):
 // descents hold one page view at a time and release it before moving
-// down, so a lookup allocates nothing on the mmap and cached backends.
-// On those backends — where page views stay valid until Close — Get
-// returns inline values as subslices of the page itself; on the pooled
-// pread path it copies, because the scratch page is reused after
-// release. An extent value is borrowed from the mapping when the file
-// is mapped (pager.ReadExtent: no copy, no allocation) and read into a
-// fresh buffer with one positioned read otherwise. Either way the
-// returned value is read-only and valid until the Tree is closed.
+// down, so a lookup allocates nothing on the mmap backend. There —
+// where page views stay valid until Close — Get returns inline values
+// as subslices of the page itself; on the pooled pread path it copies,
+// because the scratch page is reused after release. An extent value is
+// borrowed from the mapping when the file is mapped (pager.ReadExtent:
+// no copy, no allocation) and read into a fresh buffer with one
+// positioned read otherwise. Either way the returned value is read-only
+// and valid until the Tree is closed.
 //
 // An opened Tree is safe for concurrent use: Get and Iterator keep all
 // mutable state (page borrows, cursors) per call or per Iterator, and
@@ -92,14 +91,10 @@ type Stats struct {
 }
 
 // Options configure how a tree is opened; the zero value reproduces
-// Open (pread, no cache).
+// Open (pread).
 type Options struct {
-	// CacheBytes is the pager page-cache budget; 0 or less disables it,
-	// and a positive budget selects the cached backend over Mmap.
-	CacheBytes int64
-	// Mmap requests the pager's memory-mapped backend when no cache is
-	// requested, falling back to pread when mapping is unavailable (see
-	// pager.OpenOptions).
+	// Mmap requests the pager's memory-mapped backend, falling back to
+	// pread when mapping is unavailable (see pager.OpenOptions).
 	Mmap bool
 }
 
@@ -112,22 +107,16 @@ type Tree struct {
 	stable bool // page views outlive release: Get may return subslices
 }
 
-// Open opens the B+Tree stored in the page file at path with no
-// user-level page cache.
+// Open opens the B+Tree stored in the page file at path with the pread
+// backend.
 func Open(path string) (*Tree, error) {
 	return OpenWith(path, Options{})
-}
-
-// OpenCached opens the B+Tree with a pager page cache of roughly
-// cacheBytes; 0 or less is equivalent to Open.
-func OpenCached(path string, cacheBytes int64) (*Tree, error) {
-	return OpenWith(path, Options{CacheBytes: cacheBytes})
 }
 
 // OpenWith opens the B+Tree stored in the page file at path with
 // explicit backend options.
 func OpenWith(path string, opts Options) (*Tree, error) {
-	pf, err := pager.OpenWith(path, pager.OpenOptions{CacheBytes: opts.CacheBytes, Mmap: opts.Mmap})
+	pf, err := pager.OpenWith(path, pager.OpenOptions{Mmap: opts.Mmap})
 	if err != nil {
 		return nil, err
 	}
@@ -176,12 +165,8 @@ func fromPager(pf *pager.File) (*Tree, error) {
 // Close releases the underlying file (and its mapping, when mapped).
 func (t *Tree) Close() error { return t.pf.Close() }
 
-// CacheStats reports the pager's page-cache counters (zero when the
-// tree was opened without a cache).
-func (t *Tree) CacheStats() pager.CacheStats { return t.pf.CacheStats() }
-
 // Mapped reports whether reads are served from a memory mapping.
-func (t *Tree) Mapped() bool { return t.pf.Mapped() }
+func (t *Tree) Mapped() bool { return t.stable }
 
 // Stats returns size statistics for the tree.
 func (t *Tree) Stats() Stats {
@@ -190,9 +175,8 @@ func (t *Tree) Stats() Stats {
 
 // Get returns the value stored under key, or found=false. The returned
 // slice is read-only and valid until the Tree is closed: on the mmap
-// backend every value is a zero-copy subslice of the mapping, on the
-// cached backend an inline value is a subslice of the cached page, and
-// elsewhere the value is copied.
+// backend every value is a zero-copy subslice of the mapping, and on
+// the pread backend it is copied.
 func (t *Tree) Get(key []byte) (value []byte, found bool, err error) {
 	if t.keys == 0 {
 		return nil, false, nil

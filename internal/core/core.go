@@ -50,8 +50,6 @@ type Options struct {
 	MSS int
 	// Coding selects the posting-list scheme.
 	Coding postings.Coding
-	// PageSize is the B+Tree page size; 0 means pager.DefaultPageSize.
-	PageSize int
 	// DisableRootDedup keeps one posting per instance even under
 	// root-split coding; only the ablation benchmarks set it.
 	DisableRootDedup bool
@@ -60,9 +58,6 @@ type Options struct {
 func (o *Options) normalize() error {
 	if o.MSS < 1 || o.MSS > 6 {
 		return fmt.Errorf("core: mss %d out of range [1, 6]", o.MSS)
-	}
-	if o.PageSize == 0 {
-		o.PageSize = pager.DefaultPageSize
 	}
 	return nil
 }
@@ -233,7 +228,7 @@ func Build(dir string, trees []*lingtree.Tree, opt Options) (*Meta, error) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	bld, err := btree.NewBuilder(filepath.Join(dir, indexFileName), opt.PageSize)
+	bld, err := btree.NewBuilder(filepath.Join(dir, indexFileName), pager.DefaultPageSize)
 	if err != nil {
 		return nil, err
 	}

@@ -50,14 +50,9 @@ const (
 
 // OpenOptions configure how an index is opened.
 type OpenOptions struct {
-	// CacheSize is the byte budget of an in-process LRU page cache over
-	// the index file (per shard when sharded). The zero value disables
-	// the cache, preserving the paper's §6.1 no-user-cache setup. A
-	// positive budget selects the cached pread backend whatever Mmap
-	// says.
-	CacheSize int64
-	// Mmap selects the read backend for index files when no cache is
-	// requested; the zero value (MmapAuto) maps them when possible.
+	// Mmap selects the read backend for index files; the zero value
+	// (MmapAuto) maps them when possible. No user-level page cache is
+	// layered over either backend (the paper's §6.1 setup).
 	Mmap MmapMode
 }
 
@@ -95,7 +90,7 @@ func OpenWith(dir string, opts OpenOptions) (*Index, error) {
 		return nil, fmt.Errorf("core: %s is a segmented index root (%d segments), not a leaf; use OpenLive", dir, len(meta.Segments))
 	}
 	tr, err := btree.OpenWith(filepath.Join(dir, indexFileName),
-		btree.Options{CacheBytes: opts.CacheSize, Mmap: opts.Mmap != MmapOff})
+		btree.Options{Mmap: opts.Mmap != MmapOff})
 	if err != nil {
 		return nil, err
 	}

@@ -215,8 +215,8 @@ type Live struct {
 }
 
 // OpenLive opens the index stored in dir — segmented, sharded or
-// single-directory. opts.CacheSize is a per-leaf budget; plans live
-// once per epoch at the root: leaves share MSS, coding and statistics,
+// single-directory. opts applies to every leaf; plans live once per
+// epoch at the root: leaves share MSS, coding and statistics,
 // so one compiled plan serves the whole fan-out.
 func OpenLive(dir string, opts OpenOptions) (*Live, error) {
 	meta, err := readMeta(dir)
@@ -225,7 +225,7 @@ func OpenLive(dir string, opts OpenOptions) (*Live, error) {
 	}
 	l := &Live{
 		dir:      dir,
-		leafOpts: OpenOptions{CacheSize: opts.CacheSize, Mmap: opts.Mmap},
+		leafOpts: opts,
 		openSegs: make(map[*segment]struct{}),
 	}
 	var segs []*segment

@@ -164,13 +164,13 @@ func TestShardedTreeRouting(t *testing.T) {
 	}
 }
 
-// TestShardedConcurrentQueries hammers one open sharded (and cached)
-// index from many goroutines; run under -race this is the concurrency
-// safety check for the fan-out path, the pager cache and the shared
-// B+Tree readers.
+// TestShardedConcurrentQueries hammers one open sharded index from many
+// goroutines; run under -race this is the concurrency safety check for
+// the fan-out path, the pager's pooled pread buffers (hence MmapOff) and
+// the shared B+Tree readers.
 func TestShardedConcurrentQueries(t *testing.T) {
 	trees := shardCorpus(400)
-	sharded := openLive(t, trees, 4, OpenOptions{CacheSize: 1 << 20})
+	sharded := openLive(t, trees, 4, OpenOptions{Mmap: MmapOff})
 	want := map[string]int{}
 	for _, src := range shardQueries {
 		ms, err := searchQuery(sharded, query.MustParse(src))

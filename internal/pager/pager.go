@@ -1,12 +1,11 @@
 // Package pager provides fixed-size page IO over a file, the storage
 // substrate of the disk-based B+Tree.
 //
-// Matching the paper's setup, the default configuration layers no
-// user-level page cache on top: reads go through the operating system's
-// page buffering (§6.1). OpenCached adds an optional sharded LRU page
-// cache for serving workloads that want hot pages pinned in process
-// memory, and OpenWith with Mmap serves reads as subslices of a
-// read-only memory mapping of the whole file — no copies at all.
+// Matching the paper's setup, no user-level page cache is layered on
+// top: the operating system's page cache is the only one (§6.1). There
+// are two read backends. Open reads with positioned reads (pread) into
+// pooled scratch pages; OpenWith with Mmap serves reads as subslices of
+// a read-only memory mapping of the whole file — no copies at all.
 //
 // # Read path and the borrow contract
 //
@@ -17,30 +16,26 @@
 //
 //   - mmap: the view is a subslice of the mapping, release is a no-op,
 //     and the bytes stay valid until Close unmaps the file;
-//   - cached: the view is the cache entry itself (no copy — hit or
-//     miss), release is a no-op, and the garbage collector keeps even
-//     an evicted entry alive while anything references it;
-//   - uncached pread: the view is a pooled scratch buffer that release
-//     returns for reuse, so the bytes are valid ONLY until release.
+//   - pread: the view is a pooled scratch buffer that release returns
+//     for reuse, so the bytes are valid ONLY until release.
 //
-// Stable() reports which of the two regimes a file is in, letting
-// callers (the B+Tree) return zero-copy values when views outlive
-// release and copy only on the unstable pooled path. Read(id, buf)
-// remains the copying convenience wrapper.
+// Stable() reports which of the two a file is in, letting callers (the
+// B+Tree) return zero-copy values when views outlive release and copy
+// only on the pooled path. Read(id, buf) remains the copying
+// convenience wrapper.
 //
 // ReadExtent(first, n) reads a byte range that starts at a page and
 // spans consecutive pages (the B+Tree's long values). It has no
 // release: on a mapped file it is a read-only view borrowed from the
-// mapping and valid until Close; on every other backend it is one
-// positioned read into a fresh buffer, and it bypasses the page cache.
-// Callers treat the result as read-only either way (cmd/silint's
-// borrowcheck enforces it).
+// mapping and valid until Close; under pread it is one positioned read
+// into a fresh buffer. Callers treat the result as read-only either way
+// (cmd/silint's borrowcheck enforces it).
 //
 // The read path is safe for concurrent use: ReadPage on a read-only
-// File serves the mapping, the internally locked cache shards, or
-// positioned reads (ReadAt) on per-goroutine pooled buffers, so any
-// number of goroutines may read at once. The write path (Alloc, Write,
-// Sync) is single-writer, which the bulk loader respects.
+// File serves the mapping or positioned reads (ReadAt) on per-goroutine
+// pooled buffers, so any number of goroutines may read at once. The
+// write path (Alloc, Write, Sync) is single-writer, which the bulk
+// loader respects.
 package pager
 
 import (
@@ -66,29 +61,22 @@ type File struct {
 	pageSize int
 	npages   uint32
 	readonly bool
-	cache    *pageCache // nil = uncached (the paper's default)
-	data     []byte     // non-nil = read-only mmap of the whole file
-	pool     sync.Pool  // *pageBuf scratch pages for the pread borrow path
+	data     []byte    // non-nil = read-only mmap of the whole file
+	pool     sync.Pool // *pageBuf scratch pages for the pread borrow path
 }
 
 // OpenOptions configure how an existing page file is opened for
-// reading; the zero value reproduces Open (pread, no cache).
+// reading; the zero value reproduces Open (pread).
 type OpenOptions struct {
-	// CacheBytes is the budget of a sharded LRU page cache, rounded
-	// down to whole pages; 0 or less disables the cache. A positive
-	// budget selects the cached pread backend, so Mmap is then not
-	// tried: asking for a cache is asking for that backend.
-	CacheBytes int64
-	// Mmap requests the memory-mapped backend when no cache is
-	// requested: page reads become subslices of one read-only mapping of
-	// the file. When the platform has no mmap, or mapping fails (exotic
-	// filesystems, empty file), the open silently falls back to the
-	// pread backend — the two are bit-for-bit equivalent, mapping is
-	// purely a performance choice.
+	// Mmap requests the memory-mapped backend: page reads become
+	// subslices of one read-only mapping of the file. When the platform
+	// has no mmap, or mapping fails (exotic filesystems, empty file),
+	// the open silently falls back to the pread backend — the two are
+	// bit-for-bit equivalent, mapping is purely a performance choice.
 	Mmap bool
 }
 
-// pageBuf is one pooled scratch page for the uncached pread path. Its
+// pageBuf is one pooled scratch page for the pread path. Its
 // release closure is built once when the pool allocates it, so a
 // steady-state ReadPage/release cycle allocates nothing.
 type pageBuf struct {
@@ -96,8 +84,8 @@ type pageBuf struct {
 	release func()
 }
 
-// noRelease is the shared no-op release returned for mmap and cache
-// views, whose lifetime the File (or the garbage collector) manages.
+// noRelease is the shared no-op release returned for mmap views, whose
+// lifetime the File manages.
 func noRelease() {}
 
 // initPool prepares the scratch-page pool; called from every
@@ -111,10 +99,10 @@ func (p *File) initPool() {
 }
 
 // Create creates (truncating) a page file at path with the given page
-// size, which must be at least 64 bytes.
+// size, which must lie in [64, 1<<24] — the range OpenWith accepts.
 func Create(path string, pageSize int) (*File, error) {
-	if pageSize < 64 {
-		return nil, fmt.Errorf("pager: page size %d too small", pageSize)
+	if pageSize < 64 || pageSize > maxOpenPageSize {
+		return nil, fmt.Errorf("pager: page size %d outside [64, %d]", pageSize, maxOpenPageSize)
 	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -129,8 +117,7 @@ func Create(path string, pageSize int) (*File, error) {
 	return p, nil
 }
 
-// Open opens an existing page file read-only with the default backend:
-// positioned reads, no user-level cache.
+// Open opens an existing page file read-only with the pread backend.
 func Open(path string) (*File, error) { return OpenWith(path, OpenOptions{}) }
 
 // OpenWith opens an existing page file read-only with explicit backend
@@ -160,10 +147,6 @@ func OpenWith(path string, opts OpenOptions) (*File, error) {
 		return nil, fmt.Errorf("pager: corrupt header in %s", path)
 	}
 	p.initPool()
-	if opts.CacheBytes > 0 {
-		p.cache = newPageCache(int(opts.CacheBytes / int64(p.pageSize)))
-		return p, nil
-	}
 	if opts.Mmap {
 		if st, err := f.Stat(); err == nil && st.Size() > 0 && st.Size() <= int64(maxMapLen) {
 			if data, err := mmapFile(f.Fd(), int(st.Size())); err == nil {
@@ -180,8 +163,8 @@ const maxMapLen = int(^uint(0) >> 1)
 
 // maxOpenPageSize bounds the page size Open accepts from a header: a
 // hostile file claiming a multi-gigabyte page must be rejected before
-// the read path allocates scratch buffers of that size. Far above any
-// configuration the builder produces.
+// the read path allocates scratch buffers of that size. Create refuses
+// the same sizes, so every file it writes can be opened.
 const maxOpenPageSize = 1 << 24
 
 func (p *File) writeHeader() error {
@@ -193,30 +176,11 @@ func (p *File) writeHeader() error {
 	return err
 }
 
-// OpenCached opens an existing page file read-only with a sharded LRU
-// page cache of roughly cacheBytes (rounded down to whole pages). A
-// cacheBytes of 0 or less behaves exactly like Open: no user-level
-// cache, preserving the paper's §6.1 experimental setup.
-func OpenCached(path string, cacheBytes int64) (*File, error) {
-	return OpenWith(path, OpenOptions{CacheBytes: cacheBytes})
-}
-
-// CacheStats returns the page-cache counters (zero when uncached).
-func (p *File) CacheStats() CacheStats {
-	if p.cache == nil {
-		return CacheStats{}
-	}
-	return p.cache.stats()
-}
-
-// Mapped reports whether reads are served from a memory mapping.
-func (p *File) Mapped() bool { return p.data != nil }
-
 // Stable reports whether views returned by ReadPage stay valid until
-// Close even after their release is called — true for the mmap and
-// cached backends, false for the pooled pread path, whose buffers are
-// reused after release.
-func (p *File) Stable() bool { return p.data != nil || p.cache != nil }
+// Close even after their release is called: true exactly when reads
+// are served from a memory mapping, false on the pooled pread path,
+// whose buffers are reused after release.
+func (p *File) Stable() bool { return p.data != nil }
 
 // PageSize returns the page size in bytes.
 func (p *File) PageSize() int { return p.pageSize }
@@ -255,20 +219,6 @@ func (p *File) ReadPage(id uint32) (data []byte, release func(), err error) {
 		}
 		return p.data[off:end:end], noRelease, nil
 	}
-	if p.cache != nil {
-		if data, ok := p.cache.getRef(id); ok {
-			return data, noRelease, nil
-		}
-		// Miss: read into a fresh buffer and hand it to the cache whole.
-		// The caller's view is the cache entry itself; even if evicted
-		// before release, the garbage collector keeps it alive.
-		buf := make([]byte, p.pageSize)
-		if _, err := p.f.ReadAt(buf, int64(id)*int64(p.pageSize)); err != nil {
-			return nil, nil, err
-		}
-		p.cache.putOwned(id, buf)
-		return buf, noRelease, nil
-	}
 	pb := p.pool.Get().(*pageBuf)
 	if _, err := p.f.ReadAt(pb.buf, int64(id)*int64(p.pageSize)); err != nil {
 		pb.release()
@@ -282,9 +232,8 @@ func (p *File) ReadPage(id uint32) (data []byte, release func(), err error) {
 // the result is a capped subslice of the mapping — no copy, no
 // allocation, no syscall — valid until Close. Otherwise it is one
 // positioned read of exactly n bytes into a fresh buffer the caller
-// owns; the page cache is neither consulted nor filled, so it keeps
-// holding single tree pages only. A range past the allocated pages (or
-// the mapping) is an error rather than an over-read.
+// owns. A range past the allocated pages (or the mapping) is an error
+// rather than an over-read.
 func (p *File) ReadExtent(first uint32, n int) ([]byte, error) {
 	off := int64(first) * int64(p.pageSize)
 	end := off + int64(n)

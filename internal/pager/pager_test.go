@@ -2,8 +2,11 @@ package pager
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -109,6 +112,89 @@ func TestOpenRejectsGarbage(t *testing.T) {
 func TestTooSmallPageSize(t *testing.T) {
 	if _, err := Create(filepath.Join(t.TempDir(), "p"), 8); err == nil {
 		t.Error("want error for tiny page size")
+	}
+	// Above maxOpenPageSize OpenWith refuses the header as corrupt, so
+	// Create must refuse to write such a file in the first place.
+	if _, err := Create(filepath.Join(t.TempDir(), "p"), maxOpenPageSize+1); err == nil {
+		t.Error("want error for a page size OpenWith would refuse")
+	}
+	f, err := Create(filepath.Join(t.TempDir(), "p"), maxOpenPageSize)
+	if err != nil {
+		t.Fatalf("largest openable page size: %v", err)
+	}
+	f.Close()
+}
+
+// writePages creates a page file with n data pages, each stamped with
+// its own id, and returns its path.
+func writePages(t *testing.T, n int) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "pages.db")
+	f, err := Create(path, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 128)
+	for i := 0; i < n; i++ {
+		id, err := f.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(buf, id)
+		if err := f.Write(id, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// readPage borrows page id, checks its stamp and releases the view. It
+// reports rather than fails, so goroutines may call it.
+func readPage(f *File, id uint32) error {
+	data, release, err := f.ReadPage(id)
+	if err != nil {
+		return err
+	}
+	defer release()
+	if got := binary.LittleEndian.Uint32(data); got != id {
+		return fmt.Errorf("page %d holds stamp %d", id, got)
+	}
+	return nil
+}
+
+// TestConcurrentReads re-reads pages from 8 goroutines on both
+// backends. On pread every view is a pooled scratch page handed back on
+// release, so under -race this checks that no two readers ever share
+// one.
+func TestConcurrentReads(t *testing.T) {
+	const pages = 32
+	path := writePages(t, pages)
+	for _, mmap := range []bool{false, true} {
+		f, err := OpenWith(path, OpenOptions{Mmap: mmap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !mmap && f.Stable() {
+			t.Error("pread backend reports stable views")
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					if err := readPage(f, uint32(1+(g*7+i)%pages)); err != nil {
+						t.Errorf("mmap=%v: %v", mmap, err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		f.Close()
 	}
 }
 

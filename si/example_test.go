@@ -102,9 +102,9 @@ func ExampleIndex_Search() {
 	// tree 0 node 7 label NP
 }
 
-// ExampleIndex_SearchBatch shows serving-style evaluation: a page
-// cache and plan cache at open time, then a whole batch of queries in
-// one call, with shared posting fetches deduplicated across the batch.
+// ExampleIndex_SearchBatch shows serving-style evaluation: a whole batch
+// of queries in one call, with shared posting fetches deduplicated
+// across the batch and compiled plans kept for repeats.
 func ExampleIndex_SearchBatch() {
 	dir := exampleDir()
 	defer os.RemoveAll(dir)
@@ -112,9 +112,7 @@ func ExampleIndex_SearchBatch() {
 	if _, err := si.Build(dir, si.GenerateCorpus(42, 500), si.DefaultBuildOptions()); err != nil {
 		log.Fatal(err)
 	}
-	ix, err := si.OpenWith(dir, si.OpenOptions{
-		CacheSize: 1 << 20, // 1 MiB page cache per shard
-	})
+	ix, err := si.Open(dir)
 	if err != nil {
 		log.Fatal(err)
 	}

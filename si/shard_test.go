@@ -98,8 +98,9 @@ func TestBuildNumbersTreesByPosition(t *testing.T) {
 }
 
 // TestConcurrentSearchSharded issues Search and Count from many
-// goroutines against one open sharded index with a page cache — the
-// -race acceptance test of the issue, at the public API level.
+// goroutines against one open sharded index read through the pager's
+// pooled pread buffers (MmapOff) — the -race check of the fan-out path
+// at the public API level.
 func TestConcurrentSearchSharded(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ix")
 	trees := si.GenerateCorpus(7, 400)
@@ -108,7 +109,7 @@ func TestConcurrentSearchSharded(t *testing.T) {
 	if _, err := si.Build(dir, trees, opts); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := si.OpenWith(dir, si.OpenOptions{CacheSize: 1 << 20})
+	ix, err := si.OpenWith(dir, si.OpenOptions{Mmap: si.MmapOff})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,10 +28,12 @@
 //
 // For large corpora or serving workloads, BuildOptions.Shards
 // partitions the index into independently built shards that queries
-// fan out across concurrently, and OpenOptions.CacheSize adds an
-// in-process page cache; both default off, matching the paper's
-// single-directory, OS-buffered setup. An open Index is safe for
-// concurrent use by any number of goroutines.
+// fan out across concurrently; it defaults off, matching the paper's
+// single-directory setup. Index files are memory-mapped by default
+// (OpenOptions.Mmap) and no user-level page cache is layered over them:
+// as in the paper's setup, the operating system's page cache is the
+// only one. An open Index is safe for concurrent use by any number of
+// goroutines.
 //
 // An index ingests while it serves: Append indexes new trees into a
 // fresh immutable segment and publishes it atomically, so the next
@@ -97,8 +99,6 @@ type BuildOptions struct {
 	// Coding selects the posting scheme; the zero value is FilterBased,
 	// so set RootSplit explicitly or use DefaultBuildOptions.
 	Coding Coding
-	// PageSize is the B+Tree page size in bytes (0 = 4096).
-	PageSize int
 	// Shards > 1 partitions the corpus by tid into that many contiguous
 	// ranges and builds one independent index directory per range,
 	// concurrently (shard-0000/, shard-0001/, ...). An index opened from
@@ -138,9 +138,8 @@ func Build(dir string, trees []*Tree, opts BuildOptions) (BuildInfo, error) {
 		shards = 1
 	}
 	meta, err := core.BuildSharded(dir, trees, core.Options{
-		MSS:      opts.MSS,
-		Coding:   opts.Coding,
-		PageSize: opts.PageSize,
+		MSS:    opts.MSS,
+		Coding: opts.Coding,
 	}, shards)
 	if err != nil {
 		return BuildInfo{}, err
@@ -168,13 +167,6 @@ type Index struct {
 
 // OpenOptions configure how an index is opened.
 type OpenOptions struct {
-	// CacheSize is the byte budget of an in-process LRU page cache over
-	// the index file (per shard when sharded). The default 0 keeps
-	// reads uncached, preserving the paper's §6.1 setup where only the
-	// operating system buffers pages; serving deployments typically set
-	// a few megabytes. A positive budget selects the cached pread
-	// backend, so index files are then not memory-mapped (see Mmap).
-	CacheSize int64
 	// PlanCacheSize is ignored: compiled plans are always kept, one
 	// bounded map per published segment set, keyed by the query's
 	// canonical text.
@@ -182,11 +174,13 @@ type OpenOptions struct {
 	// Deprecated: plan caching is unconditional. The field remains
 	// only because the frozen benchmark (bench/layers.go) sets it.
 	PlanCacheSize int
-	// Mmap selects the read backend for index files when CacheSize is
-	// 0. The default (MmapAuto) memory-maps them so page reads are
-	// zero-copy subslices of the mapping; MmapOff forces positioned
-	// reads. When mapping is unavailable the open silently falls back to
-	// pread — results are identical either way.
+	// Mmap selects the read backend for index files. The default
+	// (MmapAuto) memory-maps them so page reads are zero-copy subslices
+	// of the mapping; MmapOff forces positioned reads into pooled
+	// buffers. When mapping is unavailable the open silently falls back
+	// to pread — results are identical either way. Neither backend keeps
+	// a user-level page cache: the operating system's is the only one,
+	// as in the paper's §6.1 setup.
 	Mmap MmapMode
 }
 
@@ -206,15 +200,12 @@ const (
 var ErrClosed = core.ErrClosed
 
 // Open opens the index stored in dir — sharded or not — with the
-// default options (no user-level page cache).
+// default options (memory-mapped when possible).
 func Open(dir string) (*Index, error) { return OpenWith(dir, OpenOptions{}) }
 
 // OpenWith opens the index stored in dir with explicit options.
 func OpenWith(dir string, opts OpenOptions) (*Index, error) {
-	ix, err := core.OpenLive(dir, core.OpenOptions{
-		CacheSize: opts.CacheSize,
-		Mmap:      opts.Mmap,
-	})
+	ix, err := core.OpenLive(dir, core.OpenOptions{Mmap: opts.Mmap})
 	if err != nil {
 		return nil, err
 	}
