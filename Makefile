@@ -40,7 +40,8 @@ bench-smoke:
 # the join layer's own (internal/join: JoinRun, JoinStream, and
 # StreamAlign at seek gaps of 1, 8, 64 and 512 entries) and of
 # internal/postings' RootDecode and RootBlock (the per-entry and the
-# batch decoder, the latter also over a real frequent key's list) and of
+# batch decoder, the latter also over a real frequent key's list) and
+# RootSkip (the skip-table seek over dense and sparse gaps) and of
 # internal/subtree's ExtractMSS3/MSS5 (the build's key kernel, one
 # reused extractor) and of internal/btree's Get (short and 20-page
 # values on pread and mmap) — the fetch and join-row work counters plus
@@ -56,7 +57,7 @@ bench-smoke:
 # compounding silently — every baseline move is a visible commit.
 BENCH_TOLERANCE ?= 0.25
 BENCH_CMD = $(GO) test -run='^$$' \
-	-bench='SearchBatch|CountOnly|LimitedSearch|ShardedQuery|PlannerSkew|JoinRun|JoinStream|StreamAlign|RootDecode|RootBlock|Extract|Get' \
+	-bench='SearchBatch|CountOnly|LimitedSearch|ShardedQuery|PlannerSkew|JoinRun|JoinStream|StreamAlign|RootDecode|RootBlock|RootSkip|Extract|Get' \
 	-benchmem -benchtime=1x . ./internal/join ./internal/postings ./internal/subtree ./internal/btree
 bench-json:
 	$(BENCH_CMD) > bench.out
@@ -75,7 +76,10 @@ bench-baseline:
 
 # Short fuzz pass over the byte-level decoders that face raw (possibly
 # hostile) file contents: posting-list iterators (FuzzRootBlock holds
-# the batch root-split decoder to the per-entry one, record for record),
+# the batch root-split decoder to the per-entry one, record for record;
+# FuzzRootSkip holds the skip-table seek to the records a Next loop
+# decodes, and on hostile bytes to no panic, no over-read and an error
+# wherever a walked block disagrees with its table entry),
 # the pager's header/page reader and the B+Tree's page decoding
 # (FuzzBTreeGet: lookups and a full scan of mutated built files, which
 # must error rather than panic or loop), plus the build's subtree
@@ -97,6 +101,7 @@ FUZZTIME ?= 10s
 fuzz-short:
 	$(GO) test -fuzz=FuzzPostingDecode -fuzztime=$(FUZZTIME) ./internal/postings/
 	$(GO) test -fuzz=FuzzRootBlock -fuzztime=$(FUZZTIME) ./internal/postings/
+	$(GO) test -fuzz=FuzzRootSkip -fuzztime=$(FUZZTIME) ./internal/postings/
 	$(GO) test -fuzz=FuzzPageHeader -fuzztime=$(FUZZTIME) ./internal/pager/
 	$(GO) test -fuzz=FuzzBTreeGet -fuzztime=$(FUZZTIME) ./internal/btree/
 	$(GO) test -fuzz=FuzzExtract -fuzztime=$(FUZZTIME) ./internal/subtree/

@@ -58,10 +58,11 @@ var guardedMetrics = []string{"fetches/op", "joinrows/op", "allocs/op", "B/op"}
 // benchmarks (join rows at fixed input cardinalities and, for the
 // stream's seek, at fixed gap lengths; the compiled kernel's
 // allocations, constant in the input size for a stream), the
-// root-split decoders' zero allocations, per entry and per block, the
+// root-split decoders' zero allocations, per entry and per block, and
+// of their skip-table seek, the
 // build's subtree extractor's zero allocations per tree, and the B+Tree
 // lookup's (zero for any value on a mapped file, one copy on pread).
-const defaultGuard = "LimitedSearch,ShardedQuery,SearchBatch,PlannerSkew,JoinRun,JoinStream,StreamAlign,RootDecode,RootBlock,Extract,Get"
+const defaultGuard = "LimitedSearch,ShardedQuery,SearchBatch,PlannerSkew,JoinRun,JoinStream,StreamAlign,RootDecode,RootBlock,RootSkip,Extract,Get"
 
 // guardItems splits a comma-separated guard list into its non-empty
 // items (so a trailing comma is harmless).

@@ -55,6 +55,14 @@ type Options struct {
 	DisableRootDedup bool
 }
 
+// rootSkipBlock is the Meta.RootSkipBlock an index built with o records.
+func (o *Options) rootSkipBlock() int {
+	if o.Coding == postings.RootSplit {
+		return postings.RootSkipBlock
+	}
+	return 0
+}
+
 func (o *Options) normalize() error {
 	if o.MSS < 1 || o.MSS > 6 {
 		return fmt.Errorf("core: mss %d out of range [1, 6]", o.MSS)
@@ -101,17 +109,22 @@ type Meta struct {
 	// written before statistics existed simply lack the field and read
 	// as nil, which compiles uncosted plans (no estimates, the syntactic
 	// connected join order).
-	KeyStats     *planner.Stats  `json:"key_stats,omitempty"`
-	MSS          int             `json:"mss"`           // maximum indexed subtree size
-	Coding       postings.Coding `json:"coding"`        // posting-list scheme
-	NumTrees     int             `json:"num_trees"`     // corpus size
-	Keys         int             `json:"keys"`          // unique subtrees indexed
-	Postings     int             `json:"postings"`      // total posting records
-	IndexBytes   int64           `json:"index_bytes"`   // B+Tree file size
-	DataBytes    int64           `json:"data_bytes"`    // flattened corpus size
-	BuildNanos   int64           `json:"build_nanos"`   // wall-clock build time
-	ExtractNanos int64           `json:"extract_nanos"` // subtree-enumeration phase
-	LoadNanos    int64           `json:"load_nanos"`    // B+Tree bulk-load phase
+	KeyStats *planner.Stats `json:"key_stats,omitempty"`
+	// RootSkipBlock is the skip-block size the root-split posting lists
+	// were written with (postings.RootSkipBlock); 0 under the other
+	// codings. A root-split leaf without it predates skip tables and is
+	// refused at open (see OpenWith).
+	RootSkipBlock int             `json:"root_skip_block,omitempty"`
+	MSS           int             `json:"mss"`           // maximum indexed subtree size
+	Coding        postings.Coding `json:"coding"`        // posting-list scheme
+	NumTrees      int             `json:"num_trees"`     // corpus size
+	Keys          int             `json:"keys"`          // unique subtrees indexed
+	Postings      int             `json:"postings"`      // total posting records
+	IndexBytes    int64           `json:"index_bytes"`   // B+Tree file size
+	DataBytes     int64           `json:"data_bytes"`    // flattened corpus size
+	BuildNanos    int64           `json:"build_nanos"`   // wall-clock build time
+	ExtractNanos  int64           `json:"extract_nanos"` // subtree-enumeration phase
+	LoadNanos     int64           `json:"load_nanos"`    // B+Tree bulk-load phase
 }
 
 // accumulator unifies the three coding accumulators during the build.
@@ -146,14 +159,16 @@ func (a *accumulator) count() int {
 	}
 }
 
-func (a *accumulator) bytes() []byte {
+// appendTo appends the posting list's wire form to dst; a root-split
+// list writes its skip table and records straight into dst.
+func (a *accumulator) appendTo(dst []byte) []byte {
 	switch {
 	case a.filter != nil:
-		return a.filter.Bytes()
+		return append(dst, a.filter.Bytes()...)
 	case a.root != nil:
-		return a.root.Bytes()
+		return a.root.AppendTo(dst)
 	default:
-		return a.interval.Bytes()
+		return append(dst, a.interval.Bytes()...)
 	}
 }
 
@@ -239,7 +254,7 @@ func Build(dir string, trees []*lingtree.Tree, opt Options) (*Meta, error) {
 		totalPostings += acc.count()
 		val = val[:0]
 		val = appendUvarint(val, uint64(acc.count()))
-		val = append(val, acc.bytes()...)
+		val = acc.appendTo(val)
 		stats.Record(k, planner.KeyStat{
 			Entries: uint64(acc.count()),
 			Tids:    uint64(acc.tids),
@@ -269,6 +284,7 @@ func Build(dir string, trees []*lingtree.Tree, opt Options) (*Meta, error) {
 	meta := &Meta{
 		FormatVersion: FormatSingle,
 		KeyStats:      stats,
+		RootSkipBlock: opt.rootSkipBlock(),
 		MSS:           opt.MSS,
 		Coding:        opt.Coding,
 		NumTrees:      len(trees),

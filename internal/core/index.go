@@ -89,6 +89,10 @@ func OpenWith(dir string, opts OpenOptions) (*Index, error) {
 	if meta.FormatVersion == FormatSegmented {
 		return nil, fmt.Errorf("core: %s is a segmented index root (%d segments), not a leaf; use OpenLive", dir, len(meta.Segments))
 	}
+	if meta.Coding == postings.RootSplit && meta.RootSkipBlock != postings.RootSkipBlock {
+		return nil, fmt.Errorf("core: %s holds root-split posting lists without the skip tables this version reads (skip block %d, want %d): rebuild the index",
+			dir, meta.RootSkipBlock, postings.RootSkipBlock)
+	}
 	tr, err := btree.OpenWith(filepath.Join(dir, indexFileName),
 		btree.Options{Mmap: opts.Mmap != MmapOff})
 	if err != nil {

@@ -85,6 +85,7 @@ func BuildSharded(dir string, trees []*lingtree.Tree, opt Options, shards int) (
 	meta := &Meta{
 		FormatVersion: FormatSharded,
 		Shards:        shards,
+		RootSkipBlock: opt.rootSkipBlock(),
 		MSS:           opt.MSS,
 		Coding:        opt.Coding,
 	}

@@ -211,6 +211,18 @@ func (c *rootCursor) NextBlock(tids []uint32, refs []postings.NodeRef) int {
 	}
 }
 
+// Skip passes whole skip blocks below target and returns how many
+// postings it passed. It jumps only blocks that end below the next
+// tombstoned tree, so every posting it passes is live and counts as
+// NextBlock would count it; the block holding a tombstoned tree is left
+// to NextBlock, which squeezes the deleted postings out.
+func (c *rootCursor) Skip(target uint32) int {
+	if dead, ok := c.dels.first(); ok && dead < target {
+		target = dead
+	}
+	return c.it.SkipTo(target)
+}
+
 // Err reports the iterator's decode error, if any.
 func (c *rootCursor) Err() error { return c.it.Err() }
 

@@ -574,16 +574,15 @@ func seekGaps(lists [][]uint32, stop uint32, hist map[int]int) {
 	}
 }
 
-// TestSeekGapTable measures what a skip header over fixed-size posting
-// blocks could save, on the benchmark's three kinds of traffic: the WH
-// queries drained, lexical FB queries drained, and both under limit=10.
-// A header lets a seek pass over whole blocks without decoding them, so
-// it only helps the entries that lie in gaps of at least a block; the
-// table (printed under -v; ARCHITECTURE.md quotes it) shows that on the
-// WH queries nearly all stepped-over entries lie in gaps far shorter
-// than the 128 entries ROADMAP item 3 proposed, and on no traffic the
-// two thirds its "3x fewer decoded entries" would need — which is why
-// decoding got cheaper per entry instead.
+// TestSeekGapTable measures what a posting list's skip table can save,
+// on the benchmark's three kinds of traffic: the WH queries drained,
+// lexical FB queries drained, and both under limit=10. A skip table lets
+// a seek pass over whole blocks without decoding them, so it only helps
+// the entries that lie in gaps of at least a block; the table (printed
+// under -v; ARCHITECTURE.md quotes it) shows that on the WH queries
+// nearly all stepped-over entries lie in gaps far shorter than 128
+// entries, while lexical FB queries step over about half of theirs in
+// such gaps — the traffic the skip tables are for.
 func TestSeekGapTable(t *testing.T) {
 	ctx := context.Background()
 	trees := corpusgen.New(1).Trees(4000)

@@ -92,6 +92,15 @@ func (s *TombScan) Has(tid uint32) bool {
 	return lo < len(t) && t[lo] == tid
 }
 
+// first returns the smallest tid the scan still holds, the first
+// tombstone at or after its last probe; ok is false when none is left.
+func (s *TombScan) first() (uint32, bool) {
+	if len(s.tids) == 0 {
+		return 0, false
+	}
+	return s.tids[0], true
+}
+
 // Len returns the number of tombstoned tids; 0 on a nil set.
 func (t *TombSet) Len() int {
 	if t == nil {

@@ -111,8 +111,9 @@ func BenchmarkJoinStream(b *testing.B) {
 // relation B one in every tree, so aligning on each of A's trees steps B
 // over gap entries — one at gap=1, most of a window at gap=64, several
 // whole windows at gap=512. Input arrives through a batch cursor over
-// flat arrays, so what is timed is the stream's own window scan, refill
-// and block hand-over, in ns per entry of B.
+// flat arrays whose Skip is a plain scan, so what is timed is the
+// stream's own window scan, skip, refill and block hand-over, in ns per
+// entry of B.
 func BenchmarkStreamAlign(b *testing.B) {
 	q := query.MustParse("A(B)")
 	const n = 1 << 17 // entries of B

@@ -42,7 +42,9 @@ type EntryCursor interface {
 
 // BlockCursor is the batch pull source the stream reads: each call
 // decodes many entries straight into the stream's own flat buffers, so
-// stepping over an entry costs the stream a compare, not a call.
+// stepping over an entry costs the stream a compare, not a call. Skip
+// lets the stream pass over a gap without having the entries decoded at
+// all.
 type BlockCursor interface {
 	// NextBlock fills tids and refs with the next entries in (tid, pre)
 	// order — one tid per entry and, for a cursor whose entries bind w
@@ -51,6 +53,13 @@ type BlockCursor interface {
 	// none means the list is exhausted or failed to decode; Err
 	// distinguishes the two, and NextBlock is not called again.
 	NextBlock(tids []uint32, refs []postings.NodeRef) int
+	// Skip moves the cursor past every entry of a tree below target and
+	// returns how many entries it passed, so the next NextBlock starts at
+	// tree target or later. A cursor that cannot seek passes nothing and
+	// returns 0; NextBlock then delivers the gap and the stream steps over
+	// it. A failure mid-skip is left for the next NextBlock and Err to
+	// report.
+	Skip(target uint32) int
 	// Err reports the decode error that stopped NextBlock, if any.
 	Err() error
 }
@@ -141,6 +150,10 @@ func (a *entryBlocks) NextBlock(tids []uint32, refs []postings.NodeRef) int {
 	return len(tids)
 }
 
+// Skip passes nothing: a per-entry cursor has no seek, so the stream
+// steps over the gap entry by entry.
+func (a *entryBlocks) Skip(uint32) int { return 0 }
+
 // Err reports the malformed entry or the cursor's own decode error.
 func (a *entryBlocks) Err() error {
 	if a.err != nil {
@@ -154,7 +167,8 @@ func (a *entryBlocks) Err() error {
 // order, advancing the underlying cursors only as far as demanded.
 // A Stream is single-use and not safe for concurrent use.
 type Stream struct {
-	ctx context.Context
+	ctx    context.Context
+	cancel <-chan struct{} // ctx.Done(), fetched once: see cancelled
 
 	srcs   []source
 	blocks []table  // blocks[i]: the current tree's entries of srcs[i], a view into its window
@@ -198,6 +212,7 @@ func NewStreamOpts(ctx context.Context, q *query.Query, rels []StreamRelation, o
 	}
 	s := &Stream{
 		ctx:    ctx,
+		cancel: ctx.Done(),
 		srcs:   make([]source, len(rels)),
 		blocks: make([]table, len(rels)),
 		prog:   prog,
@@ -268,6 +283,20 @@ func (s *Stream) EntriesRead() int {
 // piece's actual cardinality.
 func (s *Stream) SourceRead(i int) int { return s.srcs[i].read() }
 
+// cancelled polls the context and, once it is done, records its error.
+// The poll is a non-blocking receive on the Done channel: ctx.Err on a
+// cancellable context takes the context's mutex, which under a server's
+// per-request timeout costs more than the per-tree work it guards.
+func (s *Stream) cancelled() bool {
+	select {
+	case <-s.cancel:
+		s.err = s.ctx.Err()
+		return true
+	default:
+		return false
+	}
+}
+
 // refill reads the next batch of c's cursor into its window and reports
 // whether any entry arrived; false means the source is exhausted or the
 // stream failed (s.err). The entries from the head on are kept — moved
@@ -278,11 +307,7 @@ func (s *Stream) SourceRead(i int) int { return s.srcs[i].read() }
 // This is also where the stream observes cancellation while it seeks or
 // gathers: once per batch.
 func (s *Stream) refill(c *source) bool {
-	if c.eof || s.err != nil {
-		return false
-	}
-	if err := s.ctx.Err(); err != nil {
-		s.err = err
+	if c.eof || s.err != nil || s.cancelled() {
 		return false
 	}
 	// A window's arrays hold the same number of entries: cap(w.refs) is
@@ -333,8 +358,7 @@ func (s *Stream) refill(c *source) bool {
 func (s *Stream) fill() {
 	s.buf, s.bufI = s.buf[:0], 0
 	for {
-		if err := s.ctx.Err(); err != nil {
-			s.err = err
+		if s.cancelled() {
 			return
 		}
 		tid, ok := s.align()
@@ -387,8 +411,10 @@ func (s *Stream) align() (uint32, bool) {
 // seek moves c's head to its first entry of tree target or later and
 // returns that entry's tid: a scan over the window's flat tids that
 // refills when it runs off the end (a window that ends below the target
-// is passed over without the scan). ok is false when the source is
-// exhausted or the stream failed.
+// is passed over without the scan). Before a refill, a gap the window
+// says is long is handed to the cursor's Skip, and the entries it
+// passed count as read, exactly as if each had been the head in turn.
+// ok is false when the source is exhausted or the stream failed.
 func (s *Stream) seek(c *source, target uint32) (head uint32, ok bool) {
 	for {
 		tids, lo := c.win.tids, c.lo
@@ -401,6 +427,12 @@ func (s *Stream) seek(c *source, target uint32) (head uint32, ok bool) {
 		c.lo = lo
 		if lo < len(tids) {
 			return tids[lo], true
+		}
+		// The window's density estimates the gap left. A gap shorter than
+		// a window costs less to decode and scan than a skip costs to set
+		// up, so only a longer one is handed to the cursor.
+		if n := len(tids); !c.eof && (n < 2 || uint64(target-tids[n-1])*uint64(n) >= window*(uint64(tids[n-1]-tids[0])+1)) {
+			c.base += c.cursor.Skip(target)
 		}
 		if !s.refill(c) {
 			return 0, false

@@ -282,6 +282,17 @@ func (c *flatCursor) NextBlock(tids []uint32, refs []postings.NodeRef) int {
 	c.i += n
 	return n
 }
+
+// Skip passes the entries of trees below target, as a decoder's seek
+// would.
+func (c *flatCursor) Skip(target uint32) int {
+	from := c.i
+	for c.i < len(c.tids) && c.tids[c.i] < target {
+		c.i++
+	}
+	return c.i - from
+}
+
 func (c *flatCursor) Err() error { return nil }
 
 // cancellingCursor yields its inner entries and cancels a context after
@@ -311,6 +322,9 @@ func (c *cancellingCursor) NextBlock(tids []uint32, refs []postings.NodeRef) int
 	c.tick(n)
 	return n
 }
+
+// Skip passes nothing, so a seek runs through NextBlock and its ticks.
+func (c *cancellingCursor) Skip(uint32) int { return 0 }
 
 func (c *cancellingCursor) tick(entries int) {
 	if c.n < c.after && c.n+entries >= c.after {
@@ -616,6 +630,8 @@ type brokenBatch struct {
 	tids  []uint32
 	claim int
 }
+
+func (c *brokenCursor) Skip(uint32) int { return 0 }
 
 func (c *brokenCursor) NextBlock(tids []uint32, refs []postings.NodeRef) int {
 	if len(c.batches) == 0 {

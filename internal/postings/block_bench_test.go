@@ -133,3 +133,61 @@ func BenchmarkRootBlock(b *testing.B) {
 	b.Run("real/block", func(b *testing.B) { benchBlocks(b, payload, entries) })
 	b.Run("real/next", func(b *testing.B) { benchNext(b, payload, entries) })
 }
+
+// BenchmarkRootSkip times the seek the join stream runs when a window
+// ends below the next common tree, in ns per record stepped over. Each
+// op walks the whole list the way a join's smaller side drives it: seek
+// to a tree gap trees ahead — SkipTo whenever the window runs out, then
+// 32-record windows from NextBlock scanned up to the target — take that
+// tree's first record, repeat. A dense gap (4 trees, 12 records) mostly
+// stays inside one skip block, which SkipTo leaves to the window scan; a
+// sparse gap (2 000 trees, 6 000 records) is nearly all block jumps.
+// Both run over the one-byte list and over the one whose tid deltas are
+// multi-byte varints (the two synthetic lists of BenchmarkRootBlock).
+// Neither allocates.
+func BenchmarkRootSkip(b *testing.B) {
+	for _, gap := range []struct {
+		name  string
+		trees uint32
+	}{{"dense", 4}, {"sparse", 2000}} {
+		for _, shape := range []struct {
+			name    string
+			tidStep uint32
+		}{{"onebyte", 1}, {"multibyte", 1000}} {
+			payload, entries := syntheticRootList(shape.tidStep)
+			b.Run(gap.name+"/"+shape.name, func(b *testing.B) {
+				var tids [32]uint32
+				var refs [32]postings.NodeRef
+				stepped := 0
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					it := postings.NewRootIterator(payload)
+					stepped = 0
+					lo, n := 0, 0 // the window tids[lo:n]
+					for target := uint32(0); ; target += gap.trees * shape.tidStep {
+						for lo < n && tids[lo] < target {
+							lo, stepped = lo+1, stepped+1
+						}
+						if lo == n {
+							stepped += it.SkipTo(target)
+							for lo, n = 0, it.NextBlock(tids[:], refs[:]); n > 0 && tids[n-1] < target; lo, n = 0, it.NextBlock(tids[:], refs[:]) {
+								stepped += n
+							}
+							for lo < n && tids[lo] < target {
+								lo, stepped = lo+1, stepped+1
+							}
+						}
+						if lo == n {
+							break
+						}
+						lo++ // the join takes the target tree's first record
+					}
+					if taken := (entries/3 + int(gap.trees) - 1) / int(gap.trees); stepped+taken != entries || it.Err() != nil {
+						b.Fatalf("stepped over %d and took %d of %d entries, err %v", stepped, taken, entries, it.Err())
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(stepped), "ns/stepped")
+			})
+		}
+	}
+}

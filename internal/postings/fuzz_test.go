@@ -1,6 +1,7 @@
 package postings
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -33,7 +34,16 @@ func FuzzPostingDecode(f *testing.F) {
 			f.Add(uint8(i), flipped)
 		}
 	}
-	f.Add(uint8(1), []byte{0x00})       // root-split leading same-tid marker
+	f.Add(uint8(1), []byte{0x00}) // root-split skip-table header, cut
+	// Root-split lists with a skip table: whole, cut inside the table and
+	// inside the records, and with a table entry's count flipped.
+	tabled := tabledRootBlob()
+	f.Add(uint8(1), tabled)
+	f.Add(uint8(1), tabled[:8])
+	f.Add(uint8(1), tabled[:len(tabled)-6])
+	flipped := append([]byte(nil), tabled...)
+	flipped[5] ^= 0x10
+	f.Add(uint8(1), flipped)
 	f.Add(uint8(2), []byte{0x01, 0xff}) // interval implausible size
 
 	f.Fuzz(func(t *testing.T, codingRaw uint8, blob []byte) {
@@ -137,4 +147,116 @@ func FuzzRootBlock(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzRootSkip holds RootIterator.SkipTo to the records a Next loop
+// decodes. data is read two ways, and ops as an interleaving of SkipTo
+// and NextBlock calls on each (a byte with the low bit set is a
+// NextBlock of 1 + b>>4 records, any other byte raises the SkipTo
+// target by b>>1 steps of a 256th of the list's tid span):
+//
+//   - as the recipe of a list built by RootAccumulator (skipList), on
+//     which the calls must deliver exactly skipModel's records and pass
+//     counts, with no error;
+//   - as hostile bytes, on which they must never panic, read past the
+//     blob or pass more records than the blob has room for, and must
+//     behave as on a well-formed list wherever the skip table agrees
+//     with its records (tableAgrees). How a disagreeing table is caught
+//     is TestRootSkipDetectsInconsistentTable's subject.
+func FuzzRootSkip(f *testing.F) {
+	long := make([]byte, 90)
+	for i := range long {
+		long[i] = byte(i * 37)
+	}
+	built, _ := skipList(long)
+	f.Add(long, []byte{40, 1, 200, 17, 6, 255, 254})
+	f.Add(built.Bytes(), []byte{2, 4, 33, 80, 3, 160})
+	f.Add(built.Bytes()[:len(built.Bytes())/2], []byte{8, 8, 8})
+	f.Add([]byte{0x00, 0x03, 0x04, 0x01, 0x01, 0x04, 0x01, 0x02, 0x09, 0x01}, []byte{4, 1})
+	f.Add([]byte{0x00, 0x03, 0x04, 0x01, 0x01, 0x04, 0x00, 0x02, 0x09, 0x01}, []byte{4})
+	f.Add([]byte{0x01, 0x02, 0x09, 0x01, 0x00, 0x05, 0x08, 0x02}, []byte{1, 6})
+
+	f.Fuzz(func(t *testing.T, data, opBytes []byte) {
+		acc, all := skipList(data)
+		ops := skipOps(opBytes, all)
+		built := acc.Bytes()
+		got, passed, err := runSkipOps(built, ops)
+		wantGot, wantPassed := skipModel(all, skipBlockEnds(built), ops)
+		if err != nil || !slices.Equal(passed, wantPassed) || !slices.Equal(got, wantGot) {
+			t.Fatalf("built list: SkipTo passed %v and delivered %d records (err %v); want %v and %d",
+				passed, len(got), err, wantPassed, len(wantGot))
+		}
+
+		blob := append(make([]byte, 0, len(data)), data...) // cap == len
+		all, _ = rootEntries(blob, nil)
+		ops = skipOps(opBytes, all)
+		got, passed, err = runSkipOps(blob, ops)
+		total := len(got)
+		for _, p := range passed {
+			total += p
+		}
+		if total > len(blob)/4 {
+			t.Fatalf("%x: passed and delivered %d records from %d bytes", blob, total, len(blob))
+		}
+		if tableAgrees(blob) {
+			wantGot, wantPassed = skipModel(all, skipBlockEnds(blob), ops)
+			if err != nil || !slices.Equal(passed, wantPassed) || !slices.Equal(got, wantGot) {
+				t.Fatalf("%x: SkipTo passed %v and delivered %d records (err %v); want %v and %d",
+					blob, passed, len(got), err, wantPassed, len(wantGot))
+			}
+		}
+	})
+}
+
+// skipList builds the list FuzzRootSkip's recipe describes: four records
+// per recipe byte (at most 4000), the i-th drawn from three bytes of
+// the recipe. Of the first, bit 7 starts a new tree, bits 0-5 are its
+// tid step and bit 6 multiplies the step by 300 (a multi-byte delta);
+// the second is the pre (or, within a tree, its step) and the third the
+// post and level.
+func skipList(recipe []byte) (*RootAccumulator, []RootEntry) {
+	acc := NewRootAccumulator(true)
+	var all []RootEntry
+	if len(recipe) == 0 {
+		return acc, nil
+	}
+	tid, pre := uint32(0), uint32(0)
+	for i, n := 0, min(4*len(recipe), 4000); i < n; i++ {
+		b0, b1, b2 := recipe[i%len(recipe)], recipe[(7*i+1)%len(recipe)], recipe[(13*i+2)%len(recipe)]
+		if i == 0 || b0&0x80 != 0 {
+			step := uint32(b0 & 0x3f)
+			if b0&0x40 != 0 {
+				step *= 300
+			}
+			if i > 0 {
+				step++
+			}
+			tid, pre = tid+step, uint32(b1)
+		} else {
+			pre += 1 + uint32(b1)
+		}
+		e := RootEntry{TID: tid, NodeRef: NodeRef{Pre: pre, Post: uint32(b2) * 3, Level: uint32(b2 >> 3), Order: pre}}
+		acc.Add(e.TID, e.NodeRef)
+		all = append(all, e)
+	}
+	return acc, all
+}
+
+// skipOps reads FuzzRootSkip's op bytes against a list's records.
+func skipOps(b []byte, all []RootEntry) []skipOp {
+	span := uint32(0)
+	if len(all) > 0 {
+		span = all[len(all)-1].TID
+	}
+	var ops []skipOp
+	target := uint32(0)
+	for _, x := range b {
+		if x&1 != 0 {
+			ops = append(ops, skipOp{batch: 1 + int(x>>4)})
+			continue
+		}
+		target += uint32(x>>1) * (span/256 + 1)
+		ops = append(ops, skipOp{target: target})
+	}
+	return ops
 }

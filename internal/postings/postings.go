@@ -7,7 +7,8 @@
 //   - root-split: one ⟨tid, pre, post, level⟩ record per *distinct root
 //     occurrence* of the key — instances sharing tid and root collapse
 //     into one posting (§6.2.1), and lists are (tid, pre)-sorted so root
-//     joins are pure merge joins;
+//     joins are pure merge joins; a list longer than one skip block
+//     carries a skip table, so a seek can step over whole blocks;
 //   - subtree-interval: one record per *instance*, carrying
 //     ⟨pre, post, level, order⟩ for every node of the key in canonical
 //     slot order (§4.4.2).
@@ -198,16 +199,34 @@ func (it *FilterIterator) Err() error { return it.err }
 
 // ---------- root-split ----------
 
+// RootSkipBlock is the size of a root-split list's skip blocks: a block
+// closes at the first tree boundary after it holds this many records.
+// It is part of the wire format, not a tuning knob — an index records
+// it in its meta, and one written with another block size (or none) is
+// refused at open.
+const RootSkipBlock = 64
+
 // RootAccumulator builds a root-split posting list. Occurrences must be
 // added in (tid, pre) order; occurrences with identical (tid, pre)
 // collapse into a single posting — the size reduction the paper credits
 // root-split coding with.
+//
+// A list of one skip block is its records alone. A longer one is
+// prefixed by its skip table (see AppendTo): a block always ends at a
+// tree boundary, so each block's first record starts a new tree and
+// carries an absolute pre, and a reader can step over whole blocks
+// without decoding them.
 type RootAccumulator struct {
 	buf      []byte
 	lastTID  uint32
 	lastPre  uint32
 	n        int
 	dedupOff bool // when true, symmetric instances are NOT collapsed (ablation)
+
+	table     []byte // the skip entries of the closed blocks
+	tableLast uint32 // last tid of the last closed block
+	blockOff  int    // offset in buf of the open block's first record
+	blockN    int    // records in the open block
 }
 
 // NewRootAccumulator returns an empty accumulator. dedup should be true
@@ -227,6 +246,10 @@ func (a *RootAccumulator) Add(tid uint32, root NodeRef) {
 		}
 	}
 	if a.n == 0 || tid != a.lastTID {
+		if a.blockN >= RootSkipBlock {
+			a.table = appendSkipEntry(a.table, a.lastTID-a.tableLast, a.blockN, len(a.buf)-a.blockOff)
+			a.tableLast, a.blockOff, a.blockN = a.lastTID, len(a.buf), 0
+		}
 		a.buf = putUvarint(a.buf, uint64(tid-a.lastTID)+1) // tid delta+1, 0 reserved
 		a.buf = putUvarint(a.buf, uint64(root.Pre))
 	} else {
@@ -238,13 +261,47 @@ func (a *RootAccumulator) Add(tid uint32, root NodeRef) {
 	a.lastTID = tid
 	a.lastPre = root.Pre
 	a.n++
+	a.blockN++
+}
+
+// appendSkipEntry appends one skip-table entry: the block's last tid as
+// a delta from the previous block's, its record count and its length in
+// bytes.
+func appendSkipEntry(dst []byte, lastDelta uint32, count, bytes int) []byte {
+	dst = putUvarint(dst, uint64(lastDelta))
+	dst = putUvarint(dst, uint64(count))
+	return putUvarint(dst, uint64(bytes))
 }
 
 // Count returns the number of postings.
 func (a *RootAccumulator) Count() int { return a.n }
 
-// Bytes returns the wire form.
-func (a *RootAccumulator) Bytes() []byte { return a.buf }
+// AppendTo appends the wire form to dst and returns the extended slice.
+// A list of one skip block is its records. A longer list is
+//
+//	0x00 · uvarint(table bytes) · uvarint(record bytes) · table · records
+//
+// where the table holds one entry per block, in order: the block's last
+// tid as a delta from the previous block's last tid (from 0 for the
+// first block), its record count and its byte length. The leading 0x00
+// cannot open a list of records, whose first record always starts a
+// tree (a nonzero marker), so the two forms are told apart by one byte.
+func (a *RootAccumulator) AppendTo(dst []byte) []byte {
+	if len(a.table) == 0 {
+		return append(dst, a.buf...)
+	}
+	var last [3 * binary.MaxVarintLen64]byte
+	tail := appendSkipEntry(last[:0], a.lastTID-a.tableLast, a.blockN, len(a.buf)-a.blockOff)
+	dst = append(dst, 0)
+	dst = putUvarint(dst, uint64(len(a.table)+len(tail)))
+	dst = putUvarint(dst, uint64(len(a.buf)))
+	dst = append(dst, a.table...)
+	dst = append(dst, tail...)
+	return append(dst, a.buf...)
+}
+
+// Bytes returns the wire form in a new slice.
+func (a *RootAccumulator) Bytes() []byte { return a.AppendTo(nil) }
 
 // RootIterator streams root-split postings in (tid, pre) order.
 type RootIterator struct {
@@ -262,11 +319,185 @@ type RootIterator struct {
 	prePost, levelOrder uint64
 	first               bool
 	err                 error
+
+	// The skip table, read only by SkipTo: the current block spans
+	// buf[bStart:bEnd], holds bCount records and ends with tree bLast;
+	// skip holds the entries of the blocks after it. A list without a
+	// table is one block spanning the whole blob.
+	skip         []byte
+	bStart, bEnd int
+	bCount       int
+	bLast        uint32
+	tabled       bool
 }
 
-// NewRootIterator returns an iterator over the wire form buf.
+// NewRootIterator returns an iterator over the wire form buf. A corrupt
+// skip-table header surfaces through Err before the first record.
 func NewRootIterator(buf []byte) *RootIterator {
-	return &RootIterator{buf: buf, first: true}
+	it := &RootIterator{buf: buf, first: true}
+	it.readTable()
+	return it
+}
+
+// readTable parses the skip-table header of a list that has one and
+// loads the first block: the table must fit in the blob and the record
+// bytes it announces must be exactly the rest.
+func (it *RootIterator) readTable() {
+	buf := it.buf
+	if len(buf) == 0 || buf[0] != 0 {
+		return
+	}
+	tableLen, n1 := binary.Uvarint(buf[1:])
+	if n1 <= 0 {
+		it.err = fmt.Errorf("postings: corrupt root-split skip table header")
+		return
+	}
+	recLen, n2 := binary.Uvarint(buf[1+n1:])
+	start := 1 + n1 + n2
+	if n2 <= 0 || tableLen == 0 || tableLen > uint64(len(buf)-start) || recLen != uint64(len(buf)-start)-tableLen {
+		it.err = fmt.Errorf("postings: corrupt root-split skip table header")
+		return
+	}
+	rec := start + int(tableLen)
+	it.skip, it.off, it.tabled = buf[start:rec], rec, true
+	it.bStart, it.bEnd = rec, rec // an empty block before the first
+	it.nextSkipBlock()
+}
+
+// nextSkipBlock makes the block after the current one current. It
+// reports false, with Err set, when the entry is corrupt or disagrees
+// with the blob: a block holds at least one record of at least four
+// bytes, lies inside the records, ends a later tree than the block
+// before it, and the last block ends with the blob.
+func (it *RootIterator) nextSkipBlock() bool {
+	var v [3]uint64
+	tab := it.skip
+	for i := range v {
+		x, n := binary.Uvarint(tab)
+		if n <= 0 {
+			it.err = fmt.Errorf("postings: corrupt root-split skip table entry")
+			return false
+		}
+		v[i], tab = x, tab[n:]
+	}
+	delta, count, size := v[0], v[1], v[2]
+	start := it.bEnd
+	switch {
+	case count == 0 || size > uint64(len(it.buf)-start) || count > size/4:
+		it.err = fmt.Errorf("postings: skip block at offset %d: %d records in %d bytes do not fit the list", start, count, size)
+	case (delta == 0 && it.bStart != it.bEnd) || delta > uint64(^uint32(0)-it.bLast):
+		it.err = fmt.Errorf("postings: skip block at offset %d: last tid does not follow the previous block's", start)
+	case len(tab) == 0 && start+int(size) != len(it.buf):
+		it.err = fmt.Errorf("postings: skip table ends at offset %d, before the records do", start+int(size))
+	}
+	if it.err != nil {
+		return false
+	}
+	it.skip = tab
+	it.bStart, it.bEnd, it.bCount, it.bLast = start, start+int(size), int(count), it.bLast+uint32(delta)
+	return true
+}
+
+// SkipTo moves the iterator over the records of trees below target a
+// whole skip block at a time and returns how many records it passed. If
+// the current block ends below target, SkipTo walks the rest of it
+// tracking only the tid, then steps over every following block whose
+// last tree is below target without reading its bytes, and stops at the
+// start of the first block that reaches target. Otherwise it passes
+// nothing: the records before target in the block holding it are left
+// for Next and NextBlock, which deliver them as usual. A list without a
+// skip table is one block and never skipped. Entry is not updated. The
+// walk is NextBlock's run with the structural numbers dropped, the
+// same-tid marker an arithmetic select rather than a branch; SkipTo's
+// work is one walked block plus one table entry per block stepped over.
+//
+// Where a walked block disagrees with its entry — it ends inside a
+// record or with another tree than its entry says, or the block SkipTo
+// stops at opens with a same-tid marker — the list is corrupt: SkipTo
+// stops there and Err reports it.
+func (it *RootIterator) SkipTo(target uint32) int {
+	if it.err != nil || !it.tabled {
+		return 0
+	}
+	buf, off, tid := it.buf, it.off, it.tid
+	for off >= it.bEnd && off < len(buf) {
+		if off == it.bEnd && tid != it.bLast {
+			return it.skipFail(0, fmt.Errorf("postings: skip block ending at offset %d ends with tid %d, its entry says %d", off, tid, it.bLast))
+		}
+		if !it.nextSkipBlock() {
+			return 0
+		}
+	}
+	if off >= len(buf) || it.bLast >= target {
+		return 0
+	}
+	passed := 0
+	if off > it.bStart {
+		n, next, last, ok := walkBlock(buf[:it.bEnd], off, tid)
+		if !ok {
+			return it.skipFail(n, fmt.Errorf("postings: corrupt root-split record at offset %d (skip block ends at %d)", next, it.bEnd))
+		}
+		if last != it.bLast {
+			return it.skipFail(n, fmt.Errorf("postings: skip block ending at offset %d ends with tid %d, its entry says %d", next, last, it.bLast))
+		}
+		passed, off, tid = n, next, last
+		if off < len(buf) && !it.nextSkipBlock() {
+			return passed
+		}
+	}
+	for off < len(buf) && it.bLast < target {
+		passed += it.bCount
+		off, tid = it.bEnd, it.bLast
+		if off < len(buf) && !it.nextSkipBlock() {
+			return passed
+		}
+	}
+	if off < len(buf) {
+		// The block SkipTo stops at opens a tree, like every block.
+		if m, n := binary.Uvarint(buf[off:it.bEnd]); n > 0 && m == 0 {
+			return it.skipFail(passed, fmt.Errorf("postings: skip block at offset %d starts with a same-tid marker", off))
+		}
+	}
+	it.off, it.tid, it.first = off, tid, false
+	return passed
+}
+
+// skipFail records err as the iterator's error and returns passed, the
+// records SkipTo stepped over before it.
+func (it *RootIterator) skipFail(passed int, err error) int {
+	it.err = err
+	return passed
+}
+
+// walkBlock is SkipTo's walk over the rest of a block: starting at
+// buf[off:], after a record of tree tid, it steps over every record up
+// to the end of buf, the block's end, and returns how many it passed,
+// the offset after them and the last one's tid. A record reaching past
+// the end fails to decode: ok is false and next is that record's
+// offset. Records of four one-byte varints cost one 32-bit load each.
+func walkBlock(buf []byte, off int, tid uint32) (n, next int, last uint32, ok bool) {
+	for {
+		for len(buf)-off >= 4 {
+			w := binary.LittleEndian.Uint32(buf[off:])
+			if w&0x80808080 != 0 {
+				break
+			}
+			d := w&0xff - 1
+			d += d >> 31 // the same-tid marker 0 wraps to all ones, and back to 0
+			tid, off, n = tid+d, off+4, n+1
+		}
+		if off >= len(buf) {
+			return n, off, tid, true
+		}
+		v, end, ok := uvarint4(buf, off)
+		if !ok {
+			return n, off, tid, false
+		}
+		if v[0] != 0 {
+			tid += uint32(v[0] - 1)
+		}
+		off, n = end, n+1
+	}
 }
 
 // Next advances; false at end or on error. It is the innermost loop of

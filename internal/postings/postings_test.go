@@ -130,11 +130,24 @@ func TestCorruptInputs(t *testing.T) {
 	if fit.Err() == nil {
 		t.Error("filter: want error on corrupt input")
 	}
-	rit := NewRootIterator([]byte{0x00}) // same-tid marker first
-	for rit.Next() {
-	}
-	if rit.Err() == nil {
-		t.Error("root-split: want error on leading same-tid marker")
+	// A leading 0x00 opens a skip table; alone it is a cut header. A
+	// list's first record must start a tree, with or without a table,
+	// and an overlong zero marker is still the same-tid marker.
+	header := tabledRootBlob()
+	rec := len(header) - 300*4 // every record of the blob is four bytes
+	for name, blob := range map[string][]byte{
+		"cut skip-table header":         {0x00},
+		"leading same-tid marker":       slices.Concat(header[:rec], []byte{0x00}, header[rec+1:]),
+		"overlong leading same marker":  {0x80, 0x00, 0x02, 0x09, 0x01},
+		"table longer than the list":    {0x00, 0x09, 0x04, 0x01, 0x01, 0x04, 0x01, 0x02, 0x09, 0x01},
+		"records shorter than declared": header[:len(header)-4],
+	} {
+		rit := NewRootIterator(blob)
+		for rit.Next() {
+		}
+		if rit.Err() == nil {
+			t.Errorf("root-split: want error on %s", name)
+		}
 	}
 	iit := NewIntervalIterator([]byte{0x01, 0xFF, 0x01}) // m = 255 implausible
 	for iit.Next() {
@@ -432,6 +445,14 @@ func TestRootBlockAgreesWithNext(t *testing.T) {
 // offset: no cut may panic or loop, and a cut strictly inside a record
 // must surface Err.
 func TestIteratorsTruncatedBlobs(t *testing.T) {
+	// A list with a skip table states its records' length, so any cut of
+	// it errors, on a record boundary too.
+	tabled := tabledRootBlob()
+	for cut := 1; cut < len(tabled); cut++ {
+		if records, err := iterate(t, RootSplit, tabled[:cut]); err == nil {
+			t.Fatalf("root-split with a skip table: cut at %d decoded %d records with nil Err", cut, records)
+		}
+	}
 	for _, coding := range []Coding{FilterBased, RootSplit, SubtreeInterval} {
 		blob, bounds := corpusBlob(t, coding)
 		onBoundary := map[int]bool{0: true}
@@ -456,8 +477,7 @@ func TestIteratorsTruncatedBlobs(t *testing.T) {
 // impossible by construction; the cap in iterate enforces
 // termination).
 func TestIteratorsBitFlips(t *testing.T) {
-	for _, coding := range []Coding{FilterBased, RootSplit, SubtreeInterval} {
-		blob, _ := corpusBlob(t, coding)
+	flip := func(coding Coding, blob []byte) {
 		for i := 0; i < len(blob); i++ {
 			for bit := 0; bit < 8; bit++ {
 				mut := append([]byte(nil), blob...)
@@ -466,6 +486,11 @@ func TestIteratorsBitFlips(t *testing.T) {
 			}
 		}
 	}
+	for _, coding := range []Coding{FilterBased, RootSplit, SubtreeInterval} {
+		blob, _ := corpusBlob(t, coding)
+		flip(coding, blob)
+	}
+	flip(RootSplit, tabledRootBlob())
 }
 
 // TestIteratorsStayStopped asserts a failed iterator stays failed:
