@@ -25,15 +25,16 @@
 // # Read-only views
 //
 // A mapped file is mapped read-only, so writing through a view of it is
-// a SIGSEGV, and on the other backends it corrupts a cached or pooled
-// page. The views are the first result of ReadPage
-// ([]byte, func(), error), of ReadExtent ([]byte, error), of
-// (*btree.Tree).Get, and of any package-local function that returns one
-// of these (or a variable holding one) as its first result. A variable
-// or struct field assigned a view anywhere in the package holds one
-// everywhere in the package — so a field that carries an extent on one
-// path (the B+Tree iterator's current value) must never be appended
-// into on another. Flagged writes through a holder or a reslice of one:
+// a SIGSEGV, and on the pread backend a page view is a pooled buffer,
+// so a write into it corrupts the next read that borrows it. The views
+// are the first result of ReadPage ([]byte, func(), error), of
+// ReadExtent ([]byte, error), of (*btree.Tree).Get, and of any
+// package-local function that returns one of these (or a variable
+// holding one) as its first result. A variable or struct field
+// assigned a view anywhere in the package holds one everywhere in the
+// package — so a field that carries an extent on one path (the B+Tree
+// iterator's current value) must never be appended into on another.
+// Flagged writes through a holder or a reslice of one:
 //
 //	v[i] = x          // element assignment (and v[i]++, v[i] += x)
 //	copy(v, src)      // copy into it

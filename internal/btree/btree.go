@@ -1,28 +1,32 @@
-// Package btree implements the native disk-based B+Tree the Subtree
-// Index is stored in (paper §6.1): variable-length keys mapping to
-// posting-list blobs, values too long to share a leaf stored as one
-// contiguous page-aligned extent each, and leaves chained for range
-// scans. Indexes are built once by a bulk loader from a sorted key
-// stream and then opened read-only. No user-level page cache is layered
-// over the pager (the paper relies on OS page buffering, and so do we):
-// Open reads with pread, and OpenWith can select the zero-copy mmap
-// backend for serving workloads.
+// Package btree implements the disk-based B+Tree the Subtree Index is
+// stored in (paper §6.1): variable-length keys mapping to posting-list
+// blobs, values too long to share a leaf stored as one contiguous
+// page-aligned extent each. Indexes are built once by a bulk loader
+// from a sorted key stream and then opened read-only, so the tree has
+// one routing level: the leaves are page-sized sorted buckets, and a
+// fence array — each leaf's first key and page id — is read once at
+// open and binary-searched in memory. A lookup reads one leaf page; a
+// range scan reads the leaves in fence order. No user-level page cache
+// is layered over the pager (the paper relies on OS page buffering, and
+// so do we): Open reads with pread, and OpenWith can select the
+// zero-copy mmap backend for serving workloads.
 //
-// Reads go through the pager's borrow contract (pager.ReadPage):
-// descents hold one page view at a time and release it before moving
-// down, so a lookup allocates nothing on the mmap backend. There —
-// where page views stay valid until Close — Get returns inline values
-// as subslices of the page itself; on the pooled pread path it copies,
-// because the scratch page is reused after release. An extent value is
-// borrowed from the mapping when the file is mapped (pager.ReadExtent:
-// no copy, no allocation) and read into a fresh buffer with one
-// positioned read otherwise. Either way the returned value is read-only
-// and valid until the Tree is closed.
+// Reads go through the pager's borrow contract (pager.ReadPage): a
+// lookup holds one leaf view and releases it before returning, so it
+// allocates nothing on the mmap backend. There — where page views stay
+// valid until Close — Get returns inline values as subslices of the
+// page itself; on the pooled pread path it copies, because the scratch
+// page is reused after release. An extent value is borrowed from the
+// mapping when the file is mapped (pager.ReadExtent: no copy, no
+// allocation) and read into a fresh buffer with one positioned read
+// otherwise. Either way the returned value is read-only and valid until
+// the Tree is closed.
 //
 // An opened Tree is safe for concurrent use: Get and Iterator keep all
-// mutable state (page borrows, cursors) per call or per Iterator, and
-// the shared pager's read path is itself thread-safe, so any number of
-// goroutines may search and scan one Tree at once.
+// mutable state (page borrows, cursors) per call or per Iterator, the
+// fences are immutable after open, and the shared pager's read path is
+// itself thread-safe, so any number of goroutines may search and scan
+// one Tree at once.
 package btree
 
 import (
@@ -30,16 +34,17 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"sort"
 
 	"repro/internal/pager"
 )
 
-// Page type tags, first byte of every tree page. Extent pages carry no
-// tag: they hold nothing but value bytes.
+// Page type tags, first byte of every leaf and of the meta page. Extent
+// pages carry no tag: they hold nothing but value bytes or fences.
 const (
-	pageLeaf     = 'L'
-	pageInternal = 'I'
-	pageMeta     = 'M'
+	pageLeaf       = 'L'
+	pageMeta       = 'F'
+	pageMetaLevels = 'M' // the meta page of an older format with internal pages, refused
 )
 
 // Leaf entry flags, first byte of every leaf entry.
@@ -53,7 +58,6 @@ const (
 //
 //	[0] = 'L'
 //	[1:3] = number of entries (uint16)
-//	[3:7] = next leaf page id (0 = last leaf)
 //	entries: flag byte (flagInline or flagExtent),
 //	         key length uvarint, key bytes,
 //	         inline: value length uvarint, value bytes
@@ -63,29 +67,22 @@ const (
 // across ⌈length/pageSize⌉ consecutive pages, the last zero-padded; no
 // per-page header.
 //
-// internal page layout:
-//
-//	[0] = 'I'
-//	[1:3] = number of separator keys (uint16)
-//	[3:7] = leftmost child page id
-//	entries: key length uvarint, key bytes, child page id (uint32);
-//	         entry i routes keys >= key_i (and < key_{i+1}) to child_i
+// fence array: one extent holding, for every leaf in key order, the
+// leaf's first key (length uvarint, key bytes) and its page id (uint32).
 //
 // meta page layout (page 1):
 //
-//	[0] = 'M'
-//	[1:5] = root page id
-//	[5:13] = number of keys (uint64)
-//	[13:17] = tree height (uint32, 1 = root is a leaf)
-const (
-	leafHeader     = 7
-	internalHeader = 7
-)
+//	[0] = 'F'
+//	[1:9] = number of keys (uint64)
+//	[9:13] = number of leaves (uint32)
+//	[13:17] = the fence array's first page (uint32)
+//	[17:25] = the fence array's length in bytes (uint64)
+const leafHeader = 3
 
 // Stats describes a built tree.
 type Stats struct {
 	Keys      uint64 // key/value pairs stored
-	Height    uint32 // levels from root to leaves (1 = root is a leaf)
+	Height    uint32 // pages a lookup reads before any extent: always 1, the leaf
 	Pages     uint32 // total allocated pages including meta
 	SizeBytes int64  // index file size in bytes
 }
@@ -101,10 +98,16 @@ type Options struct {
 // Tree is a read-only view of a built B+Tree.
 type Tree struct {
 	pf     *pager.File
-	root   uint32
-	height uint32
 	keys   uint64
-	stable bool // page views outlive release: Get may return subslices
+	fences []fence // one per leaf, in key order
+	stable bool    // page views outlive release: Get may return subslices
+}
+
+// fence routes the keys from its own up to the next fence's to the leaf
+// at page.
+type fence struct {
+	key  []byte
+	page uint32
 }
 
 // Open opens the B+Tree stored in the page file at path with the pread
@@ -127,39 +130,81 @@ func OpenWith(path string, opts Options) (*Tree, error) {
 	if err == nil && st.Size() < pf.SizeBytes() {
 		err = fmt.Errorf("btree: %s holds %d bytes, not the %d pages its header claims", path, st.Size(), pf.NumPages())
 	}
+	var t *Tree
+	if err == nil {
+		t, err = readMeta(pf)
+	}
 	if err != nil {
 		pf.Close()
 		return nil, err
 	}
-	return fromPager(pf)
+	return t, nil
 }
 
-func fromPager(pf *pager.File) (*Tree, error) {
+// readMeta reads the meta page and the fence array it points to.
+func readMeta(pf *pager.File) (*Tree, error) {
 	page, release, err := pf.ReadPage(1)
 	if err != nil {
-		pf.Close()
 		return nil, fmt.Errorf("btree: reading meta page: %w", err)
 	}
-	if page[0] != pageMeta {
-		release()
-		pf.Close()
-		return nil, fmt.Errorf("btree: page 1 is not a meta page")
-	}
-	t := &Tree{
-		pf:     pf,
-		root:   binary.LittleEndian.Uint32(page[1:]),
-		keys:   binary.LittleEndian.Uint64(page[5:]),
-		height: binary.LittleEndian.Uint32(page[13:]),
-		stable: pf.Stable(),
-	}
+	tag := page[0]
+	keys := binary.LittleEndian.Uint64(page[1:])
+	leaves := binary.LittleEndian.Uint32(page[9:])
+	first := binary.LittleEndian.Uint32(page[13:])
+	size := binary.LittleEndian.Uint64(page[17:])
 	release()
-	// Every level of a tree is at least one page, so a larger height is
-	// corrupt — and would let a cyclic descent run for billions of steps.
-	if t.height == 0 || t.height > pf.NumPages() {
-		pf.Close()
-		return nil, fmt.Errorf("btree: meta page claims height %d in a file of %d pages", t.height, pf.NumPages())
+	switch {
+	case tag == pageMetaLevels:
+		return nil, fmt.Errorf("btree: the file routes through internal pages, a format this version no longer reads: rebuild the index")
+	case tag != pageMeta:
+		return nil, fmt.Errorf("btree: page 1 is not a meta page")
+	case (keys == 0) != (leaves == 0) || uint64(leaves) > keys:
+		return nil, fmt.Errorf("btree: meta page claims %d keys in %d leaves", keys, leaves)
 	}
-	return t, nil
+	t := &Tree{pf: pf, keys: keys, stable: pf.Stable()}
+	var raw []byte
+	if size > 0 {
+		if raw, err = t.readExtent(first, size); err != nil {
+			return nil, err
+		}
+	}
+	// A mapped extent dies with the mapping, and a lookup that races
+	// Close must fail, not fault: the fences live on the heap.
+	if t.stable {
+		raw = bytes.Clone(raw)
+	}
+	t.fences, err = parseFences(raw, leaves, pf.NumPages())
+	return t, err
+}
+
+// parseFences decodes a fence array that must hold exactly n fences,
+// their keys strictly increasing and their pages past the meta page and
+// within the file's npages. A fence takes at least five bytes, which
+// bounds n before anything is allocated for it.
+func parseFences(raw []byte, n, npages uint32) ([]fence, error) {
+	if uint64(n) > uint64(len(raw))/5 {
+		return nil, fmt.Errorf("btree: a fence array of %d bytes cannot hold the %d leaves the meta page claims", len(raw), n)
+	}
+	fences := make([]fence, n)
+	for i := range fences {
+		klen, m := binary.Uvarint(raw)
+		if m <= 0 || klen > uint64(len(raw)-m) || len(raw)-m-int(klen) < 4 {
+			return nil, fmt.Errorf("btree: fence %d runs past the fence array", i)
+		}
+		f := fence{key: raw[m : m+int(klen)], page: binary.LittleEndian.Uint32(raw[m+int(klen):])}
+		raw = raw[m+int(klen)+4:]
+		if f.page < 2 || f.page >= npages {
+			return nil, fmt.Errorf("btree: fence %d names page %d, outside the file's pages [2, %d)", i, f.page, npages)
+		}
+		if i > 0 && bytes.Compare(fences[i-1].key, f.key) >= 0 {
+			return nil, fmt.Errorf("btree: fence %d does not sort after fence %d", i, i-1)
+		}
+		fences[i] = f
+	}
+	if len(raw) > 0 {
+		return nil, fmt.Errorf("btree: %d bytes follow the %d fences the meta page claims", len(raw), n)
+	}
+	return fences, nil
 }
 
 // Close releases the underlying file (and its mapping, when mapped).
@@ -170,7 +215,7 @@ func (t *Tree) Mapped() bool { return t.stable }
 
 // Stats returns size statistics for the tree.
 func (t *Tree) Stats() Stats {
-	return Stats{Keys: t.keys, Height: t.height, Pages: t.pf.NumPages(), SizeBytes: t.pf.SizeBytes()}
+	return Stats{Keys: t.keys, Height: 1, Pages: t.pf.NumPages(), SizeBytes: t.pf.SizeBytes()}
 }
 
 // Get returns the value stored under key, or found=false. The returned
@@ -178,10 +223,11 @@ func (t *Tree) Stats() Stats {
 // backend every value is a zero-copy subslice of the mapping, and on
 // the pread backend it is copied.
 func (t *Tree) Get(key []byte) (value []byte, found bool, err error) {
-	if t.keys == 0 {
+	i := t.leafFor(key)
+	if i < 0 {
 		return nil, false, nil
 	}
-	page, release, err := t.descend(key)
+	page, release, err := t.readLeaf(i)
 	if err != nil {
 		return nil, false, err
 	}
@@ -255,28 +301,6 @@ func (e *leafEntry) seek(page []byte, i, off int, key []byte) (int, int, bool, e
 	return i, off, false, nil
 }
 
-// routeInternal returns the child page for key, checking each entry
-// against the page as seek does.
-func routeInternal(page []byte, key []byte) (uint32, error) {
-	n := int(binary.LittleEndian.Uint16(page[1:]))
-	child := binary.LittleEndian.Uint32(page[3:])
-	off := internalHeader
-	for i := 0; i < n; i++ {
-		klen, m := binary.Uvarint(page[off:])
-		if off += m; m <= 0 || klen > uint64(len(page)-off) || len(page)-off-int(klen) < 4 {
-			return 0, fmt.Errorf("btree: internal entry %d runs past its page", i)
-		}
-		k := page[off : off+int(klen)]
-		off += int(klen)
-		if bytes.Compare(key, k) < 0 {
-			break
-		}
-		child = binary.LittleEndian.Uint32(page[off:])
-		off += 4
-	}
-	return child, nil
-}
-
 // searchLeaf looks key up in a leaf page. Inline values are returned as
 // page subslices when the backend is stable (the caller still holds
 // the page borrow here; stability makes the subslice outlive release),
@@ -313,31 +337,25 @@ func (t *Tree) readExtent(first uint32, vlen uint64) ([]byte, error) {
 	return t.pf.ReadExtent(first, int(vlen))
 }
 
-// descend walks internal pages from the root toward key (the leftmost
-// path for a nil key, which sorts before every stored key) and returns
-// the leaf it reaches, borrowed. An internal page at the meta page's
-// height — where only leaves may be — is a corrupt or cyclic tree.
-func (t *Tree) descend(key []byte) ([]byte, func(), error) {
-	id := t.root
-	for depth := uint32(1); ; depth++ {
-		page, release, err := t.pf.ReadPage(id)
-		if err != nil {
-			return nil, nil, err
-		}
-		if page[0] == pageLeaf {
-			return page, release, nil
-		}
-		b := page[0]
-		if b == pageInternal && depth < t.height {
-			id, err = routeInternal(page, key)
-		} else if b == pageInternal {
-			err = fmt.Errorf("btree: internal page %d at depth %d of a tree of height %d", id, depth, t.height)
-		} else {
-			err = fmt.Errorf("btree: unexpected page type %q at %d", b, id)
-		}
-		release()
-		if err != nil {
-			return nil, nil, err
-		}
+// leafFor returns the index of the fence whose leaf may hold key: the
+// last fence at or below it, or -1 when key sorts before every fence (a
+// nil key sorts before every stored key).
+func (t *Tree) leafFor(key []byte) int {
+	return sort.Search(len(t.fences), func(i int) bool { return bytes.Compare(t.fences[i].key, key) > 0 }) - 1
+}
+
+// readLeaf borrows the leaf that fence i names. A fence naming any other
+// page — an extent, the fence array itself — is a corrupt file.
+func (t *Tree) readLeaf(i int) ([]byte, func(), error) {
+	id := t.fences[i].page
+	page, release, err := t.pf.ReadPage(id)
+	if err != nil {
+		return nil, nil, err
 	}
+	if page[0] != pageLeaf {
+		b := page[0]
+		release()
+		return nil, nil, fmt.Errorf("btree: fence %d names page %d of type %q, not a leaf", i, id, b)
+	}
+	return page, release, nil
 }

@@ -76,7 +76,7 @@ func TestSingleKey(t *testing.T) {
 }
 
 func TestManyKeysSmallPages(t *testing.T) {
-	// Small pages force a multi-level tree.
+	// Small pages force many leaves, so lookups route through many fences.
 	var pairs [][2][]byte
 	for i := 0; i < 1000; i++ {
 		k := []byte(fmt.Sprintf("key%06d", i))
@@ -88,8 +88,11 @@ func TestManyKeysSmallPages(t *testing.T) {
 	if st.Keys != 1000 {
 		t.Errorf("Keys = %d", st.Keys)
 	}
-	if st.Height < 3 {
-		t.Errorf("Height = %d, want a deep tree with 128B pages", st.Height)
+	if len(tr.fences) < 50 {
+		t.Errorf("%d leaves, want many with 128B pages", len(tr.fences))
+	}
+	if st.Height != 1 {
+		t.Errorf("Height = %d, want 1: a lookup reads one leaf", st.Height)
 	}
 	for i := 0; i < 1000; i += 13 {
 		k := []byte(fmt.Sprintf("key%06d", i))
@@ -104,6 +107,35 @@ func TestManyKeysSmallPages(t *testing.T) {
 	for _, absent := range []string{"key", "key000500x", "zzz", "a"} {
 		if _, found, _ := tr.Get([]byte(absent)); found {
 			t.Errorf("found absent key %q", absent)
+		}
+	}
+}
+
+// TestFullLeafCountCloses: a leaf's entry count is a uint16, so the
+// builder must close a leaf at 65 535 entries even when its page has
+// room for more. At a 1 MiB page 70 000 small entries once fit one leaf,
+// its count wrapped to 4 464, and every key past those went missing.
+func TestFullLeafCountCloses(t *testing.T) {
+	const n = 70000
+	pairs := make([][2][]byte, n)
+	for i := range pairs {
+		pairs[i] = [2][]byte{{byte(i >> 16), byte(i >> 8), byte(i)}, nil}
+	}
+	tr := buildTree(t, 1<<20, pairs)
+	if st := tr.Stats(); st.Keys != n || len(tr.fences) != 2 {
+		t.Errorf("stats = %+v in %d leaves, want %d keys in 2", st, len(tr.fences), n)
+	}
+	it, i := tr.Iterator(nil), 0
+	for ; it.Next(); i++ {
+	}
+	if err := it.Err(); err != nil || i != n {
+		t.Errorf("full scan yielded %d of %d keys: %v", i, n, err)
+	}
+	// Lookups inside a 1 MiB leaf are linear: probe a few, on both sides
+	// of the leaf boundary.
+	for _, i := range []int{0, 65534, 65535, 65536, n - 1} {
+		if _, found, err := tr.Get(pairs[i][0]); err != nil || !found {
+			t.Errorf("Get(key %d) = %v, %v", i, found, err)
 		}
 	}
 }

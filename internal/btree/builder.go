@@ -4,40 +4,26 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/pager"
 )
 
-// Builder bulk-loads a B+Tree from keys supplied in strictly increasing
-// order, writing leaves left to right and stitching internal levels
-// bottom-up. This is the natural loading path for the Subtree Index,
-// whose keys come out of the extraction phase already aggregated and
-// sortable.
+// Builder bulk-loads a tree from keys supplied in strictly increasing
+// order. It fills one leaf at a time, writes it as soon as the next
+// entry would not fit, and records the leaf's first key and page id as
+// its fence; Finish writes the fences as one extent. This is the natural
+// loading path for the Subtree Index, whose keys come out of the
+// extraction phase already aggregated and sortable.
 type Builder struct {
-	pf *pager.File
-
-	// Current leaf under construction.
-	leafBuf  []byte
-	leafN    int
-	leafID   uint32
-	haveLeaf bool
-
-	// A completed leaf waiting for its next-pointer (assigned when the
-	// following leaf is allocated).
-	pending    []byte
-	pendingID  uint32
-	pendingKey []byte // first key of the pending leaf
-
-	levels  []*levelBuilder
+	pf      *pager.File
+	leaf    []byte // the leaf being filled: header, then entries
+	leafN   int    // entries in leaf
+	leaves  uint32 // leaves written
+	fences  []byte // the fence array; the open leaf's fence still lacks its page id
 	lastKey []byte
 	nkeys   uint64
 	done    bool
-}
-
-type levelBuilder struct {
-	buf      []byte
-	n        int    // number of separator entries (children - 1)
-	firstSep []byte // smallest key in this page's subtree (routes to it)
 }
 
 // NewBuilder creates a page file at path and returns a Builder over it.
@@ -56,12 +42,15 @@ func NewBuilder(path string, pageSize int) (*Builder, error) {
 		pf.Close()
 		return nil, fmt.Errorf("btree: meta page allocated at %d", metaID)
 	}
-	return &Builder{pf: pf}, nil
+	leaf := make([]byte, leafHeader, pageSize)
+	leaf[0] = pageLeaf
+	return &Builder{pf: pf, leaf: leaf}, nil
 }
 
 // MaxKeyLen returns the largest key the builder accepts for its page
-// size; a routing entry (and an extent leaf entry) must fit a page
-// with room to spare so internal fanout stays at least two.
+// size: half a page less room for an entry's flag, lengths and extent
+// page id, so that an entry whose value moved to an extent still fits a
+// leaf beside others, and a fence stays small.
 func (b *Builder) MaxKeyLen() int { return b.pf.PageSize()/2 - 16 }
 
 // Add appends a key/value pair. Keys must be strictly increasing.
@@ -81,22 +70,21 @@ func (b *Builder) Add(key, value []byte) error {
 	if err != nil {
 		return err
 	}
-	if !b.haveLeaf {
-		if err := b.startLeaf(key); err != nil {
-			return err
-		}
-	} else if b.leafN > 0 && len(b.leafBuf)+len(entry) > b.pf.PageSize() {
-		if err := b.completeLeaf(); err != nil {
-			return err
-		}
-		if err := b.startLeaf(key); err != nil {
+	// A leaf closes when the entry would overflow its page, or when its
+	// uint16 entry count is full.
+	if b.leafN > 0 && (len(b.leaf)+len(entry) > b.pf.PageSize() || b.leafN == math.MaxUint16) {
+		if err := b.writeLeaf(); err != nil {
 			return err
 		}
 	}
-	if len(b.leafBuf)+len(entry) > b.pf.PageSize() {
+	if len(b.leaf)+len(entry) > b.pf.PageSize() {
 		return fmt.Errorf("btree: entry for key %q does not fit a page even alone", key)
 	}
-	b.leafBuf = append(b.leafBuf, entry...)
+	if b.leafN == 0 {
+		b.fences = binary.AppendUvarint(b.fences, uint64(len(key)))
+		b.fences = append(b.fences, key...)
+	}
+	b.leaf = append(b.leaf, entry...)
 	b.leafN++
 	b.nkeys++
 	return nil
@@ -130,7 +118,7 @@ func (b *Builder) encodeEntry(key, value []byte) ([]byte, error) {
 
 // writeExtent stores value across ⌈len/pageSize⌉ freshly allocated —
 // hence consecutive — pages, zero-padding the last, and returns the
-// first page's id.
+// first page's id (0 for an empty value, which takes no page).
 func (b *Builder) writeExtent(value []byte) (uint32, error) {
 	ps := b.pf.PageSize()
 	var first uint32
@@ -155,191 +143,56 @@ func (b *Builder) writeExtent(value []byte) (uint32, error) {
 	return first, nil
 }
 
-func (b *Builder) startLeaf(firstKey []byte) error {
+// writeLeaf writes the filled leaf to a fresh page, completes its fence
+// with that page's id and empties the leaf for the next key.
+func (b *Builder) writeLeaf() error {
 	id, err := b.pf.Alloc()
 	if err != nil {
 		return err
 	}
-	// The previously completed leaf can now learn its next pointer.
-	if b.pending != nil {
-		binary.LittleEndian.PutUint32(b.pending[3:], id)
-		if err := b.flushPending(); err != nil {
-			return err
-		}
-	}
-	b.leafID = id
-	b.leafBuf = make([]byte, leafHeader, b.pf.PageSize())
-	b.leafBuf[0] = pageLeaf
-	b.leafN = 0
-	b.haveLeaf = true
-	b.pendingKey = append([]byte(nil), firstKey...)
-	return nil
-}
-
-// completeLeaf finalizes the current leaf into the pending slot.
-func (b *Builder) completeLeaf() error {
-	binary.LittleEndian.PutUint16(b.leafBuf[1:], uint16(b.leafN))
-	page := make([]byte, b.pf.PageSize())
-	copy(page, b.leafBuf)
-	b.pending = page
-	b.pendingID = b.leafID
-	b.haveLeaf = false
-	return b.pushLevel(0, b.pendingKey, b.leafID)
-}
-
-func (b *Builder) flushPending() error {
-	err := b.pf.Write(b.pendingID, b.pending)
-	b.pending = nil
-	return err
-}
-
-// pushLevel records (sepKey, child) at internal level l, flushing pages
-// as they fill.
-func (b *Builder) pushLevel(l int, sepKey []byte, child uint32) error {
-	for len(b.levels) <= l {
-		b.levels = append(b.levels, &levelBuilder{})
-	}
-	lv := b.levels[l]
-	var tmp [binary.MaxVarintLen64]byte
-	entry := make([]byte, 0, 16+len(sepKey))
-	if lv.buf == nil {
-		// First child of a fresh page becomes the leftmost pointer; the
-		// separator that routes to this page (its subtree minimum) is
-		// remembered for the level above.
-		lv.buf = make([]byte, internalHeader, b.pf.PageSize())
-		lv.buf[0] = pageInternal
-		binary.LittleEndian.PutUint32(lv.buf[3:], child)
-		lv.n = 0
-		lv.firstSep = append(lv.firstSep[:0], sepKey...)
-		return nil
-	}
-	n := binary.PutUvarint(tmp[:], uint64(len(sepKey)))
-	entry = append(entry, tmp[:n]...)
-	entry = append(entry, sepKey...)
-	var pid [4]byte
-	binary.LittleEndian.PutUint32(pid[:], child)
-	entry = append(entry, pid[:]...)
-	if len(lv.buf)+len(entry) > b.pf.PageSize() {
-		if err := b.flushLevel(l); err != nil {
-			return err
-		}
-		return b.pushLevel(l, sepKey, child)
-	}
-	lv.buf = append(lv.buf, entry...)
-	lv.n++
-	return nil
-}
-
-// flushLevel writes out the internal page at level l and registers it
-// one level up.
-func (b *Builder) flushLevel(l int) error {
-	lv := b.levels[l]
-	binary.LittleEndian.PutUint16(lv.buf[1:], uint16(lv.n))
-	id, err := b.pf.Alloc()
-	if err != nil {
-		return err
-	}
-	page := make([]byte, b.pf.PageSize())
-	copy(page, lv.buf)
+	binary.LittleEndian.PutUint16(b.leaf[1:], uint16(b.leafN))
+	page := b.leaf[:b.pf.PageSize()]
+	clear(page[len(b.leaf):])
 	if err := b.pf.Write(id, page); err != nil {
 		return err
 	}
-	sep := append([]byte(nil), lv.firstSep...)
-	lv.buf = nil
-	lv.n = 0
-	return b.pushLevel(l+1, sep, id)
+	b.fences = binary.LittleEndian.AppendUint32(b.fences, id)
+	b.leaf, b.leafN = b.leaf[:leafHeader], 0
+	b.leaves++
+	return nil
 }
 
-// Finish completes the tree, writes the meta page and closes the file.
+// Finish writes the last leaf, the fence array and the meta page, then
+// closes the file, which syncs it.
 func (b *Builder) Finish() error {
 	if b.done {
 		return fmt.Errorf("btree: Finish called twice")
 	}
 	b.done = true
-	defer b.pf.Close()
+	err := b.finish()
+	if cerr := b.pf.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
 
-	var root uint32
-	if b.nkeys == 0 {
-		// Empty tree: a single empty leaf as root.
-		id, err := b.pf.Alloc()
-		if err != nil {
+func (b *Builder) finish() error {
+	if b.leafN > 0 {
+		if err := b.writeLeaf(); err != nil {
 			return err
-		}
-		page := make([]byte, b.pf.PageSize())
-		page[0] = pageLeaf
-		if err := b.pf.Write(id, page); err != nil {
-			return err
-		}
-		root = id
-	} else {
-		if b.haveLeaf {
-			if err := b.completeLeaf(); err != nil {
-				return err
-			}
-		}
-		if b.pending != nil {
-			binary.LittleEndian.PutUint32(b.pending[3:], 0) // last leaf
-			if err := b.flushPending(); err != nil {
-				return err
-			}
-		}
-		// Cascade-flush internal levels bottom-up. The loop bound grows
-		// as flushes push entries into higher levels. A top level that
-		// holds a single child and no separators collapses: that child
-		// is the root.
-		for l := 0; l < len(b.levels); l++ {
-			lv := b.levels[l]
-			if lv.buf == nil {
-				continue
-			}
-			if lv.n == 0 && l == len(b.levels)-1 {
-				root = binary.LittleEndian.Uint32(lv.buf[3:])
-				lv.buf = nil
-				break
-			}
-			if err := b.flushLevel(l); err != nil {
-				return err
-			}
-		}
-		if root == 0 {
-			return fmt.Errorf("btree: internal error: no root after cascade")
 		}
 	}
-	height, err := b.measureHeight(root)
+	first, err := b.writeExtent(b.fences)
 	if err != nil {
 		return err
 	}
-
 	meta := make([]byte, b.pf.PageSize())
 	meta[0] = pageMeta
-	binary.LittleEndian.PutUint32(meta[1:], root)
-	binary.LittleEndian.PutUint64(meta[5:], b.nkeys)
-	binary.LittleEndian.PutUint32(meta[13:], height)
-	if err := b.pf.Write(1, meta); err != nil {
-		return err
-	}
-	return b.pf.Sync()
-}
-
-// measureHeight walks from the root to a leaf counting levels; 1 means
-// the root itself is a leaf.
-func (b *Builder) measureHeight(root uint32) (uint32, error) {
-	buf := make([]byte, b.pf.PageSize())
-	h := uint32(1)
-	id := root
-	for {
-		if err := b.pf.Read(id, buf); err != nil {
-			return 0, err
-		}
-		if buf[0] == pageLeaf {
-			return h, nil
-		}
-		if buf[0] != pageInternal {
-			return 0, fmt.Errorf("btree: unexpected page type %q measuring height", buf[0])
-		}
-		id = binary.LittleEndian.Uint32(buf[3:])
-		h++
-	}
+	binary.LittleEndian.PutUint64(meta[1:], b.nkeys)
+	binary.LittleEndian.PutUint32(meta[9:], b.leaves)
+	binary.LittleEndian.PutUint32(meta[13:], first)
+	binary.LittleEndian.PutUint64(meta[17:], uint64(len(b.fences)))
+	return b.pf.Write(1, meta)
 }
 
 func uvlen(x uint64) int {

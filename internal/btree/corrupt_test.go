@@ -19,20 +19,15 @@ import (
 
 const rawPageSize = 256
 
-// rawFile writes a page file whose meta page (page 1) claims the given
-// root, key count and height, followed by pages 2, 3, ... as given.
-func rawFile(t testing.TB, root uint32, height uint32, pages ...[]byte) string {
+// rawFile writes a page file whose meta page (page 1) is meta, followed
+// by pages 2, 3, ... as given, each zero-padded to a page.
+func rawFile(t testing.TB, meta []byte, pages ...[]byte) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "raw.idx")
 	pf, err := pager.Create(path, rawPageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := make([]byte, rawPageSize)
-	meta[0] = pageMeta
-	binary.LittleEndian.PutUint32(meta[1:], root)
-	binary.LittleEndian.PutUint64(meta[5:], 1)
-	binary.LittleEndian.PutUint32(meta[13:], height)
 	for _, p := range append([][]byte{meta}, pages...) {
 		id, err := pf.Alloc()
 		if err != nil {
@@ -50,13 +45,35 @@ func rawFile(t testing.TB, root uint32, height uint32, pages ...[]byte) string {
 	return path
 }
 
-// rawPage lays out a leaf or internal page: the type byte, the entry
-// count, the next leaf (leaf) or leftmost child (internal), then the
+// rawMeta lays out a meta page claiming keys keys in leaves leaves and
+// a fence array of size bytes from page first on.
+func rawMeta(keys uint64, leaves, first uint32, size uint64) []byte {
+	m := []byte{pageMeta}
+	m = binary.LittleEndian.AppendUint64(m, keys)
+	m = binary.LittleEndian.AppendUint32(m, leaves)
+	m = binary.LittleEndian.AppendUint32(m, first)
+	return binary.LittleEndian.AppendUint64(m, size)
+}
+
+// fenceOf encodes one fence: key routes to the leaf at page.
+func fenceOf(key string, page uint32) []byte {
+	f := append([]byte{byte(len(key))}, key...)
+	return binary.LittleEndian.AppendUint32(f, page)
+}
+
+// leafFile writes a file with the fence array on page 2, its one leaf on
+// page 3 (fenced by key "0", below every key the tests look up) and the
+// extra pages from page 4 on.
+func leafFile(t testing.TB, leaf []byte, extra ...[]byte) string {
+	t.Helper()
+	fences := fenceOf("0", 3)
+	return rawFile(t, rawMeta(1, 1, 2, uint64(len(fences))), append([][]byte{fences, leaf}, extra...)...)
+}
+
+// rawLeaf lays out a leaf page: the type byte, the entry count, then the
 // entry bytes.
-func rawPage(kind byte, n uint16, link uint32, entries ...byte) []byte {
-	p := []byte{kind, 0, 0, 0, 0, 0, 0}
-	binary.LittleEndian.PutUint16(p[1:], n)
-	binary.LittleEndian.PutUint32(p[3:], link)
+func rawLeaf(n uint16, entries ...byte) []byte {
+	p := binary.LittleEndian.AppendUint16([]byte{pageLeaf}, n)
 	return append(p, entries...)
 }
 
@@ -102,19 +119,11 @@ func scanAll(tr *Tree, start []byte) error {
 // range [:260] with capacity 256").
 func TestLeafEntryPastPage(t *testing.T) {
 	longKey := append([]byte{0, 0xfa, 0x01}, "k"...) // klen 250
-	expectCorrupt(t, rawFile(t, 2, 1, rawPage(pageLeaf, 1, 0, longKey...)), "leaf entry 0 runs past its page", "k")
+	expectCorrupt(t, leafFile(t, rawLeaf(1, longKey...)), "leaf entry 0 runs past its page", "k")
 	longVal := append(inline("a", "1"), 0, 1, 'k', 0xac, 0x02) // vlen 300
-	expectCorrupt(t, rawFile(t, 2, 1, rawPage(pageLeaf, 2, 0, longVal...)), "leaf entry 1 runs past its page", "k")
+	expectCorrupt(t, leafFile(t, rawLeaf(2, longVal...)), "leaf entry 1 runs past its page", "k")
 	// More entries claimed than the page holds runs off its end too.
-	expectCorrupt(t, rawFile(t, 2, 1, rawPage(pageLeaf, 60000, 0, inline("a", "1")...)), "runs past its page", "z")
-}
-
-// TestInternalEntryPastPage: routeInternal decodes separator keys with
-// the same length field.
-func TestInternalEntryPastPage(t *testing.T) {
-	root := rawPage(pageInternal, 1, 3, 0xfa, 0x01, 'k') // klen 250
-	path := rawFile(t, 2, 2, root, rawPage(pageLeaf, 1, 0, inline("a", "1")...))
-	expectCorrupt(t, path, "internal entry 0 runs past its page", "a", "z")
+	expectCorrupt(t, leafFile(t, rawLeaf(60000, inline("a", "1")...)), "runs past its page", "z")
 }
 
 // extentEntry is a leaf entry of the given flag whose vlen-byte value
@@ -130,24 +139,24 @@ func extentEntry(flag byte, key string, vlen uint64, first uint32) []byte {
 // the meta page and end within the file; one ending exactly at the last
 // page is intact.
 func TestOverflowLengthBeyondFile(t *testing.T) {
-	data := bytes.Repeat([]byte("x"), rawPageSize+1) // pages 3 and 4
+	data := bytes.Repeat([]byte("x"), rawPageSize+1) // pages 4 and 5
 	for _, c := range []struct {
 		vlen  uint64
 		first uint32
 		want  string
 	}{
-		{1 << 62, 3, "extent of 4611686018427387904 bytes from page 3 lies outside the file's 5 pages"},
-		{2*rawPageSize + 1, 3, "extent of 513 bytes from page 3 lies outside"},
-		{rawPageSize + 1, 4, "extent of 257 bytes from page 4 lies outside"},
+		{1 << 62, 4, "extent of 4611686018427387904 bytes from page 4 lies outside the file's 6 pages"},
+		{2*rawPageSize + 1, 4, "extent of 513 bytes from page 4 lies outside"},
+		{rawPageSize + 1, 5, "extent of 257 bytes from page 5 lies outside"},
 		{10, 0, "extent of 10 bytes from page 0 lies outside"},
 		{10, 1, "extent of 10 bytes from page 1 lies outside"},
 	} {
-		leaf := rawPage(pageLeaf, 1, 0, extentEntry(flagExtent, "k", c.vlen, c.first)...)
-		expectCorrupt(t, rawFile(t, 2, 1, leaf, data[:rawPageSize], data[rawPageSize:]), c.want, "k")
+		leaf := rawLeaf(1, extentEntry(flagExtent, "k", c.vlen, c.first)...)
+		expectCorrupt(t, leafFile(t, leaf, data[:rawPageSize], data[rawPageSize:]), c.want, "k")
 	}
 
-	leaf := rawPage(pageLeaf, 2, 0, append(extentEntry(flagExtent, "k", uint64(len(data)), 3), inline("m", "1")...)...)
-	path := rawFile(t, 2, 1, leaf, data[:rawPageSize], data[rawPageSize:])
+	leaf := rawLeaf(2, append(extentEntry(flagExtent, "k", uint64(len(data)), 4), inline("m", "1")...)...)
+	path := leafFile(t, leaf, data[:rawPageSize], data[rawPageSize:])
 	for _, mmap := range []bool{false, true} {
 		tr, err := OpenWith(path, Options{Mmap: mmap})
 		if err != nil {
@@ -168,62 +177,95 @@ func TestOverflowLengthBeyondFile(t *testing.T) {
 // extent.
 func TestChainedOverflowRefused(t *testing.T) {
 	chain := append([]byte{0, 0, 0, 0}, "chained"...) // next page 0, then the bytes
-	leaf := rawPage(pageLeaf, 1, 0, extentEntry(flagChain, "k", 7, 3)...)
-	expectCorrupt(t, rawFile(t, 2, 1, leaf, chain), "overflow chain, a format this version no longer reads: rebuild the index", "k")
+	leaf := rawLeaf(1, extentEntry(flagChain, "k", 7, 4)...)
+	expectCorrupt(t, leafFile(t, leaf, chain), "overflow chain, a format this version no longer reads: rebuild the index", "k")
 }
 
-// TestCyclicDescent: an internal page whose leftmost child is itself
-// once made Get loop forever; a descent deeper than the meta page's
-// height is now an error.
-func TestCyclicDescent(t *testing.T) {
-	path := rawFile(t, 2, 2, rawPage(pageInternal, 0, 2))
-	expectCorrupt(t, path, "internal page 2 at depth 2 of a tree of height 2", "k")
-	// A child pointer into a page that is no tree page (here value bytes
-	// of an extent, which carry no type tag) is refused by its type.
-	path = rawFile(t, 2, 2, rawPage(pageInternal, 0, 3), []byte{0, 0, 0, 0})
-	expectCorrupt(t, path, "unexpected page type", "k")
-}
-
-// TestCyclicLeafChain: a leaf chain that links back on itself once made
-// a full scan run forever; the chain is now bounded by the file's page
-// count. A chain into a non-leaf page is refused.
-func TestCyclicLeafChain(t *testing.T) {
-	path := rawFile(t, 2, 1, rawPage(pageLeaf, 1, 2, inline("a", "1")...))
+// expectRefused requires opening path to fail on both backends with an
+// error containing want.
+func expectRefused(t *testing.T, path, want string) {
+	t.Helper()
 	for _, mmap := range []bool{false, true} {
-		tr, err := OpenWith(path, Options{Mmap: mmap})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v, found, err := tr.Get([]byte("a")); err != nil || !found || string(v) != "1" {
-			t.Errorf("mmap=%v: Get(a) = %q, %v, %v on an intact leaf", mmap, v, found, err)
-		}
-		for _, start := range []string{"", "b"} {
-			if err := scanAll(tr, []byte(start)); err == nil || !strings.Contains(err.Error(), "leaf chain runs past the file's 3 pages") {
-				t.Errorf("mmap=%v: scan from %q of a cyclic chain ended with %v", mmap, start, err)
+		if tr, err := OpenWith(path, Options{Mmap: mmap}); err == nil || !strings.Contains(err.Error(), want) {
+			if err == nil {
+				tr.Close()
 			}
+			t.Errorf("mmap=%v: open ended with %v, want an error containing %q", mmap, err, want)
 		}
-		tr.Close()
-	}
-	path = rawFile(t, 2, 1, rawPage(pageLeaf, 1, 3, inline("a", "1")...), rawPage(pageInternal, 0, 0))
-	tr, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	if err := scanAll(tr, nil); err == nil || !strings.Contains(err.Error(), "leaf chain reaches page type 'I' at 3") {
-		t.Errorf("chain into an internal page ended with %v", err)
 	}
 }
 
-// TestHostileHeadersRefusedAtOpen: a meta page claiming more levels than
-// the file has pages, and a pager header claiming more pages than the
-// file holds, are refused before any lookup trusts them.
-func TestHostileHeadersRefusedAtOpen(t *testing.T) {
-	leaf := rawPage(pageLeaf, 1, 0, inline("a", "1")...)
-	if _, err := Open(rawFile(t, 2, 1<<31, leaf)); err == nil || !strings.Contains(err.Error(), "claims height") {
-		t.Errorf("height 1<<31 in a 3-page file: %v", err)
+// TestHostileFencesRefusedAtOpen: the fence array routes every lookup,
+// so it is checked whole at open — keys strictly increasing, every page
+// past the meta page and within the file, exactly as many fences as the
+// meta page claims leaves, the array itself within the file — before any
+// lookup trusts it.
+func TestHostileFencesRefusedAtOpen(t *testing.T) {
+	leaf := rawLeaf(1, inline("a", "1")...)
+	cat := func(fs ...[]byte) []byte { return bytes.Join(fs, nil) }
+	for _, c := range []struct {
+		name   string
+		keys   uint64
+		leaves uint32
+		fences []byte
+		want   string
+	}{
+		{"out of order", 2, 2, cat(fenceOf("b", 3), fenceOf("a", 4)), "fence 1 does not sort after fence 0"},
+		{"repeated key", 2, 2, cat(fenceOf("a", 3), fenceOf("a", 4)), "fence 1 does not sort after fence 0"},
+		{"page 0", 1, 1, fenceOf("a", 0), "fence 0 names page 0, outside the file's pages [2, 5)"},
+		{"meta page", 1, 1, fenceOf("a", 1), "fence 0 names page 1, outside"},
+		{"past the file", 2, 2, cat(fenceOf("a", 3), fenceOf("b", 5)), "fence 1 names page 5, outside"},
+		{"fewer fences than leaves", 3, 3, cat(fenceOf("aaaa", 3), fenceOf("bbbb", 4)), "fence 2 runs past the fence array"},
+		{"more fences than leaves", 1, 1, cat(fenceOf("a", 3), fenceOf("b", 4)), "6 bytes follow the 1 fences the meta page claims"},
+		{"a key past the array", 1, 1, []byte{9, 'a', 3, 0, 0, 0}, "fence 0 runs past the fence array"},
+		{"leaves beyond the array", 1 << 40, 1 << 31, fenceOf("a", 3), "cannot hold the 2147483648 leaves"},
+		{"keys without leaves", 1, 0, nil, "meta page claims 1 keys in 0 leaves"},
+		{"leaves without keys", 0, 1, fenceOf("a", 3), "meta page claims 0 keys in 1 leaves"},
+	} {
+		path := rawFile(t, rawMeta(c.keys, c.leaves, 2, uint64(len(c.fences))), c.fences, leaf, leaf)
+		t.Run(c.name, func(t *testing.T) { expectRefused(t, path, c.want) })
 	}
-	path := rawFile(t, 2, 1, leaf)
+	// An array that starts in the file but ends past it, and one that
+	// claims the meta page, are extents outside the file.
+	fences := fenceOf("a", 3)
+	t.Run("array past the file", func(t *testing.T) {
+		expectRefused(t, rawFile(t, rawMeta(1, 1, 2, 3*rawPageSize), fences, leaf), "extent of 768 bytes from page 2 lies outside the file's 4 pages")
+	})
+	t.Run("array on the meta page", func(t *testing.T) {
+		expectRefused(t, rawFile(t, rawMeta(1, 1, 1, 6), fences, leaf), "extent of 6 bytes from page 1 lies outside")
+	})
+}
+
+// TestFenceToNonLeafPage: a fence may name any page of the file, so the
+// page it names must carry the leaf tag; an extent page, or the fence
+// array's own page, fails the lookup and the scan.
+func TestFenceToNonLeafPage(t *testing.T) {
+	data := []byte("value bytes of an extent")
+	for _, c := range []struct {
+		page uint32
+		want string
+	}{
+		{4, "fence 1 names page 4 of type 'v', not a leaf"},
+		{2, "fence 1 names page 2 of type '\\x01', not a leaf"},
+	} {
+		fences := append(fenceOf("0", 3), fenceOf("m", c.page)...)
+		path := rawFile(t, rawMeta(2, 2, 2, uint64(len(fences))), fences, rawLeaf(1, inline("a", "1")...), data)
+		expectCorrupt(t, path, c.want, "m", "z")
+	}
+}
+
+// TestOlderFormatRefused: a file of the older multi-level format — a
+// meta page tagged 'M' over internal pages and a leaf chain, here as
+// the previous builder wrote it for 30 keys at 64-byte pages — is
+// refused at open with a request to rebuild, never misread.
+func TestOlderFormatRefused(t *testing.T) {
+	expectRefused(t, filepath.Join("testdata", "levels.idx"), "a format this version no longer reads: rebuild the index")
+}
+
+// TestHostileHeadersRefusedAtOpen: a pager header claiming more pages
+// than the file holds is refused before any lookup trusts it.
+func TestHostileHeadersRefusedAtOpen(t *testing.T) {
+	path := leafFile(t, rawLeaf(1, inline("a", "1")...))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -232,9 +274,5 @@ func TestHostileHeadersRefusedAtOpen(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, mmap := range []bool{false, true} {
-		if _, err := OpenWith(path, Options{Mmap: mmap}); err == nil || !strings.Contains(err.Error(), "pages its header claims") {
-			t.Errorf("mmap=%v: header claiming 1<<30 pages: %v", mmap, err)
-		}
-	}
+	expectRefused(t, path, "pages its header claims")
 }

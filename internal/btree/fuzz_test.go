@@ -13,7 +13,7 @@ import (
 var fuzzKeys = []string{"", "a", "k00", "k07", "k13", "k13x", "k29", "o0", "o2", "o3", "zz"}
 
 // fuzzSeed builds a tree of the given pairs at the smallest page size, so
-// a multi-level tree with extent values is a few KiB, and returns the
+// a tree of many leaves with extent values is a few KiB, and returns the
 // file's bytes.
 func fuzzSeed(f *testing.F, pairs [][2]string) []byte {
 	f.Helper()
@@ -39,12 +39,13 @@ func fuzzSeed(f *testing.F, pairs [][2]string) []byte {
 
 // FuzzBTreeGet opens mutated bytes of built files on both read backends
 // and runs every lookup of fuzzKeys and a full Iterator scan. A hostile
-// file — lengths past their page, cyclic child or leaf links, extents
-// outside the file, entries of the retired chained format, lying
-// headers — may fail at open, at a lookup or
-// mid-scan, but must never panic or run without end: the scan is held to
-// at most one entry per byte of the file. The committed corpus under
-// testdata/fuzz adds the hand-built hostile pages of corrupt_test.go.
+// file — lengths past their page, fences out of order or naming pages
+// outside the file or not a leaf, extents outside the file, files and
+// entries of retired formats, lying headers — may fail at open, at a
+// lookup or mid-scan, but must never panic or run without end: the scan
+// is held to at most one entry per byte of the file. The committed
+// corpus under testdata/fuzz adds the hand-built hostile pages of
+// corrupt_test.go and files of the older multi-level format.
 func FuzzBTreeGet(f *testing.F) {
 	var small, large [][2]string
 	for i := 0; i < 30; i++ {
@@ -56,6 +57,7 @@ func FuzzBTreeGet(f *testing.F) {
 	f.Add(fuzzSeed(f, small))
 	f.Add(fuzzSeed(f, large))
 	f.Add(fuzzSeed(f, nil))
+	f.Add(fuzzSeed(f, append(small, large...))) // many leaves beside extents, so the fence array is fuzzed
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.idx")

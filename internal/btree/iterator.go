@@ -1,27 +1,21 @@
 package btree
 
-import (
-	"encoding/binary"
-	"fmt"
-)
-
 // Iterator walks key/value pairs in ascending key order, starting at the
-// first key >= the start bound. It reads leaf pages through the chain
-// pointers left by the bulk loader, borrowing one page view at a time
-// under the pager's borrow contract: the current leaf stays borrowed
-// across Next calls and is released when the iterator advances to the
-// next leaf or finishes. Keys and inline values are copied into
-// per-iterator buffers reused across Next calls, so they stay valid
-// until the next Next regardless of backend; extent values are returned
-// as Get returns them.
+// first key >= the start bound. It reads the leaves in fence order,
+// borrowing one page view at a time under the pager's borrow contract:
+// the current leaf stays borrowed across Next calls and is released when
+// the iterator advances to the next leaf or finishes. Keys and inline
+// values are copied into per-iterator buffers reused across Next calls,
+// so they stay valid until the next Next regardless of backend; extent
+// values are returned as Get returns them.
 type Iterator struct {
 	t       *Tree
+	leaf    int // fence index of the current leaf
 	page    []byte
 	release func() // releases the borrow on page; nil when none held
 	i       int    // next entry index
 	off     int    // byte offset of next entry
 	start   []byte // the start bound, until the first key at or past it
-	hops    uint32 // leaf-chain links followed, bounded by the file's pages
 	err     error
 	done    bool
 
@@ -33,51 +27,28 @@ type Iterator struct {
 // Iterator returns an iterator positioned at the first key >= start
 // (nil starts at the beginning).
 func (t *Tree) Iterator(start []byte) *Iterator {
-	it := &Iterator{t: t, start: start}
-	if t.keys == 0 {
-		it.done = true
-		return it
-	}
-	page, release, err := t.descend(start)
-	if err != nil {
-		it.fail(err)
-		return it
-	}
-	it.setLeaf(page, release)
+	// nextLeaf steps onto the leaf that may hold start: the first for a
+	// start before every fence.
+	it := &Iterator{t: t, start: start, leaf: max(t.leafFor(start), 0) - 1}
+	it.nextLeaf()
 	return it
 }
 
-// setLeaf makes the borrowed leaf page the current one.
-func (it *Iterator) setLeaf(page []byte, release func()) {
-	it.page, it.release = page, release
-	it.i, it.off = 0, leafHeader
-}
-
-// nextLeaf moves to the next leaf of the chain, ending the iteration
-// after the last. A chain with more links than the file has pages loops.
+// nextLeaf moves to the leaf of the next fence, ending the iteration
+// after the last.
 func (it *Iterator) nextLeaf() {
-	id := binary.LittleEndian.Uint32(it.page[3:])
 	it.dropPage()
-	if id == 0 {
+	if it.leaf++; it.leaf >= len(it.t.fences) {
 		it.done = true
 		return
 	}
-	if it.hops++; it.hops > it.t.pf.NumPages() {
-		it.fail(fmt.Errorf("btree: leaf chain runs past the file's %d pages", it.t.pf.NumPages()))
-		return
-	}
-	page, release, err := it.t.pf.ReadPage(id)
+	page, release, err := it.t.readLeaf(it.leaf)
 	if err != nil {
 		it.fail(err)
 		return
 	}
-	if page[0] != pageLeaf {
-		b := page[0]
-		release()
-		it.fail(fmt.Errorf("btree: leaf chain reaches page type %q at %d", b, id))
-		return
-	}
-	it.setLeaf(page, release)
+	it.page, it.release = page, release
+	it.i, it.off = 0, leafHeader
 }
 
 // dropPage releases the current page borrow, if any.

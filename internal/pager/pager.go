@@ -21,8 +21,7 @@
 //
 // Stable() reports which of the two a file is in, letting callers (the
 // B+Tree) return zero-copy values when views outlive release and copy
-// only on the pooled path. Read(id, buf) remains the copying
-// convenience wrapper.
+// only on the pooled path.
 //
 // ReadExtent(first, n) reads a byte range that starts at a page and
 // spans consecutive pages (the B+Tree's long values). It has no
@@ -34,7 +33,7 @@
 // The read path is safe for concurrent use: ReadPage on a read-only
 // File serves the mapping or positioned reads (ReadAt) on per-goroutine
 // pooled buffers, so any number of goroutines may read at once. The
-// write path (Alloc, Write, Sync) is single-writer, which the bulk
+// write path (Alloc, Write, Close) is single-writer, which the bulk
 // loader respects.
 package pager
 
@@ -253,20 +252,6 @@ func (p *File) ReadExtent(first uint32, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// Read fills buf (which must be exactly one page long) with page id.
-func (p *File) Read(id uint32, buf []byte) error {
-	if len(buf) != p.pageSize {
-		return fmt.Errorf("pager: read buffer is %d bytes, want %d", len(buf), p.pageSize)
-	}
-	data, release, err := p.ReadPage(id)
-	if err != nil {
-		return err
-	}
-	copy(buf, data)
-	release()
-	return nil
-}
-
 // Write stores buf (exactly one page) at page id, which must have been
 // allocated.
 func (p *File) Write(id uint32, buf []byte) error {
@@ -283,24 +268,17 @@ func (p *File) Write(id uint32, buf []byte) error {
 	return err
 }
 
-// Sync flushes the header and file contents to stable storage.
-func (p *File) Sync() error {
-	if p.readonly {
-		return nil
-	}
-	if err := p.writeHeader(); err != nil {
-		return err
-	}
-	return p.f.Sync()
-}
-
-// Close syncs (when writable), unmaps (when mapped) and closes the
-// file. On a mapped file Close must not race in-flight ReadPage views;
+// Close writes the header and syncs the file to stable storage (when
+// writable), unmaps it (when mapped) and closes it. On a mapped file Close must not race in-flight ReadPage views;
 // the index's epoch/refcount machinery guarantees that by closing a
 // segment's files only after its last pinned reader drains.
 func (p *File) Close() error {
 	if !p.readonly {
-		if err := p.Sync(); err != nil {
+		err := p.writeHeader()
+		if err == nil {
+			err = p.f.Sync()
+		}
+		if err != nil {
 			p.f.Close()
 			return err
 		}

@@ -49,13 +49,14 @@ func TestCreateWriteReadRoundTrip(t *testing.T) {
 	if r.NumPages() != 3 {
 		t.Errorf("NumPages = %d, want 3", r.NumPages())
 	}
-	got := make([]byte, 128)
-	if err := r.Read(id2, got); err != nil {
+	got, release, err := r.ReadPage(id2)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, page) {
 		t.Error("page contents differ")
 	}
+	release()
 	if r.SizeBytes() != 3*128 {
 		t.Errorf("SizeBytes = %d", r.SizeBytes())
 	}
@@ -68,10 +69,10 @@ func TestBoundsAndModeErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 64)
-	if err := f.Read(0, buf); err == nil {
+	if _, _, err := f.ReadPage(0); err == nil {
 		t.Error("read of page 0 should fail")
 	}
-	if err := f.Read(9, buf); err == nil {
+	if _, _, err := f.ReadPage(9); err == nil {
 		t.Error("read of unallocated page should fail")
 	}
 	if err := f.Write(9, buf); err == nil {
