@@ -55,12 +55,32 @@ bench-smoke:
 # rebasing it is the deliberate `make bench-baseline`, whose diff is
 # then reviewed and committed. That keeps within-tolerance drift from
 # compounding silently — every baseline move is a visible commit.
+# Each guarded benchmark runs 100 timed iterations after testing's
+# one-iteration warm-up run, so a stray runtime allocation in the timed
+# run divides by 100. At -benchtime=1x such strays failed about one run
+# in five: a runtime timer-heap growth (16 B, 1 alloc) and, more often,
+# the runtime starting an OS thread (5248 B in 5 allocs) when the
+# stop-the-world of testing's own memory-statistics read restarts with
+# an idle P and no idle thread. The first rounds to 0 B/op over 100
+# iterations, the second does not (52 B/op), and it hit a zero-alloc
+# item in 5 of 20 runs. So the packages whose guarded items read 0 or a
+# few bytes per op (decoders, extractor, B+Tree Get) run at -cpu=1:
+# with one P there is no idle P to start a thread for, and 0 of 12
+# probe runs saw a stray. The search and join items keep the default
+# GOMAXPROCS (their fan-out runs in parallel); their smallest guarded
+# B/op is about 1.9 KB, which a 52 B stray moves by under 3 %. Every
+# guarded work counter (fetches/op, joinrows/op) is the work of one
+# operation — measured before the timed loop or taken from its last
+# iteration — so it reads the same at any iteration count.
 BENCH_TOLERANCE ?= 0.25
-BENCH_CMD = $(GO) test -run='^$$' \
-	-bench='SearchBatch|CountOnly|LimitedSearch|ShardedQuery|PlannerSkew|JoinRun|JoinStream|StreamAlign|RootDecode|RootBlock|RootSkip|Extract|Get' \
-	-benchmem -benchtime=1x . ./internal/join ./internal/postings ./internal/subtree ./internal/btree
+BENCH_FLAGS = -run='^$$' -benchmem -benchtime=100x
+BENCH_CMD = $(GO) test $(BENCH_FLAGS) \
+	-bench='SearchBatch|CountOnly|LimitedSearch|ShardedQuery|PlannerSkew|JoinRun|JoinStream|StreamAlign' \
+	. ./internal/join && \
+	$(GO) test $(BENCH_FLAGS) -cpu=1 -bench='RootDecode|RootBlock|RootSkip|Extract|Get' \
+	./internal/postings ./internal/subtree ./internal/btree
 bench-json:
-	$(BENCH_CMD) > bench.out
+	($(BENCH_CMD)) > bench.out
 	$(GO) run ./cmd/benchjson -o BENCH_search.json -baseline BENCH_baseline.json \
 		-tolerance $(BENCH_TOLERANCE) < bench.out
 	@rm -f bench.out
@@ -69,7 +89,7 @@ bench-json:
 # Rebase the committed regression baseline (no gate: this IS the act
 # of accepting the current counters). Review the diff, then commit.
 bench-baseline:
-	$(BENCH_CMD) > bench.out
+	($(BENCH_CMD)) > bench.out
 	$(GO) run ./cmd/benchjson -o BENCH_search.json -write-baseline BENCH_baseline.json < bench.out
 	@rm -f bench.out
 	@echo rewrote BENCH_baseline.json — review its diff and commit it

@@ -137,9 +137,8 @@ func runQuery(ctx context.Context, ix *si.Index, src string, limit, offset, show
 }
 
 // printExplain prints the planner's view of one executed query: the
-// strategy, the plan-time match estimate (0 on an index built before
-// statistics existed), and each cover piece's estimated vs. actually
-// decoded posting entries.
+// strategy, the plan-time match estimate (the smallest piece count),
+// and each cover piece's stored vs. actually decoded posting entries.
 func printExplain(st si.SearchStats) {
 	fmt.Printf("  plan: strategy=%s estimated_rows=%d\n", st.Strategy, st.EstimatedRows)
 	for _, p := range st.Pieces {

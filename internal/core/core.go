@@ -99,17 +99,13 @@ type Meta struct {
 	// simply lack the field and read as "no tombstones" — the section
 	// is additive, so older v3 manifests stay valid unchanged.
 	Tombstones map[string][]int `json:"tombstones,omitempty"`
-	// KeyStats holds the per-cover-key posting statistics the planner's
-	// cost model runs on (entry count, distinct tids, payload bytes for
-	// the heaviest keys, plus corpus totals for the tail). Recorded by
-	// Build into version-1 metas and aggregated into version-2 sharded
-	// roots; segmented (version-3) manifests deliberately omit it — the
-	// live layer re-merges segment stats in memory at every open and
-	// publish, keeping the frequently rewritten manifest small. Metas
-	// written before statistics existed simply lack the field and read
-	// as nil, which compiles uncosted plans (no estimates, the syntactic
-	// connected join order).
-	KeyStats *planner.Stats `json:"key_stats,omitempty"`
+	// KeyStats is always nil and never read or written: the planner
+	// costs pieces by the count prefix of their B+Tree values. A
+	// key_stats block in an older meta.json is ignored.
+	//
+	// Deprecated: kept only because the frozen benchmark
+	// (bench/layers.go) names it.
+	KeyStats *planner.Stats `json:"-"`
 	// RootSkipBlock is the skip-block size the root-split posting lists
 	// were written with (postings.RootSkipBlock); 0 under the other
 	// codings. A root-split leaf without it predates skip tables and is
@@ -128,24 +124,10 @@ type Meta struct {
 }
 
 // accumulator unifies the three coding accumulators during the build.
-// It also counts the distinct trees folded into it — trees arrive in
-// tid order, so a run-length check suffices — feeding the per-key
-// statistics the planner estimates from.
 type accumulator struct {
 	filter   *postings.FilterAccumulator
 	root     *postings.RootAccumulator
 	interval *postings.IntervalAccumulator
-
-	tids    int    // distinct trees folded so far
-	lastTID uint32 // tid of the most recent fold (valid when tids > 0)
-}
-
-// sawTID notes one occurrence in tree tid, counting distinct trees.
-func (a *accumulator) sawTID(tid uint32) {
-	if a.tids == 0 || a.lastTID != tid {
-		a.tids++
-		a.lastTID = tid
-	}
 }
 
 func (a *accumulator) count() int {
@@ -217,7 +199,6 @@ func Build(dir string, trees []*lingtree.Tree, opt Options) (*Meta, error) {
 				acc = newAcc()
 				accs[string(key)] = acc
 			}
-			acc.sawTID(tid)
 			switch opt.Coding {
 			case postings.FilterBased:
 				acc.filter.Add(tid)
@@ -235,8 +216,8 @@ func Build(dir string, trees []*lingtree.Tree, opt Options) (*Meta, error) {
 	extractNanos := time.Since(extractStart).Nanoseconds()
 
 	// Load phase: bulk-load the B+Tree from sorted keys. Values are
-	// prefixed with the posting count, which the query planner uses as
-	// its selectivity statistic.
+	// prefixed with the posting count, which the query planner reads as
+	// each piece's cost.
 	loadStart := time.Now()
 	keys := make([]string, 0, len(accs))
 	for k := range accs {
@@ -247,7 +228,6 @@ func Build(dir string, trees []*lingtree.Tree, opt Options) (*Meta, error) {
 	if err != nil {
 		return nil, err
 	}
-	stats := &planner.Stats{}
 	var val []byte
 	for _, k := range keys {
 		acc := accs[k]
@@ -255,16 +235,10 @@ func Build(dir string, trees []*lingtree.Tree, opt Options) (*Meta, error) {
 		val = val[:0]
 		val = appendUvarint(val, uint64(acc.count()))
 		val = acc.appendTo(val)
-		stats.Record(k, planner.KeyStat{
-			Entries: uint64(acc.count()),
-			Tids:    uint64(acc.tids),
-			Bytes:   uint64(len(val)),
-		})
 		if err := bld.Add([]byte(k), val); err != nil {
 			return nil, fmt.Errorf("core: loading key %q: %w", k, err)
 		}
 	}
-	stats.Seal(0)
 	if err := bld.Finish(); err != nil {
 		return nil, err
 	}
@@ -283,7 +257,6 @@ func Build(dir string, trees []*lingtree.Tree, opt Options) (*Meta, error) {
 
 	meta := &Meta{
 		FormatVersion: FormatSingle,
-		KeyStats:      stats,
 		RootSkipBlock: opt.rootSkipBlock(),
 		MSS:           opt.MSS,
 		Coding:        opt.Coding,

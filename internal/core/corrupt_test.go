@@ -10,7 +10,9 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/pager"
+	"repro/internal/planner"
 	"repro/internal/postings"
+	"repro/internal/query"
 	"repro/internal/subtree"
 )
 
@@ -74,14 +76,22 @@ func TestCorruptPostingCountIsAnError(t *testing.T) {
 }
 
 // TestCorruptCountPrefixOnKeyPaths holds the key-count paths — a point
-// count (lookupKeyLive, behind KeyCount) and the key iteration of leaf
-// merges — to postingPayload's bound. A count prefix of 1<<63 used to
-// read as a negative count with no error.
+// count (lookupKeyLive, behind KeyCount), the key iteration of leaf
+// merges and the planner's piece costs — to postingPayload's bound. A
+// count prefix of 1<<63 used to read as a negative count with no error.
+// A plan whose costing read a forged count fails the search on either
+// backend and is not stored, so a repeat fails again.
 func TestCorruptCountPrefixOnKeyPaths(t *testing.T) {
+	const q = "NP(DT)(NN)"
 	dir := t.TempDir()
 	if _, err := Build(dir, shardCorpus(40), Options{MSS: 2, Coding: postings.RootSplit}); err != nil {
 		t.Fatal(err)
 	}
+	uncosted, err := planner.New(query.MustParse(q), 2, postings.RootSplit, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pieceKey := []byte(uncosted.Pieces[0].Key)
 	path := filepath.Join(dir, indexFileName)
 	src, err := btree.Open(path)
 	if err != nil {
@@ -95,9 +105,22 @@ func TestCorruptCountPrefixOnKeyPaths(t *testing.T) {
 	if len(pairs) < 2 {
 		t.Fatalf("vacuous fixture: %d keys", len(pairs))
 	}
-	// Rewrite the tree with the first key's count prefix forged.
-	_, n := binary.Uvarint(pairs[0][1])
-	pairs[0][1] = append(binary.AppendUvarint(nil, 1<<63), pairs[0][1][n:]...)
+	if bytes.Equal(pairs[1][0], pieceKey) {
+		t.Fatalf("vacuous fixture: the intact key %q is a piece of %s", pieceKey, q)
+	}
+	// Rewrite the tree with the count prefix of the first key and of one
+	// of q's pieces forged.
+	forged := 0
+	for i := range pairs {
+		if i == 0 || bytes.Equal(pairs[i][0], pieceKey) {
+			_, n := binary.Uvarint(pairs[i][1])
+			pairs[i][1] = append(binary.AppendUvarint(nil, 1<<63), pairs[i][1][n:]...)
+			forged++
+		}
+	}
+	if forged != 2 {
+		t.Fatalf("vacuous fixture: forged %d keys, want the first key and %q", forged, pieceKey)
+	}
 	b, err := btree.NewBuilder(path, pager.DefaultPageSize)
 	if err != nil {
 		t.Fatal(err)
@@ -126,5 +149,24 @@ func TestCorruptCountPrefixOnKeyPaths(t *testing.T) {
 		if it.Next() || it.Err() == nil || !strings.Contains(it.Err().Error(), "corrupt posting count") {
 			t.Errorf("tombstones=%d: key iteration over the forged key: key %q count %d, err %v", dels.Len(), it.Key(), it.Count(), it.Err())
 		}
+	}
+	for _, mode := range []MmapMode{MmapAuto, MmapOff} {
+		l, err := OpenLive(dir, OpenOptions{Mmap: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for try := 0; try < 2; try++ {
+			if _, err := l.Search(context.Background(), q, SearchOpts{}); err == nil || !strings.Contains(err.Error(), "corrupt posting count") {
+				t.Errorf("mmap=%v try %d: planning over a forged piece count gave err %v; want a corrupt posting count error", mode, try, err)
+			}
+		}
+		e := l.cur.Load()
+		e.plansMu.Lock()
+		stored := len(e.plans)
+		e.plansMu.Unlock()
+		if c := l.Counters(); stored != 0 || c.PlanCacheHits != 0 {
+			t.Errorf("mmap=%v: a failed plan was stored: %d plans, %d plan-map hits", mode, stored, c.PlanCacheHits)
+		}
+		l.Close()
 	}
 }

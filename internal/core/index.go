@@ -131,7 +131,7 @@ type Counters struct {
 	// the epoch they pinned, skipping cover decomposition and costing.
 	PlanCacheHits uint64 `json:"plan_cache_hits"`
 	// PlanCacheMisses counts searches that compiled their plan against
-	// the pinned epoch's statistics — every first search of a query
+	// the pinned epoch's stored counts — every first search of a query
 	// after a publish is one.
 	PlanCacheMisses uint64 `json:"plan_cache_misses"`
 	// PlanEstimatedRows accumulates the planner's estimated join

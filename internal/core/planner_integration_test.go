@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -10,11 +12,12 @@ import (
 	"repro/internal/lingtree"
 	"repro/internal/planner"
 	"repro/internal/postings"
+	"repro/internal/subtree"
 )
 
 // heavyTrees returns n trees that each hold NP(DT)(NN) several times,
 // so appending them makes that cover piece of heavyQuery far heavier
-// in the merged statistics.
+// in the stored counts.
 func heavyTrees(n int) []*lingtree.Tree {
 	trees := make([]*lingtree.Tree, n)
 	for i := range trees {
@@ -38,10 +41,11 @@ func heavier(before, after map[string]uint64) bool {
 }
 
 // explainFresh runs q with explain on l and asserts the plan was costed
-// against the statistics l currently serves: it was compiled on the
-// current epoch (no plan-map hit) and every piece's estimate is the
-// current merged statistics' estimate. It returns the piece estimates
-// by key.
+// against the counts l currently serves: it was compiled on the current
+// epoch (no plan-map hit) and every piece's estimate is the key's
+// posting count across the current segments (l holds no tombstones
+// here, so that is LookupKey's live count). It returns the piece
+// estimates by key.
 func explainFresh(t *testing.T, l *Live, q string) map[string]uint64 {
 	t.Helper()
 	res, err := l.Search(context.Background(), q, SearchOpts{Explain: true})
@@ -51,14 +55,17 @@ func explainFresh(t *testing.T, l *Live, q string) map[string]uint64 {
 	if res.Stats.PlanCacheHit {
 		t.Fatalf("%s: first search after a publish reused a plan", q)
 	}
-	stats := l.Meta().KeyStats
-	if stats == nil || len(res.Stats.Pieces) == 0 {
-		t.Fatalf("%s: vacuous fixture: stats %v, %d pieces", q, stats, len(res.Stats.Pieces))
+	if res.Stats.EstimatedRows == 0 || len(res.Stats.Pieces) == 0 {
+		t.Fatalf("%s: vacuous fixture: estimate %d, %d pieces", q, res.Stats.EstimatedRows, len(res.Stats.Pieces))
 	}
 	est := make(map[string]uint64, len(res.Stats.Pieces))
 	for _, p := range res.Stats.Pieces {
-		if want := stats.Estimate(p.Key); p.Est != want {
-			t.Fatalf("%s: piece %s costed at %d, current statistics say %d", q, p.Key, p.Est, want)
+		want, err := l.LookupKey(subtree.Key(p.Key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Est != uint64(want) {
+			t.Fatalf("%s: piece %s costed at %d, the current segments store %d", q, p.Key, p.Est, want)
 		}
 		est[p.Key] = p.Est
 	}
@@ -68,8 +75,8 @@ func explainFresh(t *testing.T, l *Live, q string) map[string]uint64 {
 // TestPlanCacheInvalidationOnPublish asserts a plan is costed against
 // the epoch it runs on: after an Append (and a Delete + Compact)
 // publishes a new segment set, the very next search of a warmed query
-// compiles afresh, with per-piece estimates equal to the new merged
-// statistics; a repeat with no publish in between reuses that plan.
+// compiles afresh, with per-piece estimates equal to the new epoch's
+// stored counts; a repeat with no publish in between reuses that plan.
 func TestPlanCacheInvalidationOnPublish(t *testing.T) {
 	l := openLive(t, shardCorpus(200), 1, OpenOptions{})
 	ctx := context.Background()
@@ -105,7 +112,7 @@ func TestPlanCacheInvalidationOnPublish(t *testing.T) {
 
 // TestReloadInvalidatesPlans covers the cross-process half: a Reload
 // that picks up another process's publish serves a new epoch, so the
-// next search plans against the reloaded statistics.
+// next search plans against the reloaded segments' counts.
 func TestReloadInvalidatesPlans(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ix")
 	if _, err := BuildSharded(dir, shardCorpus(200), Options{MSS: 3, Coding: postings.RootSplit}, 1); err != nil {
@@ -132,6 +139,59 @@ func TestReloadInvalidatesPlans(t *testing.T) {
 	}
 	if after := explainFresh(t, serving, q); !heavier(before, after) {
 		t.Fatalf("reload made no piece heavier: %v -> %v", before, after)
+	}
+}
+
+// TestMetaCarriesNoKeyStats covers both sides of the deleted statistics
+// block: a fresh 1- or 4-shard build writes no key_stats key and keeps
+// every meta.json under 1 KB, and once every meta.json is given a block
+// like the ones older builds wrote, the index opens unchanged — the
+// same matches, with plans still costed by the stored counts.
+func TestMetaCarriesNoKeyStats(t *testing.T) {
+	const q = heavyQuery
+	const oldBlock = `{"keys":{"3:NP(DT)(NN)":{"e":1,"t":1,"b":9}},"total_keys":1,"total_entries":1,"total_bytes":9}`
+	for _, shards := range []int{1, 4} {
+		dir := filepath.Join(t.TempDir(), "ix")
+		if _, err := BuildSharded(dir, shardCorpus(300), Options{MSS: 3, Coding: postings.RootSplit}, shards); err != nil {
+			t.Fatal(err)
+		}
+		want, err := searchText(openDir(t, dir, OpenOptions{}), q)
+		if err != nil || len(want) == 0 {
+			t.Fatalf("shards=%d: vacuous fixture: %d matches, err %v", shards, len(want), err)
+		}
+		metas, err := filepath.Glob(filepath.Join(dir, "shard-*", metaFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		metas = append(metas, filepath.Join(dir, metaFileName))
+		if shards > 1 && len(metas) != shards+1 {
+			t.Fatalf("shards=%d: found %d meta.json files", shards, len(metas))
+		}
+		for _, path := range metas {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fields map[string]json.RawMessage
+			if err := json.Unmarshal(raw, &fields); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := fields["key_stats"]; ok || len(raw) > 1024 {
+				t.Fatalf("shards=%d: %s is %d bytes, key_stats present: %v", shards, path, len(raw), ok)
+			}
+			fields["key_stats"] = json.RawMessage(oldBlock)
+			if raw, err = json.Marshal(fields); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l := openDir(t, dir, OpenOptions{})
+		explainFresh(t, l, q)
+		if got, err := searchText(l, q); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards=%d: with an old key_stats block: %d matches, err %v; want the %d of the fresh build", shards, len(got), err, len(want))
+		}
 	}
 }
 

@@ -316,10 +316,6 @@ func (l *Live) commitLocked(gen int, segs []*segment, tombs map[string][]int) er
 	man.FormatVersion = FormatSegmented
 	man.Shards = 0
 	man.Generation = gen
-	// The manifest is rewritten on every publish; per-key statistics
-	// stay out of it (they live in the immutable segment metas and are
-	// re-merged in memory at open and publish — see Meta.KeyStats).
-	man.KeyStats = nil
 	man.Tombstones = tombs
 	man.Segments = make([]string, len(segs))
 	for i, sg := range segs {

@@ -48,7 +48,7 @@ func TestManifestNamesStayUnderRoot(t *testing.T) {
 		{},
 	} {
 		man := l.Meta()
-		man.FormatVersion, man.Generation, man.Segments, man.KeyStats = FormatSegmented, 2, segs, nil
+		man.FormatVersion, man.Generation, man.Segments = FormatSegmented, 2, segs
 		if err := writeMeta(l.dir, &man); err != nil {
 			t.Fatal(err)
 		}

@@ -100,8 +100,8 @@ type SearchStats struct {
 }
 
 // PieceStat is one cover piece's explain record: the index key the
-// piece fetches, the planner's estimated posting-entry cardinality
-// under the statistics the plan was costed with, and the entries
+// piece fetches, its stored posting count on the segment set the plan
+// was costed against (the planner's estimate), and the entries
 // actually decoded for it during the search (summed over consulted
 // shards; less than the stored postings when early termination or an
 // early abort skipped work).

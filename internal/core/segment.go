@@ -81,10 +81,10 @@ func (sg *segment) unref() {
 // epoch; when it drains, the epoch's segment references are dropped —
 // a segment kept alive only by retired epochs closes at that point.
 //
-// An epoch also owns the plans compiled against it: stats is the
-// merged posting statistics of its segments, and plans maps a query's
-// canonical text to the plan costed against exactly those statistics.
-// A publish starts a new epoch with an empty map, so a plan never runs
+// An epoch also owns the plans compiled against it: stats counts a
+// key's stored postings across exactly the epoch's leaves, and plans
+// maps a query's canonical text to the plan costed by those counts. A
+// publish starts a new epoch with an empty map, so a plan never runs
 // on a segment set other than the one it was costed for.
 type epoch struct {
 	segs   []*segment
@@ -103,7 +103,7 @@ type epoch struct {
 // wholesale rather than evicted entry by entry.
 const maxEpochPlans = 4096
 
-// plan returns q's plan costed against the epoch's statistics and
+// plan returns q's plan costed against the epoch's stored counts and
 // whether it was already stored, compiling and storing it otherwise.
 // A shared q belongs to the caller and is cloned before the plan
 // retains it, so later caller mutations cannot corrupt stored plans.
@@ -216,8 +216,9 @@ type Live struct {
 
 // OpenLive opens the index stored in dir — segmented, sharded or
 // single-directory. opts applies to every leaf; plans live once per
-// epoch at the root: leaves share MSS, coding and statistics,
-// so one compiled plan serves the whole fan-out.
+// epoch at the root: leaves share MSS and coding, and a plan is costed
+// by counts summed over all of them, so one compiled plan serves the
+// whole fan-out.
 func OpenLive(dir string, opts OpenOptions) (*Live, error) {
 	meta, err := readMeta(dir)
 	if err != nil {
@@ -364,10 +365,7 @@ func closeSegments(segs []*segment) {
 // aggregateMeta folds the segment metas into the epoch-wide view: one
 // segment passes through unchanged (so a plain index reports exactly
 // what it always did), several sum their statistics with Shards
-// holding the total leaf count. Per-key posting statistics merge the
-// same way — unless any segment lacks them (built before statistics
-// existed), in which case the merged view carries none and plans run
-// uncosted rather than on a partial, skewed model.
+// holding the total leaf count.
 func aggregateMeta(segs []*segment) Meta {
 	if len(segs) == 1 {
 		return segs[0].meta
@@ -388,25 +386,7 @@ func aggregateMeta(segs []*segment) Meta {
 		agg.ExtractNanos += sg.meta.ExtractNanos
 		agg.LoadNanos += sg.meta.LoadNanos
 	}
-	agg.KeyStats = mergeSegmentStats(segs)
 	return agg
-}
-
-// mergeSegmentStats merges the per-key posting statistics of all
-// segments into one model, sealed back to the per-index cap; nil when
-// any segment predates statistics.
-func mergeSegmentStats(segs []*segment) *planner.Stats {
-	for _, sg := range segs {
-		if sg.meta.KeyStats == nil {
-			return nil
-		}
-	}
-	merged := &planner.Stats{}
-	for _, sg := range segs {
-		merged.Merge(sg.meta.KeyStats)
-	}
-	merged.Seal(0)
-	return merged
 }
 
 // publishLocked installs segs as the current epoch at generation gen
@@ -446,7 +426,7 @@ func (l *Live) publishLocked(segs []*segment, gen int, tombs map[string][]int) {
 	meta := aggregateMeta(segs)
 	meta.Generation = gen
 	e := &epoch{segs: segs, set: set, gen: gen, mss: meta.MSS, coding: meta.Coding,
-		stats: meta.KeyStats, plans: make(map[string]*Plan)}
+		stats: &planner.Stats{Count: set.storedCount}, plans: make(map[string]*Plan)}
 	e.refs.Store(1)
 	l.tombs = tombs
 	l.info.Store(&liveInfo{meta: meta, leaves: len(set.leaves), segments: len(segs), gen: gen, deleted: deleted})
@@ -553,7 +533,7 @@ func (l *Live) Counters() Counters {
 }
 
 // Search pins the current segment set, parses src, plans it against
-// that set's statistics (reusing the set's stored plan of any spelling
+// that set's stored counts (reusing the set's stored plan of any spelling
 // equal up to sibling order) and evaluates it under ctx with the given
 // bounds.
 func (l *Live) Search(ctx context.Context, src string, opts SearchOpts) (*Result, error) {

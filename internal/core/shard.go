@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/lingtree"
-	"repro/internal/planner"
 	"repro/internal/subtree"
 )
 
@@ -89,9 +88,6 @@ func BuildSharded(dir string, trees []*lingtree.Tree, opt Options, shards int) (
 		MSS:           opt.MSS,
 		Coding:        opt.Coding,
 	}
-	// The root's statistics merge the per-shard models (sealed back to
-	// the cap), so root-compiled plans cost against corpus-wide counts.
-	stats := &planner.Stats{}
 	bounds := shardBounds(len(trees), shards)
 	_, err := Gather(shards, false, func(s int) (*Meta, error) {
 		// Build numbers the shard's slice by position, so its local
@@ -105,14 +101,11 @@ func BuildSharded(dir string, trees []*lingtree.Tree, opt Options, shards int) (
 		meta.DataBytes += m.DataBytes
 		meta.ExtractNanos += m.ExtractNanos
 		meta.LoadNanos += m.LoadNanos
-		stats.Merge(m.KeyStats)
 		return false
 	})
 	if err != nil {
 		return nil, err
 	}
-	stats.Seal(0)
-	meta.KeyStats = stats
 	meta.BuildNanos = time.Since(start).Nanoseconds()
 	if err := writeMeta(dir, meta); err != nil {
 		return nil, err
@@ -196,6 +189,23 @@ func (ls leafSet) lookupKey(k subtree.Key) (int, error) {
 	})
 	if err != nil {
 		return 0, err
+	}
+	return total, nil
+}
+
+// storedCount sums the key's stored posting counts over all leaves,
+// tombstoned postings included: the planner's cost of a piece. It reads
+// each leaf's count prefix in a plain loop — a Get is a couple of
+// microseconds, less than a goroutine per leaf costs — and decodes no
+// list.
+func (ls leafSet) storedCount(k subtree.Key) (uint64, error) {
+	var total uint64
+	for _, leaf := range ls.leaves {
+		n, err := leaf.lookupKeyLive(k, nil)
+		if err != nil {
+			return 0, err
+		}
+		total += uint64(n)
 	}
 	return total, nil
 }

@@ -107,6 +107,12 @@ func TestSearchLazySkipsUnneededShardError(t *testing.T) {
 	}
 
 	broken := openLive(t, trees, 4, OpenOptions{})
+	// Compile the plan first: costing reads every leaf's stored count,
+	// so a plan compiled after the sabotage fails before any shard is
+	// evaluated. The drain under test runs on the stored plan.
+	if _, err := broken.Search(ctx, q, SearchOpts{Limit: 2}); err != nil {
+		t.Fatal(err)
+	}
 	// Sabotage shard 1 — inside the lazy lookahead window, so it is in
 	// flight while shard 0 satisfies a small limit.
 	if err := broken.cur.Load().set.leaves[1].tree.Close(); err != nil {

@@ -19,6 +19,7 @@ import (
 	"repro/internal/planner"
 	"repro/internal/postings"
 	"repro/internal/query"
+	"repro/internal/subtree"
 	"repro/internal/workload"
 )
 
@@ -191,13 +192,31 @@ func streamTuple(t *testing.T, q *query.Query, rels []join.Relation, opt join.Op
 	return goldenTuple{Hash: hashMatches(ms), Count: len(ms), Rows: s.Rows(), Read: s.EntriesRead()}
 }
 
+// storedCounts maps every key of bt to the posting count prefixed to
+// its value, the count the live index costs plans by.
+func storedCounts(t *testing.T, bt *btree.Tree) *planner.Stats {
+	t.Helper()
+	counts := make(map[subtree.Key]uint64)
+	it := bt.Iterator(nil)
+	for it.Next() {
+		n, w := binary.Uvarint(it.Value())
+		if w <= 0 {
+			t.Fatalf("key %q: no count prefix", it.Key())
+		}
+		counts[subtree.Key(it.Key())] = n
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return &planner.Stats{Count: func(k subtree.Key) (uint64, error) { return counts[k], nil }}
+}
+
 // observe evaluates every golden query under one coding in all four
 // modes over a freshly built index of the seeded corpus.
 func observe(t *testing.T, trees []*lingtree.Tree, qs []*query.Query, coding postings.Coding) []goldenQuery {
 	t.Helper()
 	dir := t.TempDir()
-	meta, err := core.Build(dir, trees, core.Options{MSS: goldenMSS, Coding: coding})
-	if err != nil {
+	if _, err := core.Build(dir, trees, core.Options{MSS: goldenMSS, Coding: coding}); err != nil {
 		t.Fatal(err)
 	}
 	bt, err := btree.Open(filepath.Join(dir, core.IndexFileName))
@@ -205,10 +224,11 @@ func observe(t *testing.T, trees []*lingtree.Tree, qs []*query.Query, coding pos
 		t.Fatal(err)
 	}
 	defer bt.Close()
+	stats := storedCounts(t, bt)
 
 	out := make([]goldenQuery, 0, len(qs))
 	for _, q := range qs {
-		pl, err := planner.New(q, goldenMSS, coding, meta.KeyStats)
+		pl, err := planner.New(q, goldenMSS, coding, stats)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/lingtree"
 	"repro/internal/postings"
 	"repro/internal/query"
+	"repro/internal/subtree"
 	"repro/internal/workload"
 )
 
@@ -36,20 +37,14 @@ func benchmarkQueries(t *testing.T) []*query.Query {
 	return qs
 }
 
-// hashedStats estimates every key of the plans at a pseudo-random count
-// derived from its text, so cost-based orders start and branch at
-// varied pieces.
-func hashedStats(pls []*Plan) *Stats {
-	s := &Stats{}
-	for _, pl := range pls {
-		for _, pp := range pl.Pieces {
-			h := fnv.New64a()
-			h.Write([]byte(pp.Key))
-			e := h.Sum64()%10000 + 1
-			s.Record(string(pp.Key), KeyStat{Entries: e, Tids: e, Bytes: 8 * e})
-		}
-	}
-	return s
+// hashedStats counts every key at a pseudo-random number derived from
+// its text, so cost-based orders start and branch at varied pieces.
+func hashedStats() *Stats {
+	return &Stats{Count: func(k subtree.Key) (uint64, error) {
+		h := fnv.New64a()
+		h.Write([]byte(k))
+		return h.Sum64()%10000 + 1, nil
+	}}
 }
 
 // connects reports whether order is a permutation of the plan's pieces
@@ -108,7 +103,7 @@ func TestEveryPlanCarriesAConnectedOrder(t *testing.T) {
 				}
 				uncosted[i] = pl
 			}
-			stats := hashedStats(uncosted)
+			stats := hashedStats()
 			for i, q := range qs {
 				costed, err := New(q, mss, coding, stats)
 				if err != nil {

@@ -1,15 +1,15 @@
 // Package planner is the middle stage of the query pipeline —
 // decompose → plan → execute. It compiles a parsed query into a Plan:
 // the cover decomposition of internal/cover resolved to index keys
-// (the decompose stage the paper's §5 describes), annotated with
-// per-piece cardinality estimates from build-time posting statistics,
-// a cost-based left-deep join order (smallest estimate first, with
-// slot-connectivity tie-breaking), and the execution strategy the
-// index's coding implies. Every plan carries its join order, and the
-// join layer runs exactly that order: a plan compiled without
-// statistics (an index whose manifest predates stats) or under the
-// UseSyntacticOrder ablation takes the syntactic connected order
-// instead, and a cover whose pieces do not connect is rejected here.
+// (the decompose stage the paper's §5 describes), annotated with each
+// piece's exact stored posting count (the count prefix of its B+Tree
+// value, read through Stats.Count), a cost-based left-deep join order
+// (smallest count first, with slot-connectivity tie-breaking), and the
+// execution strategy the index's coding implies. Every plan carries
+// its join order, and the join layer runs exactly that order: a plan
+// compiled without a count source or under the UseSyntacticOrder
+// ablation takes the syntactic connected order instead, and a cover
+// whose pieces do not connect is rejected here.
 package planner
 
 import (
@@ -26,7 +26,7 @@ import (
 // skips costing and pins the join order to the syntactic connected
 // order — the cover's construction order, which is the identity
 // whenever the identity connects. The skewed-corpus
-// benchmark flips it to quantify what the statistics buy; nothing else
+// benchmark flips it to quantify what costing buys; nothing else
 // should.
 var UseSyntacticOrder bool
 
@@ -82,9 +82,9 @@ type PlanPiece struct {
 	// subtree.SlotAutomorphisms); subtree-interval evaluation expands
 	// postings by them when len(Perms) > 1.
 	Perms [][]int
-	// Est is the planner's estimated posting-entry count for Key under
-	// the statistics the plan was compiled against; 0 when the plan is
-	// uncosted.
+	// Est is Key's stored posting count on the segment set the plan
+	// was compiled against (tombstones not subtracted); 0 when the plan
+	// is uncosted or the key is absent.
 	Est uint64
 }
 
@@ -93,7 +93,7 @@ type PlanPiece struct {
 // the planner's cost annotations. A Plan is immutable after New returns
 // and safe to share between goroutines — the live index keeps one
 // instance per query on the published segment set (epoch) whose
-// statistics it was costed under, so a plan never runs on any other.
+// counts it was costed under, so a plan never runs on any other.
 // All evaluation runs against plan.Query; two textual queries that are
 // equal up to sibling order share a plan, which is sound because
 // matches expose only the query root's image.
@@ -105,28 +105,29 @@ type Plan struct {
 	Pieces []PlanPiece
 	// Order is the left-deep join order as indexes into Pieces: a
 	// permutation in which every piece after the first is slot-connected
-	// to the pieces before it. A costed plan takes the smallest estimated
-	// cardinality first; an uncosted one the syntactic connected order
+	// to the pieces before it. A costed plan takes the smallest stored
+	// count first; an uncosted one the syntactic connected order
 	// (see joinOrder). The join runs this order and no other.
 	Order []int
 	// Strategy is the execution mode the coding implies; set on
 	// uncosted plans too.
 	Strategy Strategy
 	// EstRows is the estimated distinct-match cardinality of the whole
-	// join — the smallest piece estimate, since every match embeds an
+	// join — the smallest piece count, since every match embeds an
 	// occurrence of every piece. 0 on uncosted plans.
 	EstRows uint64
-	// Costed reports whether statistics were available: Est and EstRows
-	// are meaningful only when set, and Order is cost-based.
+	// Costed reports whether the plan was compiled with a count source:
+	// Est and EstRows are meaningful only when set, and Order is
+	// cost-based.
 	Costed bool
 }
 
 // New decomposes q into cover pieces for an index with the given MSS
 // and coding, resolves each piece to its index key, slot mapping and
 // automorphisms, and — when stats is non-nil — annotates the pieces
-// with cardinality estimates. It then picks the join order (by cost on
-// a costed plan, syntactically otherwise); a cover with no connected
-// order is an error.
+// with their stored counts; a Count error fails New. It then picks the
+// join order (by cost on a costed plan, syntactically otherwise); a
+// cover with no connected order is an error.
 func New(q *query.Query, mss int, coding postings.Coding, stats *Stats) (*Plan, error) {
 	covers, err := coverQuery(q, mss, coding == postings.RootSplit)
 	if err != nil {
@@ -150,7 +151,9 @@ func New(q *query.Query, mss int, coding postings.Coding, stats *Stats) (*Plan, 
 		}
 	}
 	if stats != nil && !UseSyntacticOrder {
-		pl.cost(stats)
+		if err := pl.cost(stats); err != nil {
+			return nil, err
+		}
 	}
 	if pl.Order, err = pl.joinOrder(coding); err != nil {
 		return nil, err
@@ -158,18 +161,20 @@ func New(q *query.Query, mss int, coding postings.Coding, stats *Stats) (*Plan, 
 	return pl, nil
 }
 
-// cost annotates the plan with estimates.
-func (pl *Plan) cost(stats *Stats) {
+// cost annotates the plan with each piece's stored count.
+func (pl *Plan) cost(stats *Stats) error {
 	pl.Costed = true
-	min := uint64(0)
 	for i := range pl.Pieces {
-		est := stats.Estimate(string(pl.Pieces[i].Key))
+		est, err := stats.Count(pl.Pieces[i].Key)
+		if err != nil {
+			return err
+		}
 		pl.Pieces[i].Est = est
-		if i == 0 || est < min {
-			min = est
+		if i == 0 || est < pl.EstRows {
+			pl.EstRows = est
 		}
 	}
-	pl.EstRows = min
+	return nil
 }
 
 // boundSlots returns the query nodes a piece's relation binds under the
@@ -186,7 +191,7 @@ func (pp *PlanPiece) boundSlots(coding postings.Coding) []int {
 // joinOrder picks the left-deep join order greedily: a first piece,
 // then repeatedly a piece connected to the bound set (a shared slot or
 // a query edge into a bound node — the same connectivity rule the join
-// layer enforces). A costed plan goes by estimated cardinality: the
+// layer enforces). A costed plan goes by stored count: the
 // globally smallest piece first, then the smallest connected one, ties
 // breaking toward the piece sharing more slots with the bound set, then
 // toward syntactic position. An uncosted plan takes the syntactic

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/postings"
 	"repro/internal/query"
+	"repro/internal/subtree"
 )
 
 // pieceLabel extracts the node label of a single-node piece key (the
@@ -29,13 +30,10 @@ func mustParse(t *testing.T, src string) *query.Query {
 	return q
 }
 
-// statsFor builds a Stats with the given per-key entry counts.
-func statsFor(entries map[string]uint64) *Stats {
-	s := &Stats{}
-	for k, e := range entries {
-		s.Record(k, KeyStat{Entries: e, Tids: e, Bytes: e * 8})
-	}
-	return s
+// statsFor builds a Stats counting the given keys' postings (0 for
+// any other key).
+func statsFor(counts map[string]uint64) *Stats {
+	return &Stats{Count: func(k subtree.Key) (uint64, error) { return counts[string(k)], nil }}
 }
 
 // TestNewUncosted asserts that a nil-stats compile yields pieces, the
@@ -173,60 +171,6 @@ func TestUseSyntacticOrder(t *testing.T) {
 		if !slices.Equal(pl.Order, c.want) {
 			t.Fatalf("%s: ablation order %v, want %v", c.src, pl.Order, c.want)
 		}
-	}
-}
-
-// TestStatsEstimate asserts the estimator's fallbacks: recorded keys
-// return their exact count, unrecorded keys the corpus mean, and the
-// floor is 1 so estimates stay usable as join-order weights.
-func TestStatsEstimate(t *testing.T) {
-	s := statsFor(map[string]uint64{"hot": 1000, "warm": 10})
-	if got := s.Estimate("hot"); got != 1000 {
-		t.Fatalf("recorded key estimate %d, want 1000", got)
-	}
-	if got := s.Estimate("unknown"); got != 505 {
-		t.Fatalf("tail estimate %d, want the corpus mean 505", got)
-	}
-	var nilStats *Stats
-	if got := nilStats.Estimate("x"); got != 0 {
-		t.Fatalf("nil stats estimate %d, want 0", got)
-	}
-	empty := &Stats{}
-	if got := empty.Estimate("x"); got != 1 {
-		t.Fatalf("empty stats estimate %d, want the floor 1", got)
-	}
-}
-
-// TestStatsMergeAndSeal asserts segment merging sums per-key counts and
-// sealing keeps exactly the heaviest keys while totals (the tail
-// estimate's inputs) survive.
-func TestStatsMergeAndSeal(t *testing.T) {
-	a := statsFor(map[string]uint64{"x": 10, "y": 5})
-	b := statsFor(map[string]uint64{"x": 7, "z": 100})
-	a.Merge(b)
-	if st, ok := a.Lookup("x"); !ok || st.Entries != 17 {
-		t.Fatalf("merged x = %+v, want 17 entries", st)
-	}
-	if a.TotalEntries != 122 {
-		t.Fatalf("merged TotalEntries %d, want 122", a.TotalEntries)
-	}
-
-	a.Seal(2)
-	if len(a.Keys) != 2 {
-		t.Fatalf("sealed to %d keys, want 2", len(a.Keys))
-	}
-	if _, ok := a.Lookup("y"); ok {
-		t.Fatal("seal kept the lightest key")
-	}
-	if _, ok := a.Lookup("z"); !ok {
-		t.Fatal("seal dropped the heaviest key")
-	}
-	if a.TotalEntries != 122 {
-		t.Fatalf("seal changed TotalEntries to %d", a.TotalEntries)
-	}
-	// Dropped keys fall back to the tail estimate, not zero.
-	if got := a.Estimate("y"); got == 0 {
-		t.Fatal("dropped key estimates 0")
 	}
 }
 

@@ -1,139 +1,14 @@
 package planner
 
-import "sort"
+import "repro/internal/subtree"
 
-// DefaultMaxStatKeys bounds the per-key statistics a single index (or a
-// merged segment set) records: the keys with the largest posting lists
-// are kept exactly and everything else is summarized by the corpus
-// totals. Heavy keys are exactly the ones a cost-based join order must
-// not misjudge; the long tail of rare keys is well served by one shared
-// tail estimate, and the bound keeps the persisted stats block — and
-// the per-publish merge — O(1) in corpus size.
-const DefaultMaxStatKeys = 4096
-
-// KeyStat summarizes one cover key's posting list. Field names are one
-// letter on the wire because a stats block holds thousands of entries.
-type KeyStat struct {
-	// Entries is the number of posting records under the key.
-	Entries uint64 `json:"e"`
-	// Tids is the number of distinct trees the key occurs in.
-	Tids uint64 `json:"t,omitempty"`
-	// Bytes is the encoded posting-list payload size.
-	Bytes uint64 `json:"b,omitempty"`
-}
-
-// Stats holds per-cover-key posting statistics recorded at build time
-// and merged across segments at open/publish time. A Stats value is
-// immutable once it is handed to a planner: merging and sealing happen
-// before publication, never concurrently with Estimate calls.
+// Stats is the cost model's count source: New costs every cover piece
+// by Count of its key. The live index supplies, per published segment
+// set, the exact posting count stored in front of each key's B+Tree
+// value, summed over the set's leaves. Stats stays a named struct only
+// because the frozen benchmark (bench/layers.go) names it.
 type Stats struct {
-	// Keys maps a cover key (its flattened text form) to its statistics;
-	// after Seal only the heaviest DefaultMaxStatKeys keys remain.
-	Keys map[string]KeyStat `json:"keys,omitempty"`
-	// TotalKeys counts every key of the index, recorded or not.
-	TotalKeys uint64 `json:"total_keys,omitempty"`
-	// TotalEntries counts every posting record of the index.
-	TotalEntries uint64 `json:"total_entries,omitempty"`
-	// TotalBytes counts every posting payload byte of the index.
-	TotalBytes uint64 `json:"total_bytes,omitempty"`
-}
-
-// Record adds one key's statistics during a build. It must not be
-// called after the Stats value has been published to a planner.
-func (s *Stats) Record(key string, st KeyStat) {
-	if s.Keys == nil {
-		s.Keys = make(map[string]KeyStat)
-	}
-	s.Keys[key] = st
-	s.TotalKeys++
-	s.TotalEntries += st.Entries
-	s.TotalBytes += st.Bytes
-}
-
-// Merge folds o into s key by key, summing totals. Merging two
-// segments' stats for the same key sums entry counts, which is exact:
-// segments hold disjoint tid ranges.
-func (s *Stats) Merge(o *Stats) {
-	if o == nil {
-		return
-	}
-	if s.Keys == nil && len(o.Keys) > 0 {
-		s.Keys = make(map[string]KeyStat, len(o.Keys))
-	}
-	for k, st := range o.Keys {
-		cur := s.Keys[k]
-		cur.Entries += st.Entries
-		cur.Tids += st.Tids
-		cur.Bytes += st.Bytes
-		s.Keys[k] = cur
-	}
-	// TotalKeys over-counts keys present in both inputs; it is only the
-	// denominator of the tail estimate, where an over-count merely
-	// shrinks the assumed tail density — conservative for ordering.
-	s.TotalKeys += o.TotalKeys
-	s.TotalEntries += o.TotalEntries
-	s.TotalBytes += o.TotalBytes
-}
-
-// Seal truncates the recorded keys to the max heaviest (by entry
-// count), leaving totals untouched so dropped keys fall back to the
-// tail estimate. max <= 0 means DefaultMaxStatKeys.
-func (s *Stats) Seal(max int) {
-	if max <= 0 {
-		max = DefaultMaxStatKeys
-	}
-	if len(s.Keys) <= max {
-		return
-	}
-	type kv struct {
-		k string
-		e uint64
-	}
-	order := make([]kv, 0, len(s.Keys))
-	for k, st := range s.Keys {
-		order = append(order, kv{k, st.Entries})
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].e != order[j].e {
-			return order[i].e > order[j].e
-		}
-		return order[i].k < order[j].k // deterministic under ties
-	})
-	for _, it := range order[max:] {
-		delete(s.Keys, it.k)
-	}
-}
-
-// Estimate returns the estimated posting-entry count of a cover key: the
-// recorded count when the key is among the heavy keys, otherwise the
-// corpus mean entries-per-key (at least 1). The mean over-estimates a
-// truly rare key — missing keys are by construction lighter than every
-// recorded one — which only makes the ordering conservative.
-func (s *Stats) Estimate(key string) uint64 {
-	if s == nil {
-		return 0
-	}
-	if st, ok := s.Keys[key]; ok {
-		if st.Entries == 0 {
-			return 1
-		}
-		return st.Entries
-	}
-	if s.TotalKeys == 0 {
-		return 1
-	}
-	est := s.TotalEntries / s.TotalKeys
-	if est == 0 {
-		return 1
-	}
-	return est
-}
-
-// Lookup returns the exact recorded statistics of a key, if kept.
-func (s *Stats) Lookup(key string) (KeyStat, bool) {
-	if s == nil {
-		return KeyStat{}, false
-	}
-	st, ok := s.Keys[key]
-	return st, ok
+	// Count returns the number of posting records stored under key (0
+	// when absent); an error fails the plan.
+	Count func(key subtree.Key) (uint64, error)
 }

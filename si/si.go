@@ -144,13 +144,22 @@ func Build(dir string, trees []*Tree, opts BuildOptions) (BuildInfo, error) {
 	if err != nil {
 		return BuildInfo{}, err
 	}
+	return buildInfo(meta), nil
+}
+
+// buildInfo reports m as a BuildInfo; a nil m (nothing was built)
+// reports zero.
+func buildInfo(m *core.Meta) BuildInfo {
+	if m == nil {
+		return BuildInfo{}
+	}
 	return BuildInfo{
-		Keys:       meta.Keys,
-		Postings:   meta.Postings,
-		IndexBytes: meta.IndexBytes,
-		DataBytes:  meta.DataBytes,
-		Shards:     max(meta.Shards, 1),
-	}, nil
+		Keys:       m.Keys,
+		Postings:   m.Postings,
+		IndexBytes: m.IndexBytes,
+		DataBytes:  m.DataBytes,
+		Shards:     max(m.Shards, 1),
+	}
 }
 
 // Index is an opened Subtree Index — single-directory, sharded or
@@ -250,13 +259,7 @@ func (i *Index) AppendWith(ctx context.Context, trees []*Tree, opts AppendOption
 	if err != nil {
 		return BuildInfo{}, err
 	}
-	return BuildInfo{
-		Keys:       m.Keys,
-		Postings:   m.Postings,
-		IndexBytes: m.IndexBytes,
-		DataBytes:  m.DataBytes,
-		Shards:     max(m.Shards, 1),
-	}, nil
+	return buildInfo(m), nil
 }
 
 // Delete tombstones the trees with the given tids: the manifest is
@@ -286,17 +289,7 @@ func (i *Index) Update(ctx context.Context, deleteTids []int, trees []*Tree) (Bu
 	if err != nil {
 		return BuildInfo{}, 0, err
 	}
-	info := BuildInfo{}
-	if m != nil {
-		info = BuildInfo{
-			Keys:       m.Keys,
-			Postings:   m.Postings,
-			IndexBytes: m.IndexBytes,
-			DataBytes:  m.DataBytes,
-			Shards:     max(m.Shards, 1),
-		}
-	}
-	return info, newly, nil
+	return buildInfo(m), newly, nil
 }
 
 // CompactOptions shape a compaction run; the zero value compacts
@@ -376,8 +369,7 @@ func (i *Index) Shards() int { return i.ix.NumShards() }
 // Info returns the build statistics of the index.
 func (i *Index) Info() BuildInfo {
 	m := i.ix.Meta()
-	return BuildInfo{Keys: m.Keys, Postings: m.Postings, IndexBytes: m.IndexBytes,
-		DataBytes: m.DataBytes, Shards: max(m.Shards, 1)}
+	return buildInfo(&m)
 }
 
 // SearchOptions bound and shape one search; build them from
