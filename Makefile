@@ -37,7 +37,9 @@ bench-smoke:
 # BENCH_search.json (the full per-run artifact, not committed). The
 # committed BENCH_baseline.json holds only the guarded metrics of the
 # limited-search, sharded-query, batch and planner-skew benchmarks, of
-# the join layer's own (internal/join: JoinRun, JoinStream, and
+# internal/core's PlanMiss (a plan-map miss: costed plans of the WH and
+# FB-70 queries on 1 and 4 shards, with counts/op, the stored-count
+# reads one plan issues), of the join layer's own (internal/join: JoinRun, JoinStream, and
 # StreamAlign at seek gaps of 1, 8, 64 and 512 entries) and of
 # internal/postings' RootDecode and RootBlock (the per-entry and the
 # batch decoder, the latter also over a real frequent key's list) and
@@ -69,14 +71,14 @@ bench-smoke:
 # probe runs saw a stray. The search and join items keep the default
 # GOMAXPROCS (their fan-out runs in parallel); their smallest guarded
 # B/op is about 1.9 KB, which a 52 B stray moves by under 3 %. Every
-# guarded work counter (fetches/op, joinrows/op) is the work of one
+# guarded work counter (fetches/op, joinrows/op, counts/op) is the work of one
 # operation — measured before the timed loop or taken from its last
 # iteration — so it reads the same at any iteration count.
 BENCH_TOLERANCE ?= 0.25
 BENCH_FLAGS = -run='^$$' -benchmem -benchtime=100x
 BENCH_CMD = $(GO) test $(BENCH_FLAGS) \
-	-bench='SearchBatch|CountOnly|LimitedSearch|ShardedQuery|PlannerSkew|JoinRun|JoinStream|StreamAlign' \
-	. ./internal/join && \
+	-bench='SearchBatch|CountOnly|LimitedSearch|ShardedQuery|PlannerSkew|PlanMiss|JoinRun|JoinStream|StreamAlign' \
+	. ./internal/core ./internal/join && \
 	$(GO) test $(BENCH_FLAGS) -cpu=1 -bench='RootDecode|RootBlock|RootSkip|Extract|Get' \
 	./internal/postings ./internal/subtree ./internal/btree
 bench-json:

@@ -43,19 +43,21 @@ import (
 )
 
 // guardedMetrics are the per-op metrics stable enough to fail CI on:
-// the work counters (fetches/op, joinrows/op) are exactly reproducible
+// the work counters (fetches/op, joinrows/op, and counts/op — the
+// stored-count reads of one plan) are exactly reproducible
 // for a fixed corpus seed, and the allocation profile (allocs/op,
 // B/op) is steady enough over the gate's 100 iterations (see the
 // Makefile) that the tolerance absorbs pool warm-up jitter — gating
 // it keeps the zero-copy read path from silently regrowing per-query
 // garbage. Only ns/op stays
 // informational (noisy across runners).
-var guardedMetrics = []string{"fetches/op", "joinrows/op", "allocs/op", "B/op"}
+var guardedMetrics = []string{"fetches/op", "joinrows/op", "counts/op", "allocs/op", "B/op"}
 
 // defaultGuard names the gated benchmark families: limited search (the
 // early-termination counters), the sharded-query and batch paths whose
 // allocation profile the zero-copy read path flattened, the planner's
-// skewed-corpus fetch/join-row savings, the join layer's own
+// skewed-corpus fetch/join-row savings, a plan-map miss's stored-count
+// reads and allocations, the join layer's own
 // benchmarks (join rows at fixed input cardinalities and, for the
 // stream's seek, at fixed gap lengths; the compiled kernel's
 // allocations, constant in the input size for a stream), the
@@ -63,7 +65,7 @@ var guardedMetrics = []string{"fetches/op", "joinrows/op", "allocs/op", "B/op"}
 // of their skip-table seek, the
 // build's subtree extractor's zero allocations per tree, and the B+Tree
 // lookup's (zero for any value on a mapped file, one copy on pread).
-const defaultGuard = "LimitedSearch,ShardedQuery,SearchBatch,PlannerSkew,JoinRun,JoinStream,StreamAlign,RootDecode,RootBlock,RootSkip,Extract,Get"
+const defaultGuard = "LimitedSearch,ShardedQuery,SearchBatch,PlannerSkew,PlanMiss,JoinRun,JoinStream,StreamAlign,RootDecode,RootBlock,RootSkip,Extract,Get"
 
 // guardItems splits a comma-separated guard list into its non-empty
 // items (so a trailing comma is harmless).

@@ -16,7 +16,10 @@
 // only for the exact match count through the allocation-free path.
 // -explain additionally prints how the query was planned and executed:
 // the strategy, the estimated match cardinality, and each cover
-// piece's estimated vs. actually decoded posting entries. -info prints
+// piece's key with its estimated vs. actually decoded posting entries.
+// On a root-split index a piece's key may be wider than the cover
+// piece: the planner widens it, on the same root, to the query subtree
+// of at most MSS nodes with the fewest stored postings. -info prints
 // the index's segment state (segments, generation, live and tombstoned
 // tree counts) instead of running queries — the offline equivalent of
 // sisrv's /stats index section.
@@ -39,7 +42,7 @@ func main() {
 	offset := flag.Int("offset", 0, "skip the first N matches per query")
 	timeout := flag.Duration("timeout", 0, "per-query evaluation timeout (0 = none)")
 	count := flag.Bool("count", false, "print only exact match counts (count-only path)")
-	explain := flag.Bool("explain", false, "print the planner's strategy and per-piece estimated vs. actual cardinality")
+	explain := flag.Bool("explain", false, "print the planner's strategy and per-piece key (root-split keys may be wider than the cover's pieces) with estimated vs. actual cardinality")
 	info := flag.Bool("info", false, "print the index's segment state instead of running queries")
 	flag.Parse()
 	if flag.NArg() == 0 && !*info {
@@ -138,7 +141,8 @@ func runQuery(ctx context.Context, ix *si.Index, src string, limit, offset, show
 
 // printExplain prints the planner's view of one executed query: the
 // strategy, the plan-time match estimate (the smallest piece count),
-// and each cover piece's stored vs. actually decoded posting entries.
+// and each cover piece's key — widened on root-split — with its stored
+// vs. actually decoded posting entries.
 func printExplain(st si.SearchStats) {
 	fmt.Printf("  plan: strategy=%s estimated_rows=%d\n", st.Strategy, st.EstimatedRows)
 	for _, p := range st.Pieces {

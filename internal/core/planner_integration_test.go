@@ -12,6 +12,7 @@ import (
 	"repro/internal/lingtree"
 	"repro/internal/planner"
 	"repro/internal/postings"
+	"repro/internal/query"
 	"repro/internal/subtree"
 )
 
@@ -305,6 +306,176 @@ func TestCostOrderEquivalence(t *testing.T) {
 						round, coding, shards, costed, syntactic)
 				}
 			}
+		}
+	}
+}
+
+// twinAnswers is one plan mode's answers to a query list on the
+// root-split index at dir, through every read path.
+type twinAnswers struct {
+	search, stream, batch [][]Match
+	count                 []int
+}
+
+// answerTwins runs srcs on the index at dir through search, count-only,
+// stream and batch, costed or under the syntactic ablation.
+func answerTwins(t *testing.T, dir string, srcs []string, syntactic bool) twinAnswers {
+	t.Helper()
+	planner.UseSyntacticOrder = syntactic
+	defer func() { planner.UseSyntacticOrder = false }()
+	l, err := OpenLive(dir, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	ctx := context.Background()
+	var out twinAnswers
+	for _, src := range srcs {
+		res, err := l.Search(ctx, src, SearchOpts{})
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		out.search = append(out.search, res.Matches)
+		cres, err := l.Search(ctx, src, SearchOpts{CountOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.count = append(out.count, cres.Count)
+		sres, err := l.SearchStream(ctx, src, SearchOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var streamed []Match
+		for m, err := range sres.All() {
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamed = append(streamed, m)
+		}
+		out.stream = append(out.stream, streamed)
+	}
+	batch, err := searchBatch(l, srcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.batch = batch
+	return out
+}
+
+// subsetOf reports whether every match of a is in b.
+func subsetOf(a, b []Match) bool {
+	in := make(map[Match]bool, len(b))
+	for _, m := range b {
+		in[m] = true
+	}
+	for _, m := range a {
+		if !in[m] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestTwinClassAnswersBracketed covers the queries
+// TestCostOrderEquivalence leaves out — those with same-label siblings,
+// on which root-split answers may hold surplus roots — over the same
+// random corpora. Widening a piece's key adds a necessary condition on
+// its root, so it may only remove surplus: for root-split on 1 and 3
+// shards, through search, count-only, stream and batch, the exact
+// matcher's answer is contained in the costed (widened) plan's, which
+// is contained in the syntactic (minRC) plan's.
+func TestTwinClassAnswersBracketed(t *testing.T) {
+	rng := rand.New(rand.NewSource(20120808))
+	queries, smaller, costedSurplus, minRCSurplus := 0, 0, 0, 0
+	for round := 0; round < 4; round++ {
+		trees := randomForest(rng, 120)
+		// Draw exactly as TestCostOrderEquivalence does, so the next
+		// round's corpus is its corpus too, keeping the queries it
+		// drops; a second generator adds more of the class.
+		var twins []*query.Query
+		for kept := 0; kept < 6; {
+			if q := randomQuery(rng); hasSameLabelSiblings(q) {
+				twins = append(twins, q)
+			} else {
+				kept++
+			}
+		}
+		extra := rand.New(rand.NewSource(int64(round)))
+		for len(twins) < 16 {
+			if q := randomQuery(extra); hasSameLabelSiblings(q) {
+				twins = append(twins, q)
+			}
+		}
+		srcs := make([]string, len(twins))
+		for i, q := range twins {
+			srcs[i] = q.Canonical()
+		}
+		for _, shards := range []int{1, 3} {
+			dir := filepath.Join(t.TempDir(), "ix")
+			if _, err := BuildSharded(dir, trees, Options{MSS: 3, Coding: postings.RootSplit}, shards); err != nil {
+				t.Fatal(err)
+			}
+			costed := answerTwins(t, dir, srcs, false)
+			minRC := answerTwins(t, dir, srcs, true)
+			for i, q := range twins {
+				exact := groundTruth(trees, q)
+				for path, got := range map[string][2][]Match{
+					"search": {costed.search[i], minRC.search[i]},
+					"stream": {costed.stream[i], minRC.stream[i]},
+					"batch":  {costed.batch[i], minRC.batch[i]},
+				} {
+					if !subsetOf(exact, got[0]) || !subsetOf(got[0], got[1]) {
+						t.Fatalf("round %d shards %d %s %s: exact %d ⊆ costed %d ⊆ minRC %d does not hold\nexact:  %v\ncosted: %v\nminRC:  %v",
+							round, shards, path, srcs[i], len(exact), len(got[0]), len(got[1]), trunc(exact), trunc(got[0]), trunc(got[1]))
+					}
+				}
+				if c, s := costed.count[i], minRC.count[i]; c != len(costed.search[i]) || s != len(minRC.search[i]) {
+					t.Fatalf("round %d shards %d %s: count-only %d / %d, searches found %d / %d",
+						round, shards, srcs[i], c, s, len(costed.search[i]), len(minRC.search[i]))
+				}
+				if shards == 1 {
+					queries++
+					costedSurplus += len(costed.search[i]) - len(exact)
+					minRCSurplus += len(minRC.search[i]) - len(exact)
+					if len(costed.search[i]) < len(minRC.search[i]) {
+						smaller++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("widening made %d of %d same-label-sibling answers smaller; surplus roots %d (minRC) -> %d (widened)",
+		smaller, queries, minRCSurplus, costedSurplus)
+	if smaller == 0 {
+		t.Fatal("vacuous fixture: widening removed no surplus root")
+	}
+}
+
+// TestWidenedAbsentKeyIsEmpty asserts an absent widened key ends a
+// search at its first fetch: every minRC piece of A(B(C)(D)) — B(C)(D)
+// and the single node A — is stored, but no A has a B child, so the
+// costed plan widens A to the absent A(B), leads with it and fetches
+// nothing else, where the syntactic plan fetches both pieces.
+func TestWidenedAbsentKeyIsEmpty(t *testing.T) {
+	trees := []*lingtree.Tree{lingtree.MustParse(0, "(X (A (E)) (B (C) (D)))")}
+	const q = "A(B(C)(D))"
+	for _, syntactic := range []bool{false, true} {
+		// A fresh handle per mode: an epoch keeps the first plan it
+		// compiles for a query.
+		l := openLive(t, trees, 1, OpenOptions{})
+		planner.UseSyntacticOrder = syntactic
+		res, err := l.Search(context.Background(), q, SearchOpts{Explain: true})
+		planner.UseSyntacticOrder = false
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := uint64(1)
+		if syntactic {
+			want = 2
+		}
+		if res.Count != 0 || res.Stats.PostingFetches != want || len(res.Stats.Pieces) != 2 {
+			t.Fatalf("syntactic=%v: %d matches after %d fetches over pieces %+v, want 0 after %d over two pieces",
+				syntactic, res.Count, res.Stats.PostingFetches, res.Stats.Pieces, want)
 		}
 	}
 }

@@ -141,3 +141,44 @@ func TestEveryPlanCarriesAConnectedOrder(t *testing.T) {
 	}
 	t.Logf("%d plans whose identity order does not connect", disconnectedIdentity)
 }
+
+// TestPieceKeyMatchesSubPattern holds widen's key builder to the
+// pattern path it skips: on the benchmark's queries, for every
+// connected child-axis node set of up to four nodes, pieceKey equals
+// the Key of SubPattern's pattern.
+func TestPieceKeyMatchesSubPattern(t *testing.T) {
+	checked := 0
+	for _, q := range benchmarkQueries(t) {
+		var grow func(nodes []int)
+		grow = func(nodes []int) {
+			pat, _, err := q.SubPattern(nodes)
+			if err != nil {
+				t.Fatalf("%s %v: %v", q, nodes, err)
+			}
+			got, err := pieceKey(q, nodes)
+			if err != nil || got != pat.Key() {
+				t.Fatalf("%s %v: pieceKey %q, %v; SubPattern key %q", q, nodes, got, err, pat.Key())
+			}
+			checked++
+			if len(nodes) == 4 {
+				return
+			}
+			for _, v := range nodes {
+				for _, c := range q.Nodes[v].Children {
+					// Growing in ascending node order visits every
+					// connected set once: a node's parent precedes it.
+					if q.Nodes[c].Axis == query.Child && c > nodes[len(nodes)-1] {
+						grow(append(slices.Clip(nodes), c))
+					}
+				}
+			}
+		}
+		for v := range q.Nodes {
+			grow([]int{v})
+		}
+	}
+	if _, err := pieceKey(mustParse(t, "A(B)(//C)"), []int{0, 2}); err == nil {
+		t.Fatal("pieceKey keyed a set crossing a // edge")
+	}
+	t.Logf("%d node sets keyed", checked)
+}

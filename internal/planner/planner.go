@@ -10,6 +10,15 @@
 // compiled without a count source or under the UseSyntacticOrder
 // ablation takes the syntactic connected order instead, and a cover
 // whose pieces do not connect is rejected here.
+//
+// A costed root-split plan also widens each piece's key: the piece
+// grows, one child-axis query node at a time, toward the superset of at
+// most mss nodes with the smallest stored count (see widen). Its root —
+// the only slot a root-split relation binds — stays, so the cover, the
+// join order's connectivity and the join program are those of minRC;
+// only the posting list fetched for each piece gets shorter. A plan
+// without a count source or under UseSyntacticOrder skips costing and
+// therefore widening: it reads the paper's minRC keys.
 package planner
 
 import (
@@ -70,13 +79,16 @@ func (s Strategy) String() string {
 // list into a join relation without revisiting the query.
 type PlanPiece struct {
 	// Key is the canonical flattened form of the piece's pattern — the
-	// B+Tree key to fetch.
+	// B+Tree key to fetch. On a costed root-split plan the pattern is
+	// the cover piece widened to its most selective stored superset
+	// (see widen), so it may hold more query nodes than the cover's.
 	Key subtree.Key
 	// Root is the query node the piece is rooted at; root-split
 	// relations bind exactly this slot.
 	Root int
 	// Slots maps the pattern's canonical pre-order positions to query
-	// node indexes; subtree-interval relations bind all of them.
+	// node indexes, the root first; subtree-interval relations bind all
+	// of them.
 	Slots []int
 	// Perms are the pattern's slot automorphisms (see
 	// subtree.SlotAutomorphisms); subtree-interval evaluation expands
@@ -101,7 +113,7 @@ type Plan struct {
 	// Query is the parsed query the plan was compiled from.
 	Query *query.Query
 	// Pieces is the cover decomposition across all child components, in
-	// construction order.
+	// construction order (root-split keys widened on a costed plan).
 	Pieces []PlanPiece
 	// Order is the left-deep join order as indexes into Pieces: a
 	// permutation in which every piece after the first is slot-connected
@@ -125,9 +137,10 @@ type Plan struct {
 // New decomposes q into cover pieces for an index with the given MSS
 // and coding, resolves each piece to its index key, slot mapping and
 // automorphisms, and — when stats is non-nil — annotates the pieces
-// with their stored counts; a Count error fails New. It then picks the
-// join order (by cost on a costed plan, syntactically otherwise); a
-// cover with no connected order is an error.
+// with their stored counts, widening each root-split piece's key to
+// its most selective stored superset first; a Count error fails New.
+// It then picks the join order (by cost on a costed plan, syntactically
+// otherwise); a cover with no connected order is an error.
 func New(q *query.Query, mss int, coding postings.Coding, stats *Stats) (*Plan, error) {
 	covers, err := coverQuery(q, mss, coding == postings.RootSplit)
 	if err != nil {
@@ -137,9 +150,19 @@ func New(q *query.Query, mss int, coding postings.Coding, stats *Stats) (*Plan, 
 	if coding == postings.FilterBased {
 		pl.Strategy = StrategyFilter
 	}
+	var cs *counts
+	if stats != nil && !UseSyntacticOrder {
+		cs = &counts{stats: stats, memo: make(map[subtree.Key]uint64)}
+	}
 	for _, c := range covers {
 		for _, p := range c {
-			pat, slots, err := q.SubPattern(p.Nodes)
+			nodes := p.Nodes
+			if cs != nil && coding == postings.RootSplit {
+				if nodes, err = cs.widen(q, mss, nodes); err != nil {
+					return nil, err
+				}
+			}
+			pat, slots, err := q.SubPattern(nodes)
 			if err != nil {
 				return nil, err
 			}
@@ -150,8 +173,8 @@ func New(q *query.Query, mss int, coding postings.Coding, stats *Stats) (*Plan, 
 			pl.Pieces = append(pl.Pieces, pp)
 		}
 	}
-	if stats != nil && !UseSyntacticOrder {
-		if err := pl.cost(stats); err != nil {
+	if cs != nil {
+		if err := pl.cost(cs); err != nil {
 			return nil, err
 		}
 	}
@@ -161,11 +184,114 @@ func New(q *query.Query, mss int, coding postings.Coding, stats *Stats) (*Plan, 
 	return pl, nil
 }
 
+// counts is one New call's memo of stored counts: widening and costing
+// share it, so each distinct key — twin pieces' included — is counted
+// once per plan.
+type counts struct {
+	stats *Stats
+	memo  map[subtree.Key]uint64
+}
+
+// of returns k's stored count, reading it through Stats.Count once.
+func (cs *counts) of(k subtree.Key) (uint64, error) {
+	if n, ok := cs.memo[k]; ok {
+		return n, nil
+	}
+	n, err := cs.stats.Count(k)
+	if err != nil {
+		return 0, err
+	}
+	cs.memo[k] = n
+	return n, nil
+}
+
+// widen grows a root-split cover piece, given as its query nodes (root
+// first), toward its most selective stored key. Each step tries every
+// child-axis child of a node already in the piece, in ascending node
+// order, and adds the one whose key has the smallest stored count, the
+// earlier candidate winning a tie; growth stops at mss nodes, at a
+// count of 0 (the query cannot match), or when no candidate is strictly
+// cheaper than the current key. The root stays the piece's root, and it
+// is the only slot a root-split relation binds, so only the posting
+// list changes. That is sound: a match maps any connected child-axis
+// set of at most mss query nodes onto a stored subtree occurrence with
+// the same root image, so the wider key adds a necessary condition and
+// can only drop roots the exact matcher rejects too.
+func (cs *counts) widen(q *query.Query, mss int, nodes []int) ([]int, error) {
+	key, err := pieceKey(q, nodes)
+	if err != nil {
+		return nil, err
+	}
+	est, err := cs.of(key)
+	if err != nil {
+		return nil, err
+	}
+	nodes = slices.Clip(nodes) // growing must not write into the cover's slice
+	var cands []int
+	for len(nodes) < mss && est > 0 {
+		cands = cands[:0]
+		for _, v := range nodes {
+			for _, c := range q.Nodes[v].Children {
+				if q.Nodes[c].Axis == query.Child && !slices.Contains(nodes, c) {
+					cands = append(cands, c)
+				}
+			}
+		}
+		slices.Sort(cands)
+		best := -1
+		for _, c := range cands {
+			key, err := pieceKey(q, append(nodes, c))
+			if err != nil {
+				return nil, err
+			}
+			n, err := cs.of(key)
+			if err != nil {
+				return nil, err
+			}
+			if n < est {
+				best, est = c, n
+			}
+		}
+		if best < 0 {
+			break
+		}
+		nodes = append(nodes, best)
+	}
+	return nodes, nil
+}
+
+// pieceKey returns the key of the pattern q.SubPattern(nodes) builds —
+// the connected child-axis node set rooted at its smallest node —
+// without building the pattern, for widen keys every candidate it
+// tries.
+func pieceKey(q *query.Query, nodes []int) (subtree.Key, error) {
+	seen := 0
+	var key func(u int) (subtree.Key, int)
+	key = func(u int) (subtree.Key, int) {
+		seen++
+		size := 1
+		var kids []subtree.Key
+		for _, c := range q.Nodes[u].Children {
+			if q.Nodes[c].Axis == query.Child && slices.Contains(nodes, c) {
+				k, n := key(c)
+				kids = append(kids, k)
+				size += n
+			}
+		}
+		return subtree.JoinKey(q.Nodes[u].Label, size, kids), size
+	}
+	k, _ := key(slices.Min(nodes))
+	if seen != len(nodes) {
+		return "", fmt.Errorf("planner: nodes %v of %s are not one cover piece", nodes, q)
+	}
+	return k, nil
+}
+
 // cost annotates the plan with each piece's stored count.
-func (pl *Plan) cost(stats *Stats) error {
+func (pl *Plan) cost(cs *counts) error {
 	pl.Costed = true
 	for i := range pl.Pieces {
-		est, err := stats.Count(pl.Pieces[i].Key)
+		est, err := cs.of(pl.Pieces[i].Key)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -211,5 +212,142 @@ func TestCostOrderDescendant(t *testing.T) {
 			t.Fatalf("order %v is not a permutation", pl.Order)
 		}
 		seen[pi] = true
+	}
+}
+
+// keyOf is the index key of the piece of q holding the given nodes.
+func keyOf(t *testing.T, q *query.Query, nodes ...int) string {
+	t.Helper()
+	pat, _, err := q.SubPattern(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(pat.Key())
+}
+
+// TestWidenRootSplitPieces pins widen on A(B(C)(D)) at MSS 3, whose
+// minRC cover is B(C)(D) rooted at B plus the single node A: a costed
+// root-split plan grows A through A(B) to its cheapest superset, keeps
+// the current key on a tie, stops at an absent key, and leaves the
+// uncosted, ablation and subtree-interval plans at the cover's keys.
+func TestWidenRootSplitPieces(t *testing.T) {
+	q := mustParse(t, "A(B(C)(D))")
+	a, ab, abc, abd, bcd := keyOf(t, q, 0), keyOf(t, q, 0, 1), keyOf(t, q, 0, 1, 2), keyOf(t, q, 0, 1, 3), keyOf(t, q, 1, 2, 3)
+	// pieceAt returns the key and Est of the piece rooted at node 0.
+	pieceAt := func(pl *Plan) PlanPiece {
+		for _, pp := range pl.Pieces {
+			if pp.Root == 0 {
+				return pp
+			}
+		}
+		t.Fatalf("no piece rooted at A in %v", pl.Pieces)
+		return PlanPiece{}
+	}
+	for _, c := range []struct {
+		name   string
+		counts map[string]uint64
+		want   string
+		slots  []int
+	}{
+		{"cheapest superset", map[string]uint64{a: 100, ab: 40, abc: 30, abd: 10, bcd: 5}, abd, []int{0, 1, 3}},
+		{"tie keeps the current key", map[string]uint64{a: 100, ab: 100, abc: 1, abd: 1, bcd: 5}, a, []int{0}},
+		{"tie keeps the earlier candidate", map[string]uint64{a: 100, ab: 40, abc: 10, abd: 10, bcd: 5}, abc, []int{0, 1, 2}},
+		{"absent key wins and stops growth", map[string]uint64{a: 100, abc: 1, abd: 1, bcd: 5}, ab, []int{0, 1}},
+	} {
+		pl, err := New(q, 3, postings.RootSplit, statsFor(c.counts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pp := pieceAt(pl)
+		if string(pp.Key) != c.want || !slices.Equal(pp.Slots, c.slots) || pp.Est != c.counts[c.want] {
+			t.Fatalf("%s: piece at A is %q slots %v est %d, want %q slots %v est %d",
+				c.name, pp.Key, pp.Slots, pp.Est, c.want, c.slots, c.counts[c.want])
+		}
+		if len(pl.Pieces) != 2 || string(pl.Pieces[0].Key) != bcd || pl.Pieces[0].Root != 1 {
+			t.Fatalf("%s: widening changed the cover: %v", c.name, pl.Pieces)
+		}
+		if want := min(pp.Est, 5); pl.EstRows != want {
+			t.Fatalf("%s: EstRows %d, want %d", c.name, pl.EstRows, want)
+		}
+	}
+
+	// Without costing, and under the other codings, the keys are the
+	// cover's.
+	cheap := statsFor(map[string]uint64{a: 100, ab: 1, abc: 1, abd: 1, bcd: 5})
+	keys := func(pl *Plan) []string {
+		var out []string
+		for _, pp := range pl.Pieces {
+			out = append(out, string(pp.Key))
+		}
+		return out
+	}
+	for _, coding := range []postings.Coding{postings.RootSplit, postings.SubtreeInterval, postings.FilterBased} {
+		uncosted, err := New(q, 3, coding, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		UseSyntacticOrder = true
+		ablation, err := New(q, 3, coding, cheap)
+		UseSyntacticOrder = false
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(keys(ablation), keys(uncosted)) {
+			t.Fatalf("%v: ablation keys %q, uncosted %q", coding, keys(ablation), keys(uncosted))
+		}
+		if coding == postings.RootSplit {
+			if !slices.Equal(keys(uncosted), []string{bcd, a}) {
+				t.Fatalf("uncosted root-split keys %q, want the cover's %q", keys(uncosted), []string{bcd, a})
+			}
+			continue
+		}
+		costed, err := New(q, 3, coding, cheap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(keys(costed), keys(uncosted)) {
+			t.Fatalf("%v: costed keys %q, uncosted %q", coding, keys(costed), keys(uncosted))
+		}
+	}
+}
+
+// TestWidenCountsEachKeyOnce asserts one memo feeds widening and
+// costing: on a query with twin pieces whose widening candidates repeat
+// keys, New reads every distinct key's count exactly once, and a Count
+// error on a candidate it would not choose still fails New.
+func TestWidenCountsEachKeyOnce(t *testing.T) {
+	q := mustParse(t, "A(B(C)(D))(B(C)(D))")
+	calls := map[string]int{}
+	stats := &Stats{Count: func(k subtree.Key) (uint64, error) {
+		calls[string(k)]++
+		return uint64(1000 - len(k)), nil // longer keys are rarer, so every piece grows
+	}}
+	pl, err := New(q, 3, postings.RootSplit, stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pl.Pieces) != 3 || pl.Pieces[0].Key != pl.Pieces[1].Key {
+		t.Fatalf("vacuous fixture: want twin pieces B(C)(D) and A, got %v", pl.Pieces)
+	}
+	for k, n := range calls {
+		if n != 1 {
+			t.Fatalf("Count(%q) called %d times, want once", k, n)
+		}
+	}
+	// A, A(B) (both candidates), then A(B)(B), A(B(C)), A(B(D)) — the
+	// twin B(C)(D) pieces read one key.
+	if len(calls) != 6 {
+		t.Fatalf("%d distinct keys counted, want 6: %v", len(calls), calls)
+	}
+
+	bad := keyOf(t, q, 0, 1, 3) // A(B(D)): a candidate, never the choice
+	failing := &Stats{Count: func(k subtree.Key) (uint64, error) {
+		if string(k) == bad {
+			return 0, errors.New("corrupt count")
+		}
+		return 1 << 20 / uint64(len(k)), nil
+	}}
+	if _, err := New(q, 3, postings.RootSplit, failing); err == nil {
+		t.Fatal("a Count error on a widening candidate did not fail New")
 	}
 }

@@ -7,6 +7,7 @@ package subtree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -59,26 +60,17 @@ func (p *Pattern) Canonical() *Pattern {
 }
 
 // canonicalize returns the canonical key of p while sorting in place.
-func (p *Pattern) canonicalize() string {
-	if len(p.Children) == 0 {
-		return encodeToken(1, p.Label)
-	}
-	keys := make([]string, len(p.Children))
+func (p *Pattern) canonicalize() Key {
+	keys := make([]Key, len(p.Children))
 	for i, c := range p.Children {
 		keys[i] = c.canonicalize()
 	}
 	sort.Sort(&childSorter{keys: keys, kids: p.Children})
-	var sb strings.Builder
-	sb.WriteString(encodeToken(p.Size(), p.Label))
-	for _, k := range keys {
-		sb.WriteByte(' ')
-		sb.WriteString(k)
-	}
-	return sb.String()
+	return JoinKey(p.Label, p.Size(), keys)
 }
 
 type childSorter struct {
-	keys []string
+	keys []Key
 	kids []*Pattern
 }
 
@@ -98,7 +90,29 @@ type Key string
 // Key returns the canonical key of the pattern. It canonicalizes p in
 // place as a side effect.
 func (p *Pattern) Key() Key {
-	return Key(p.canonicalize())
+	return p.canonicalize()
+}
+
+// JoinKey returns the Key of the canonical pattern whose root is
+// labelled label and holds size nodes, and whose children's subtrees
+// have the keys kids — what Key renders for that pattern, without
+// building it. It sorts kids in place.
+func JoinKey(label string, size int, kids []Key) Key {
+	slices.Sort(kids)
+	var tok [32]byte
+	head := appendToken(tok[:0], size, label)
+	n := len(head)
+	for _, k := range kids {
+		n += 1 + len(k)
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	sb.Write(head)
+	for _, k := range kids {
+		sb.WriteByte(' ')
+		sb.WriteString(string(k))
+	}
+	return Key(sb.String())
 }
 
 // String renders the pattern in query-like bracketed form, children in
@@ -118,11 +132,8 @@ func (p *Pattern) write(sb *strings.Builder) {
 	}
 }
 
-func encodeToken(size int, label string) string {
-	return strconv.Itoa(size) + ":" + escape(label)
-}
-
-// appendToken appends encodeToken(size, label) to dst.
+// appendToken appends the ⟨size, label⟩ token "size:label", the label
+// escaped, to dst.
 func appendToken(dst []byte, size int, label string) []byte {
 	dst = strconv.AppendInt(dst, int64(size), 10)
 	dst = append(dst, ':')
@@ -265,7 +276,7 @@ func InducedPattern(t *lingtree.Tree, nodes []int) (*Pattern, []int, error) {
 		p := &Pattern{Label: t.Nodes[v].Label}
 		order := []int{v}
 		type kid struct {
-			key   string
+			key   Key
 			pat   *Pattern
 			order []int
 		}
