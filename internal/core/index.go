@@ -25,6 +25,7 @@ type Index struct {
 	tree    *btree.Tree
 	store   *treebank.Store
 	fetches atomic.Uint64 // physical posting-list reads issued by query evaluation
+	lists   *listMemo     // decoded root-split lists (see listmemo.go); nil under the other codings
 }
 
 // Match is one query result: the tree and the pre number of the node
@@ -52,7 +53,10 @@ const (
 type OpenOptions struct {
 	// Mmap selects the read backend for index files; the zero value
 	// (MmapAuto) maps them when possible. No user-level page cache is
-	// layered over either backend (the paper's §6.1 setup).
+	// layered over either backend (the paper's §6.1 setup): the kernel's
+	// is the only one. What a root-split leaf keeps on the heap is
+	// decoded data, not pages — the arrays of posting lists its queries
+	// repeat (see listMemo), bounded by twice its index file.
 	Mmap MmapMode
 }
 
@@ -103,7 +107,11 @@ func OpenWith(dir string, opts OpenOptions) (*Index, error) {
 		tr.Close()
 		return nil, err
 	}
-	return &Index{meta: meta, tree: tr, store: store}, nil
+	ix := &Index{meta: meta, tree: tr, store: store}
+	if meta.Coding == postings.RootSplit {
+		ix.lists = newListMemo(tr.Stats().SizeBytes)
+	}
+	return ix, nil
 }
 
 // Meta returns the index metadata recorded at build time.
@@ -161,6 +169,20 @@ type Counters struct {
 	// memory mapping (a gauge: compactions and reloads reopen leaves).
 	// Zero with the mmap backend off or unavailable on the platform.
 	MmapLeaves int `json:"mmap_leaves"`
+	// ListMemoLists and ListMemoBytes are gauges of the root-split
+	// leaves' memos of decoded posting lists: the lists the open leaves
+	// hold and their heap bytes (each leaf's bounded by twice its index
+	// file). Zero under the other codings.
+	ListMemoLists int   `json:"list_memo_lists"`
+	ListMemoBytes int64 `json:"list_memo_bytes"`
+	// ListMemoHits counts piece reads served from a held decoded list
+	// instead of decoding the fetched posting value; ListMemoAdmissions
+	// counts lists decoded into a memo (on their second fetch), and
+	// ListMemoClears memos emptied wholesale because an admission would
+	// have passed the bound. Cumulative, like PostingFetches.
+	ListMemoHits       uint64 `json:"list_memo_hits"`
+	ListMemoAdmissions uint64 `json:"list_memo_admissions"`
+	ListMemoClears     uint64 `json:"list_memo_clears"`
 }
 
 // Mapped reports whether the index leaf is served from a memory
@@ -347,16 +369,16 @@ func splitCount(k subtree.Key, val []byte, coding postings.Coding) (count int, p
 	return int(c), payload, nil
 }
 
-// postingPayload fetches one key's posting blob and strips the count
-// prefix — the header handling shared by the join and filter fetch
-// paths; found=false means the key is absent.
-func postingPayload(k subtree.Key, get postingGetter, coding postings.Coding) (payload []byte, found bool, err error) {
+// postingPayload fetches one key's posting blob and splits off the
+// count prefix — the header handling shared by the join and filter
+// fetch paths; found=false means the key is absent.
+func postingPayload(k subtree.Key, get postingGetter, coding postings.Coding) (count int, payload []byte, found bool, err error) {
 	val, found, err := get(k)
 	if err != nil || !found {
-		return nil, false, err
+		return 0, nil, false, err
 	}
-	_, payload, err = splitCount(k, val, coding)
-	return payload, err == nil, err
+	count, payload, err = splitCount(k, val, coding)
+	return count, payload, err == nil, err
 }
 
 // filterCandidates runs the filter coding's candidate phase (the join
@@ -373,7 +395,7 @@ func (ix *Index) filterCandidates(ctx context.Context, pl *Plan, get postingGett
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		payload, ok, err := postingPayload(pp.Key, get, postings.FilterBased)
+		_, payload, ok, err := postingPayload(pp.Key, get, postings.FilterBased)
 		if err != nil || !ok {
 			return nil, err
 		}

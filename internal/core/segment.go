@@ -203,6 +203,7 @@ type Live struct {
 	statsMu        sync.Mutex
 	openSegs       map[*segment]struct{}
 	retiredFetches uint64
+	retiredMemo    memoStats // the cumulative memo counters of closed leaves
 
 	closeMu  sync.Mutex
 	closeErr error
@@ -323,12 +324,16 @@ func (l *Live) openSegmentAt(name, path string, meta Meta) (*segment, error) {
 // across retirements.
 func (l *Live) closeSegment(sg *segment) {
 	var fetches uint64
+	var memo memoStats
 	for _, leaf := range sg.leaves {
 		fetches += leaf.fetches.Load()
+		memo.add(leaf.lists.stats())
 	}
+	memo.Lists, memo.Bytes = 0, 0 // a closed leaf's lists are freed with it
 	l.statsMu.Lock()
 	delete(l.openSegs, sg)
 	l.retiredFetches += fetches
+	l.retiredMemo.add(memo)
 	l.statsMu.Unlock()
 	var first error
 	for _, leaf := range sg.leaves {
@@ -501,11 +506,13 @@ func (l *Live) Close() error {
 
 // Counters reports cumulative serving counters — plan-map hits and
 // misses summed over every epoch, the planner's estimate-error totals,
-// and posting fetches summed over every open segment
+// and posting fetches and decoded-list memo hits, admissions and
+// clears summed over every open segment
 // (including ones already delisted but still pinned by running
-// queries) and all retired ones, a total that only ever grows — and
-// the point-in-time lifecycle gauges (live/tombstoned trees, segment
-// count and bytes) of the current epoch.
+// queries) and all retired ones, totals that only ever grow — and
+// the point-in-time gauges: the lifecycle gauges (live/tombstoned
+// trees, segment count and bytes) of the current epoch, and the lists
+// and bytes the open segments' memos hold.
 func (l *Live) Counters() Counters {
 	info := l.info.Load()
 	c := Counters{
@@ -523,12 +530,16 @@ func (l *Live) Counters() Counters {
 	}
 	l.statsMu.Lock()
 	c.PostingFetches = l.retiredFetches
+	memo := l.retiredMemo
 	for sg := range l.openSegs {
 		for _, leaf := range sg.leaves {
 			c.PostingFetches += leaf.fetches.Load()
+			memo.add(leaf.lists.stats())
 		}
 	}
 	l.statsMu.Unlock()
+	c.ListMemoLists, c.ListMemoBytes = memo.Lists, memo.Bytes
+	c.ListMemoHits, c.ListMemoAdmissions, c.ListMemoClears = memo.Hits, memo.Admissions, memo.Clears
 	return c
 }
 

@@ -51,18 +51,24 @@ func (ix *Index) streamPlan(ctx context.Context, pl *Plan, get postingGetter, ev
 }
 
 // pieceCursor returns the lazily-decoding cursor of one plan piece's
-// posting blob — a batch cursor for root-split lists, a per-entry one
-// for subtree-interval lists — filtered by the leaf's tombstone set
-// (dels may be nil); found=false means the key is absent (the query
-// cannot match anywhere).
+// posting blob — a batch cursor for root-split lists (copying from the
+// leaf's decoded list when its memo holds one), a per-entry one for
+// subtree-interval lists — filtered by the leaf's tombstone set (dels
+// may be nil); found=false means the key is absent (the query cannot
+// match anywhere).
 func (ix *Index) pieceCursor(pp PlanPiece, get postingGetter, dels *TombSet) (join.StreamRelation, bool, error) {
-	payload, found, err := postingPayload(pp.Key, get, ix.meta.Coding)
+	count, payload, found, err := postingPayload(pp.Key, get, ix.meta.Coding)
 	if err != nil || !found {
 		return join.StreamRelation{}, false, err
 	}
 	rel := join.StreamRelation{Name: string(pp.Key)}
 	switch ix.meta.Coding {
 	case postings.RootSplit:
+		if d := ix.lists.get(pp.Key, count, payload); d != nil {
+			c := &memoCursor{list: d, dels: dels.Scan(), slot: [1]int{pp.Root}}
+			rel.Slots, rel.Blocks = c.slot[:], c
+			break
+		}
 		c := &rootCursor{it: *postings.NewRootIterator(payload), dels: dels.Scan(), slot: [1]int{pp.Root}}
 		rel.Slots, rel.Blocks = c.slot[:], c
 	case postings.SubtreeInterval:

@@ -270,7 +270,7 @@ func eagerRelations(t *testing.T, leaf *Index, pl *Plan, dels *TombSet) []join.R
 	t.Helper()
 	rels := make([]join.Relation, len(pl.Pieces))
 	for i, pp := range pl.Pieces {
-		payload, found, err := postingPayload(pp.Key, leaf.getPosting, postings.SubtreeInterval)
+		_, payload, found, err := postingPayload(pp.Key, leaf.getPosting, postings.SubtreeInterval)
 		if err != nil || !found {
 			t.Fatalf("piece %q: found=%v err=%v", pp.Key, found, err)
 		}
@@ -444,7 +444,7 @@ func TestExplainActualsMatchPerEntryReference(t *testing.T) {
 			}
 			rels := make([]join.StreamRelation, len(pl.Pieces))
 			for i, pp := range pl.Pieces {
-				payload, found, err := postingPayload(pp.Key, leaf.getPosting, postings.RootSplit)
+				_, payload, found, err := postingPayload(pp.Key, leaf.getPosting, postings.RootSplit)
 				if err != nil || !found {
 					t.Fatalf("%s piece %q: found=%v err=%v", src, pp.Key, found, err)
 				}
@@ -641,7 +641,7 @@ func TestSeekGapTable(t *testing.T) {
 			}
 			lists := make([][]uint32, len(pl.Pieces))
 			for i, pp := range pl.Pieces {
-				payload, found, err := postingPayload(pp.Key, leaf.getPosting, postings.RootSplit)
+				_, payload, found, err := postingPayload(pp.Key, leaf.getPosting, postings.RootSplit)
 				if err != nil {
 					t.Fatal(err)
 				}

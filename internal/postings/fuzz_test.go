@@ -205,6 +205,37 @@ func FuzzRootSkip(f *testing.F) {
 					blob, passed, len(got), err, wantPassed, len(wantGot))
 			}
 		}
+
+		// The whole-list decode is all or nothing, and on a list it accepts
+		// no skip sequence fails: the records are exactly a Next loop's.
+		for _, l := range []struct {
+			blob []byte
+			n    int
+		}{{built, acc.Count()}, {blob, len(all)}} {
+			tids, refs, derr := DecodeRootList(l.blob, l.n)
+			if derr != nil {
+				if tids != nil || refs != nil {
+					t.Fatalf("%x: DecodeRootList failed (%v) but returned arrays", l.blob, derr)
+				}
+				continue
+			}
+			want, werr := rootEntries(l.blob, nil)
+			_, _, serr := runSkipOps(l.blob, skipOps(opBytes, want))
+			if werr != nil || serr != nil || len(want) != len(tids) || !tableAgrees(l.blob) {
+				t.Fatalf("%x: DecodeRootList accepted %d records; a Next loop read %d (err %v), skips failed with %v, table agrees %v",
+					l.blob, len(tids), len(want), werr, serr, tableAgrees(l.blob))
+			}
+			for i, e := range want {
+				if tids[i] != e.TID || refs[i] != e.NodeRef {
+					t.Fatalf("%x: record %d decoded as %d %+v, Next read %+v", l.blob, i, tids[i], refs[i], e)
+				}
+			}
+		}
+		if len(built) > 0 {
+			if _, _, derr := DecodeRootList(built, acc.Count()); derr != nil {
+				t.Fatalf("a built list failed to decode whole: %v", derr)
+			}
+		}
 	})
 }
 

@@ -645,6 +645,66 @@ func uvarint4(buf []byte, off int) (v [4]uint64, next int, ok bool) {
 	return v, off, true
 }
 
+// RootTabled reports whether buf, a root-split list's wire form, opens
+// with a skip table: whether it holds more than one skip block.
+func RootTabled(buf []byte) bool { return len(buf) > 0 && buf[0] == 0 }
+
+// DecodeRootList decodes a whole root-split list of count records into
+// fresh arrays, exactly as NextBlock writes them. It first holds every
+// skip-table entry to the records it describes — the block opens a
+// tree, ends on a record boundary at its entry's length, and holds its
+// entry's record count ending with its entry's last tid — and then
+// requires count records in non-decreasing tid order. A list that
+// passes can fail no sequence of NextBlock and SkipTo calls, and a
+// stream over it cannot find it unsorted, so the arrays answer every
+// read exactly as the wire form would; any disagreement is an error.
+func DecodeRootList(buf []byte, count int) ([]uint32, []NodeRef, error) {
+	if err := NewRootIterator(buf).checkBlocks(); err != nil {
+		return nil, nil, err
+	}
+	it := NewRootIterator(buf)
+	tids, refs := make([]uint32, count), make([]NodeRef, count)
+	n := it.NextBlock(tids, refs)
+	if it.err != nil {
+		return nil, nil, it.err
+	}
+	if n != count || it.off != len(buf) {
+		return nil, nil, fmt.Errorf("postings: root-split list does not hold its %d counted records", count)
+	}
+	for i := 1; i < n; i++ {
+		if tids[i] < tids[i-1] {
+			return nil, nil, fmt.Errorf("postings: root-split list is not tid-sorted at record %d", i)
+		}
+	}
+	return tids, refs, nil
+}
+
+// checkBlocks walks every skip block of a tabled list, from a fresh
+// iterator, and reports the first one that disagrees with its entry:
+// every check SkipTo makes, made on every block.
+func (it *RootIterator) checkBlocks() error {
+	if it.err != nil || !it.tabled {
+		return it.err
+	}
+	var tid uint32
+	for {
+		if m, n := binary.Uvarint(it.buf[it.bStart:it.bEnd]); n <= 0 || m == 0 {
+			return fmt.Errorf("postings: skip block at offset %d does not open a tree", it.bStart)
+		}
+		n, next, last, ok := walkBlock(it.buf[:it.bEnd], it.bStart, tid)
+		if !ok || next != it.bEnd || n != it.bCount || last != it.bLast {
+			return fmt.Errorf("postings: skip block at offset %d disagrees with its table entry", it.bStart)
+		}
+		if it.bEnd == len(it.buf) {
+			return nil
+		}
+		tid = last
+		if !it.nextSkipBlock() {
+			return it.err
+		}
+	}
+}
+
 // Entry returns the current posting.
 func (it *RootIterator) Entry() RootEntry {
 	pp, lo := it.prePost, it.levelOrder

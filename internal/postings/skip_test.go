@@ -361,3 +361,48 @@ func TestRootSkipDetectsInconsistentTable(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeRootListAllOrNothing holds the whole-list decode to the
+// records a Next loop reads, on built lists of one to many skip blocks,
+// and to its refusals: a wrong record count, and a one-byte corruption
+// of a tabled list that leaves the table disagreeing with
+// the records (of 200 drawn per list), fail it and return no arrays.
+func TestDecodeRootListAllOrNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 30; trial++ {
+		recipe := make([]byte, 1+rng.Intn(300))
+		rng.Read(recipe)
+		acc, all := skipList(recipe)
+		blob := acc.Bytes()
+		tids, refs, err := DecodeRootList(blob, acc.Count())
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for i, e := range all {
+			if tids[i] != e.TID || refs[i] != e.NodeRef {
+				t.Fatalf("trial %d: record %d decoded as %d %+v, want %+v", trial, i, tids[i], refs[i], e)
+			}
+		}
+		for _, n := range []int{acc.Count() - 1, acc.Count() + 1} {
+			if _, _, err := DecodeRootList(blob, n); err == nil {
+				t.Fatalf("trial %d: a list of %d records decoded as %d", trial, acc.Count(), n)
+			}
+		}
+		if !RootTabled(blob) {
+			continue
+		}
+		bad := slices.Clone(blob)
+		for range 200 {
+			i := rng.Intn(len(bad))
+			bad[i] ^= byte(1 + rng.Intn(255))
+			tids, refs, err := DecodeRootList(bad, acc.Count())
+			if err == nil && !tableAgrees(bad) {
+				t.Fatalf("trial %d: byte %d corrupted, the table disagrees, and the list still decoded", trial, i)
+			}
+			if err != nil && (tids != nil || refs != nil) {
+				t.Fatalf("trial %d: a failed decode returned arrays", trial)
+			}
+			bad[i] = blob[i]
+		}
+	}
+}

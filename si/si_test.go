@@ -144,3 +144,53 @@ func TestAllCodingsViaPublicAPI(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsReportListMemo reads the decoded-list memo through Stats: a
+// first search streams its lists, the second admits the tabled ones
+// and the third is served from them, while the memo's bytes stay under
+// its bound of twice the index file. Other codings hold no memo.
+func TestStatsReportListMemo(t *testing.T) {
+	ctx := context.Background()
+	dir := filepath.Join(t.TempDir(), "idx")
+	info, err := si.Build(dir, si.GenerateCorpus(11, 1500), si.DefaultBuildOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := si.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	const q = "S(NP(DT)(NN))(VP)"
+	var st [3]si.Stats
+	for i := range st {
+		if _, err := ix.Count(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+		st[i] = ix.Stats()
+	}
+	if st[0].ListMemoAdmissions != 0 || st[0].ListMemoHits != 0 || st[0].ListMemoLists != 0 {
+		t.Fatalf("a first search used the memo: %+v", st[0])
+	}
+	if st[1].ListMemoAdmissions == 0 || st[1].ListMemoLists != int(st[1].ListMemoAdmissions) || st[1].ListMemoBytes == 0 {
+		t.Fatalf("a second search admitted nothing: %+v", st[1])
+	}
+	if st[2].ListMemoHits != st[1].ListMemoHits+st[1].ListMemoAdmissions || st[2].ListMemoAdmissions != st[1].ListMemoAdmissions {
+		t.Fatalf("a third search was not served from the admitted lists: %+v after %+v", st[2], st[1])
+	}
+	if st[2].ListMemoBytes > 2*info.IndexBytes || st[2].ListMemoClears != 0 {
+		t.Fatalf("memo of %d bytes (%d clears) over a %d-byte index file", st[2].ListMemoBytes, st[2].ListMemoClears, info.IndexBytes)
+	}
+
+	opts := si.DefaultBuildOptions()
+	opts.Coding = si.SubtreeInterval
+	other := buildSmall(t, opts)
+	for range 3 {
+		if _, err := other.Count(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := other.Stats(); s.ListMemoAdmissions != 0 || s.ListMemoLists != 0 {
+		t.Fatalf("a subtree-interval index held a memo: %+v", s)
+	}
+}
