@@ -541,3 +541,38 @@ func TestExplainStats(t *testing.T) {
 		t.Fatalf("bounded explain strategy %q, want stream", lres.Stats.Strategy)
 	}
 }
+
+// TestRootSplitPlansRepeatNoPiece holds every root-split plan of the WH
+// and FB-70 queries, costed against a 2000-tree index and uncosted, to
+// distinct (Root, Key) pieces: a piece equal to an earlier one on the
+// same root — twin siblings, or widening, made them one key — is
+// dropped (planner's TestRepeatedRootSplitPieceDropped shows the drop).
+func TestRootSplitPlansRepeatNoPiece(t *testing.T) {
+	trees := shardCorpus(2000)
+	l := openLive(t, trees, 1, OpenOptions{})
+	e, err := l.pin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.release()
+	type rootKey struct {
+		root int
+		key  subtree.Key
+	}
+	for _, q := range planMissQueries(trees) {
+		for _, stats := range []*planner.Stats{e.stats, nil} {
+			pl, err := planner.New(q, e.mss, postings.RootSplit, stats)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			seen := map[rootKey]bool{}
+			for _, pp := range pl.Pieces {
+				rk := rootKey{pp.Root, pp.Key}
+				if seen[rk] {
+					t.Fatalf("%s (costed %v): piece %s on node %d repeats", q, stats != nil, pp.Key, pp.Root)
+				}
+				seen[rk] = true
+			}
+		}
+	}
+}

@@ -18,7 +18,10 @@
 // join order's connectivity and the join program are those of minRC;
 // only the posting list fetched for each piece gets shorter. A plan
 // without a count source or under UseSyntacticOrder skips costing and
-// therefore widening: it reads the paper's minRC keys.
+// therefore widening: it reads the paper's minRC keys. A root-split
+// piece whose root and key repeat an earlier piece's — twin siblings
+// widened to one key — is dropped from any root-split plan: it is the
+// same relation on the same slot.
 package planner
 
 import (
@@ -113,7 +116,9 @@ type Plan struct {
 	// Query is the parsed query the plan was compiled from.
 	Query *query.Query
 	// Pieces is the cover decomposition across all child components, in
-	// construction order (root-split keys widened on a costed plan).
+	// construction order (root-split keys widened on a costed plan, and
+	// a root-split piece repeating an earlier one's root and key
+	// dropped).
 	Pieces []PlanPiece
 	// Order is the left-deep join order as indexes into Pieces: a
 	// permutation in which every piece after the first is slot-connected
@@ -167,6 +172,13 @@ func New(q *query.Query, mss int, coding postings.Coding, stats *Stats) (*Plan, 
 				return nil, err
 			}
 			pp := PlanPiece{Key: pat.Key(), Root: p.Root, Slots: slots}
+			if coding == postings.RootSplit && slices.ContainsFunc(pl.Pieces, func(o PlanPiece) bool {
+				return o.Root == pp.Root && o.Key == pp.Key
+			}) {
+				// The same relation bound to the same slot as an earlier
+				// piece: joining it again filters nothing.
+				continue
+			}
 			if coding == postings.SubtreeInterval {
 				pp.Perms = subtree.SlotAutomorphisms(pat)
 			}

@@ -351,3 +351,35 @@ func TestWidenCountsEachKeyOnce(t *testing.T) {
 		t.Fatal("a Count error on a widening candidate did not fail New")
 	}
 }
+
+// TestRepeatedRootSplitPieceDropped: on a root-split plan, a cover piece
+// whose root and key equal an earlier piece's is dropped — the twin NN
+// siblings of the WH query below cover as two NP(DT)(NN) pieces on one
+// root. The join order still covers every piece left once, and the
+// subtree-interval coding, whose relations bind every slot, keeps
+// every piece.
+func TestRepeatedRootSplitPieceDropped(t *testing.T) {
+	q := mustParse(t, "S(NP(DT)(NN))(VP(VBZ)(NP(DT)(NN)(NN)))")
+	covers, err := coverQuery(q, 3, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cover := 0
+	for _, c := range covers {
+		cover += len(c)
+	}
+	pl, err := New(q, 3, postings.RootSplit, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pl.Pieces) != cover-1 || len(pl.Order) != len(pl.Pieces) {
+		t.Fatalf("uncosted: %d pieces and order %v from a cover of %d with one repeat", len(pl.Pieces), pl.Order, cover)
+	}
+	interval, err := New(q, 3, postings.SubtreeInterval, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := coverQuery(q, 3, false); err != nil || len(interval.Pieces) != len(want[0]) {
+		t.Fatalf("subtree-interval: %d pieces, cover %v (%v)", len(interval.Pieces), want, err)
+	}
+}
