@@ -37,6 +37,9 @@ bench-smoke:
 # BENCH_search.json (the full per-run artifact, not committed). The
 # committed BENCH_baseline.json holds only the guarded metrics of the
 # limited-search, sharded-query, batch and planner-skew benchmarks, of
+# RepeatedCount (the 48 WH queries counted on a 2000-tree index with
+# its decoded-list memo warm: its fetches and join rows must read as a
+# cold pass's, its allocations stay those of the copy path), of
 # internal/core's PlanMiss (a plan-map miss: costed plans of the WH and
 # FB-70 queries on 1 and 4 shards, with counts/op, the stored-count
 # reads one plan issues), of the join layer's own (internal/join: JoinRun, JoinStream, and
@@ -77,7 +80,7 @@ bench-smoke:
 BENCH_TOLERANCE ?= 0.25
 BENCH_FLAGS = -run='^$$' -benchmem -benchtime=100x
 BENCH_CMD = $(GO) test $(BENCH_FLAGS) \
-	-bench='SearchBatch|CountOnly|LimitedSearch|ShardedQuery|PlannerSkew|PlanMiss|JoinRun|JoinStream|StreamAlign' \
+	-bench='SearchBatch|CountOnly|LimitedSearch|RepeatedCount|ShardedQuery|PlannerSkew|PlanMiss|JoinRun|JoinStream|StreamAlign' \
 	. ./internal/core ./internal/join && \
 	$(GO) test $(BENCH_FLAGS) -cpu=1 -bench='RootDecode|RootBlock|RootSkip|Extract|Get' \
 	./internal/postings ./internal/subtree ./internal/btree
@@ -114,7 +117,11 @@ bench-baseline:
 # in-range, strictly increasing match lines, at most limit of them),
 # and the index manifest (FuzzManifest: arbitrary meta.json bytes
 # through OpenLive and Reload at a root with one valid segment must
-# error or serve only segments under the root).
+# error or serve only segments under the root), and the join stream
+# against the materializing join (FuzzStreamMatchesRun: fuzzer-chosen
+# forests, relation shapes, cursor kinds, batch cuts and limits; the
+# same matches as join.Run, and the same work counters whatever the
+# cursor).
 # The committed testdata/fuzz corpora always replay
 # in plain `go test`; this target additionally explores for a few
 # seconds per target, which is enough to catch gross regressions (a
@@ -130,6 +137,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzParseParams -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -fuzz=FuzzRoutedStream -fuzztime=$(FUZZTIME) ./internal/cluster/
 	$(GO) test -fuzz=FuzzManifest -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -fuzz=FuzzStreamMatchesRun -fuzztime=$(FUZZTIME) ./internal/join/
 
 # Build the repository's vet tool.
 silint:

@@ -492,3 +492,54 @@ func BenchmarkLimitedSearch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRepeatedCount is the decoded-list memo's gate: the 48 WH
+// queries counted on a 2000-tree root-split index whose leaf has
+// already decoded the queries' repeated posting lists into its memo.
+// One op counts all 48. fetches/op and joinrows/op are the work of one
+// pass, and they must equal a cold pass's: the memo saves decoding,
+// never a read or a join row. A warm pass that admits a list, or is
+// served without a memo hit, fails the benchmark.
+func BenchmarkRepeatedCount(b *testing.B) {
+	ctx := context.Background()
+	queries := workload.ServerQueries()
+	dir := filepath.Join(b.TempDir(), "ix")
+	if _, err := si.Build(dir, si.GenerateCorpus(2012, 2000), si.DefaultBuildOptions()); err != nil {
+		b.Fatal(err)
+	}
+	ix, err := si.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ix.Close()
+	pass := func() (fetches, rows uint64) {
+		before := ix.Stats().PostingFetches
+		for _, q := range queries {
+			res, err := ix.Search(ctx, q, si.WithCountOnly())
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows += res.Stats.JoinRows
+		}
+		return ix.Stats().PostingFetches - before, rows
+	}
+	coldFetches, coldRows := pass()
+	pass() // the second fetch of each key admits its list
+	warm := ix.Stats()
+	fetches, rows := pass()
+	after := ix.Stats()
+	if fetches != coldFetches || rows != coldRows {
+		b.Fatalf("a warm pass read %d postings lists and %d join rows, a cold one %d and %d", fetches, rows, coldFetches, coldRows)
+	}
+	if after.ListMemoHits == warm.ListMemoHits || after.ListMemoAdmissions != warm.ListMemoAdmissions {
+		b.Fatalf("a warm pass hit the memo %d times and admitted %d lists; want hits and no admissions",
+			after.ListMemoHits-warm.ListMemoHits, after.ListMemoAdmissions-warm.ListMemoAdmissions)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.ReportMetric(float64(fetches), "fetches/op")
+	b.ReportMetric(float64(rows), "joinrows/op")
+}

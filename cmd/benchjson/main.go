@@ -55,7 +55,9 @@ var guardedMetrics = []string{"fetches/op", "joinrows/op", "counts/op", "allocs/
 
 // defaultGuard names the gated benchmark families: limited search (the
 // early-termination counters), the sharded-query and batch paths whose
-// allocation profile the zero-copy read path flattened, the planner's
+// allocation profile the zero-copy read path flattened, repeated counts
+// served from the decoded-list memo (the same work counters as a cold
+// pass, and the copy path's allocations), the planner's
 // skewed-corpus fetch/join-row savings, a plan-map miss's stored-count
 // reads and allocations, the join layer's own
 // benchmarks (join rows at fixed input cardinalities and, for the
@@ -65,7 +67,7 @@ var guardedMetrics = []string{"fetches/op", "joinrows/op", "counts/op", "allocs/
 // of their skip-table seek, the
 // build's subtree extractor's zero allocations per tree, and the B+Tree
 // lookup's (zero for any value on a mapped file, one copy on pread).
-const defaultGuard = "LimitedSearch,ShardedQuery,SearchBatch,PlannerSkew,PlanMiss,JoinRun,JoinStream,StreamAlign,RootDecode,RootBlock,RootSkip,Extract,Get"
+const defaultGuard = "LimitedSearch,ShardedQuery,SearchBatch,RepeatedCount,PlannerSkew,PlanMiss,JoinRun,JoinStream,StreamAlign,RootDecode,RootBlock,RootSkip,Extract,Get"
 
 // guardItems splits a comma-separated guard list into its non-empty
 // items (so a trailing comma is harmless).

@@ -202,6 +202,7 @@ func TestMatchesGuard(t *testing.T) {
 		"BenchmarkLimitedSearch/limit5/shards=4",
 		"BenchmarkShardedQuery/shards=2",
 		"BenchmarkSearchBatch/shards=1",
+		"BenchmarkRepeatedCount",
 		"BenchmarkRootDecode",
 		"BenchmarkRootBlock/real/block",
 		"BenchmarkStreamAlign/gap=64",
