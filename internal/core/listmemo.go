@@ -182,17 +182,7 @@ func (c *memoCursor) NextBlock(tids []uint32, refs []postings.NodeRef) int {
 		n := copy(tids, c.list.tids[c.pos:])
 		copy(refs[:n], c.list.refs[c.pos:])
 		c.pos += n
-		kept := n
-		if len(c.dels.tids) > 0 {
-			kept = 0
-			for i, tid := range tids[:n] {
-				if !c.dels.Has(tid) {
-					tids[kept], refs[kept] = tid, refs[i]
-					kept++
-				}
-			}
-		}
-		if kept > 0 || n == 0 {
+		if kept := c.dels.squeeze(tids[:n], refs[:n]); kept > 0 || n == 0 {
 			return kept
 		}
 	}

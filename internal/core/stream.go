@@ -201,17 +201,7 @@ type rootCursor struct {
 func (c *rootCursor) NextBlock(tids []uint32, refs []postings.NodeRef) int {
 	for {
 		n := c.it.NextBlock(tids, refs)
-		kept := n
-		if len(c.dels.tids) > 0 {
-			kept = 0
-			for i, tid := range tids[:n] {
-				if !c.dels.Has(tid) {
-					tids[kept], refs[kept] = tid, refs[i]
-					kept++
-				}
-			}
-		}
-		if kept > 0 || n == 0 {
+		if kept := c.dels.squeeze(tids[:n], refs[:n]); kept > 0 || n == 0 {
 			return kept
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/lingtree"
+	"repro/internal/postings"
 )
 
 // This file implements logical deletes over the immutable segment
@@ -99,6 +100,23 @@ func (s *TombScan) first() (uint32, bool) {
 		return 0, false
 	}
 	return s.tids[0], true
+}
+
+// squeeze drops the postings of tombstoned trees from a decoded block,
+// moving the survivors to its front, and returns how many survive.
+// The block's tids must not be smaller than any earlier probe.
+func (s *TombScan) squeeze(tids []uint32, refs []postings.NodeRef) int {
+	if len(s.tids) == 0 {
+		return len(tids)
+	}
+	kept := 0
+	for i, tid := range tids {
+		if !s.Has(tid) {
+			tids[kept], refs[kept] = tid, refs[i]
+			kept++
+		}
+	}
+	return kept
 }
 
 // Len returns the number of tombstoned tids; 0 on a nil set.
