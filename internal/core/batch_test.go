@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/query"
@@ -79,6 +80,60 @@ func TestBatchMatchesSequentialSharded(t *testing.T) {
 		if alone[0].Stats.JoinRows == 0 || dup[0].Stats.JoinRows != alone[0].Stats.JoinRows {
 			t.Errorf("shards=%d: batch of a query, its repeat and a permutation did %d join rows, the query alone %d",
 				shards, dup[0].Stats.JoinRows, alone[0].Stats.JoinRows)
+		}
+	}
+}
+
+// TestBatchStatsAreSearchStats asserts that a batch runs each distinct
+// plan through the same evaluation as Search: a first occurrence
+// reports Search's strategy, estimate, join rows, shards, truncation
+// and count; a repeat or permutation reports no fetches and no join
+// rows of its own; and the results' fetches sum to the physical reads
+// the batch made.
+func TestBatchStatsAreSearchStats(t *testing.T) {
+	trees := shardCorpus(500)
+	ctx := context.Background()
+	srcs := append(slices.Clone(batchQueries), "S(NP(DT)(NN))(VP)", "S(VP)(NP(NN)(DT))")
+	for _, shards := range []int{1, 3} {
+		h := openLive(t, trees, shards, OpenOptions{})
+		for _, opts := range []SearchOpts{{}, {CountOnly: true}} {
+			name := fmt.Sprintf("shards=%d countOnly=%v", shards, opts.CountOnly)
+			base := h.Counters().PostingFetches
+			batch, err := h.SearchBatch(ctx, srcs, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			delta := h.Counters().PostingFetches - base
+			var sum uint64
+			first := map[string]*Result{}
+			for i, src := range srcs {
+				got := batch[i].Stats
+				sum += got.PostingFetches
+				canon := query.MustParse(src).Canonical()
+				if f, ok := first[canon]; ok {
+					if got.PostingFetches != 0 || got.JoinRows != 0 || batch[i].Count != f.Count {
+						t.Errorf("%s: repeat %q: %d fetches, %d join rows, count %d; want 0, 0, %d",
+							name, src, got.PostingFetches, got.JoinRows, batch[i].Count, f.Count)
+					}
+					continue
+				}
+				first[canon] = batch[i]
+				seq, err := h.Search(ctx, src, opts)
+				if err != nil {
+					t.Fatalf("%s: %q: %v", name, src, err)
+				}
+				want := seq.Stats
+				if got.Strategy != want.Strategy || got.EstimatedRows != want.EstimatedRows ||
+					got.JoinRows != want.JoinRows || got.ShardsConsulted != want.ShardsConsulted ||
+					got.Truncated != want.Truncated || batch[i].Count != seq.Count {
+					t.Errorf("%s: %q: batch stats %+v count %d, Search %+v count %d",
+						name, src, got, batch[i].Count, want, seq.Count)
+				}
+			}
+			if sum != delta || batch[0].Stats.PostingFetches == 0 {
+				t.Errorf("%s: results report %d fetches (first %d), the batch made %d; want equal and nonzero",
+					name, sum, batch[0].Stats.PostingFetches, delta)
+			}
 		}
 	}
 }

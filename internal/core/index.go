@@ -189,43 +189,10 @@ type Counters struct {
 // mapping.
 func (ix *Index) Mapped() bool { return ix.tree.Mapped() }
 
-// evalPlans evaluates compiled plans against this index with a shared
-// memoized posting getter, returning per-plan matches and counts plus
-// the batch's total join rows. Repeated plans — duplicate or
-// sibling-permuted queries resolve to one *Plan through the plan
-// cache — are evaluated once and their (read-only) match slice shared
-// across the corresponding outputs. With countOnly the match slices
-// stay nil and only counts are filled.
-func (ix *Index) evalPlans(ctx context.Context, plans []*Plan, get postingGetter, countOnly bool, dels *TombSet) ([][]Match, []int, uint64, error) {
-	get = memoGetter(get)
-	type evaled struct {
-		ms []Match
-		n  int
-	}
-	done := make(map[*Plan]evaled, len(plans))
-	out := make([][]Match, len(plans))
-	counts := make([]int, len(plans))
-	var rows uint64
-	for i, pl := range plans {
-		if ev, ok := done[pl]; ok {
-			out[i], counts[i] = ev.ms, ev.n
-			continue
-		}
-		ms, n, r, err := ix.evalPlan(ctx, pl, get, evalOpts{countOnly: countOnly, dels: dels})
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		rows += uint64(r)
-		done[pl] = evaled{ms: ms, n: n}
-		out[i], counts[i] = ms, n
-	}
-	return out, counts, rows, nil
-}
-
 // postingGetter returns the raw count-prefixed posting blob of an index
-// key. The sequential path reads straight from the B+Tree; batched
-// execution substitutes a memoizing getter so shared keys are fetched
-// once.
+// key. A search reads straight from the B+Tree through a counting
+// getter; a batch puts each leaf's fetchMemo in front of it, so keys
+// its plans share are fetched once per leaf.
 type postingGetter func(k subtree.Key) ([]byte, bool, error)
 
 // getPosting reads one posting value from the B+Tree, counting the
@@ -235,24 +202,31 @@ func (ix *Index) getPosting(k subtree.Key) ([]byte, bool, error) {
 	return ix.tree.Get([]byte(k))
 }
 
-// memoGetter wraps a getter with a per-batch memo over both present and
-// absent keys. It is not safe for concurrent use; each batch evaluation
-// creates its own.
-func memoGetter(get postingGetter) postingGetter {
-	type memo struct {
-		val   []byte
-		found bool
-	}
-	seen := make(map[subtree.Key]memo)
+// fetchMemo remembers one leaf's posting reads over a batch, absent
+// keys included, so a key that several of the batch's plans share is
+// read from the B+Tree once per leaf. It is not safe for concurrent
+// use and needs no lock: a batch evaluates its plans one after
+// another, and Gather returns only after every eval it started has
+// returned, so each leaf's memo is used by one goroutine at a time.
+type fetchMemo map[subtree.Key]fetched
+
+// fetched is one memoized posting read.
+type fetched struct {
+	val   []byte
+	found bool
+}
+
+// wrap returns get behind the memo.
+func (m fetchMemo) wrap(get postingGetter) postingGetter {
 	return func(k subtree.Key) ([]byte, bool, error) {
-		if m, ok := seen[k]; ok {
-			return m.val, m.found, nil
+		if f, ok := m[k]; ok {
+			return f.val, f.found, nil
 		}
 		val, found, err := get(k)
 		if err != nil {
 			return nil, false, err
 		}
-		seen[k] = memo{val: val, found: found}
+		m[k] = fetched{val: val, found: found}
 		return val, found, nil
 	}
 }

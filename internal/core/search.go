@@ -38,8 +38,7 @@ type SearchOpts struct {
 	// Stats.Pieces records each cover piece's estimated vs. actual
 	// cardinality. Off by default — the tracking slice is only
 	// allocated when set, so the normal path pays nothing. Ignored by
-	// batch searches (shared work cannot be attributed per piece per
-	// query).
+	// batch searches.
 	Explain bool
 }
 
@@ -63,8 +62,8 @@ func (o SearchOpts) Target() int {
 // counterpart of the handle-wide cumulative Counters.
 type SearchStats struct {
 	// PostingFetches is the number of physical posting-list reads this
-	// search issued (for a batch: the whole batch, since shared fetches
-	// cannot be attributed to one query).
+	// search issued. In a batch, a key its queries share is read once
+	// per leaf and counted by the first query that read it.
 	PostingFetches uint64 `json:"posting_fetches"`
 	// PlanCacheHit reports that the query reused the plan already
 	// compiled on its epoch, skipping decomposition and costing.
@@ -80,12 +79,11 @@ type SearchStats struct {
 	Truncated bool `json:"truncated"`
 	// JoinRows measures join work: posting entries decoded plus
 	// intermediate rows produced by join steps, summed over the shards
-	// consulted (for a batch: the whole batch). Limits push down into
-	// the join itself, so whenever a limit truncates the result the
-	// search reports strictly fewer rows than the unlimited run of the
-	// same query — the in-shard half of early termination, next to the
-	// cross-shard fetch savings. (A limit the result fits inside does
-	// all the work and saves nothing.)
+	// consulted. Limits push down into the join itself, so whenever a
+	// limit truncates the result the search reports strictly fewer rows
+	// than the unlimited run of the same query — the in-shard half of
+	// early termination, next to the cross-shard fetch savings. (A limit
+	// the result fits inside does all the work and saves nothing.)
 	JoinRows uint64 `json:"join_rows"`
 	// Strategy is the execution mode the query ran under: "filter"
 	// (intersect and validate) on a filter-coded index, "stream" (the
@@ -222,8 +220,7 @@ func window(ms []Match, opts SearchOpts) (out []Match, found int, truncated bool
 }
 
 // rebase appends ms to dst with each match's local shard tid shifted
-// to the global range starting at base — the one merge step shared by
-// the search, batch and stream paths.
+// to the global range starting at base — searchPlan's merge step.
 func rebase(dst []Match, ms []Match, base uint32) []Match {
 	for _, m := range ms {
 		dst = append(dst, Match{TID: m.TID + base, Root: m.Root})
@@ -239,28 +236,6 @@ func countingGetter(get postingGetter, n *uint64) postingGetter {
 		*n++
 		return get(k)
 	}
-}
-
-// batchResults shapes per-plan batch outputs into windowed Results.
-// fetched and rows are whole-batch totals (shared work cannot be
-// attributed to one query), echoed into every result's Stats.
-func batchResults(mss [][]Match, counts []int, hits []bool, opts SearchOpts, fetched, rows uint64, shards int) []*Result {
-	out := make([]*Result, len(mss))
-	for i := range mss {
-		r := &Result{Stats: SearchStats{
-			PostingFetches:  fetched,
-			PlanCacheHit:    hits[i],
-			ShardsConsulted: shards,
-			JoinRows:        rows,
-		}}
-		if opts.CountOnly {
-			r.Count = counts[i]
-		} else {
-			r.Matches, r.Count, r.Stats.Truncated = window(mss[i], opts)
-		}
-		out[i] = r
-	}
-	return out
 }
 
 // leafErr names the failing leaf in an evaluation error; nil stays nil.
@@ -283,8 +258,9 @@ func leafErr(i int, err error) error {
 // count-only search starts every leaf at once and counts exactly. A
 // lookahead leaf failing after the window filled is skipped; the
 // window only uses matches folded before that gap, and the result is
-// flagged Truncated.
-func (ls leafSet) searchPlan(ctx context.Context, pl *Plan, opts SearchOpts, hit bool) (*Result, error) {
+// flagged Truncated. memos, when non-nil, holds one fetch memo per leaf
+// (a batch's); a plain search passes nil.
+func (ls leafSet) searchPlan(ctx context.Context, pl *Plan, opts SearchOpts, hit bool, memos []fetchMemo) (*Result, error) {
 	var reads []atomic.Uint64
 	if opts.Explain {
 		reads = make([]atomic.Uint64, len(pl.Pieces))
@@ -303,7 +279,11 @@ func (ls leafSet) searchPlan(ctx context.Context, pl *Plan, opts SearchOpts, hit
 	consulted, err := Gather(len(ls.leaves), target > 0, func(i int) (o leafOut, err error) {
 		var n uint64
 		sh := ls.leaves[i]
-		o.ms, o.n, o.rows, err = sh.evalPlan(ctx, pl, countingGetter(sh.getPosting, &n),
+		get := countingGetter(sh.getPosting, &n)
+		if memos != nil {
+			get = memos[i].wrap(get)
+		}
+		o.ms, o.n, o.rows, err = sh.evalPlan(ctx, pl, get,
 			evalOpts{countOnly: opts.CountOnly, target: target, dels: ls.del(i), pieceReads: reads})
 		fetched.Add(n)
 		return o, leafErr(i, err)
@@ -328,49 +308,6 @@ func (ls leafSet) searchPlan(ctx context.Context, pl *Plan, opts SearchOpts, hit
 	}
 	res.Stats.Truncated = res.Stats.Truncated || consulted < len(ls.leaves)
 	return res, nil
-}
-
-// searchBatchPlans evaluates pre-compiled batch plans on every leaf
-// concurrently, with per-leaf fetch dedup, and merges per query. A
-// batch never stops early: every leaf is consulted.
-func (ls leafSet) searchBatchPlans(ctx context.Context, plans []*Plan, hits []bool, opts SearchOpts) ([]*Result, error) {
-	type leafOut struct {
-		ms            [][]Match
-		counts        []int
-		fetched, rows uint64
-	}
-	outs := make([]leafOut, len(ls.leaves))
-	var fetched, rows uint64
-	_, err := Gather(len(ls.leaves), false, func(i int) (o leafOut, err error) {
-		sh := ls.leaves[i]
-		o.ms, o.counts, o.rows, err = sh.evalPlans(ctx, plans, countingGetter(sh.getPosting, &o.fetched), opts.CountOnly, ls.del(i))
-		return o, leafErr(i, err)
-	}, func(i int, o leafOut) bool {
-		outs[i] = o
-		fetched += o.fetched
-		rows += o.rows
-		return false
-	})
-	if err != nil {
-		return nil, err
-	}
-	merged := make([][]Match, len(plans))
-	counts := make([]int, len(plans))
-	for qi := range plans {
-		total := 0
-		for i := range outs {
-			counts[qi] += outs[i].counts[qi]
-			total += len(outs[i].ms[qi])
-		}
-		if opts.CountOnly {
-			continue
-		}
-		merged[qi] = make([]Match, 0, total)
-		for i := range outs {
-			merged[qi] = rebase(merged[qi], outs[i].ms[qi], ls.offsets[i])
-		}
-	}
-	return batchResults(merged, counts, hits, opts, fetched, rows, len(ls.leaves)), nil
 }
 
 // resultStream is the engine behind a pending Result: a cursor over

@@ -431,7 +431,8 @@ func (l *Live) publishLocked(segs []*segment, gen int, tombs map[string][]int) {
 	meta := aggregateMeta(segs)
 	meta.Generation = gen
 	e := &epoch{segs: segs, set: set, gen: gen, mss: meta.MSS, coding: meta.Coding,
-		stats: &planner.Stats{Count: set.storedCount}, plans: make(map[string]*Plan)}
+		stats: &planner.Stats{Count: func(k subtree.Key) (uint64, error) { return set.keyCount(k, false) }},
+		plans: make(map[string]*Plan)}
 	e.refs.Store(1)
 	l.tombs = tombs
 	l.info.Store(&liveInfo{meta: meta, leaves: len(set.leaves), segments: len(segs), gen: gen, deleted: deleted})
@@ -557,7 +558,7 @@ func (l *Live) Search(ctx context.Context, src string, opts SearchOpts) (*Result
 	if err != nil {
 		return nil, err
 	}
-	return l.searchPlan(ctx, e, pl, opts, hit)
+	return l.searchPlan(ctx, e, pl, opts, hit, nil)
 }
 
 // SearchQuery evaluates an already-parsed query across the live
@@ -575,7 +576,7 @@ func (l *Live) SearchQuery(ctx context.Context, q *query.Query, opts SearchOpts)
 	if err != nil {
 		return nil, err
 	}
-	return l.searchPlan(ctx, e, pl, opts, hit)
+	return l.searchPlan(ctx, e, pl, opts, hit, nil)
 }
 
 // plan plans q on the pinned epoch e (see epoch.plan), counting the
@@ -599,11 +600,12 @@ func (l *Live) planText(e *epoch, src string) (*Plan, bool, error) {
 	return l.plan(e, q, false)
 }
 
-// searchPlan runs one compiled plan on the pinned epoch e. A complete
+// searchPlan runs one compiled plan on the pinned epoch e, through the
+// per-leaf fetch memos of a batch when memos is non-nil. A complete
 // result of a costed plan feeds the planner's estimate-error counters;
 // a truncated one is skipped, since its Count is only a prefix.
-func (l *Live) searchPlan(ctx context.Context, e *epoch, pl *Plan, opts SearchOpts, hit bool) (*Result, error) {
-	res, err := e.set.searchPlan(ctx, pl, opts, hit)
+func (l *Live) searchPlan(ctx context.Context, e *epoch, pl *Plan, opts SearchOpts, hit bool, memos []fetchMemo) (*Result, error) {
+	res, err := e.set.searchPlan(ctx, pl, opts, hit, memos)
 	if err == nil && pl.Costed && !res.Stats.Truncated {
 		l.estRows.Add(pl.EstRows)
 		l.actRows.Add(uint64(res.Count))
@@ -643,15 +645,18 @@ func (l *Live) SearchStream(ctx context.Context, src string, opts SearchOpts) (*
 }
 
 // SearchBatch evaluates a batch of textual queries across the live
-// segments under ctx: planned once at the root against the pinned
-// segment set — repeated and permuted spellings resolve to one plan,
-// evaluated once — then every leaf evaluates the whole batch
-// concurrently, fetching each distinct cover key's posting list once
-// per leaf. Results keep query order and each
-// is identical to Search on that element; bounds apply per query at
-// the merge (batches do not early-terminate — sharing fetches is their
-// optimization). The per-result Stats report the whole batch's fetch
-// and join-row totals.
+// segments under ctx. Every query is planned on the one pinned segment
+// set — repeated and sibling-permuted spellings resolve to one plan —
+// and each distinct plan is then evaluated once, in query order,
+// through the same searchPlan as Search, with a fetch memo per leaf in
+// front of the B+Tree: a cover key the batch's plans share is read
+// once per leaf. Plans run unbounded (a batch shares fetches instead
+// of stopping early); the window applies to each result at the end, so
+// Results keep query order and each is identical to Search on that
+// element. Each distinct plan's Stats are its own evaluation's: its
+// fetches are the physical reads it made, so a key served from the
+// memo counts for the first query that read it. A repeat reports 0
+// fetches and 0 join rows. Explain is ignored.
 func (l *Live) SearchBatch(ctx context.Context, srcs []string, opts SearchOpts) ([]*Result, error) {
 	e, err := l.pin()
 	if err != nil {
@@ -665,17 +670,41 @@ func (l *Live) SearchBatch(ctx context.Context, srcs []string, opts SearchOpts) 
 			return nil, fmt.Errorf("core: batch query %d %q: %w", i, src, err)
 		}
 	}
-	return e.set.searchBatchPlans(ctx, plans, hits, opts)
+	memos := make([]fetchMemo, len(e.set.leaves))
+	for i := range memos {
+		memos[i] = fetchMemo{}
+	}
+	done := make(map[*Plan]*Result, len(plans))
+	out := make([]*Result, len(plans))
+	for i, pl := range plans {
+		if first, ok := done[pl]; ok {
+			r := *first
+			r.Stats.PlanCacheHit = hits[i]
+			r.Stats.PostingFetches, r.Stats.JoinRows = 0, 0
+			out[i] = &r
+			continue
+		}
+		res, err := l.searchPlan(ctx, e, pl, SearchOpts{CountOnly: opts.CountOnly}, hits[i], memos)
+		if err != nil {
+			return nil, err
+		}
+		if !opts.CountOnly {
+			res.Matches, _, res.Stats.Truncated = window(res.Matches, opts)
+		}
+		done[pl], out[i] = res, res
+	}
+	return out, nil
 }
 
-// LookupKey sums the key's posting count over all live segments.
+// LookupKey sums the key's live posting count over all live segments.
 func (l *Live) LookupKey(k subtree.Key) (int, error) {
 	e, err := l.pin()
 	if err != nil {
 		return 0, err
 	}
 	defer e.release()
-	return e.set.lookupKey(k)
+	n, err := e.set.keyCount(k, true)
+	return int(n), err
 }
 
 // Keys iterates the union of all live segments' keys in ascending

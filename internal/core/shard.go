@@ -157,15 +157,6 @@ func (ls leafSet) numTrees() int {
 	return int(ls.offsets[len(ls.offsets)-1])
 }
 
-// sumFetches totals the leaves' physical posting-fetch counters.
-func (ls leafSet) sumFetches() uint64 {
-	var n uint64
-	for _, sh := range ls.leaves {
-		n += sh.fetches.Load()
-	}
-	return n
-}
-
 // mappedLeaves counts the leaves served from a memory mapping.
 func (ls leafSet) mappedLeaves() int {
 	n := 0
@@ -177,31 +168,20 @@ func (ls leafSet) mappedLeaves() int {
 	return n
 }
 
-// lookupKey sums the key's live posting count over all leaves
-// (tombstoned postings excluded).
-func (ls leafSet) lookupKey(k subtree.Key) (int, error) {
-	total := 0
-	_, err := Gather(len(ls.leaves), false, func(i int) (int, error) {
-		return ls.leaves[i].lookupKeyLive(k, ls.del(i))
-	}, func(_ int, n int) bool {
-		total += n
-		return false
-	})
-	if err != nil {
-		return 0, err
-	}
-	return total, nil
-}
-
-// storedCount sums the key's stored posting counts over all leaves,
-// tombstoned postings included: the planner's cost of a piece. It reads
-// each leaf's count prefix in a plain loop — a Get is a couple of
-// microseconds, less than a goroutine per leaf costs — and decodes no
-// list.
-func (ls leafSet) storedCount(k subtree.Key) (uint64, error) {
+// keyCount sums the key's posting count over the leaves in a plain
+// loop — a Get is a couple of microseconds, less than a goroutine per
+// leaf costs. With live set, tombstoned postings are subtracted (the
+// count LookupKey reports); without, it is the stored count prefix,
+// tombstones included and no list decoded: the planner's cost of a
+// piece. The sum is a uint64, so the planner's total cannot wrap.
+func (ls leafSet) keyCount(k subtree.Key, live bool) (uint64, error) {
 	var total uint64
-	for _, leaf := range ls.leaves {
-		n, err := leaf.lookupKeyLive(k, nil)
+	for i, leaf := range ls.leaves {
+		var dels *TombSet
+		if live {
+			dels = ls.del(i)
+		}
+		n, err := leaf.lookupKeyLive(k, dels)
 		if err != nil {
 			return 0, err
 		}
@@ -212,7 +192,7 @@ func (ls leafSet) storedCount(k subtree.Key) (uint64, error) {
 
 // keys iterates the union of all leaves' keys in ascending order, with
 // per-key live posting counts summed (so the counts agree with
-// lookupKey; keys whose postings are all tombstoned vanish), until fn
+// LookupKey; keys whose postings are all tombstoned vanish), until fn
 // returns false.
 func (ls leafSet) keys(start subtree.Key, fn func(k subtree.Key, count int) bool) error {
 	iters := make([]*KeyIter, 0, len(ls.leaves))

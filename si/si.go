@@ -482,16 +482,20 @@ func (i *Index) SearchStream(ctx context.Context, querySrc string, opts ...Searc
 	return i.ix.SearchStream(ctx, querySrc, searchOptions(opts))
 }
 
-// SearchBatch evaluates a batch of queries in one pass: all queries
-// are planned up front (repeats and sibling permutations share one
-// plan, evaluated once), then each distinct cover key's posting list
-// is fetched once per shard for the whole batch — on workloads with
-// shared covers this issues strictly fewer posting fetches than
-// len(srcs) Search calls.
+// SearchBatch evaluates a batch of queries: all queries are planned
+// up front (repeats and sibling permutations share one plan), then
+// each distinct plan is evaluated once, as Search evaluates it, while
+// each distinct cover key's posting list is fetched once per shard for
+// the whole batch — on workloads with shared covers this issues
+// strictly fewer posting fetches than len(srcs) Search calls.
 // Results[i] matches Search(ctx, srcs[i]) with the same options; any
 // unparsable query fails the whole batch with an error naming its
 // position. Batches optimize fetch sharing rather than early
-// termination, so limits apply at the merge.
+// termination, so limits apply to each finished result. Each result's
+// Stats are its own query's: PostingFetches counts the reads it made
+// (a key shared with an earlier query of the batch is not read again),
+// and a repeat reports zero fetches and join rows. WithExplain is
+// ignored.
 func (i *Index) SearchBatch(ctx context.Context, srcs []string, opts ...SearchOption) ([]*SearchResult, error) {
 	return i.ix.SearchBatch(ctx, srcs, searchOptions(opts))
 }
