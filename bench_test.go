@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/join"
 	"repro/internal/postings"
 	"repro/internal/query"
 	"repro/internal/workload"
@@ -326,44 +325,6 @@ func BenchmarkSearchBatch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := ix.SearchBatch(context.Background(), queries); err != nil {
 					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationStackJoin quantifies the Stack-Tree structural join
-// (docs/ARCHITECTURE.md, "The join kernel") against the block-nested
-// merge on //-heavy queries.
-func BenchmarkAblationStackJoin(b *testing.B) {
-	trees := si.GenerateCorpus(2012, 1500)
-	qs := []*query.Query{
-		query.MustParse("S(//NN)"),
-		query.MustParse("VP(//DT(the))"),
-		query.MustParse("ROOT(//PP(IN)(NP))"),
-	}
-	dir := filepath.Join(b.TempDir(), "ix")
-	if _, err := core.Build(dir, trees, core.Options{MSS: 3, Coding: postings.RootSplit}); err != nil {
-		b.Fatal(err)
-	}
-	ix, err := core.OpenLive(dir, core.OpenOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ix.Close()
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"stack", false}, {"block", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			join.DisableStackJoin = mode.disable
-			defer func() { join.DisableStackJoin = false }()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, q := range qs {
-					if _, err := ix.SearchQuery(context.Background(), q, core.SearchOpts{}); err != nil {
-						b.Fatal(err)
-					}
 				}
 			}
 		})

@@ -5,10 +5,10 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
-	"repro/internal/join"
 	"repro/internal/lingtree"
 	"repro/internal/postings"
 	"repro/internal/query"
@@ -132,20 +132,16 @@ func TestQuickEndToEndAllCodings(t *testing.T) {
 	}
 }
 
-// TestQuickStackJoinAgreesWithBlock is the structural-join property
-// test: on random corpora and random //-bearing queries (whose
-// structural steps carry residual predicates — extra parent/ancestor
-// edges and sibling distinctness), evaluation with the Stack-Tree join
-// must agree exactly with the block-nested merge under
-// DisableStackJoin, through both the full drain and the bounded
-// (limited) one. Must not run parallel to other tests:
-// DisableStackJoin is a package-global ablation switch.
-func TestQuickStackJoinAgreesWithBlock(t *testing.T) {
-	defer func() { join.DisableStackJoin = false }()
+// TestQuickLimitedDrainIsPrefix is the bounded-drain property test: on
+// random corpora and random //-bearing queries (whose structural steps
+// carry residual predicates — extra parent/ancestor edges and sibling
+// distinctness), a Limit: 3 search must return exactly the first three
+// matches of the full drain, in the same order.
+func TestQuickLimitedDrainIsPrefix(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		trees := randomForest(rng, 25)
-		dir := filepath.Join(t.TempDir(), "sj")
+		dir := filepath.Join(t.TempDir(), "lp")
 		if _, err := Build(dir, trees, Options{MSS: 3, Coding: postings.RootSplit}); err != nil {
 			return false
 		}
@@ -158,31 +154,22 @@ func TestQuickStackJoinAgreesWithBlock(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			q := randomQuery(rng)
 			if !q.HasDescendantAxis() {
-				continue // only // steps take the stack join
+				continue
 			}
 			src := q.Canonical()
-			var byMode [2]*Result
-			var byModeLim [2]*Result
-			for mode, disable := range []bool{false, true} {
-				join.DisableStackJoin = disable
-				byMode[mode], err = ix.Search(ctx, src, SearchOpts{})
-				if err != nil {
-					t.Logf("query %s disable=%v: %v", src, disable, err)
-					return false
-				}
-				byModeLim[mode], err = ix.Search(ctx, src, SearchOpts{Limit: 3})
-				if err != nil {
-					t.Logf("query %s disable=%v limited: %v", src, disable, err)
-					return false
-				}
-			}
-			join.DisableStackJoin = false
-			if !reflect.DeepEqual(byMode[0].Matches, byMode[1].Matches) {
-				t.Logf("query %s: stack %v, block %v", src, trunc(byMode[0].Matches), trunc(byMode[1].Matches))
+			full, err := ix.Search(ctx, src, SearchOpts{})
+			if err != nil {
+				t.Logf("query %s: %v", src, err)
 				return false
 			}
-			if !reflect.DeepEqual(byModeLim[0].Matches, byModeLim[1].Matches) {
-				t.Logf("query %s limited: stack %v, block %v", src, byModeLim[0].Matches, byModeLim[1].Matches)
+			lim, err := ix.Search(ctx, src, SearchOpts{Limit: 3})
+			if err != nil {
+				t.Logf("query %s limited: %v", src, err)
+				return false
+			}
+			want := full.Matches[:min(3, len(full.Matches))]
+			if !slices.Equal(lim.Matches, want) {
+				t.Logf("query %s: limited %v, full drain starts %v", src, lim.Matches, want)
 				return false
 			}
 		}

@@ -76,27 +76,6 @@ func SegmentPayload(meta Meta) ([]string, error) {
 	return files, nil
 }
 
-// Rebase appends ms to dst with each match's leaf-local tid shifted to
-// the global range starting at base — the one merge step of the
-// partition-then-concatenate execution model, exported so a router
-// merging per-node windows applies exactly the in-process semantics.
-func Rebase(dst []Match, ms []Match, base uint32) []Match { return rebase(dst, ms, base) }
-
-// Window applies opts.Offset and opts.Limit to fully materialized,
-// globally sorted matches, returning the requested slice, the number
-// of matches found, and whether trailing matches were cut off —
-// exported for the cluster router so its window semantics are the
-// engine's own.
-func Window(ms []Match, opts SearchOpts) (out []Match, found int, truncated bool) {
-	return window(ms, opts)
-}
-
-// ShardBounds splits n trees into the contiguous tid ranges the
-// sharded build uses (shards+1 entries, sizes differing by at most
-// one). Exported so cluster tooling can partition a corpus over nodes
-// at exactly the boundaries a local sharded build would choose.
-func ShardBounds(n, shards int) []int { return shardBounds(n, shards) }
-
 // lazyLookahead is how many partitions a bounded Gather keeps in
 // flight: partition i+1 evaluates while partition i is folded, so a
 // limited search overlaps evaluation instead of running strictly

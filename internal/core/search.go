@@ -193,13 +193,14 @@ func (r *Result) All() iter.Seq2[Match, error] {
 	}
 }
 
-// window applies Offset and Limit to fully materialized matches,
-// returning the requested slice, the number of matches found, and
-// whether trailing matches were cut off. A trimmed window is copied
-// out of the full slice, so a small result does not pin a large
-// backing array for its lifetime; the untrimmed common case stays
-// zero-copy.
-func window(ms []Match, opts SearchOpts) (out []Match, found int, truncated bool) {
+// Window applies opts.Offset and opts.Limit to fully materialized,
+// globally sorted matches, returning the requested slice, the number
+// of matches found, and whether trailing matches were cut off. A
+// trimmed window is copied out of the full slice, so a small result
+// does not pin a large backing array for its lifetime; the untrimmed
+// common case stays zero-copy. The cluster router applies it too, so
+// its window semantics are the engine's own.
+func Window(ms []Match, opts SearchOpts) (out []Match, found int, truncated bool) {
 	found = len(ms)
 	off := opts.Offset
 	if off < 0 {
@@ -219,9 +220,12 @@ func window(ms []Match, opts SearchOpts) (out []Match, found int, truncated bool
 	return out, found, truncated
 }
 
-// rebase appends ms to dst with each match's local shard tid shifted
-// to the global range starting at base — searchPlan's merge step.
-func rebase(dst []Match, ms []Match, base uint32) []Match {
+// Rebase appends ms to dst with each match's leaf-local tid shifted to
+// the global range starting at base — the one merge step of the
+// partition-then-concatenate execution model (searchPlan's, and a
+// router's merging per-node windows, so both apply the same
+// semantics).
+func Rebase(dst []Match, ms []Match, base uint32) []Match {
 	for _, m := range ms {
 		dst = append(dst, Match{TID: m.TID + base, Root: m.Root})
 	}
@@ -302,9 +306,9 @@ func (ls leafSet) searchPlan(ctx context.Context, pl *Plan, opts SearchOpts, hit
 	if !opts.CountOnly {
 		all := make([]Match, 0, res.Count)
 		for i, ms := range parts {
-			all = rebase(all, ms, ls.offsets[i])
+			all = Rebase(all, ms, ls.offsets[i])
 		}
-		res.Matches, _, res.Stats.Truncated = window(all, opts)
+		res.Matches, _, res.Stats.Truncated = Window(all, opts)
 	}
 	res.Stats.Truncated = res.Stats.Truncated || consulted < len(ls.leaves)
 	return res, nil

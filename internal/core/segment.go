@@ -689,7 +689,7 @@ func (l *Live) SearchBatch(ctx context.Context, srcs []string, opts SearchOpts) 
 			return nil, err
 		}
 		if !opts.CountOnly {
-			res.Matches, _, res.Stats.Truncated = window(res.Matches, opts)
+			res.Matches, _, res.Stats.Truncated = Window(res.Matches, opts)
 		}
 		done[pl], out[i] = res, res
 	}

@@ -29,9 +29,11 @@ const MaxShards = 256
 // shardDirName returns the directory name of shard s under the root.
 func shardDirName(s int) string { return fmt.Sprintf("shard-%04d", s) }
 
-// shardBounds splits n trees into shards contiguous ranges differing in
-// size by at most one; bounds has shards+1 entries.
-func shardBounds(n, shards int) []int {
+// ShardBounds splits n trees into shards contiguous ranges differing in
+// size by at most one; bounds has shards+1 entries. Cluster tooling
+// partitions a corpus over nodes with it, at exactly the boundaries a
+// local sharded build chooses.
+func ShardBounds(n, shards int) []int {
 	bounds := make([]int, shards+1)
 	base, rem := n/shards, n%shards
 	for s := 0; s < shards; s++ {
@@ -88,7 +90,7 @@ func BuildSharded(dir string, trees []*lingtree.Tree, opt Options, shards int) (
 		MSS:           opt.MSS,
 		Coding:        opt.Coding,
 	}
-	bounds := shardBounds(len(trees), shards)
+	bounds := ShardBounds(len(trees), shards)
 	_, err := Gather(shards, false, func(s int) (*Meta, error) {
 		// Build numbers the shard's slice by position, so its local
 		// tids start at 0.

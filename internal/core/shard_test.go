@@ -389,8 +389,8 @@ func TestShardBounds(t *testing.T) {
 		{3, 3, []int{0, 1, 2, 3}},
 		{5, 1, []int{0, 5}},
 	} {
-		if got := shardBounds(tc.n, tc.shards); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("shardBounds(%d, %d) = %v, want %v", tc.n, tc.shards, got, tc.want)
+		if got := ShardBounds(tc.n, tc.shards); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ShardBounds(%d, %d) = %v, want %v", tc.n, tc.shards, got, tc.want)
 		}
 	}
 }

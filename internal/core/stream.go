@@ -84,7 +84,7 @@ func (ix *Index) pieceCursor(pp PlanPiece, get postingGetter, dels *TombSet) (jo
 // Posting blobs are fetched in the plan's join order, so a query whose
 // first piece is absent — on a costed plan, its cheapest — never issues
 // the remaining point reads; the relations keep their piece positions
-// for the join, which decides merge vs. Stack-Tree per step itself.
+// for the join.
 func (ix *Index) streamJoin(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) (matchStream, error) {
 	rels := make([]join.StreamRelation, len(pl.Pieces))
 	for _, pi := range pl.Order {

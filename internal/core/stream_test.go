@@ -15,7 +15,7 @@ import (
 )
 
 // streamTestQueries mix single-piece, multi-piece, //-edge and
-// no-match shapes so the bounded path exercises merge, stack and
+// no-match shapes so the bounded path exercises structural and
 // equality join steps.
 var streamTestQueries = []string{
 	"NP(DT)(NN)",

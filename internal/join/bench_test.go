@@ -47,28 +47,23 @@ func shapeName(n, stride int) string {
 
 func BenchmarkJoinRun(b *testing.B) {
 	q := query.MustParse("A(B)")
-	for _, mode := range []struct {
-		name    string
-		noStack bool
-	}{{"stack", false}, {"block", true}} {
-		for _, sh := range benchShapes {
-			rels := benchRelations(sh.n, sh.stride)
-			b.Run(mode.name+"/"+shapeName(sh.n, sh.stride), func(b *testing.B) {
-				b.ReportAllocs()
-				var info Info
-				for i := 0; i < b.N; i++ {
-					var err error
-					_, info, err = Run(context.Background(), q, rels, Options{Order: []int{0, 1}, NoStack: mode.noStack})
-					if err != nil {
-						b.Fatal(err)
-					}
+	for _, sh := range benchShapes {
+		rels := benchRelations(sh.n, sh.stride)
+		b.Run(shapeName(sh.n, sh.stride), func(b *testing.B) {
+			b.ReportAllocs()
+			var info Info
+			for i := 0; i < b.N; i++ {
+				var err error
+				_, info, err = Run(context.Background(), q, rels, Options{Order: []int{0, 1}})
+				if err != nil {
+					b.Fatal(err)
 				}
-				if want := (sh.n + sh.stride - 1) / sh.stride; info.Count != want {
-					b.Fatalf("Count = %d, want %d", info.Count, want)
-				}
-				b.ReportMetric(float64(info.Rows), "joinrows/op")
-			})
-		}
+			}
+			if want := (sh.n + sh.stride - 1) / sh.stride; info.Count != want {
+				b.Fatalf("Count = %d, want %d", info.Count, want)
+			}
+			b.ReportMetric(float64(info.Rows), "joinrows/op")
+		})
 	}
 }
 

@@ -249,7 +249,7 @@ func observe(t *testing.T, trees []*lingtree.Tree, qs []*query.Query, coding pos
 			out = append(out, g)
 			continue
 		}
-		opt := join.Options{Order: pl.Order, NoStack: pl.Strategy == planner.StrategyBlock}
+		opt := join.Options{Order: pl.Order}
 		ms, info, err := join.Run(context.Background(), pl.Query, rels, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)

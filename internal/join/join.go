@@ -11,20 +11,21 @@
 //
 // Relations are combined with sort-merge joins on (tid, pre) in the
 // spirit of MPMGJN [Zhang et al., SIGMOD'01], with all applicable
-// predicates applied as residuals. Plans are left-deep in exactly the
-// order the planner fixed (Options.Order); the package never orders a
-// join itself, and refuses an order that is missing, not a permutation
-// of the relations, or not connected.
+// predicates applied as residuals; every join step runs that one
+// merge. Plans are left-deep in exactly the order the planner fixed
+// (Options.Order); the package never orders a join itself, and refuses
+// an order that is missing, not a permutation of the relations, or not
+// connected.
 //
 // Both entry points execute the same compiled program — Stream (one
 // tree at a time) is the driver every query evaluation runs on; Run
 // (materialized relations in, all matches out) is the oracle the tests
-// hold it to and the driver the benchmark's layer probes time: every step's
-// shared and fresh columns, the predicates that become checkable and
-// the merge vs. Stack-Tree decision are resolved to column indexes once
-// per evaluation (program.go), and the steps then run over flat rows in
-// two reused buffers, so steady-state evaluation allocates nothing per
-// row or per tree. A Stream reads its relations through fixed-size
+// hold it to and the driver the benchmark's layer probes time: every
+// step's shared and fresh columns and the predicates that become
+// checkable are resolved to column indexes once per evaluation
+// (program.go), and the steps then run over flat rows in two reused
+// buffers, so steady-state evaluation allocates nothing per row or per
+// tree. A Stream reads its relations through fixed-size
 // windows of flat tids and node records that batch cursors decode into
 // directly (BlockCursor; per-entry cursors are copied in by one
 // adapter), so stepping over an entry is a compare in a scan, and the
@@ -86,11 +87,10 @@ type Options struct {
 	// required — Run and NewStreamOpts return an error for any other
 	// order, nil included.
 	Order []int
-	// NoStack disables the Stack-Tree fast path for this run; it costs
-	// only the fast path, never correctness. Query evaluation never sets
-	// it (compile decides merge vs. Stack-Tree per step): the field stays
-	// for the kernel's own ablation tests and benchmarks and because the
-	// frozen benchmark's probes (bench/layers.go) name it.
+	// NoStack is ignored: every join step runs the same merge.
+	//
+	// Deprecated: ignored; every step runs the merge. Declared only
+	// because bench/layers.go names it.
 	NoStack bool
 }
 
@@ -156,7 +156,7 @@ func Run(ctx context.Context, q *query.Query, rels []Relation, opt Options) ([]M
 		}
 		info.Rows += len(r.Entries)
 	}
-	prog, err := compile(q, slots, opt.Order, opt.NoStack)
+	prog, err := compile(q, slots, opt.Order)
 	if err != nil {
 		return nil, info, err
 	}

@@ -30,16 +30,6 @@ type step struct {
 	shared [][2]int // (relation slot, row column) pairs that must bind the same node
 	fresh  []int    // relation slots appended as new columns
 	active []cpred  // predicates that first become checkable on the result rows
-
-	// A pure structural step — no shared slots, a parent/ancestor edge
-	// crossing the two sides — runs as a Stack-Tree join instead of the
-	// per-tree nested loop; the fields below describe that form.
-	stack    bool
-	ancRows  bool    // the edge's upper node is on the row side
-	parent   bool    // the driving edge is a Child axis: levels must be adjacent
-	rowCol   int     // driving node's column in the input rows
-	relCol   int     // driving node's slot in the relation
-	residual []cpred // active minus the driving edge
 }
 
 // program is one compiled join.
@@ -52,13 +42,10 @@ type program struct {
 // compile resolves the left-deep join of relations with the given slot
 // sets, taken in order, against q's predicates. It performs exactly the
 // bookkeeping the executor used to redo per step and per tree: which
-// slots of each relation are already bound (shared) or new (fresh),
-// which predicates have both operands bound for the first time, and
-// whether the step qualifies for the Stack-Tree pass. noStack (see
-// Options.NoStack) and DisableStackJoin are read here, once.
-func compile(q *query.Query, slots [][]int, order []int, noStack bool) (*program, error) {
+// slots of each relation are already bound (shared) or new (fresh) and
+// which predicates have both operands bound for the first time.
+func compile(q *query.Query, slots [][]int, order []int) (*program, error) {
 	preds := buildPredicates(q)
-	useStack := !noStack && !DisableStackJoin
 
 	col := make([]int, q.Size())     // query node → row column, -1 while unbound
 	boundAt := make([]int, q.Size()) // position in order that bound the node
@@ -89,9 +76,6 @@ func compile(q *query.Query, slots [][]int, order []int, noStack bool) (*program
 				st.active = append(st.active, cpred{kind: p.kind, u: col[p.u], v: col[p.v]})
 			}
 		}
-		if useStack && len(st.shared) == 0 {
-			st.chooseDriver(preds, col, boundAt, slots[st.rel], k)
-		}
 		prog.steps = append(prog.steps, st)
 	}
 	prog.rootCol = col[q.Root()]
@@ -99,47 +83,6 @@ func compile(q *query.Query, slots [][]int, order []int, noStack bool) (*program
 		return nil, fmt.Errorf("join: query root is not bound by any relation")
 	}
 	return prog, nil
-}
-
-// chooseDriver makes step k a Stack-Tree step when some active
-// parent/ancestor predicate has one operand bound by the rows and the
-// other only by the relation; the first such predicate drives the pass
-// and the remaining active ones become residuals.
-func (st *step) chooseDriver(preds []pred, col, boundAt []int, relSlots []int, k int) {
-	for _, p := range preds {
-		if p.kind != predParent && p.kind != predAncestor {
-			continue
-		}
-		if col[p.u] < 0 || col[p.v] < 0 {
-			continue
-		}
-		switch {
-		case boundAt[p.u] < k && boundAt[p.v] == k:
-			st.ancRows, st.rowCol, st.relCol = true, col[p.u], slotIndex(relSlots, p.v)
-		case boundAt[p.v] < k && boundAt[p.u] == k:
-			st.ancRows, st.rowCol, st.relCol = false, col[p.v], slotIndex(relSlots, p.u)
-		default:
-			continue
-		}
-		st.stack = true
-		st.parent = p.kind == predParent
-		driver := cpred{kind: p.kind, u: col[p.u], v: col[p.v]}
-		for _, a := range st.active {
-			if a != driver {
-				st.residual = append(st.residual, a)
-			}
-		}
-		return
-	}
-}
-
-func slotIndex(slots []int, node int) int {
-	for i, s := range slots {
-		if s == node {
-			return i
-		}
-	}
-	return -1
 }
 
 // table is a set of rows, each binding stride node records in one
@@ -188,17 +131,14 @@ func (t *table) reset(stride int) {
 }
 
 // executor owns the mutable state of one evaluation: the two row
-// buffers steps alternate between and the scratch of the Stack-Tree
-// pass and the root projection. Run uses one for its single pass;
-// Stream keeps one for its lifetime, so after the first few trees a
-// block joins without allocating.
+// buffers steps alternate between and the scratch of the root
+// projection. Run uses one for its single pass; Stream keeps one for
+// its lifetime, so after the first few trees a block joins without
+// allocating.
 type executor struct {
-	cc  canceller
-	buf [2]table
-
-	ancPerm, descPerm []int   // visiting orders of unsorted Stack-Tree sides
-	stack             []group // open ancestors of the Stack-Tree pass
-	keys              []uint64
+	cc   canceller
+	buf  [2]table
+	keys []uint64
 }
 
 // run executes prog over the inputs and returns the final rows — which
@@ -212,13 +152,7 @@ func (x *executor) run(prog *program, inputs []table) (*table, int, error) {
 		st := &prog.steps[k]
 		out := &x.buf[k&1]
 		out.reset(st.stride)
-		var err error
-		if st.stack {
-			err = x.stackJoin(st, cur, &inputs[st.rel], out)
-		} else {
-			err = x.mergeJoin(st, cur, &inputs[st.rel], out)
-		}
-		if err != nil {
+		if err := x.mergeJoin(st, cur, &inputs[st.rel], out); err != nil {
 			return nil, rows, err
 		}
 		rows += out.len()
@@ -231,24 +165,24 @@ func (x *executor) run(prog *program, inputs []table) (*table, int, error) {
 }
 
 // emit appends the combination of row and the relation entry ent to out
-// if it satisfies preds.
-func (st *step) emit(out *table, tid uint32, row, ent []postings.NodeRef, preds []cpred) {
+// if it satisfies the step's active predicates.
+func (st *step) emit(out *table, tid uint32, row, ent []postings.NodeRef) {
 	base := len(out.refs)
 	out.refs = append(out.refs, row...)
 	for _, s := range st.fresh {
 		out.refs = append(out.refs, ent[s])
 	}
-	if !satisfies(out.refs[base:], preds) {
+	if !satisfies(out.refs[base:], st.active) {
 		out.refs = out.refs[:base]
 		return
 	}
 	out.tids = append(out.tids, tid)
 }
 
-// mergeJoin is the general step: both sides are tid-ordered, so it
-// merges them tree by tree and, within a tree, pairs every row with
-// every relation entry that agrees on the shared slots and satisfies
-// the newly checkable predicates.
+// mergeJoin is every step: both sides are tid-ordered, so it merges
+// them tree by tree and, within a tree, pairs every row with every
+// relation entry that agrees on the shared slots and satisfies the
+// newly checkable predicates.
 func (x *executor) mergeJoin(st *step, cur, rel, out *table) error {
 	nC, nR := cur.len(), rel.len()
 	i, j := 0, 0
@@ -277,7 +211,7 @@ func (x *executor) mergeJoin(st *step, cur, rel, out *table) error {
 				}
 				ent := rel.row(b)
 				if sharedEqual(row, ent, st.shared) {
-					st.emit(out, tid, row, ent, st.active)
+					st.emit(out, tid, row, ent)
 				}
 			}
 		}

@@ -141,13 +141,10 @@ func randomValidOrder(rng *rand.Rand, q *query.Query, rels []Relation) []int {
 // TestKernelAgreesWithExactMatcher checks the compiled kernel against
 // the backtracking matcher of internal/match on random trees, queries
 // and covers: equal match lists for queries without same-label
-// siblings, a superset for those with — under every execution shape the
-// options can select (the syntactic connected order or a random
-// connected one, Stack-Tree on or off per run and per package switch),
-// from both Run and a drained Stream, which must also agree with each
-// other exactly.
+// siblings, a superset for those with — under both join orders (the
+// syntactic connected order and a random connected one), from both Run
+// and a drained Stream, which must also agree with each other exactly.
 func TestKernelAgreesWithExactMatcher(t *testing.T) {
-	defer func() { DisableStackJoin = false }()
 	rng := rand.New(rand.NewSource(20120831))
 	const alphabet = "ABC"
 	exact, superset, matching := 0, 0, 0
@@ -175,12 +172,11 @@ func TestKernelAgreesWithExactMatcher(t *testing.T) {
 		}
 
 		var first []Match
-		for variant := 0; variant < 8; variant++ {
-			opt := Options{NoStack: variant&1 != 0, Order: syntacticOrder(q, rels)}
-			if variant&2 != 0 {
+		for variant := 0; variant < 2; variant++ {
+			opt := Options{Order: syntacticOrder(q, rels)}
+			if variant == 1 {
 				opt.Order = randomValidOrder(rng, q, rels)
 			}
-			DisableStackJoin = variant&4 != 0
 			name := fmt.Sprintf("trial %d %s variant %d", trial, q, variant)
 
 			got, info, err := Run(context.Background(), q, rels, opt)

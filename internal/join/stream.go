@@ -185,8 +185,7 @@ type Stream struct {
 
 // NewStreamOpts validates the inputs, compiles the join in the order
 // opt.Order and returns a stream positioned before the first match.
-// Relation, query and order requirements are those of Run, and
-// opt.NoStack suppresses the Stack-Tree fast path as it does there; an
+// Relation, query and order requirements are those of Run; an
 // empty posting list is not an error (the stream just produces
 // nothing). Every relation's window is carved from two arrays allocated
 // here, so a stream's set-up cost does not depend on the list lengths.
@@ -206,7 +205,7 @@ func NewStreamOpts(ctx context.Context, q *query.Query, rels []StreamRelation, o
 	if err := validOrder(q, slots, opt.Order); err != nil {
 		return nil, err
 	}
-	prog, err := compile(q, slots, opt.Order, opt.NoStack)
+	prog, err := compile(q, slots, opt.Order)
 	if err != nil {
 		return nil, err
 	}

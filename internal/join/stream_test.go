@@ -44,9 +44,8 @@ func drain(t *testing.T, s *Stream) []Match {
 
 // randomTreeRefs generates the NodeRefs of one structurally valid
 // random tree: a random parent array turned into proper pre/post/level
-// interval numbers. Tree-shaped (laminar) intervals matter — the
-// Stack-Tree join's nesting-chain argument assumes them, so only
-// inputs a real index could produce are in scope.
+// interval numbers. Tree-shaped (laminar) intervals keep the inputs to
+// those a real index could produce.
 func randomTreeRefs(rng *rand.Rand, size int) []postings.NodeRef {
 	children := make([][]int, size)
 	for v := 1; v < size; v++ {

@@ -52,9 +52,9 @@ const (
 	// StrategyFilter is the filter-and-validate path of filter-based
 	// coding (postings carry no node references to join on).
 	StrategyFilter Strategy = iota + 1
-	// StrategyBlock is never chosen: the join kernel decides merge vs.
-	// Stack-Tree per step on its own. Declared only because the frozen
-	// benchmark (bench/layers.go) compares Plan.Strategy against it.
+	// StrategyBlock is never chosen: every join step runs the one merge
+	// kernel. Declared only because the frozen benchmark
+	// (bench/layers.go) compares Plan.Strategy against it.
 	StrategyBlock
 	// StrategyStream joins incrementally, one tree at a time, without
 	// materializing relations — the root-split and subtree-interval
