@@ -17,7 +17,7 @@ func TestRootCursorBlockAllocatesNothing(t *testing.T) {
 	acc := postings.NewRootAccumulator(true)
 	const n = 4096
 	for i := uint32(0); i < n; i++ {
-		acc.Add(i/2, postings.NodeRef{Pre: i % 2, Post: 9, Level: i % 2, Order: i % 2})
+		acc.Add(i/2, postings.NodeRef{Pre: i % 2, Post: 9, Level: i % 2})
 	}
 	for _, dels := range []*TombSet{nil, newTombSet([]uint32{3, 4, 900, 2047})} {
 		c := &rootCursor{it: *postings.NewRootIterator(acc.Bytes()), dels: dels.Scan()}

@@ -301,7 +301,6 @@ func nodeRef(t *lingtree.Tree, v int) postings.NodeRef {
 		Pre:   uint32(n.Pre),
 		Post:  uint32(n.Post),
 		Level: uint32(n.Level),
-		Order: uint32(n.Pre),
 	}
 }
 

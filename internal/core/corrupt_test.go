@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -168,5 +169,107 @@ func TestCorruptCountPrefixOnKeyPaths(t *testing.T) {
 			t.Errorf("mmap=%v: a failed plan was stored: %d plans, %d plan-map hits", mode, stored, c.PlanCacheHits)
 		}
 		l.Close()
+	}
+}
+
+// TestIntervalInstanceOfTheWrongWidthFails stores a subtree-interval
+// list in which one instance, midway, has a node fewer than its key has
+// slots. The batch cursor checks every instance against its piece's
+// stride, so a search, a count and a stream over the list each end in
+// an error naming the widths, never a panic, and no match comes from
+// the malformed instance or from behind it.
+func TestIntervalInstanceOfTheWrongWidthFails(t *testing.T) {
+	const q = "NP(DT)(NN)"
+	trees := shardCorpus(200)
+	dir := t.TempDir()
+	if _, err := Build(dir, trees, Options{MSS: 3, Coding: postings.SubtreeInterval}); err != nil {
+		t.Fatal(err)
+	}
+	intact, err := OpenLive(dir, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := intact.Search(context.Background(), q, SearchOpts{})
+	intact.Close()
+	if err != nil || len(res.Matches) < 4 {
+		t.Fatalf("vacuous fixture: %d matches, err %v", len(res.Matches), err)
+	}
+	want := res.Matches
+	pl, err := planner.New(query.MustParse(q), 3, postings.SubtreeInterval, nil)
+	if err != nil || len(pl.Pieces) != 1 || len(pl.Pieces[0].Slots) != 3 {
+		t.Fatalf("vacuous fixture: plan %+v, err %v; want one three-slot piece", pl, err)
+	}
+	pieceKey := []byte(pl.Pieces[0].Key)
+
+	// Rewrite the piece's list with the instance of a middle match's tree
+	// cut to two nodes, keeping the count prefix.
+	badTID := want[len(want)/2].TID
+	path := filepath.Join(dir, indexFileName)
+	src, err := btree.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pairs [][2][]byte
+	for it := src.Iterator(nil); it.Next(); {
+		pairs = append(pairs, [2][]byte{bytes.Clone(it.Key()), bytes.Clone(it.Value())})
+	}
+	src.Close()
+	cut := false
+	for i, kv := range pairs {
+		if !bytes.Equal(kv[0], pieceKey) {
+			continue
+		}
+		count, n := binary.Uvarint(kv[1])
+		var acc postings.IntervalAccumulator
+		for it := postings.NewIntervalIterator(kv[1][n:]); it.Next(); {
+			nodes := it.Nodes()
+			if it.TID() == badTID && !cut {
+				nodes, cut = nodes[:2], true
+			}
+			acc.Add(it.TID(), nodes)
+		}
+		pairs[i][1] = append(binary.AppendUvarint(nil, count), acc.Bytes()...)
+	}
+	if !cut {
+		t.Fatalf("vacuous fixture: no instance of tree %d under %q", badTID, pieceKey)
+	}
+	b, err := btree.NewBuilder(path, pager.DefaultPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kv := range pairs {
+		if err := b.Add(kv[0], kv[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Finish(); err != nil {
+		t.Fatal(err)
+	}
+
+	l := openDir(t, dir, OpenOptions{})
+	const msg = "binds 2 nodes, want 3"
+	for _, countOnly := range []bool{false, true} {
+		if res, err := l.Search(context.Background(), q, SearchOpts{CountOnly: countOnly}); err == nil || !strings.Contains(err.Error(), msg) {
+			t.Errorf("countOnly=%v: search gave %+v, err %v; want an error containing %q", countOnly, res, err, msg)
+		}
+	}
+	stream, err := l.SearchStream(context.Background(), q, SearchOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Match
+	var streamErr error
+	for m, err := range stream.All() {
+		if err != nil {
+			streamErr = err
+			break
+		}
+		got = append(got, m)
+	}
+	if streamErr == nil || !strings.Contains(streamErr.Error(), msg) {
+		t.Errorf("stream ended with err %v; want an error containing %q", streamErr, msg)
+	}
+	if len(got) > len(want) || !slices.Equal(got, want[:len(got)]) || (len(got) > 0 && got[len(got)-1].TID >= badTID) {
+		t.Errorf("stream emitted %v ahead of its error; want a prefix of the intact matches below tree %d", got, badTID)
 	}
 }

@@ -24,10 +24,11 @@ import (
 // work counter reads as on a streamed evaluation.
 
 // listMemoFactor bounds a leaf's memo at this multiple of its index
-// file's bytes. A decoded posting is 20 bytes against the four or five
-// of its wire form, so the bound holds the decoded form of about half
-// a leaf's postings, and the frequent keys that a workload repeats hold
-// most of them.
+// file's bytes. A decoded posting is 16 bytes — a tid and a
+// three-number NodeRef — against the four or five of its wire form, so
+// the bound holds the decoded form of somewhat more than half a leaf's
+// postings, and the frequent keys that a workload repeats hold most of
+// them.
 const listMemoFactor = 2
 
 // decodedList is one root-split posting list decoded in full: tids[i]

@@ -256,7 +256,7 @@ func TestListMemoRefusesCorruptLists(t *testing.T) {
 func memoList(n int) []byte {
 	acc := postings.NewRootAccumulator(true)
 	for tid := range uint32(n) {
-		acc.Add(tid, postings.NodeRef{Pre: 1, Post: 1, Level: 1, Order: 1})
+		acc.Add(tid, postings.NodeRef{Pre: 1, Post: 1, Level: 1})
 	}
 	return acc.Bytes()
 }

@@ -75,8 +75,9 @@ type SearchStats struct {
 	// Truncated reports that the result is an incomplete prefix: a
 	// Limit cut materialization short or stopped the shard scan before
 	// every partition was consulted. Count is then a lower bound on
-	// the total number of matches.
-	Truncated bool `json:"truncated"`
+	// the total number of matches. It is not marshalled: the server
+	// reports it beside the stats, on the result.
+	Truncated bool `json:"-"`
 	// JoinRows measures join work: posting entries decoded plus
 	// intermediate rows produced by join steps, summed over the shards
 	// consulted. Limits push down into the join itself, so whenever a

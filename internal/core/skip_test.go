@@ -27,13 +27,13 @@ func skipLists(rng *rand.Rand, trees int) (as, bs *postings.RootAccumulator) {
 	every := 1 + rng.Intn(400)
 	for tid := uint32(0); tid < uint32(trees); tid++ {
 		if rng.Intn(every) == 0 {
-			as.Add(tid, postings.NodeRef{Pre: 0, Post: 1 << 20, Level: 0, Order: 0})
+			as.Add(tid, postings.NodeRef{Pre: 0, Post: 1 << 20, Level: 0})
 		}
 		if rng.Intn(20) == 0 {
 			continue
 		}
 		for j := uint32(1); j <= 1+uint32(rng.Intn(12)); j++ {
-			bs.Add(tid, postings.NodeRef{Pre: j, Post: j, Level: 1, Order: j})
+			bs.Add(tid, postings.NodeRef{Pre: j, Post: j, Level: 1})
 		}
 	}
 	return as, bs
@@ -118,10 +118,10 @@ func TestStreamCancelMidSkip(t *testing.T) {
 	const trees, gap = 100000, 1000
 	for tid := uint32(0); tid < trees; tid++ {
 		if tid%gap == gap-1 {
-			as.Add(tid, postings.NodeRef{Pre: 0, Post: 9, Level: 0, Order: 0})
+			as.Add(tid, postings.NodeRef{Pre: 0, Post: 9, Level: 0})
 		}
 		for j := uint32(1); j <= 3; j++ {
-			bs.Add(tid, postings.NodeRef{Pre: j, Post: j, Level: 1, Order: j})
+			bs.Add(tid, postings.NodeRef{Pre: j, Post: j, Level: 1})
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
@@ -50,12 +51,11 @@ func (ix *Index) streamPlan(ctx context.Context, pl *Plan, get postingGetter, ev
 	}
 }
 
-// pieceCursor returns the lazily-decoding cursor of one plan piece's
-// posting blob — a batch cursor for root-split lists (copying from the
-// leaf's decoded list when its memo holds one), a per-entry one for
-// subtree-interval lists — filtered by the leaf's tombstone set (dels
-// may be nil); found=false means the key is absent (the query cannot
-// match anywhere).
+// pieceCursor returns the lazily-decoding batch cursor of one plan
+// piece's posting blob — copying from the leaf's decoded list when its
+// memo holds a root-split one — filtered by the leaf's tombstone set
+// (dels may be nil); found=false means the key is absent (the query
+// cannot match anywhere).
 func (ix *Index) pieceCursor(pp PlanPiece, get postingGetter, dels *TombSet) (join.StreamRelation, bool, error) {
 	count, payload, found, err := postingPayload(pp.Key, get, ix.meta.Coding)
 	if err != nil || !found {
@@ -73,7 +73,7 @@ func (ix *Index) pieceCursor(pp PlanPiece, get postingGetter, dels *TombSet) (jo
 		rel.Slots, rel.Blocks = c.slot[:], c
 	case postings.SubtreeInterval:
 		rel.Slots = pp.Slots
-		rel.Cursor = &intervalCursor{it: *postings.NewIntervalIterator(payload), perms: pp.Perms, pi: len(pp.Perms), dels: dels.Scan()}
+		rel.Blocks = &intervalCursor{it: *postings.NewIntervalIterator(payload), perms: pp.Perms, pi: len(pp.Perms), dels: dels.Scan()}
 	default:
 		return join.StreamRelation{}, false, fmt.Errorf("core: stream with coding %v", ix.meta.Coding)
 	}
@@ -222,23 +222,23 @@ func (c *rootCursor) Skip(target uint32) int {
 // Err reports the iterator's decode error, if any.
 func (c *rootCursor) Err() error { return c.it.Err() }
 
-// intervalCursor adapts a subtree-interval posting iterator, expanding
-// each instance by the pattern's slot automorphisms lazily — pieces with
-// identical-encoding siblings admit several equivalent slot assignments
-// per instance, and joins that constrain the twins differently must see
-// every one (false-negative fix): the perm variants of one instance are
-// emitted consecutively, which preserves the tid grouping the join
-// stream needs. Postings of tombstoned trees are skipped before the
-// permutation expansion, so a deleted tree costs no variant entries
-// (dels may be nil). Entries are valid until the next call to Next: an
-// unpermuted instance is the iterator's own reused node slice, a
-// permuted one is written into the cursor's scratch.
+// intervalCursor adapts a subtree-interval posting iterator to the
+// join's batch cursor, expanding each instance by the pattern's slot
+// automorphisms lazily — pieces with identical-encoding siblings admit
+// several equivalent slot assignments per instance, and joins that
+// constrain the twins differently must see every one (false-negative
+// fix). The variants of one instance are written consecutively, each
+// straight into the window at the piece's stride, which preserves the
+// tid grouping the join stream needs; a block may end between two
+// variants of an instance, and the next one goes on from there.
+// Postings of tombstoned trees are skipped before the expansion, so a
+// deleted tree costs no variant entries (dels may be nil).
 type intervalCursor struct {
-	it      postings.IntervalIterator
-	perms   [][]int
-	dels    TombScan
-	pi      int // next perm of the current instance to emit; >= len(perms) pulls a fresh instance
-	scratch []postings.NodeRef
+	it    postings.IntervalIterator
+	perms [][]int // the slot automorphisms: never empty, the identity alone when the piece has no twins
+	dels  TombScan
+	pi    int   // the current instance's next variant; len(perms) pulls a fresh instance
+	err   error // an instance of the wrong width
 }
 
 // advance pulls the next surviving instance off the iterator.
@@ -251,35 +251,41 @@ func (c *intervalCursor) advance() bool {
 	return false
 }
 
-// Next decodes (or permutes) the next interval posting.
-func (c *intervalCursor) Next() (postings.IntervalEntry, bool) {
-	if len(c.perms) <= 1 {
-		if !c.advance() {
-			return postings.IntervalEntry{}, false
+// NextBlock writes the next variants into tids and refs, len(refs) /
+// len(tids) records each, and returns how many it wrote. An instance
+// whose node count is not that stride fails the cursor there: the
+// variants ahead of it are handed over and the next call writes none.
+func (c *intervalCursor) NextBlock(tids []uint32, refs []postings.NodeRef) int {
+	if c.err != nil {
+		return 0
+	}
+	w := len(refs) / len(tids)
+	for k := range tids {
+		if c.pi == len(c.perms) {
+			if !c.advance() {
+				return k
+			}
+			if n := len(c.it.Nodes()); n != w {
+				c.err = fmt.Errorf("interval instance binds %d nodes, want %d", n, w)
+				return k
+			}
+			c.pi = 0
 		}
-		return postings.IntervalEntry{TID: c.it.TID(), Nodes: c.it.Nodes()}, true
-	}
-	if c.pi >= len(c.perms) {
-		if !c.advance() {
-			return postings.IntervalEntry{}, false
+		// The instance stays in the iterator's slice until advance moves
+		// on; its variant is written record by record.
+		cur, dst := c.it.Nodes(), refs[k*w:][:w]
+		for j, src := range c.perms[c.pi] {
+			dst[j] = cur[src]
 		}
-		c.pi = 0
+		tids[k] = c.it.TID()
+		c.pi++
 	}
-	pm := c.perms[c.pi]
-	c.pi++
-	// The instance stays in the iterator's slice until advance moves on.
-	cur := c.it.Nodes()
-	if len(cur) != len(pm) {
-		// A corrupt instance of the wrong size: hand it over unpermuted
-		// and let the join reject its width.
-		return postings.IntervalEntry{TID: c.it.TID(), Nodes: cur}, true
-	}
-	c.scratch = c.scratch[:0]
-	for _, src := range pm {
-		c.scratch = append(c.scratch, cur[src])
-	}
-	return postings.IntervalEntry{TID: c.it.TID(), Nodes: c.scratch}, true
+	return len(tids)
 }
 
-// Err reports the iterator's decode error, if any.
-func (c *intervalCursor) Err() error { return c.it.Err() }
+// Skip passes nothing: an interval list has no skip table, so the
+// stream steps over a gap entry by entry.
+func (c *intervalCursor) Skip(uint32) int { return 0 }
+
+// Err reports the malformed instance or the iterator's decode error.
+func (c *intervalCursor) Err() error { return cmp.Or(c.err, c.it.Err()) }

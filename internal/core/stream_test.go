@@ -308,9 +308,13 @@ func eagerRelations(t *testing.T, leaf *Index, pl *Plan, dels *TombSet) []join.R
 // first two queries are one twin piece each and the third joins a twin
 // piece to a plain one; on the hand-built trees the // edge constrains
 // only one of the twins, so trees whose stored instance has them the
-// other way round match only through the swapped variant.
+// other way round match only through the swapped variant. On the last
+// fixture one tree's 20 instances of a three-twin piece expand to 120
+// variant entries, far more than the join's 32-entry window, so the
+// cursor's blocks end between two variants of one instance.
 func TestLazyPermExpansionAgreesWithEager(t *testing.T) {
 	ctx := context.Background()
+	const wideQuery, window = "X(N)(N)(N)", 32
 	for _, fx := range []struct {
 		trees   []*lingtree.Tree
 		mss     int
@@ -323,6 +327,11 @@ func TestLazyPermExpansionAgreesWithEager(t *testing.T) {
 			lingtree.MustParse(2, "(X (N b) (N c))"),
 			lingtree.MustParse(3, "(X (N (A a)) (N (A a)))"),
 		}, 3, []string{"X(N)(N(//a))"}},
+		{[]*lingtree.Tree{
+			lingtree.MustParse(0, "(X (N a) (N b) (N c) (N d) (N e) (N f))"),
+			lingtree.MustParse(1, "(X (N a) (N b) (N c))"),
+			lingtree.MustParse(2, "(Y (X (N a) (N b) (N c)) (X (N d) (N e) (N f) (N g)))"),
+		}, 4, []string{wideQuery}},
 	} {
 		dir := filepath.Join(t.TempDir(), "ix")
 		if _, err := Build(dir, fx.trees, Options{MSS: fx.mss, Coding: postings.SubtreeInterval}); err != nil {
@@ -347,6 +356,16 @@ func TestLazyPermExpansionAgreesWithEager(t *testing.T) {
 			for i, m := range all {
 				if i%2 == 0 && (len(dead) == 0 || dead[len(dead)-1] != m.TID) {
 					dead = append(dead, m.TID)
+				}
+			}
+			if src == wideQuery {
+				rels := eagerRelations(t, leaf, pl, nil)
+				perTree := map[uint32]int{}
+				for _, e := range rels[0].Entries {
+					perTree[e.TID]++
+				}
+				if len(pl.Pieces) != 1 || perTree[0] <= window {
+					t.Fatalf("%s: %d pieces, %d variant entries in tree 0; want one piece and more than %d", src, len(pl.Pieces), perTree[0], window)
 				}
 			}
 			for _, dels := range []*TombSet{nil, newTombSet(dead)} {
@@ -502,9 +521,9 @@ func TestRootCursorHeavyTreeAgreesWithReference(t *testing.T) {
 		if tid == 20 || tid == 41 {
 			n = 6000 + tid
 		}
-		as.Add(tid, postings.NodeRef{Pre: 0, Post: 1 << 20, Level: 0, Order: 0})
+		as.Add(tid, postings.NodeRef{Pre: 0, Post: 1 << 20, Level: 0})
 		for j := uint32(1); j <= n; j++ {
-			bs.Add(tid, postings.NodeRef{Pre: j, Post: j, Level: 1, Order: j})
+			bs.Add(tid, postings.NodeRef{Pre: j, Post: j, Level: 1})
 		}
 	}
 	for _, dels := range []*TombSet{nil, newTombSet([]uint32{0, 19, 21, 40, 59})} {

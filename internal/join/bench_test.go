@@ -24,8 +24,8 @@ func benchRelations(n, stride int) []Relation {
 	b := make([]postings.IntervalEntry, n)
 	nodes := make([]postings.NodeRef, 2*n)
 	for i := 0; i < n; i++ {
-		nodes[2*i] = postings.NodeRef{Pre: 0, Post: 9, Level: 0, Order: 0}
-		nodes[2*i+1] = postings.NodeRef{Pre: 1, Post: 1, Level: 1, Order: 1}
+		nodes[2*i] = postings.NodeRef{Pre: 0, Post: 9, Level: 0}
+		nodes[2*i+1] = postings.NodeRef{Pre: 1, Post: 1, Level: 1}
 		a[i] = postings.IntervalEntry{TID: uint32(i), Nodes: nodes[2*i : 2*i+1 : 2*i+1]}
 		b[i] = postings.IntervalEntry{TID: uint32(i * stride), Nodes: nodes[2*i+1 : 2*i+2 : 2*i+2]}
 	}

@@ -83,7 +83,7 @@ func numberTree(parent []int, label []byte) []fuzzNode {
 	walk = func(v int, level uint32) {
 		i := len(out)
 		pre := uint32(i)
-		out = append(out, fuzzNode{label: label[v], ref: postings.NodeRef{Pre: pre, Level: level, Order: pre}})
+		out = append(out, fuzzNode{label: label[v], ref: postings.NodeRef{Pre: pre, Level: level}})
 		for _, c := range kids[v] {
 			walk(c, level+1)
 		}

@@ -27,8 +27,8 @@
 // buffers, so steady-state evaluation allocates nothing per row or per
 // tree. A Stream reads its relations through fixed-size
 // windows of flat tids and node records that batch cursors decode into
-// directly (BlockCursor; per-entry cursors are copied in by one
-// adapter), so stepping over an entry is a compare in a scan, and the
+// directly (BlockCursor, the one contract production cursors
+// implement), so stepping over an entry is a compare in a scan, and the
 // kernel joins views into the windows without copying them.
 package join
 

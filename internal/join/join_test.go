@@ -12,7 +12,7 @@ import (
 )
 
 func ref(pre, post, level uint32) postings.NodeRef {
-	return postings.NodeRef{Pre: pre, Post: post, Level: level, Order: pre}
+	return postings.NodeRef{Pre: pre, Post: post, Level: level}
 }
 
 func entry(tid uint32, refs ...postings.NodeRef) postings.IntervalEntry {

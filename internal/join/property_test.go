@@ -53,7 +53,7 @@ func randomQueryText(rng *rand.Rand, alphabet string) string {
 }
 
 func nodeRef(n *lingtree.Node) postings.NodeRef {
-	return postings.NodeRef{Pre: uint32(n.Pre), Post: uint32(n.Post), Level: uint32(n.Level), Order: uint32(n.Pre)}
+	return postings.NodeRef{Pre: uint32(n.Pre), Post: uint32(n.Post), Level: uint32(n.Level)}
 }
 
 // randomCover decomposes q into root-split style relations over trees:
@@ -175,7 +175,7 @@ func TestKernelAgreesWithExactMatcher(t *testing.T) {
 		for variant := 0; variant < 2; variant++ {
 			opt := Options{Order: syntacticOrder(q, rels)}
 			if variant == 1 {
-				opt.Order = randomValidOrder(rng, q, rels)
+				opt = Options{Order: randomValidOrder(rng, q, rels)}
 			}
 			name := fmt.Sprintf("trial %d %s variant %d", trial, q, variant)
 

@@ -30,8 +30,12 @@ import (
 // An entry's Nodes need only stay valid until the next call to Next:
 // the stream copies them into the relation's window as it fills it (see
 // BlockCursor), so a cursor may decode into one scratch slice for its
-// whole life. A cursor that can produce many entries per call should
-// implement BlockCursor instead and skip that copy.
+// whole life.
+//
+// No production cursor implements it: every one is a BlockCursor. It
+// stays declared, with StreamRelation.Cursor and its adapter
+// entryBlocks, only because bench/layers.go streams through a per-entry
+// cursor, and tests use it as the one-at-a-time reference.
 type EntryCursor interface {
 	// Next returns the next entry in (tid, pre) order; ok reports
 	// whether one was produced.
@@ -68,9 +72,13 @@ type BlockCursor interface {
 // Relation, entries read from Blocks or, when that is nil, pulled from
 // Cursor one at a time.
 type StreamRelation struct {
-	Name   string      // for diagnostics: the piece's key
-	Slots  []int       // query node bound by each entry column
-	Cursor EntryCursor // per-entry (tid, pre)-sorted source; unused when Blocks is set
+	Name  string // for diagnostics: the piece's key
+	Slots []int  // query node bound by each entry column
+	// Cursor is a per-entry (tid, pre)-sorted source, unused when Blocks
+	// is set. No production relation sets it; it is declared only
+	// because bench/layers.go names it, and tests use it as the
+	// one-at-a-time reference.
+	Cursor EntryCursor
 	Blocks BlockCursor // batch (tid, pre)-sorted source
 }
 
@@ -113,7 +121,8 @@ func (c *source) read() int {
 
 // entryBlocks fills a window from a per-entry cursor — the one place an
 // EntryCursor is consumed, so relations with and without a batch decoder
-// share the stream's whole align/collect/join path.
+// share the stream's whole align/collect/join path. Only bench's
+// per-entry cursor and tests' references reach it.
 type entryBlocks struct {
 	cursor EntryCursor
 	stride int

@@ -57,7 +57,6 @@ func randomTreeRefs(rng *rand.Rand, size int) []postings.NodeRef {
 	var walk func(v int, level uint32)
 	walk = func(v int, level uint32) {
 		refs[v].Pre = pre
-		refs[v].Order = pre
 		refs[v].Level = level
 		pre++
 		for _, c := range children[v] {
@@ -156,8 +155,8 @@ func TestStreamStopsEarly(t *testing.T) {
 	q := query.MustParse("A(B)")
 	var ra, rb []postings.IntervalEntry
 	for tid := uint32(0); tid < 100; tid++ {
-		ra = append(ra, postings.IntervalEntry{TID: tid, Nodes: []postings.NodeRef{{Pre: 0, Post: 9, Level: 0, Order: 0}}})
-		rb = append(rb, postings.IntervalEntry{TID: tid, Nodes: []postings.NodeRef{{Pre: 1, Post: 1, Level: 1, Order: 1}}})
+		ra = append(ra, postings.IntervalEntry{TID: tid, Nodes: []postings.NodeRef{{Pre: 0, Post: 9, Level: 0}}})
+		rb = append(rb, postings.IntervalEntry{TID: tid, Nodes: []postings.NodeRef{{Pre: 1, Post: 1, Level: 1}}})
 	}
 	rels := []Relation{
 		{Name: "A", Slots: []int{0}, Entries: ra},
@@ -185,10 +184,10 @@ func TestStreamCancellation(t *testing.T) {
 	q := query.MustParse("A(B)")
 	rels := []Relation{
 		{Name: "A", Slots: []int{0}, Entries: []postings.IntervalEntry{
-			{TID: 1, Nodes: []postings.NodeRef{{Pre: 0, Post: 3, Level: 0, Order: 0}}},
+			{TID: 1, Nodes: []postings.NodeRef{{Pre: 0, Post: 3, Level: 0}}},
 		}},
 		{Name: "B", Slots: []int{1}, Entries: []postings.IntervalEntry{
-			{TID: 1, Nodes: []postings.NodeRef{{Pre: 1, Post: 1, Level: 1, Order: 1}}},
+			{TID: 1, Nodes: []postings.NodeRef{{Pre: 1, Post: 1, Level: 1}}},
 		}},
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -357,9 +356,9 @@ func TestStreamCancelMidSeek(t *testing.T) {
 	const n = 5000
 	small := make([]postings.IntervalEntry, n)
 	for i := range small {
-		small[i] = postings.IntervalEntry{TID: uint32(i), Nodes: []postings.NodeRef{{Pre: 1, Post: 1, Level: 1, Order: 1}}}
+		small[i] = postings.IntervalEntry{TID: uint32(i), Nodes: []postings.NodeRef{{Pre: 1, Post: 1, Level: 1}}}
 	}
-	far := []postings.IntervalEntry{{TID: n + 10, Nodes: []postings.NodeRef{{Pre: 0, Post: 3, Level: 0, Order: 0}}}}
+	far := []postings.IntervalEntry{{TID: n + 10, Nodes: []postings.NodeRef{{Pre: 0, Post: 3, Level: 0}}}}
 	for _, mode := range cancelModes {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
@@ -392,9 +391,9 @@ func TestStreamCancelMidCollect(t *testing.T) {
 	block := make([]postings.IntervalEntry, n)
 	for i := range block {
 		p := uint32(i + 1)
-		block[i] = postings.IntervalEntry{TID: 7, Nodes: []postings.NodeRef{{Pre: p, Post: p, Level: 1, Order: p}}}
+		block[i] = postings.IntervalEntry{TID: 7, Nodes: []postings.NodeRef{{Pre: p, Post: p, Level: 1}}}
 	}
-	root := []postings.IntervalEntry{{TID: 7, Nodes: []postings.NodeRef{{Pre: 0, Post: n + 2, Level: 0, Order: 0}}}}
+	root := []postings.IntervalEntry{{TID: 7, Nodes: []postings.NodeRef{{Pre: 0, Post: n + 2, Level: 0}}}}
 	for _, mode := range cancelModes {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
@@ -425,13 +424,13 @@ func heavyRelations(rng *rand.Rand, trees int) []Relation {
 	for tid := uint32(0); tid < uint32(trees); tid++ {
 		if rng.Intn(5) > 0 {
 			rels[0].Entries = append(rels[0].Entries, postings.IntervalEntry{
-				TID: tid, Nodes: []postings.NodeRef{{Pre: 0, Post: 1 << 20, Level: 0, Order: 0}}})
+				TID: tid, Nodes: []postings.NodeRef{{Pre: 0, Post: 1 << 20, Level: 0}}})
 		}
 		k := []int{0, 1, 2, 3, window - 1, window, window + 1, 3*window + 5}[rng.Intn(8)]
 		for j := 1; j <= k; j++ {
 			p := uint32(j)
 			rels[1].Entries = append(rels[1].Entries, postings.IntervalEntry{
-				TID: tid, Nodes: []postings.NodeRef{{Pre: p, Post: p, Level: uint32(1 + j%2), Order: p}}})
+				TID: tid, Nodes: []postings.NodeRef{{Pre: p, Post: p, Level: uint32(1 + j%2)}}})
 		}
 	}
 	return rels
@@ -576,13 +575,13 @@ func TestStreamJoinsRunsFarLargerThanTheWindow(t *testing.T) {
 				n = run + int(tid)
 			}
 			rels[0].Entries = append(rels[0].Entries, postings.IntervalEntry{
-				TID: tid, Nodes: []postings.NodeRef{{Pre: 0, Post: 1 << 20, Level: 0, Order: 0}}})
+				TID: tid, Nodes: []postings.NodeRef{{Pre: 0, Post: 1 << 20, Level: 0}}})
 			for j := 0; j < n; j++ {
 				p := uint32(1 + 4*j)
 				nodes := []postings.NodeRef{
-					{Pre: p, Post: p + 3, Level: 1, Order: uint32(j)},
-					{Pre: p + 1, Post: p + 1, Level: 2, Order: 0},
-					{Pre: p + 2, Post: p + 2, Level: 2, Order: 1},
+					{Pre: p, Post: p + 3, Level: 1},
+					{Pre: p + 1, Post: p + 1, Level: 2},
+					{Pre: p + 2, Post: p + 2, Level: 2},
 				}
 				rels[1].Entries = append(rels[1].Entries, postings.IntervalEntry{TID: tid, Nodes: nodes[:len(tc.slots[1])]})
 			}

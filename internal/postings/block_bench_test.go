@@ -51,7 +51,7 @@ func syntheticRootList(tidStep uint32) (payload []byte, entries int) {
 	for t := uint32(0); t < trees; t++ {
 		for k := uint32(0); k < perTree; k++ {
 			pre := 1 + 7*k
-			acc.Add(t*tidStep, postings.NodeRef{Pre: pre, Post: pre + 3, Level: 1 + k, Order: pre})
+			acc.Add(t*tidStep, postings.NodeRef{Pre: pre, Post: pre + 3, Level: 1 + k})
 		}
 	}
 	return acc.Bytes(), acc.Count()

@@ -19,12 +19,12 @@ func FuzzPostingDecode(f *testing.F) {
 		fa.Add(tid)
 	}
 	ra := NewRootAccumulator(true)
-	ra.Add(1, NodeRef{Pre: 2, Post: 9, Level: 1, Order: 2})
-	ra.Add(9, NodeRef{Pre: 0, Post: 12, Level: 0, Order: 0})
-	ra.Add(1000, NodeRef{Pre: 77, Post: 90, Level: 3, Order: 77})
+	ra.Add(1, NodeRef{Pre: 2, Post: 9, Level: 1})
+	ra.Add(9, NodeRef{Pre: 0, Post: 12, Level: 0})
+	ra.Add(1000, NodeRef{Pre: 77, Post: 90, Level: 3})
 	var ia IntervalAccumulator
-	ia.Add(2, []NodeRef{{Pre: 1, Post: 5, Level: 1, Order: 1}, {Pre: 300, Post: 2, Level: 2, Order: 300}})
-	ia.Add(64, []NodeRef{{Pre: 0, Post: 900, Level: 0, Order: 0}, {Pre: 4, Post: 3, Level: 9, Order: 4}})
+	ia.Add(2, []NodeRef{{Pre: 1, Post: 5, Level: 1}, {Pre: 300, Post: 2, Level: 2}})
+	ia.Add(64, []NodeRef{{Pre: 0, Post: 900, Level: 0}, {Pre: 4, Post: 3, Level: 9}})
 	for i, blob := range [][]byte{fa.Bytes(), ra.Bytes(), ia.Bytes()} {
 		f.Add(uint8(i), blob)
 		if len(blob) > 2 {
@@ -266,7 +266,7 @@ func skipList(recipe []byte) (*RootAccumulator, []RootEntry) {
 		} else {
 			pre += 1 + uint32(b1)
 		}
-		e := RootEntry{TID: tid, NodeRef: NodeRef{Pre: pre, Post: uint32(b2) * 3, Level: uint32(b2 >> 3), Order: pre}}
+		e := RootEntry{TID: tid, NodeRef: NodeRef{Pre: pre, Post: uint32(b2) * 3, Level: uint32(b2 >> 3)}}
 		acc.Add(e.TID, e.NodeRef)
 		all = append(all, e)
 	}

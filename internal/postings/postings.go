@@ -11,7 +11,8 @@
 //     carries a skip table, so a seek can step over whole blocks;
 //   - subtree-interval: one record per *instance*, carrying
 //     ⟨pre, post, level, order⟩ for every node of the key in canonical
-//     slot order (§4.4.2).
+//     slot order (§4.4.2); order is the pre-order rank, so it repeats
+//     pre, and the decoder reads it and drops it.
 //
 // All integers are unsigned varints; tids are delta-coded across
 // records.
@@ -69,12 +70,14 @@ func ParseCoding(s string) (Coding, error) {
 }
 
 // NodeRef is the structural record of one node of an instance: the
-// ⟨l, r, v, o⟩ tuple of §4.4.2 under our dense pre/post numbering.
+// ⟨l, r, v, o⟩ tuple of §4.4.2 under our dense pre/post numbering, held
+// as three numbers. The fourth, o, is the pre-order rank, which equals
+// Pre; only the subtree-interval wire form still stores it, so that
+// Table 1's index sizes are the paper's.
 type NodeRef struct {
 	Pre   uint32 // pre-visit rank (interval left endpoint)
 	Post  uint32 // post-visit rank (interval right endpoint)
 	Level uint32 // depth in the data tree
-	Order uint32 // pre-order rank in the data tree (== Pre here; kept for paper parity)
 }
 
 // RefArena amortizes NodeRef slice allocations across many decoded
@@ -308,17 +311,17 @@ type RootIterator struct {
 	buf []byte
 	off int
 	tid uint32
-	// The current posting's structural numbers, packed two to a word
-	// (post<<32 | pre, order<<32 | level). Entry is inlined into loops
-	// that call it right after Next and copy the record with 8-byte
-	// moves; were Next to leave four freshly written 4-byte fields
-	// behind, each of those loads would straddle two pending stores and
-	// stall until they retire (a store-forwarding miss, a tenth of a
-	// streamed evaluation's time when measured). Words written whole
-	// are read back whole.
-	prePost, levelOrder uint64
-	first               bool
-	err                 error
+	// The current posting's structural numbers, pre and post packed in
+	// one word (post<<32 | pre). Entry is inlined into loops that call it
+	// right after Next and copy the record with an 8-byte move; were Next
+	// to leave two freshly written 4-byte fields behind, that load would
+	// straddle two pending stores and stall until they retire (a
+	// store-forwarding miss, a tenth of a streamed evaluation's time when
+	// measured). Words written whole are read back whole.
+	prePost uint64
+	level   uint32
+	first   bool
+	err     error
 
 	// The skip table, read only by SkipTo: the current block spans
 	// buf[bStart:bEnd], holds bCount records and ends with tree bLast;
@@ -533,7 +536,7 @@ func (it *RootIterator) Next() bool {
 		it.tid += uint32(marker - 1)
 	}
 	it.prePost = uint64(uint32(post))<<32 | uint64(p)
-	it.levelOrder = uint64(p)<<32 | uint64(uint32(level))
+	it.level = uint32(level)
 	it.first = false
 	it.off = off
 	return true
@@ -592,14 +595,14 @@ func (it *RootIterator) NextBlock(tids []uint32, refs []NodeRef) int {
 		}
 		off = next
 		tids[i] = tid
-		refs[i] = NodeRef{Pre: pre, Post: uint32(v[2]), Level: uint32(v[3]), Order: pre}
+		refs[i] = NodeRef{Pre: pre, Post: uint32(v[2]), Level: uint32(v[3])}
 		i++
 	}
 	if it.off != off {
 		last := refs[i-1]
 		it.off, it.tid = off, tid
 		it.prePost = uint64(last.Post)<<32 | uint64(last.Pre)
-		it.levelOrder = uint64(last.Pre)<<32 | uint64(last.Level)
+		it.level = last.Level
 	}
 	return i
 }
@@ -625,7 +628,7 @@ func rootRun(buf []byte, off int, tids []uint32, refs []NodeRef, tid, pre uint32
 		pre = w>>8&0xff + pre&same
 		off += 4
 		tids[i] = tid
-		refs[i] = NodeRef{Pre: pre, Post: w >> 16 & 0xff, Level: w >> 24, Order: pre}
+		refs[i] = NodeRef{Pre: pre, Post: w >> 16 & 0xff, Level: w >> 24}
 	}
 	return i, off, tid, pre
 }
@@ -707,10 +710,8 @@ func (it *RootIterator) checkBlocks() error {
 
 // Entry returns the current posting.
 func (it *RootIterator) Entry() RootEntry {
-	pp, lo := it.prePost, it.levelOrder
-	return RootEntry{TID: it.tid, NodeRef: NodeRef{
-		Pre: uint32(pp), Post: uint32(pp >> 32), Level: uint32(lo), Order: uint32(lo >> 32),
-	}}
+	pp := it.prePost
+	return RootEntry{TID: it.tid, NodeRef: NodeRef{Pre: uint32(pp), Post: uint32(pp >> 32), Level: it.level}}
 }
 
 // Err reports a decoding error, if any.
@@ -727,7 +728,8 @@ type IntervalAccumulator struct {
 }
 
 // Add records one instance with the structural numbers of all its key
-// slots (canonical order; nodes[0] is the root).
+// slots (canonical order; nodes[0] is the root). Each node's order
+// varint is its Pre.
 func (a *IntervalAccumulator) Add(tid uint32, nodes []NodeRef) {
 	if a.n > 0 && tid < a.lastTID {
 		panic("postings: interval occurrences out of order")
@@ -738,7 +740,7 @@ func (a *IntervalAccumulator) Add(tid uint32, nodes []NodeRef) {
 		a.buf = putUvarint(a.buf, uint64(nd.Pre))
 		a.buf = putUvarint(a.buf, uint64(nd.Post))
 		a.buf = putUvarint(a.buf, uint64(nd.Level))
-		a.buf = putUvarint(a.buf, uint64(nd.Order))
+		a.buf = putUvarint(a.buf, uint64(nd.Pre))
 	}
 	a.lastTID = tid
 	a.n++
@@ -764,7 +766,8 @@ func NewIntervalIterator(buf []byte) *IntervalIterator {
 	return &IntervalIterator{buf: buf}
 }
 
-// Next advances; false at end or on error.
+// Next advances; false at end or on error. Each node's order varint is
+// read and dropped: it repeats Pre.
 func (it *IntervalIterator) Next() bool {
 	if it.err != nil || it.off >= len(it.buf) {
 		return false
@@ -787,13 +790,11 @@ func (it *IntervalIterator) Next() bool {
 		pre, ok1 := it.uv()
 		post, ok2 := it.uv()
 		level, ok3 := it.uv()
-		order, ok4 := it.uv()
+		_, ok4 := it.uv()
 		if !ok1 || !ok2 || !ok3 || !ok4 {
 			return false
 		}
-		it.nodes = append(it.nodes, NodeRef{
-			Pre: uint32(pre), Post: uint32(post), Level: uint32(level), Order: uint32(order),
-		})
+		it.nodes = append(it.nodes, NodeRef{Pre: uint32(pre), Post: uint32(post), Level: uint32(level)})
 	}
 	return true
 }

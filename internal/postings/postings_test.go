@@ -76,9 +76,9 @@ func TestRootSplitRoundTripAndDedup(t *testing.T) {
 		t.Fatal(it.Err())
 	}
 	want := []RootEntry{
-		{TID: 1, NodeRef: NodeRef{Pre: 2, Post: 9, Level: 1, Order: 2}},
-		{TID: 1, NodeRef: NodeRef{Pre: 5, Post: 4, Level: 2, Order: 5}},
-		{TID: 4, NodeRef: NodeRef{Pre: 0, Post: 12, Level: 0, Order: 0}},
+		{TID: 1, NodeRef: NodeRef{Pre: 2, Post: 9, Level: 1}},
+		{TID: 1, NodeRef: NodeRef{Pre: 5, Post: 4, Level: 2}},
+		{TID: 4, NodeRef: NodeRef{Pre: 0, Post: 12, Level: 0}},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("got %+v, want %+v", got, want)
@@ -96,9 +96,9 @@ func TestRootSplitNoDedupAblation(t *testing.T) {
 
 func TestIntervalRoundTrip(t *testing.T) {
 	var a IntervalAccumulator
-	a.Add(2, []NodeRef{{Pre: 1, Post: 5, Level: 1, Order: 1}, {Pre: 3, Post: 2, Level: 2, Order: 3}})
-	a.Add(2, []NodeRef{{Pre: 1, Post: 5, Level: 1, Order: 1}, {Pre: 4, Post: 3, Level: 2, Order: 4}})
-	a.Add(9, []NodeRef{{Pre: 0, Post: 9, Level: 0, Order: 0}})
+	a.Add(2, []NodeRef{{Pre: 1, Post: 5, Level: 1}, {Pre: 3, Post: 2, Level: 2}})
+	a.Add(2, []NodeRef{{Pre: 1, Post: 5, Level: 1}, {Pre: 4, Post: 3, Level: 2}})
+	a.Add(9, []NodeRef{{Pre: 0, Post: 9, Level: 0}})
 	if a.Count() != 3 {
 		t.Errorf("Count = %d", a.Count())
 	}
@@ -113,7 +113,7 @@ func TestIntervalRoundTrip(t *testing.T) {
 	if len(got) != 3 || got[0].TID != 2 || got[2].TID != 9 {
 		t.Fatalf("entries: %+v", got)
 	}
-	if got[1].Nodes[1].Pre != 4 || got[1].Nodes[1].Order != 4 {
+	if got[1].Nodes[1].Pre != 4 {
 		t.Errorf("second entry nodes: %+v", got[1].Nodes)
 	}
 	if len(got[2].Nodes) != 1 {
@@ -201,7 +201,7 @@ func TestQuickRootSplitRoundTrip(t *testing.T) {
 				pre += uint32(rng.Intn(6)) // same tid: pre non-decreasing (0 = duplicate)
 			}
 			entries = append(entries, RootEntry{TID: tid, NodeRef: NodeRef{
-				Pre: pre, Post: uint32(rng.Intn(100)), Level: uint32(rng.Intn(20)), Order: pre,
+				Pre: pre, Post: uint32(rng.Intn(100)), Level: uint32(rng.Intn(20)),
 			}})
 		}
 		// Deduplicate exact (tid, pre) repeats as the accumulator would.
@@ -262,10 +262,10 @@ func corpusBlob(t *testing.T, coding Coding) (blob []byte, boundaries []int) {
 		}
 	case RootSplit:
 		a := NewRootAccumulator(true)
-		a.Add(1, NodeRef{Pre: 2, Post: 9, Level: 1, Order: 2})
-		a.Add(1, NodeRef{Pre: 300, Post: 301, Level: 4, Order: 300})
-		a.Add(9, NodeRef{Pre: 0, Post: 12, Level: 0, Order: 0})
-		a.Add(1000, NodeRef{Pre: 77, Post: 90, Level: 3, Order: 77})
+		a.Add(1, NodeRef{Pre: 2, Post: 9, Level: 1})
+		a.Add(1, NodeRef{Pre: 300, Post: 301, Level: 4})
+		a.Add(9, NodeRef{Pre: 0, Post: 12, Level: 0})
+		a.Add(1000, NodeRef{Pre: 77, Post: 90, Level: 3})
 		blob = a.Bytes()
 		it := NewRootIterator(blob)
 		for it.Next() {
@@ -276,9 +276,9 @@ func corpusBlob(t *testing.T, coding Coding) (blob []byte, boundaries []int) {
 		}
 	case SubtreeInterval:
 		var a IntervalAccumulator
-		a.Add(2, []NodeRef{{Pre: 1, Post: 5, Level: 1, Order: 1}, {Pre: 300, Post: 2, Level: 2, Order: 300}})
-		a.Add(2, []NodeRef{{Pre: 1, Post: 5, Level: 1, Order: 1}})
-		a.Add(64, []NodeRef{{Pre: 0, Post: 900, Level: 0, Order: 0}, {Pre: 4, Post: 3, Level: 9, Order: 4}, {Pre: 8, Post: 7, Level: 2, Order: 8}})
+		a.Add(2, []NodeRef{{Pre: 1, Post: 5, Level: 1}, {Pre: 300, Post: 2, Level: 2}})
+		a.Add(2, []NodeRef{{Pre: 1, Post: 5, Level: 1}})
+		a.Add(64, []NodeRef{{Pre: 0, Post: 900, Level: 0}, {Pre: 4, Post: 3, Level: 9}, {Pre: 8, Post: 7, Level: 2}})
 		blob = a.Bytes()
 		it := NewIntervalIterator(blob)
 		for it.Next() {
@@ -404,7 +404,7 @@ func TestRootBlockAgreesWithNext(t *testing.T) {
 			} else {
 				pre += d
 			}
-			acc.Add(tid, NodeRef{Pre: pre, Post: rng.Uint32() >> uint(rng.Intn(32)), Level: rng.Uint32() % 200, Order: pre})
+			acc.Add(tid, NodeRef{Pre: pre, Post: rng.Uint32() >> uint(rng.Intn(32)), Level: rng.Uint32() % 200})
 		}
 		blob := acc.Bytes()
 		want, err := rootEntries(blob, nil)

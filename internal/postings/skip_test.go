@@ -174,7 +174,7 @@ func tabledRootBlob() []byte {
 	acc := NewRootAccumulator(true)
 	for tid := uint32(0); tid < 100; tid++ {
 		for k := uint32(0); k < 3; k++ {
-			acc.Add(tid, NodeRef{Pre: 1 + 2*k, Post: 1 + 2*k, Level: 1, Order: 1 + 2*k})
+			acc.Add(tid, NodeRef{Pre: 1 + 2*k, Post: 1 + 2*k, Level: 1})
 		}
 	}
 	return acc.Bytes()
@@ -195,7 +195,7 @@ func randomRootList(rng *rand.Rand, n int) (*RootAccumulator, []RootEntry) {
 		}
 		pre := rng.Uint32() % wide
 		for k := 1 + rng.Intn([]int{3, 40, 150}[rng.Intn(3)]); k > 0; k-- {
-			acc.Add(tid, NodeRef{Pre: pre, Post: rng.Uint32() % wide, Level: rng.Uint32() % 200, Order: pre})
+			acc.Add(tid, NodeRef{Pre: pre, Post: rng.Uint32() % wide, Level: rng.Uint32() % 200})
 			if pre += 1 + rng.Uint32()%wide; pre >= 1<<30 {
 				break // pre would wrap within the tree
 			}
