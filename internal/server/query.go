@@ -17,60 +17,13 @@ import (
 // matched.
 type MatchJSON = si.Match
 
-// StatsJSON reports how one query executed (the wire form of
-// si.SearchStats).
-type StatsJSON struct {
-	// PostingFetches is the number of physical posting-list reads the
-	// query issued.
-	PostingFetches uint64 `json:"posting_fetches"`
-	// PlanCacheHit reports the query reused a stored plan, skipping
-	// decomposition and costing.
-	PlanCacheHit bool `json:"plan_cache_hit"`
-	// ShardsConsulted is how many index partitions were evaluated;
-	// under a limit this can be less than the shard count.
-	ShardsConsulted int `json:"shards_consulted"`
-	// JoinRows is the join work done: posting entries decoded plus
-	// intermediate join rows produced. Limits push into the join, so a
-	// truncated query reports fewer rows than its unlimited run.
-	JoinRows uint64 `json:"join_rows"`
-	// Strategy is the execution mode the query ran under: "filter" on
-	// a filter-coded index, "stream" otherwise.
-	Strategy string `json:"strategy,omitempty"`
-	// EstimatedRows is the planner's estimated match cardinality;
-	// present only with explain=1 on a costed plan.
-	EstimatedRows uint64 `json:"estimated_rows,omitempty"`
-	// Pieces lists each cover piece's estimated vs. actually decoded
-	// posting entries; present only with explain=1.
-	Pieces []PieceJSON `json:"pieces,omitempty"`
-}
+// StatsJSON reports how one query executed: the engine's stats,
+// marshalled as they are (Truncated is reported on QueryResult and
+// StreamSummary instead).
+type StatsJSON = si.SearchStats
 
-// PieceJSON is one cover piece's explain row (the wire form of
-// si.PieceStat).
-type PieceJSON struct {
-	// Key is the piece's index key (the flattened subtree).
-	Key string `json:"key"`
-	// Est is the planner's estimated posting-entry count for the key.
-	Est uint64 `json:"est"`
-	// Actual is the number of posting entries execution decoded; under
-	// cost-ordered early abort or a limit it can be far below Est.
-	Actual uint64 `json:"actual"`
-}
-
-// statsJSON converts engine stats to the wire form.
-func statsJSON(st si.SearchStats) *StatsJSON {
-	out := &StatsJSON{
-		PostingFetches:  st.PostingFetches,
-		PlanCacheHit:    st.PlanCacheHit,
-		ShardsConsulted: st.ShardsConsulted,
-		JoinRows:        st.JoinRows,
-		Strategy:        st.Strategy,
-		EstimatedRows:   st.EstimatedRows,
-	}
-	for _, p := range st.Pieces {
-		out.Pieces = append(out.Pieces, PieceJSON{Key: p.Key, Est: p.Est, Actual: p.Actual})
-	}
-	return out
-}
+// PieceJSON is one cover piece's explain row.
+type PieceJSON = si.PieceStat
 
 // QueryResult is the per-query payload of /search and /batch.
 type QueryResult struct {
@@ -440,7 +393,7 @@ func (l local) Search(ctx context.Context, p Params) (QueryResult, *StatsJSON, e
 	if err != nil {
 		return QueryResult{}, nil, err
 	}
-	return result(res), statsJSON(res.Stats), nil
+	return result(res), &res.Stats, nil
 }
 
 // Batch evaluates the queries as one SearchBatch call.
@@ -469,5 +422,5 @@ func (l local) Stream(ctx context.Context, p Params, emit func(MatchJSON) bool) 
 		}
 	}
 	// The iteration has returned, so Count and Stats are final.
-	return StreamSummary{Count: res.Count, Truncated: res.Stats.Truncated, Stats: statsJSON(res.Stats)}, err
+	return StreamSummary{Count: res.Count, Truncated: res.Stats.Truncated, Stats: &res.Stats}, err
 }

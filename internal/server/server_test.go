@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -705,5 +707,57 @@ func TestBatchLimitCapMatchesSearch(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("/batch with negative offset: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestStatsWireKeys pins the keys of the stats object that /search
+// (with explain=1) and /stream's summary line carry, and of an explain
+// piece row: the engine's stats are marshalled as they are, so a field
+// added to or renamed in them would otherwise reach the wire unseen.
+// Truncated is not among them; it is reported on the result itself.
+func TestStatsWireKeys(t *testing.T) {
+	ts, _ := newTestServer(t, 2, Config{})
+	const q = "NP(DT)(NN)"
+	keys := func(v any) []string {
+		m, ok := v.(map[string]any)
+		if !ok {
+			t.Fatalf("not a JSON object: %v", v)
+		}
+		return slices.Sorted(maps.Keys(m))
+	}
+	stats := []string{"estimated_rows", "join_rows", "plan_cache_hit", "posting_fetches", "shards_consulted", "strategy"}
+	explain := append([]string{"pieces"}, stats...)
+	slices.Sort(explain)
+
+	var search map[string]any
+	getJSON(t, ts.URL+"/search?explain=1&q="+urlQueryEscape(q), &search)
+	if got := keys(search["stats"]); !slices.Equal(got, explain) {
+		t.Errorf("/search?explain=1 stats keys %v, want %v", got, explain)
+	}
+	pieces, _ := search["stats"].(map[string]any)["pieces"].([]any)
+	if len(pieces) == 0 {
+		t.Fatal("/search?explain=1: no piece rows")
+	}
+	for _, p := range pieces {
+		if got := keys(p); !slices.Equal(got, []string{"actual", "est", "key"}) {
+			t.Errorf("/search?explain=1 piece keys %v, want [actual est key]", got)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/stream?q=" + urlQueryEscape(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var last []byte
+	for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+		last = slices.Clone(sc.Bytes())
+	}
+	var summary map[string]any
+	if err := json.Unmarshal(last, &summary); err != nil || summary["done"] != true {
+		t.Fatalf("/stream: last line %q is not the summary (err %v)", last, err)
+	}
+	if got := keys(summary["stats"]); !slices.Equal(got, stats) {
+		t.Errorf("/stream summary stats keys %v, want %v", got, stats)
 	}
 }
