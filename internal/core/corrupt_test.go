@@ -93,16 +93,7 @@ func TestCorruptCountPrefixOnKeyPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	pieceKey := []byte(uncosted.Pieces[0].Key)
-	path := filepath.Join(dir, indexFileName)
-	src, err := btree.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pairs [][2][]byte
-	for it := src.Iterator(nil); it.Next(); {
-		pairs = append(pairs, [2][]byte{bytes.Clone(it.Key()), bytes.Clone(it.Value())})
-	}
-	src.Close()
+	pairs := leafPairs(t, dir)
 	if len(pairs) < 2 {
 		t.Fatalf("vacuous fixture: %d keys", len(pairs))
 	}
@@ -122,18 +113,7 @@ func TestCorruptCountPrefixOnKeyPaths(t *testing.T) {
 	if forged != 2 {
 		t.Fatalf("vacuous fixture: forged %d keys, want the first key and %q", forged, pieceKey)
 	}
-	b, err := btree.NewBuilder(path, pager.DefaultPageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kv := range pairs {
-		if err := b.Add(kv[0], kv[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.Finish(); err != nil {
-		t.Fatal(err)
-	}
+	writeLeaf(t, dir, pairs)
 	ix, err := OpenWith(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -204,16 +184,7 @@ func TestIntervalInstanceOfTheWrongWidthFails(t *testing.T) {
 	// Rewrite the piece's list with the instance of a middle match's tree
 	// cut to two nodes, keeping the count prefix.
 	badTID := want[len(want)/2].TID
-	path := filepath.Join(dir, indexFileName)
-	src, err := btree.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pairs [][2][]byte
-	for it := src.Iterator(nil); it.Next(); {
-		pairs = append(pairs, [2][]byte{bytes.Clone(it.Key()), bytes.Clone(it.Value())})
-	}
-	src.Close()
+	pairs := leafPairs(t, dir)
 	cut := false
 	for i, kv := range pairs {
 		if !bytes.Equal(kv[0], pieceKey) {
@@ -233,18 +204,7 @@ func TestIntervalInstanceOfTheWrongWidthFails(t *testing.T) {
 	if !cut {
 		t.Fatalf("vacuous fixture: no instance of tree %d under %q", badTID, pieceKey)
 	}
-	b, err := btree.NewBuilder(path, pager.DefaultPageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kv := range pairs {
-		if err := b.Add(kv[0], kv[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.Finish(); err != nil {
-		t.Fatal(err)
-	}
+	writeLeaf(t, dir, pairs)
 
 	l := openDir(t, dir, OpenOptions{})
 	const msg = "binds 2 nodes, want 3"
@@ -271,5 +231,39 @@ func TestIntervalInstanceOfTheWrongWidthFails(t *testing.T) {
 	}
 	if len(got) > len(want) || !slices.Equal(got, want[:len(got)]) || (len(got) > 0 && got[len(got)-1].TID >= badTID) {
 		t.Errorf("stream emitted %v ahead of its error; want a prefix of the intact matches below tree %d", got, badTID)
+	}
+}
+
+// leafPairs returns every key and value of the index file in dir, in
+// key order.
+func leafPairs(t *testing.T, dir string) [][2][]byte {
+	t.Helper()
+	src, err := btree.Open(filepath.Join(dir, indexFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	var pairs [][2][]byte
+	for it := src.Iterator(nil); it.Next(); {
+		pairs = append(pairs, [2][]byte{bytes.Clone(it.Key()), bytes.Clone(it.Value())})
+	}
+	return pairs
+}
+
+// writeLeaf rewrites the index file in dir to hold pairs, which must be
+// in key order.
+func writeLeaf(t *testing.T, dir string, pairs [][2][]byte) {
+	t.Helper()
+	b, err := btree.NewBuilder(filepath.Join(dir, indexFileName), pager.DefaultPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kv := range pairs {
+		if err := b.Add(kv[0], kv[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Finish(); err != nil {
+		t.Fatal(err)
 	}
 }

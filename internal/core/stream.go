@@ -271,8 +271,7 @@ func (c *intervalCursor) NextBlock(tids []uint32, refs []postings.NodeRef) int {
 			}
 			c.pi = 0
 		}
-		// The instance stays in the iterator's slice until advance moves
-		// on; its variant is written record by record.
+		// The instance stays in the iterator's slice until advance moves on.
 		cur, dst := c.it.Nodes(), refs[k*w:][:w]
 		for j, src := range c.perms[c.pi] {
 			dst[j] = cur[src]
