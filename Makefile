@@ -117,7 +117,11 @@ bench-baseline:
 # in-range, strictly increasing match lines, at most limit of them),
 # and the index manifest (FuzzManifest: arbitrary meta.json bytes
 # through OpenLive and Reload at a root with one valid segment must
-# error or serve only segments under the root), and the join stream
+# error or serve only segments under the root), a stored posting value
+# through the leaf's piece cursors (FuzzPieceCursor: fuzzed bytes as the
+# first piece's value of a two-piece plan, every coding, with and
+# without tombstones, twice so the decoded-list memo admits it; matches
+# or an error, never a panic or a hang), and the join stream
 # against the materializing join (FuzzStreamMatchesRun: fuzzer-chosen
 # forests, relation shapes, cursor kinds, batch cuts and limits; the
 # same matches as join.Run, and the same work counters whatever the
@@ -137,6 +141,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzParseParams -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -fuzz=FuzzRoutedStream -fuzztime=$(FUZZTIME) ./internal/cluster/
 	$(GO) test -fuzz=FuzzManifest -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -fuzz=FuzzPieceCursor -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -fuzz=FuzzStreamMatchesRun -fuzztime=$(FUZZTIME) ./internal/join/
 
 # Build the repository's vet tool.

@@ -190,7 +190,7 @@ func (ix *Index) QueryWithStats(q *query.Query) ([]Match, *Stats, error) {
 		lists = append(lists, tids)
 	}
 
-	cands := intersectAll(lists)
+	cands := postings.Intersect(lists)
 	st.Candidates = len(cands)
 	m := match.New(q)
 	var out []Match
@@ -263,35 +263,6 @@ func pathSegments(q *query.Query) [][]string {
 	}
 	walk(0, nil)
 	return segs
-}
-
-func intersectAll(lists [][]uint32) []uint32 {
-	if len(lists) == 0 {
-		return nil
-	}
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-	cur := lists[0]
-	for _, l := range lists[1:] {
-		var next []uint32
-		i, j := 0, 0
-		for i < len(cur) && j < len(l) {
-			switch {
-			case cur[i] < l[j]:
-				i++
-			case cur[i] > l[j]:
-				j++
-			default:
-				next = append(next, cur[i])
-				i++
-				j++
-			}
-		}
-		cur = next
-		if len(cur) == 0 {
-			return nil
-		}
-	}
-	return cur
 }
 
 func dedup(a []uint32) []uint32 {

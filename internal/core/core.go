@@ -9,6 +9,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -233,7 +234,7 @@ func Build(dir string, trees []*lingtree.Tree, opt Options) (*Meta, error) {
 		acc := accs[k]
 		totalPostings += acc.count()
 		val = val[:0]
-		val = appendUvarint(val, uint64(acc.count()))
+		val = binary.AppendUvarint(val, uint64(acc.count()))
 		val = acc.appendTo(val)
 		if err := bld.Add([]byte(k), val); err != nil {
 			return nil, fmt.Errorf("core: loading key %q: %w", k, err)
@@ -302,12 +303,4 @@ func nodeRef(t *lingtree.Tree, v int) postings.NodeRef {
 		Post:  uint32(n.Post),
 		Level: uint32(n.Level),
 	}
-}
-
-func appendUvarint(buf []byte, x uint64) []byte {
-	for x >= 0x80 {
-		buf = append(buf, byte(x)|0x80)
-		x >>= 7
-	}
-	return append(buf, byte(x))
 }

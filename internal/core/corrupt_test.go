@@ -234,6 +234,47 @@ func TestIntervalInstanceOfTheWrongWidthFails(t *testing.T) {
 	}
 }
 
+// FuzzPieceCursor feeds arbitrary bytes to the piece cursors of every
+// coding as the stored value — count prefix and list — of the first
+// piece a fixed two-piece plan fetches; the other piece reads its real
+// list. Each input runs on a fresh leaf, since the decoded-list memo is
+// keyed by key text, and is evaluated twice without and twice with a
+// tombstone set, so the second fetch goes through the memo's admission.
+// Evaluation must end in matches or an error, never a panic or a hang.
+func FuzzPieceCursor(f *testing.F) {
+	type fixture struct {
+		leaf *Index
+		pl   *Plan
+	}
+	var fixtures []fixture
+	for coding, l := range buildAll(f, shardCorpus(200), 2) {
+		pl, err := planner.New(query.MustParse("NP(DT)(NN)"), 2, coding, nil)
+		if err != nil || len(pl.Pieces) != 2 {
+			f.Fatalf("%v: plan %+v, err %v; want two pieces", coding, pl, err)
+		}
+		fixtures = append(fixtures, fixture{l.cur.Load().set.leaves[0], pl})
+	}
+	dels := newTombSet([]uint32{0, 5, 17, 60, 61, 150})
+	f.Fuzz(func(t *testing.T, val []byte) {
+		for _, fx := range fixtures {
+			leaf := &Index{meta: fx.leaf.meta, tree: fx.leaf.tree, store: fx.leaf.store}
+			if fx.leaf.lists != nil {
+				leaf.lists = newListMemo(fx.leaf.tree.Stats().SizeBytes)
+			}
+			first := fx.pl.Pieces[fx.pl.Order[0]].Key
+			get := func(k subtree.Key) ([]byte, bool, error) {
+				if k == first {
+					return val, true, nil
+				}
+				return leaf.getPosting(k)
+			}
+			for _, d := range []*TombSet{nil, nil, dels, dels} {
+				_, _, _, _ = leaf.evalPlan(context.Background(), fx.pl, get, evalOpts{dels: d})
+			}
+		}
+	})
+}
+
 // leafPairs returns every key and value of the index file in dir, in
 // key order.
 func leafPairs(t *testing.T, dir string) [][2][]byte {

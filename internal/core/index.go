@@ -400,52 +400,7 @@ func (ix *Index) filterCandidates(ctx context.Context, pl *Plan, get postingGett
 		}
 		lists = append(lists, tids)
 	}
-	return intersect(lists), nil
-}
-
-// intersect computes the intersection of sorted tid lists, smallest
-// list first (pairwise merge, §4.4.1's join phase).
-func intersect(lists [][]uint32) []uint32 {
-	if len(lists) == 0 {
-		return nil
-	}
-	// Start from the smallest list for cheap early termination.
-	smallest := 0
-	for i := 1; i < len(lists); i++ {
-		if len(lists[i]) < len(lists[smallest]) {
-			smallest = i
-		}
-	}
-	cur := lists[smallest]
-	for i, l := range lists {
-		if i == smallest {
-			continue
-		}
-		cur = intersect2(cur, l)
-		if len(cur) == 0 {
-			return nil
-		}
-	}
-	return cur
-}
-
-// intersect2 merges two sorted tid lists into their intersection.
-func intersect2(a, b []uint32) []uint32 {
-	var out []uint32
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
+	return postings.Intersect(lists), nil
 }
 
 // lookupKeyLive returns the posting count for an index key, or 0 if

@@ -240,125 +240,6 @@ func TestDeleteRejectsBadTids(t *testing.T) {
 	}
 }
 
-// TestCompactEquivalentToRebuild is the compaction property test: after
-// appends and deletes, Compact must produce an index that behaves
-// exactly like a from-scratch build over the surviving trees — the same
-// matches, the same per-query posting fetches and join rows (the
-// compacted segment reuses the ordinary build path, so even the
-// physical access counts agree), and the same key statistics.
-func TestCompactEquivalentToRebuild(t *testing.T) {
-	trees := shardCorpus(900)
-	l := openLive(t, trees[:500], 2, OpenOptions{})
-	ctx := context.Background()
-	if _, err := l.Append(ctx, trees[500:700], 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Append(ctx, trees[700:], 2); err != nil {
-		t.Fatal(err)
-	}
-	del := deleteTids(900, 7)
-	if _, err := l.Delete(ctx, del); err != nil {
-		t.Fatal(err)
-	}
-
-	// The reference: a from-scratch build over the survivors, renumbered
-	// 0..n-1 in corpus order — the tids Compact promises to assign.
-	deleted := make(map[int]bool, len(del))
-	for _, tid := range del {
-		deleted[tid] = true
-	}
-	var survivors []*lingtree.Tree
-	for _, tr := range trees {
-		if deleted[tr.TID] {
-			continue
-		}
-		ct := *tr
-		ct.TID = len(survivors)
-		survivors = append(survivors, &ct)
-	}
-	rebuilt := openLive(t, survivors, 1, OpenOptions{})
-
-	compacted, built, err := l.Compact(ctx, CompactOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !compacted || built == nil {
-		t.Fatal("Compact reported nothing to do on a 3-segment index with tombstones")
-	}
-	if l.Segments() != 1 {
-		t.Fatalf("%d segments after compaction, want 1", l.Segments())
-	}
-	c := l.Counters()
-	if c.TombstonedTrees != 0 || c.LiveTrees != len(survivors) || c.Segments != 1 {
-		t.Fatalf("counters after compaction: %d live / %d tombstoned / %d segments, want %d / 0 / 1",
-			c.LiveTrees, c.TombstonedTrees, c.Segments, len(survivors))
-	}
-	if got := l.Meta().NumTrees; got != len(survivors) {
-		t.Fatalf("NumTrees = %d after compaction, want %d", got, len(survivors))
-	}
-
-	for _, q := range shardQueries {
-		want, err := rebuilt.Search(ctx, q, SearchOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := l.Search(ctx, q, SearchOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Matches, want.Matches) {
-			t.Fatalf("%q: compacted index returned %d matches, rebuild %d", q, len(got.Matches), len(want.Matches))
-		}
-		if got.Stats.PostingFetches != want.Stats.PostingFetches {
-			t.Fatalf("%q: compacted index issued %d posting fetches, rebuild %d",
-				q, got.Stats.PostingFetches, want.Stats.PostingFetches)
-		}
-		if got.Stats.JoinRows != want.Stats.JoinRows {
-			t.Fatalf("%q: compacted index did %d join rows, rebuild %d",
-				q, got.Stats.JoinRows, want.Stats.JoinRows)
-		}
-	}
-
-	// Key statistics and iteration agree key for key.
-	type kc struct {
-		k subtree.Key
-		n int
-	}
-	collect := func(h *Live) []kc {
-		var out []kc
-		if err := h.Keys(subtree.Key(""), func(k subtree.Key, count int) bool {
-			out = append(out, kc{k, count})
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	if wantKeys, gotKeys := collect(rebuilt), collect(l); !reflect.DeepEqual(gotKeys, wantKeys) {
-		t.Fatalf("key iteration differs: compacted yields %d keys, rebuild %d", len(gotKeys), len(wantKeys))
-	}
-
-	// Trees round-trip under the new numbering.
-	for _, tid := range []int{0, 1, len(survivors) / 2, len(survivors) - 1} {
-		got, err := l.Tree(tid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := rebuilt.Tree(tid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.TID != want.TID || len(got.Nodes) != len(want.Nodes) {
-			t.Fatalf("Tree(%d) differs after compaction", tid)
-		}
-	}
-
-	// And the compacted state is what a fresh open serves.
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCompactThresholds locks the gating contract: a single-segment
 // index with no tombstones has nothing to compact, custom thresholds
 // hold back small runs, and a never-segmented root always declines.

@@ -226,90 +226,6 @@ func TestEstimateCountersSkipTruncated(t *testing.T) {
 	}
 }
 
-// TestCostOrderEquivalence is the planner's safety property: on random
-// corpora and random queries, cost-ordered execution returns matches
-// byte-identical to the syntactic-order ablation, across every read
-// path — search, count-only, stream and batch — for both joining
-// codings and for sharded layouts. The planner may only ever change
-// the work done, never the answer.
-func TestCostOrderEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(20120808))
-	codings := []postings.Coding{postings.RootSplit, postings.SubtreeInterval}
-	for round := 0; round < 4; round++ {
-		trees := randomForest(rng, 120)
-		var srcs []string
-		for len(srcs) < 6 {
-			q := randomQuery(rng)
-			if hasSameLabelSiblings(q) {
-				continue // root-split is inexact on these; keep one query set for both codings
-			}
-			srcs = append(srcs, q.Canonical())
-		}
-		for _, coding := range codings {
-			for _, shards := range []int{1, 3} {
-				dir := filepath.Join(t.TempDir(), "ix")
-				if _, err := BuildSharded(dir, trees, Options{MSS: 3, Coding: coding}, shards); err != nil {
-					t.Fatal(err)
-				}
-				type outcome struct {
-					matches []Match
-					count   int
-					stream  []Match
-					batch   []int
-				}
-				run := func(syntactic bool) outcome {
-					t.Helper()
-					planner.UseSyntacticOrder = syntactic
-					defer func() { planner.UseSyntacticOrder = false }()
-					l, err := OpenLive(dir, OpenOptions{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer l.Close()
-					ctx := context.Background()
-					var out outcome
-					for _, src := range srcs {
-						res, err := l.Search(ctx, src, SearchOpts{})
-						if err != nil {
-							t.Fatalf("%s: %v", src, err)
-						}
-						out.matches = append(out.matches, res.Matches...)
-						cres, err := l.Search(ctx, src, SearchOpts{CountOnly: true})
-						if err != nil {
-							t.Fatal(err)
-						}
-						out.count += cres.Count
-						sres, err := l.SearchStream(ctx, src, SearchOpts{})
-						if err != nil {
-							t.Fatal(err)
-						}
-						for m, err := range sres.All() {
-							if err != nil {
-								t.Fatal(err)
-							}
-							out.stream = append(out.stream, m)
-						}
-					}
-					batch, err := l.SearchBatch(ctx, srcs, SearchOpts{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, res := range batch {
-						out.batch = append(out.batch, res.Count)
-					}
-					return out
-				}
-				costed := run(false)
-				syntactic := run(true)
-				if !reflect.DeepEqual(costed, syntactic) {
-					t.Fatalf("round %d coding %v shards %d: cost-ordered and syntactic-order results differ\ncost:      %+v\nsyntactic: %+v",
-						round, coding, shards, costed, syntactic)
-				}
-			}
-		}
-	}
-}
-
 // twinAnswers is one plan mode's answers to a query list on the
 // root-split index at dir, through every read path.
 type twinAnswers struct {
@@ -376,10 +292,10 @@ func subsetOf(a, b []Match) bool {
 	return true
 }
 
-// TestTwinClassAnswersBracketed covers the queries
-// TestCostOrderEquivalence leaves out — those with same-label siblings,
-// on which root-split answers may hold surplus roots — over the same
-// random corpora. Widening a piece's key adds a necessary condition on
+// TestTwinClassAnswersBracketed covers the queries TestModelHistories
+// leaves out of its costed-against-syntactic check — those with
+// same-label siblings, on which root-split answers may hold surplus
+// roots — over random corpora of 120 trees. Widening a piece's key adds a necessary condition on
 // its root, so it may only remove surplus: for root-split on 1 and 3
 // shards, through search, count-only, stream and batch, the exact
 // matcher's answer is contained in the costed (widened) plan's, which
@@ -389,9 +305,9 @@ func TestTwinClassAnswersBracketed(t *testing.T) {
 	queries, smaller, costedSurplus, minRCSurplus := 0, 0, 0, 0
 	for round := 0; round < 4; round++ {
 		trees := randomForest(rng, 120)
-		// Draw exactly as TestCostOrderEquivalence does, so the next
-		// round's corpus is its corpus too, keeping the queries it
-		// drops; a second generator adds more of the class.
+		// Draw six queries outside the class from the corpus generator
+		// too, keeping the ones inside it, so each round's corpus follows
+		// the same draws; a second generator adds more of the class.
 		var twins []*query.Query
 		for kept := 0; kept < 6; {
 			if q := randomQuery(rng); hasSameLabelSiblings(q) {

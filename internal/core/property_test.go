@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -72,64 +71,6 @@ func hasSameLabelSiblings(q *query.Query) bool {
 		}
 	}
 	return false
-}
-
-// TestQuickEndToEndAllCodings is the repository's central property
-// test: on random corpora and random queries, every coding must agree
-// with the exact matcher. Subtree-interval and filter-based codings are
-// exact for all queries; root-split is checked on queries without
-// same-label siblings (its documented limitation).
-func TestQuickEndToEndAllCodings(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	round := 0
-	f := func(seed int64, mssRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		mss := int(mssRaw%4) + 1
-		trees := randomForest(rng, 25)
-		round++
-		dirBase := filepath.Join(t.TempDir(), "ix")
-
-		indexes := map[postings.Coding]*Live{}
-		for _, c := range []postings.Coding{postings.FilterBased, postings.RootSplit, postings.SubtreeInterval} {
-			dir := filepath.Join(dirBase, c.String())
-			if _, err := Build(dir, trees, Options{MSS: mss, Coding: c}); err != nil {
-				t.Logf("build %v: %v", c, err)
-				return false
-			}
-			ix, err := OpenLive(dir, OpenOptions{})
-			if err != nil {
-				t.Logf("open %v: %v", c, err)
-				return false
-			}
-			defer ix.Close()
-			indexes[c] = ix
-		}
-		for i := 0; i < 12; i++ {
-			q := randomQuery(rng)
-			want := groundTruth(trees, q)
-			for coding, ix := range indexes {
-				if coding == postings.RootSplit && hasSameLabelSiblings(q) {
-					continue
-				}
-				got, err := searchQuery(ix, q)
-				if err != nil {
-					t.Logf("mss=%d %v query %s: %v", mss, coding, q, err)
-					return false
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Logf("mss=%d %v query %s: got %d matches %v, want %d %v",
-						mss, coding, q, len(got), trunc(got), len(want), trunc(want))
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
 }
 
 // TestQuickLimitedDrainIsPrefix is the bounded-drain property test: on

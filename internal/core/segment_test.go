@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/lingtree"
 	"repro/internal/postings"
-	"repro/internal/subtree"
 )
 
 // openLive builds an index over trees (sharded when shards > 1) and
@@ -24,89 +23,6 @@ func openLive(t *testing.T, trees []*lingtree.Tree, shards int, opts OpenOptions
 		t.Fatal(err)
 	}
 	return openDir(t, dir, opts)
-}
-
-// TestAppendMatchesFullRebuild is the core segment invariant: for both
-// legacy layouts and several append batchings, searching the appended
-// index returns exactly the matches (same global tids, same roots,
-// same order) of a from-scratch build over the concatenated corpus.
-func TestAppendMatchesFullRebuild(t *testing.T) {
-	trees := shardCorpus(900)
-	full := openLive(t, trees, 1, OpenOptions{})
-	ctx := context.Background()
-	for _, shards := range []int{1, 3} {
-		l := openLive(t, trees[:500], shards, OpenOptions{})
-		if _, err := l.Append(ctx, trees[500:700], 1); err != nil {
-			t.Fatalf("shards=%d: first append: %v", shards, err)
-		}
-		if _, err := l.Append(ctx, trees[700:900], 2); err != nil {
-			t.Fatalf("shards=%d: second append: %v", shards, err)
-		}
-		if got := l.Meta().NumTrees; got != 900 {
-			t.Fatalf("shards=%d: NumTrees = %d after appends, want 900", shards, got)
-		}
-		if l.Segments() != 3 {
-			t.Fatalf("shards=%d: %d segments, want 3", shards, l.Segments())
-		}
-		if l.Generation() != 3 {
-			t.Fatalf("shards=%d: generation %d, want 3 (promotion + two appends)", shards, l.Generation())
-		}
-		for _, q := range shardQueries {
-			want, err := searchText(full, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := searchText(l, q)
-			if err != nil {
-				t.Fatalf("shards=%d %q: %v", shards, q, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards=%d %q: appended index returned %d matches, full rebuild %d",
-					shards, q, len(got), len(want))
-			}
-			res, err := l.Search(ctx, q, SearchOpts{Limit: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantWin := want
-			if len(wantWin) > 3 {
-				wantWin = wantWin[:3]
-			}
-			if !reflect.DeepEqual(res.Matches, append([]Match(nil), wantWin...)) && len(res.Matches) != len(wantWin) {
-				t.Fatalf("shards=%d %q: limited window differs", shards, q)
-			}
-		}
-		// Tree routing crosses segment boundaries.
-		for _, tid := range []int{0, 499, 500, 699, 700, 899} {
-			tr, err := l.Tree(tid)
-			if err != nil {
-				t.Fatalf("shards=%d: Tree(%d): %v", shards, tid, err)
-			}
-			if tr.TID != tid {
-				t.Fatalf("shards=%d: Tree(%d) returned tid %d", shards, tid, tr.TID)
-			}
-			want, err := full.Tree(tid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(tr.Nodes) != len(want.Nodes) {
-				t.Fatalf("shards=%d: Tree(%d) has %d nodes, want %d", shards, tid, len(tr.Nodes), len(want.Nodes))
-			}
-		}
-		// Key statistics aggregate across segments like across shards.
-		k := subtree.Key("NN")
-		wantN, err := full.LookupKey(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotN, err := l.LookupKey(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wantN != gotN {
-			t.Fatalf("shards=%d: LookupKey(NN) = %d, want %d", shards, gotN, wantN)
-		}
-	}
 }
 
 // TestAppendPersistsAcrossReopen locks the manifest format: after

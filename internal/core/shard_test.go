@@ -30,69 +30,6 @@ func shardCorpus(n int) []*lingtree.Tree {
 	return corpusgen.New(2012).Trees(n)
 }
 
-// TestShardedMatchesSingle is the core sharding invariant: for every
-// shard count, a search returns exactly the matches (same global tids,
-// same roots, same order) of the unsharded index.
-func TestShardedMatchesSingle(t *testing.T) {
-	trees := shardCorpus(600)
-	single := openLive(t, trees, 1, OpenOptions{})
-	for _, shards := range []int{2, 3, 4, 7} {
-		sharded := openLive(t, trees, shards, OpenOptions{})
-		if got := sharded.NumShards(); got != shards {
-			t.Fatalf("NumShards = %d, want %d", got, shards)
-		}
-		for _, src := range shardQueries {
-			q := query.MustParse(src)
-			want, err := searchQuery(single, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := searchQuery(sharded, q)
-			if err != nil {
-				t.Fatalf("shards=%d %s: %v", shards, src, err)
-			}
-			if len(want) == 0 {
-				t.Fatalf("query %s matches nothing; test is vacuous", src)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("shards=%d %s: %d matches, want %d (or order/tids differ)",
-					shards, src, len(got), len(want))
-			}
-		}
-	}
-}
-
-// TestShardedMatchesSingleFilterCoding repeats the invariant under
-// filter-based coding, which exercises the per-shard validation path.
-func TestShardedMatchesSingleFilterCoding(t *testing.T) {
-	trees := shardCorpus(300)
-	sdir := filepath.Join(t.TempDir(), "single")
-	ddir := filepath.Join(t.TempDir(), "sharded")
-	opt := Options{MSS: 3, Coding: postings.FilterBased}
-	if _, err := Build(sdir, trees, opt); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := BuildSharded(ddir, trees, opt, 3); err != nil {
-		t.Fatal(err)
-	}
-	single := openDir(t, sdir, OpenOptions{})
-	sharded := openDir(t, ddir, OpenOptions{})
-	for _, src := range shardQueries {
-		q := query.MustParse(src)
-		want, err := searchQuery(single, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := searchQuery(sharded, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: filter-coding sharded results differ", src)
-		}
-	}
-}
-
 // TestShardedKeysAndLookup checks that the merged key iteration visits
 // the same keys with the same summed counts as the single index, and
 // that LookupKey agrees with the merge.

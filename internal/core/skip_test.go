@@ -149,8 +149,8 @@ func TestStreamCancelMidSkip(t *testing.T) {
 	}
 }
 
-// TestTombstonesInSkippedBlocksMatchRebuild is TestCompactEquivalentToRebuild's
-// oracle for an uncompacted segment: its tombstones fall inside gaps the
+// TestTombstonesInSkippedBlocksMatchRebuild holds an uncompacted
+// segment with tombstones to a rebuild of its survivors: its tombstones fall inside gaps the
 // seeks jump and beside trees that match, and every query must return
 // the matches, posting fetches, join rows and per-piece reads of a
 // build over the survivors alone (matches compared after renumbering).

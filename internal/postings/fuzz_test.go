@@ -1,6 +1,7 @@
 package postings
 
 import (
+	"encoding/binary"
 	"slices"
 	"testing"
 )
@@ -89,7 +90,7 @@ func FuzzRootBlock(f *testing.F) {
 	rec := func(vals ...uint64) []byte {
 		var b []byte
 		for _, v := range vals {
-			b = putUvarint(b, v)
+			b = binary.AppendUvarint(b, v)
 		}
 		return b
 	}

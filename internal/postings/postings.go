@@ -131,12 +131,6 @@ type IntervalEntry struct {
 	Nodes []NodeRef // one record per key slot, canonical pre-order
 }
 
-func putUvarint(buf []byte, x uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], x)
-	return append(buf, tmp[:n]...)
-}
-
 // ---------- filter-based ----------
 
 // FilterAccumulator builds a filter-based posting list. TIDs must be
@@ -155,7 +149,7 @@ func (a *FilterAccumulator) Add(tid uint32) {
 	if a.n > 0 && tid < a.lastTID {
 		panic("postings: filter tids out of order")
 	}
-	a.buf = putUvarint(a.buf, uint64(tid-a.lastTID))
+	a.buf = binary.AppendUvarint(a.buf, uint64(tid-a.lastTID))
 	a.lastTID = tid
 	a.n++
 }
@@ -199,6 +193,45 @@ func (it *FilterIterator) TID() uint32 { return it.tid }
 
 // Err reports a decoding error, if any.
 func (it *FilterIterator) Err() error { return it.err }
+
+// Intersect returns the tids present in every one of the ascending tid
+// lists, starting from the shortest so an empty result ends the merge
+// early (the join phase of the filter coding, §4.4.1). The result may
+// share storage with one of the lists.
+func Intersect(lists [][]uint32) []uint32 {
+	if len(lists) == 0 {
+		return nil
+	}
+	smallest := 0
+	for i := range lists {
+		if len(lists[i]) < len(lists[smallest]) {
+			smallest = i
+		}
+	}
+	cur := lists[smallest]
+	for i, l := range lists {
+		if i == smallest {
+			continue
+		}
+		var next []uint32
+		for a, b := 0, 0; a < len(cur) && b < len(l); {
+			switch {
+			case cur[a] < l[b]:
+				a++
+			case cur[a] > l[b]:
+				b++
+			default:
+				next = append(next, cur[a])
+				a++
+				b++
+			}
+		}
+		if cur = next; len(cur) == 0 {
+			return nil
+		}
+	}
+	return cur
+}
 
 // ---------- root-split ----------
 
@@ -253,14 +286,14 @@ func (a *RootAccumulator) Add(tid uint32, root NodeRef) {
 			a.table = appendSkipEntry(a.table, a.lastTID-a.tableLast, a.blockN, len(a.buf)-a.blockOff)
 			a.tableLast, a.blockOff, a.blockN = a.lastTID, len(a.buf), 0
 		}
-		a.buf = putUvarint(a.buf, uint64(tid-a.lastTID)+1) // tid delta+1, 0 reserved
-		a.buf = putUvarint(a.buf, uint64(root.Pre))
+		a.buf = binary.AppendUvarint(a.buf, uint64(tid-a.lastTID)+1) // tid delta+1, 0 reserved
+		a.buf = binary.AppendUvarint(a.buf, uint64(root.Pre))
 	} else {
-		a.buf = putUvarint(a.buf, 0) // same tid marker
-		a.buf = putUvarint(a.buf, uint64(root.Pre-a.lastPre))
+		a.buf = binary.AppendUvarint(a.buf, 0) // same tid marker
+		a.buf = binary.AppendUvarint(a.buf, uint64(root.Pre-a.lastPre))
 	}
-	a.buf = putUvarint(a.buf, uint64(root.Post))
-	a.buf = putUvarint(a.buf, uint64(root.Level))
+	a.buf = binary.AppendUvarint(a.buf, uint64(root.Post))
+	a.buf = binary.AppendUvarint(a.buf, uint64(root.Level))
 	a.lastTID = tid
 	a.lastPre = root.Pre
 	a.n++
@@ -271,9 +304,9 @@ func (a *RootAccumulator) Add(tid uint32, root NodeRef) {
 // a delta from the previous block's, its record count and its length in
 // bytes.
 func appendSkipEntry(dst []byte, lastDelta uint32, count, bytes int) []byte {
-	dst = putUvarint(dst, uint64(lastDelta))
-	dst = putUvarint(dst, uint64(count))
-	return putUvarint(dst, uint64(bytes))
+	dst = binary.AppendUvarint(dst, uint64(lastDelta))
+	dst = binary.AppendUvarint(dst, uint64(count))
+	return binary.AppendUvarint(dst, uint64(bytes))
 }
 
 // Count returns the number of postings.
@@ -296,8 +329,8 @@ func (a *RootAccumulator) AppendTo(dst []byte) []byte {
 	var last [3 * binary.MaxVarintLen64]byte
 	tail := appendSkipEntry(last[:0], a.lastTID-a.tableLast, a.blockN, len(a.buf)-a.blockOff)
 	dst = append(dst, 0)
-	dst = putUvarint(dst, uint64(len(a.table)+len(tail)))
-	dst = putUvarint(dst, uint64(len(a.buf)))
+	dst = binary.AppendUvarint(dst, uint64(len(a.table)+len(tail)))
+	dst = binary.AppendUvarint(dst, uint64(len(a.buf)))
 	dst = append(dst, a.table...)
 	dst = append(dst, tail...)
 	return append(dst, a.buf...)
@@ -734,13 +767,13 @@ func (a *IntervalAccumulator) Add(tid uint32, nodes []NodeRef) {
 	if a.n > 0 && tid < a.lastTID {
 		panic("postings: interval occurrences out of order")
 	}
-	a.buf = putUvarint(a.buf, uint64(tid-a.lastTID))
-	a.buf = putUvarint(a.buf, uint64(len(nodes)))
+	a.buf = binary.AppendUvarint(a.buf, uint64(tid-a.lastTID))
+	a.buf = binary.AppendUvarint(a.buf, uint64(len(nodes)))
 	for _, nd := range nodes {
-		a.buf = putUvarint(a.buf, uint64(nd.Pre))
-		a.buf = putUvarint(a.buf, uint64(nd.Post))
-		a.buf = putUvarint(a.buf, uint64(nd.Level))
-		a.buf = putUvarint(a.buf, uint64(nd.Pre))
+		a.buf = binary.AppendUvarint(a.buf, uint64(nd.Pre))
+		a.buf = binary.AppendUvarint(a.buf, uint64(nd.Post))
+		a.buf = binary.AppendUvarint(a.buf, uint64(nd.Level))
+		a.buf = binary.AppendUvarint(a.buf, uint64(nd.Pre))
 	}
 	a.lastTID = tid
 	a.n++

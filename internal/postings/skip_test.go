@@ -309,7 +309,7 @@ func TestRootSkipDetectsInconsistentTable(t *testing.T) {
 			tab = appendSkipEntry(tab, b.last-last, b.count, b.bytes)
 			last = b.last
 		}
-		out := putUvarint(putUvarint([]byte{0}, uint64(len(tab))), uint64(len(records)))
+		out := binary.AppendUvarint(binary.AppendUvarint([]byte{0}, uint64(len(tab))), uint64(len(records)))
 		return append(append(out, tab...), records...)
 	}
 	if !slices.Equal(rebuild(blocks, nil), good) {
@@ -355,7 +355,7 @@ func TestRootSkipDetectsInconsistentTable(t *testing.T) {
 	// before the first record.
 	for _, d := range []int{-1, 1} {
 		bad := rebuild(blocks, nil)
-		bad = slices.Concat(bad[:1], putUvarint(nil, uint64(len(bad)-rec+d)), bad[2:])
+		bad = slices.Concat(bad[:1], binary.AppendUvarint(nil, uint64(len(bad)-rec+d)), bad[2:])
 		if it := NewRootIterator(bad); it.Next() || it.Err() == nil {
 			t.Fatalf("record length off by %d: the list decoded", d)
 		}

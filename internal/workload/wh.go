@@ -93,3 +93,18 @@ func WHQuerySet() map[string][]*query.Query {
 	}
 	return out
 }
+
+// ServerQueries flattens the WH query set into query texts, in group
+// order — a ready-made serving workload whose queries share many cover
+// pieces (every group is built from S(NP...)(VP...) skeletons), which
+// is exactly the shape batched execution exploits.
+func ServerQueries() []string {
+	sets := WHQuerySet()
+	var out []string
+	for _, g := range WHGroups {
+		for _, q := range sets[g] {
+			out = append(out, q.String())
+		}
+	}
+	return out
+}
