@@ -129,20 +129,21 @@ bench-baseline:
 # The committed testdata/fuzz corpora always replay
 # in plain `go test`; this target additionally explores for a few
 # seconds per target, which is enough to catch gross regressions (a
-# panic or over-read lands within seconds on these tiny inputs).
+# panic or over-read lands within seconds on these tiny inputs). Each
+# line runs no ordinary test first (-run='^$'): `make test` runs them.
 FUZZTIME ?= 10s
 fuzz-short:
-	$(GO) test -fuzz=FuzzPostingDecode -fuzztime=$(FUZZTIME) ./internal/postings/
-	$(GO) test -fuzz=FuzzRootBlock -fuzztime=$(FUZZTIME) ./internal/postings/
-	$(GO) test -fuzz=FuzzRootSkip -fuzztime=$(FUZZTIME) ./internal/postings/
-	$(GO) test -fuzz=FuzzPageHeader -fuzztime=$(FUZZTIME) ./internal/pager/
-	$(GO) test -fuzz=FuzzBTreeGet -fuzztime=$(FUZZTIME) ./internal/btree/
-	$(GO) test -fuzz=FuzzExtract -fuzztime=$(FUZZTIME) ./internal/subtree/
-	$(GO) test -fuzz=FuzzParseParams -fuzztime=$(FUZZTIME) ./internal/server/
-	$(GO) test -fuzz=FuzzRoutedStream -fuzztime=$(FUZZTIME) ./internal/cluster/
-	$(GO) test -fuzz=FuzzManifest -fuzztime=$(FUZZTIME) ./internal/core/
-	$(GO) test -fuzz=FuzzPieceCursor -fuzztime=$(FUZZTIME) ./internal/core/
-	$(GO) test -fuzz=FuzzStreamMatchesRun -fuzztime=$(FUZZTIME) ./internal/join/
+	$(GO) test -run='^$$' -fuzz=FuzzPostingDecode -fuzztime=$(FUZZTIME) ./internal/postings/
+	$(GO) test -run='^$$' -fuzz=FuzzRootBlock -fuzztime=$(FUZZTIME) ./internal/postings/
+	$(GO) test -run='^$$' -fuzz=FuzzRootSkip -fuzztime=$(FUZZTIME) ./internal/postings/
+	$(GO) test -run='^$$' -fuzz=FuzzPageHeader -fuzztime=$(FUZZTIME) ./internal/pager/
+	$(GO) test -run='^$$' -fuzz=FuzzBTreeGet -fuzztime=$(FUZZTIME) ./internal/btree/
+	$(GO) test -run='^$$' -fuzz=FuzzExtract -fuzztime=$(FUZZTIME) ./internal/subtree/
+	$(GO) test -run='^$$' -fuzz=FuzzParseParams -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run='^$$' -fuzz=FuzzRoutedStream -fuzztime=$(FUZZTIME) ./internal/cluster/
+	$(GO) test -run='^$$' -fuzz=FuzzManifest -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run='^$$' -fuzz=FuzzPieceCursor -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run='^$$' -fuzz=FuzzStreamMatchesRun -fuzztime=$(FUZZTIME) ./internal/join/
 
 # Build the repository's vet tool.
 silint:

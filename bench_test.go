@@ -277,7 +277,10 @@ func BenchmarkAblationCodingQueryLatency(b *testing.B) {
 // pieces. Beyond latency it asserts the point of batching: the batch
 // must issue strictly fewer physical posting-list fetches than the
 // sequential runs (checked via the index's fetch counter, not wall
-// clock — so the guarantee holds at -benchtime=1x in CI too).
+// clock — so the guarantee holds at -benchtime=1x in CI too). The
+// limit=10 level is a windowed batch: each distinct plan is bounded as
+// a limited Search bounds it, and its fetches/op and joinrows/op gate
+// that the window is pushed down rather than cut afterwards.
 func BenchmarkSearchBatch(b *testing.B) {
 	queries := workload.ServerQueries()
 	for _, shards := range []int{1, 4} {
@@ -327,6 +330,22 @@ func BenchmarkSearchBatch(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+		b.Run(fmt.Sprintf("limit=10/shards=%d", shards), func(b *testing.B) {
+			var fetches, rows uint64
+			for i := 0; i < b.N; i++ {
+				res, err := ix.SearchBatch(context.Background(), queries, si.WithLimit(10))
+				if err != nil {
+					b.Fatal(err)
+				}
+				fetches, rows = 0, 0
+				for _, r := range res {
+					fetches += r.Stats.PostingFetches
+					rows += r.Stats.JoinRows
+				}
+			}
+			b.ReportMetric(float64(fetches), "fetches/op")
+			b.ReportMetric(float64(rows), "joinrows/op")
 		})
 	}
 }

@@ -11,11 +11,12 @@
 // runs the in-process leafSet execution over that topology with the
 // helpers internal/core exports — core.Gather's consultation policy
 // (lazy in-order groups for limited searches, every group at once for
-// unlimited ones, counts and batches), core.Rebase and core.Window for
-// the merge — plus strict in-order streaming, so a query through the
-// router returns byte-identical matches, counts and truncation flags
-// to the same query on a single sharded index with the same
-// partition boundaries (asserted by the parity tests). Every node
+// unlimited ones, counts and batches' requests) and the window rule,
+// core.Merge for unary answers and core.Cut for the in-order stream —
+// so a query through the router returns byte-identical matches, counts
+// and truncation flags to the same query on a single sharded index
+// with the same partition boundaries (asserted by the parity tests).
+// Every node
 // answer is checked before it is merged: a match outside the group's
 // tid range or out of (tid, root) order is the replica's fault.
 //

@@ -15,11 +15,13 @@ import (
 
 // This file is the unary scatter-gather: searches, counts and batches
 // consult the groups through core.Gather — the leafSet engine's own
-// consultation policy — and fold the per-group windows with core.Rebase
-// and core.Window, so the router is observationally a sharded index
-// whose shards happen to be networked. A limited search is a bounded
-// gather (groups consulted lazily in tid order, the engine's
-// lookahead); unlimited searches, counts and batches are unbounded.
+// consultation policy — and fold the per-group windows with core.Merge,
+// the engine's own window rule, so the router is observationally a
+// sharded index whose shards happen to be networked. A limited search
+// is a bounded gather (groups consulted lazily in tid order, the
+// engine's lookahead); unlimited searches and counts are unbounded. A
+// batch asks every group at once and folds each query's answers in the
+// order that query's own gather would fold them.
 
 // remaining renders what is left of ctx's deadline as a node timeout
 // parameter, so a node never evaluates past the point the router would
@@ -96,99 +98,38 @@ func (r *Router) groupGet(ctx context.Context, path string, q url.Values, sizes 
 	}
 }
 
-// groupMerge folds one query's per-group windows in tid order: group
-// i's matches rebased by its tree-count prefix sum (core.Rebase) and
-// concatenated, its count summed into the found count.
-type groupMerge struct {
-	opts    core.SearchOpts // the client's window
-	target  int             // opts.Target(); 0 = unbounded
-	bases   []uint32
-	ms      []core.Match
-	found   int
-	clipped bool
-}
-
-// newGroupMerge starts the merge of one query's window over groups
-// based at bases.
-func newGroupMerge(bases []uint32, limit, offset int) *groupMerge {
-	opts := core.SearchOpts{Limit: limit, Offset: offset}
-	return &groupMerge{opts: opts, target: opts.Target(), bases: bases}
-}
-
-// nodeLimit is the window every group is asked for: its leading target
-// matches, or all of them (-1) when unbounded.
-func (m *groupMerge) nodeLimit() int {
-	if m.target == 0 {
-		return -1
-	}
-	return m.target
-}
-
-// add folds group i's window and reports the merge full: the target is
-// reached, or the group was clipped. A node clamps the window it is
-// asked for to its own match cap, so a group that reports truncated
-// with fewer matches than the router asked for (any, when unbounded)
-// stopped short of matches that exist. Matches of later groups would
-// then land after a gap, so a clipped group ends the merge: later
-// groups are ignored and the result stays a valid prefix, flagged
-// truncated — the engine's own prefix property.
-func (m *groupMerge) add(i int, qr server.QueryResult) (full bool) {
-	if m.clipped {
-		return true
-	}
-	m.ms = core.Rebase(m.ms, qr.Matches, m.bases[i])
-	m.found += qr.Count
-	m.clipped = qr.Truncated && (m.target == 0 || len(qr.Matches) < m.target)
-	return m.clipped || (m.target > 0 && m.found >= m.target)
-}
-
-// result cuts the client's window out of the merged matches with
-// core.Window. Each group's window is its leading <= target matches, so
-// the merged slice's first target elements are exactly the global
-// result's. unconsulted reports groups the gather never folded.
-func (m *groupMerge) result(unconsulted bool) server.QueryResult {
-	out, _, _ := core.Window(m.ms, m.opts)
-	return server.QueryResult{
-		Count:     m.found,
-		Matches:   out,
-		Truncated: m.clipped || unconsulted || (m.target > 0 && m.found > m.target),
-	}
-}
-
-// Search answers one query through the cluster. A count is every
-// group's exact count, summed; a search is one gather over the groups,
-// bounded exactly when the window is, each group asked for the
-// window's leading target matches.
+// Search answers one query through the cluster: one gather over the
+// groups, folded by core.Merge. A count asks every group at once for
+// its exact count; a search asks each group for the window's leading
+// matches, consulting groups lazily exactly when the window is bounded.
 func (r *Router) Search(ctx context.Context, p server.Params) (server.QueryResult, *server.StatsJSON, error) {
 	sizes, bases := r.layout()
+	m := core.NewMerge(core.SearchOpts{Limit: p.Limit, Offset: p.Offset, CountOnly: p.CountOnly}, bases)
+	path := "/search"
 	if p.CountOnly {
-		total := 0
-		eval := r.groupGet(ctx, "/count", nodeQuery(ctx, p.Src, -1, 0), sizes)
-		_, err := core.Gather(len(r.groups), false, eval, func(_ int, resp server.SearchResponse) bool {
-			total += resp.Count
-			return false
-		})
-		return server.QueryResult{Count: total}, nil, err
+		path = "/count"
 	}
-	m := newGroupMerge(bases, p.Limit, p.Offset)
-	eval := r.groupGet(ctx, "/search", nodeQuery(ctx, p.Src, m.nodeLimit(), 0), sizes)
-	consulted, err := core.Gather(len(r.groups), m.target > 0, eval, func(i int, resp server.SearchResponse) bool {
-		return m.add(i, resp.QueryResult)
-	})
-	if err != nil {
+	eval := r.groupGet(ctx, path, nodeQuery(ctx, p.Src, m.Ask(), 0), sizes)
+	if _, err := core.Gather(len(r.groups), m.Ask() > 0, eval, func(i int, resp server.SearchResponse) bool {
+		return m.Add(i, resp.Matches, resp.Count, resp.Truncated)
+	}); err != nil {
 		return server.QueryResult{}, nil, err
 	}
-	return m.result(consulted < len(r.groups)), nil, nil
+	var qr server.QueryResult
+	qr.Matches, qr.Count, qr.Truncated = m.Result()
+	return qr, nil, nil
 }
 
-// Batch sends the whole batch to every group (batches share fetches,
-// they do not early-terminate — the engine's own contract), and merges
-// each query like an unlimited or windowed search.
+// Batch sends the whole batch to every group at once, each query asked
+// for its window's leading matches, and folds each query's group
+// answers with core.Merge in the order Search's gather folds them: a
+// truncated count depends on which groups were folded.
 func (r *Router) Batch(ctx context.Context, queries []string, p server.Params) ([]server.QueryResult, error) {
 	sizes, bases := r.layout()
+	opts := core.SearchOpts{Limit: p.Limit, Offset: p.Offset, CountOnly: p.CountOnly}
 	body, err := json.Marshal(server.BatchRequest{
 		Queries:   queries,
-		Limit:     newGroupMerge(bases, p.Limit, p.Offset).nodeLimit(),
+		Limit:     core.NewMerge(opts, nil).Ask(), // every query's window is the same
 		CountOnly: p.CountOnly,
 		Timeout:   remaining(ctx),
 	})
@@ -217,11 +158,13 @@ func (r *Router) Batch(ctx context.Context, queries []string, p server.Params) (
 	}
 	results := make([]server.QueryResult, len(queries))
 	for qi := range queries {
-		m := newGroupMerge(bases, p.Limit, p.Offset)
-		for i := range outs {
-			m.add(i, outs[i].Results[qi])
-		}
-		results[qi] = m.result(false)
+		m := core.NewMerge(opts, bases)
+		answer := func(i int) (server.QueryResult, error) { return outs[i].Results[qi], nil }
+		// The answers are in memory already, so this gather cannot fail.
+		_, _ = core.Gather(len(r.groups), m.Ask() > 0, answer, func(i int, qr server.QueryResult) bool {
+			return m.Add(i, qr.Matches, qr.Count, qr.Truncated)
+		})
+		results[qi].Matches, results[qi].Count, results[qi].Truncated = m.Result()
 	}
 	return results, nil
 }

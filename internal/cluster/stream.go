@@ -11,11 +11,11 @@ import (
 )
 
 // This file is the routed /stream: node lines are handed to the
-// surface's NDJSON writer as they arrive, with the engine's
-// resultStream semantics mapped onto sequential group consultation —
-// strict tid order, offset skipping and the one-past-the-window peek
-// all happen at the router, so the client sees exactly the lines (and
-// the summary flags) a single sharded sisrv would have sent.
+// surface's NDJSON writer as they arrive, cut by the engine's own
+// core.Cut over sequential group consultation — strict tid order,
+// offset skipping and the one-past-the-window peek all happen at the
+// router, so the client sees exactly the lines (and the summary flags)
+// a single sharded sisrv would have sent.
 //
 // The distributed twist is mid-stream failover: the router counts the
 // matches it has consumed from the current group, and when a replica
@@ -37,12 +37,8 @@ type streamLine struct {
 // streamState threads the whole routed stream's progress through the
 // per-group, per-attempt consumption.
 type streamState struct {
-	target    int // offset+limit; 0 = unbounded
-	offset    int
-	produced  int  // matches consumed across all groups, offset-skips and peek included
-	truncated bool // window cut evaluation short (or a node's own cap did)
-	done      bool // stop consulting groups
-	emit      func(server.MatchJSON) bool
+	cut  core.Cut
+	emit func(server.MatchJSON) bool
 }
 
 // groupStream is one group's slice of the stream, kept across the
@@ -63,28 +59,22 @@ const maxStreamLine = 1 << 20
 // arrives.
 func (r *Router) Stream(ctx context.Context, p server.Params, emit func(server.MatchJSON) bool) (server.StreamSummary, error) {
 	sizes, bases := r.layout()
-	st := &streamState{target: core.SearchOpts{Limit: p.Limit, Offset: p.Offset}.Target(), offset: p.Offset, emit: emit}
+	st := &streamState{cut: core.NewCut(core.SearchOpts{Limit: p.Limit, Offset: p.Offset}), emit: emit}
 	for gi := range r.groups {
-		if st.done {
+		if err := r.streamGroup(ctx, gi, &groupStream{trees: sizes[gi], base: bases[gi]}, p.Src, st); err != nil {
+			return server.StreamSummary{Count: st.cut.Count}, groupErr(gi, err)
+		}
+		st.cut.End(gi+1 < len(r.groups))
+		if st.cut.Done {
 			break
 		}
-		if err := r.streamGroup(ctx, gi, &groupStream{trees: sizes[gi], base: bases[gi]}, p.Src, st); err != nil {
-			return server.StreamSummary{Count: st.produced}, groupErr(gi, err)
-		}
-		// The window is complete with groups still unconsulted: their
-		// matches exist or not, but fetching them is work the window
-		// does not need — the engine's exact stop, and its exact
-		// truncation flag.
-		if st.target > 0 && st.produced >= st.target && gi+1 < len(r.groups) {
-			st.truncated, st.done = true, true
-		}
 	}
-	return server.StreamSummary{Count: st.produced, Truncated: st.truncated}, nil
+	return server.StreamSummary{Count: st.cut.Count, Truncated: st.cut.Truncated}, nil
 }
 
 // streamGroup consumes one group's slice of the stream, failing over
 // across its replicas with offset resume. It returns nil when the
-// group is exhausted or the stream is finished (st.done); an error
+// group is exhausted or the stream is done (st.cut.Done); an error
 // means every replica failed while the window still needed the group.
 func (r *Router) streamGroup(ctx context.Context, gi int, g *groupStream, src string, st *streamState) error {
 	var lastErr error
@@ -93,7 +83,7 @@ func (r *Router) streamGroup(ctx context.Context, gi int, g *groupStream, src st
 			r.failovers.Add(1)
 		}
 		err := r.streamAttempt(ctx, n, g, src, st)
-		if err == nil || st.done {
+		if err == nil || st.cut.Done {
 			return nil
 		}
 		ne, _ := err.(*nodeError)
@@ -118,11 +108,8 @@ func (r *Router) streamGroup(ctx context.Context, gi int, g *groupStream, src st
 func (r *Router) streamAttempt(ctx context.Context, n *node, g *groupStream, src string, st *streamState) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel() // aborting mid-body stops the node's evaluation
-	wantLimit := -1
-	if st.target > 0 {
-		wantLimit = st.target + 1 - st.produced // through the peek match
-	}
-	q := nodeQuery(ctx, src, wantLimit, g.consumed)
+	asked := st.cut.Ask()
+	q := nodeQuery(ctx, src, asked, g.consumed)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.url+"/stream?"+q.Encode(), nil)
 	if err != nil {
 		return &nodeError{url: n.url, msg: err.Error()}
@@ -152,13 +139,9 @@ func (r *Router) streamAttempt(ctx context.Context, n *node, g *groupStream, src
 				// valid prefix, so the next replica resumes after them.
 				return &nodeError{url: n.url, msg: line.Error}
 			}
-			if line.Truncated && (wantLimit < 0 || lines < wantLimit) {
-				// The node's own match cap clipped its slice short of
-				// what the router asked for. Matches are now missing in
-				// the middle of the global order, so consulting further
-				// groups would emit a gapped stream; stop and flag it.
-				st.truncated, st.done = true, true
-			}
+			// The node's own match cap may have clipped its slice
+			// short of what the router asked for.
+			st.cut.Clip(asked, lines, line.Truncated)
 			return nil
 		}
 		m := server.MatchJSON{TID: line.TID, Root: line.Root}
@@ -172,19 +155,15 @@ func (r *Router) streamAttempt(ctx context.Context, n *node, g *groupStream, src
 		lines++
 		g.consumed++
 		g.last = m
-		st.produced++
-		if st.produced <= st.offset {
-			continue // paging: skip into the window
-		}
-		if st.target > 0 && st.produced > st.target {
-			// The peek match past the window: more matches exist than
-			// the window holds, so the count is a lower bound.
-			st.truncated, st.done = true, true
-			return nil
+		if !st.cut.Take() {
+			if st.cut.Done {
+				return nil // the peek past the window
+			}
+			continue
 		}
 		m.TID += g.base
 		if !st.emit(m) {
-			st.done = true // the client went away
+			st.cut.Stop() // the client went away
 			return nil
 		}
 	}

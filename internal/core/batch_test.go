@@ -85,8 +85,8 @@ func TestBatchMatchesSequentialSharded(t *testing.T) {
 }
 
 // TestBatchStatsAreSearchStats asserts that a batch runs each distinct
-// plan through the same evaluation as Search: a first occurrence
-// reports Search's strategy, estimate, join rows, shards, truncation
+// plan through the same evaluation as Search, under the same window:
+// a first occurrence reports Search's strategy, estimate, join rows, shards, truncation
 // and count; a repeat or permutation reports no fetches and no join
 // rows of its own; and the results' fetches sum to the physical reads
 // the batch made.
@@ -96,8 +96,8 @@ func TestBatchStatsAreSearchStats(t *testing.T) {
 	srcs := append(slices.Clone(batchQueries), "S(NP(DT)(NN))(VP)", "S(VP)(NP(NN)(DT))")
 	for _, shards := range []int{1, 3} {
 		h := openLive(t, trees, shards, OpenOptions{})
-		for _, opts := range []SearchOpts{{}, {CountOnly: true}} {
-			name := fmt.Sprintf("shards=%d countOnly=%v", shards, opts.CountOnly)
+		for _, opts := range []SearchOpts{{}, {CountOnly: true}, {Limit: 3, Offset: 1}} {
+			name := fmt.Sprintf("shards=%d opts=%+v", shards, opts)
 			base := h.Counters().PostingFetches
 			batch, err := h.SearchBatch(ctx, srcs, opts)
 			if err != nil {

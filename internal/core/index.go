@@ -239,7 +239,7 @@ type evalOpts struct {
 	// target, when positive, stops evaluation once that many matches
 	// have been produced. The returned slice holds at most target+1
 	// matches — the extra one distinguishes "exactly target matches
-	// exist" from a truncated result, preserving Window semantics.
+	// exist" from a truncated result, which Merge's truncation needs.
 	target int
 	// dels, when non-nil, is the leaf's tombstone set: posting entries
 	// of tombstoned tids are dropped at decode time, before permutation

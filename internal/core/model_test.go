@@ -425,6 +425,9 @@ func (h *history) check(step string, syntactic bool) {
 			fail("%s: count-only %d, window %v, stream %d, batch %v; want %d, %v", srcs[i],
 				a.countOnly, a.window, a.streamedCount, a.batch, len(want), win)
 		}
+		if a.work[4][1] > a.work[2][1] {
+			fail("%s: windowed batch spent %d join rows, windowed search %d", srcs[i], a.work[4][1], a.work[2][1])
+		}
 	}
 
 	// 2. The reader against the writer.

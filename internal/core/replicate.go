@@ -10,12 +10,12 @@ import (
 // cluster layer: the exported pieces a follower needs to pull a
 // published segment set over HTTP — the on-disk file names, the set of
 // payload files a segment carries, and the validation of
-// segment-relative paths a node may serve — plus the consultation and
-// merge helpers (Gather, Rebase, Window) the in-process leafSet engine
-// runs on and a router reuses to combine per-node results with exactly
-// the same semantics (see internal/cluster). Keeping
-// them here means the wire layout can never drift from the index
-// layout: both sides read the same constants.
+// segment-relative paths a node may serve — plus the consultation
+// policy (Gather; the window rule is window.go's) the in-process leafSet
+// engine runs on and a router reuses to combine per-node results with
+// exactly the same semantics (see internal/cluster). Keeping them here
+// means the wire layout can never drift from the index layout: both
+// sides read the same constants.
 
 // Exported on-disk file names of one index leaf. A segment directory
 // is either one leaf (these three files plus its meta.json) or a set

@@ -37,8 +37,7 @@ type SearchOpts struct {
 	// Explain asks for per-piece planner diagnostics: the result's
 	// Stats.Pieces records each cover piece's estimated vs. actual
 	// cardinality. Off by default — the tracking slice is only
-	// allocated when set, so the normal path pays nothing. Ignored by
-	// batch searches.
+	// allocated when set, so the normal path pays nothing.
 	Explain bool
 }
 
@@ -194,45 +193,6 @@ func (r *Result) All() iter.Seq2[Match, error] {
 	}
 }
 
-// Window applies opts.Offset and opts.Limit to fully materialized,
-// globally sorted matches, returning the requested slice, the number
-// of matches found, and whether trailing matches were cut off. A
-// trimmed window is copied out of the full slice, so a small result
-// does not pin a large backing array for its lifetime; the untrimmed
-// common case stays zero-copy. The cluster router applies it too, so
-// its window semantics are the engine's own.
-func Window(ms []Match, opts SearchOpts) (out []Match, found int, truncated bool) {
-	found = len(ms)
-	off := opts.Offset
-	if off < 0 {
-		off = 0
-	}
-	if off > len(ms) {
-		off = len(ms)
-	}
-	out = ms[off:]
-	if opts.Limit > 0 && len(out) > opts.Limit {
-		out = out[:opts.Limit]
-		truncated = true
-	}
-	if len(out) < len(ms) {
-		out = append([]Match(nil), out...)
-	}
-	return out, found, truncated
-}
-
-// Rebase appends ms to dst with each match's leaf-local tid shifted to
-// the global range starting at base — the one merge step of the
-// partition-then-concatenate execution model (searchPlan's, and a
-// router's merging per-node windows, so both apply the same
-// semantics).
-func Rebase(dst []Match, ms []Match, base uint32) []Match {
-	for _, m := range ms {
-		dst = append(dst, Match{TID: m.TID + base, Root: m.Root})
-	}
-	return dst
-}
-
 // countingGetter wraps a posting getter so each physical fetch is also
 // tallied into n — the per-query counter behind Result.Stats. Not safe
 // for concurrent use; fan-out paths give each shard its own.
@@ -251,35 +211,33 @@ func leafErr(i int, err error) error {
 	return fmt.Errorf("core: shard %d: %w", i, err)
 }
 
-// searchPlan runs one compiled plan across the leaves through Gather.
-// Leaves partition the corpus into contiguous tid ranges, so the
-// globally sorted match stream is leaf 0's matches, then leaf 1's, and
-// so on. A bounded search (a limit, not count-only) therefore consults
-// leaves lazily in order and stops once Offset+Limit matches are
-// folded: every leaf never started is posting fetches never issued
-// (asserted against the fetch counter in the tests). Each leaf also
-// evaluates with that target pushed into its join, so none produces
-// more than target+1 matches' worth of join rows. An unbounded or
-// count-only search starts every leaf at once and counts exactly. A
-// lookahead leaf failing after the window filled is skipped; the
-// window only uses matches folded before that gap, and the result is
-// flagged Truncated. memos, when non-nil, holds one fetch memo per leaf
-// (a batch's); a plain search passes nil.
+// searchPlan runs one compiled plan across the leaves through Gather,
+// folding their answers into the window with Merge. Leaves partition
+// the corpus into contiguous tid ranges, so the globally sorted match
+// stream is leaf 0's matches, then leaf 1's, and so on. A bounded
+// search (a limit, not count-only) therefore consults leaves lazily in
+// order and stops once Offset+Limit matches are folded: every leaf
+// never started is posting fetches never issued (asserted against the
+// fetch counter in the tests). Each leaf also evaluates with that
+// target pushed into its join, so none produces more than target+1
+// matches' worth of join rows. An unbounded or count-only search
+// starts every leaf at once and counts exactly. A lookahead leaf
+// failing after the window filled is skipped; the window only uses
+// matches folded before that gap, and the result is flagged Truncated.
+// memos, when non-nil, holds one fetch memo per leaf (a batch's); a
+// plain search passes nil.
 func (ls leafSet) searchPlan(ctx context.Context, pl *Plan, opts SearchOpts, hit bool, memos []fetchMemo) (*Result, error) {
 	var reads []atomic.Uint64
 	if opts.Explain {
 		reads = make([]atomic.Uint64, len(pl.Pieces))
 	}
-	target := 0
-	if !opts.CountOnly {
-		target = opts.Target()
-	}
+	m := NewMerge(opts, ls.offsets[:len(ls.leaves)])
+	target := m.Ask() // <= 0: drain every leaf
 	type leafOut struct {
 		ms      []Match
 		n, rows int
 	}
 	var fetched atomic.Uint64 // every started leaf's, skipped failures included
-	parts := make([][]Match, len(ls.leaves))
 	res := &Result{Stats: SearchStats{PlanCacheHit: hit}}
 	consulted, err := Gather(len(ls.leaves), target > 0, func(i int) (o leafOut, err error) {
 		var n uint64
@@ -293,10 +251,8 @@ func (ls leafSet) searchPlan(ctx context.Context, pl *Plan, opts SearchOpts, hit
 		fetched.Add(n)
 		return o, leafErr(i, err)
 	}, func(i int, o leafOut) bool {
-		parts[i] = o.ms
-		res.Count += o.n
 		res.Stats.JoinRows += uint64(o.rows)
-		return target > 0 && res.Count >= target
+		return m.Add(i, o.ms, o.n, false)
 	})
 	if err != nil {
 		return nil, err
@@ -304,36 +260,25 @@ func (ls leafSet) searchPlan(ctx context.Context, pl *Plan, opts SearchOpts, hit
 	res.Stats.PostingFetches = fetched.Load()
 	res.Stats.ShardsConsulted = consulted
 	planStats(&res.Stats, pl, reads)
-	if !opts.CountOnly {
-		all := make([]Match, 0, res.Count)
-		for i, ms := range parts {
-			all = Rebase(all, ms, ls.offsets[i])
-		}
-		res.Matches, _, res.Stats.Truncated = Window(all, opts)
-	}
-	res.Stats.Truncated = res.Stats.Truncated || consulted < len(ls.leaves)
+	res.Matches, res.Count, res.Stats.Truncated = m.Result()
 	return res, nil
 }
 
 // resultStream is the engine behind a pending Result: a cursor over
-// the per-shard match streams that enforces offset/limit and gathers
-// stats as it goes. It runs entirely on the consumer's goroutine.
+// the per-shard match streams that cuts the window and gathers stats
+// as it goes. It runs entirely on the consumer's goroutine.
 type resultStream struct {
-	ctx    context.Context
-	ls     leafSet
-	pl     *Plan
-	target int // offset+limit; 0 = unbounded
-	offset int
+	ctx context.Context
+	ls  leafSet
+	pl  *Plan
+	cut Cut
 
 	si        int         // current shard while cur != nil, else next to open
 	cur       matchStream // nil between shards
 	fetched   uint64
 	rows      uint64
-	produced  int // matches pulled out of shards, offset-skipped ones included
 	consulted int
 	hit       bool
-	truncated bool
-	finished  bool
 	err       error
 
 	// release, when set, is called exactly once when the stream's
@@ -349,29 +294,20 @@ func newStreamResult(ctx context.Context, ls leafSet, pl *Plan, opts SearchOpts,
 	if opts.CountOnly {
 		return nil, fmt.Errorf("core: count-only search has no streaming form; use Search")
 	}
-	rs := &resultStream{
-		ctx:    ctx,
-		ls:     ls,
-		pl:     pl,
-		target: opts.Target(),
-		offset: max(opts.Offset, 0),
-		hit:    hit,
-	}
+	rs := &resultStream{ctx: ctx, ls: ls, pl: pl, cut: NewCut(opts), hit: hit}
 	return &Result{stream: rs}, nil
 }
 
 // pull returns the next in-window match, advancing shard streams as
-// needed. After the window closes it peeks one match further so the
-// truncation flag matches the materialized path's semantics, then
-// reports the stream as finished.
+// needed, until the cut is done.
 func (rs *resultStream) pull() (Match, bool) {
 	for {
-		if rs.finished || rs.err != nil {
+		if rs.cut.Done || rs.err != nil {
 			return Match{}, false
 		}
 		if rs.cur == nil {
 			if rs.si >= len(rs.ls.leaves) {
-				rs.finished = true // every shard exhausted: counts are exact
+				rs.cut.End(false) // no leaves at all
 				return Match{}, false
 			}
 			sh := rs.ls.leaves[rs.si]
@@ -390,28 +326,12 @@ func (rs *resultStream) pull() (Match, bool) {
 				return Match{}, false
 			}
 			rs.closeShard()
-			// The window is complete; whether more shards hold matches
-			// is unknown and not worth their posting fetches — exactly
-			// a bounded Search's truncation semantics.
-			if rs.target > 0 && rs.produced >= rs.target && rs.si < len(rs.ls.leaves) {
-				rs.truncated = true
-				rs.finished = true
-				return Match{}, false
-			}
+			rs.cut.End(rs.si < len(rs.ls.leaves))
 			continue
 		}
-		rs.produced++
-		if rs.produced <= rs.offset {
-			continue // paging: skip into the window
+		if rs.cut.Take() {
+			return Match{TID: m.TID + rs.ls.offsets[rs.si], Root: m.Root}, true
 		}
-		if rs.target > 0 && rs.produced > rs.target {
-			// The peek match past the window: evaluation found more than
-			// the window holds, so the count is a lower bound.
-			rs.truncated = true
-			rs.finished = true
-			return Match{}, false
-		}
-		return Match{TID: m.TID + rs.ls.offsets[rs.si], Root: m.Root}, true
 	}
 }
 
@@ -433,12 +353,12 @@ func (rs *resultStream) finish(r *Result) {
 		rs.rows += uint64(rs.cur.Rows())
 		rs.cur = nil
 	}
-	r.Count = rs.produced
+	r.Count = rs.cut.Count
 	r.Stats = SearchStats{
 		PostingFetches:  rs.fetched,
 		PlanCacheHit:    rs.hit,
 		ShardsConsulted: rs.consulted,
-		Truncated:       rs.truncated || !rs.finished || rs.consulted < len(rs.ls.leaves),
+		Truncated:       rs.cut.Truncated || !rs.cut.Done,
 		JoinRows:        rs.rows,
 	}
 	planStats(&r.Stats, rs.pl, nil)

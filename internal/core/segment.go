@@ -650,13 +650,13 @@ func (l *Live) SearchStream(ctx context.Context, src string, opts SearchOpts) (*
 // and each distinct plan is then evaluated once, in query order,
 // through the same searchPlan as Search, with a fetch memo per leaf in
 // front of the B+Tree: a cover key the batch's plans share is read
-// once per leaf. Plans run unbounded (a batch shares fetches instead
-// of stopping early); the window applies to each result at the end, so
-// Results keep query order and each is identical to Search on that
-// element. Each distinct plan's Stats are its own evaluation's: its
-// fetches are the physical reads it made, so a key served from the
-// memo counts for the first query that read it. A repeat reports 0
-// fetches and 0 join rows. Explain is ignored.
+// once per leaf. Each plan is bounded by opts exactly as Search bounds
+// it — a window consults leaves lazily and stops its joins at the
+// window — so Results keep query order and each is identical to Search
+// on that element. Each distinct plan's Stats are its own
+// evaluation's, explain table included: its fetches are the physical
+// reads it made, so a key served from the memo counts for the first
+// query that read it. A repeat reports 0 fetches and 0 join rows.
 func (l *Live) SearchBatch(ctx context.Context, srcs []string, opts SearchOpts) ([]*Result, error) {
 	e, err := l.pin()
 	if err != nil {
@@ -684,12 +684,9 @@ func (l *Live) SearchBatch(ctx context.Context, srcs []string, opts SearchOpts) 
 			out[i] = &r
 			continue
 		}
-		res, err := l.searchPlan(ctx, e, pl, SearchOpts{CountOnly: opts.CountOnly}, hits[i], memos)
+		res, err := l.searchPlan(ctx, e, pl, opts, hits[i], memos)
 		if err != nil {
 			return nil, err
-		}
-		if !opts.CountOnly {
-			res.Matches, _, res.Stats.Truncated = Window(res.Matches, opts)
 		}
 		done[pl], out[i] = res, res
 	}

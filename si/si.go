@@ -404,8 +404,7 @@ func WithCountOnly() SearchOption { return func(o *SearchOptions) { o.CountOnly 
 // the strategy and the plan's estimated match cardinality, which every
 // search reports, SearchStats gains a per-piece table of estimated vs.
 // actually decoded posting entries (SearchStats.Pieces). Explain adds a per-piece
-// counter to the hot path, so leave it off in production loops; it is
-// ignored by SearchBatch.
+// counter to the hot path, so leave it off in production loops.
 func WithExplain() SearchOption { return func(o *SearchOptions) { o.Explain = true } }
 
 // searchOptions folds SearchOption values into a SearchOptions.
@@ -490,12 +489,11 @@ func (i *Index) SearchStream(ctx context.Context, querySrc string, opts ...Searc
 // strictly fewer posting fetches than len(srcs) Search calls.
 // Results[i] matches Search(ctx, srcs[i]) with the same options; any
 // unparsable query fails the whole batch with an error naming its
-// position. Batches optimize fetch sharing rather than early
-// termination, so limits apply to each finished result. Each result's
-// Stats are its own query's: PostingFetches counts the reads it made
-// (a key shared with an earlier query of the batch is not read again),
-// and a repeat reports zero fetches and join rows. WithExplain is
-// ignored.
+// position. A window bounds each distinct plan exactly as it bounds
+// Search, so a limited batch stops early too. Each result's Stats are
+// its own query's: PostingFetches counts the reads it made (a key
+// shared with an earlier query of the batch is not read again), and a
+// repeat reports zero fetches and join rows.
 func (i *Index) SearchBatch(ctx context.Context, srcs []string, opts ...SearchOption) ([]*SearchResult, error) {
 	return i.ix.SearchBatch(ctx, srcs, searchOptions(opts))
 }
